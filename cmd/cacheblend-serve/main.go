@@ -57,12 +57,12 @@ func main() {
 		chunkTok  = flag.Int("chunk-tokens", 512, "tokens per chunk")
 		replicas  = flag.Int("replicas", 1, "model replicas pulling from the shared queue")
 		batch     = flag.Int("batch", 1, "continuous-batching cap per replica step")
-		sched     = flag.String("sched", "", "scheduling policy (fifo, chunked-prefill, decode-priority, slo); empty = legacy FIFO without scheduling telemetry")
+		sched     = flag.String("sched", "", "scheduling policy (fifo, chunked-prefill, decode-priority, slo); empty = fifo")
 		budget    = flag.Int("prefill-budget", 0, "chunked-prefill per-step prefill token budget (0 = default 256; requires -sched chunked-prefill or slo)")
-		sloTTFT   = flag.Float64("slo-ttft", 0, "TTFT SLO target in seconds (requires -sched; the slo policy schedules against it, any policy reports attainment)")
-		sloTBT    = flag.Float64("slo-tbt", 0, "mean-TBT SLO target in seconds (requires -sched)")
-		prefetch  = flag.String("prefetch", "", "tier prefetch policy (off, on-enqueue, predictive); empty = legacy synchronous loading without prefetch telemetry")
-		router    = flag.String("router", "", "replica-routing policy (shared, hash, affinity); empty = legacy shared store without router telemetry; hash/affinity give each replica its own tier stack")
+		sloTTFT   = flag.Float64("slo-ttft", 0, "TTFT SLO target in seconds (the slo policy schedules against it, any policy reports attainment)")
+		sloTBT    = flag.Float64("slo-tbt", 0, "mean-TBT SLO target in seconds")
+		prefetch  = flag.String("prefetch", "", "tier prefetch policy (off, on-enqueue, predictive); empty = off")
+		router    = flag.String("router", "", "replica-routing policy (shared, hash, affinity); empty = shared; hash/affinity give each replica its own tier stack")
 		prefBW    = flag.Float64("prefetch-bw", 0, "loader bandwidth budget as a fraction of the source tier's read bandwidth in (0,1] (0 = full bandwidth; requires an active -prefetch policy)")
 		shards    = flag.Int("shards", 0, "KV store shards (0 = default)")
 		killSpec  = flag.String("kill", "", "membership kills as time:replica pairs, e.g. 15:1,40:2 (times in simulated seconds)")
@@ -77,7 +77,7 @@ func main() {
 		burst        = flag.Float64("burst", 8, "bursty workload's peak-to-mean rate factor")
 		amplitude    = flag.Float64("amplitude", 0.8, "diurnal workload's relative rate swing in [0,1]")
 		tenants      = flag.Int("tenants", 1, "tenant count: >1 runs a multi-tenant Poisson mix (disjoint corpus slices, fanned-out skew, drifting popularity)")
-		decodeMean   = flag.Float64("decode", 0, "mean generation length in output tokens (0 = prefill-only legacy behaviour)")
+		decodeMean   = flag.Float64("decode", 0, "mean generation length in output tokens (0 = prefill only)")
 		decodeDist   = flag.String("decode-dist", "geometric", "generation-length distribution: geometric or fixed")
 		tracePath    = flag.String("trace", "", "replay a recorded JSONL trace instead of generating a workload")
 		recordPath   = flag.String("record", "", "record the generated request stream to a JSONL trace (requires exactly one rate)")
@@ -193,7 +193,7 @@ func main() {
 	}
 	schedName := *sched
 	if schedName == "" {
-		schedName = "fifo" // the legacy default (scheduling telemetry off)
+		schedName = serve.SchedFIFO
 	}
 
 	// Trace replay: the recorded stream fixes arrivals, tenants and chunk
@@ -342,15 +342,13 @@ func printResult(res serve.Result, verbose bool) {
 			res.SLOAttainment*100, res.SLOTTFTAttainment*100, res.SLOTBTAttainment*100,
 			res.Goodput, res.SLOViolations)
 	}
-	if res.Router != "" {
-		line := fmt.Sprintf("  router %-8s load-skew=%.2f replica-hits=%s replica-reqs=%v",
-			res.Router, res.LoadSkew, fmtUtils(res.ReplicaHitRates), res.ReplicaRequests)
-		if res.DuplicationBytes > 0 || res.QueueSkew > 0 {
-			line += fmt.Sprintf(" queue-skew=%.2f dup=%.1fGB",
-				res.QueueSkew, float64(res.DuplicationBytes)/1e9)
-		}
-		fmt.Println(line)
+	line := fmt.Sprintf("  router %-8s load-skew=%.2f replica-hits=%s replica-reqs=%v",
+		res.Router, res.LoadSkew, fmtUtils(res.ReplicaHitRates), res.ReplicaRequests)
+	if res.DuplicationBytes > 0 || res.QueueSkew > 0 {
+		line += fmt.Sprintf(" queue-skew=%.2f dup=%.1fGB",
+			res.QueueSkew, float64(res.DuplicationBytes)/1e9)
 	}
+	fmt.Println(line)
 	if res.Failovers > 0 || res.ReroutedRequests > 0 {
 		fmt.Printf("  failover kills=%d rerouted=%d rewarm-stall=%.2fs recovery=%.2fs\n",
 			res.Failovers, res.ReroutedRequests, res.ReWarmStall, res.RecoveryTime)

@@ -104,19 +104,18 @@ func TestClosedLoopSelfThrottling(t *testing.T) {
 	}
 }
 
-// TestSLOTelemetryGating: SLO fields appear only when targets are set
-// alongside an explicit policy, and stay exactly zero otherwise — the
-// same gating that keeps the legacy goldens byte-identical.
+// TestSLOTelemetryGating: SLO fields appear exactly when targets are set,
+// whatever the policy (here the default), and stay zero otherwise.
 func TestSLOTelemetryGating(t *testing.T) {
 	w := burstyDecode(0.6)
-	plain, err := RunWorkload(schedConfig(SchedFIFO), w, 300, 100, 7)
+	plain, err := RunWorkload(schedConfig(""), w, 300, 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.SLOAttainment != 0 || plain.Goodput != 0 || plain.SLOViolations != 0 {
 		t.Fatalf("no targets set but SLO telemetry populated: %+v", plain)
 	}
-	cfg := schedConfig(SchedFIFO)
+	cfg := schedConfig("")
 	cfg.SLOTTFT, cfg.SLOTBT = 2, 0.1
 	slo, err := RunWorkload(cfg, w, 300, 100, 7)
 	if err != nil {

@@ -12,8 +12,7 @@ import (
 )
 
 // TestDecodeDisabledResultUnchanged: a prefill-only stream must produce a
-// Result whose JSON carries none of the decode fields — the property that
-// keeps legacy goldens byte-identical.
+// Result whose JSON carries none of the decode fields.
 func TestDecodeDisabledResultUnchanged(t *testing.T) {
 	cfg := baseConfig(baselines.CacheBlend)
 	res, err := RunWorkload(cfg, workload.Poisson{Rate: 0.5, Chunks: testWorkloadChunks(cfg)}, 200, 50, 4)

@@ -101,7 +101,7 @@ func TestFailoverKillJoinCompletes(t *testing.T) {
 			}
 		}
 		// The event fields must round-trip (omitempty drops them only when
-		// zero) and legacy runs must omit them entirely.
+		// zero) and event-free runs must omit them entirely.
 		blob, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", router, err)
@@ -116,7 +116,7 @@ func TestFailoverKillJoinCompletes(t *testing.T) {
 		baseBlob, _ := json.Marshal(base)
 		for _, field := range []string{"Failovers", "ReroutedRequests", "ReWarmStall", "RecoveryTime"} {
 			if jsonHasField(baseBlob, field) {
-				t.Errorf("%s: event-free Result serialises %s — legacy goldens would drift", router, field)
+				t.Errorf("%s: event-free Result serialises %s", router, field)
 			}
 		}
 	}
@@ -328,7 +328,7 @@ func TestSharedKillCapacityLoss(t *testing.T) {
 	}
 }
 
-// TestFailoverLegacyUnrouted: events on an unrouted (legacy "" router)
+// TestFailoverLegacyUnrouted: events on an unrouted (default "" router)
 // config still work — kills are worker capacity loss, joins add workers
 // — so elasticity is not tied to the router feature.
 func TestFailoverLegacyUnrouted(t *testing.T) {

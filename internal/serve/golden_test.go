@@ -27,24 +27,21 @@ type goldenCase struct {
 	Replicas int
 	Tiered   bool
 	Seed     int64
-	// Workload selects the arrival generator: "" is the legacy Poisson
-	// path through serve.Run (those goldens predate the workload
-	// subsystem and double as its seed-compatibility check), "bursty" and
-	// "multi-tenant" go through RunWorkload.
+	// Workload selects the arrival generator: "" is the Poisson path
+	// through serve.Run (those goldens predate the workload subsystem and
+	// double as its seed-compatibility check), the others go through
+	// RunWorkload.
 	Workload string
-	// Sched selects the scheduling policy ("" = the legacy default; the
-	// policy cases lock the chunked-prefill and decode-priority
-	// schedules and their StallTime/PrefillDelay telemetry down the way
-	// the legacy cases lock FIFO).
+	// Sched selects the scheduling policy ("" = fifo; the policy cases
+	// lock the chunked-prefill and decode-priority schedules the way the
+	// other cases lock fifo).
 	Sched string
-	// Prefetch selects the tier-prefetch policy ("" = legacy synchronous
-	// loading; "off" locks the same schedule with the prefetch telemetry
-	// on, the active policies lock the loader processes' transfer
-	// schedules).
+	// Prefetch selects the tier-prefetch policy ("" = off; the active
+	// policies lock the loader processes' transfer schedules).
 	Prefetch string
-	// Router selects the replica-routing policy ("" = legacy shared
-	// store; the routed cases lock the ring ownership and affinity-score
-	// schedules plus the skew/duplication telemetry).
+	// Router selects the replica-routing policy ("" = shared; the routed
+	// cases lock the ring ownership and affinity-score schedules plus the
+	// skew/duplication telemetry).
 	Router string
 	// Failover adds a membership schedule — kill one replica at ~40% of
 	// the trace, join a cold one at ~70% — locking the drain/re-route
@@ -90,8 +87,7 @@ func goldenCases() []goldenCase {
 		}
 	}
 	// Scheduling-policy cases on the decode workload (mixed batches are
-	// where the policies differ): explicit fifo locks the scheduling
-	// telemetry over the legacy schedule, chunked-prefill locks the
+	// where the policies differ): fifo by name, chunked-prefill the
 	// budgeted token-granularity stepping, decode-priority the deferred
 	// admission with its aging bound.
 	for _, sched := range []string{SchedFIFO, SchedChunkedPrefill, SchedDecodePriority} {
@@ -121,9 +117,9 @@ func goldenCases() []goldenCase {
 	}
 	// Router cases on the multi-tenant mix over tiered placement — the
 	// workload whose per-tenant corpora the routed policies partition.
-	// shared locks the telemetry over the legacy schedule; hash locks the
-	// ring ownership, affinity the score/touch schedule, both with their
-	// skew and duplication accounting.
+	// shared is the single-node baseline; hash locks the ring ownership,
+	// affinity the score/touch schedule, both with their skew and
+	// duplication accounting.
 	for _, router := range []string{RouterShared, RouterHash, RouterAffinity} {
 		for _, seed := range []int64{1, 7} {
 			name := "cacheblend/r4/tiered/multi-tenant/router-" + router + "/seed" + strconv.FormatInt(seed, 10)
@@ -145,7 +141,7 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// run executes the case: legacy cases through serve.Run, workload cases
+// run executes the case: Poisson cases through serve.Run, workload cases
 // through RunWorkload.
 func (gc goldenCase) run(t *testing.T) Result {
 	t.Helper()
@@ -269,7 +265,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 
 // TestGoldenReplayDeterministic: two in-process replays of the same case
 // must agree bit-for-bit — the property the golden file relies on — for
-// the legacy Poisson path and for each workload-generated path.
+// the Poisson path and for each workload-generated path.
 func TestGoldenReplayDeterministic(t *testing.T) {
 	var cases []goldenCase
 	for _, wl := range []string{"", "bursty", "multi-tenant", "decode", "decode-tenants"} {

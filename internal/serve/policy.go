@@ -21,11 +21,9 @@ import (
 
 // Scheduling policy names accepted by Config.Sched.
 const (
-	// SchedFIFO is the legacy policy: admit waiting requests whenever
-	// the batch has room, run prefill in whole-chunk steps. An empty
-	// Config.Sched selects it too (bit-identical to the pre-policy
-	// runtime; naming it explicitly additionally populates the
-	// scheduling telemetry in Result).
+	// SchedFIFO admits waiting requests whenever the batch has room and
+	// runs prefill in whole-chunk steps. It is the default: an empty
+	// Config.Sched selects it too.
 	SchedFIFO = "fifo"
 	// SchedChunkedPrefill admits FIFO but caps the prefill tokens a
 	// step may spend at Config.PrefillBudget, splitting a joining
@@ -63,12 +61,11 @@ type Policy interface {
 	// directly from the shared queue, bypassing the quota.
 	AdmitQuota(prefillers, decoders, headroom, deferred int) int
 	// PrefillBudget returns the per-step prefill token budget shared by
-	// the batch's prefilling members, 0 meaning whole-chunk steps (the
-	// legacy granularity).
+	// the batch's prefilling members, 0 meaning whole-chunk steps.
 	PrefillBudget() int
 }
 
-// fifoPolicy is the legacy scheduler: greedy admission, no budget.
+// fifoPolicy is the default scheduler: greedy admission, no budget.
 type fifoPolicy struct{}
 
 func (fifoPolicy) Name() string                  { return SchedFIFO }
@@ -125,12 +122,6 @@ func (c Config) policy() Policy {
 	}
 	panic(fmt.Sprintf("serve: unknown scheduling policy %q", c.Sched))
 }
-
-// schedMetrics reports whether the run populates the scheduling
-// telemetry (StallTime, prefill-delay percentiles) in Result. Gated on
-// an explicit policy so legacy Results — goldens included — stay
-// byte-identical under the default configuration.
-func (c Config) schedMetrics() bool { return c.Sched != "" }
 
 // allocPrefill grants this step's prefill token slices in batch
 // (admission) order under a shared budget: the oldest prefilling member

@@ -53,6 +53,13 @@ func TestSchedValidate(t *testing.T) {
 	if err := sloConfig().Validate(); err != nil {
 		t.Fatalf("slo policy with a TTFT target rejected: %v", err)
 	}
+	// Targets only measure attainment outside the slo policy, so they are
+	// valid with the default policy too.
+	targets := schedConfig("")
+	targets.SLOTTFT, targets.SLOTBT = 2, 0.05
+	if err := targets.Validate(); err != nil {
+		t.Fatalf("SLO targets with the default policy rejected: %v", err)
+	}
 	bad := []struct {
 		name   string
 		mutate func(*Config)
@@ -62,11 +69,9 @@ func TestSchedValidate(t *testing.T) {
 		{"negative budget", func(c *Config) { c.PrefillBudget = -1 }, "prefill budget"},
 		{"negative starve", func(c *Config) { c.StarveLimit = -1 }, "starve limit"},
 		{"budget without chunked", func(c *Config) { c.Sched = SchedFIFO; c.PrefillBudget = 64 }, "prefill budget"},
-		{"budget on legacy default", func(c *Config) { c.PrefillBudget = 64 }, "prefill budget"},
+		{"budget on the default policy", func(c *Config) { c.PrefillBudget = 64 }, "prefill budget"},
 		{"starve without decode-priority", func(c *Config) { c.Sched = SchedChunkedPrefill; c.StarveLimit = 4 }, "starve limit"},
 		{"slo without target", func(c *Config) { c.Sched = SchedSLO }, "TTFT target"},
-		{"targets without policy", func(c *Config) { c.SLOTTFT = 2 }, "explicit scheduling policy"},
-		{"tbt target without policy", func(c *Config) { c.SLOTBT = 0.05 }, "explicit scheduling policy"},
 		{"negative ttft target", func(c *Config) { c.Sched = SchedFIFO; c.SLOTTFT = -1 }, "TTFT SLO target"},
 		{"nan tbt target", func(c *Config) { c.Sched = SchedFIFO; c.SLOTBT = math.NaN() }, "TBT SLO target"},
 	}
@@ -80,35 +85,47 @@ func TestSchedValidate(t *testing.T) {
 	}
 }
 
-// TestFIFOPolicyMatchesLegacy: naming "fifo" must reproduce the legacy
-// default schedule exactly — same TTFT, TBT, throughput, step mix, every
-// shared field — adding only the scheduling telemetry the default leaves
-// zero.
-func TestFIFOPolicyMatchesLegacy(t *testing.T) {
-	w := burstyDecode(0.6)
-	legacy, err := RunWorkload(schedConfig(""), w, 300, 100, 7)
-	if err != nil {
-		t.Fatal(err)
+// TestEmptyPolicyMatchesNamedDefault: an empty Sched, PrefetchPolicy or
+// Router is the named default — fifo, off, shared — so both spellings
+// must give the same Result, telemetry included, on a tiered,
+// multi-tenant, decode-enabled workload. The prefetch pair runs under
+// affinity routing, where the popularity view the router scores with
+// would tell the two apart if the lookup path did.
+func TestEmptyPolicyMatchesNamedDefault(t *testing.T) {
+	w := tenantDecode(2)
+	cases := []struct {
+		name  string
+		set   func(c *Config, policy string)
+		named string
+		base  string // Router of the scenario
+	}{
+		{"sched", func(c *Config, p string) { c.Sched = p }, SchedFIFO, ""},
+		{"prefetch", func(c *Config, p string) { c.PrefetchPolicy = p }, PrefetchOff, RouterAffinity},
+		{"router", func(c *Config, p string) { c.Router = p }, RouterShared, ""},
 	}
-	if legacy.StallTime != 0 || legacy.MeanPrefillDelay != 0 || legacy.P95PrefillDelay != 0 {
-		t.Fatalf("legacy default populated scheduling telemetry: stall=%v delay=%v/%v",
-			legacy.StallTime, legacy.MeanPrefillDelay, legacy.P95PrefillDelay)
-	}
-	got, err := RunWorkload(schedConfig(SchedFIFO), w, 300, 100, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.StallTime <= 0 || got.MeanPrefillDelay <= 0 {
-		t.Fatalf("fifo: scheduling telemetry missing under load: stall=%v delay=%v",
-			got.StallTime, got.MeanPrefillDelay)
-	}
-	// Strip the telemetry and the rest must be byte-identical.
-	stripped := got
-	stripped.StallTime, stripped.MeanPrefillDelay, stripped.P95PrefillDelay = 0, 0, 0
-	gj, _ := json.Marshal(stripped)
-	lj, _ := json.Marshal(legacy)
-	if string(gj) != string(lj) {
-		t.Fatalf("fifo drifted from the legacy schedule:\n got %s\nwant %s", gj, lj)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(policy string) Result {
+				cfg := routerTestConfig(tc.base)
+				tc.set(&cfg, policy)
+				res, err := RunWorkload(cfg, w, 200, 50, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			empty, named := run(""), run(tc.named)
+			if empty.Router == "" || empty.MeanPrefillDelay <= 0 || empty.HBMHitRate <= 0 ||
+				empty.TierStallTime <= 0 || empty.StallTime <= 0 {
+				t.Fatalf("telemetry missing: router=%q prefill-delay=%v hbm=%v tier-stall=%v stall=%v",
+					empty.Router, empty.MeanPrefillDelay, empty.HBMHitRate, empty.TierStallTime, empty.StallTime)
+			}
+			ej, _ := json.Marshal(empty)
+			nj, _ := json.Marshal(named)
+			if string(ej) != string(nj) {
+				t.Fatalf("%q and %q differ:\n empty %s\n named %s", "", tc.named, ej, nj)
+			}
+		})
 	}
 }
 

@@ -20,11 +20,10 @@ import (
 
 // Prefetch policy names accepted by Config.PrefetchPolicy.
 const (
-	// PrefetchOff runs the legacy synchronous loading but populates the
-	// prefetch telemetry in Result (tier-read stall, effective HBM hit
-	// rate) — the baseline the sweep compares the async policies against.
-	// The empty default is the same schedule with the telemetry off,
-	// keeping legacy Results byte-identical.
+	// PrefetchOff loads synchronously: a request reads its chunks from
+	// whichever tier holds them at admission — the baseline the sweep
+	// compares the async policies against, and the default (an empty
+	// Config.PrefetchPolicy means the same).
 	PrefetchOff = "off"
 	// PrefetchOnEnqueue starts a loader per replica and prefetches each
 	// arriving request's own chunks the moment the request enters the
@@ -65,10 +64,6 @@ type prefetchJob struct {
 	req int
 	ids []int
 }
-
-// prefetchOn reports whether the prefetch telemetry is active (any
-// explicit policy, the synchronous "off" baseline included).
-func (c Config) prefetchOn() bool { return c.PrefetchPolicy != "" }
 
 // prefetchActive reports whether loader processes actually run.
 func (c Config) prefetchActive() bool {
@@ -135,15 +130,14 @@ func (c *cluster) jobKeys(job prefetchJob, now float64, qi int) []chunk.ID {
 }
 
 // lookup resolves one chunk lookup against node si's store at virtual
-// time now: the legacy synchronous Get when prefetch is off, the
-// transfer-aware GetAt — which may join an in-flight promotion and report
-// a residual wait — plus a popularity touch when a prefetch policy is set.
+// time now through the transfer-aware GetAt, which may join an in-flight
+// promotion and report a residual wait (with nothing in flight it is a
+// plain Get). When loaders run, the lookup also feeds the node's
+// popularity view the predictive loader ranks by.
 func (c *cluster) lookup(si int, key chunk.ID, now float64) (tier int, wait float64, ok bool) {
-	if !c.prefetchOn {
-		_, tier, ok := c.stores[si].Get(key)
-		return tier, 0, ok
+	if c.pfQueues != nil {
+		c.pops[si].Touch(key, now)
 	}
-	c.pops[si].Touch(key, now)
 	_, tier, wait, ok = c.stores[si].GetAt(key, now)
 	return tier, wait, ok
 }
@@ -156,7 +150,7 @@ func (c Config) validatePrefetch() error {
 		return fmt.Errorf("prefetch policy %q: want %s, %s or %s",
 			c.PrefetchPolicy, PrefetchOff, PrefetchOnEnqueue, PrefetchPredictive)
 	}
-	if c.PrefetchBW < 0 || c.PrefetchBW > 1 {
+	if !finite(c.PrefetchBW) || c.PrefetchBW < 0 || c.PrefetchBW > 1 {
 		return fmt.Errorf("prefetch bandwidth %v: must be a fraction in [0, 1]", c.PrefetchBW)
 	}
 	if c.PrefetchBW > 0 && !c.prefetchActive() {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"testing"
 
 	"repro/internal/baselines"
@@ -50,7 +49,7 @@ func TestPrefetchValidation(t *testing.T) {
 		mut  func(*Config)
 		ok   bool
 	}{
-		{"legacy-empty", func(c *Config) { c.PrefetchPolicy = "" }, true},
+		{"empty", func(c *Config) { c.PrefetchPolicy = "" }, true},
 		{"off", func(c *Config) { c.PrefetchPolicy = PrefetchOff }, true},
 		{"on-enqueue", func(c *Config) { c.PrefetchPolicy = PrefetchOnEnqueue }, true},
 		{"predictive", func(c *Config) { c.PrefetchPolicy = PrefetchPredictive }, true},
@@ -79,43 +78,6 @@ func TestPrefetchValidation(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("%s: want validation error, got nil", tc.name)
 		}
-	}
-}
-
-// TestPrefetchTelemetryGating: the "off" policy is the legacy synchronous
-// schedule with the telemetry turned on — every serving metric must be
-// byte-identical to the legacy empty policy, and only the new fields may
-// differ (populated vs zero).
-func TestPrefetchTelemetryGating(t *testing.T) {
-	cfgLegacy := prefetchConfig("")
-	cfgOff := prefetchConfig(PrefetchOff)
-	w := burstyDrift(0.5, cfgLegacy)
-	legacy, err := RunWorkload(cfgLegacy, w, 150, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := RunWorkload(cfgOff, w, 150, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.TierStallTime != 0 || legacy.PrefetchIssued != 0 || legacy.HBMHitRate != 0 {
-		t.Errorf("legacy policy populated prefetch telemetry: %+v", legacy)
-	}
-	if off.TierStallTime <= 0 {
-		t.Errorf("off policy: want tier-read stall > 0, got %v", off.TierStallTime)
-	}
-	if off.HBMHitRate <= 0 {
-		t.Errorf("off policy: want HBM hit rate > 0, got %v", off.HBMHitRate)
-	}
-	if off.PrefetchIssued != 0 {
-		t.Errorf("off policy issued transfers without loaders: %d", off.PrefetchIssued)
-	}
-	// Zero the telemetry block and the rest must match exactly.
-	off.TierStallTime, off.HBMHitRate = 0, 0
-	lj, _ := json.Marshal(legacy)
-	oj, _ := json.Marshal(off)
-	if string(lj) != string(oj) {
-		t.Errorf("off policy changed the schedule:\nlegacy %s\n   off %s", lj, oj)
 	}
 }
 

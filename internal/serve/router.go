@@ -1,5 +1,5 @@
 // The cache-affinity replica router: the cluster-scale layer in front of
-// admission. The legacy runtime models a single node — every replica
+// admission. The shared topology models a single node — every replica
 // pulls from one shared queue and hits one shared KV store. Production
 // RAG serving partitions the cache instead (RAGCache's "knowledge caching
 // as a service"): each replica is a node with its own tier hierarchy, and
@@ -10,8 +10,8 @@
 //
 // Three policies are selectable via Config.Router:
 //
-//   - shared: the legacy single-store topology, byte-identical schedule;
-//     naming it explicitly populates the router telemetry in Result.
+//   - shared: the single-store topology, and the default (an empty
+//     Config.Router means the same).
 //   - hash: consistent chunk→replica hashing. Each chunk id owns a point
 //     set on a hash ring; a request routes to the replica owning the
 //     plurality of its chunks. Stateless and balanced, but a request's
@@ -39,10 +39,9 @@ import (
 
 // Router policy names accepted by Config.Router.
 const (
-	// RouterShared keeps the legacy topology: one KV store and one
-	// admission queue shared by every replica (a single node). The empty
-	// default is the same schedule with the router telemetry off, keeping
-	// legacy Results byte-identical.
+	// RouterShared is one KV store and one admission queue shared by
+	// every replica (a single node) — the default, which an empty
+	// Config.Router also selects.
 	RouterShared = "shared"
 	// RouterHash partitions by consistent chunk→replica hashing: each
 	// replica owns ringVnodes points on a hash ring, a chunk belongs to
@@ -79,10 +78,6 @@ const (
 	// round-robin-ish instead of dogpiling replica 0.
 	affinityLoadPenalty = 0.5
 )
-
-// routerOn reports whether the router telemetry is active (any explicit
-// policy, the single-node "shared" baseline included).
-func (c Config) routerOn() bool { return c.Router != "" }
 
 // routed reports whether requests are actually routed to per-replica
 // stores and queues (hash or affinity).
@@ -192,9 +187,8 @@ func (h *hashRing) owner(id chunk.ID) int {
 }
 
 // route picks the replica (and with it the store, queue and loader) an
-// arriving request is dispatched to. Unrouted topologies — the legacy
-// default and the explicit shared baseline — use index 0, the single
-// shared state.
+// arriving request is dispatched to. The shared topology uses index 0,
+// the single shared state.
 func (c *cluster) route(req request, now float64) int {
 	if len(c.queues) == 1 {
 		return 0

@@ -131,39 +131,6 @@ func TestRouterDeterminism(t *testing.T) {
 	}
 }
 
-// TestRouterSharedMatchesLegacy: naming the shared baseline may only add
-// telemetry — the schedule, and with it every pre-router Result field,
-// must stay byte-identical to the legacy empty default.
-func TestRouterSharedMatchesLegacy(t *testing.T) {
-	w := routerTestMix(2.0)
-	legacy, err := RunWorkload(routerTestConfig(""), w, 200, 40, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := RunWorkload(routerTestConfig(RouterShared), w, 200, 40, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One store (one hit-rate row), but admission counts stay per replica:
-	// shared replicas still pull work from the common queue independently.
-	if shared.Router != RouterShared || len(shared.ReplicaHitRates) != 1 ||
-		len(shared.ReplicaRequests) != 4 || shared.DuplicationBytes != 0 {
-		t.Errorf("shared telemetry malformed: router=%q hitrates=%v reqs=%v dup=%d",
-			shared.Router, shared.ReplicaHitRates, shared.ReplicaRequests, shared.DuplicationBytes)
-	}
-	if legacy.Router != "" || legacy.ReplicaHitRates != nil || legacy.ReplicaRequests != nil ||
-		legacy.LoadSkew != 0 || legacy.QueueSkew != 0 || legacy.DuplicationBytes != 0 {
-		t.Errorf("legacy run populated router telemetry: %+v", legacy)
-	}
-	shared.Router, shared.ReplicaHitRates, shared.ReplicaRequests = "", nil, nil
-	shared.LoadSkew, shared.QueueSkew, shared.DuplicationBytes = 0, 0, 0
-	lj, _ := json.Marshal(legacy)
-	sj, _ := json.Marshal(shared)
-	if string(lj) != string(sj) {
-		t.Errorf("shared baseline drifted from legacy:\n legacy %s\n shared %s", lj, sj)
-	}
-}
-
 // TestAffinityBeatsHashAndShared is the acceptance property of the
 // router: on multi-tenant bursty Zipf traffic whose corpora exceed a
 // replica's HBM tier, affinity routing must beat both the shared

@@ -39,8 +39,8 @@ type request struct {
 
 // member is a request resident in a replica's running batch: a two-phase
 // state machine (prefill steps, then decode steps once decoding is set).
-// Under the legacy whole-chunk policies prefill advances one equal step
-// per chunk (unit/remaining); under a budgeted (chunked-prefill) policy
+// Under the whole-chunk policies prefill advances one equal step per
+// chunk (unit/remaining); under a budgeted (chunked-prefill) policy
 // it advances at token granularity instead (prefTotal/prefDone/perTok),
 // the per-step slice set by allocPrefill from the shared budget.
 type member struct {
@@ -77,7 +77,7 @@ type tenantAcc struct {
 // stores, admission queues, popularity views, loader queues — is sliced
 // per replica: under the routed policies (hash, affinity) every replica
 // owns index r of each slice, its own node; under the shared topology the
-// slices have one element every replica shares, the legacy single node.
+// slices have one element every replica shares, a single node.
 type cluster struct {
 	cfg        Config
 	reqs       []request
@@ -92,9 +92,6 @@ type cluster struct {
 	hasDecode  bool    // some request carries a generation budget
 	policy     Policy
 	budget     int  // the policy's per-step prefill token budget (0 = whole-chunk)
-	schedOn    bool // scheduling telemetry requested (explicit Config.Sched)
-	prefetchOn bool // prefetch telemetry requested (explicit Config.PrefetchPolicy)
-	routerOn   bool // router telemetry requested (explicit Config.Router)
 	isRouted   bool // per-replica stores with real routing (hash/affinity)
 	ring       *hashRing
 	pops       []*kvstore.Popularity
@@ -102,13 +99,12 @@ type cluster struct {
 	admitted   []bool                    // request idx → already admitted (loader cancellation)
 	predPend   []int                     // queued predictive jobs per loader queue (dedupe)
 	inflight   []int                     // requests routed to each node, not yet retired
-	eventsOn   bool                      // a membership-event schedule is configured
 	dead       []bool                    // replica index → killed by a membership event
-	rerouted   []bool                    // request idx → re-enqueued by a kill (events only)
+	rerouted   []bool                    // request idx → re-enqueued by a kill (nil without events)
 	failovers  int                       // kill events fired
 	reroutedN  int64                     // requests drained off dead nodes and re-routed
 	firstKill  float64                   // virtual time of the first kill (-1 = none yet)
-	ttftAt     []float64                 // first-token timestamps matching ttfts (events only)
+	ttftAt     []float64                 // first-token timestamps matching ttfts (nil without events)
 
 	// Closed-loop drive: non-nil closed means arrivals come from the
 	// workload session, fed each completion at retirement, instead of a
@@ -118,9 +114,9 @@ type cluster struct {
 	initIssues []workload.Issue // the initial wave, arrival-ordered
 
 	// SLO state. sloSched orders admission by deadline (the slo policy);
-	// sloOn populates the attainment telemetry — either alone is valid
-	// (slo scheduling is always target-driven, but fifo can be measured
-	// against targets too).
+	// sloOn evaluates every completion against the targets — set whenever
+	// a target is, so it always holds under the slo policy, which
+	// requires one.
 	sloSched          bool
 	sloOn             bool
 	sloTTFT, sloTBT   float64
@@ -147,7 +143,7 @@ type cluster struct {
 	depthSum      float64
 	depthN        int
 	depthSums     []float64 // per-replica depth sums at measured arrivals (routed)
-	replicaReqs   []int64   // requests each replica admitted (router telemetry)
+	replicaReqs   []int64   // requests each replica admitted
 	// post-warmup step counts by batch composition
 	stepsPrefill, stepsDecode, stepsMixed int64
 	multiTenant                           bool
@@ -310,7 +306,6 @@ func (c *cluster) run() Result {
 	c.decodeUnit = cfg.Spec.DecodeSecPerToken
 	c.policy = cfg.policy()
 	c.budget = c.policy.PrefillBudget()
-	c.schedOn = cfg.schedMetrics()
 	c.sloSched = cfg.Sched == SchedSLO
 	c.sloOn = cfg.sloOn()
 	c.sloTTFT, c.sloTBT = cfg.SLOTTFT, cfg.SLOTBT
@@ -320,8 +315,6 @@ func (c *cluster) run() Result {
 		// the popping replica's current virtual time.
 		c.sloCmp = func(a, b request) bool { return c.sloLess(a, b, c.clock.Now()) }
 	}
-	c.prefetchOn = cfg.prefetchOn()
-	c.routerOn = cfg.routerOn()
 	c.isRouted = cfg.routed()
 	nodes := 1 // store-shaped state slots: one shared node, or one per replica
 	if c.isRouted {
@@ -340,9 +333,9 @@ func (c *cluster) run() Result {
 			s.Close()
 		}
 	}()
-	if c.prefetchOn || cfg.Router == RouterAffinity {
-		// One popularity estimator per node feeds predictive prefetch and
-		// affinity routing alike — the shared demand signal.
+	if cfg.prefetchActive() || cfg.Router == RouterAffinity {
+		// One popularity estimator per node feeds the loaders and affinity
+		// routing alike — the shared demand signal.
 		c.pops = make([]*kvstore.Popularity, nodes)
 		for i := range c.pops {
 			c.pops[i] = kvstore.NewPopularity(popHalflife, popMaxEntries)
@@ -366,14 +359,11 @@ func (c *cluster) run() Result {
 		c.admitted = make([]bool, len(c.reqs))
 	}
 	c.dead = make([]bool, cfg.replicas())
-	c.eventsOn = cfg.hasEvents()
 	c.firstKill = -1
-	if c.eventsOn {
+	if cfg.hasEvents() {
 		c.rerouted = make([]bool, len(c.reqs))
 	}
-	if c.routerOn {
-		c.replicaReqs = make([]int64, cfg.replicas())
-	}
+	c.replicaReqs = make([]int64, cfg.replicas())
 	if c.isRouted {
 		c.depthSums = make([]float64, nodes)
 		c.inflight = make([]int, nodes)
@@ -406,18 +396,15 @@ func (c *cluster) run() Result {
 		c.tbts = make([]float64, 0, tbtN)
 		c.e2es = make([]float64, 0, measuredN)
 	}
-	if c.schedOn {
-		c.prefillDelays = make([]float64, 0, measuredN)
-	}
-	if c.eventsOn {
+	c.prefillDelays = make([]float64, 0, measuredN)
+	if cfg.hasEvents() {
 		c.ttftAt = make([]float64, 0, measuredN)
 	}
 
 	// The control process interleaves the two input streams in time
 	// order: request arrivals and membership events. An event tying an
 	// arrival's timestamp applies first, so the arrival routes against
-	// the post-event replica set. With no events this is exactly the
-	// legacy arrivals process. A closed-loop run only walks the initial
+	// the post-event replica set. A closed-loop run only walks the initial
 	// wave here — every later arrival is issued by the completion hook in
 	// retire, on a process of its own (and membership events are rejected
 	// up front in runClosedLoop).
@@ -479,8 +466,7 @@ func (c *cluster) run() Result {
 	if c.completed > 0 && window > 0 {
 		res.Throughput = float64(c.completed) / window
 	}
-	// Store statistics aggregate across the nodes (a single shared store
-	// reduces to the legacy numbers bit for bit); per-tier rows sum the
+	// Store statistics aggregate across the nodes; per-tier rows sum the
 	// same tier index of every node's stack.
 	var st kvstore.Stats
 	for _, s := range c.stores {
@@ -527,11 +513,9 @@ func (c *cluster) run() Result {
 			res.MixedStepShare = float64(c.stepsMixed) / float64(steps)
 		}
 	}
-	if c.schedOn {
-		res.StallTime = c.stallTime
-		res.MeanPrefillDelay = metrics.Mean(c.prefillDelays)
-		res.P95PrefillDelay = metrics.Percentile(c.prefillDelays, 95)
-	}
+	res.StallTime = c.stallTime
+	res.MeanPrefillDelay = metrics.Mean(c.prefillDelays)
+	res.P95PrefillDelay = metrics.Percentile(c.prefillDelays, 95)
 	if c.sloOn {
 		if c.completed > 0 {
 			res.SLOAttainment = float64(c.sloOK) / float64(c.completed)
@@ -547,45 +531,42 @@ func (c *cluster) run() Result {
 			res.Goodput = float64(c.sloOK) / window
 		}
 	}
-	if c.prefetchOn {
-		var joins int64
-		res.TierStallTime = c.tierStall
-		for _, s := range c.stores {
-			pf := s.PrefetchStats()
-			res.PrefetchIssued += pf.Issued
-			res.PrefetchHits += pf.Hits
-			res.PrefetchWastedBytes += pf.BytesWasted
-			joins += pf.InflightJoins
-		}
-		if len(res.Tiers) > 0 {
-			res.HBMHitRate = metrics.Ratio(res.Tiers[0].Hits+joins, res.Lookups)
-		}
+	var joins int64
+	res.TierStallTime = c.tierStall
+	for _, s := range c.stores {
+		pf := s.PrefetchStats()
+		res.PrefetchIssued += pf.Issued
+		res.PrefetchHits += pf.Hits
+		res.PrefetchWastedBytes += pf.BytesWasted
+		joins += pf.InflightJoins
 	}
-	if c.routerOn {
-		res.Router = cfg.Router
-		res.ReplicaHitRates = make([]float64, len(c.stores))
-		for i, s := range c.stores {
-			res.ReplicaHitRates[i] = s.Stats().HitRate()
-		}
-		res.ReplicaRequests = c.replicaReqs
-		res.LoadSkew = metrics.CoefVar(c.busy)
-		if c.isRouted {
-			if c.depthN > 0 {
-				means := make([]float64, len(c.depthSums))
-				for i, s := range c.depthSums {
-					means[i] = s / float64(c.depthN)
-				}
-				res.QueueSkew = metrics.CoefVar(means)
+	res.HBMHitRate = metrics.Ratio(res.Tiers[0].Hits+joins, res.Lookups)
+	res.Router = cfg.Router
+	if res.Router == "" {
+		res.Router = RouterShared
+	}
+	res.ReplicaHitRates = make([]float64, len(c.stores))
+	for i, s := range c.stores {
+		res.ReplicaHitRates[i] = s.Stats().HitRate()
+	}
+	res.ReplicaRequests = c.replicaReqs
+	res.LoadSkew = metrics.CoefVar(c.busy)
+	if c.isRouted {
+		// A shared node has one queue and one store: no queue balance to
+		// measure, no second copy to count.
+		if c.depthN > 0 {
+			means := make([]float64, len(c.depthSums))
+			for i, s := range c.depthSums {
+				means[i] = s / float64(c.depthN)
 			}
-			res.DuplicationBytes = c.duplicationBytes()
+			res.QueueSkew = metrics.CoefVar(means)
 		}
+		res.DuplicationBytes = c.duplicationBytes()
 	}
-	if c.eventsOn {
-		res.Failovers = c.failovers
-		res.ReroutedRequests = c.reroutedN
-		res.ReWarmStall = c.reWarmStall
-		res.RecoveryTime = c.recoveryTime(end)
-	}
+	res.Failovers = c.failovers
+	res.ReroutedRequests = c.reroutedN
+	res.ReWarmStall = c.reWarmStall
+	res.RecoveryTime = c.recoveryTime(end)
 	res.Tenants = c.tenantUsage()
 	return res
 }
@@ -614,8 +595,7 @@ func (c *cluster) duplicationBytes() int64 {
 }
 
 // tenantUsage renders the per-tenant accumulators, ordered by tenant id
-// (the dense slice index). Single-tenant streams report nil, keeping
-// legacy Results unchanged.
+// (the dense slice index). Single-tenant streams report nil.
 func (c *cluster) tenantUsage() []TenantUsage {
 	if !c.multiTenant {
 		return nil
@@ -731,7 +711,7 @@ func (c *cluster) predDepth() int {
 }
 
 // replica is one worker process: it keeps a running batch, admitting from
-// its node's admission queue (the shared queue in the legacy topology,
+// its node's admission queue (the shared queue in the shared topology,
 // its own under the routed policies) under the scheduling policy and
 // stepping every member — prefilling or decoding — in lockstep, retiring
 // completions at step boundaries.
@@ -844,7 +824,7 @@ func (c *cluster) replica(p *sim.Proc, r int) {
 				// Last prefill step: the first token is out.
 				c.firstToken(m, now)
 				if m.req.decode == 0 {
-					c.retire(m, now) // legacy prefill-only request
+					c.retire(m, now) // prefill-only request
 					continue
 				}
 				m.decoding = true
@@ -867,7 +847,7 @@ func (c *cluster) replica(p *sim.Proc, r int) {
 
 // planStep prices the batch's next step under the active policy and
 // reports its decoder-seconds of stall. Whole-chunk policies price with
-// stepTime (the legacy model, bit for bit); a budgeted policy allocates
+// stepTime; a budgeted policy allocates
 // the step's prefill token slices first — in SLO order at the boundary
 // time under the slo policy, admission order otherwise — and prices the
 // bounded slice with the engine's chunked mixed-step model.
@@ -906,10 +886,9 @@ func (c *cluster) planStep(batch []*member, now float64) (step, stall float64) {
 
 // stall is the decoder-seconds a prefill-paced step costs beyond the
 // decode-only step its decoders would have run at the same width — the
-// head-of-line blocking the scheduling telemetry quantifies. Zero when
-// the telemetry is off, so the legacy path computes nothing new.
+// head-of-line blocking the scheduling telemetry quantifies.
 func (c *cluster) stall(step float64, decoders, width int) float64 {
-	if decoders == 0 || !c.schedOn {
+	if decoders == 0 {
 		return 0
 	}
 	extra := step - engine.DecodeStepTime(c.decodeUnit, width, c.cfg.decodeOverhead())
@@ -930,9 +909,7 @@ func (c *cluster) stall(step float64, decoders, width int) float64 {
 func (c *cluster) admit(req request, now float64, r int) *member {
 	si := c.qi(r)
 	c.admitted[req.idx] = true
-	if c.replicaReqs != nil {
-		c.replicaReqs[r]++
-	}
+	c.replicaReqs[r]++
 	steps := len(req.ids) + 1 // one per chunk, one for the query
 	service, lookups, hits, stall := c.serviceTime(si, req.ids, now)
 	var m *member
@@ -959,23 +936,22 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 			m.genPayload = new(kvstore.Bytes)
 		}
 	}
-	if c.multiTenant && c.measured(req) {
+	// Admission-time telemetry follows its request through the unified
+	// warmup rule: measured iff the request arrived at or after the
+	// cutoff, like TTFT — a warmup arrival admitted after the cutoff
+	// contributes nothing, a cutoff-tying arrival contributes everywhere.
+	if !c.measured(req) {
+		return m
+	}
+	if c.multiTenant {
 		// Resolve the tenant accumulator once here instead of on every
 		// recorded TTFT/TBT/E2E sample. Only measured requests record, so
 		// a warmup admission leaves no empty accumulator behind.
 		m.acc = c.acc(req.tenant)
 	}
-	// Admission-time telemetry follows its request through the unified
-	// warmup rule: measured iff the request arrived at or after the
-	// cutoff, like TTFT — a warmup arrival admitted after the cutoff
-	// contributes nothing, a cutoff-tying arrival contributes everywhere.
-	if c.schedOn && c.measured(req) {
-		c.prefillDelays = append(c.prefillDelays, now-req.arrival)
-	}
-	if c.prefetchOn && c.measured(req) {
-		c.tierStall += stall
-	}
-	if c.eventsOn && c.rerouted != nil && c.rerouted[req.idx] && c.measured(req) {
+	c.prefillDelays = append(c.prefillDelays, now-req.arrival)
+	c.tierStall += stall
+	if c.rerouted != nil && c.rerouted[req.idx] {
 		c.reWarmStall += stall
 	}
 	return m
@@ -1054,7 +1030,7 @@ func (c *cluster) observeStep(batch []*member, step, stall, now float64, r int) 
 // node's store for requests that will keep generating.
 func (c *cluster) firstToken(m *member, now float64) {
 	m.lastToken = now
-	if c.sloOn || c.sloSched {
+	if c.sloOn {
 		// Realised TTFT rides on the member for retirement-time SLO
 		// evaluation — kept for every request, warmup included, because
 		// the scheduler's tenant-risk signal wants the whole run.
@@ -1070,7 +1046,7 @@ func (c *cluster) firstToken(m *member, now float64) {
 	}
 	ttft := now - m.req.arrival
 	c.ttfts = append(c.ttfts, ttft)
-	if c.eventsOn {
+	if c.ttftAt != nil {
 		// RecoveryTime needs to know when each sample was emitted, not
 		// just its value — collected only under a membership schedule.
 		c.ttftAt = append(c.ttftAt, now)
@@ -1088,7 +1064,7 @@ func (c *cluster) token(m *member, now float64) {
 	m.genBytes += c.tokenBytes
 	*m.genPayload = kvstore.Bytes(m.genBytes)
 	c.stores[m.si].Put(m.genKey, m.genPayload) //nolint:errcheck
-	if c.sloOn || c.sloSched {
+	if c.sloOn {
 		m.tbtSum += now - m.lastToken
 	}
 	if c.measured(m.req) {
@@ -1112,7 +1088,7 @@ func (c *cluster) retire(m *member, now float64) {
 	if c.inflight != nil {
 		c.inflight[m.si]--
 	}
-	if c.sloOn || c.sloSched {
+	if c.sloOn {
 		c.sloOutcome(m)
 	}
 	if c.closed != nil {
@@ -1155,7 +1131,7 @@ func (c *cluster) retire(m *member, now float64) {
 // sloOutcome evaluates a completed request against the configured
 // targets: it always feeds the scheduler's per-tenant risk signal (every
 // completion, warmup included), and accumulates the reported attainment
-// telemetry for measured completions when the telemetry is on. A request
+// telemetry for measured completions. A request
 // meets its SLO iff its TTFT is within SLOTTFT (when set) and its mean
 // TBT is within SLOTBT (when set; prefill-only requests satisfy TBT
 // trivially).
@@ -1167,7 +1143,7 @@ func (c *cluster) sloOutcome(m *member) {
 	if c.sloSched {
 		c.bumpRisk(m.req.tenant, met)
 	}
-	if !c.sloOn || !c.measured(m.req) {
+	if !c.measured(m.req) {
 		return
 	}
 	if ttftOK {

@@ -31,9 +31,9 @@ func TestReplicasSustainHigherRate(t *testing.T) {
 	// absorbs it.
 	rate := 1.5 * sat1
 	cfg.Replicas = 1
-	r1 := RateSweep(cfg, []float64{rate}, 600, 150, 11)[0]
+	r1 := Run(cfg, rate, 600, 150, 11)
 	cfg.Replicas = 4
-	r4 := RateSweep(cfg, []float64{rate}, 600, 150, 11)[0]
+	r4 := Run(cfg, rate, 600, 150, 11)
 	if r4.MeanTTFT >= r1.MeanTTFT/2 {
 		t.Fatalf("4 replicas at %.2f req/s: ttft %.3f should be far below 1 replica's %.3f",
 			rate, r4.MeanTTFT, r1.MeanTTFT)

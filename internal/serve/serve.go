@@ -20,7 +20,7 @@
 //
 // The runtime runs on sim.Clock: every replica is a real goroutine, but
 // the virtual-time scheduler hands execution to one process at a time, so
-// runs with the same seed are bit-identical while go test -race still
+// runs with the same seed give identical Results while go test -race still
 // observes every cross-replica hand-off.
 package serve
 
@@ -97,14 +97,12 @@ type Config struct {
 	// below prefill's; 0 uses the default 0.08.
 	DecodeOverhead float64
 	// Sched selects the scheduling policy controlling batch admission
-	// and per-step prefill budgets: "" or SchedFIFO (legacy greedy
-	// admission, whole-chunk prefill steps), SchedChunkedPrefill
+	// and per-step prefill budgets: SchedFIFO (greedy admission,
+	// whole-chunk prefill steps; "" means the same), SchedChunkedPrefill
 	// (per-step prefill token budget, see PrefillBudget),
 	// SchedDecodePriority (defer prefill admission while the batch
-	// decodes, see StarveLimit), or SchedSLO (reserved stub, FIFO
-	// behaviour). The empty default is bit-identical to the pre-policy
-	// runtime; any named policy — "fifo" included — additionally
-	// populates the scheduling telemetry in Result.
+	// decodes, see StarveLimit), or SchedSLO (deadline-aware admission
+	// against SLOTTFT).
 	Sched string
 	// PrefillBudget caps the prefill tokens one step may spend across
 	// the batch's prefilling members under SchedChunkedPrefill,
@@ -124,22 +122,18 @@ type Config struct {
 	// SLOTTFT is the per-request TTFT target in seconds: a request meets
 	// its SLO only if its first token arrives within SLOTTFT of its
 	// arrival. Required (> 0) by SchedSLO, whose admission order is
-	// deadline-aware against this target; with any other explicit policy
-	// it only turns on the SLO attainment/goodput telemetry in Result, so
-	// sweeps can measure fifo or chunked-prefill against the same
-	// targets. Setting it without an explicit Config.Sched is a
-	// validation error (the legacy default stays byte-identical).
+	// deadline-aware against this target; with any other policy it only
+	// turns on the SLO attainment/goodput telemetry in Result, so sweeps
+	// can measure fifo or chunked-prefill against the same targets.
 	SLOTTFT float64
 	// SLOTBT is the per-request mean time-between-tokens target in
 	// seconds: a decode-enabled request meets its SLO only if its mean
 	// TBT is within SLOTBT (prefill-only requests satisfy it trivially).
-	// 0 leaves TBT out of the SLO; like SLOTTFT it requires an explicit
-	// scheduling policy.
+	// 0 leaves TBT out of the SLO.
 	SLOTBT float64
 	// PrefetchPolicy selects the asynchronous tier-prefetch behaviour:
-	// "" (legacy synchronous loading, no prefetch telemetry), PrefetchOff
-	// (same synchronous loading with the telemetry populated — the
-	// baseline async policies are compared against), PrefetchOnEnqueue
+	// PrefetchOff (synchronous loading, the baseline the async policies
+	// are compared against; "" means the same), PrefetchOnEnqueue
 	// (per-replica loaders promote each arriving request's chunks while
 	// it queues) or PrefetchPredictive (on-enqueue plus popularity-driven
 	// promotion of the hottest cold chunks on a queue-depth signal). The
@@ -150,9 +144,9 @@ type Config struct {
 	// source tier's read bandwidth, in (0, 1]; 0 uses the full device.
 	// Setting it requires an active prefetch policy.
 	PrefetchBW float64
-	// Router selects the replica-routing topology: "" (legacy shared
-	// store, no router telemetry), RouterShared (the same single-node
-	// schedule with the router telemetry populated), RouterHash
+	// Router selects the replica-routing topology: RouterShared (one
+	// store and one admission queue for every replica, a single node; ""
+	// means the same), RouterHash
 	// (per-replica tier stacks, consistent chunk→replica hashing) or
 	// RouterAffinity (per-replica tier stacks, overlap-scored routing
 	// reusing the popularity estimator the predictive prefetcher ranks
@@ -166,7 +160,7 @@ type Config struct {
 	// (a node fails, its queued work re-routes to survivors) and joins
 	// (a cold node is added under load). Events must be time-ordered;
 	// see MembershipEvent for the per-event semantics. Empty keeps the
-	// static replica set and every legacy Result byte-identical.
+	// static replica set.
 	Events []MembershipEvent
 	// ChunkPool is the number of distinct chunks in the corpus.
 	ChunkPool int
@@ -229,12 +223,13 @@ func (c Config) starveLimit() int {
 }
 
 // sloOn reports whether the run populates the SLO attainment telemetry
-// in Result: per-request targets configured alongside an explicit
-// scheduling policy (so legacy Results stay byte-identical, and sweeps
-// can measure any policy — fifo included — against the same targets).
-func (c Config) sloOn() bool {
-	return c.Sched != "" && (c.SLOTTFT > 0 || c.SLOTBT > 0)
-}
+// in Result: any per-request target is configured, whatever the policy,
+// so sweeps can measure every policy against the same targets.
+func (c Config) sloOn() bool { return c.SLOTTFT > 0 || c.SLOTBT > 0 }
+
+// finite reports whether x is neither NaN nor infinite. Range checks
+// alone let NaN through: every comparison with NaN is false.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // shards returns the effective store shard count.
 func (c Config) shards() int {
@@ -283,22 +278,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("chunk tokens %d: must be positive", c.ChunkTokens)
 	case c.QueryTokens < 0:
 		return fmt.Errorf("query tokens %d: negative", c.QueryTokens)
-	case c.Ratio < 0 || c.Ratio > 1:
+	case !finite(c.Ratio) || c.Ratio < 0 || c.Ratio > 1:
 		return fmt.Errorf("recompute ratio %v: must be in [0, 1]", c.Ratio)
 	case c.ChunkPool < 0:
 		return fmt.Errorf("chunk pool %d: negative", c.ChunkPool)
 	case c.ChunksPerRequest < 0:
 		return fmt.Errorf("chunks per request %d: negative", c.ChunksPerRequest)
-	case c.Skew < 0:
-		return fmt.Errorf("chunk skew %v: negative", c.Skew)
+	case !finite(c.Skew) || c.Skew < 0:
+		return fmt.Errorf("chunk skew %v: must be finite and non-negative", c.Skew)
 	case c.Replicas < 0:
 		return fmt.Errorf("replicas %d: negative", c.Replicas)
 	case c.MaxBatch < 0:
 		return fmt.Errorf("max batch %d: negative", c.MaxBatch)
-	case c.BatchOverhead < 0:
-		return fmt.Errorf("batch overhead %v: negative", c.BatchOverhead)
-	case c.DecodeOverhead < 0:
-		return fmt.Errorf("decode overhead %v: negative", c.DecodeOverhead)
+	case !finite(c.BatchOverhead) || c.BatchOverhead < 0:
+		return fmt.Errorf("batch overhead %v: must be finite and non-negative", c.BatchOverhead)
+	case !finite(c.DecodeOverhead) || c.DecodeOverhead < 0:
+		return fmt.Errorf("decode overhead %v: must be finite and non-negative", c.DecodeOverhead)
 	case c.StoreShards < 0:
 		return fmt.Errorf("store shards %d: negative", c.StoreShards)
 	case c.StoreCapacity < 0:
@@ -323,13 +318,10 @@ func (c Config) Validate() error {
 			c.StarveLimit, SchedDecodePriority, SchedSLO, c.Sched)
 	}
 	switch {
-	case math.IsNaN(c.SLOTTFT) || math.IsInf(c.SLOTTFT, 0) || c.SLOTTFT < 0:
+	case !finite(c.SLOTTFT) || c.SLOTTFT < 0:
 		return fmt.Errorf("TTFT SLO target %v: must be finite and non-negative", c.SLOTTFT)
-	case math.IsNaN(c.SLOTBT) || math.IsInf(c.SLOTBT, 0) || c.SLOTBT < 0:
+	case !finite(c.SLOTBT) || c.SLOTBT < 0:
 		return fmt.Errorf("TBT SLO target %v: must be finite and non-negative", c.SLOTBT)
-	}
-	if (c.SLOTTFT > 0 || c.SLOTBT > 0) && c.Sched == "" {
-		return fmt.Errorf("SLO targets require an explicit scheduling policy (set Config.Sched)")
 	}
 	if c.Sched == SchedSLO && c.SLOTTFT <= 0 {
 		return fmt.Errorf("the %s policy requires a TTFT target (set Config.SLOTTFT)", SchedSLO)
@@ -383,9 +375,8 @@ type Result struct {
 	// ReplicaUtil is each replica's busy fraction of the post-warmup run.
 	ReplicaUtil []float64
 	// Decode-phase telemetry, populated only when the stream generates
-	// output tokens (some request carries DecodeTokens > 0). Prefill-only
-	// runs leave every field below zero, keeping their Results
-	// byte-compatible with the pre-decode runtime.
+	// output tokens (some request carries DecodeTokens > 0); prefill-only
+	// runs leave every field below zero.
 	//
 	// MeanTBT/P95TBT summarise time-between-tokens across all post-warmup
 	// decode steps: the gap between one emitted token and the next, the
@@ -409,10 +400,7 @@ type Result struct {
 	PrefillStepShare float64 `json:",omitempty"`
 	DecodeStepShare  float64 `json:",omitempty"`
 	MixedStepShare   float64 `json:",omitempty"`
-	// Scheduling telemetry, populated only when Config.Sched names a
-	// policy explicitly (the empty legacy default leaves all three
-	// zero, keeping pre-policy Results byte-identical; naming "fifo"
-	// measures the same schedule with the telemetry on).
+	// Scheduling telemetry, reported by every run.
 	//
 	// StallTime sums, over post-warmup mixed steps, the decoder-seconds
 	// lost to prefill pacing: (step duration − what a decode-only step
@@ -426,10 +414,8 @@ type Result struct {
 	MeanPrefillDelay float64 `json:",omitempty"`
 	P95PrefillDelay  float64 `json:",omitempty"`
 	// SLO telemetry, populated only when per-request targets
-	// (Config.SLOTTFT/SLOTBT) are configured alongside an explicit
-	// policy (legacy Results stay byte-identical; any policy — fifo
-	// included — measures against the same targets, so SLO sweeps
-	// compare like against like).
+	// (Config.SLOTTFT/SLOTBT) are configured. Every policy measures
+	// against the same targets, so SLO sweeps compare like against like.
 	//
 	// SLOAttainment is the fraction of measured completed requests
 	// meeting every configured target (TTFT ≤ SLOTTFT and mean TBT ≤
@@ -447,9 +433,8 @@ type Result struct {
 	// SLOViolations counts measured completed requests that missed at
 	// least one configured target.
 	SLOViolations int64 `json:",omitempty"`
-	// Prefetch telemetry, populated only when Config.PrefetchPolicy is
-	// set ("off" included — the synchronous baseline with the telemetry
-	// on, so sweeps compare like against like).
+	// Prefetch telemetry, reported by every run (the transfer counters
+	// stay zero unless loaders run).
 	//
 	// TierStallTime sums, over post-warmup admissions, the prefill
 	// seconds attributable to chunks not being HBM-resident: the
@@ -468,11 +453,10 @@ type Result struct {
 	// HBMHitRate is the effective top-tier hit rate: lookups served from
 	// HBM or from a transfer already flying toward it, over all lookups.
 	HBMHitRate float64 `json:",omitempty"`
-	// Cluster-routing telemetry, populated only when Config.Router names
-	// a policy explicitly ("shared" included — the single-node baseline
-	// with the telemetry on, so router sweeps compare like against like).
+	// Cluster-routing telemetry, reported by every run.
 	//
-	// Router echoes the policy the run used.
+	// Router names the effective policy ("shared" when Config.Router is
+	// empty).
 	Router string `json:",omitempty"`
 	// ReplicaHitRates is each replica store's KV hit rate over its own
 	// lookups — one entry per replica under the routed policies, a
@@ -492,9 +476,8 @@ type Result struct {
 	// independence: bytes resident on more than one replica's tier stack
 	// at run end, summed over the extra copies.
 	DuplicationBytes int64 `json:",omitempty"`
-	// Membership-event telemetry, populated only when Config.Events
-	// schedules kills or joins (legacy and static-routing Results stay
-	// byte-identical).
+	// Membership-event telemetry, zero unless Config.Events schedules
+	// kills or joins.
 	//
 	// Failovers counts the kill events that fired; ReroutedRequests the
 	// requests a kill drained off a dead node's queue and re-routed to a
@@ -519,8 +502,7 @@ type Result struct {
 	Tiers []TierUsage
 	// Tenants is the per-tenant service breakdown, present only when the
 	// workload is multi-tenant (some request carries a non-zero tenant),
-	// ordered by tenant id. Single-tenant runs leave it nil, keeping their
-	// Results byte-compatible with the pre-workload runtime.
+	// ordered by tenant id. Single-tenant runs leave it nil.
 	Tenants []TenantUsage `json:",omitempty"`
 }
 
@@ -545,9 +527,8 @@ type TenantUsage struct {
 	MeanE2E      float64 `json:",omitempty"`
 	OutputTokens int64   `json:",omitempty"`
 	// SLOAttainment is the tenant's fraction of measured completed
-	// requests meeting every configured target — populated only when the
-	// run's SLO telemetry is on (Config.SLOTTFT/SLOTBT with an explicit
-	// policy), zero and omitted otherwise.
+	// requests meeting every configured target — populated only when
+	// Config.SLOTTFT or SLOTBT is set, zero and omitted otherwise.
 	SLOAttainment float64 `json:",omitempty"`
 }
 
@@ -581,13 +562,11 @@ func (r Result) String() string {
 // Run simulates n requests arriving at the given Poisson rate and returns
 // aggregate TTFT/throughput statistics. The first warmup requests are
 // excluded from statistics (the paper skips its first 1 000 queries while
-// the store is cold). Same cfg, rate and seed ⇒ identical Result, bit
-// compatible with the pre-workload runtime (the Poisson generator
-// consumes the seed the same way the inlined sampling did).
+// the store is cold). Same cfg, rate and seed ⇒ identical Result.
 //
-// Run is the thin legacy wrapper: it builds a Poisson workload from the
-// config's sampling fields and panics on invalid input — the validation
-// errors are RunWorkload's, so the message still names the broken field.
+// Run is a thin wrapper: it builds a Poisson workload from the config's
+// sampling fields and panics on invalid input — the validation errors are
+// RunWorkload's, so the message still names the broken field.
 func Run(cfg Config, rate float64, n, warmup int, seed int64) Result {
 	w := workload.Poisson{Rate: rate, Chunks: cfg.chunks()}
 	res, err := RunWorkload(cfg, w, n, warmup, seed)
@@ -611,8 +590,6 @@ func Run(cfg Config, rate float64, n, warmup int, seed int64) Result {
 // closed loop instead: arrivals come from the workload's Session, fed
 // each request's completion at member retirement, so offered load
 // self-throttles with service quality the way a finite client pool does.
-// Open-loop workloads never hit that path — their runs (goldens
-// included) stay byte-identical.
 func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, fmt.Errorf("serve: %w", err)
@@ -695,8 +672,7 @@ func runClosedLoop(cfg Config, w workload.ClosedLoopWorkload, n, warmup int, see
 // serviceTime computes one request's prefill service time under the
 // scheme, updating replica si's KV store, and reports the request's store
 // lookup and hit counts for per-tenant accounting plus its tier-read
-// stall (the priced cost beyond an all-HBM request, computed only under a
-// prefetch policy). It is evaluated when the request is admitted into a
+// stall (the priced cost beyond an all-HBM request). It is evaluated when the request is admitted into a
 // replica's batch, against the store's state at that moment, and sizes the prompt
 // from the request's own chunk list — trace-replayed requests may
 // retrieve any number of chunks. Hits are charged the read time of the
@@ -802,7 +778,7 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 			}
 			loadCost += waitCost
 			return loadCost + missCost + spec.DecodeSecPerToken, lookups, hits,
-				c.reuseStall(si, loadCost, tierChunks, found)
+				c.reuseStall(si, loadCost, waitCost, tierChunks, found)
 		}
 		// CacheBlend: selective recompute of the reused tokens, pipelined
 		// with their loading (§5) per the engine's loader/fusor schedule,
@@ -818,7 +794,7 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 		}
 		blendCost += waitCost
 		return blendCost + missCost + spec.DecodeSecPerToken, lookups, hits,
-			c.reuseStall(si, blendCost, tierChunks, found)
+			c.reuseStall(si, blendCost, waitCost, tierChunks, found)
 
 	default:
 		panic(fmt.Sprintf("serve: scheme %q is not a serving mode", cfg.Scheme))
@@ -840,19 +816,21 @@ func (c *cluster) chunkCost(si, tier int) float64 {
 // (waits included) beyond what the same found chunks would have cost had
 // every one been HBM-resident — the hypothetical cost is computed through
 // the same per-tier pricing with all hits moved to tier 0, so fixed
-// per-tier latency terms cancel. Zero when neither the prefetch
-// telemetry nor a membership schedule (whose ReWarmStall sums the same
-// quantity for re-routed requests) needs it.
-func (c *cluster) reuseStall(si int, cost float64, tierChunks []int, found int) float64 {
-	if !c.prefetchOn && !c.eventsOn {
+// per-tier latency terms cancel. A request that waited on no transfer and
+// found every hit on the top tier stalls exactly zero (both costs are the
+// same expression), so it skips the repricing.
+func (c *cluster) reuseStall(si int, cost, wait float64, tierChunks []int, found int) float64 {
+	if wait == 0 && tierChunks[0] == found {
 		return 0
 	}
 	cfg, store := c.cfg, c.stores[si]
-	hot := make([]int, len(tierChunks))
-	hot[0] = found
 	var hotCost float64
 	if cfg.Scheme == baselines.FullKVReuse {
-		for tier, n := range hot {
+		for tier := range tierChunks {
+			n := 0
+			if tier == 0 {
+				n = found
+			}
 			hotCost += store.TierDevice(tier).ReadTime(int64(n) * c.chunkBytes)
 		}
 	} else if found > 0 {
@@ -896,16 +874,6 @@ func chunkKey(cfg Config, id int) chunk.ID {
 
 func prefixKey(cfg Config, id int) chunk.ID {
 	return chunk.Hash(cfg.Spec.Name+"/prefix0", []int{id})
-}
-
-// RateSweep runs the simulation across request rates and returns one
-// Result per rate — the data series of Figure 14, now per replica count.
-func RateSweep(cfg Config, rates []float64, n, warmup int, seed int64) []Result {
-	out := make([]Result, 0, len(rates))
-	for _, r := range rates {
-		out = append(out, Run(cfg, r, n, warmup, seed))
-	}
-	return out
 }
 
 // Capacity returns the maximum sustainable request rate of a single

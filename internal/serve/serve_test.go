@@ -103,9 +103,9 @@ func TestChunkHitRateBeatsPrefixHitRate(t *testing.T) {
 
 func TestRateSweepMonotoneRates(t *testing.T) {
 	rates := []float64{0.05, 0.2, 0.4}
-	res := RateSweep(baseConfig(baselines.CacheBlend), rates, 300, 100, 6)
-	if len(res) != 3 {
-		t.Fatalf("want 3 results, got %d", len(res))
+	res := make([]Result, len(rates))
+	for i, rate := range rates {
+		res[i] = Run(baseConfig(baselines.CacheBlend), rate, 300, 100, 6)
 	}
 	for i, r := range res {
 		if r.Rate != rates[i] || r.Requests != 200 {

@@ -1,4 +1,4 @@
-// Process-oriented layer on top of the event engine: a virtual Clock that
+// Process-oriented layer on top of the event heap: a virtual Clock that
 // coordinates goroutine "processes" so concurrent serving runtimes (N
 // replica workers pulling from shared queues) simulate deterministically.
 //

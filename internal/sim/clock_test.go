@@ -140,6 +140,35 @@ func TestClockDeterministic(t *testing.T) {
 	}
 }
 
+// TestClockSameTimeFIFO: callback events and process wakes due at the
+// same virtual time run in the order they were scheduled — the seq
+// tiebreak every deterministic run rests on — and a callback scheduled in
+// the past runs now.
+func TestClockSameTimeFIFO(t *testing.T) {
+	c := NewClock()
+	var order []string
+	for i := 0; i < 3; i++ {
+		i := i
+		c.at(1, func(now float64) { order = append(order, fmt.Sprintf("fn%d@%.0f", i, now)) })
+		c.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.SleepUntil(1)
+			order = append(order, fmt.Sprintf("p%d@%.0f", i, p.Now()))
+		})
+	}
+	c.at(2, func(float64) {
+		c.at(0, func(now float64) { order = append(order, fmt.Sprintf("past@%.0f", now)) })
+	})
+	if end := c.Run(); end != 2 {
+		t.Fatalf("final time %v, want 2", end)
+	}
+	// Each process's wake is scheduled when it first runs at t=0, after
+	// all three callbacks were already pushed.
+	want := []string{"fn0@1", "fn1@1", "fn2@1", "p0@1", "p1@1", "p2@1", "past@2"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+}
+
 func TestClockRunReturnsFinalTime(t *testing.T) {
 	c := NewClock()
 	c.Go("p", func(p *Proc) {

@@ -75,43 +75,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Engine runs events in virtual-time order.
-type Engine struct {
-	now  float64
-	seq  int
-	heap eventHeap
-}
-
-// NewEngine returns an engine at time 0.
-func NewEngine() *Engine { return &Engine{} }
-
-// Now returns the current virtual time.
-func (e *Engine) Now() float64 { return e.now }
-
-// At schedules fn at absolute time t (clamped to now for past times).
-func (e *Engine) At(t float64, fn func(now float64)) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.heap.push(event{at: t, seq: e.seq, fn: fn})
-}
-
-// After schedules fn delay seconds from now.
-func (e *Engine) After(delay float64, fn func(now float64)) {
-	e.At(e.now+delay, fn)
-}
-
-// Run processes events until the queue drains, returning the final time.
-func (e *Engine) Run() float64 {
-	for len(e.heap) > 0 {
-		ev := e.heap.pop()
-		e.now = ev.at
-		ev.fn(e.now)
-	}
-	return e.now
-}
-
 // PoissonArrivals returns n arrival times of a Poisson process with the
 // given rate (events/second), deterministically from g.
 func PoissonArrivals(g *tensor.RNG, rate float64, n int) []float64 {

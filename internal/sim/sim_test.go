@@ -8,61 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestEngineOrdersEvents(t *testing.T) {
-	e := NewEngine()
-	var got []float64
-	e.At(3, func(now float64) { got = append(got, now) })
-	e.At(1, func(now float64) { got = append(got, now) })
-	e.At(2, func(now float64) { got = append(got, now) })
-	end := e.Run()
-	if end != 3 {
-		t.Fatalf("end time %v want 3", end)
-	}
-	if !sort.Float64sAreSorted(got) || len(got) != 3 {
-		t.Fatalf("events out of order: %v", got)
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var trace []float64
-	e.At(1, func(now float64) {
-		trace = append(trace, now)
-		e.After(2, func(now2 float64) { trace = append(trace, now2) })
-	})
-	e.Run()
-	if len(trace) != 2 || trace[0] != 1 || trace[1] != 3 {
-		t.Fatalf("nested scheduling wrong: %v", trace)
-	}
-}
-
-func TestEnginePastEventsClamp(t *testing.T) {
-	e := NewEngine()
-	var at float64 = -1
-	e.At(5, func(now float64) {
-		e.At(1, func(now2 float64) { at = now2 }) // in the past → clamps to now
-	})
-	e.Run()
-	if at != 5 {
-		t.Fatalf("past event ran at %v, want clamp to 5", at)
-	}
-}
-
-func TestEngineSameTimeFIFO(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		e.At(1, func(float64) { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events must run in scheduling order: %v", order)
-		}
-	}
-}
-
 func TestPoissonArrivalsStatistics(t *testing.T) {
 	g := tensor.NewRNG(1)
 	rate := 4.0

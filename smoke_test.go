@@ -80,14 +80,14 @@ func TestExamplesRunEndToEnd(t *testing.T) {
 }
 
 // TestServeCLISmoke drives the serving CLI end to end with the new
-// replica/batching flags.
+// replica/batching flags. A default run reports its router telemetry too.
 func TestServeCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the serve binary")
 	}
 	out := goTool(t, "run", "./cmd/cacheblend-serve",
 		"-replicas", "2", "-batch", "4", "-n", "200", "-rates", "1", "-v")
-	for _, w := range []string{"replicas=2", "mean_ttft", "replica-util="} {
+	for _, w := range []string{"replicas=2", "mean_ttft", "replica-util=", "router shared"} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("serve CLI output missing %q:\n%s", w, out)
 		}
