@@ -85,47 +85,44 @@ func TestSchedValidate(t *testing.T) {
 	}
 }
 
-// TestEmptyPolicyMatchesNamedDefault: an empty Sched, PrefetchPolicy or
-// Router is the named default — fifo, off, shared — so both spellings
-// must give the same Result, telemetry included, on a tiered,
-// multi-tenant, decode-enabled workload. The prefetch pair runs under
-// affinity routing, where the popularity view the router scores with
-// would tell the two apart if the lookup path did.
-func TestEmptyPolicyMatchesNamedDefault(t *testing.T) {
+// emptyMatchesNamed runs the router scenario with base as its Router on a
+// tiered, multi-tenant, decode-enabled workload, once with set(cfg, "")
+// and once with set(cfg, named). An empty policy name is the named
+// default, so both runs must give the same Result, telemetry included;
+// the shared telemetry must be populated. It returns the empty run.
+func emptyMatchesNamed(t *testing.T, set func(c *Config, policy string), named, base string) Result {
+	t.Helper()
 	w := tenantDecode(2)
-	cases := []struct {
-		name  string
-		set   func(c *Config, policy string)
-		named string
-		base  string // Router of the scenario
-	}{
-		{"sched", func(c *Config, p string) { c.Sched = p }, SchedFIFO, ""},
-		{"prefetch", func(c *Config, p string) { c.PrefetchPolicy = p }, PrefetchOff, RouterAffinity},
-		{"router", func(c *Config, p string) { c.Router = p }, RouterShared, ""},
+	run := func(policy string) Result {
+		cfg := routerTestConfig(base)
+		set(&cfg, policy)
+		res, err := RunWorkload(cfg, w, 200, 50, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(policy string) Result {
-				cfg := routerTestConfig(tc.base)
-				tc.set(&cfg, policy)
-				res, err := RunWorkload(cfg, w, 200, 50, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			empty, named := run(""), run(tc.named)
-			if empty.Router == "" || empty.MeanPrefillDelay <= 0 || empty.HBMHitRate <= 0 ||
-				empty.TierStallTime <= 0 || empty.StallTime <= 0 {
-				t.Fatalf("telemetry missing: router=%q prefill-delay=%v hbm=%v tier-stall=%v stall=%v",
-					empty.Router, empty.MeanPrefillDelay, empty.HBMHitRate, empty.TierStallTime, empty.StallTime)
-			}
-			ej, _ := json.Marshal(empty)
-			nj, _ := json.Marshal(named)
-			if string(ej) != string(nj) {
-				t.Fatalf("%q and %q differ:\n empty %s\n named %s", "", tc.named, ej, nj)
-			}
-		})
+	empty, got := run(""), run(named)
+	if empty.Router == "" || empty.MeanPrefillDelay <= 0 || empty.HBMHitRate <= 0 ||
+		empty.TierStallTime <= 0 || empty.StallTime <= 0 {
+		t.Fatalf("telemetry missing: router=%q prefill-delay=%v hbm=%v tier-stall=%v stall=%v",
+			empty.Router, empty.MeanPrefillDelay, empty.HBMHitRate, empty.TierStallTime, empty.StallTime)
+	}
+	ej, _ := json.Marshal(empty)
+	nj, _ := json.Marshal(got)
+	if string(ej) != string(nj) {
+		t.Fatalf("%q and %q differ:\n empty %s\n named %s", "", named, ej, nj)
+	}
+	return empty
+}
+
+// TestFIFOPolicyMatchesLegacy: the empty (default) Sched is fifo — naming
+// "fifo" must reproduce its schedule and scheduling telemetry exactly.
+func TestFIFOPolicyMatchesLegacy(t *testing.T) {
+	res := emptyMatchesNamed(t, func(c *Config, p string) { c.Sched = p }, SchedFIFO, "")
+	if res.StallTime <= 0 || res.MeanPrefillDelay <= 0 || res.P95PrefillDelay <= 0 {
+		t.Fatalf("fifo: scheduling telemetry missing under load: stall=%v delay=%v/%v",
+			res.StallTime, res.MeanPrefillDelay, res.P95PrefillDelay)
 	}
 }
 

@@ -81,6 +81,22 @@ func TestPrefetchValidation(t *testing.T) {
 	}
 }
 
+// TestPrefetchTelemetryGating: the empty (default) PrefetchPolicy is
+// "off" — synchronous loading with the tier telemetry reported and no
+// loader transfers. The pair runs under affinity routing, where the
+// popularity view the router scores with would tell the two apart if
+// the lookup path did.
+func TestPrefetchTelemetryGating(t *testing.T) {
+	res := emptyMatchesNamed(t, func(c *Config, p string) { c.PrefetchPolicy = p }, PrefetchOff, RouterAffinity)
+	if res.TierStallTime <= 0 || res.HBMHitRate <= 0 {
+		t.Errorf("off policy: want tier-read stall and HBM hit rate > 0, got %v / %v",
+			res.TierStallTime, res.HBMHitRate)
+	}
+	if res.PrefetchIssued != 0 {
+		t.Errorf("off policy issued transfers without loaders: %d", res.PrefetchIssued)
+	}
+}
+
 // TestPrefetchOverlapsQueueing: on bursty tiered traffic where requests
 // queue, the loaders must turn queueing delay into transfer overlap —
 // issuing real transfers, landing prefetch hits, and cutting both the

@@ -131,6 +131,20 @@ func TestRouterDeterminism(t *testing.T) {
 	}
 }
 
+// TestRouterSharedMatchesLegacy: the empty (default) Router is the shared
+// baseline — naming it must reproduce the schedule and its telemetry
+// exactly.
+func TestRouterSharedMatchesLegacy(t *testing.T) {
+	res := emptyMatchesNamed(t, func(c *Config, p string) { c.Router = p }, RouterShared, "")
+	// One store (one hit-rate row), but admission counts stay per replica:
+	// shared replicas still pull work from the common queue independently.
+	if res.Router != RouterShared || len(res.ReplicaHitRates) != 1 ||
+		len(res.ReplicaRequests) != 4 || res.DuplicationBytes != 0 {
+		t.Errorf("shared telemetry malformed: router=%q hitrates=%v reqs=%v dup=%d",
+			res.Router, res.ReplicaHitRates, res.ReplicaRequests, res.DuplicationBytes)
+	}
+}
+
 // TestAffinityBeatsHashAndShared is the acceptance property of the
 // router: on multi-tenant bursty Zipf traffic whose corpora exceed a
 // replica's HBM tier, affinity routing must beat both the shared
