@@ -195,7 +195,6 @@ func BenchmarkKVCacheSerialise(b *testing.B) {
 
 func BenchmarkKVStoreZipf(b *testing.B) {
 	s := kvstore.New(device.NVMeSSD, 1<<30, kvstore.LRU)
-	defer s.Close()
 	g := tensor.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -597,7 +596,6 @@ func BenchmarkAblationEvictionFIFO(b *testing.B) {
 func benchEviction(b *testing.B, p kvstore.Policy) {
 	b.Helper()
 	s := kvstore.New(device.NVMeSSD, 64<<20, p)
-	defer s.Close()
 	g := tensor.NewRNG(7)
 	hits := 0
 	b.ResetTimer()

@@ -52,7 +52,6 @@ func main() {
 func run(ops, pool int, skew float64, seed int64, capBytes int64, policy kvstore.Policy, chunkBytes int64) (float64, kvstore.Stats) {
 	g := tensor.NewRNG(seed)
 	s := kvstore.New(device.NVMeSSD, capBytes, policy)
-	defer s.Close()
 	for i := 0; i < ops; i++ {
 		id := chunk.Hash("bench", []int{sim.Zipf(g, pool, skew)})
 		if _, ok := s.Get(id); !ok {

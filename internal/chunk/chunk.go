@@ -17,19 +17,26 @@ type ID [32]byte
 // String returns the hex form (for logs and map keys in tools).
 func (id ID) String() string { return hex.EncodeToString(id[:8]) }
 
-// Hash computes the ID of a token sequence for a given model.
+// hashStack is the input size Hash builds on the stack: a model name and
+// a short token list (the serving runtime hashes one id per key).
+const hashStack = 256
+
+// Hash computes the ID of a token sequence for a given model: the SHA-256
+// of the model name, a zero byte, and each token as a little-endian
+// uint64. Inputs of up to hashStack bytes are built on the stack, so
+// hashing a short key does not allocate.
 func Hash(model string, tokens []int) ID {
-	h := sha256.New()
-	h.Write([]byte(model))
-	h.Write([]byte{0})
-	var buf [8]byte
-	for _, t := range tokens {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(t)))
-		h.Write(buf[:])
+	var stack [hashStack]byte
+	buf := stack[:0]
+	if n := len(model) + 1 + 8*len(tokens); n > len(stack) {
+		buf = make([]byte, 0, n)
 	}
-	var id ID
-	copy(id[:], h.Sum(nil))
-	return id
+	buf = append(buf, model...)
+	buf = append(buf, 0)
+	for _, t := range tokens {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(t)))
+	}
+	return sha256.Sum256(buf)
 }
 
 // SplitTokens slices tokens into consecutive chunks of at most size

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -111,3 +112,50 @@ func TestSplitAtBoundariesNoBoundary(t *testing.T) {
 		t.Fatalf("fallback to fixed split wrong: %d chunks", len(chunks))
 	}
 }
+
+// TestHashKnownAnswers pins digests of the streaming SHA-256 encoding
+// (model name, a zero byte, little-endian uint64 tokens), so chunk keys —
+// and every golden that orders or routes by them — survive changes to how
+// Hash builds its input. The 600-token case outgrows the stack buffer.
+func TestHashKnownAnswers(t *testing.T) {
+	long := make([]int, 600)
+	for i := range long {
+		long[i] = i*7919 - 300
+	}
+	for _, c := range []struct {
+		model  string
+		tokens []int
+		want   string
+	}{
+		{"", nil, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"},
+		{"mistral-7b", []int{0}, "dd5671d931f8d0b08b4de7088f66f5ade1413d87ebb0a62b300405fc4f56262c"},
+		{"mistral-7b/gen", []int{41}, "74dcb2d9fecee681c00102389bdb5cacb41b3d8e57c812f7e89002b4b790eb03"},
+		{"m", []int{1, -2, 1 << 40}, "8b660d35a55936582a175d72285d7a77fe5250ec8bc045c9e7c64607dc9653db"},
+		{"llama-70b", long, "5b27d01ffcbb47cbb9c457b962e1c70c7429244dde3eae31ed75f559cda6ba5f"},
+	} {
+		id := Hash(c.model, c.tokens)
+		if got := hex.EncodeToString(id[:]); got != c.want {
+			t.Errorf("Hash(%q, %d tokens) = %s, want %s", c.model, len(c.tokens), got, c.want)
+		}
+	}
+}
+
+// TestHashShortInputAllocationFree: a key of the serving runtime's shape
+// hashes without touching the heap.
+func TestHashShortInputAllocationFree(t *testing.T) {
+	tokens := []int{17}
+	if n := testing.AllocsPerRun(100, func() { Hash("Mistral-7B/gen", tokens) }); n != 0 {
+		t.Fatalf("Hash allocates %v times per call, want 0", n)
+	}
+}
+
+func BenchmarkHash(b *testing.B) {
+	tokens := []int{17}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tokens[0] = i
+		sink = Hash("Mistral-7B", tokens)
+	}
+}
+
+var sink ID

@@ -3,14 +3,13 @@
 // FIFO) eviction and hit/miss statistics. Each store sits on one simulated
 // storage device; loading delay is the device's read time for the entry.
 //
-// Writes can be performed asynchronously by a background writer goroutine,
-// mirroring the paper's implementation note that newly computed KV caches
-// are handed to a thread that persists them to disk in the background.
+// Stores are owned by one simulation run. The serving runtime runs every
+// simulated process on one goroutine, so no store takes a lock: none is
+// safe for concurrent use, and each parallel sweep cell builds its own.
 package kvstore
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/chunk"
 	"repro/internal/device"
@@ -62,18 +61,8 @@ type entry struct {
 	prev, next *entry // recency list when resident; next chains the freelist
 }
 
-// evicted is a victim handed to the evict handler after the lock drops:
-// the fields are copied out so the entry itself can be recycled
-// immediately.
-type evicted struct {
-	id      chunk.ID
-	payload Sized
-}
-
-// Store is a capacity-bounded KV cache store on one device. It is safe
-// for concurrent use.
+// Store is a capacity-bounded KV cache store on one device.
 type Store struct {
-	mu       sync.Mutex
 	dev      device.Device
 	capacity int64
 	used     int64
@@ -84,51 +73,17 @@ type Store struct {
 	free     *entry // recycled entries, chained via next
 	stats    Stats
 	onEvict  func(chunk.ID, Sized)
-
-	writeCh chan writeReq
-	wg      sync.WaitGroup
-	closed  bool
-}
-
-type writeReq struct {
-	id      chunk.ID
-	payload Sized
 }
 
 // New creates a store on dev holding at most capacity bytes. A
 // non-positive capacity means unbounded.
 func New(dev device.Device, capacity int64, policy Policy) *Store {
-	s := &Store{
+	return &Store{
 		dev:      dev,
 		capacity: capacity,
 		policy:   policy,
 		index:    make(map[chunk.ID]*entry),
-		writeCh:  make(chan writeReq, 64),
 	}
-	s.wg.Add(1)
-	go s.writer()
-	return s
-}
-
-// writer drains asynchronous Put requests in the background.
-func (s *Store) writer() {
-	defer s.wg.Done()
-	for req := range s.writeCh {
-		s.Put(req.id, req.payload)
-	}
-}
-
-// Close stops the background writer after draining pending writes.
-func (s *Store) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.writeCh)
-	s.wg.Wait()
 }
 
 // Device returns the store's backing device.
@@ -191,20 +146,16 @@ func (s *Store) freeEntry(e *entry) {
 
 // SetEvictHandler registers fn to receive entries evicted under capacity
 // pressure instead of dropping them silently — the hook the tiered store
-// uses to demote victims to the next tier. fn runs on the evicting
-// goroutine with the store lock released, so it may insert into other
-// stores (or even back into this one). Set it before sharing the store.
+// uses to demote victims to the next tier. fn runs once the victim has
+// left the store, so it may insert into other stores (or even back into
+// this one).
 func (s *Store) SetEvictHandler(fn func(chunk.ID, Sized)) {
-	s.mu.Lock()
 	s.onEvict = fn
-	s.mu.Unlock()
 }
 
 // Get returns the payload for id if present, marking a hit and refreshing
 // recency; otherwise it records a miss.
 func (s *Store) Get(id chunk.ID) (Sized, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.index[id]
 	if !ok {
 		s.stats.Misses++
@@ -219,8 +170,6 @@ func (s *Store) Get(id chunk.ID) (Sized, bool) {
 
 // Contains reports presence without touching recency or stats.
 func (s *Store) Contains(id chunk.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, ok := s.index[id]
 	return ok
 }
@@ -229,8 +178,6 @@ func (s *Store) Contains(id chunk.ID) bool {
 // or placement — the read the tiered store's prefetch scheduler uses to
 // size a transfer without perturbing LRU order.
 func (s *Store) Peek(id chunk.ID) (Sized, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.index[id]
 	if !ok {
 		return nil, false
@@ -242,9 +189,7 @@ func (s *Store) Peek(id chunk.ID) (Sized, bool) {
 // the entry fits. Payloads larger than the whole capacity are rejected.
 func (s *Store) Put(id chunk.ID, payload Sized) error {
 	n := payload.SizeBytes()
-	s.mu.Lock()
 	if s.capacity > 0 && n > s.capacity {
-		s.mu.Unlock()
 		return fmt.Errorf("kvstore: payload %d bytes exceeds capacity %d", n, s.capacity)
 	}
 	if e, ok := s.index[id]; ok {
@@ -262,13 +207,8 @@ func (s *Store) Put(id chunk.ID, payload Sized) error {
 		s.pushFront(e)
 		s.used += n
 	}
-	victims := s.evictLocked()
+	s.evict()
 	s.stats.BytesStored = s.used
-	onEvict := s.onEvict
-	s.mu.Unlock()
-	for _, v := range victims {
-		onEvict(v.id, v.payload)
-	}
 	return nil
 }
 
@@ -280,14 +220,11 @@ func (s *Store) Put(id chunk.ID, payload Sized) error {
 // append, which rewrites the same key every generated token.
 func (s *Store) Update(id chunk.ID, payload Sized) bool {
 	n := payload.SizeBytes()
-	s.mu.Lock()
 	if s.capacity > 0 && n > s.capacity {
-		s.mu.Unlock()
 		return false
 	}
 	e, ok := s.index[id]
 	if !ok {
-		s.mu.Unlock()
 		return false
 	}
 	s.used += n - e.bytes
@@ -296,13 +233,8 @@ func (s *Store) Update(id chunk.ID, payload Sized) bool {
 	if s.policy == LRU {
 		s.moveToFront(e)
 	}
-	victims := s.evictLocked()
+	s.evict()
 	s.stats.BytesStored = s.used
-	onEvict := s.onEvict
-	s.mu.Unlock()
-	for _, v := range victims {
-		onEvict(v.id, v.payload)
-	}
 	return true
 }
 
@@ -310,8 +242,6 @@ func (s *Store) Update(id chunk.ID, payload Sized) bool {
 // nor eviction counters — the tiered store uses it to move entries
 // between tiers without distorting placement statistics.
 func (s *Store) Remove(id chunk.ID) (Sized, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.index[id]
 	if !ok {
 		return nil, false
@@ -325,57 +255,37 @@ func (s *Store) Remove(id chunk.ID) (Sized, bool) {
 	return payload, true
 }
 
-// PutAsync queues the write for the background writer (fire and forget),
-// like the paper's background torch.save thread. Falls back to a
-// synchronous Put once the store is closed.
-func (s *Store) PutAsync(id chunk.ID, payload Sized) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		s.Put(id, payload) //nolint:errcheck // best effort after close
+// evict evicts from the back until within capacity. Each victim goes to
+// the evict handler, if one is registered, once it has left the store and
+// its entry is recycled.
+func (s *Store) evict() {
+	if s.capacity <= 0 {
 		return
 	}
-	s.writeCh <- writeReq{id: id, payload: payload}
-}
-
-// evictLocked evicts from the back until within capacity, returning the
-// victims when an evict handler is registered (nil otherwise; the victim
-// slice is freshly allocated because the handler may re-enter this
-// store). The caller must invoke the handler after releasing the lock.
-func (s *Store) evictLocked() []evicted {
-	if s.capacity <= 0 {
-		return nil
-	}
-	var victims []evicted
 	for s.used > s.capacity {
 		e := s.tail
 		if e == nil {
 			break
 		}
+		id, payload := e.id, e.payload
 		s.unlink(e)
-		delete(s.index, e.id)
+		delete(s.index, id)
 		s.used -= e.bytes
 		s.stats.Evictions++
-		if s.onEvict != nil {
-			victims = append(victims, evicted{id: e.id, payload: e.payload})
-		}
 		s.freeEntry(e)
+		if s.onEvict != nil {
+			s.onEvict(id, payload)
+		}
 	}
-	return victims
 }
 
 // Used returns the current stored bytes.
 func (s *Store) Used() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.used
 }
 
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.index)
 }
 
@@ -383,8 +293,6 @@ func (s *Store) Len() int {
 // recency order (most recently used first). It touches neither recency
 // nor statistics; fn must not call back into the store.
 func (s *Store) Each(fn func(id chunk.ID, bytes int64)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for e := s.head; e != nil; e = e.next {
 		fn(e.id, e.bytes)
 	}
@@ -392,8 +300,6 @@ func (s *Store) Each(fn func(id chunk.ID, bytes int64)) {
 
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.stats
 	st.BytesStored = s.used
 	return st
@@ -402,8 +308,6 @@ func (s *Store) Stats() Stats {
 // LoadTime returns the simulated seconds to read id's payload from the
 // backing device (0 if absent). It does not count as a Get.
 func (s *Store) LoadTime(id chunk.ID) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.index[id]
 	if !ok {
 		return 0

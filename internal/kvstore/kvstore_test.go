@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/chunk"
@@ -17,7 +16,6 @@ func newTest(capacity int64, p Policy) *Store {
 
 func TestPutGetHitMiss(t *testing.T) {
 	s := newTest(0, LRU)
-	defer s.Close()
 	if _, ok := s.Get(id(1)); ok {
 		t.Fatal("empty store must miss")
 	}
@@ -39,7 +37,6 @@ func TestPutGetHitMiss(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	s := newTest(300, LRU)
-	defer s.Close()
 	for i := 1; i <= 3; i++ {
 		if err := s.Put(id(i), Bytes(100)); err != nil {
 			t.Fatal(err)
@@ -63,7 +60,6 @@ func TestLRUEviction(t *testing.T) {
 
 func TestFIFOEvictionIgnoresRecency(t *testing.T) {
 	s := newTest(300, FIFO)
-	defer s.Close()
 	for i := 1; i <= 3; i++ {
 		s.Put(id(i), Bytes(100))
 	}
@@ -76,7 +72,6 @@ func TestFIFOEvictionIgnoresRecency(t *testing.T) {
 
 func TestPutReplaceAdjustsBytes(t *testing.T) {
 	s := newTest(0, LRU)
-	defer s.Close()
 	s.Put(id(1), Bytes(100))
 	s.Put(id(1), Bytes(250))
 	if s.Used() != 250 {
@@ -92,7 +87,6 @@ func TestPutReplaceAdjustsBytes(t *testing.T) {
 
 func TestOversizePayloadRejected(t *testing.T) {
 	s := newTest(100, LRU)
-	defer s.Close()
 	if err := s.Put(id(1), Bytes(101)); err == nil {
 		t.Fatal("oversize payload must be rejected")
 	}
@@ -100,7 +94,6 @@ func TestOversizePayloadRejected(t *testing.T) {
 
 func TestEvictionKeepsWithinCapacity(t *testing.T) {
 	s := newTest(1000, LRU)
-	defer s.Close()
 	for i := 0; i < 50; i++ {
 		s.Put(id(i), Bytes(90))
 	}
@@ -112,25 +105,8 @@ func TestEvictionKeepsWithinCapacity(t *testing.T) {
 	}
 }
 
-func TestPutAsyncLands(t *testing.T) {
-	s := newTest(0, LRU)
-	for i := 0; i < 20; i++ {
-		s.PutAsync(id(i), Bytes(10))
-	}
-	s.Close() // drains the writer
-	if s.Len() != 20 {
-		t.Fatalf("async writes lost: %d/20", s.Len())
-	}
-	// PutAsync after close degrades to synchronous put.
-	s.PutAsync(id(99), Bytes(10))
-	if !s.Contains(id(99)) {
-		t.Fatal("post-close PutAsync must still land")
-	}
-}
-
 func TestLoadTime(t *testing.T) {
 	s := New(device.SlowSSD, 0, LRU)
-	defer s.Close()
 	s.Put(id(1), Bytes(1e9))
 	got := s.LoadTime(id(1))
 	want := device.SlowSSD.ReadTime(1e9)
@@ -142,50 +118,21 @@ func TestLoadTime(t *testing.T) {
 	}
 }
 
-func TestConcurrentAccess(t *testing.T) {
-	s := newTest(10000, LRU)
-	defer s.Close()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := id(i % 37)
-				if i%3 == 0 {
-					s.Put(k, Bytes(50))
-				} else {
-					s.Get(k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Used() > 10000 {
-		t.Fatal("capacity violated under concurrency")
-	}
-}
-
 func TestPutReplaceUpdatesBytesStored(t *testing.T) {
 	// Regression: the replace path used to return before refreshing
-	// Stats.BytesStored, and evictLocked bails out early on unbounded
+	// Stats.BytesStored, and eviction bails out early on unbounded
 	// stores — so the counter stayed stale. Stats() masks the field by
 	// re-deriving it, so assert on the raw counter.
 	s := newTest(0, LRU) // unbounded: eviction never runs
-	defer s.Close()
 	s.Put(id(1), Bytes(100))
 	s.Put(id(1), Bytes(250))
-	s.mu.Lock()
-	got := s.stats.BytesStored
-	s.mu.Unlock()
-	if got != 250 {
+	if got := s.stats.BytesStored; got != 250 {
 		t.Fatalf("BytesStored=%d after unbounded replace, want 250", got)
 	}
 }
 
 func TestRemove(t *testing.T) {
 	s := newTest(0, LRU)
-	defer s.Close()
 	s.Put(id(1), Bytes(40))
 	s.Put(id(2), Bytes(60))
 	p, ok := s.Remove(id(1))
@@ -206,7 +153,6 @@ func TestRemove(t *testing.T) {
 
 func TestEvictHandlerReceivesVictims(t *testing.T) {
 	s := newTest(250, LRU)
-	defer s.Close()
 	var evicted []chunk.ID
 	s.SetEvictHandler(func(id chunk.ID, p Sized) {
 		if p.SizeBytes() != 100 {
@@ -230,7 +176,6 @@ func TestEvictHandlerReceivesVictims(t *testing.T) {
 
 func TestStatsBytesStored(t *testing.T) {
 	s := newTest(0, LRU)
-	defer s.Close()
 	for i := 0; i < 5; i++ {
 		s.Put(id(i), Bytes(7))
 	}
@@ -239,16 +184,23 @@ func TestStatsBytesStored(t *testing.T) {
 	}
 }
 
+// TestCloseIdempotent: Tiered.Close has nothing to release, so closing
+// twice is harmless and the store stays usable.
 func TestCloseIdempotent(t *testing.T) {
-	s := newTest(0, LRU)
-	s.Close()
-	s.Close() // must not panic
+	ts := MustTiered([]Tier{{Device: device.CPURAM}}, LRU)
+	ts.Close()
+	ts.Close()
+	if err := ts.Put(id(1), Bytes(10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := ts.Get(id(1)); !ok {
+		t.Fatal("store unusable after Close")
+	}
 }
 
 func TestManyDistinctIDs(t *testing.T) {
 	// Hash distinctness sanity at store scale.
 	s := newTest(0, LRU)
-	defer s.Close()
 	for i := 0; i < 1000; i++ {
 		s.Put(chunk.Hash("m", []int{i, i * 7, i * 13}), Bytes(1))
 	}
@@ -259,7 +211,6 @@ func TestManyDistinctIDs(t *testing.T) {
 
 func TestDeviceAccessor(t *testing.T) {
 	s := New(device.CPURAM, 0, LRU)
-	defer s.Close()
 	if s.Device().Name != "cpu-ram" {
 		t.Fatal("Device accessor wrong")
 	}

@@ -9,18 +9,18 @@ import (
 	"bytes"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/chunk"
 )
 
 // Popularity tracks per-chunk access scores with exponential time decay.
-// It is safe for concurrent use.
+// Like the stores, it belongs to one simulation run and is not safe for
+// concurrent use.
 type Popularity struct {
-	mu       sync.Mutex
-	halflife float64
-	max      int
-	scores   map[chunk.ID]*popEntry
+	halflife  float64
+	max       int
+	scores    map[chunk.ID]*popEntry
+	topScores []float64 // Top's ranking scratch, parallel to the ids it appends
 }
 
 type popEntry struct {
@@ -40,8 +40,8 @@ func NewPopularity(halflife float64, maxEntries int) *Popularity {
 }
 
 // decayed returns e's score brought forward to now. The clock never runs
-// backwards in a run, but a stale now (concurrent callers racing) must not
-// inflate the score, so negative elapsed time decays nothing.
+// backwards in a run, but a stale now must not inflate the score, so
+// negative elapsed time decays nothing.
 func (p *Popularity) decayed(e *popEntry, now float64) float64 {
 	if p.halflife <= 0 {
 		return e.score
@@ -55,8 +55,6 @@ func (p *Popularity) decayed(e *popEntry, now float64) float64 {
 
 // Touch records one access to id at virtual time now.
 func (p *Popularity) Touch(id chunk.ID, now float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if e, ok := p.scores[id]; ok {
 		e.score = p.decayed(e, now) + 1
 		if now > e.last {
@@ -65,15 +63,13 @@ func (p *Popularity) Touch(id chunk.ID, now float64) {
 		return
 	}
 	if p.max > 0 && len(p.scores) >= p.max {
-		p.compactLocked(now)
+		p.compact(now)
 	}
 	p.scores[id] = &popEntry{score: 1, last: now}
 }
 
 // Score returns id's decayed score at now (0 if untracked).
 func (p *Popularity) Score(id chunk.ID, now float64) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	e, ok := p.scores[id]
 	if !ok {
 		return 0
@@ -83,47 +79,56 @@ func (p *Popularity) Score(id chunk.ID, now float64) float64 {
 
 // Len returns the number of tracked chunks.
 func (p *Popularity) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return len(p.scores)
 }
 
-// Top returns up to k tracked ids passing keep (nil = all), hottest first.
-// Ties break on id bytes so the ranking is deterministic.
-func (p *Popularity) Top(now float64, k int, keep func(chunk.ID) bool) []chunk.ID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	type ranked struct {
-		id    chunk.ID
-		score float64
-	}
-	all := make([]ranked, 0, len(p.scores))
+// Top appends to dst up to k tracked ids passing keep (nil = all),
+// hottest first, and returns the extended slice; k ≤ 0 ranks every such
+// id. Ties break on id bytes so the ranking is deterministic. One pass
+// over the tracked entries keeps the k best in order, so the small k the
+// predictive prefetcher asks for costs a linear scan and no allocation.
+func (p *Popularity) Top(dst []chunk.ID, now float64, k int, keep func(chunk.ID) bool) []chunk.ID {
+	base := len(dst)
+	scores := p.topScores[:0]
 	for id, e := range p.scores {
 		if keep != nil && !keep(id) {
 			continue
 		}
-		all = append(all, ranked{id, p.decayed(e, now)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+		s := p.decayed(e, now)
+		// i is the rank the entry takes among those kept so far.
+		i := len(scores)
+		for i > 0 && hotter(s, id, scores[i-1], dst[base+i-1]) {
+			i--
 		}
-		return bytes.Compare(all[i].id[:], all[j].id[:]) < 0
-	})
-	if k > 0 && len(all) > k {
-		all = all[:k]
+		if k > 0 && i >= k {
+			continue
+		}
+		if k <= 0 || len(scores) < k {
+			scores = append(scores, 0)
+			dst = append(dst, chunk.ID{})
+		}
+		// Shift the colder entries down one rank, dropping the last when full.
+		copy(scores[i+1:], scores[i:len(scores)-1])
+		copy(dst[base+i+1:], dst[base+i:len(dst)-1])
+		scores[i], dst[base+i] = s, id
 	}
-	out := make([]chunk.ID, len(all))
-	for i, r := range all {
-		out[i] = r.id
-	}
-	return out
+	p.topScores = scores
+	return dst
 }
 
-// compactLocked evicts the coldest tracked chunks down to 3/4 of the cap,
+// hotter reports whether (s, id) ranks before (t, other): higher score
+// first, then lower id bytes.
+func hotter(s float64, id chunk.ID, t float64, other chunk.ID) bool {
+	if s != t {
+		return s > t
+	}
+	return bytes.Compare(id[:], other[:]) < 0
+}
+
+// compact evicts the coldest tracked chunks down to 3/4 of the cap,
 // deterministically (score asc, then id bytes) so capped runs stay
 // seed-stable.
-func (p *Popularity) compactLocked(now float64) {
+func (p *Popularity) compact(now float64) {
 	type ranked struct {
 		id    chunk.ID
 		score float64

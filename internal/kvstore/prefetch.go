@@ -77,9 +77,7 @@ func (p PrefetchStats) Accuracy() float64 {
 // or already in flight (arrival then reports the existing transfer's
 // completion time).
 func (t *Tiered) Prefetch(id chunk.ID, now, bw float64) (arrival float64, started bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.advanceLocked(now)
+	t.advance(now)
 	if tr, ok := t.flights[id]; ok {
 		return tr.arrival, false
 	}
@@ -118,9 +116,7 @@ func (t *Tiered) Prefetch(id chunk.ID, now, bw float64) (arrival float64, starte
 // and leaves the promotion to the transfer's completion. Any other lookup
 // behaves exactly like Get.
 func (t *Tiered) GetAt(id chunk.ID, now float64) (payload Sized, tier int, wait float64, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.advanceLocked(now)
+	t.advance(now)
 	if tr, ok := t.flights[id]; ok {
 		t.hits[tr.src]++
 		t.pf.Hits++
@@ -128,7 +124,7 @@ func (t *Tiered) GetAt(id chunk.ID, now float64) (payload Sized, tier int, wait 
 		tr.read = true
 		return tr.payload, tr.src, tr.arrival - now, true
 	}
-	payload, tier, ok = t.getLocked(id)
+	payload, tier, ok = t.Get(id)
 	if ok {
 		if _, unread := t.unread[id]; unread {
 			t.pf.Hits++ // first read of a completed prefetch: it paid off
@@ -142,8 +138,6 @@ func (t *Tiered) GetAt(id chunk.ID, now float64) (payload Sized, tier int, wait 
 // without touching recency, statistics or placement. The predictive
 // prefetcher uses it to pick popular-but-cold candidates.
 func (t *Tiered) TierOf(id chunk.ID) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i, tier := range t.tiers {
 		if tier.Contains(id) {
 			return i
@@ -154,21 +148,17 @@ func (t *Tiered) TierOf(id chunk.ID) int {
 
 // Inflight reports how many transfers are currently in flight.
 func (t *Tiered) Inflight() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.flights)
 }
 
 // PrefetchStats snapshots the transfer-model counters.
 func (t *Tiered) PrefetchStats() PrefetchStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.pf
 }
 
-// advanceLocked applies every transfer due by now, in (arrival, issue)
+// advance applies every transfer due by now, in (arrival, issue)
 // order so concurrent loaders complete deterministically.
-func (t *Tiered) advanceLocked(now float64) {
+func (t *Tiered) advance(now float64) {
 	if len(t.flightQ) == 0 {
 		return
 	}
@@ -191,15 +181,15 @@ func (t *Tiered) advanceLocked(now float64) {
 		return due[i].seq < due[j].seq
 	})
 	for _, tr := range due {
-		t.completeLocked(tr)
+		t.complete(tr)
 	}
 }
 
-// completeLocked lands one due transfer: the payload moves from wherever
+// complete lands one due transfer: the payload moves from wherever
 // the chunk now lives to the top tier (the residence may have shifted
 // under demotion cascades while in flight). A chunk that left the
 // hierarchy mid-flight is NOT re-inserted — its bytes moved for nothing.
-func (t *Tiered) completeLocked(tr *transfer) {
+func (t *Tiered) complete(tr *transfer) {
 	delete(t.flights, tr.id)
 	src := -1
 	for i, tier := range t.tiers {
@@ -239,24 +229,22 @@ func (t *Tiered) completeLocked(tr *transfer) {
 // the transfer table empties. Transfers are cancelled in issue order so
 // the waste accounting is deterministic.
 func (t *Tiered) Drain() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
 	for _, tr := range t.flightQ {
 		if tr.cancelled {
 			continue
 		}
-		t.cancelLocked(tr.id)
+		t.cancel(tr.id)
 		n++
 	}
 	t.flightQ = t.flightQ[:0]
 	return n
 }
 
-// cancelLocked aborts id's in-flight transfer, if any: Put supersedes the
+// cancel aborts id's in-flight transfer, if any: Put supersedes the
 // copy being moved, Remove releases the key outright. Bytes already
 // streaming count as wasted unless a join read them.
-func (t *Tiered) cancelLocked(id chunk.ID) {
+func (t *Tiered) cancel(id chunk.ID) {
 	tr, ok := t.flights[id]
 	if !ok {
 		return
@@ -268,10 +256,10 @@ func (t *Tiered) cancelLocked(id chunk.ID) {
 	}
 }
 
-// wasteUnreadLocked marks a completed-but-unread prefetch of id as undone
+// wasteUnread marks a completed-but-unread prefetch of id as undone
 // — called when demotion, eviction or removal takes the promoted copy off
 // the top tier before any lookup touched it.
-func (t *Tiered) wasteUnreadLocked(id chunk.ID) {
+func (t *Tiered) wasteUnread(id chunk.ID) {
 	if b, ok := t.unread[id]; ok {
 		t.pf.BytesWasted += b
 		delete(t.unread, id)

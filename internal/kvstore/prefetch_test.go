@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/chunk"
@@ -28,7 +27,6 @@ func demoteTo(t *testing.T, ts *Tiered, id chunk.ID, tier int, bytes int64) {
 
 func TestPrefetchPromotesAtArrival(t *testing.T) {
 	ts := MustTiered(threeTiers(100, 200, 0), LRU)
-	defer ts.Close()
 	c := id(1)
 	if err := ts.Put(c, Bytes(100)); err != nil {
 		t.Fatal(err)
@@ -75,7 +73,6 @@ func TestPrefetchPromotesAtArrival(t *testing.T) {
 
 func TestPrefetchInflightJoinChargesResidualWait(t *testing.T) {
 	ts := MustTiered(threeTiers(100, 0, 0)[:2], LRU) // HBM → unbounded RAM
-	defer ts.Close()
 	c := id(2)
 	if err := ts.Put(c, Bytes(100)); err != nil {
 		t.Fatal(err)
@@ -119,7 +116,6 @@ func TestPrefetchInflightJoinChargesResidualWait(t *testing.T) {
 
 func TestPrefetchBandwidthBudget(t *testing.T) {
 	ts := MustTiered(threeTiers(100, 0, 0)[:2], LRU)
-	defer ts.Close()
 	c := id(3)
 	ts.Put(c, Bytes(100)) //nolint:errcheck
 	demoteTo(t, ts, c, 1, 100)
@@ -135,7 +131,6 @@ func TestPrefetchBandwidthBudget(t *testing.T) {
 
 func TestPrefetchNoopCases(t *testing.T) {
 	ts := MustTiered(threeTiers(100, 200, 0), LRU)
-	defer ts.Close()
 	if _, started := ts.Prefetch(id(4), 0, 1); started {
 		t.Fatal("prefetch of an absent chunk must not start")
 	}
@@ -151,7 +146,6 @@ func TestPrefetchNoopCases(t *testing.T) {
 
 func TestPrefetchRemoveNeverResurrects(t *testing.T) {
 	ts := MustTiered(threeTiers(100, 0, 0)[:2], LRU)
-	defer ts.Close()
 	c := id(6)
 	ts.Put(c, Bytes(100)) //nolint:errcheck
 	demoteTo(t, ts, c, 1, 100)
@@ -181,7 +175,6 @@ func TestPrefetchEvictedMidflightNotReinserted(t *testing.T) {
 		{Device: device.GPUHBM, Capacity: 100},
 		{Device: device.CPURAM, Capacity: 100},
 	}, LRU)
-	defer ts.Close()
 	c := id(7)
 	ts.Put(c, Bytes(100)) //nolint:errcheck
 	demoteTo(t, ts, c, 1, 100)
@@ -204,7 +197,6 @@ func TestPrefetchEvictedMidflightNotReinserted(t *testing.T) {
 
 func TestPrefetchUnreadDemotionCountsWaste(t *testing.T) {
 	ts := MustTiered(threeTiers(100, 0, 0)[:2], LRU)
-	defer ts.Close()
 	c := id(8)
 	ts.Put(c, Bytes(100)) //nolint:errcheck
 	demoteTo(t, ts, c, 1, 100)
@@ -249,12 +241,12 @@ func TestPopularityDecayAndRanking(t *testing.T) {
 	// three decayed ones after two halflives.
 	p.Touch(b, 20)
 	p.Touch(b, 20)
-	top := p.Top(20, 1, nil)
+	top := p.Top(nil, 20, 1, nil)
 	if len(top) != 1 || top[0] != b {
 		t.Fatalf("top at t=20 = %v, want [%s]", top, b)
 	}
 	// The keep filter drops ids.
-	top = p.Top(20, 2, func(c chunk.ID) bool { return c != b })
+	top = p.Top(nil, 20, 2, func(c chunk.ID) bool { return c != b })
 	if len(top) != 1 || top[0] != a {
 		t.Fatalf("filtered top = %v, want [%s]", top, a)
 	}
@@ -290,54 +282,6 @@ func TestPopularityStaleNowDoesNotInflate(t *testing.T) {
 	}
 }
 
-// TestPrefetchRaceStress hammers the transfer model from concurrent
-// goroutines (run with -race). Each goroutine keeps its own monotonic
-// clock; the invariants checked inline are the clock-independent ones.
-func TestPrefetchRaceStress(t *testing.T) {
-	ts := MustTiered(threeTiers(1<<12, 1<<13, 0), LRU)
-	defer ts.Close()
-	pop := NewPopularity(32, 256)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := tensor.NewRNG(int64(1000 + w))
-			now := 0.0
-			for i := 0; i < 2000; i++ {
-				now += g.Float64() * 1e-3
-				key := chunk.Hash("race", []int{g.Intn(64)})
-				switch uint64(g.Intn(5)) {
-				case 0:
-					ts.Put(key, Bytes(64)) //nolint:errcheck
-				case 1:
-					ts.Remove(key)
-				case 2:
-					ts.Prefetch(key, now, 1)
-				case 3:
-					pop.Touch(key, now)
-					pop.Top(now, 8, func(c chunk.ID) bool { return ts.TierOf(c) > 0 })
-				default:
-					_, _, wait, _ := ts.GetAt(key, now)
-					if wait < 0 {
-						t.Errorf("negative residual wait %v", wait)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	pf := ts.PrefetchStats()
-	if pf.BytesWasted > pf.BytesMoved {
-		t.Fatalf("wasted %d bytes of %d moved", pf.BytesWasted, pf.BytesMoved)
-	}
-	if pf.Completed > pf.Issued {
-		t.Fatalf("completed %d of %d issued", pf.Completed, pf.Issued)
-	}
-}
-
 // FuzzPrefetch drives random op sequences with a monotonic clock against
 // the transfer model and checks its core invariants: a join is charged at
 // most the transfer duration and the residual wait only shrinks; a
@@ -349,7 +293,6 @@ func FuzzPrefetch(f *testing.F) {
 	f.Add(int64(42), []byte{3, 0, 2, 255, 4, 1, 2, 4})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		ts := MustTiered(threeTiers(512, 1024, 0), LRU)
-		defer ts.Close()
 		pop := NewPopularity(16, 64)
 		g := tensor.NewRNG(seed)
 		now := 0.0

@@ -1,9 +1,7 @@
-// Sharded store: the multi-replica serving runtime's shared KV cache.
-// Chunk IDs are content hashes, so routing on the ID's leading bytes
-// spreads entries uniformly across independent Stores, each with its own
-// lock, writer goroutine and capacity slice — removing the single-mutex /
-// single-writer bottleneck when many replica workers hit the store at
-// once.
+// Sharded store: one tier of the serving runtime's KV cache, split into
+// shards. Chunk IDs are content hashes, so routing on the ID's leading
+// bytes spreads entries uniformly across independent Stores, each with
+// its own capacity slice and its own LRU order.
 package kvstore
 
 import (
@@ -13,8 +11,8 @@ import (
 	"repro/internal/device"
 )
 
-// Sharded is a capacity-bounded KV store split across independently
-// locked shards. It is safe for concurrent use.
+// Sharded is a capacity-bounded KV store split across shards, each
+// evicting within its own budget.
 type Sharded struct {
 	shards []*Store
 }
@@ -94,9 +92,6 @@ func (s *Sharded) Put(id chunk.ID, payload Sized) error { return s.shard(id).Put
 // Update replaces id's payload in place if resident; see Store.Update.
 func (s *Sharded) Update(id chunk.ID, payload Sized) bool { return s.shard(id).Update(id, payload) }
 
-// PutAsync queues the write on id's shard's background writer.
-func (s *Sharded) PutAsync(id chunk.ID, payload Sized) { s.shard(id).PutAsync(id, payload) }
-
 // LoadTime returns the simulated read time of id's payload (0 if absent).
 func (s *Sharded) LoadTime(id chunk.ID) float64 { return s.shard(id).LoadTime(id) }
 
@@ -138,11 +133,4 @@ func (s *Sharded) Stats() Stats {
 		t.BytesStored += st.BytesStored
 	}
 	return t
-}
-
-// Close stops every shard's background writer.
-func (s *Sharded) Close() {
-	for _, sh := range s.shards {
-		sh.Close()
-	}
 }

@@ -11,7 +11,6 @@ package kvstore
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/chunk"
 	"repro/internal/device"
@@ -24,7 +23,8 @@ type Tier struct {
 	// Capacity is the tier's byte budget; 0 = unbounded (sensible only
 	// for the bottom tier).
 	Capacity int64
-	// Shards splits the tier into independently locked shards (0 = 1).
+	// Shards splits the tier into shards, each evicting within an equal
+	// slice of the capacity (0 = 1).
 	Shards int
 }
 
@@ -48,13 +48,10 @@ type TierStats struct {
 	BytesResident int64
 }
 
-// Tiered is a multi-tier KV store. It is safe for concurrent use: one
-// structural mutex serialises Get/Put so a chunk lives on at most one
-// tier at any observable moment (the serving runtime's virtual clock
-// serialises access anyway; the mutex makes the invariant hold for real
-// concurrent callers too).
+// Tiered is a multi-tier KV store in which a chunk lives on at most one
+// tier. Like Store, it is owned by one run and not safe for concurrent
+// use.
 type Tiered struct {
-	mu     sync.Mutex
 	tiers  []*Sharded
 	cfg    []Tier
 	hits   []int64 // lookups served per tier
@@ -66,7 +63,7 @@ type Tiered struct {
 
 	// In-flight prefetch transfer model (prefetch.go).
 	flights   map[chunk.ID]*transfer // keys currently being promoted
-	flightQ   []*transfer            // issue-ordered queue advanceLocked drains
+	flightQ   []*transfer            // issue-ordered queue advance drains
 	flightSeq int
 	unread    map[chunk.ID]int64 // completed prefetches no lookup has touched
 	pf        PrefetchStats
@@ -104,15 +101,14 @@ func NewTiered(tiers []Tier, policy Policy) (*Tiered, error) {
 	}
 	// Demotion cascade: tier i's LRU victims land on tier i+1 (which may
 	// evict in turn, recursing at most len(tiers)-1 deep). The bottom
-	// tier keeps the default drop-on-evict. Handlers run with the store
-	// lock released but under t.mu, held by the public entry points.
+	// tier keeps the default drop-on-evict.
 	for i := 0; i < len(t.tiers)-1; i++ {
 		i, next := i, t.tiers[i+1]
 		t.tiers[i].SetEvictHandler(func(id chunk.ID, payload Sized) {
 			if i == 0 {
 				// Demoted off the top before any lookup used it: an
 				// unread prefetch promotion was undone.
-				t.wasteUnreadLocked(id)
+				t.wasteUnread(id)
 			}
 			if err := next.Put(id, payload); err != nil {
 				t.drops[i]++ // next tier's shard cannot hold it: drop
@@ -145,12 +141,6 @@ func (t *Tiered) TierDevice(i int) device.Device { return t.cfg[i].Device }
 // promotion may cascade demotions downward. A chunk the top tier cannot
 // hold stays where it is.
 func (t *Tiered) Get(id chunk.ID) (Sized, int, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.getLocked(id)
-}
-
-func (t *Tiered) getLocked(id chunk.ID) (Sized, int, bool) {
 	for i, tier := range t.tiers {
 		payload, ok := tier.Get(id)
 		if !ok {
@@ -178,8 +168,6 @@ func (t *Tiered) getLocked(id chunk.ID) (Sized, int, bool) {
 // Contains reports presence on any tier without touching recency, stats
 // or placement.
 func (t *Tiered) Contains(id chunk.ID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, tier := range t.tiers {
 		if tier.Contains(id) {
 			return true
@@ -193,9 +181,7 @@ func (t *Tiered) Contains(id chunk.ID) bool {
 // first so the chunk never straddles tiers. If no tier can hold the
 // payload an error is returned.
 func (t *Tiered) Put(id chunk.ID, payload Sized) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.cancelLocked(id) // the new payload supersedes any copy in flight
+	t.cancel(id) // the new payload supersedes any copy in flight
 	// Fast path for the per-token decode-KV append: an id already resident
 	// on the top tier updates in place — entry and list element reused,
 	// recency refreshed, growth evicting exactly as a reinsert would —
@@ -222,10 +208,8 @@ func (t *Tiered) Put(id chunk.ID, payload Sized) error {
 // handler and touches no hit/miss statistics. The serving runtime uses
 // it to free a retired request's generated KV.
 func (t *Tiered) Remove(id chunk.ID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.cancelLocked(id) // a removed key must never resurrect at arrival
-	t.wasteUnreadLocked(id)
+	t.cancel(id) // a removed key must never resurrect at arrival
+	t.wasteUnread(id)
 	removed := false
 	for _, tier := range t.tiers {
 		if _, ok := tier.Remove(id); ok {
@@ -239,8 +223,6 @@ func (t *Tiered) Remove(id chunk.ID) bool {
 // tier it currently lives on (0 if absent). It does not count as a Get
 // and does not promote.
 func (t *Tiered) LoadTime(id chunk.ID) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, tier := range t.tiers {
 		if lt := tier.LoadTime(id); lt > 0 {
 			return lt
@@ -272,8 +254,6 @@ func (t *Tiered) Len() int {
 // so ids are distinct. The affinity router's duplication accounting walks
 // per-replica stores with it; fn must not call back into the store.
 func (t *Tiered) Each(fn func(id chunk.ID, bytes int64)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, tier := range t.tiers {
 		tier.Each(fn)
 	}
@@ -281,12 +261,6 @@ func (t *Tiered) Each(fn func(id chunk.ID, bytes int64)) {
 
 // TierStats snapshots per-tier placement telemetry, top tier first.
 func (t *Tiered) TierStats() []TierStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tierStatsLocked()
-}
-
-func (t *Tiered) tierStatsLocked() []TierStats {
 	out := make([]TierStats, len(t.tiers))
 	for i, tier := range t.tiers {
 		out[i] = TierStats{
@@ -307,14 +281,10 @@ func (t *Tiered) tierStatsLocked() []TierStats {
 
 // Stats aggregates the hierarchy into the flat Stats shape: hits and
 // misses are whole-hierarchy lookups (per-tier probe noise excluded),
-// evictions count only entries that left the hierarchy. The snapshot is
-// taken under one lock hold, so Hits+Misses always equals the lookup
-// count even with concurrent callers.
+// evictions count only entries that left the hierarchy.
 func (t *Tiered) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	st := Stats{Misses: t.misses, Puts: t.puts}
-	for _, s := range t.tierStatsLocked() {
+	for _, s := range t.TierStats() {
 		st.Hits += s.Hits
 		st.Evictions += s.Evictions
 		st.BytesStored += s.BytesResident
@@ -322,9 +292,6 @@ func (t *Tiered) Stats() Stats {
 	return st
 }
 
-// Close stops every tier's background writers.
-func (t *Tiered) Close() {
-	for _, tier := range t.tiers {
-		tier.Close()
-	}
-}
+// Close is a no-op: a tiered store holds no goroutine or file to
+// release. It is kept so callers that close their stores still build.
+func (t *Tiered) Close() {}

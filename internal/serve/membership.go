@@ -102,14 +102,14 @@ func (c Config) validateEvents() error {
 
 // applyEvent fires one membership event at the control process's current
 // virtual time.
-func (c *cluster) applyEvent(p *sim.Proc, ev MembershipEvent) {
+func (c *cluster) applyEvent(ev MembershipEvent, now float64) {
 	if ev.Join > 0 {
 		for i := 0; i < ev.Join; i++ {
 			c.join()
 		}
 		return
 	}
-	c.kill(ev.Kill, p.Now())
+	c.kill(ev.Kill, now)
 }
 
 // kill fails replica k. Routed topologies lose the whole node: queued
@@ -172,8 +172,8 @@ func (c *cluster) reroute(req request, now float64) {
 // routed policies the newcomer is a full cold node — empty tier stack,
 // empty popularity view, its own queue and loader, and its ring vnodes;
 // under the shared topology it is one more worker on the shared queue.
-// Spawning from the running control process is legal: clock.Go schedules
-// the new processes at the current instant.
+// Starting tasks from the running control process is legal: the new
+// worker and loader wake at the current instant.
 func (c *cluster) join() {
 	r := len(c.busy)
 	c.busy = append(c.busy, 0)
@@ -200,14 +200,7 @@ func (c *cluster) join() {
 			c.ring.add(r)
 		}
 	}
-	c.clock.Go(fmt.Sprintf("replica-%d", r), func(p *sim.Proc) {
-		c.replica(p, r)
-	})
-	if c.pfQueues != nil {
-		c.clock.Go(fmt.Sprintf("loader-%d", r), func(p *sim.Proc) {
-			c.loader(p, r)
-		})
-	}
+	c.startReplica(r)
 }
 
 // recoveryTime measures the TTFT transient after the first kill: the

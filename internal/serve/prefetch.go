@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/chunk"
+	"repro/internal/kvstore"
 	"repro/internal/sim"
 )
 
@@ -87,46 +88,72 @@ func (c Config) prefetchBW() float64 {
 // request's tier reads are already priced against wherever its chunks
 // are, so further promotion only displaces top-tier residents and bills
 // PrefetchWastedBytes. Popping a predictive job releases its node's
-// dedupe slot before the promotions run.
-func (c *cluster) loader(p *sim.Proc, r int) {
-	bw := c.cfg.prefetchBW()
+// dedupe slot before the promotions run. Each Run continues the current
+// job; with none left the loader parks on its queue, and exits once the
+// queue is closed and drained.
+type loader struct {
+	c     *cluster
+	qi    int
+	bw    float64
+	queue *sim.Queue[prefetchJob]
+	store *kvstore.Tiered
+	cold  func(chunk.ID) bool // predictive candidates: resident below the top tier
+	job   prefetchJob
+	keys  []chunk.ID // the current job's store keys; the buffer is reused across jobs
+	k     int        // next key of the current job
+}
+
+// newLoader builds replica r's loader over its node's queue and store.
+func (c *cluster) newLoader(r int) *loader {
 	qi := c.qi(r)
 	store := c.stores[qi]
+	return &loader{c: c, qi: qi, bw: c.cfg.prefetchBW(), queue: c.pfQueues[qi], store: store,
+		cold: func(id chunk.ID) bool { return store.TierOf(id) > 0 }}
+}
+
+func (l *loader) Run(now float64) {
+	c := l.c
 	for {
-		job, ok := c.pfQueues[qi].Pop(p)
+		for l.k < len(l.keys) {
+			if l.job.req >= 0 && c.admitted[l.job.req] {
+				break // admitted mid-job: stop moving its chunks
+			}
+			key := l.keys[l.k]
+			l.k++
+			if arrival, started := l.store.Prefetch(key, now, l.bw); started {
+				c.clock.Wake(arrival, l) // sleep the transfer to completion
+				return
+			}
+		}
+		l.keys, l.k = l.keys[:0], 0
+		job, ok := l.queue.TryPop()
 		if !ok {
+			if !l.queue.Closed() {
+				l.queue.Wait(l)
+			}
 			return
 		}
 		if job.req < 0 {
-			c.predPend[qi]--
+			c.predPend[l.qi]--
 		} else if c.admitted[job.req] {
 			continue // stale: the request no longer benefits
 		}
-		for _, key := range c.jobKeys(job, p.Now(), qi) {
-			if job.req >= 0 && c.admitted[job.req] {
-				break // admitted mid-job: stop moving its chunks
-			}
-			if arrival, started := store.Prefetch(key, p.Now(), bw); started {
-				p.SleepUntil(arrival)
-			}
-		}
+		l.job = job
+		l.keys = l.jobKeys(l.keys, now)
 	}
 }
 
-// jobKeys resolves a job to store keys on node qi: a request job names
-// its own chunks; a predictive job asks the node's popularity estimator
-// for the hottest chunks currently stranded on a cold tier.
-func (c *cluster) jobKeys(job prefetchJob, now float64, qi int) []chunk.ID {
-	if job.req < 0 {
-		return c.pops[qi].Top(now, predictiveFanout, func(id chunk.ID) bool {
-			return c.stores[qi].TierOf(id) > 0
-		})
+// jobKeys appends the current job's store keys to dst: a request job
+// names its own chunks; a predictive job asks the node's popularity
+// estimator for the hottest chunks currently stranded on a cold tier.
+func (l *loader) jobKeys(dst []chunk.ID, now float64) []chunk.ID {
+	if l.job.req < 0 {
+		return l.c.pops[l.qi].Top(dst, now, predictiveFanout, l.cold)
 	}
-	keys := make([]chunk.ID, len(job.ids))
-	for i, id := range job.ids {
-		keys[i] = c.chunkKeyOf(id)
+	for _, id := range l.job.ids {
+		dst = append(dst, l.c.chunkKeyOf(id))
 	}
-	return keys
+	return dst
 }
 
 // lookup resolves one chunk lookup against node si's store at virtual

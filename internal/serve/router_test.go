@@ -180,10 +180,10 @@ func TestAffinityBeatsHashAndShared(t *testing.T) {
 	}
 }
 
-// TestRouterRaceStress runs the routed policies concurrently so the race
-// detector can see per-replica stores, loaders and popularity views
-// operating in parallel. Results are discarded; the assertions are the
-// ones -race injects.
+// TestRouterRaceStress runs routed simulations concurrently so the race
+// detector can see any state — stores, loaders, popularity views — that
+// leaks between runs, each of which must own its own. Results are
+// discarded; the assertions are the ones -race injects.
 func TestRouterRaceStress(t *testing.T) {
 	w := routerTestMix(2.0)
 	var wg sync.WaitGroup

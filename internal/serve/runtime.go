@@ -87,6 +87,7 @@ type cluster struct {
 	queues     []*sim.Queue[request]
 	stores     []*kvstore.Tiered
 	chunkBytes int64
+	genNS      string  // store-key namespace of generated KV: the model name + "/gen"
 	tokenBytes int64   // generated KV bytes per decoded token
 	decodeUnit float64 // unbatched per-token decode step duration
 	hasDecode  bool    // some request carries a generation budget
@@ -302,6 +303,7 @@ func (c *cluster) run() Result {
 	cfg := c.cfg
 
 	c.chunkBytes = cfg.Spec.KVBytes(cfg.ChunkTokens)
+	c.genNS = cfg.Spec.Name + "/gen"
 	c.tokenBytes = cfg.Spec.KVBytesPerToken()
 	c.decodeUnit = cfg.Spec.DecodeSecPerToken
 	c.policy = cfg.policy()
@@ -401,56 +403,11 @@ func (c *cluster) run() Result {
 		c.ttftAt = make([]float64, 0, measuredN)
 	}
 
-	// The control process interleaves the two input streams in time
-	// order: request arrivals and membership events. An event tying an
-	// arrival's timestamp applies first, so the arrival routes against
-	// the post-event replica set. A closed-loop run only walks the initial
-	// wave here — every later arrival is issued by the completion hook in
-	// retire, on a process of its own (and membership events are rejected
-	// up front in runClosedLoop).
-	if c.closed != nil {
-		c.clock.Go("arrivals", func(p *sim.Proc) {
-			for _, iss := range c.initIssues {
-				p.SleepUntil(iss.Req.Arrival)
-				c.issueReq(iss, p.Now())
-			}
-		})
-	} else {
-		c.clock.Go("arrivals", func(p *sim.Proc) {
-			events := cfg.Events
-			ei := 0
-			for _, r := range c.reqs {
-				for ei < len(events) && events[ei].At <= r.arrival {
-					p.SleepUntil(events[ei].At)
-					c.applyEvent(p, events[ei])
-					ei++
-				}
-				p.SleepUntil(r.arrival)
-				c.dispatch(r, p.Now())
-			}
-			for ei < len(events) {
-				p.SleepUntil(events[ei].At)
-				c.applyEvent(p, events[ei])
-				ei++
-			}
-			for _, q := range c.queues {
-				q.Close()
-			}
-			for _, q := range c.pfQueues {
-				q.Close()
-			}
-		})
-	}
+	// Start order is the event order at t=0: the control process, then
+	// each replica's worker and loader.
+	c.clock.Wake(0, &arrivals{c: c})
 	for r := 0; r < cfg.replicas(); r++ {
-		r := r
-		c.clock.Go(fmt.Sprintf("replica-%d", r), func(p *sim.Proc) {
-			c.replica(p, r)
-		})
-		if c.pfQueues != nil {
-			c.clock.Go(fmt.Sprintf("loader-%d", r), func(p *sim.Proc) {
-				c.loader(p, r)
-			})
-		}
+		c.startReplica(r)
 	}
 	end := c.clock.Run()
 
@@ -654,12 +611,7 @@ func (c *cluster) issueReq(iss workload.Issue, now float64) {
 	}
 	c.dispatch(r, now)
 	if len(c.reqs) == c.closedN {
-		for _, q := range c.queues {
-			q.Close()
-		}
-		for _, q := range c.pfQueues {
-			q.Close()
-		}
+		c.closeQueues()
 	}
 }
 
@@ -710,139 +662,241 @@ func (c *cluster) predDepth() int {
 	return c.cfg.replicas()
 }
 
+// arrivals is the control process. It interleaves the two input streams
+// in time order: request arrivals and membership events. An event tying
+// an arrival's timestamp applies first, so the arrival routes against the
+// post-event replica set. A closed-loop run only walks the initial wave
+// here — every later arrival is issued by the completion hook in retire,
+// by a client task of its own (and membership events are rejected up
+// front in runClosedLoop). Each Run performs the step it slept to, then
+// sleeps to the next one; an open-loop run closes the queues after its
+// last step.
+type arrivals struct {
+	c     *cluster
+	i, ei int  // next arrival (request or initial issue), next membership event
+	armed bool // woken at the time of the next step
+}
+
+// next reports the virtual time of the control process's next step and
+// whether that step is a membership event; ok=false once both streams
+// are exhausted.
+func (a *arrivals) next() (t float64, event, ok bool) {
+	c := a.c
+	if c.closed != nil {
+		if a.i < len(c.initIssues) {
+			return c.initIssues[a.i].Req.Arrival, false, true
+		}
+		return 0, false, false
+	}
+	events := c.cfg.Events
+	if a.ei < len(events) && (a.i == len(c.reqs) || events[a.ei].At <= c.reqs[a.i].arrival) {
+		return events[a.ei].At, true, true
+	}
+	if a.i < len(c.reqs) {
+		return c.reqs[a.i].arrival, false, true
+	}
+	return 0, false, false
+}
+
+func (a *arrivals) Run(now float64) {
+	c := a.c
+	if a.armed {
+		_, event, _ := a.next()
+		switch {
+		case event:
+			c.applyEvent(c.cfg.Events[a.ei], now)
+			a.ei++
+		case c.closed != nil:
+			c.issueReq(c.initIssues[a.i], now)
+			a.i++
+		default:
+			c.dispatch(c.reqs[a.i], now)
+			a.i++
+		}
+	}
+	t, _, ok := a.next()
+	if !ok {
+		if c.closed == nil {
+			c.closeQueues()
+		}
+		return
+	}
+	a.armed = true
+	c.clock.Wake(t, a)
+}
+
+// closeQueues ends the input: replicas and loaders exit once their queues
+// drain.
+func (c *cluster) closeQueues() {
+	for _, q := range c.queues {
+		q.Close()
+	}
+	for _, q := range c.pfQueues {
+		q.Close()
+	}
+}
+
+// startReplica starts replica r's worker, and its loader when prefetch is
+// active, at the current virtual time.
+func (c *cluster) startReplica(r int) {
+	now := c.clock.Now()
+	c.clock.Wake(now, &replica{c: c, r: r, queue: c.queues[c.qi(r)]})
+	if c.pfQueues != nil {
+		c.clock.Wake(now, c.newLoader(r))
+	}
+}
+
+// pop takes the next request off an admission queue without blocking:
+// the most deadline-urgent one under the slo policy, the head otherwise.
+func (c *cluster) pop(q *sim.Queue[request]) (request, bool) {
+	if c.sloSched {
+		return q.TryPopMin(c.sloCmp)
+	}
+	return q.TryPop()
+}
+
 // replica is one worker process: it keeps a running batch, admitting from
 // its node's admission queue (the shared queue in the shared topology,
 // its own under the routed policies) under the scheduling policy and
 // stepping every member — prefilling or decoding — in lockstep, retiring
-// completions at step boundaries.
-func (c *cluster) replica(p *sim.Proc, r int) {
-	queue := c.queues[c.qi(r)]
-	var batch []*member
-	deferred := 0 // consecutive boundaries the policy held the door while work waited
-	for {
-		if len(batch) == 0 {
-			// Idle: block on the admission queue. Policies only gate
-			// top-ups — an empty replica always takes the next request
-			// (the slo policy takes the most deadline-urgent one).
-			var req request
-			var ok bool
-			if c.sloSched {
-				req, ok = queue.PopMin(p, c.sloCmp)
-			} else {
-				req, ok = queue.Pop(p)
+// completions at step boundaries. Each Run finishes the step it slept
+// through (if any), admits, and sleeps through the next step; an idle
+// replica parks on the queue instead, and exits once it is closed and
+// drained.
+type replica struct {
+	c           *cluster
+	r           int
+	queue       *sim.Queue[request]
+	batch       []*member
+	deferred    int  // consecutive boundaries the policy held the door while work waited
+	stepping    bool // woken at the end of a planned step
+	step, stall float64
+}
+
+func (w *replica) Run(now float64) {
+	c, r, queue := w.c, w.r, w.queue
+	if w.stepping {
+		w.stepping = false
+		w.endStep(now)
+	}
+	if len(w.batch) == 0 {
+		// Idle: take the next request, or park until one arrives. Policies
+		// only gate top-ups — an empty replica always takes the next
+		// request (the slo policy takes the most deadline-urgent one).
+		req, ok := c.pop(queue)
+		if !ok {
+			if !queue.Closed() {
+				queue.Wait(w)
 			}
-			if !ok {
-				return // queue closed and drained, batch empty — done
-			}
-			if c.dead[r] && !queue.Closed() {
-				// Killed while parked on the shared queue (routed queues
-				// close at the kill, so Pop there never wakes a dead
-				// worker with an item): hand the request back to the
-				// tail for a live worker and exit. Once the queue is
-				// closed the stream is over and survivors may already
-				// have exited, so the item is served rather than risk
-				// stranding it.
-				c.reroutedN++
-				c.rerouted[req.idx] = true
-				queue.Push(req)
-				return
-			}
-			batch = append(batch, c.admit(req, p.Now(), r))
-			deferred = 0
+			return // parked, or queue closed and drained with the batch empty — done
 		}
-		// Continuous batching, join side: the policy decides how many of
-		// the waiting requests may join at this step boundary (FIFO takes
-		// everything that fits; decode-priority holds prefills while the
-		// batch decodes). New requests only enter at a step boundary.
-		prefillers, decoders := 0, 0
-		for _, m := range batch {
-			if m.decoding {
-				decoders++
-			} else {
-				prefillers++
-			}
+		if c.dead[r] && !queue.Closed() {
+			// Killed while parked on the shared queue (routed queues
+			// close at the kill, so a wait there never wakes a dead
+			// worker with an item): hand the request back to the
+			// tail for a live worker and exit. Once the queue is
+			// closed the stream is over and survivors may already
+			// have exited, so the item is served rather than risk
+			// stranding it.
+			c.reroutedN++
+			c.rerouted[req.idx] = true
+			queue.Push(req)
+			return
 		}
-		headroom := c.cfg.maxBatch() - len(batch)
-		quota := c.policy.AdmitQuota(prefillers, decoders, headroom, deferred)
-		if quota > headroom {
-			quota = headroom
+		w.batch = append(w.batch, c.admit(req, now, r))
+		w.deferred = 0
+	}
+	// Continuous batching, join side: the policy decides how many of
+	// the waiting requests may join at this step boundary (FIFO takes
+	// everything that fits; decode-priority holds prefills while the
+	// batch decodes). New requests only enter at a step boundary.
+	prefillers, decoders := 0, 0
+	for _, m := range w.batch {
+		if m.decoding {
+			decoders++
+		} else {
+			prefillers++
 		}
-		if c.dead[r] {
-			quota = 0 // a dead worker finishes its batch but admits nothing
+	}
+	headroom := c.cfg.maxBatch() - len(w.batch)
+	quota := c.policy.AdmitQuota(prefillers, decoders, headroom, w.deferred)
+	if quota > headroom {
+		quota = headroom
+	}
+	if c.dead[r] {
+		quota = 0 // a dead worker finishes its batch but admits nothing
+	}
+	admitted := 0
+	for admitted < quota {
+		req, ok := c.pop(queue)
+		if !ok {
+			break
 		}
-		admitted := 0
-		for admitted < quota {
-			var req request
-			var ok bool
-			if c.sloSched {
-				req, ok = queue.TryPopMin(c.sloCmp)
-			} else {
-				req, ok = queue.TryPop()
-			}
-			if !ok {
-				break
-			}
-			batch = append(batch, c.admit(req, p.Now(), r))
-			admitted++
-		}
-		if admitted > 0 {
-			deferred = 0
-		} else if headroom > 0 && queue.Len() > 0 {
-			deferred++ // work waited at an open door — age it
-		}
-		// Execute one step for every member in lockstep: the longest
-		// member paces the step, each extra sequence adds the marginal
-		// batching cost of the step's phase mix; budgeted policies bound
-		// the prefill tokens the step may spend.
-		step, stall := c.planStep(batch, p.Now())
-		p.Sleep(step)
-		now := p.Now()
-		c.observeStep(batch, step, stall, now, r)
-		// Advance every member one step; retire at phase ends.
-		live := batch[:0]
-		for _, m := range batch {
-			if !m.decoding {
-				var done bool
-				if c.budget > 0 {
-					if m.slice == 0 {
-						// Resident but idle: this step's budget was
-						// spent by members admitted ahead of it.
-						live = append(live, m)
-						continue
-					}
-					m.prefDone += m.slice
-					m.slice = 0
-					done = m.prefDone >= m.prefTotal
-				} else {
-					m.remaining--
-					done = m.remaining == 0
-				}
-				if !done {
+		w.batch = append(w.batch, c.admit(req, now, r))
+		admitted++
+	}
+	if admitted > 0 {
+		w.deferred = 0
+	} else if headroom > 0 && queue.Len() > 0 {
+		w.deferred++ // work waited at an open door — age it
+	}
+	// Execute one step for every member in lockstep: the longest
+	// member paces the step, each extra sequence adds the marginal
+	// batching cost of the step's phase mix; budgeted policies bound
+	// the prefill tokens the step may spend.
+	w.step, w.stall = c.planStep(w.batch, now)
+	w.stepping = true
+	c.clock.Wake(now+w.step, w)
+}
+
+// endStep records the step that just ended at now and advances every
+// member one step, retiring those that finish.
+func (w *replica) endStep(now float64) {
+	c := w.c
+	c.observeStep(w.batch, w.step, w.stall, now, w.r)
+	live := w.batch[:0]
+	for _, m := range w.batch {
+		if !m.decoding {
+			var done bool
+			if c.budget > 0 {
+				if m.slice == 0 {
+					// Resident but idle: this step's budget was
+					// spent by members admitted ahead of it.
 					live = append(live, m)
 					continue
 				}
-				// Last prefill step: the first token is out.
-				c.firstToken(m, now)
-				if m.req.decode == 0 {
-					c.retire(m, now) // prefill-only request
-					continue
-				}
-				m.decoding = true
-				m.unit = c.decodeUnit
-				m.remaining = m.req.decode
+				m.prefDone += m.slice
+				m.slice = 0
+				done = m.prefDone >= m.prefTotal
+			} else {
+				m.remaining--
+				done = m.remaining == 0
+			}
+			if !done {
 				live = append(live, m)
 				continue
 			}
-			c.token(m, now)
-			m.remaining--
-			if m.remaining == 0 {
-				c.retire(m, now)
+			// Last prefill step: the first token is out.
+			c.firstToken(m, now)
+			if m.req.decode == 0 {
+				c.retire(m, now) // prefill-only request
 				continue
 			}
+			m.decoding = true
+			m.unit = c.decodeUnit
+			m.remaining = m.req.decode
 			live = append(live, m)
+			continue
 		}
-		batch = live
+		c.token(m, now)
+		m.remaining--
+		if m.remaining == 0 {
+			c.retire(m, now)
+			continue
+		}
+		live = append(live, m)
 	}
+	w.batch = live
 }
 
 // planStep prices the batch's next step under the active policy and
@@ -928,7 +982,7 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 		m.perTok = service / float64(m.prefTotal)
 	}
 	if req.decode > 0 {
-		m.genKey = genKey(c.cfg, req.idx)
+		m.genKey = c.genKey(req.idx)
 		// One boxed payload per decoding member: every per-token Put
 		// rewrites this value instead of boxing a fresh interface. Pooled
 		// members carry theirs over.
@@ -958,10 +1012,10 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 }
 
 // genKey is the store key of one request's generated (decode) KV — a
-// namespace of its own, so generation growth can never alias a context
-// chunk's cache entry.
-func genKey(cfg Config, idx int) chunk.ID {
-	return chunk.Hash(cfg.Spec.Name+"/gen", []int{idx})
+// namespace of its own (genNS, built once per run), so generation growth
+// can never alias a context chunk's cache entry.
+func (c *cluster) genKey(idx int) chunk.ID {
+	return chunk.Hash(c.genNS, []int{idx})
 }
 
 // stepTime is the virtual duration of one batched step: the longest
@@ -1093,15 +1147,11 @@ func (c *cluster) retire(m *member, now float64) {
 	}
 	if c.closed != nil {
 		// Completion feedback: the issuing client thinks, then issues its
-		// next request on a short-lived process of its own (mid-run Go is
-		// the membership-join machinery, reused). The session guarantees
-		// the next arrival is strictly after now, so the sleep is real and
-		// the dispatch order stays nondecreasing in time.
+		// next request from a short-lived task of its own. The session
+		// guarantees the next arrival is strictly after now, so the sleep
+		// is real and the dispatch order stays nondecreasing in time.
 		if iss, ok := c.closed.Complete(m.req.client, now); ok {
-			c.clock.Go(fmt.Sprintf("client-%d", iss.Client), func(p *sim.Proc) {
-				p.SleepUntil(iss.Req.Arrival)
-				c.issueReq(iss, p.Now())
-			})
+			c.clock.Wake(now, &client{c: c, iss: iss})
 		}
 	}
 	if !c.measured(m.req) {
@@ -1126,6 +1176,25 @@ func (c *cluster) retire(m *member, now float64) {
 			acc.outTokens += tokens
 		}
 	}
+}
+
+// client is one closed-loop issue between the completion that triggered
+// it and its arrival. It starts at the completion and then sleeps to the
+// arrival — two hops, so its events order exactly as the process it
+// models: a start at now, then a sleep.
+type client struct {
+	c     *cluster
+	iss   workload.Issue
+	armed bool // woken at the issue's arrival
+}
+
+func (cl *client) Run(now float64) {
+	if !cl.armed {
+		cl.armed = true
+		cl.c.clock.Wake(cl.iss.Req.Arrival, cl)
+		return
+	}
+	cl.c.issueReq(cl.iss, now)
 }
 
 // sloOutcome evaluates a completed request against the configured

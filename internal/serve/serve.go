@@ -18,10 +18,11 @@
 // latency, generation-aware KV pressure) that erodes prefill wins in
 // real deployments.
 //
-// The runtime runs on sim.Clock: every replica is a real goroutine, but
-// the virtual-time scheduler hands execution to one process at a time, so
-// runs with the same seed give identical Results while go test -race still
-// observes every cross-replica hand-off.
+// The runtime runs on sim.Clock: every simulated process — arrivals,
+// replica workers, prefetch loaders, closed-loop clients — is a resumable
+// task on the event heap, run one at a time on the caller's goroutine in
+// (time, seq) order, so runs with the same seed give identical Results and
+// a run starts no goroutine. Concurrent runs share nothing.
 package serve
 
 import (
@@ -71,9 +72,9 @@ type Config struct {
 	// the flat store. Empty means one tier on Device with StoreCapacity —
 	// the original single-device runtime.
 	Tiers []TierConfig
-	// StoreShards splits the KV store into independently locked shards
-	// keyed by chunk-ID hash. Each shard gets an equal slice of
-	// StoreCapacity and runs its own LRU. 0 picks a default: 1 shard for
+	// StoreShards splits the KV store into shards keyed by chunk-ID
+	// hash. Each shard gets an equal slice of StoreCapacity and runs its
+	// own LRU. 0 picks a default: 1 shard for
 	// a single replica (exact global LRU, the paper's setup), 8 when
 	// replicas share the store.
 	StoreShards int

@@ -1,29 +1,42 @@
 // Process-oriented layer on top of the event heap: a virtual Clock that
-// coordinates goroutine "processes" so concurrent serving runtimes (N
-// replica workers pulling from shared queues) simulate deterministically.
+// runs simulated processes so concurrent serving runtimes (N replica
+// workers pulling from shared queues) simulate deterministically.
 //
-// Exactly one process runs at any instant: the scheduler hands a run
-// token to the process due at the earliest virtual time, and the process
-// hands it back when it sleeps, blocks on a Queue, or exits. Processes
-// are real goroutines — the race detector sees every hand-off — but the
-// single-token discipline plus the (time, seq) event order makes every
-// run with the same inputs bit-identical.
+// A process is a Task: a resumable state machine whose Run continues it
+// at the virtual time its wake fell due. Each Run ends by scheduling the
+// task's next wake (Clock.Wake — a sleep), by parking it on a Queue
+// (Queue.Wait — a blocking pop), or by returning without either, which
+// ends the process. Exactly one task runs at any instant, on the goroutine
+// that called Run, and the (time, seq) event order decides which, so every
+// run with the same inputs is bit-identical and no run needs a goroutine.
+//
+// Proc adapts a straight-line goroutine process to the same scheduler for
+// callers that prefer blocking calls (Sleep, Queue.Pop) to a state
+// machine; every park and resume then costs a goroutine hand-off.
 package sim
 
 import (
 	"fmt"
 )
 
-// Clock schedules process goroutines over virtual time.
-type Clock struct {
-	now     float64
-	seq     int
-	heap    eventHeap
-	yielded chan struct{} // a running process signals the scheduler here
-	live    int           // registered, not-yet-finished processes
+// Task is one simulated process. Run resumes it at virtual time now.
+type Task interface {
+	Run(now float64)
 }
 
-// NewClock returns a clock at virtual time 0 with no processes.
+// Clock schedules tasks over virtual time.
+type Clock struct {
+	now  float64
+	seq  int
+	heap eventHeap
+	// parked counts the live tasks with no pending event: those waiting
+	// on a Queue. They are the only tasks a drained heap can strand, so
+	// a non-zero count when Run runs out of events is a deadlock.
+	parked  int
+	yielded chan struct{} // a running Proc goroutine signals the scheduler here
+}
+
+// NewClock returns a clock at virtual time 0 with no tasks.
 func NewClock() *Clock {
 	return &Clock{yielded: make(chan struct{})}
 }
@@ -31,8 +44,36 @@ func NewClock() *Clock {
 // Now returns the current virtual time.
 func (c *Clock) Now() float64 { return c.now }
 
-// Proc is the handle a process uses to interact with virtual time. It is
-// only valid inside the function passed to Go, on that goroutine.
+// Wake schedules task to run at virtual time t (a time in the past means
+// now). Wakes due at the same time run in the order they were scheduled.
+// A task starts by a Wake at the current time and sleeps by a Wake at a
+// later one.
+func (c *Clock) Wake(t float64, task Task) {
+	if t < c.now {
+		t = c.now
+	}
+	c.seq++
+	c.heap.push(event{at: t, seq: c.seq, task: task})
+}
+
+// Run drives the clock until the event queue is drained, returning the
+// final virtual time. It panics on deadlock — tasks still parked on a
+// queue with no event that could ever wake them.
+func (c *Clock) Run() float64 {
+	for len(c.heap) > 0 {
+		ev := c.heap.pop()
+		c.now = ev.at
+		ev.task.Run(c.now)
+	}
+	if c.parked > 0 {
+		panic(fmt.Sprintf("sim: deadlock: %d task(s) blocked at t=%.3f with no pending events", c.parked, c.now))
+	}
+	return c.now
+}
+
+// Proc is the handle of a goroutine process started by Go. It is only
+// valid inside the function passed to Go, on that goroutine. As a Task,
+// its Run hands the run token to that goroutine and waits for it back.
 type Proc struct {
 	c    *Clock
 	name string
@@ -45,44 +86,23 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.c.now }
 
-// Go registers fn as a process starting at the current virtual time.
-// Must be called before Run (or from a running process).
+// Go starts fn as a goroutine process at the current virtual time. Must
+// be called before Run, or from a running task.
 func (c *Clock) Go(name string, fn func(p *Proc)) {
 	p := &Proc{c: c, name: name, wake: make(chan struct{})}
-	c.live++
 	go func() {
 		<-p.wake // wait for the scheduler's first hand-off
 		fn(p)
-		c.live--
 		c.yielded <- struct{}{} // return the run token for good
 	}()
-	c.atProc(c.now, p)
+	c.Wake(c.now, p)
 }
 
-// at schedules fn on the raw event heap.
-func (c *Clock) at(t float64, fn func(now float64)) {
-	if t < c.now {
-		t = c.now
-	}
-	c.seq++
-	c.heap.push(event{at: t, seq: c.seq, fn: fn})
-}
-
-// atProc schedules a resume of p — the closure-free fast form for the
-// dominant sleep/wake path.
-func (c *Clock) atProc(t float64, p *Proc) {
-	if t < c.now {
-		t = c.now
-	}
-	c.seq++
-	c.heap.push(event{at: t, seq: c.seq, p: p})
-}
-
-// resume hands the run token to p and waits for it to yield or exit.
-// Called only from the scheduler loop (inside an event fn).
-func (c *Clock) resume(p *Proc) {
+// Run hands the run token to p's goroutine and waits until it sleeps,
+// blocks on a Queue, or exits.
+func (p *Proc) Run(float64) {
 	p.wake <- struct{}{}
-	<-c.yielded
+	<-p.c.yielded
 }
 
 // park gives the run token back to the scheduler and waits to be resumed.
@@ -117,27 +137,8 @@ func (p *Proc) SleepUntil(t float64) {
 		c.now = t
 		return
 	}
-	c.atProc(t, p)
+	c.Wake(t, p)
 	p.park()
-}
-
-// Run drives the clock until every process has exited and the event queue
-// is drained, returning the final virtual time. It panics on deadlock —
-// processes still blocked with no event that could ever wake them.
-func (c *Clock) Run() float64 {
-	for len(c.heap) > 0 {
-		ev := c.heap.pop()
-		c.now = ev.at
-		if ev.p != nil {
-			c.resume(ev.p)
-		} else {
-			ev.fn(c.now)
-		}
-	}
-	if c.live > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked at t=%.3f with no pending events", c.live, c.now))
-	}
-	return c.now
 }
 
 // ring is a power-of-two circular buffer. Unlike the previous
@@ -203,14 +204,14 @@ func (r *ring[T]) grow() {
 	r.head = 0
 }
 
-// Queue is a FIFO channel between processes in virtual time. Pop blocks
-// the calling process until an item arrives or the queue is closed;
-// blocked consumers are woken in FIFO order, so admission is fair and
+// Queue is a FIFO channel between processes in virtual time. A task that
+// finds it empty parks with Wait; a goroutine process blocks in Pop.
+// Waiters are woken in FIFO order, so admission is fair and
 // deterministic.
 type Queue[T any] struct {
 	c       *Clock
 	items   ring[T]
-	waiters ring[*Proc]
+	waiters ring[Task]
 	closed  bool
 }
 
@@ -232,11 +233,11 @@ func (q *Queue[T]) Push(v T) {
 }
 
 // Closed reports whether Close has been called. Items already queued
-// still drain through Pop/TryPop.
+// still drain through TryPop/TryPopMin/Pop.
 func (q *Queue[T]) Closed() bool { return q.closed }
 
-// Close marks the queue finished: blocked and future Pops return ok=false
-// once the items drain.
+// Close marks the queue finished and wakes every waiter; consumers see
+// the end once the items drain.
 func (q *Queue[T]) Close() {
 	q.closed = true
 	for q.waiters.len() > 0 {
@@ -244,11 +245,21 @@ func (q *Queue[T]) Close() {
 	}
 }
 
+// Wait parks task until the next Push or Close, which wakes it at that
+// virtual time through Clock.Wake. A woken task must pop again: another
+// consumer may have taken the item first. A closed queue never wakes a
+// new waiter, so a consumer checks Closed before it waits.
+func (q *Queue[T]) Wait(task Task) {
+	q.waiters.push(task)
+	q.c.parked++
+}
+
 func (q *Queue[T]) wakeOne() {
 	if q.waiters.len() == 0 {
 		return
 	}
-	q.c.atProc(q.c.now, q.waiters.pop())
+	q.c.parked--
+	q.c.Wake(q.c.now, q.waiters.pop())
 }
 
 // TryPop returns the head item without blocking (ok=false when empty).
@@ -260,8 +271,8 @@ func (q *Queue[T]) TryPop() (T, bool) {
 	return q.items.pop(), true
 }
 
-// Pop blocks the process until an item is available, returning ok=false
-// only once the queue is closed and drained.
+// Pop blocks the goroutine process until an item is available, returning
+// ok=false only once the queue is closed and drained.
 func (q *Queue[T]) Pop(p *Proc) (T, bool) {
 	for {
 		if v, ok := q.TryPop(); ok {
@@ -271,7 +282,7 @@ func (q *Queue[T]) Pop(p *Proc) (T, bool) {
 			var zero T
 			return zero, false
 		}
-		q.waiters.push(p)
+		q.Wait(p)
 		p.park()
 	}
 }
@@ -293,21 +304,4 @@ func (q *Queue[T]) TryPopMin(less func(a, b T) bool) (T, bool) {
 		}
 	}
 	return q.items.removeAt(best), true
-}
-
-// PopMin is the blocking form of TryPopMin: it parks the process like Pop
-// until an item is available, then takes the minimum under less,
-// returning ok=false only once the queue is closed and drained.
-func (q *Queue[T]) PopMin(p *Proc, less func(a, b T) bool) (T, bool) {
-	for {
-		if v, ok := q.TryPopMin(less); ok {
-			return v, true
-		}
-		if q.closed {
-			var zero T
-			return zero, false
-		}
-		q.waiters.push(p)
-		p.park()
-	}
 }

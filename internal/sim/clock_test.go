@@ -140,7 +140,12 @@ func TestClockDeterministic(t *testing.T) {
 	}
 }
 
-// TestClockSameTimeFIFO: callback events and process wakes due at the
+// taskFunc adapts a function to a Task.
+type taskFunc func(now float64)
+
+func (f taskFunc) Run(now float64) { f(now) }
+
+// TestClockSameTimeFIFO: task wakes and goroutine-process wakes due at the
 // same virtual time run in the order they were scheduled — the seq
 // tiebreak every deterministic run rests on — and a callback scheduled in
 // the past runs now.
@@ -149,20 +154,20 @@ func TestClockSameTimeFIFO(t *testing.T) {
 	var order []string
 	for i := 0; i < 3; i++ {
 		i := i
-		c.at(1, func(now float64) { order = append(order, fmt.Sprintf("fn%d@%.0f", i, now)) })
+		c.Wake(1, taskFunc(func(now float64) { order = append(order, fmt.Sprintf("fn%d@%.0f", i, now)) }))
 		c.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 			p.SleepUntil(1)
 			order = append(order, fmt.Sprintf("p%d@%.0f", i, p.Now()))
 		})
 	}
-	c.at(2, func(float64) {
-		c.at(0, func(now float64) { order = append(order, fmt.Sprintf("past@%.0f", now)) })
-	})
+	c.Wake(2, taskFunc(func(float64) {
+		c.Wake(0, taskFunc(func(now float64) { order = append(order, fmt.Sprintf("past@%.0f", now)) }))
+	}))
 	if end := c.Run(); end != 2 {
 		t.Fatalf("final time %v, want 2", end)
 	}
 	// Each process's wake is scheduled when it first runs at t=0, after
-	// all three callbacks were already pushed.
+	// all three task wakes were already pushed.
 	want := []string{"fn0@1", "fn1@1", "fn2@1", "p0@1", "p1@1", "p2@1", "past@2"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order %v, want %v", order, want)
@@ -194,6 +199,22 @@ func TestClockDeadlockPanics(t *testing.T) {
 	c.Go("stuck", func(p *Proc) {
 		q.Pop(p) // never pushed, never closed
 	})
+	c.Run()
+}
+
+// TestClockDeadlockPanicsOnStrandedWait: a task parked on a queue that is
+// never pushed or closed is a deadlock once the heap drains.
+func TestClockDeadlockPanicsOnStrandedWait(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected deadlock panic")
+		}
+	}()
+	c := NewClock()
+	q := NewQueue[int](c)
+	var waiter taskFunc
+	waiter = func(float64) { q.Wait(waiter) }
+	c.Wake(0, waiter)
 	c.Run()
 }
 

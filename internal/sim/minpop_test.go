@@ -73,25 +73,38 @@ func TestQueueTryPopMin(t *testing.T) {
 	}
 }
 
-// TestQueuePopMinBlocksAndDrains checks the blocking form: a consumer
-// parked on an empty queue wakes on push, takes the minimum of whatever
-// is queued by then, and sees ok=false once the queue closes empty.
+// minDrainer is a priority consumer task: it takes the minimum with
+// TryPopMin and parks with Wait when the queue runs empty.
+type minDrainer struct {
+	q      *Queue[int]
+	got    []int
+	closed bool
+}
+
+func (m *minDrainer) Run(float64) {
+	for {
+		v, ok := m.q.TryPopMin(func(a, b int) bool { return a < b })
+		if ok {
+			m.got = append(m.got, v)
+			continue
+		}
+		if m.q.Closed() {
+			m.closed = true
+			return
+		}
+		m.q.Wait(m)
+		return
+	}
+}
+
+// TestQueuePopMinBlocksAndDrains checks the parking min-pop: a consumer
+// waiting on an empty queue wakes on push, takes the minimum of whatever
+// is queued by then, and sees the end once the queue closes empty.
 func TestQueuePopMinBlocksAndDrains(t *testing.T) {
 	c := NewClock()
 	q := NewQueue[int](c)
-	less := func(a, b int) bool { return a < b }
-	var got []int
-	closed := false
-	c.Go("consumer", func(p *Proc) {
-		for {
-			v, ok := q.PopMin(p, less)
-			if !ok {
-				closed = true
-				return
-			}
-			got = append(got, v)
-		}
-	})
+	m := &minDrainer{q: q}
+	c.Wake(0, m)
 	c.Go("producer", func(p *Proc) {
 		p.Sleep(1)
 		// The consumer is parked; pushing wakes it at t=1 after all three
@@ -104,18 +117,18 @@ func TestQueuePopMinBlocksAndDrains(t *testing.T) {
 		q.Close()
 	})
 	c.Run()
-	if !closed {
+	if !m.closed {
 		t.Fatal("consumer never saw the queue close")
 	}
 	// The first wake pops the min of the full backlog {7,3,5}; subsequent
 	// iterations drain the rest in min order without parking.
 	want := []int{3, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("drained %v, want %v", got, want)
+	if len(m.got) != len(want) {
+		t.Fatalf("drained %v, want %v", m.got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("drained %v, want %v", got, want)
+		if m.got[i] != want[i] {
+			t.Fatalf("drained %v, want %v", m.got, want)
 		}
 	}
 }

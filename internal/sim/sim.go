@@ -11,14 +11,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// event is a scheduled wakeup. Exactly one of p and fn is set: p resumes
-// a parked process directly (the dominant Sleep/queue-wake path, no
-// closure allocation), fn runs an arbitrary callback.
+// event is a scheduled wakeup of one task.
 type event struct {
-	at  float64
-	seq int // tiebreaker for deterministic ordering
-	p   *Proc
-	fn  func(now float64)
+	at   float64
+	seq  int // tiebreaker for deterministic ordering
+	task Task
 }
 
 // before orders events by (at, seq). seq is unique per clock, so this is
@@ -53,7 +50,7 @@ func (h *eventHeap) pop() event {
 	n := len(s) - 1
 	top := s[0]
 	s[0] = s[n]
-	s[n] = event{} // release closure/proc references in the dead slot
+	s[n] = event{} // release the task reference in the dead slot
 	s = s[:n]
 	*h = s
 	i := 0
