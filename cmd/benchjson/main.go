@@ -18,12 +18,12 @@
 //	go test -run=NONE -bench=. -benchtime=1x ./... | benchjson > BENCH_pr.json
 //
 // With -compare the parsed run is additionally checked against a previous
-// PR's committed JSON, and the process exits 1 when a gated serving
-// benchmark (ServeHotPath, ServeReplicas, ServeTiered, ServeSched,
-// ServeRouted, ServeFailover) regressed
-// beyond the threshold in ns/op or (when the baseline carries -benchmem
-// data) allocs/op — the in-repo bench trajectory doubles as a CI
-// regression gate:
+// PR's committed JSON, and the process exits 1 when a gated benchmark
+// regressed beyond the threshold in ns/op or (when the baseline carries
+// -benchmem data) allocs/op. The gated set is the serving macros
+// (ServeHotPath, ServeReplicas, ServeTiered, ServeSched, ServeRouted,
+// ServeFailover) and the fusion path's FusorBlend and Prefill512, so the
+// in-repo bench trajectory doubles as a CI regression gate:
 //
 //	go test -run=NONE -bench=. -benchtime=1x ./... | benchjson -compare benchdata/BENCH_pr5.json
 package main
@@ -58,9 +58,11 @@ type Bench struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// gatedPrefixes names the serving benchmarks the -compare mode fails on:
-// the macro benchmarks whose ns/op is dominated by simulated-cluster work
-// rather than harness noise. Micro benchmarks still land in the JSON for
+// gatedPrefixes names the benchmarks the -compare mode fails on: the
+// serving macro benchmarks, whose ns/op is dominated by simulated-cluster
+// work rather than harness noise, and the fusion path's blend fusor and
+// dense-model prefill, which time the layer kernel on the sparse QA model
+// and on dense random weights. Micro benchmarks still land in the JSON for
 // the trajectory, they just don't gate.
 var gatedPrefixes = []string{
 	"BenchmarkServeHotPath",
@@ -69,6 +71,8 @@ var gatedPrefixes = []string{
 	"BenchmarkServeSched",
 	"BenchmarkServeRouted",
 	"BenchmarkServeFailover",
+	"BenchmarkFusorBlend",
+	"BenchmarkPrefill512",
 }
 
 func main() {
@@ -191,7 +195,7 @@ func Markdown(cur, base map[string]Bench, baseName string, threshold float64) st
 	}
 	sort.Strings(names)
 	var b strings.Builder
-	fmt.Fprintf(&b, "### Gated serving benchmarks vs `%s` (limit +%.0f%%)\n\n", baseName, threshold*100)
+	fmt.Fprintf(&b, "### Gated benchmarks vs `%s` (limit +%.0f%%)\n\n", baseName, threshold*100)
 	b.WriteString("| benchmark | ns/op (base) | ns/op | Δ | allocs/op (base) | allocs/op | Δ |\n")
 	b.WriteString("|---|---:|---:|---:|---:|---:|---:|\n")
 	delta := func(now, old float64) string {

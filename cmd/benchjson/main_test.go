@@ -79,6 +79,23 @@ func TestCompareGatesOnlyServingBenchmarks(t *testing.T) {
 	}
 }
 
+func TestCompareGatesFusionBenchmarks(t *testing.T) {
+	base := map[string]Bench{
+		"BenchmarkFusorBlend":         {NsPerOp: 100, AllocsPerOp: 100},
+		"BenchmarkPrefill512":         {NsPerOp: 1000},
+		"BenchmarkFusorFullRecompute": {NsPerOp: 100},
+	}
+	cur := map[string]Bench{
+		"BenchmarkFusorBlend":         {NsPerOp: 100, AllocsPerOp: 200}, // alloc regression
+		"BenchmarkPrefill512":         {NsPerOp: 1300},                  // +30%
+		"BenchmarkFusorFullRecompute": {NsPerOp: 500},                   // not gated
+	}
+	got := Compare(cur, base, 0.20)
+	if len(got) != 2 || !strings.Contains(got[0], "BenchmarkFusorBlend") || !strings.Contains(got[1], "BenchmarkPrefill512") {
+		t.Fatalf("want the FusorBlend and Prefill512 regressions only, got %v", got)
+	}
+}
+
 func TestCompareBoundary(t *testing.T) {
 	base := map[string]Bench{"BenchmarkServeSched/fifo": {NsPerOp: 100}}
 	// Exactly at the limit passes; just above fails.

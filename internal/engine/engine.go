@@ -143,14 +143,13 @@ func (cfg Config) Run(req Request) (*Result, error) {
 		for ci, cc := range req.Chunks {
 			base := spans[ci].start
 			for j := 0; j < cc.Tokens; j++ {
-				k := append([]float32(nil), cc.RowK(li, j)...)
+				fused.SetToken(li, base+j, cc.RowK(li, j), cc.RowV(li, j))
 				if m.Rope != nil {
-					rot := mc.RotaryDims
+					k, rot := fused.RowK(li, base+j), mc.RotaryDims
 					for h := 0; h < mc.KVHeads; h++ {
 						m.Rope.Shift(k[h*mc.HeadDim:h*mc.HeadDim+rot], cc.BasePos+j, base+j)
 					}
 				}
-				fused.SetToken(li, base+j, k, cc.RowV(li, j))
 			}
 		}
 		timings[li].LoadDone = time.Since(start)

@@ -10,6 +10,19 @@
 // subset is every token, which gives a strong correctness anchor: the
 // selective path with all tokens selected must reproduce full prefill
 // bit-for-bit.
+//
+// # Weights are immutable after the first forward pass
+//
+// The first forward pass (ForwardLayerPartial, ProjectKV, Prefill, Logits
+// or Generate) indexes the nonzero entries of every weight matrix, and
+// every pass multiplies only the indexed entries: the constructed QA model
+// is more than 99.8% zeros. A weight that was zero at that first pass is
+// never read again, so weights must not change once a model has run;
+// builders that start from NewZero and fill in blocks, as package qamodel
+// does, must finish first. Skipping zero weights changes no result bit for
+// finite inputs.
+// Forward passes may run concurrently on one model; each draws its working
+// buffers from a per-model pool and allocates only what it returns.
 package model
 
 import (

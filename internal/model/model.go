@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/kvcache"
 	"repro/internal/rope"
@@ -38,6 +39,61 @@ type Model struct {
 	// Rope is the rotary table over the first RotaryDims of each head
 	// (nil when RotaryDims is 0).
 	Rope *rope.Table
+
+	// runs indexes the nonzero weights, built by the first forward pass.
+	runsOnce sync.Once
+	runs     *modelRuns
+	// scratch pools the working buffers of forward passes (*scratch).
+	scratch sync.Pool
+}
+
+// modelRuns holds the nonzero-run index of every weight matrix.
+type modelRuns struct {
+	layer  []layerRuns
+	lmHead *tensor.Runs
+}
+
+type layerRuns struct {
+	wq, wk, wv, wo, w1, w2, w3 *tensor.Runs
+}
+
+// index returns the nonzero-run index of the weights, building it on
+// first use (see the package comment on weight immutability).
+func (m *Model) index() *modelRuns {
+	m.runsOnce.Do(func() {
+		r := &modelRuns{layer: make([]layerRuns, len(m.Layer)), lmHead: tensor.NewRuns(m.LMHead)}
+		for i := range m.Layer {
+			lw, lr := &m.Layer[i], &r.layer[i]
+			lr.wq, lr.wk, lr.wv, lr.wo = tensor.NewRuns(lw.Wq), tensor.NewRuns(lw.Wk), tensor.NewRuns(lw.Wv), tensor.NewRuns(lw.Wo)
+			if lw.W1 != nil {
+				lr.w1, lr.w2, lr.w3 = tensor.NewRuns(lw.W1), tensor.NewRuns(lw.W2), tensor.NewRuns(lw.W3)
+			}
+		}
+		m.runs = r
+	})
+	return m.runs
+}
+
+// scratch holds the working buffers of one forward call, so a call
+// allocates only the matrices it returns.
+type scratch struct {
+	qs, normed, headOut, proj, gate, up, scores []float32
+}
+
+// getScratch takes a scratch set from the model's pool.
+func (m *Model) getScratch() *scratch {
+	if s, ok := m.scratch.Get().(*scratch); ok {
+		return s
+	}
+	return &scratch{}
+}
+
+// sized returns buf resliced to n elements, reallocated if too small.
+func sized(buf *[]float32, n int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
+	}
+	return (*buf)[:n]
 }
 
 // NewRandom builds a model with deterministic Xavier-style random weights
@@ -176,15 +232,18 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 	if li < 0 || li >= cfg.Layers {
 		panic(fmt.Sprintf("model: layer %d out of range", li))
 	}
-	lw := &m.Layer[li]
+	lw, lr := &m.Layer[li], &m.index().layer[li]
 	nSel := len(idx)
 	headDim := cfg.HeadDim
+	qDim := cfg.Heads * headDim
 	group := cfg.GroupSize()
+	s := m.getScratch()
+	defer m.scratch.Put(s)
 
 	// Pass 1: project Q/K/V for the selected tokens and write K/V into
 	// the cache so pass 2 attends over the updated entries.
-	qs := tensor.New(nSel, cfg.Heads*headDim)
-	normed := make([]float32, cfg.Hidden())
+	qs := sized(&s.qs, nSel*qDim)
+	normed := sized(&s.normed, cfg.Hidden())
 	for r, j := range idx {
 		if r > 0 && idx[r-1] >= j {
 			panic("model: idx must be strictly ascending")
@@ -193,21 +252,15 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 			panic(fmt.Sprintf("model: token index %d out of cache range %d", j, c.Tokens))
 		}
 		m.normInto(normed, h.Row(r), lw.AttnGain)
-		q := qs.Row(r)
-		copy(q, tensor.VecMat(normed, lw.Wq))
-		k := tensor.VecMat(normed, lw.Wk)
-		v := tensor.VecMat(normed, lw.Wv)
-		pos := c.BasePos + j
+		q := qs[r*qDim : (r+1)*qDim]
+		tensor.VecMatInto(q, normed, lw.Wq, lr.wq)
+		m.projectKV(li, j, c, normed, lw, lr)
 		if m.Rope != nil {
-			rot := cfg.RotaryDims
+			rot, pos := cfg.RotaryDims, c.BasePos+j
 			for hh := 0; hh < cfg.Heads; hh++ {
 				m.Rope.Apply(q[hh*headDim:hh*headDim+rot], pos)
 			}
-			for hh := 0; hh < cfg.KVHeads; hh++ {
-				m.Rope.Apply(k[hh*headDim:hh*headDim+rot], pos)
-			}
 		}
-		c.SetToken(li, j, k, v)
 	}
 
 	// Pass 2: attention over the full (updated ∪ reused) KV, then FFN.
@@ -217,12 +270,13 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 	}
 	out := tensor.New(nSel, cfg.Hidden())
 	scale := float32(1.0 / math.Sqrt(float64(headDim)))
-	scores := make([]float32, c.Tokens)
-	headOut := make([]float32, cfg.Heads*headDim)
+	scores := sized(&s.scores, c.Tokens)
+	headOut := sized(&s.headOut, qDim)
+	proj := sized(&s.proj, cfg.Hidden())
 	K := c.K[li]
 	V := c.V[li]
 	for r, j := range idx {
-		q := qs.Row(r)
+		q := qs[r*qDim : (r+1)*qDim]
 		for i := range headOut {
 			headOut[i] = 0
 		}
@@ -230,10 +284,7 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 			g := hh / group
 			qh := q[hh*headDim : (hh+1)*headDim]
 			n := j + 1 // causal: attend to positions 0..j
-			for t := 0; t < n; t++ {
-				kt := K.Row(t)[g*headDim : (g+1)*headDim]
-				scores[t] = tensor.Dot(qh, kt) * scale
-			}
+			scoreKeys(scores[:n], qh, K, g*headDim, scale)
 			tensor.Softmax(scores[:n])
 			oh := headOut[hh*headDim : (hh+1)*headDim]
 			for t := 0; t < n; t++ {
@@ -249,20 +300,70 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 		}
 		res := out.Row(r)
 		copy(res, h.Row(r))
-		tensor.Add(res, tensor.VecMat(headOut, lw.Wo))
+		tensor.VecMatInto(proj, headOut, lw.Wo, lr.wo)
+		tensor.Add(res, proj)
 
 		if cfg.FFNDim > 0 {
 			m.normInto(normed, res, lw.FFNGain)
-			gate := tensor.VecMat(normed, lw.W1)
-			up := tensor.VecMat(normed, lw.W3)
+			gate := sized(&s.gate, cfg.FFNDim)
+			up := sized(&s.up, cfg.FFNDim)
+			tensor.VecMatInto(gate, normed, lw.W1, lr.w1)
+			tensor.VecMatInto(up, normed, lw.W3, lr.w3)
 			tensor.SiLU(gate)
 			for i := range gate {
 				gate[i] *= up[i]
 			}
-			tensor.Add(res, tensor.VecMat(gate, lw.W2))
+			tensor.VecMatInto(proj, gate, lw.W2, lr.w2)
+			tensor.Add(res, proj)
 		}
 	}
 	return out, attn
+}
+
+// scoreKeys writes scale·(q·k) for the keys of rows 0..len(scores)-1 of K,
+// taking each key from column off, into scores. It scores four keys per
+// pass with an accumulator each, so the four sums advance independently;
+// every sum still adds its terms in ascending order from +0, exactly as
+// tensor.Dot does, so the scores are bit-identical to one Dot per key.
+func scoreKeys(scores, q []float32, K *tensor.Matrix, off int, scale float32) {
+	d, stride := len(q), K.Cols
+	t := 0
+	for ; t+4 <= len(scores); t += 4 {
+		at := t*stride + off
+		k0 := K.Data[at:][:d]
+		k1 := K.Data[at+stride:][:d]
+		k2 := K.Data[at+2*stride:][:d]
+		k3 := K.Data[at+3*stride:][:d]
+		var s0, s1, s2, s3 float32
+		for i, qv := range q {
+			s0 += qv * k0[i]
+			s1 += qv * k1[i]
+			s2 += qv * k2[i]
+			s3 += qv * k3[i]
+		}
+		scores[t] = s0 * scale
+		scores[t+1] = s1 * scale
+		scores[t+2] = s2 * scale
+		scores[t+3] = s3 * scale
+	}
+	for ; t < len(scores); t++ {
+		at := t*stride + off
+		scores[t] = tensor.Dot(q, K.Data[at:][:d]) * scale
+	}
+}
+
+// projectKV writes the K/V projections of the normalised row normed into
+// the cache at token j of layer li, rotating the keys to their position.
+func (m *Model) projectKV(li, j int, c *kvcache.Cache, normed []float32, lw *LayerWeights, lr *layerRuns) {
+	k, v := c.RowK(li, j), c.RowV(li, j)
+	tensor.VecMatInto(k, normed, lw.Wk, lr.wk)
+	tensor.VecMatInto(v, normed, lw.Wv, lr.wv)
+	if m.Rope != nil {
+		rot, pos, headDim := m.Cfg.RotaryDims, c.BasePos+j, m.Cfg.HeadDim
+		for hh := 0; hh < m.Cfg.KVHeads; hh++ {
+			m.Rope.Apply(k[hh*headDim:hh*headDim+rot], pos)
+		}
+	}
 }
 
 // ProjectKV computes and stores fresh K/V cache entries on layer li for
@@ -277,21 +378,13 @@ func (m *Model) ProjectKV(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache)
 	if h.Rows != len(idx) || h.Cols != cfg.Hidden() {
 		panic(fmt.Sprintf("model: hidden shape %dx%d, want %dx%d", h.Rows, h.Cols, len(idx), cfg.Hidden()))
 	}
-	lw := &m.Layer[li]
-	headDim := cfg.HeadDim
-	normed := make([]float32, cfg.Hidden())
+	lw, lr := &m.Layer[li], &m.index().layer[li]
+	s := m.getScratch()
+	defer m.scratch.Put(s)
+	normed := sized(&s.normed, cfg.Hidden())
 	for r, j := range idx {
 		m.normInto(normed, h.Row(r), lw.AttnGain)
-		k := tensor.VecMat(normed, lw.Wk)
-		v := tensor.VecMat(normed, lw.Wv)
-		pos := c.BasePos + j
-		if m.Rope != nil {
-			rot := cfg.RotaryDims
-			for hh := 0; hh < cfg.KVHeads; hh++ {
-				m.Rope.Apply(k[hh*headDim:hh*headDim+rot], pos)
-			}
-		}
-		c.SetToken(li, j, k, v)
+		m.projectKV(li, j, c, normed, lw, lr)
 	}
 }
 
@@ -331,9 +424,13 @@ func (m *Model) Prefill(tokens []int, basePos int, wantAttn bool) *PrefillResult
 
 // Logits applies the final norm and LM head to one residual-stream row.
 func (m *Model) Logits(h []float32) []float32 {
-	normed := make([]float32, len(h))
+	s := m.getScratch()
+	defer m.scratch.Put(s)
+	normed := sized(&s.normed, len(h))
 	m.normInto(normed, h, m.FinalGain)
-	return tensor.VecMat(normed, m.LMHead)
+	out := make([]float32, m.Cfg.Vocab)
+	tensor.VecMatInto(out, normed, m.LMHead, m.index().lmHead)
+	return out
 }
 
 // Generate decodes greedily from the cache. lastHidden must be the

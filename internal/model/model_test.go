@@ -2,6 +2,8 @@ package model
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/kvcache"
@@ -332,5 +334,34 @@ func TestGQADiffersFromMHA(t *testing.T) {
 	hb := NewRandom(cfgB, 5).Prefill(toks, 0, false).Hidden
 	if tensor.MaxAbsDiff(ha.Data, hb.Data) == 0 {
 		t.Fatal("GQA grouping appears to have no effect")
+	}
+}
+
+// TestConcurrentForwardPasses runs prefills on one fresh model from
+// several goroutines at once, so they race to build the weight index and
+// share the scratch pool; every result must equal a sequential prefill on
+// a second model with the same weights.
+func TestConcurrentForwardPasses(t *testing.T) {
+	m := NewRandom(testCfg, 41)
+	toks := seqTokens(10, testCfg.Vocab, 42)
+	want := NewRandom(testCfg, 41).Prefill(toks, 0, true)
+	const workers = 4
+	got := make([]*PrefillResult, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = m.Prefill(toks, 0, w%2 == 0)
+		}(w)
+	}
+	wg.Wait()
+	for w, res := range got {
+		if !reflect.DeepEqual(res.Cache, want.Cache) || !reflect.DeepEqual(res.Hidden, want.Hidden) {
+			t.Fatalf("worker %d: concurrent prefill differs from the sequential one", w)
+		}
+		if w%2 == 0 && !reflect.DeepEqual(res.Attn, want.Attn) {
+			t.Fatalf("worker %d: attention differs from the sequential prefill", w)
+		}
 	}
 }

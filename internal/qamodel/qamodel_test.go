@@ -1,6 +1,7 @@
 package qamodel
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/blend"
@@ -177,6 +178,28 @@ func TestTwoHopSplitFactAnswer(t *testing.T) {
 	got := Answer(m, res.Cache, res.Hidden.Row(len(toks)-1))
 	if got != want {
 		t.Fatalf("split two-hop answer = %q, want %q", v.Name(got), v.Name(want))
+	}
+}
+
+// TestAnswerLeavesCacheUntouched checks that Answer returns the token
+// Generate emits first, without growing or rewriting the caller's cache.
+func TestAnswerLeavesCacheUntouched(t *testing.T) {
+	m, v := Build()
+	ctx, query, want := buildTwoHop(v, true)
+	toks := concat(ctx, query)
+	res := m.Prefill(toks, 0, false)
+	last := res.Hidden.Row(len(toks) - 1)
+	before := res.Cache.Clone()
+	gen := m.Generate(res.Cache.Clone(), last, 1, nil)
+	got := Answer(m, res.Cache, last)
+	if len(gen) != 1 || got != gen[0] || got != want {
+		t.Fatalf("Answer = %q, Generate = %v, want %q", v.Name(got), gen, v.Name(want))
+	}
+	if res.Cache.Tokens != len(toks) {
+		t.Fatalf("Answer grew the cache to %d tokens, want %d", res.Cache.Tokens, len(toks))
+	}
+	if !reflect.DeepEqual(res.Cache, before) {
+		t.Fatal("Answer changed the cache contents")
 	}
 }
 

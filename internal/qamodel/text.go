@@ -63,14 +63,12 @@ func (v *Vocab) Text(tokens []int) string {
 	return b.String()
 }
 
-// Answer greedily decodes the single answer token from a prepared cache
-// and the final residual of the last input token ("?").
+// Answer greedily decodes the single answer token from the final residual
+// of the last input token ("?"): the token Generate would emit first. The
+// answer depends on lastHidden alone, so c — the prepared cache it was
+// computed against — is neither read nor grown.
 func Answer(m *model.Model, c *kvcache.Cache, lastHidden []float32) int {
-	out := m.Generate(c, lastHidden, 1, nil)
-	if len(out) == 0 {
-		return -1
-	}
-	return out[0]
+	return tensor.Argmax(m.Logits(lastHidden))
 }
 
 // field extracts a residual-stream field from a hidden row (testing and

@@ -1,6 +1,7 @@
-// Package tensor provides the small set of dense float32 linear-algebra
-// kernels needed by the transformer substrate: row-major matrices, matrix
-// multiplication, softmax, RMS normalisation and activation functions.
+// Package tensor provides the small set of float32 linear-algebra kernels
+// needed by the transformer substrate: row-major matrices, vector-matrix
+// products over an index of nonzero weights, softmax, RMS normalisation and
+// activation functions.
 //
 // The package is deliberately minimal — it is a substrate for a scaled-down
 // but real transformer, not a general numerics library. All operations are
@@ -63,75 +64,79 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// Zero sets every element of m to zero.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
+// Runs indexes the nonzero entries of a matrix as maximal runs of
+// consecutive nonzero columns in each row. The constructed QA model's
+// weights (package qamodel) are almost entirely zero, so a product that
+// visits only the runs skips nearly all of its work. A dense row is a
+// single run spanning every column, so dense weights cost what a plain
+// row-by-row product does.
+//
+// An index describes its matrix as it was when NewRuns built it: writes to
+// the matrix afterwards make the index stale.
+type Runs struct {
+	rows, cols int
+	// nonzero lists the rows holding at least one nonzero, ascending. The
+	// runs of row nonzero[k] are the [lo, hi) column pairs in
+	// bounds[start[k]:start[k+1]], two entries per run.
+	nonzero []int
+	start   []int
+	bounds  []int
 }
 
-// MatMul returns a×b. a is n×k, b is k×m, result is n×m.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes a×b into dst, which must be a.Rows × b.Cols.
-// The ikj loop order keeps the inner loop streaming over contiguous rows.
-func MatMulInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch dst %dx%d = %dx%d × %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
+// NewRuns indexes the nonzero columns of every row of w.
+func NewRuns(w *Matrix) *Runs {
+	r := &Runs{rows: w.Rows, cols: w.Cols, start: []int{0}}
+	for i := 0; i < w.Rows; i++ {
+		row := w.Row(i)
+		n := len(r.bounds)
+		for j := 0; j < len(row); j++ {
+			if row[j] == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j := range drow {
-				drow[j] += av * brow[j]
+			lo := j
+			for j < len(row) && row[j] != 0 {
+				j++
 			}
+			r.bounds = append(r.bounds, lo, j)
+		}
+		if len(r.bounds) > n {
+			r.nonzero = append(r.nonzero, i)
+			r.start = append(r.start, len(r.bounds))
 		}
 	}
+	return r
 }
 
-// MatVec returns a×x where x is treated as a column vector of length a.Cols.
-func MatVec(a *Matrix, x []float32) []float32 {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("tensor: matvec shape mismatch %dx%d × %d", a.Rows, a.Cols, len(x)))
+// VecMatInto computes dst = xᵀ×w, where len(x) = w.Rows, len(dst) = w.Cols
+// and r = NewRuns(w). It visits only the runs of nonzero weights, yet each
+// output still sums its terms over the rows of w in ascending order,
+// starting from +0, as the dense row-by-row product does. For finite x the
+// result is therefore bit-identical to that product: a skipped term is
+// x·(±0) = ±0, and adding a signed zero to such a sum never changes it,
+// because the sum is never -0 (an exact cancellation rounds to +0).
+func VecMatInto(dst, x []float32, w *Matrix, r *Runs) {
+	if len(x) != w.Rows || len(dst) != w.Cols || r.rows != w.Rows || r.cols != w.Cols {
+		panic(fmt.Sprintf("tensor: vecmat shape mismatch %d × %dx%d (index %dx%d) into %d",
+			len(x), w.Rows, w.Cols, r.rows, r.cols, len(dst)))
 	}
-	out := make([]float32, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		out[i] = Dot(a.Row(i), x)
+	for j := range dst {
+		dst[j] = 0
 	}
-	return out
-}
-
-// VecMat returns xᵀ×a where x has length a.Rows; the result has length a.Cols.
-func VecMat(x []float32, a *Matrix) []float32 {
-	if a.Rows != len(x) {
-		panic(fmt.Sprintf("tensor: vecmat shape mismatch %d × %dx%d", len(x), a.Rows, a.Cols))
-	}
-	out := make([]float32, a.Cols)
-	for i, xv := range x {
+	for k, i := range r.nonzero {
+		xv := x[i]
 		if xv == 0 {
 			continue
 		}
-		row := a.Row(i)
-		for j := range out {
-			out[j] += xv * row[j]
+		row := w.Row(i)
+		for b := r.bounds[r.start[k]:r.start[k+1]]; len(b) >= 2; b = b[2:] {
+			out := dst[b[0]:b[1]]
+			in := row[b[0]:b[1]]
+			in = in[:len(out)]
+			for j := range out {
+				out[j] += xv * in[j]
+			}
 		}
 	}
-	return out
 }
 
 // Dot returns the inner product of a and b, which must have equal length.

@@ -45,68 +45,171 @@ func TestAtSetRow(t *testing.T) {
 	}
 }
 
-func TestMatMulKnown(t *testing.T) {
+// vecMatDense is the dense vector-matrix product VecMatInto replaces: the
+// oracle its bit-identity is checked against.
+func vecMatDense(x []float32, a *Matrix) []float32 {
+	out := make([]float32, a.Cols)
+	for i, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		row := a.Row(i)
+		for j := range out {
+			out[j] += xv * row[j]
+		}
+	}
+	return out
+}
+
+func vecMat(x []float32, a *Matrix) []float32 {
+	out := make([]float32, a.Cols)
+	VecMatInto(out, x, a, NewRuns(a))
+	return out
+}
+
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestVecMatIntoKnown(t *testing.T) {
 	a := NewFrom(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	b := NewFrom(3, 2, []float32{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
-	want := []float32{58, 64, 139, 154}
+	got := vecMat([]float32{7, 8}, a)
+	want := []float32{39, 54, 69}
 	for i, w := range want {
-		if c.Data[i] != w {
-			t.Fatalf("c[%d]=%v want %v", i, c.Data[i], w)
+		if got[i] != w {
+			t.Fatalf("out[%d]=%v want %v", i, got[i], w)
 		}
 	}
 }
 
-func TestMatMulIdentity(t *testing.T) {
+func TestVecMatIntoIdentity(t *testing.T) {
 	g := NewRNG(1)
-	a := g.NewNormal(4, 4, 1)
 	id := New(4, 4)
 	for i := 0; i < 4; i++ {
 		id.Set(i, i, 1)
 	}
-	c := MatMul(a, id)
-	for i := range a.Data {
-		if !almostEq(float64(c.Data[i]), float64(a.Data[i]), 1e-6) {
-			t.Fatalf("identity multiply changed data at %d", i)
-		}
-	}
-}
-
-func TestMatMulShapePanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatMul(New(2, 3), New(2, 3))
-}
-
-func TestMatVecVecMatAgree(t *testing.T) {
-	g := NewRNG(2)
-	a := g.NewNormal(5, 7, 1)
-	x := make([]float32, 7)
+	x := make([]float32, 4)
 	for i := range x {
 		x[i] = g.Normal(0, 1)
 	}
-	got := MatVec(a, x)
-	// Compare with explicit matmul against a column vector.
-	xv := NewFrom(7, 1, append([]float32(nil), x...))
-	want := MatMul(a, xv)
-	for i := range got {
-		if !almostEq(float64(got[i]), float64(want.Data[i]), 1e-5) {
-			t.Fatalf("matvec[%d]=%v want %v", i, got[i], want.Data[i])
+	if got := vecMat(x, id); !sameBits(got, x) {
+		t.Fatalf("identity multiply changed %v into %v", x, got)
+	}
+}
+
+func TestVecMatIntoShapePanic(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	w := New(2, 3)
+	r := NewRuns(w)
+	mustPanic("short x", func() { VecMatInto(make([]float32, 3), make([]float32, 1), w, r) })
+	mustPanic("short dst", func() { VecMatInto(make([]float32, 2), make([]float32, 2), w, r) })
+	mustPanic("foreign index", func() { VecMatInto(make([]float32, 3), make([]float32, 2), w, NewRuns(New(3, 3))) })
+}
+
+// TestVecMatIntoMatchesDense checks VecMatInto against the dense loop bit
+// for bit, on dense rows, identity-block rows, all-zero rows and rows with
+// signed-zero weights, with negative, zero and negative-zero inputs.
+func TestVecMatIntoMatchesDense(t *testing.T) {
+	g := NewRNG(3)
+	const rows, cols = 24, 40
+	negZero := float32(math.Copysign(0, -1))
+	input := func() []float32 {
+		x := make([]float32, rows)
+		for i := range x {
+			switch g.Intn(5) {
+			case 0:
+				x[i] = 0
+			case 1:
+				x[i] = negZero
+			case 2:
+				x[i] = -4 * float32(g.Float64())
+			default:
+				x[i] = g.Normal(0, 3)
+			}
+		}
+		return x
+	}
+	patterns := []struct {
+		name string
+		fill func(w *Matrix)
+	}{
+		{"dense", func(w *Matrix) { g.FillNormal(w, 1) }},
+		{"identity-blocks", func(w *Matrix) {
+			for i := 0; i < 8; i++ {
+				w.Set(2+i, 5+i, 1.75)
+				w.Set(12+i, 5+i, -3)
+				w.Set(12+i, 30+i, 0.5)
+			}
+		}},
+		{"all-zero", func(w *Matrix) {}},
+		{"signed-zeros", func(w *Matrix) {
+			for i := range w.Data {
+				switch g.Intn(4) {
+				case 0:
+					w.Data[i] = negZero
+				case 1:
+					w.Data[i] = g.Normal(0, 1)
+				}
+			}
+		}},
+		{"zero-rows-between-dense", func(w *Matrix) {
+			for i := 0; i < rows; i += 3 {
+				for j := range w.Row(i) {
+					w.Row(i)[j] = g.Normal(0, 1)
+				}
+			}
+		}},
+	}
+	for _, p := range patterns {
+		w := New(rows, cols)
+		p.fill(w)
+		r := NewRuns(w)
+		dst := make([]float32, cols)
+		for trial := 0; trial < 50; trial++ {
+			x := input()
+			want := vecMatDense(x, w)
+			VecMatInto(dst, x, w, r)
+			if !sameBits(dst, want) {
+				t.Fatalf("%s trial %d: VecMatInto differs from the dense loop:\n got %v\nwant %v", p.name, trial, dst, want)
+			}
 		}
 	}
-	y := make([]float32, 5)
-	for i := range y {
-		y[i] = g.Normal(0, 1)
+}
+
+func TestNewRunsIndexesNonzeroColumns(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	w := NewFrom(3, 6, []float32{
+		0, 1, 2, 0, 0, 3,
+		0, 0, negZero, 0, 0, 0,
+		4, 5, 6, 7, 8, 9,
+	})
+	r := NewRuns(w)
+	if want := []int{0, 2}; len(r.nonzero) != len(want) || r.nonzero[0] != 0 || r.nonzero[1] != 2 {
+		t.Fatalf("nonzero rows %v, want %v", r.nonzero, want)
 	}
-	got2 := VecMat(y, a)
-	yv := NewFrom(1, 5, append([]float32(nil), y...))
-	want2 := MatMul(yv, a)
-	for i := range got2 {
-		if !almostEq(float64(got2[i]), float64(want2.Data[i]), 1e-5) {
-			t.Fatalf("vecmat[%d]=%v want %v", i, got2[i], want2.Data[i])
+	want := []int{1, 3, 5, 6, 0, 6}
+	if len(r.bounds) != len(want) {
+		t.Fatalf("bounds %v, want %v", r.bounds, want)
+	}
+	for i := range want {
+		if r.bounds[i] != want[i] {
+			t.Fatalf("bounds %v, want %v", r.bounds, want)
 		}
 	}
 }
@@ -313,18 +416,23 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestMatMulAssociativityWithVector(t *testing.T) {
-	// (A×B)×x == A×(B×x) — property test over random seeds.
+func TestVecMatIntoAssociativity(t *testing.T) {
+	// xᵀ(A×B) == (xᵀA)×B — property test over random seeds, with A×B built
+	// one row at a time.
 	f := func(seed int64) bool {
 		g := NewRNG(seed)
 		a := g.NewNormal(4, 5, 1)
 		b := g.NewNormal(5, 6, 1)
-		x := make([]float32, 6)
+		ab := New(4, 6)
+		for i := 0; i < a.Rows; i++ {
+			VecMatInto(ab.Row(i), a.Row(i), b, NewRuns(b))
+		}
+		x := make([]float32, 4)
 		for i := range x {
 			x[i] = g.Normal(0, 1)
 		}
-		left := MatVec(MatMul(a, b), x)
-		right := MatVec(a, MatVec(b, x))
+		left := vecMat(x, ab)
+		right := vecMat(vecMat(x, a), b)
 		for i := range left {
 			if !almostEq(float64(left[i]), float64(right[i]), 1e-3) {
 				return false
