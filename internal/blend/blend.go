@@ -6,9 +6,9 @@
 //
 // The fusion pipeline per request is:
 //
-//  1. Re-position every chunk cache to its offset in the fused input via
-//     RoPE re-rotation (§4.3 footnote 3, Appendix A) and concatenate them
-//     with empty rows for the fresh suffix (the user query).
+//  1. Concatenate the chunk caches with empty rows for the fresh suffix
+//     (the user query) and re-position every chunk's keys to its offset in
+//     the fused input via RoPE re-rotation (§4.3 footnote 3, Appendix A).
 //  2. Layer 0: recompute every token fully. Layer-0 KV depends only on
 //     embeddings, so the stored KV is already exact (tests assert this) —
 //     what this pass buys is correct *layer-1 inputs* for every token,
@@ -173,29 +173,35 @@ func Fuse(in Input, opts Options) *Result {
 	}
 
 	// Assemble the fused token sequence and the loaded (pre-computed)
-	// cache: each chunk re-positioned to its offset, suffix rows empty.
+	// cache: the chunks concatenated, suffix rows empty, then each chunk's
+	// keys re-positioned in place to its offset.
 	var tokens []int
 	parts := make([]*kvcache.Cache, 0, len(in.Chunks)+1)
-	off := 0
 	for ci, cc := range in.Chunks {
 		if cc.Tokens != len(in.ChunkTokens[ci]) {
 			panic(fmt.Sprintf("blend: chunk %d cache has %d tokens, text has %d", ci, cc.Tokens, len(in.ChunkTokens[ci])))
 		}
-		shifted := cc.Clone()
-		if m.Rope != nil && !opts.DisableReposition {
-			shifted.ShiftPositions(m.Rope, cfg.KVHeads, cfg.HeadDim, off)
-		} else {
-			shifted.BasePos = off
-		}
-		parts = append(parts, shifted)
+		parts = append(parts, cc)
 		tokens = append(tokens, in.ChunkTokens[ci]...)
-		off += cc.Tokens
 	}
-	suffixStart := off
+	suffixStart := len(tokens)
 	parts = append(parts, m.NewCache(len(in.SuffixTokens)))
 	tokens = append(tokens, in.SuffixTokens...)
 	fused := kvcache.Concat(parts...)
 	fused.BasePos = 0
+	if m.Rope != nil && !opts.DisableReposition {
+		angles := make([]float32, cfg.RotaryDims)
+		off := 0
+		for _, cc := range in.Chunks {
+			if delta := off - cc.BasePos; delta != 0 {
+				m.Rope.Angles(angles, delta)
+				for li := 0; li < cfg.Layers; li++ {
+					fused.RotateKeys(li, off, off+cc.Tokens, cfg.KVHeads, cfg.HeadDim, angles)
+				}
+			}
+			off += cc.Tokens
+		}
+	}
 
 	res := &Result{
 		Cache:            fused,
@@ -291,13 +297,15 @@ func fuseBlend(m *model.Model, res *Result, r float64, sched []float64, opts Opt
 
 	// Selection layer: fresh K/V for every token to measure the
 	// per-token KV deviation against the loaded cache, then pick HKVD.
-	pre := res.Cache.K[selLayer].Clone()
+	// preK/preV snapshot the loaded rows here and, on every later layer,
+	// the rows of the surviving candidates.
+	preK := res.Cache.K[selLayer].Clone()
 	preV := res.Cache.V[selLayer].Clone()
 	m.ProjectKV(selLayer, h, idx, res.Cache)
 	res.ProjectedTokenLayers += total
 	dev := make([]float64, ctxLen)
 	for j := 0; j < ctxLen; j++ {
-		dk := tensor.L2Diff(res.Cache.K[selLayer].Row(j), pre.Row(j))
+		dk := tensor.L2Diff(res.Cache.K[selLayer].Row(j), preK.Row(j))
 		dv := tensor.L2Diff(res.Cache.V[selLayer].Row(j), preV.Row(j))
 		dev[j] = dk + dv
 		res.DeviationByToken[j] = dev[j]
@@ -343,20 +351,18 @@ func fuseBlend(m *model.Model, res *Result, r float64, sched []float64, opts Opt
 	curCtx := hkvd
 	for li, step := selLayer+1, 1; li < cfg.Layers; li, step = li+1, step+1 {
 		if len(curCtx) > 0 {
-			// Measure deviation of the surviving candidates on this layer
-			// before overwriting their KV.
-			preK := make([][]float32, len(curCtx))
-			preVv := make([][]float32, len(curCtx))
-			for i, j := range curCtx {
-				preK[i] = append([]float32(nil), res.Cache.RowK(li, j)...)
-				preVv[i] = append([]float32(nil), res.Cache.RowV(li, j)...)
-			}
 			var next []int
 			if opts.DisableGradualFilter || opts.RandomSelection {
 				// Random selection keeps its set fixed so the ablation
 				// isolates *which* tokens are recomputed, not how many.
 				next = curCtx
 			} else {
+				// Measure deviation of the surviving candidates on this
+				// layer before overwriting their KV.
+				for i, j := range curCtx {
+					copy(preK.Row(i), res.Cache.RowK(li, j))
+					copy(preV.Row(i), res.Cache.RowV(li, j))
+				}
 				// Project fresh KV for the candidate rows (their hidden
 				// rows are the prefix of hs since sel is sorted with
 				// context first — recover by position).
@@ -365,8 +371,8 @@ func fuseBlend(m *model.Model, res *Result, r float64, sched []float64, opts Opt
 				res.ProjectedTokenLayers += len(curCtx)
 				devs := make([]float64, len(curCtx))
 				for i, j := range curCtx {
-					dk := tensor.L2Diff(res.Cache.RowK(li, j), preK[i])
-					dv := tensor.L2Diff(res.Cache.RowV(li, j), preVv[i])
+					dk := tensor.L2Diff(res.Cache.RowK(li, j), preK.Row(i))
+					dv := tensor.L2Diff(res.Cache.RowV(li, j), preV.Row(i))
 					devs[i] = dk + dv
 				}
 				keep := int(ratioAt(step)*float64(ctxLen) + 0.5)
@@ -384,8 +390,8 @@ func fuseBlend(m *model.Model, res *Result, r float64, sched []float64, opts Opt
 				dropped := diffSorted(curCtx, next)
 				for _, j := range dropped {
 					i := indexOf(curCtx, j)
-					copy(res.Cache.K[li].Row(j), preK[i])
-					copy(res.Cache.V[li].Row(j), preVv[i])
+					copy(res.Cache.K[li].Row(j), preK.Row(i))
+					copy(res.Cache.V[li].Row(j), preV.Row(i))
 				}
 			}
 			curCtx = next

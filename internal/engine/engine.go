@@ -106,14 +106,13 @@ func (cfg Config) Run(req Request) (*Result, error) {
 	// Assemble the fused token sequence and allocate the (empty) fused
 	// cache; the loader fills it layer by layer.
 	var tokens []int
-	type span struct{ start int }
-	spans := make([]span, len(req.Chunks))
+	starts := make([]int, len(req.Chunks))
 	off := 0
 	for ci, cc := range req.Chunks {
 		if cc.Tokens != len(req.ChunkTokens[ci]) {
 			return nil, fmt.Errorf("engine: chunk %d cache/token mismatch", ci)
 		}
-		spans[ci] = span{start: off}
+		starts[ci] = off
 		tokens = append(tokens, req.ChunkTokens[ci]...)
 		off += cc.Tokens
 	}
@@ -132,6 +131,7 @@ func (cfg Config) Run(req Request) (*Result, error) {
 	for i := range loaded {
 		loaded[i] = make(chan struct{})
 	}
+	angles := make([]float32, mc.RotaryDims) // fetchLayer's; layers load one at a time
 	fetchLayer := func(li int) {
 		var bytes int64
 		for _, cc := range req.Chunks {
@@ -141,15 +141,12 @@ func (cfg Config) Run(req Request) (*Result, error) {
 			time.Sleep(time.Duration(cfg.Device.ReadTime(bytes) * float64(cfg.TimeScale)))
 		}
 		for ci, cc := range req.Chunks {
-			base := spans[ci].start
-			for j := 0; j < cc.Tokens; j++ {
-				fused.SetToken(li, base+j, cc.RowK(li, j), cc.RowV(li, j))
-				if m.Rope != nil {
-					k, rot := fused.RowK(li, base+j), mc.RotaryDims
-					for h := 0; h < mc.KVHeads; h++ {
-						m.Rope.Shift(k[h*mc.HeadDim:h*mc.HeadDim+rot], cc.BasePos+j, base+j)
-					}
-				}
+			base := starts[ci]
+			copy(fused.K[li].Data[base*fused.KVDim:], cc.K[li].Data)
+			copy(fused.V[li].Data[base*fused.KVDim:], cc.V[li].Data)
+			if m.Rope != nil {
+				m.Rope.Angles(angles, base-cc.BasePos)
+				fused.RotateKeys(li, base, base+cc.Tokens, mc.KVHeads, mc.HeadDim, angles)
 			}
 		}
 		timings[li].LoadDone = time.Since(start)

@@ -130,24 +130,39 @@ func (c *Cache) ShiftPositions(tab *rope.Table, kvHeads, headDim, newBase int) {
 	if c.BasePos == newBase {
 		return
 	}
-	rot := tab.HeadDim()
+	cs := make([]float32, tab.HeadDim())
+	tab.Angles(cs, newBase-c.BasePos)
+	for i := 0; i < c.NumLayers; i++ {
+		c.RotateKeys(i, 0, c.Tokens, kvHeads, headDim, cs)
+	}
+	c.BasePos = newBase
+}
+
+// RotateKeys rotates the keys of tokens [from, to) on layer li by the
+// angles cs, which rope.Table.Angles wrote for one position delta: the
+// first len(cs) dims of each of the kvHeads heads of width headDim turn,
+// the rest stay. Every token of the range moves by the same delta, so
+// one set of angles serves them all. It is the re-positioning step of
+// ShiftPositions, of blend's fused cache and of the engine's loader. A
+// rotation by a delta of 0 is not quite the identity: it can turn a -0
+// key entry into +0.
+func (c *Cache) RotateKeys(li, from, to, kvHeads, headDim int, cs []float32) {
+	rot := len(cs)
 	if rot > headDim {
 		panic(fmt.Sprintf("kvcache: rotary dims %d > head dim %d", rot, headDim))
 	}
 	if kvHeads*headDim != c.KVDim {
 		panic(fmt.Sprintf("kvcache: %d heads × %d dim != kv dim %d", kvHeads, headDim, c.KVDim))
 	}
-	for i := 0; i < c.NumLayers; i++ {
-		for j := 0; j < c.Tokens; j++ {
-			row := c.K[i].Row(j)
-			from := c.BasePos + j
-			to := newBase + j
-			for h := 0; h < kvHeads; h++ {
-				tab.Shift(row[h*headDim:h*headDim+rot], from, to)
-			}
+	if from < 0 || to > c.Tokens || from > to {
+		panic(fmt.Sprintf("kvcache: rotate [%d,%d) out of range %d", from, to, c.Tokens))
+	}
+	for j := from; j < to; j++ {
+		row := c.K[li].Row(j)
+		for h := 0; h < kvHeads; h++ {
+			rope.Rotate(row[h*headDim:h*headDim+rot], cs)
 		}
 	}
-	c.BasePos = newBase
 }
 
 // Grow extends the cache by extra zero-filled token rows on every layer.

@@ -376,3 +376,52 @@ func TestShiftPositionsPartialRotary(t *testing.T) {
 		t.Fatal("rotary dims should have changed")
 	}
 }
+
+// TestRotateKeysMatchesPerRowShift checks that re-positioning a token
+// range with one set of angles gives exactly the bits of shifting each key
+// on its own, and leaves other layers, other tokens, the non-rotary dims
+// and the values untouched.
+func TestRotateKeysMatchesPerRowShift(t *testing.T) {
+	const layers, kvHeads, headDim, rot, tokens = 2, 2, 8, 4, 9
+	tab := rope.NewTable(rot, 10000)
+	for _, delta := range []int{-13, 0, 5} {
+		c := randomCache(int64(20+delta), layers, kvHeads*headDim, tokens)
+		c.K[1].Row(4)[1] = float32(math.Copysign(0, -1))
+		want := c.Clone()
+		for j := 3; j < 7; j++ {
+			for h := 0; h < kvHeads; h++ {
+				tab.Shift(want.K[1].Row(j)[h*headDim:h*headDim+rot], j, j+delta)
+			}
+		}
+		cs := make([]float32, rot)
+		tab.Angles(cs, delta)
+		c.RotateKeys(1, 3, 7, kvHeads, headDim, cs)
+		for i := 0; i < layers; i++ {
+			for n, pair := range [][2][]float32{{c.K[i].Data, want.K[i].Data}, {c.V[i].Data, want.V[i].Data}} {
+				for x := range pair[0] {
+					if math.Float32bits(pair[0][x]) != math.Float32bits(pair[1][x]) {
+						t.Fatalf("delta %d layer %d plane %d entry %d: %v, want %v", delta, i, n, x, pair[0][x], pair[1][x])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRotateKeysPanics(t *testing.T) {
+	c := New(1, 8, 3)
+	for name, f := range map[string]func(){
+		"rotary wider than head": func() { c.RotateKeys(0, 0, 3, 2, 4, make([]float32, 6)) },
+		"heads do not fill row":  func() { c.RotateKeys(0, 0, 3, 1, 4, make([]float32, 4)) },
+		"range past the end":     func() { c.RotateKeys(0, 1, 4, 2, 4, make([]float32, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

@@ -6,6 +6,7 @@
 package model
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -33,5 +34,28 @@ func TestForwardAllocatesOnlyResults(t *testing.T) {
 		if got := testing.AllocsPerRun(100, c.f); got != c.want {
 			t.Errorf("%s: %v allocations per call, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestScratchGrowsOncePerCall checks that a forward pass sizes its
+// working buffers once per call: a pass over 64 tokens, starting from
+// buffers sized for one token, allocates a few buffers, not one per
+// attended position.
+func TestScratchGrowsOncePerCall(t *testing.T) {
+	m := NewRandom(testCfg, 1)
+	toks := seqTokens(64, testCfg.Vocab, 2)
+	m.Prefill(toks[:1], 0, false)
+	c := m.NewCache(len(toks))
+	h := m.EmbedTokens(toks)
+	idx := make([]int, len(toks))
+	for i := range idx {
+		idx[i] = i
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.ForwardLayerPartial(0, h, idx, c, false)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 16 {
+		t.Errorf("a 64-token pass made %d allocations, want at most 16", n)
 	}
 }

@@ -13,7 +13,9 @@ import (
 // with the cache and the layer's input rows taken from a full prefill. The
 // all-tokens case is the cost of full recompute per layer; the 15% case
 // recomputes the query plus an evenly spaced 15% of the context tokens,
-// CacheBlend's default operating point.
+// CacheBlend's default operating point. The collect-attn case is the 15%
+// case returning the attention matrix, which computes every head, even
+// those whose output Wo never reads.
 func BenchmarkForwardLayerPartial(b *testing.B) {
 	m, v := qamodel.Build()
 	cfg := dataset.MusiqueConfig()
@@ -50,19 +52,21 @@ func BenchmarkForwardLayerPartial(b *testing.B) {
 	}
 
 	cases := []struct {
-		name string
-		h    *tensor.Matrix
-		idx  []int
+		name     string
+		h        *tensor.Matrix
+		idx      []int
+		wantAttn bool
 	}{
-		{"all-tokens", h, all},
-		{"select-15pct", hs, sel},
+		{"all-tokens", h, all, false},
+		{"select-15pct", hs, sel, false},
+		{"collect-attn", hs, sel, true},
 	}
 	for _, bc := range cases {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.ForwardLayerPartial(li, bc.h, bc.idx, cache, false)
+				m.ForwardLayerPartial(li, bc.h, bc.idx, cache, bc.wantAttn)
 			}
 		})
 	}

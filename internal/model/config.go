@@ -16,11 +16,15 @@
 // The first forward pass (ForwardLayerPartial, ProjectKV, Prefill, Logits
 // or Generate) indexes the nonzero entries of every weight matrix, and
 // every pass multiplies only the indexed entries: the constructed QA model
-// is more than 99.8% zeros. A weight that was zero at that first pass is
-// never read again, so weights must not change once a model has run;
-// builders that start from NewZero and fill in blocks, as package qamodel
-// does, must finish first. Skipping zero weights changes no result bit for
-// finite inputs.
+// is more than 99.8% zeros. The index also records, per layer and head,
+// which dims of the head's output Wo reads (its rows holding a nonzero).
+// Attention computes only those dims of the value sums, and skips a head
+// Wo reads nothing from entirely, unless the caller collects the
+// attention matrix; scores sum over a query's nonzero dims only. A weight
+// that was zero at that first pass is never read again, so weights must
+// not change once a model has run; builders that start from NewZero and
+// fill in blocks, as package qamodel does, must finish first. None of
+// this skipping changes a result bit for finite inputs.
 // Forward passes may run concurrently on one model; each draws its working
 // buffers from a per-model pool and allocates only what it returns.
 package model

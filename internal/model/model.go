@@ -55,6 +55,9 @@ type modelRuns struct {
 
 type layerRuns struct {
 	wq, wk, wv, wo, w1, w2, w3 *tensor.Runs
+	// read[h] lists, ascending, the dims of head h's output whose Wo row
+	// holds a nonzero: the only ones the output projection reads.
+	read [][]int
 }
 
 // index returns the nonzero-run index of the weights, building it on
@@ -65,6 +68,11 @@ func (m *Model) index() *modelRuns {
 		for i := range m.Layer {
 			lw, lr := &m.Layer[i], &r.layer[i]
 			lr.wq, lr.wk, lr.wv, lr.wo = tensor.NewRuns(lw.Wq), tensor.NewRuns(lw.Wk), tensor.NewRuns(lw.Wv), tensor.NewRuns(lw.Wo)
+			lr.read = make([][]int, m.Cfg.Heads)
+			for _, row := range lr.wo.NonzeroRows() {
+				hh := row / m.Cfg.HeadDim
+				lr.read[hh] = append(lr.read[hh], row%m.Cfg.HeadDim)
+			}
 			if lw.W1 != nil {
 				lr.w1, lr.w2, lr.w3 = tensor.NewRuns(lw.W1), tensor.NewRuns(lw.W2), tensor.NewRuns(lw.W3)
 			}
@@ -77,7 +85,10 @@ func (m *Model) index() *modelRuns {
 // scratch holds the working buffers of one forward call, so a call
 // allocates only the matrices it returns.
 type scratch struct {
-	qs, normed, headOut, proj, gate, up, scores []float32
+	qs, normed, headOut, proj, gate, up, scores, angles []float32
+	// qdims lists a query head's nonzero dims; rows the keys whose
+	// attention weight is nonzero.
+	qdims, rows []int
 }
 
 // getScratch takes a scratch set from the model's pool.
@@ -89,9 +100,9 @@ func (m *Model) getScratch() *scratch {
 }
 
 // sized returns buf resliced to n elements, reallocated if too small.
-func sized(buf *[]float32, n int) []float32 {
+func sized[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float32, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -244,6 +255,7 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 	// the cache so pass 2 attends over the updated entries.
 	qs := sized(&s.qs, nSel*qDim)
 	normed := sized(&s.normed, cfg.Hidden())
+	angles := sized(&s.angles, cfg.RotaryDims)
 	for r, j := range idx {
 		if r > 0 && idx[r-1] >= j {
 			panic("model: idx must be strictly ascending")
@@ -254,16 +266,20 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 		m.normInto(normed, h.Row(r), lw.AttnGain)
 		q := qs[r*qDim : (r+1)*qDim]
 		tensor.VecMatInto(q, normed, lw.Wq, lr.wq)
-		m.projectKV(li, j, c, normed, lw, lr)
 		if m.Rope != nil {
-			rot, pos := cfg.RotaryDims, c.BasePos+j
+			m.Rope.Angles(angles, c.BasePos+j)
 			for hh := 0; hh < cfg.Heads; hh++ {
-				m.Rope.Apply(q[hh*headDim:hh*headDim+rot], pos)
+				rope.Rotate(q[hh*headDim:hh*headDim+len(angles)], angles)
 			}
 		}
+		m.projectKV(li, j, c, normed, lw, lr, angles)
 	}
 
 	// Pass 2: attention over the full (updated ∪ reused) KV, then FFN.
+	// Work whose result Wo never reads is skipped: a head none of whose
+	// output dims Wo reads (unless its attention is wanted), and every
+	// unread dim of the value sums. Scores sum over a head's nonzero query
+	// dims only.
 	var attn *tensor.Matrix
 	if wantAttn {
 		attn = tensor.New(nSel, cfg.Heads*c.Tokens)
@@ -271,31 +287,42 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 	out := tensor.New(nSel, cfg.Hidden())
 	scale := float32(1.0 / math.Sqrt(float64(headDim)))
 	scores := sized(&s.scores, c.Tokens)
+	rows := sized(&s.rows, c.Tokens)
+	qdims := sized(&s.qdims, headDim)
 	headOut := sized(&s.headOut, qDim)
 	proj := sized(&s.proj, cfg.Hidden())
 	K := c.K[li]
 	V := c.V[li]
 	for r, j := range idx {
 		q := qs[r*qDim : (r+1)*qDim]
-		for i := range headOut {
-			headOut[i] = 0
-		}
+		clear(headOut)
+		n := j + 1 // causal: attend to positions 0..j
 		for hh := 0; hh < cfg.Heads; hh++ {
-			g := hh / group
-			qh := q[hh*headDim : (hh+1)*headDim]
-			n := j + 1 // causal: attend to positions 0..j
-			scoreKeys(scores[:n], qh, K, g*headDim, scale)
-			tensor.Softmax(scores[:n])
-			oh := headOut[hh*headDim : (hh+1)*headDim]
-			for t := 0; t < n; t++ {
-				w := scores[t]
-				if w == 0 {
-					continue
-				}
-				tensor.AXPY(w, V.Row(t)[g*headDim:(g+1)*headDim], oh)
+			read := lr.read[hh]
+			if len(read) == 0 && !wantAttn {
+				continue
 			}
+			off := hh / group * headDim
+			qh := q[hh*headDim : (hh+1)*headDim]
+			w := scores[:n]
+			if nz := nonzeros(qdims, qh); len(nz) == headDim {
+				scoreKeys(w, qh, K, off, scale)
+			} else {
+				scoreKeysAt(w, qh, nz, K, off, scale)
+			}
+			tensor.Softmax(w)
 			if wantAttn {
-				copy(attn.Row(r)[hh*c.Tokens:hh*c.Tokens+n], scores[:n])
+				copy(attn.Row(r)[hh*c.Tokens:hh*c.Tokens+n], w)
+			}
+			if len(read) == 0 {
+				continue
+			}
+			nz := nonzeros(rows, w)
+			oh := headOut[hh*headDim : (hh+1)*headDim]
+			if len(read) == headDim {
+				sumValues(oh, w, nz, V, off)
+			} else {
+				sumValuesAt(oh, read, w, nz, V, off)
 			}
 		}
 		res := out.Row(r)
@@ -318,6 +345,18 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 		}
 	}
 	return out, attn
+}
+
+// nonzeros returns the indices of the nonzero entries of x, ascending,
+// stored in dst's array; it does not allocate when cap(dst) ≥ len(x).
+func nonzeros(dst []int, x []float32) []int {
+	dst = dst[:0]
+	for i, v := range x {
+		if v != 0 {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // scoreKeys writes scale·(q·k) for the keys of rows 0..len(scores)-1 of K,
@@ -352,16 +391,116 @@ func scoreKeys(scores, q []float32, K *tensor.Matrix, off int, scale float32) {
 	}
 }
 
+// scoreKeysAt is scoreKeys summing only the terms of the dims listed in
+// dims (ascending), which must hold every nonzero of q. A skipped term is
+// (±0)·k = ±0 for a finite key, and adding a signed zero to a sum that
+// starts at +0 never changes it (the sum is never -0), so the scores are
+// bit-identical to scoreKeys.
+func scoreKeysAt(scores, q []float32, dims []int, K *tensor.Matrix, off int, scale float32) {
+	d, stride := len(q), K.Cols
+	t := 0
+	for ; t+4 <= len(scores); t += 4 {
+		at := t*stride + off
+		k0 := K.Data[at:][:d]
+		k1 := K.Data[at+stride:][:d]
+		k2 := K.Data[at+2*stride:][:d]
+		k3 := K.Data[at+3*stride:][:d]
+		var s0, s1, s2, s3 float32
+		for _, i := range dims {
+			qv := q[i]
+			s0 += qv * k0[i]
+			s1 += qv * k1[i]
+			s2 += qv * k2[i]
+			s3 += qv * k3[i]
+		}
+		scores[t] = s0 * scale
+		scores[t+1] = s1 * scale
+		scores[t+2] = s2 * scale
+		scores[t+3] = s3 * scale
+	}
+	for ; t < len(scores); t++ {
+		k := K.Data[t*stride+off:][:d]
+		var s0 float32
+		for _, i := range dims {
+			s0 += q[i] * k[i]
+		}
+		scores[t] = s0 * scale
+	}
+}
+
+// sumValues adds w[t]·v_t into o for each row t listed in rows
+// (ascending), where v_t is row t of V from column off. It adds four rows
+// per pass, and each o[i] still adds its terms one row at a time in
+// ascending row order, so o is bit-identical to one y += w·x pass per row.
+func sumValues(o, w []float32, rows []int, V *tensor.Matrix, off int) {
+	d, stride := len(o), V.Cols
+	k := 0
+	for ; k+4 <= len(rows); k += 4 {
+		t0, t1, t2, t3 := rows[k], rows[k+1], rows[k+2], rows[k+3]
+		w0, w1, w2, w3 := w[t0], w[t1], w[t2], w[t3]
+		v0 := V.Data[t0*stride+off:][:d]
+		v1 := V.Data[t1*stride+off:][:d]
+		v2 := V.Data[t2*stride+off:][:d]
+		v3 := V.Data[t3*stride+off:][:d]
+		for i := range o {
+			s := o[i]
+			s += w0 * v0[i]
+			s += w1 * v1[i]
+			s += w2 * v2[i]
+			s += w3 * v3[i]
+			o[i] = s
+		}
+	}
+	for ; k < len(rows); k++ {
+		t := rows[k]
+		wt, v := w[t], V.Data[t*stride+off:][:d]
+		for i := range o {
+			o[i] += wt * v[i]
+		}
+	}
+}
+
+// sumValuesAt is sumValues over only the dims of o listed in dims; the
+// other dims of o are left as they are.
+func sumValuesAt(o []float32, dims []int, w []float32, rows []int, V *tensor.Matrix, off int) {
+	d, stride := len(o), V.Cols
+	k := 0
+	for ; k+4 <= len(rows); k += 4 {
+		t0, t1, t2, t3 := rows[k], rows[k+1], rows[k+2], rows[k+3]
+		w0, w1, w2, w3 := w[t0], w[t1], w[t2], w[t3]
+		v0 := V.Data[t0*stride+off:][:d]
+		v1 := V.Data[t1*stride+off:][:d]
+		v2 := V.Data[t2*stride+off:][:d]
+		v3 := V.Data[t3*stride+off:][:d]
+		for _, i := range dims {
+			s := o[i]
+			s += w0 * v0[i]
+			s += w1 * v1[i]
+			s += w2 * v2[i]
+			s += w3 * v3[i]
+			o[i] = s
+		}
+	}
+	for ; k < len(rows); k++ {
+		t := rows[k]
+		wt, v := w[t], V.Data[t*stride+off:][:d]
+		for _, i := range dims {
+			o[i] += wt * v[i]
+		}
+	}
+}
+
 // projectKV writes the K/V projections of the normalised row normed into
-// the cache at token j of layer li, rotating the keys to their position.
-func (m *Model) projectKV(li, j int, c *kvcache.Cache, normed []float32, lw *LayerWeights, lr *layerRuns) {
+// the cache at token j of layer li, rotating each key head by angles, the
+// rotation of the token's position (unused without rotary encoding).
+func (m *Model) projectKV(li, j int, c *kvcache.Cache, normed []float32, lw *LayerWeights, lr *layerRuns, angles []float32) {
 	k, v := c.RowK(li, j), c.RowV(li, j)
 	tensor.VecMatInto(k, normed, lw.Wk, lr.wk)
 	tensor.VecMatInto(v, normed, lw.Wv, lr.wv)
 	if m.Rope != nil {
-		rot, pos, headDim := m.Cfg.RotaryDims, c.BasePos+j, m.Cfg.HeadDim
+		headDim := m.Cfg.HeadDim
 		for hh := 0; hh < m.Cfg.KVHeads; hh++ {
-			m.Rope.Apply(k[hh*headDim:hh*headDim+rot], pos)
+			rope.Rotate(k[hh*headDim:hh*headDim+len(angles)], angles)
 		}
 	}
 }
@@ -382,9 +521,13 @@ func (m *Model) ProjectKV(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache)
 	s := m.getScratch()
 	defer m.scratch.Put(s)
 	normed := sized(&s.normed, cfg.Hidden())
+	angles := sized(&s.angles, cfg.RotaryDims)
 	for r, j := range idx {
 		m.normInto(normed, h.Row(r), lw.AttnGain)
-		m.projectKV(li, j, c, normed, lw, lr)
+		if m.Rope != nil {
+			m.Rope.Angles(angles, c.BasePos+j)
+		}
+		m.projectKV(li, j, c, normed, lw, lr, angles)
 	}
 }
 

@@ -58,18 +58,54 @@ func (t *Table) Shift(x []float32, from, to int) {
 	t.rotate(x, float64(to-from))
 }
 
+// Angles writes the rotation of position pos into cs (length headDim):
+// cs[2i] and cs[2i+1] are the cosine and sine of pos·θᵢ. Vectors that
+// share a position, or a shift that share a delta, can then share one
+// evaluation of the trigonometry: Rotate(x, cs) after Angles(cs, pos) is
+// bit-identical to Apply(x, pos), and after Angles(cs, to-from) to
+// Shift(x, from, to).
+func (t *Table) Angles(cs []float32, pos int) {
+	if len(cs) != t.headDim {
+		panic(fmt.Sprintf("rope: angle buffer length %d != head dim %d", len(cs), t.headDim))
+	}
+	for i := range t.theta {
+		cs[2*i], cs[2*i+1] = t.cosSin(i, float64(pos))
+	}
+}
+
+// Rotate rotates x in place by the angles cs that Angles wrote; x and cs
+// have the same length.
+func Rotate(x, cs []float32) {
+	if len(x) != len(cs) {
+		panic(fmt.Sprintf("rope: vector length %d != angle length %d", len(x), len(cs)))
+	}
+	for i := 0; i+1 < len(x); i += 2 {
+		rotatePair(x[i:i+2], cs[i], cs[i+1])
+	}
+}
+
 func (t *Table) rotate(x []float32, m float64) {
 	if len(x) != t.headDim {
 		panic(fmt.Sprintf("rope: vector length %d != head dim %d", len(x), t.headDim))
 	}
-	for i := 0; i < t.headDim/2; i++ {
-		angle := m * t.theta[i]
-		c := float32(math.Cos(angle))
-		s := float32(math.Sin(angle))
-		a, b := x[2*i], x[2*i+1]
-		x[2*i] = a*c - b*s
-		x[2*i+1] = a*s + b*c
+	for i := range t.theta {
+		c, s := t.cosSin(i, m)
+		rotatePair(x[2*i:2*i+2], c, s)
 	}
+}
+
+// cosSin returns the cosine and sine of pair i's angle at position m.
+func (t *Table) cosSin(i int, m float64) (c, s float32) {
+	angle := m * t.theta[i]
+	return float32(math.Cos(angle)), float32(math.Sin(angle))
+}
+
+// rotatePair rotates the plane p = (p[0], p[1]) by the angle with cosine c
+// and sine s.
+func rotatePair(p []float32, c, s float32) {
+	a, b := p[0], p[1]
+	p[0] = a*c - b*s
+	p[1] = a*s + b*c
 }
 
 // RotationMatrix returns the explicit d×d block-diagonal rotation matrix
@@ -81,9 +117,7 @@ func (t *Table) RotationMatrix(pos int) []float32 {
 	d := t.headDim
 	m := make([]float32, d*d)
 	for i := 0; i < d/2; i++ {
-		angle := float64(pos) * t.theta[i]
-		c := float32(math.Cos(angle))
-		s := float32(math.Sin(angle))
+		c, s := t.cosSin(i, float64(pos))
 		r, cIdx := 2*i, 2*i
 		m[r*d+cIdx] = c
 		m[r*d+cIdx+1] = -s

@@ -164,3 +164,61 @@ func TestApplyLengthPanic(t *testing.T) {
 	}()
 	tab.Apply(make([]float32, 6), 1)
 }
+
+// TestRotateMatchesApplyAndShift checks that rotating by precomputed
+// angles gives exactly the bits of Apply and Shift, at positive, zero and
+// negative positions and deltas, on vectors holding signed zeros.
+func TestRotateMatchesApplyAndShift(t *testing.T) {
+	tab := NewTable(8, 10000)
+	negZero := float32(math.Copysign(0, -1))
+	g := tensor.NewRNG(5)
+	vecs := [][]float32{
+		randomVec(g, 8),
+		{0, negZero, negZero, 0, 1.5, negZero, -2, 0},
+		{negZero, negZero, 0, 0, negZero, 3, 0, -0.25},
+	}
+	same := func(a, b []float32) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	cs := make([]float32, 8)
+	for _, pos := range []int{-1000, -7, -1, 0, 1, 3, 512, 4097} {
+		tab.Angles(cs, pos)
+		for vi, v := range vecs {
+			want := append([]float32(nil), v...)
+			tab.Apply(want, pos)
+			got := append([]float32(nil), v...)
+			Rotate(got, cs)
+			if !same(got, want) {
+				t.Fatalf("pos %d vector %d: Rotate %v, Apply %v", pos, vi, got, want)
+			}
+			from := 11
+			want = append(want[:0], v...)
+			tab.Shift(want, from, from+pos)
+			if !same(got, want) {
+				t.Fatalf("delta %d vector %d: Rotate %v, Shift %v", pos, vi, got, want)
+			}
+		}
+	}
+}
+
+func TestAnglesAndRotatePanicOnLength(t *testing.T) {
+	tab := NewTable(8, 10000)
+	for name, f := range map[string]func(){
+		"Angles": func() { tab.Angles(make([]float32, 6), 1) },
+		"Rotate": func() { Rotate(make([]float32, 8), make([]float32, 6)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a length panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

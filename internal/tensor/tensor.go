@@ -107,6 +107,11 @@ func NewRuns(w *Matrix) *Runs {
 	return r
 }
 
+// NonzeroRows returns the rows of the indexed matrix that hold a nonzero,
+// ascending: the only rows VecMatInto reads from w, and so the only
+// entries of x it reads. The slice belongs to the index; do not modify it.
+func (r *Runs) NonzeroRows() []int { return r.nonzero }
+
 // VecMatInto computes dst = xᵀ×w, where len(x) = w.Rows, len(dst) = w.Cols
 // and r = NewRuns(w). It visits only the runs of nonzero weights, yet each
 // output still sums its terms over the rows of w in ascending order,
@@ -149,16 +154,6 @@ func Dot(a, b []float32) float32 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
 }
 
 // Add computes dst[i] += src[i] element-wise.

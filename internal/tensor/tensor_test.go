@@ -200,8 +200,8 @@ func TestNewRunsIndexesNonzeroColumns(t *testing.T) {
 		4, 5, 6, 7, 8, 9,
 	})
 	r := NewRuns(w)
-	if want := []int{0, 2}; len(r.nonzero) != len(want) || r.nonzero[0] != 0 || r.nonzero[1] != 2 {
-		t.Fatalf("nonzero rows %v, want %v", r.nonzero, want)
+	if got, want := r.NonzeroRows(), []int{0, 2}; len(got) != len(want) || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("nonzero rows %v, want %v", got, want)
 	}
 	want := []int{1, 3, 5, 6, 0, 6}
 	if len(r.bounds) != len(want) {
@@ -371,12 +371,8 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 }
 
-func TestAXPYAddScale(t *testing.T) {
-	y := []float32{1, 2}
-	AXPY(2, []float32{3, 4}, y)
-	if y[0] != 7 || y[1] != 10 {
-		t.Fatalf("axpy got %v", y)
-	}
+func TestAddScale(t *testing.T) {
+	y := []float32{7, 10}
 	Add(y, []float32{1, 1})
 	if y[0] != 8 || y[1] != 11 {
 		t.Fatalf("add got %v", y)
