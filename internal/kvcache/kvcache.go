@@ -7,7 +7,8 @@
 // has KVHeads×HeadDim entries). Keys are stored *with RoPE applied*, the
 // way production serving systems store them; re-using a cache at a
 // different position therefore requires the rotation-shift of §4.3 /
-// Appendix A, implemented here as ShiftPositions.
+// Appendix A, implemented here as RotateKeys, which re-positions one
+// token range of one layer; ShiftPositions applies it to a whole cache.
 package kvcache
 
 import (
@@ -29,7 +30,7 @@ type Cache struct {
 	Tokens int
 	// BasePos is the absolute position of token 0 when the cache was
 	// computed. Pre-computed chunk caches have BasePos 0; fusing them into
-	// a longer input shifts them (see ShiftPositions).
+	// a longer input shifts their keys (see RotateKeys).
 	BasePos int
 	// K[i] and V[i] are Tokens×KVDim matrices for layer i.
 	K []*tensor.Matrix
@@ -119,13 +120,15 @@ func (c *Cache) Slice(from, to int) *Cache {
 }
 
 // ShiftPositions re-rotates every stored key so the cache, originally
-// computed with token 0 at BasePos, becomes valid with token 0 at newBase.
-// kvHeads is the number of KV heads the flattened rows contain and headDim
-// the per-head width; tab's dimension is the number of rotary dims per
-// head (≤ headDim, supporting partial-rotary models). Values are
-// position-independent and are not touched. This is CacheBlend's
-// positional-recovery step — a single cheap rotation per key (paper §4.3
-// footnote 3, Appendix A).
+// computed with token 0 at BasePos, becomes valid with token 0 at newBase:
+// CacheBlend's positional-recovery step (paper §4.3 footnote 3, Appendix
+// A) applied to a whole cache, one RotateKeys call per layer. kvHeads is
+// the number of KV heads the flattened rows contain and headDim the
+// per-head width; tab's dimension is the number of rotary dims per head
+// (≤ headDim, supporting partial-rotary models). Values are
+// position-independent and are not touched. blend.Fuse and the engine's
+// loader re-position chunks inside a fused cache and call RotateKeys
+// directly.
 func (c *Cache) ShiftPositions(tab *rope.Table, kvHeads, headDim, newBase int) {
 	if c.BasePos == newBase {
 		return

@@ -40,10 +40,10 @@ func spreadMatrix(seed int64, rows, cols int) *tensor.Matrix {
 	return m
 }
 
-// TestScoreKeysMatchesDot checks both score loops bit-for-bit against one
+// TestScoreKeysMatchesDot checks the score loop bit-for-bit against one
 // tensor.Dot per key, on queries holding zeros, negative zeros and
-// negative entries, at key counts that are and are not multiples of four,
-// and at every KV-head offset.
+// negative entries and on a dense query, at key counts that are and are
+// not multiples of four, and at every KV-head offset.
 func TestScoreKeysMatchesDot(t *testing.T) {
 	const d, kvHeads, keys = 8, 3, 14
 	negZero := float32(math.Copysign(0, -1))
@@ -75,16 +75,12 @@ func TestScoreKeysMatchesDot(t *testing.T) {
 				if !sameBits(got[:n], want[:n]) {
 					t.Fatalf("query %d, %d keys, offset %d: scoreKeysAt %v, want %v", qi, n, off, got[:n], want[:n])
 				}
-				scoreKeys(got[:n], q, K, off, scale)
-				if !sameBits(got[:n], want[:n]) {
-					t.Fatalf("query %d, %d keys, offset %d: scoreKeys %v, want %v", qi, n, off, got[:n], want[:n])
-				}
 			}
 		}
 	}
 }
 
-// TestSumValuesMatchesAXPY checks both value loops bit-for-bit against one
+// TestSumValuesMatchesAXPY checks the value loop bit-for-bit against one
 // axpy per nonzero weight in ascending row order, over read-dim sets that
 // are empty, single, scattered and full, with weights holding zeros and
 // at row counts that are and are not multiples of four. Dims outside the
@@ -130,11 +126,6 @@ func TestSumValuesMatchesAXPY(t *testing.T) {
 				if !sameBits(got, exp) {
 					t.Fatalf("%d rows, offset %d, read %v: sumValuesAt %v, want %v", n, off, read, got, exp)
 				}
-			}
-			got := append([]float32(nil), start...)
-			sumValues(got, w, rows, V, off)
-			if !sameBits(got, want) {
-				t.Fatalf("%d rows, offset %d: sumValues %v, want %v", n, off, got, want)
 			}
 		}
 	}

@@ -305,11 +305,7 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 			off := hh / group * headDim
 			qh := q[hh*headDim : (hh+1)*headDim]
 			w := scores[:n]
-			if nz := nonzeros(qdims, qh); len(nz) == headDim {
-				scoreKeys(w, qh, K, off, scale)
-			} else {
-				scoreKeysAt(w, qh, nz, K, off, scale)
-			}
+			scoreKeysAt(w, qh, nonzeros(qdims, qh), K, off, scale)
 			tensor.Softmax(w)
 			if wantAttn {
 				copy(attn.Row(r)[hh*c.Tokens:hh*c.Tokens+n], w)
@@ -317,13 +313,8 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 			if len(read) == 0 {
 				continue
 			}
-			nz := nonzeros(rows, w)
 			oh := headOut[hh*headDim : (hh+1)*headDim]
-			if len(read) == headDim {
-				sumValues(oh, w, nz, V, off)
-			} else {
-				sumValuesAt(oh, read, w, nz, V, off)
-			}
+			sumValuesAt(oh, read, w, nonzeros(rows, w), V, off)
 		}
 		res := out.Row(r)
 		copy(res, h.Row(r))
@@ -359,43 +350,15 @@ func nonzeros(dst []int, x []float32) []int {
 	return dst
 }
 
-// scoreKeys writes scale·(q·k) for the keys of rows 0..len(scores)-1 of K,
-// taking each key from column off, into scores. It scores four keys per
-// pass with an accumulator each, so the four sums advance independently;
-// every sum still adds its terms in ascending order from +0, exactly as
-// tensor.Dot does, so the scores are bit-identical to one Dot per key.
-func scoreKeys(scores, q []float32, K *tensor.Matrix, off int, scale float32) {
-	d, stride := len(q), K.Cols
-	t := 0
-	for ; t+4 <= len(scores); t += 4 {
-		at := t*stride + off
-		k0 := K.Data[at:][:d]
-		k1 := K.Data[at+stride:][:d]
-		k2 := K.Data[at+2*stride:][:d]
-		k3 := K.Data[at+3*stride:][:d]
-		var s0, s1, s2, s3 float32
-		for i, qv := range q {
-			s0 += qv * k0[i]
-			s1 += qv * k1[i]
-			s2 += qv * k2[i]
-			s3 += qv * k3[i]
-		}
-		scores[t] = s0 * scale
-		scores[t+1] = s1 * scale
-		scores[t+2] = s2 * scale
-		scores[t+3] = s3 * scale
-	}
-	for ; t < len(scores); t++ {
-		at := t*stride + off
-		scores[t] = tensor.Dot(q, K.Data[at:][:d]) * scale
-	}
-}
-
-// scoreKeysAt is scoreKeys summing only the terms of the dims listed in
-// dims (ascending), which must hold every nonzero of q. A skipped term is
-// (±0)·k = ±0 for a finite key, and adding a signed zero to a sum that
-// starts at +0 never changes it (the sum is never -0), so the scores are
-// bit-identical to scoreKeys.
+// scoreKeysAt writes scale·(q·k) for the keys of rows 0..len(scores)-1 of
+// K, taking each key from column off, into scores. It sums only the terms
+// of the dims listed in dims (ascending), which must hold every nonzero of
+// q: a skipped term is (±0)·k = ±0 for a finite key, and adding a signed
+// zero to a sum that starts at +0 never changes it (the sum is never -0).
+// It scores four keys per pass with an accumulator each, so the four sums
+// advance independently; every sum still adds its terms in ascending
+// order from +0, exactly as tensor.Dot does, so the scores are
+// bit-identical to one Dot per key.
 func scoreKeysAt(scores, q []float32, dims []int, K *tensor.Matrix, off int, scale float32) {
 	d, stride := len(q), K.Cols
 	t := 0
@@ -428,40 +391,11 @@ func scoreKeysAt(scores, q []float32, dims []int, K *tensor.Matrix, off int, sca
 	}
 }
 
-// sumValues adds w[t]·v_t into o for each row t listed in rows
-// (ascending), where v_t is row t of V from column off. It adds four rows
-// per pass, and each o[i] still adds its terms one row at a time in
-// ascending row order, so o is bit-identical to one y += w·x pass per row.
-func sumValues(o, w []float32, rows []int, V *tensor.Matrix, off int) {
-	d, stride := len(o), V.Cols
-	k := 0
-	for ; k+4 <= len(rows); k += 4 {
-		t0, t1, t2, t3 := rows[k], rows[k+1], rows[k+2], rows[k+3]
-		w0, w1, w2, w3 := w[t0], w[t1], w[t2], w[t3]
-		v0 := V.Data[t0*stride+off:][:d]
-		v1 := V.Data[t1*stride+off:][:d]
-		v2 := V.Data[t2*stride+off:][:d]
-		v3 := V.Data[t3*stride+off:][:d]
-		for i := range o {
-			s := o[i]
-			s += w0 * v0[i]
-			s += w1 * v1[i]
-			s += w2 * v2[i]
-			s += w3 * v3[i]
-			o[i] = s
-		}
-	}
-	for ; k < len(rows); k++ {
-		t := rows[k]
-		wt, v := w[t], V.Data[t*stride+off:][:d]
-		for i := range o {
-			o[i] += wt * v[i]
-		}
-	}
-}
-
-// sumValuesAt is sumValues over only the dims of o listed in dims; the
-// other dims of o are left as they are.
+// sumValuesAt adds w[t]·v_t into the dims of o listed in dims for each
+// row t listed in rows (ascending), where v_t is row t of V from column
+// off; the other dims of o are left as they are. It adds four rows per
+// pass, and each o[i] still adds its terms one row at a time in ascending
+// row order, so o is bit-identical to one y += w·x pass per row.
 func sumValuesAt(o []float32, dims []int, w []float32, rows []int, V *tensor.Matrix, off int) {
 	d, stride := len(o), V.Cols
 	k := 0

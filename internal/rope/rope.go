@@ -112,7 +112,8 @@ func rotatePair(p []float32, c, s float32) {
 // R^d_{Θ,m} from Definition 1 of the paper's Appendix A, stored row-major.
 // It exists to validate the fast pairwise implementation against the
 // paper's matrix formulation and is used only in tests and documentation
-// examples — Apply/Shift are the production path.
+// examples. Angles/Rotate are the production path; Apply/Shift are kept
+// as the reference the Rotate tests compare against.
 func (t *Table) RotationMatrix(pos int) []float32 {
 	d := t.headDim
 	m := make([]float32, d*d)
