@@ -13,9 +13,11 @@
 //	}
 //
 // Non-benchmark lines (pass/fail, package headers, cpu banner) are
-// ignored, so the raw `go test` stream pipes straight in:
+// ignored, so the raw `go test` stream pipes straight in. A benchmark
+// that appears on several lines (-count > 1) gets the per-field median
+// of its runs, which is what CI records and gates:
 //
-//	go test -run=NONE -bench=. -benchtime=1x ./... | benchjson > BENCH_pr.json
+//	go test -run=NONE -bench=. -benchtime=1x -count=5 ./... | benchjson > BENCH_pr.json
 //
 // With -compare the parsed run is additionally checked against a previous
 // PR's committed JSON, and the process exits 1 when a gated benchmark
@@ -25,7 +27,7 @@
 // ServeFailover) and the fusion path's FusorBlend and Prefill512, so the
 // in-repo bench trajectory doubles as a CI regression gate:
 //
-//	go test -run=NONE -bench=. -benchtime=1x ./... | benchjson -compare benchdata/BENCH_pr5.json
+//	go test -run=NONE -bench=. -benchtime=1x -count=5 ./... | benchjson -compare benchdata/BENCH_pr5.json
 package main
 
 import (
@@ -237,23 +239,68 @@ func gated(name string) bool {
 	return false
 }
 
-// Parse extracts every benchmark result line from r. A duplicate name
-// (the same benchmark run in several packages, or -count > 1) keeps the
-// last occurrence.
+// Parse extracts every benchmark result line from r. A name on several
+// lines (-count > 1) gets the median of each field over its lines, so one
+// noisy run neither sets nor fails a gate.
 func Parse(r io.Reader) (map[string]Bench, error) {
-	out := map[string]Bench{}
+	runs := map[string][]Bench{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		name, b, ok := parseLine(sc.Text())
 		if ok {
-			out[name] = b
+			runs[name] = append(runs[name], b)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	out := make(map[string]Bench, len(runs))
+	for name, bs := range runs {
+		out[name] = medianBench(bs)
+	}
 	return out, nil
+}
+
+// medianBench returns the per-field median of one benchmark's runs: the
+// middle value of an odd count, the mean of the two middle values of an
+// even one. A custom metric takes the median of the runs that report it.
+func medianBench(bs []Bench) Bench {
+	field := func(get func(Bench) float64) float64 {
+		vs := make([]float64, len(bs))
+		for i, b := range bs {
+			vs[i] = get(b)
+		}
+		return median(vs)
+	}
+	out := Bench{
+		Iterations:  int64(field(func(b Bench) float64 { return float64(b.Iterations) })),
+		NsPerOp:     field(func(b Bench) float64 { return b.NsPerOp }),
+		BytesPerOp:  field(func(b Bench) float64 { return b.BytesPerOp }),
+		AllocsPerOp: field(func(b Bench) float64 { return b.AllocsPerOp }),
+	}
+	metrics := map[string][]float64{}
+	for _, b := range bs {
+		for unit, v := range b.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	for unit, vs := range metrics {
+		if out.Metrics == nil {
+			out.Metrics = map[string]float64{}
+		}
+		out.Metrics[unit] = median(vs)
+	}
+	return out
+}
+
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseLine parses one `BenchmarkName-8  N  V ns/op  [V unit]...` line;

@@ -45,6 +45,37 @@ func TestParse(t *testing.T) {
 	}
 }
 
+func TestParseTakesMedianOfRepeatedLines(t *testing.T) {
+	const runs = `pkg: repro
+BenchmarkServeHotPath-8   	1	 300 ns/op	 9000 sim-req/s	 40 B/op	 7 allocs/op
+BenchmarkServeHotPath-8   	1	 100 ns/op	 7000 sim-req/s	 20 B/op	 5 allocs/op
+BenchmarkServeHotPath-8   	1	9900 ns/op	 1000 sim-req/s	 90 B/op	 6 allocs/op
+BenchmarkServeSched/fifo-8	1	 200 ns/op
+BenchmarkServeSched/fifo-8	1	 400 ns/op	 12 p95-tbt-ms
+BenchmarkPrefill512-8     	3	 50 ns/op
+`
+	got, err := Parse(strings.NewReader(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Odd count: each field's middle value, even when the fields' middle
+	// values come from different runs.
+	hot := got["BenchmarkServeHotPath"]
+	if hot.Iterations != 1 || hot.NsPerOp != 300 || hot.BytesPerOp != 40 || hot.AllocsPerOp != 6 || hot.Metrics["sim-req/s"] != 7000 {
+		t.Fatalf("hot path median wrong: %+v", hot)
+	}
+	// Even count: the mean of the middle two; a metric only some runs
+	// report takes the median of those.
+	fifo := got["BenchmarkServeSched/fifo"]
+	if fifo.NsPerOp != 300 || fifo.Metrics["p95-tbt-ms"] != 12 {
+		t.Fatalf("fifo median wrong: %+v", fifo)
+	}
+	// A single line is kept as it is.
+	if p := got["BenchmarkPrefill512"]; p.Iterations != 3 || p.NsPerOp != 50 || p.Metrics != nil {
+		t.Fatalf("single run changed: %+v", p)
+	}
+}
+
 func TestParseRejectsNonBenchLines(t *testing.T) {
 	got, err := Parse(strings.NewReader("PASS\nok repro 1.2s\nBenchmarkBroken 3 x ns/op\nBenchmarkNoNs-8 5 12 widgets\n"))
 	if err != nil {

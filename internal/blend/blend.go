@@ -6,13 +6,17 @@
 //
 // The fusion pipeline per request is:
 //
-//  1. Concatenate the chunk caches with empty rows for the fresh suffix
-//     (the user query) and re-position every chunk's keys to its offset in
-//     the fused input via RoPE re-rotation (§4.3 footnote 3, Appendix A).
+//  1. Load the chunk caches into one fused cache, with empty rows for the
+//     fresh suffix (the user query), and re-position every chunk's keys
+//     to its offset in the fused input via RoPE re-rotation (§4.3
+//     footnote 3, Appendix A). Only the layers the fusion reads are
+//     loaded, from FirstReadLayer up: the layers below the selection
+//     layer are recomputed for every token (step 2) before attention
+//     reads them, so their stored KV is never used.
 //  2. Layer 0: recompute every token fully. Layer-0 KV depends only on
-//     embeddings, so the stored KV is already exact (tests assert this) —
-//     what this pass buys is correct *layer-1 inputs* for every token,
-//     which is where cross-chunk attention first flows.
+//     embeddings, so the stored KV would already be exact (tests assert
+//     this) — what this pass buys is correct *layer-1 inputs* for every
+//     token, which is where cross-chunk attention first flows.
 //  3. Selection layer (layer 1): project fresh K/V for every token, measure
 //     each context token's KV deviation against the loaded cache, and keep
 //     the top r₁ fraction as HKVD tokens (r₁ slightly above the target r).
@@ -84,10 +88,11 @@ type Options struct {
 	DisableGradualFilter bool
 	// SelectionLayer is the layer on which the all-token KV deviation is
 	// measured and the first HKVD set picked. Layers below it are fully
-	// recomputed. 0 (the zero value) means the default of layer 1, which
-	// matches the paper's models where cross-chunk content reaches KV
-	// projections after one attention layer. The constructed QA model
-	// (package qamodel) stages its cross-chunk joins through two
+	// recomputed, and their chunk KV is not loaded. 0 (the zero value)
+	// means the default of layer 1, which matches the paper's models
+	// where cross-chunk content reaches KV projections after one
+	// attention layer; see SelectionLayer for the clamp. The constructed
+	// QA model (package qamodel) stages its cross-chunk joins through two
 	// attention layers, so its experiments select on layer 2.
 	SelectionLayer int
 	// RandomSelection replaces HKVD ranking with a seeded random token
@@ -152,6 +157,37 @@ type Result struct {
 	ProjectedTokenLayers int
 }
 
+// SelectionLayer returns the layer a fusion selects HKVD tokens on when
+// Options.SelectionLayer (or the engine's) asks for `requested` on a
+// model of `layers` layers: 0 means the default of layer 1, and the
+// result is clamped to [1, layers-1] (layer 0 on a one-layer model).
+func SelectionLayer(requested, layers int) int {
+	if requested <= 0 {
+		requested = 1
+	}
+	if requested >= layers {
+		requested = layers - 1
+	}
+	return requested
+}
+
+// FirstReadLayer returns the lowest layer whose loaded chunk KV a fusion
+// in mode reads, selecting on SelectionLayer(requested, layers): every
+// layer for full reuse, the selection layer and above for blend, and none
+// (layers) for full recompute. Each layer below it is recomputed for every
+// token, which overwrites each loaded row before attention reads it, so a
+// loader need not fetch it.
+func FirstReadLayer(mode Mode, requested, layers int) int {
+	switch mode {
+	case ModeFullRecompute:
+		return layers
+	case ModeFullReuse:
+		return 0
+	default:
+		return SelectionLayer(requested, layers)
+	}
+}
+
 // Fuse combines the chunk caches and suffix into one KV cache according to
 // opts. The input chunk caches are not modified.
 func Fuse(in Input, opts Options) *Result {
@@ -173,34 +209,39 @@ func Fuse(in Input, opts Options) *Result {
 	}
 
 	// Assemble the fused token sequence and the loaded (pre-computed)
-	// cache: the chunks concatenated, suffix rows empty, then each chunk's
-	// keys re-positioned in place to its offset.
+	// cache: each chunk's rows at its offset on every layer the fusion
+	// reads, its keys re-positioned in place, and the suffix rows empty.
 	var tokens []int
-	parts := make([]*kvcache.Cache, 0, len(in.Chunks)+1)
 	for ci, cc := range in.Chunks {
 		if cc.Tokens != len(in.ChunkTokens[ci]) {
 			panic(fmt.Sprintf("blend: chunk %d cache has %d tokens, text has %d", ci, cc.Tokens, len(in.ChunkTokens[ci])))
 		}
-		parts = append(parts, cc)
+		if cc.NumLayers != cfg.Layers || cc.KVDim != cfg.KVDim() {
+			panic(fmt.Sprintf("blend: chunk %d cache is %d layers × %d, model is %d × %d", ci, cc.NumLayers, cc.KVDim, cfg.Layers, cfg.KVDim()))
+		}
 		tokens = append(tokens, in.ChunkTokens[ci]...)
 	}
 	suffixStart := len(tokens)
-	parts = append(parts, m.NewCache(len(in.SuffixTokens)))
 	tokens = append(tokens, in.SuffixTokens...)
-	fused := kvcache.Concat(parts...)
-	fused.BasePos = 0
-	if m.Rope != nil && !opts.DisableReposition {
-		angles := make([]float32, cfg.RotaryDims)
-		off := 0
-		for _, cc := range in.Chunks {
-			if delta := off - cc.BasePos; delta != 0 {
-				m.Rope.Angles(angles, delta)
-				for li := 0; li < cfg.Layers; li++ {
-					fused.RotateKeys(li, off, off+cc.Tokens, cfg.KVHeads, cfg.HeadDim, angles)
-				}
-			}
-			off += cc.Tokens
+	fused := m.NewCache(len(tokens))
+	first := FirstReadLayer(opts.Mode, opts.SelectionLayer, cfg.Layers)
+	angles := make([]float32, cfg.RotaryDims)
+	off := 0
+	for _, cc := range in.Chunks {
+		// A zero delta is skipped: rotating by it could turn a -0 key
+		// entry into +0.
+		rotate := m.Rope != nil && !opts.DisableReposition && off != cc.BasePos
+		if rotate {
+			m.Rope.Angles(angles, off-cc.BasePos)
 		}
+		for li := first; li < cfg.Layers; li++ {
+			copy(fused.K[li].Data[off*fused.KVDim:], cc.K[li].Data)
+			copy(fused.V[li].Data[off*fused.KVDim:], cc.V[li].Data)
+			if rotate {
+				fused.RotateKeys(li, off, off+cc.Tokens, cfg.KVHeads, cfg.HeadDim, angles)
+			}
+		}
+		off += cc.Tokens
 	}
 
 	res := &Result{
@@ -218,7 +259,7 @@ func Fuse(in Input, opts Options) *Result {
 	case ModeFullReuse:
 		fuseFullReuse(m, res, opts)
 	default:
-		fuseBlend(m, res, r, sched, opts)
+		fuseBlend(m, res, SelectionLayer(opts.SelectionLayer, cfg.Layers), r, sched, opts)
 	}
 	return res
 }
@@ -268,22 +309,17 @@ func fuseFullReuse(m *model.Model, res *Result, opts Options) {
 	res.Hidden = h
 }
 
-func fuseBlend(m *model.Model, res *Result, r float64, sched []float64, opts Options) {
+// fuseBlend runs the selective recompute, selecting on layer selLayer.
+func fuseBlend(m *model.Model, res *Result, selLayer int, r float64, sched []float64, opts Options) {
 	cfg := m.Cfg
 	total := len(res.Tokens)
 	ctxLen := res.SuffixStart
-	selLayer := opts.SelectionLayer
-	if selLayer <= 0 {
-		selLayer = 1
-	}
-	if selLayer >= cfg.Layers {
-		selLayer = cfg.Layers - 1
-	}
 
-	// Layers below the selection layer: full recompute of every token.
-	// This establishes correct selection-layer inputs; on layer 0 the
-	// written KV matches the loaded KV (position-recovered) because
-	// layer-0 K/V depend only on embeddings.
+	// Layers below the selection layer: full recompute of every token,
+	// into rows Fuse left empty. This establishes correct selection-layer
+	// inputs; on layer 0 the written KV matches what loading would have
+	// given (position-recovered) because layer-0 K/V depend only on
+	// embeddings.
 	idx := allIdx(total)
 	h := m.EmbedTokens(res.Tokens)
 	var attn *tensor.Matrix

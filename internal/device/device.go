@@ -11,7 +11,10 @@
 // ordering matters for the controller's choices.
 package device
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Device describes one storage tier.
 type Device struct {
@@ -48,15 +51,18 @@ func (d Device) StorageCost(n int64, hours float64) float64 {
 	return gb * d.CostPerGBMonth * hours / hoursPerMonth
 }
 
-// Validate reports the first structural problem.
+// Validate reports the first structural problem. Bandwidths must be
+// positive and finite and latency non-negative and finite; NaN fails
+// both. A zero, NaN or infinite figure would make ReadTime or WriteTime
+// infinite or NaN.
 func (d Device) Validate() error {
 	switch {
 	case d.Name == "":
 		return fmt.Errorf("device: empty name")
-	case d.ReadBW <= 0 || d.WriteBW <= 0:
-		return fmt.Errorf("device %q: bandwidths must be positive", d.Name)
-	case d.Latency < 0:
-		return fmt.Errorf("device %q: negative latency", d.Name)
+	case !(d.ReadBW > 0) || !(d.WriteBW > 0) || math.IsInf(d.ReadBW, 1) || math.IsInf(d.WriteBW, 1):
+		return fmt.Errorf("device %q: bandwidths must be positive and finite", d.Name)
+	case !(d.Latency >= 0) || math.IsInf(d.Latency, 1):
+		return fmt.Errorf("device %q: latency must be non-negative and finite", d.Name)
 	case d.CostPerGBMonth < 0:
 		return fmt.Errorf("device %q: negative cost", d.Name)
 	}

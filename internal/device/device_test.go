@@ -62,15 +62,24 @@ func TestByName(t *testing.T) {
 }
 
 func TestValidateRejectsBadDevices(t *testing.T) {
-	bad := []Device{
-		{},
-		{Name: "x", ReadBW: 0, WriteBW: 1},
-		{Name: "x", ReadBW: 1, WriteBW: 1, Latency: -1},
-		{Name: "x", ReadBW: 1, WriteBW: 1, CostPerGBMonth: -1},
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]Device{
+		"no name":          {},
+		"zero read bw":     {Name: "x", ReadBW: 0, WriteBW: 1},
+		"negative latency": {Name: "x", ReadBW: 1, WriteBW: 1, Latency: -1},
+		"negative cost":    {Name: "x", ReadBW: 1, WriteBW: 1, CostPerGBMonth: -1},
+		"NaN read bw":      {Name: "x", ReadBW: nan, WriteBW: 1},
+		"NaN write bw":     {Name: "x", ReadBW: 1, WriteBW: nan},
+		"+Inf read bw":     {Name: "x", ReadBW: inf, WriteBW: 1},
+		"+Inf write bw":    {Name: "x", ReadBW: 1, WriteBW: inf},
+		"-Inf read bw":     {Name: "x", ReadBW: -inf, WriteBW: 1},
+		"NaN latency":      {Name: "x", ReadBW: 1, WriteBW: 1, Latency: nan},
+		"+Inf latency":     {Name: "x", ReadBW: 1, WriteBW: 1, Latency: inf},
+		"-Inf latency":     {Name: "x", ReadBW: 1, WriteBW: 1, Latency: -inf},
 	}
-	for i, d := range bad {
+	for name, d := range bad {
 		if err := d.Validate(); err == nil {
-			t.Fatalf("case %d accepted", i)
+			t.Errorf("%s: accepted %+v", name, d)
 		}
 	}
 }

@@ -11,11 +11,16 @@
 //	synchronize()          → the per-layer barrier: the fusor blocks until
 //	                         the layer's KV has finished loading.
 //
-// The loader stays exactly one layer ahead of the fusor (the paper's
-// two-thread pipelining): while layer i is being recomputed, layer i+1 is
-// being fetched, so whichever of loading and recompute is slower sets the
-// pace and the other is hidden. The engine reports both the measured wall
-// time and a per-layer timeline so tests can assert genuine overlap.
+// The loader fetches only the layers the fusor reads, from the selection
+// layer up (blend.FirstReadLayer): every layer below it is recomputed for
+// every token, which overwrites each loaded row before attention reads
+// it. So the fusor recomputes those layers while the first real load is
+// in flight, and from the selection layer on the loader runs ahead of it
+// (the paper's two-thread pipelining): while layer i is being recomputed,
+// layer i+1 and beyond are being fetched, so whichever of loading and
+// recompute is slower sets the pace and the other is hidden. The engine
+// reports both the measured wall time and a per-layer timeline so tests
+// can assert genuine overlap.
 //
 // Device read delays are simulated with a configurable time scale (real
 // nanoseconds per simulated second) so tests run fast while the overlap
@@ -24,9 +29,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
+	"repro/internal/blend"
 	"repro/internal/device"
 	"repro/internal/kvcache"
 	"repro/internal/model"
@@ -45,7 +52,8 @@ type Config struct {
 	SelectionLayer int
 	// TimeScale converts simulated seconds of device delay into real
 	// sleep time: realDelay = simSeconds × TimeScale. Zero disables
-	// sleeping (pure functional execution).
+	// sleeping (pure functional execution); a positive scale requires a
+	// Device that passes Validate, and a negative one is an error.
 	TimeScale time.Duration
 	// Pipelined selects whether the loader runs ahead of the fusor
 	// (true, the paper's design) or strictly before it (false — the
@@ -63,6 +71,8 @@ type Request struct {
 // LayerTiming records when one layer was loaded and computed (relative to
 // the start of the request, in real time).
 type LayerTiming struct {
+	// LoadDone is when the layer's chunk KV finished loading; 0 for a
+	// layer below the selection layer, which is recomputed, not fetched.
 	LoadDone    time.Duration
 	ComputeDone time.Duration
 }
@@ -94,31 +104,48 @@ func (cfg Config) Run(req Request) (*Result, error) {
 	if len(req.Chunks) != len(req.ChunkTokens) {
 		return nil, fmt.Errorf("engine: %d caches vs %d token lists", len(req.Chunks), len(req.ChunkTokens))
 	}
+	if cfg.TimeScale < 0 {
+		return nil, fmt.Errorf("engine: negative time scale %v", cfg.TimeScale)
+	}
+	if cfg.TimeScale > 0 {
+		if err := cfg.Device.Validate(); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+	}
 	mc := m.Cfg
-	selLayer := cfg.SelectionLayer
-	if selLayer <= 0 {
-		selLayer = 1
-	}
-	if selLayer >= mc.Layers {
-		selLayer = mc.Layers - 1
-	}
+	selLayer := blend.SelectionLayer(cfg.SelectionLayer, mc.Layers)
+	firstLoad := blend.FirstReadLayer(blend.ModeBlend, cfg.SelectionLayer, mc.Layers)
 
 	// Assemble the fused token sequence and allocate the (empty) fused
 	// cache; the loader fills it layer by layer.
 	var tokens []int
 	starts := make([]int, len(req.Chunks))
 	off := 0
+	var layerBytes int64
 	for ci, cc := range req.Chunks {
 		if cc.Tokens != len(req.ChunkTokens[ci]) {
 			return nil, fmt.Errorf("engine: chunk %d cache/token mismatch", ci)
 		}
+		if cc.NumLayers != mc.Layers || cc.KVDim != mc.KVDim() {
+			return nil, fmt.Errorf("engine: chunk %d cache is %d layers × %d, model is %d × %d", ci, cc.NumLayers, cc.KVDim, mc.Layers, mc.KVDim())
+		}
 		starts[ci] = off
 		tokens = append(tokens, req.ChunkTokens[ci]...)
 		off += cc.Tokens
+		layerBytes += cc.LayerBytes()
 	}
 	suffixStart := off
 	tokens = append(tokens, req.SuffixTokens...)
 	fused := m.NewCache(len(tokens))
+	// Every layer holds the same bytes, so every fetch waits the same.
+	var delay time.Duration
+	if cfg.TimeScale > 0 && layerBytes > 0 {
+		ns := cfg.Device.ReadTime(layerBytes) * float64(cfg.TimeScale)
+		if ns >= math.MaxInt64 {
+			return nil, fmt.Errorf("engine: a layer's %g ns load delay overflows time.Duration", ns)
+		}
+		delay = time.Duration(ns)
+	}
 
 	start := time.Now()
 	timings := make([]LayerTiming, mc.Layers)
@@ -126,25 +153,24 @@ func (cfg Config) Run(req Request) (*Result, error) {
 	// fetch_kv: copy one layer of every chunk's KV into the fused cache,
 	// re-rotating keys to their fused positions, after the simulated
 	// device read delay. loaded is closed per layer by the loader
-	// goroutine; synchronize() is a receive on it.
+	// goroutine; synchronize() is a receive on it. Layers below firstLoad
+	// are never fetched.
 	loaded := make([]chan struct{}, mc.Layers)
 	for i := range loaded {
 		loaded[i] = make(chan struct{})
 	}
 	angles := make([]float32, mc.RotaryDims) // fetchLayer's; layers load one at a time
 	fetchLayer := func(li int) {
-		var bytes int64
-		for _, cc := range req.Chunks {
-			bytes += cc.LayerBytes()
-		}
-		if cfg.TimeScale > 0 && bytes > 0 {
-			time.Sleep(time.Duration(cfg.Device.ReadTime(bytes) * float64(cfg.TimeScale)))
+		if delay > 0 {
+			time.Sleep(delay)
 		}
 		for ci, cc := range req.Chunks {
 			base := starts[ci]
 			copy(fused.K[li].Data[base*fused.KVDim:], cc.K[li].Data)
 			copy(fused.V[li].Data[base*fused.KVDim:], cc.V[li].Data)
 			if m.Rope != nil {
+				// Unlike blend.Fuse, a zero delta is rotated too, which
+				// can turn a -0 key entry into +0.
 				m.Rope.Angles(angles, base-cc.BasePos)
 				fused.RotateKeys(li, base, base+cc.Tokens, mc.KVHeads, mc.HeadDim, angles)
 			}
@@ -154,21 +180,24 @@ func (cfg Config) Run(req Request) (*Result, error) {
 	}
 
 	if cfg.Pipelined {
-		// The loader goroutine streams layers in order, one ahead of the
-		// fusor.
+		// The loader goroutine streams the read layers in order, ahead of
+		// the fusor.
 		go func() {
-			for li := 0; li < mc.Layers; li++ {
+			for li := firstLoad; li < mc.Layers; li++ {
 				fetchLayer(li)
 			}
 		}()
 	}
 
 	synchronize := func(li int) {
-		if !cfg.Pipelined {
+		switch {
+		case li < firstLoad:
+			// Recomputed for every token: nothing to wait for.
+		case !cfg.Pipelined:
 			fetchLayer(li) // strictly sequential: load now, then compute
-			return
+		default:
+			<-loaded[li]
 		}
-		<-loaded[li]
 	}
 
 	// The fusor: same algorithm as blend.Fuse, expressed against the
@@ -227,13 +256,16 @@ func (cfg Config) Run(req Request) (*Result, error) {
 	return res, nil
 }
 
-// PipelineTime is the analytic twin of Run's goroutine pipeline: the
+// PipelineTime is the analytic model of a loader/fusor pipeline: the
 // completion time of a loader streaming `layers` layers at loadLayer
-// seconds each, one ahead of a fusor spending compLayer seconds per
-// layer, where layer i's recompute starts only after both its KV load
-// and layer i-1's recompute finish. Whichever side is slower paces the
-// pipeline and the other is hidden. The serving runtime uses this as the
-// per-replica execution model for blended prefills.
+// seconds each, ahead of a fusor spending compLayer seconds per layer,
+// where layer i's recompute starts only after both its KV load and layer
+// i-1's recompute finish. Whichever side is slower paces the pipeline and
+// the other is hidden. It charges a load on every layer: that is the
+// serving runtime's assumption, which uses this as the per-replica
+// execution model for blended prefills. Run does not load the layers
+// below the selection layer, so it can finish earlier than this model
+// predicts.
 func PipelineTime(layers int, loadLayer, compLayer float64) float64 {
 	loadDone, compDone := 0.0, 0.0
 	for i := 0; i < layers; i++ {

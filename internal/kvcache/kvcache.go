@@ -8,7 +8,7 @@
 // way production serving systems store them; re-using a cache at a
 // different position therefore requires the rotation-shift of §4.3 /
 // Appendix A, implemented here as RotateKeys, which re-positions one
-// token range of one layer; ShiftPositions applies it to a whole cache.
+// token range of one layer.
 package kvcache
 
 import (
@@ -76,34 +76,6 @@ func (c *Cache) SetToken(i, j int, k, v []float32) {
 	copy(c.V[i].Row(j), v)
 }
 
-// Concat concatenates caches along the token axis. All caches must share
-// geometry. The result's BasePos is taken from the first cache.
-func Concat(caches ...*Cache) *Cache {
-	if len(caches) == 0 {
-		panic("kvcache: Concat of zero caches")
-	}
-	layers, kvDim := caches[0].NumLayers, caches[0].KVDim
-	total := 0
-	for _, c := range caches {
-		if c.NumLayers != layers || c.KVDim != kvDim {
-			panic(fmt.Sprintf("kvcache: geometry mismatch %d/%d vs %d/%d",
-				c.NumLayers, c.KVDim, layers, kvDim))
-		}
-		total += c.Tokens
-	}
-	out := New(layers, kvDim, total)
-	out.BasePos = caches[0].BasePos
-	for i := 0; i < layers; i++ {
-		off := 0
-		for _, c := range caches {
-			copy(out.K[i].Data[off*kvDim:], c.K[i].Data)
-			copy(out.V[i].Data[off*kvDim:], c.V[i].Data)
-			off += c.Tokens
-		}
-	}
-	return out
-}
-
 // Slice returns a deep copy of tokens [from, to) across all layers. The
 // slice's BasePos is adjusted so absolute positions are preserved.
 func (c *Cache) Slice(from, to int) *Cache {
@@ -119,36 +91,13 @@ func (c *Cache) Slice(from, to int) *Cache {
 	return out
 }
 
-// ShiftPositions re-rotates every stored key so the cache, originally
-// computed with token 0 at BasePos, becomes valid with token 0 at newBase:
-// CacheBlend's positional-recovery step (paper §4.3 footnote 3, Appendix
-// A) applied to a whole cache, one RotateKeys call per layer. kvHeads is
-// the number of KV heads the flattened rows contain and headDim the
-// per-head width; tab's dimension is the number of rotary dims per head
-// (≤ headDim, supporting partial-rotary models). Values are
-// position-independent and are not touched. blend.Fuse and the engine's
-// loader re-position chunks inside a fused cache and call RotateKeys
-// directly.
-func (c *Cache) ShiftPositions(tab *rope.Table, kvHeads, headDim, newBase int) {
-	if c.BasePos == newBase {
-		return
-	}
-	cs := make([]float32, tab.HeadDim())
-	tab.Angles(cs, newBase-c.BasePos)
-	for i := 0; i < c.NumLayers; i++ {
-		c.RotateKeys(i, 0, c.Tokens, kvHeads, headDim, cs)
-	}
-	c.BasePos = newBase
-}
-
 // RotateKeys rotates the keys of tokens [from, to) on layer li by the
 // angles cs, which rope.Table.Angles wrote for one position delta: the
 // first len(cs) dims of each of the kvHeads heads of width headDim turn,
 // the rest stay. Every token of the range moves by the same delta, so
 // one set of angles serves them all. It is the re-positioning step of
-// ShiftPositions, of blend's fused cache and of the engine's loader. A
-// rotation by a delta of 0 is not quite the identity: it can turn a -0
-// key entry into +0.
+// blend's fused cache and of the engine's loader. A rotation by a delta
+// of 0 is not quite the identity: it can turn a -0 key entry into +0.
 func (c *Cache) RotateKeys(li, from, to, kvHeads, headDim int, cs []float32) {
 	rot := len(cs)
 	if rot > headDim {

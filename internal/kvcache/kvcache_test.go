@@ -53,36 +53,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestConcatOrderAndSizes(t *testing.T) {
-	a := randomCache(1, 2, 4, 3)
-	b := randomCache(2, 2, 4, 2)
-	c := Concat(a, b)
-	if c.Tokens != 5 {
-		t.Fatalf("concat tokens %d want 5", c.Tokens)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if !reflect.DeepEqual(c.RowK(i, j), a.RowK(i, j)) {
-				t.Fatal("concat prefix rows differ")
-			}
-		}
-		for j := 0; j < 2; j++ {
-			if !reflect.DeepEqual(c.RowK(i, 3+j), b.RowK(i, j)) {
-				t.Fatal("concat suffix rows differ")
-			}
-		}
-	}
-}
-
-func TestConcatGeometryMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Concat(New(2, 4, 1), New(3, 4, 1))
-}
-
 func TestSliceAbsolutePositions(t *testing.T) {
 	c := randomCache(3, 2, 4, 6)
 	c.BasePos = 10
@@ -97,25 +67,6 @@ func TestSliceAbsolutePositions(t *testing.T) {
 	s.V[1].Data[0] = 42
 	if c.RowV(1, 2)[0] == 42 {
 		t.Fatal("slice must deep-copy")
-	}
-}
-
-func TestConcatOfSlicesIsIdentity(t *testing.T) {
-	f := func(seed int64) bool {
-		c := randomCache(seed, 2, 6, 8)
-		r := Concat(c.Slice(0, 3), c.Slice(3, 8))
-		for i := 0; i < 2; i++ {
-			if tensor.MaxAbsDiff(r.K[i].Data, c.K[i].Data) != 0 {
-				return false
-			}
-			if tensor.MaxAbsDiff(r.V[i].Data, c.V[i].Data) != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -171,9 +122,9 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
-func TestShiftPositionsMatchesDirectRope(t *testing.T) {
-	// A cache whose keys were RoPE'd at base 0, shifted to base 50, must
-	// equal a cache whose keys were RoPE'd at base 50 directly.
+func TestRotateKeysMatchesDirectRope(t *testing.T) {
+	// A cache whose keys were RoPE'd at base 0, rotated by a delta of 50,
+	// must equal a cache whose keys were RoPE'd at base 50 directly.
 	const headDim, kvHeads, tokens = 8, 2, 4
 	tab := rope.NewTable(headDim, 10000)
 	g := tensor.NewRNG(5)
@@ -197,23 +148,27 @@ func TestShiftPositionsMatchesDirectRope(t *testing.T) {
 		return c
 	}
 	shifted := build(0)
-	shifted.ShiftPositions(tab, kvHeads, headDim, 50)
+	cs := make([]float32, headDim)
+	tab.Angles(cs, 50)
+	shifted.RotateKeys(0, 0, tokens, kvHeads, headDim, cs)
 	direct := build(50)
-	if shifted.BasePos != 50 {
-		t.Fatalf("BasePos=%d want 50", shifted.BasePos)
-	}
 	if tensor.MaxAbsDiff(shifted.K[0].Data, direct.K[0].Data) > 1e-4 {
-		t.Fatal("shifted keys differ from directly positioned keys")
+		t.Fatal("rotated keys differ from directly positioned keys")
 	}
 }
 
-func TestShiftPositionsNoopWhenSameBase(t *testing.T) {
+func TestRotateKeysZeroDeltaKeepsValues(t *testing.T) {
+	// A zero delta moves no key by value (only a -0 entry may turn +0),
+	// which is why callers may skip it.
 	tab := rope.NewTable(4, 10000)
 	c := randomCache(2, 1, 4, 3)
+	c.K[0].Row(1)[0] = float32(math.Copysign(0, -1))
 	before := c.K[0].Clone()
-	c.ShiftPositions(tab, 1, 4, 0) // BasePos already 0
+	cs := make([]float32, 4)
+	tab.Angles(cs, 0)
+	c.RotateKeys(0, 0, 3, 1, 4, cs)
 	if tensor.MaxAbsDiff(before.Data, c.K[0].Data) != 0 {
-		t.Fatal("no-op shift must not modify keys")
+		t.Fatal("a zero-delta rotation must not change any key's value")
 	}
 }
 
@@ -353,14 +308,16 @@ func TestGrow(t *testing.T) {
 	}
 }
 
-func TestShiftPositionsPartialRotary(t *testing.T) {
+func TestRotateKeysPartialRotary(t *testing.T) {
 	// With rotary dims < head dim, only the rotary prefix of each head
 	// may change.
 	tab := rope.NewTable(4, 10000) // 4 rotary dims
 	const headDim, kvHeads = 8, 2
 	c := randomCache(8, 1, kvHeads*headDim, 2)
 	before := c.K[0].Clone()
-	c.ShiftPositions(tab, kvHeads, headDim, 10)
+	cs := make([]float32, 4)
+	tab.Angles(cs, 10)
+	c.RotateKeys(0, 0, 2, kvHeads, headDim, cs)
 	for j := 0; j < 2; j++ {
 		row := c.K[0].Row(j)
 		old := before.Row(j)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/kvcache"
 	"repro/internal/tensor"
 )
 
@@ -159,7 +158,8 @@ func TestPrefixCacheReuseMatchesFullPrefill(t *testing.T) {
 	ref := m.Prefill(full, 0, false)
 
 	pre := m.Prefill(prefix, 0, false)
-	c := kvcache.Concat(pre.Cache, m.NewCache(len(suffix)))
+	c := pre.Cache
+	c.Grow(len(suffix))
 	h := m.EmbedTokens(suffix)
 	idx := make([]int, len(suffix))
 	for i := range idx {
@@ -189,7 +189,11 @@ func TestChunkShiftEqualsPrefillAtOffset(t *testing.T) {
 	toks := seqTokens(6, testCfg.Vocab, 14)
 
 	at0 := m.Prefill(toks, 0, false)
-	at0.Cache.ShiftPositions(m.Rope, testCfg.KVHeads, testCfg.HeadDim, 20)
+	cs := make([]float32, testCfg.RotaryDims)
+	m.Rope.Angles(cs, 20)
+	for i := 0; i < testCfg.Layers; i++ {
+		at0.Cache.RotateKeys(i, 0, len(toks), testCfg.KVHeads, testCfg.HeadDim, cs)
+	}
 	at20 := m.Prefill(toks, 20, false)
 
 	for i := 0; i < testCfg.Layers; i++ {
