@@ -12,7 +12,8 @@ import (
 
 // TestForwardAllocatesOnlyResults checks that the forward pass draws its
 // working buffers from the model's pool: ForwardLayerPartial allocates
-// only the matrices it returns, ProjectKV nothing, Logits its result.
+// only the matrices it returns, ProjectKV nothing, Logits its result,
+// also when a pass shares its rows with a helper goroutine.
 func TestForwardAllocatesOnlyResults(t *testing.T) {
 	m := NewRandom(testCfg, 1)
 	toks := seqTokens(12, testCfg.Vocab, 2)
@@ -35,6 +36,49 @@ func TestForwardAllocatesOnlyResults(t *testing.T) {
 			t.Errorf("%s: %v allocations per call, want %v", c.name, got, c.want)
 		}
 	}
+
+	// Passes that share their rows with a helper allocate no more. They
+	// run at GOMAXPROCS 4: testing.AllocsPerRun's GOMAXPROCS 1 would keep
+	// them on the caller.
+	toks = seqTokens(64, testCfg.Vocab, 3)
+	pre = m.Prefill(toks, 0, false)
+	h = m.EmbedTokens(toks)
+	idx = make([]int, len(toks))
+	for i := range idx {
+		idx[i] = i
+	}
+	if work := len(idx) * (len(idx) + 1) / 2; work < splitWork {
+		t.Fatalf("a 64-token pass's attended work %d is below splitWork %d", work, splitWork)
+	}
+	split := []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"split ForwardLayerPartial", 2, func() { m.ForwardLayerPartial(1, h, idx, pre.Cache, false) }},
+		{"split ForwardLayerPartial+attn", 4, func() { m.ForwardLayerPartial(1, h, idx, pre.Cache, true) }},
+		{"split ProjectKV", 0, func() { m.ProjectKV(1, h, idx, pre.Cache) }},
+	}
+	for _, c := range split {
+		if got := allocsPerRunAt(4, 100, c.f); got != c.want {
+			t.Errorf("%s: %v allocations per call, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// allocsPerRunAt is testing.AllocsPerRun at GOMAXPROCS procs instead of 1:
+// the mean number of allocations of a call to f after one warm-up call,
+// rounded down.
+func allocsPerRunAt(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 // TestScratchGrowsOncePerCall checks that a forward pass sizes its

@@ -25,8 +25,29 @@
 // not change once a model has run; builders that start from NewZero and
 // fill in blocks, as package qamodel does, must finish first. None of
 // this skipping changes a result bit for finite inputs.
+//
+// # Concurrency
+//
 // Forward passes may run concurrently on one model; each draws its working
-// buffers from a per-model pool and allocates only what it returns.
+// buffers from a per-model pool and allocates only what it returns. A
+// call must not share its cache or its output with another call running
+// at the same time.
+//
+// One call also uses several cores when its work is large enough.
+// ForwardLayerPartial runs in two passes over its rows: the Q/K/V
+// projection, which writes only the row's query and its K/V, then
+// attention, Wo and the FFN, which read the cache and write only the
+// row's output (and attention) row. The second pass starts only once
+// every row of the first has finished. So the rows of a pass can run in
+// any order on any goroutine, and the result stays bit-identical to the
+// serial one. A call whose attended work Σ(idx[r]+1) reaches 2048
+// (splitWork) shares each pass's rows with up to GOMAXPROCS-1 long-lived
+// helper goroutines, one per 2048 of work. ProjectKV, which is that
+// first pass alone, follows the same rule. Smaller calls, such as a
+// chunk prefill, a decode step or a suffix-only pass, run on the caller,
+// and GOMAXPROCS=1 keeps every call there. There is no setting.
+// Arguments are checked on the caller's goroutine before any row runs,
+// so a bad call panics where the caller can recover.
 package model
 
 import (

@@ -83,12 +83,20 @@ func (m *Model) index() *modelRuns {
 }
 
 // scratch holds the working buffers of one forward call, so a call
-// allocates only the matrices it returns.
+// allocates only the matrices it returns, and of one helper goroutine.
 type scratch struct {
-	qs, normed, headOut, proj, gate, up, scores, angles []float32
+	// qs holds a call's rotated queries, one row of Heads×HeadDim per
+	// selected token; a helper's scratch holds none.
+	qs                                              []float32
+	normed, headOut, proj, gate, up, scores, angles []float32
 	// qdims lists a query head's nonzero dims; rows the keys whose
 	// attention weight is nonzero.
 	qdims, rows []int
+	// f32 and ints back every buffer above, carved by fit.
+	f32  []float32
+	ints []int
+	// pass describes the call to the helpers it wakes (see split.go).
+	pass layerPass
 }
 
 // getScratch takes a scratch set from the model's pool.
@@ -97,6 +105,23 @@ func (m *Model) getScratch() *scratch {
 		return s
 	}
 	return &scratch{}
+}
+
+// fit carves s's buffers for nq query rows of cfg attending over tokens
+// keys, from one float32 and one int allocation, made only when the ones
+// s holds are too small.
+func (s *scratch) fit(cfg Config, nq, tokens int) {
+	hidden, qDim := cfg.Hidden(), cfg.Heads*cfg.HeadDim
+	f := sized(&s.f32, nq*qDim+2*hidden+qDim+2*cfg.FFNDim+tokens+cfg.RotaryDims)
+	carve := func(n int) []float32 {
+		b := f[:n:n]
+		f = f[n:]
+		return b
+	}
+	s.qs, s.normed, s.proj, s.headOut = carve(nq*qDim), carve(hidden), carve(hidden), carve(qDim)
+	s.gate, s.up, s.scores, s.angles = carve(cfg.FFNDim), carve(cfg.FFNDim), carve(tokens), carve(cfg.RotaryDims)
+	ints := sized(&s.ints, cfg.HeadDim+tokens)
+	s.qdims, s.rows = ints[:cfg.HeadDim:cfg.HeadDim], ints[cfg.HeadDim:]
 }
 
 // sized returns buf resliced to n elements, reallocated if too small.
@@ -235,27 +260,56 @@ func (m *Model) normInto(dst, x, gain []float32) {
 // the selected rows — len(idx) rows, Heads×c.Tokens columns — which is the
 // "forward attention matrix" used for deviation measurements (§4.1);
 // otherwise it is nil.
+//
+// The layer runs in two passes over the rows of idx. The first projects
+// each row's Q/K/V and writes its K/V into c; the second, which starts
+// once every row of the first has finished, runs attention, Wo and the
+// FFN. Within a pass every row is independent: it writes only its own
+// query, K/V and output rows. A call whose attended work Σ(idx[r]+1)
+// reaches 2048 (splitWork) therefore shares each pass's rows among up to
+// GOMAXPROCS goroutines, the caller included, with a bit-identical
+// result; smaller calls, such as a chunk prefill or a decode step, run
+// on the caller. The arguments are checked on the caller's goroutine
+// before any row runs, so a bad call panics there.
 func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache, wantAttn bool) (*tensor.Matrix, *tensor.Matrix) {
-	cfg := m.Cfg
-	if h.Rows != len(idx) || h.Cols != cfg.Hidden() {
-		panic(fmt.Sprintf("model: hidden shape %dx%d, want %dx%d", h.Rows, h.Cols, len(idx), cfg.Hidden()))
-	}
-	if li < 0 || li >= cfg.Layers {
-		panic(fmt.Sprintf("model: layer %d out of range", li))
-	}
-	lw, lr := &m.Layer[li], &m.index().layer[li]
-	nSel := len(idx)
-	headDim := cfg.HeadDim
-	qDim := cfg.Heads * headDim
-	group := cfg.GroupSize()
+	work := m.check(li, h, idx, c)
 	s := m.getScratch()
 	defer m.scratch.Put(s)
+	s.fit(m.Cfg, len(idx), c.Tokens)
+	p := m.begin(s, li, h, idx, c)
+	defer p.end()
+	p.qs = s.qs
+	n := workers(work)
 
 	// Pass 1: project Q/K/V for the selected tokens and write K/V into
 	// the cache so pass 2 attends over the updated entries.
-	qs := sized(&s.qs, nSel*qDim)
-	normed := sized(&s.normed, cfg.Hidden())
-	angles := sized(&s.angles, cfg.RotaryDims)
+	p.each(s, n, false)
+
+	// Pass 2: attention over the full (updated ∪ reused) KV, then FFN.
+	p.out = tensor.New(len(idx), m.Cfg.Hidden())
+	if wantAttn {
+		p.attn = tensor.New(len(idx), m.Cfg.Heads*c.Tokens)
+	}
+	p.each(s, n, true)
+	return p.out, p.attn
+}
+
+// check panics unless li is a layer of m, h holds one hidden row per
+// position of idx, idx is strictly ascending within c's tokens and c has
+// m's layers and KV width. It returns the call's attended work,
+// Σ(idx[r]+1).
+func (m *Model) check(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache) int {
+	cfg := m.Cfg
+	if li < 0 || li >= cfg.Layers {
+		panic(fmt.Sprintf("model: layer %d out of range", li))
+	}
+	if h.Rows != len(idx) || h.Cols != cfg.Hidden() {
+		panic(fmt.Sprintf("model: hidden shape %dx%d, want %dx%d", h.Rows, h.Cols, len(idx), cfg.Hidden()))
+	}
+	if c.NumLayers != cfg.Layers || c.KVDim != cfg.KVDim() {
+		panic(fmt.Sprintf("model: cache of %d layers × %d KV dims, want %d × %d", c.NumLayers, c.KVDim, cfg.Layers, cfg.KVDim()))
+	}
+	work := 0
 	for r, j := range idx {
 		if r > 0 && idx[r-1] >= j {
 			panic("model: idx must be strictly ascending")
@@ -263,79 +317,94 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 		if j < 0 || j >= c.Tokens {
 			panic(fmt.Sprintf("model: token index %d out of cache range %d", j, c.Tokens))
 		}
-		m.normInto(normed, h.Row(r), lw.AttnGain)
-		q := qs[r*qDim : (r+1)*qDim]
-		tensor.VecMatInto(q, normed, lw.Wq, lr.wq)
-		if m.Rope != nil {
-			m.Rope.Angles(angles, c.BasePos+j)
-			for hh := 0; hh < cfg.Heads; hh++ {
-				rope.Rotate(q[hh*headDim:hh*headDim+len(angles)], angles)
-			}
-		}
-		m.projectKV(li, j, c, normed, lw, lr, angles)
+		work += j + 1
 	}
+	return work
+}
 
-	// Pass 2: attention over the full (updated ∪ reused) KV, then FFN.
-	// Work whose result Wo never reads is skipped: a head none of whose
-	// output dims Wo reads (unless its attention is wanted), and every
-	// unread dim of the value sums. Scores sum over a head's nonzero query
-	// dims only.
-	var attn *tensor.Matrix
-	if wantAttn {
-		attn = tensor.New(nSel, cfg.Heads*c.Tokens)
+// project runs the projection pass on row r: its rotated query into qs,
+// when the call has one, and its K/V into the cache.
+func (p *layerPass) project(s *scratch, r int) {
+	m, lw, lr, j := p.m, p.lw, p.lr, p.idx[r]
+	m.normInto(s.normed, p.h.Row(r), lw.AttnGain)
+	if m.Rope != nil {
+		m.Rope.Angles(s.angles, p.c.BasePos+j)
 	}
-	out := tensor.New(nSel, cfg.Hidden())
+	if p.qs != nil {
+		qDim := m.Cfg.Heads * m.Cfg.HeadDim
+		q := p.qs[r*qDim : (r+1)*qDim]
+		tensor.VecMatInto(q, s.normed, lw.Wq, lr.wq)
+		m.rotateHeads(q, s.angles)
+	}
+	k, v := p.c.RowK(p.li, j), p.c.RowV(p.li, j)
+	tensor.VecMatInto(k, s.normed, lw.Wk, lr.wk)
+	tensor.VecMatInto(v, s.normed, lw.Wv, lr.wv)
+	m.rotateHeads(k, s.angles)
+}
+
+// rotateHeads turns the rotary dims of each head of x by angles, the
+// rotation of the row's position (x is left alone without rotary
+// encoding).
+func (m *Model) rotateHeads(x, angles []float32) {
+	if m.Rope == nil {
+		return
+	}
+	for off := 0; off < len(x); off += m.Cfg.HeadDim {
+		rope.Rotate(x[off:off+len(angles)], angles)
+	}
+}
+
+// attendRow runs the attention pass on row r: attention over the cache's
+// keys 0..idx[r], then Wo and the FFN, into row r of out (and of attn).
+// Work whose result Wo never reads is skipped: a head none of whose
+// output dims Wo reads (unless its attention is wanted), and every unread
+// dim of the value sums. Scores sum over a head's nonzero query dims
+// only.
+func (p *layerPass) attendRow(s *scratch, r int) {
+	m, lw, lr, cfg := p.m, p.lw, p.lr, p.m.Cfg
+	headDim, T := cfg.HeadDim, p.c.Tokens
+	qDim := cfg.Heads * headDim
+	group := cfg.GroupSize()
 	scale := float32(1.0 / math.Sqrt(float64(headDim)))
-	scores := sized(&s.scores, c.Tokens)
-	rows := sized(&s.rows, c.Tokens)
-	qdims := sized(&s.qdims, headDim)
-	headOut := sized(&s.headOut, qDim)
-	proj := sized(&s.proj, cfg.Hidden())
-	K := c.K[li]
-	V := c.V[li]
-	for r, j := range idx {
-		q := qs[r*qDim : (r+1)*qDim]
-		clear(headOut)
-		n := j + 1 // causal: attend to positions 0..j
-		for hh := 0; hh < cfg.Heads; hh++ {
-			read := lr.read[hh]
-			if len(read) == 0 && !wantAttn {
-				continue
-			}
-			off := hh / group * headDim
-			qh := q[hh*headDim : (hh+1)*headDim]
-			w := scores[:n]
-			scoreKeysAt(w, qh, nonzeros(qdims, qh), K, off, scale)
-			tensor.Softmax(w)
-			if wantAttn {
-				copy(attn.Row(r)[hh*c.Tokens:hh*c.Tokens+n], w)
-			}
-			if len(read) == 0 {
-				continue
-			}
-			oh := headOut[hh*headDim : (hh+1)*headDim]
-			sumValuesAt(oh, read, w, nonzeros(rows, w), V, off)
+	K, V := p.c.K[p.li], p.c.V[p.li]
+	q := p.qs[r*qDim : (r+1)*qDim]
+	headOut := s.headOut
+	clear(headOut)
+	n := p.idx[r] + 1 // causal: attend to positions 0..idx[r]
+	for hh := 0; hh < cfg.Heads; hh++ {
+		read := lr.read[hh]
+		if len(read) == 0 && p.attn == nil {
+			continue
 		}
-		res := out.Row(r)
-		copy(res, h.Row(r))
-		tensor.VecMatInto(proj, headOut, lw.Wo, lr.wo)
-		tensor.Add(res, proj)
-
-		if cfg.FFNDim > 0 {
-			m.normInto(normed, res, lw.FFNGain)
-			gate := sized(&s.gate, cfg.FFNDim)
-			up := sized(&s.up, cfg.FFNDim)
-			tensor.VecMatInto(gate, normed, lw.W1, lr.w1)
-			tensor.VecMatInto(up, normed, lw.W3, lr.w3)
-			tensor.SiLU(gate)
-			for i := range gate {
-				gate[i] *= up[i]
-			}
-			tensor.VecMatInto(proj, gate, lw.W2, lr.w2)
-			tensor.Add(res, proj)
+		off := hh / group * headDim
+		qh := q[hh*headDim : (hh+1)*headDim]
+		w := s.scores[:n]
+		scoreKeysAt(w, qh, nonzeros(s.qdims, qh), K, off, scale)
+		tensor.Softmax(w)
+		if p.attn != nil {
+			copy(p.attn.Row(r)[hh*T:hh*T+n], w)
 		}
+		if len(read) == 0 {
+			continue
+		}
+		sumValuesAt(headOut[hh*headDim:(hh+1)*headDim], read, w, nonzeros(s.rows, w), V, off)
 	}
-	return out, attn
+	res := p.out.Row(r)
+	copy(res, p.h.Row(r))
+	tensor.VecMatInto(s.proj, headOut, lw.Wo, lr.wo)
+	tensor.Add(res, s.proj)
+
+	if cfg.FFNDim > 0 {
+		m.normInto(s.normed, res, lw.FFNGain)
+		tensor.VecMatInto(s.gate, s.normed, lw.W1, lr.w1)
+		tensor.VecMatInto(s.up, s.normed, lw.W3, lr.w3)
+		tensor.SiLU(s.gate)
+		for i := range s.gate {
+			s.gate[i] *= s.up[i]
+		}
+		tensor.VecMatInto(s.proj, s.gate, lw.W2, lr.w2)
+		tensor.Add(res, s.proj)
+	}
 }
 
 // nonzeros returns the indices of the nonzero entries of x, ascending,
@@ -424,21 +493,6 @@ func sumValuesAt(o []float32, dims []int, w []float32, rows []int, V *tensor.Mat
 	}
 }
 
-// projectKV writes the K/V projections of the normalised row normed into
-// the cache at token j of layer li, rotating each key head by angles, the
-// rotation of the token's position (unused without rotary encoding).
-func (m *Model) projectKV(li, j int, c *kvcache.Cache, normed []float32, lw *LayerWeights, lr *layerRuns, angles []float32) {
-	k, v := c.RowK(li, j), c.RowV(li, j)
-	tensor.VecMatInto(k, normed, lw.Wk, lr.wk)
-	tensor.VecMatInto(v, normed, lw.Wv, lr.wv)
-	if m.Rope != nil {
-		headDim := m.Cfg.HeadDim
-		for hh := 0; hh < m.Cfg.KVHeads; hh++ {
-			rope.Rotate(k[hh*headDim:hh*headDim+len(angles)], angles)
-		}
-	}
-}
-
 // ProjectKV computes and stores fresh K/V cache entries on layer li for
 // the token positions in idx without running attention or the FFN. h holds
 // the layer-li residual rows for idx. CacheBlend uses this on its HKVD
@@ -446,23 +500,18 @@ func (m *Model) projectKV(li, j int, c *kvcache.Cache, normed []float32, lw *Lay
 // deviation against the loaded cache, but attention only runs for the
 // tokens that survive selection — so the projection cost is paid for all
 // tokens on one layer while the quadratic attention cost is not.
+//
+// It checks its arguments as ForwardLayerPartial does, on the caller's
+// goroutine, and splits its rows by the same rule: it is that call's
+// first pass.
 func (m *Model) ProjectKV(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache) {
-	cfg := m.Cfg
-	if h.Rows != len(idx) || h.Cols != cfg.Hidden() {
-		panic(fmt.Sprintf("model: hidden shape %dx%d, want %dx%d", h.Rows, h.Cols, len(idx), cfg.Hidden()))
-	}
-	lw, lr := &m.Layer[li], &m.index().layer[li]
+	work := m.check(li, h, idx, c)
 	s := m.getScratch()
 	defer m.scratch.Put(s)
-	normed := sized(&s.normed, cfg.Hidden())
-	angles := sized(&s.angles, cfg.RotaryDims)
-	for r, j := range idx {
-		m.normInto(normed, h.Row(r), lw.AttnGain)
-		if m.Rope != nil {
-			m.Rope.Angles(angles, c.BasePos+j)
-		}
-		m.projectKV(li, j, c, normed, lw, lr, angles)
-	}
+	s.fit(m.Cfg, 0, 0)
+	p := m.begin(s, li, h, idx, c)
+	defer p.end()
+	p.each(s, workers(work), false)
 }
 
 // PrefillResult bundles the outputs of a prefill pass.
@@ -503,10 +552,10 @@ func (m *Model) Prefill(tokens []int, basePos int, wantAttn bool) *PrefillResult
 func (m *Model) Logits(h []float32) []float32 {
 	s := m.getScratch()
 	defer m.scratch.Put(s)
-	normed := sized(&s.normed, len(h))
-	m.normInto(normed, h, m.FinalGain)
+	s.fit(m.Cfg, 0, 0)
+	m.normInto(s.normed, h, m.FinalGain)
 	out := make([]float32, m.Cfg.Vocab)
-	tensor.VecMatInto(out, normed, m.LMHead, m.index().lmHead)
+	tensor.VecMatInto(out, s.normed, m.LMHead, m.index().lmHead)
 	return out
 }
 

@@ -3,9 +3,11 @@ package model
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/kvcache"
 	"repro/internal/tensor"
 )
 
@@ -293,6 +295,51 @@ func TestForwardLayerPartialPanics(t *testing.T) {
 	mustPanic("bad shape", func() { m.ForwardLayerPartial(0, h, []int{0}, c, false) })
 	mustPanic("descending idx", func() { m.ForwardLayerPartial(0, h, []int{1, 0}, c, false) })
 	mustPanic("idx out of range", func() { m.ForwardLayerPartial(0, h, []int{0, 9}, c, false) })
+
+	// Split-sized calls, with the fault in the last row, where a helper
+	// goroutine could draw it: each must panic on the caller's goroutine,
+	// before any row runs, so the caches stay zero.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 64
+	big := m.NewCache(n)
+	hb, short := tensor.New(n, testCfg.Hidden()), tensor.New(n-1, testCfg.Hidden())
+	tensor.NewRNG(5).FillNormal(hb, 1)
+	rows := func(last int) []int {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		idx[n-1] = last
+		return idx
+	}
+	if work := n * (n + 1) / 2; work < splitWork {
+		t.Fatalf("a %d-row pass's attended work %d is below splitWork %d", n, work, splitWork)
+	}
+	manyLayers := kvcache.New(testCfg.Layers+1, testCfg.KVDim(), n)
+	wideKV := kvcache.New(testCfg.Layers, testCfg.KVDim()+1, n)
+	for _, f := range []struct {
+		name string
+		call func(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache)
+	}{
+		{"ForwardLayerPartial", func(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache) {
+			m.ForwardLayerPartial(li, h, idx, c, false)
+		}},
+		{"ProjectKV", m.ProjectKV},
+	} {
+		mustPanic(f.name+": bad layer", func() { f.call(testCfg.Layers, hb, rows(n-1), big) })
+		mustPanic(f.name+": bad shape", func() { f.call(0, short, rows(n-1), big) })
+		mustPanic(f.name+": repeated last idx", func() { f.call(0, hb, rows(n-2), big) })
+		mustPanic(f.name+": last idx out of range", func() { f.call(0, hb, rows(n), big) })
+		mustPanic(f.name+": cache of other depth", func() { f.call(0, hb, rows(n-1), manyLayers) })
+		mustPanic(f.name+": cache of other KV width", func() { f.call(0, hb, rows(n-1), wideKV) })
+	}
+	for _, c := range []*kvcache.Cache{big, manyLayers, wideKV} {
+		for li := range c.K {
+			if tensor.L2(c.K[li].Data) != 0 || tensor.L2(c.V[li].Data) != 0 {
+				t.Fatalf("a rejected call wrote layer %d of a %d-layer cache", li, c.NumLayers)
+			}
+		}
+	}
 }
 
 func TestNoRopeNoNormNoFFNConfig(t *testing.T) {
@@ -342,12 +389,17 @@ func TestGQADiffersFromMHA(t *testing.T) {
 }
 
 // TestConcurrentForwardPasses runs prefills on one fresh model from
-// several goroutines at once, so they race to build the weight index and
-// share the scratch pool; every result must equal a sequential prefill on
-// a second model with the same weights.
+// several goroutines at once, so they race to build the weight index,
+// share the scratch pool and, their passes being split-sized, share the
+// helper goroutines; every result must equal a sequential prefill on a
+// second model with the same weights.
 func TestConcurrentForwardPasses(t *testing.T) {
 	m := NewRandom(testCfg, 41)
-	toks := seqTokens(10, testCfg.Vocab, 42)
+	toks := seqTokens(64, testCfg.Vocab, 42)
+	if work := len(toks) * (len(toks) + 1) / 2; work < splitWork {
+		t.Fatalf("a %d-token pass's attended work %d is below splitWork %d", len(toks), work, splitWork)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	want := NewRandom(testCfg, 41).Prefill(toks, 0, true)
 	const workers = 4
 	got := make([]*PrefillResult, workers)
