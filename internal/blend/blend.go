@@ -4,28 +4,41 @@
 // of a small fraction of High-KV-Deviation (HKVD) tokens on each layer
 // (paper §4).
 //
-// The fusion pipeline per request is:
+// A fusion in blend mode runs:
 //
-//  1. Load the chunk caches into one fused cache, with empty rows for the
-//     fresh suffix (the user query), and re-position every chunk's keys
-//     to its offset in the fused input via RoPE re-rotation (§4.3
-//     footnote 3, Appendix A). Only the layers the fusion reads are
+//  1. Assemble: check the input and lay out the fused token sequence, the
+//     chunks in input order and then the fresh suffix (the user query),
+//     with an empty fused cache.
+//  2. Load the chunk caches into the fused cache, and re-position every
+//     chunk's keys to its offset in the fused input via RoPE re-rotation
+//     (§4.3 footnote 3, Appendix A). Only the layers the fusion reads are
 //     loaded, from FirstReadLayer up: the layers below the selection
-//     layer are recomputed for every token (step 2) before attention
+//     layer are recomputed for every token (step 3) before attention
 //     reads them, so their stored KV is never used.
-//  2. Layer 0: recompute every token fully. Layer-0 KV depends only on
+//  3. Layer 0: recompute every token fully. Layer-0 KV depends only on
 //     embeddings, so the stored KV would already be exact (tests assert
 //     this) — what this pass buys is correct *layer-1 inputs* for every
 //     token, which is where cross-chunk attention first flows.
-//  3. Selection layer (layer 1): project fresh K/V for every token, measure
+//  4. Selection layer (layer 1): project fresh K/V for every token, measure
 //     each context token's KV deviation against the loaded cache, and keep
 //     the top r₁ fraction as HKVD tokens (r₁ slightly above the target r).
-//  4. Layers ≥ 2: gradual filtering (§4.3, Figure 9). Only the surviving
+//  5. Layers ≥ 2: gradual filtering (§4.3, Figure 9). Only the surviving
 //     HKVD set is recomputed; its deviation on each layer picks the next,
 //     slightly smaller set, converging to the target ratio r.
 //
+// Steps 3–5 are Recompute. Full recompute runs step 3 on every layer and
+// loads nothing; full reuse loads every layer and recomputes only the
+// suffix.
+//
 // Suffix tokens have no pre-computed KV and are recomputed on every layer
 // unconditionally, exactly like the tail of a prefix-cache hit.
+//
+// Fuse runs Assemble, the load and Recompute back to back. Assemble and
+// Recompute are exported so that a caller can load the chunk KV itself,
+// concurrently with the recompute: Recompute calls a per-layer callback
+// before it first touches a layer's cache, and the callback returns once
+// that layer is loaded. That callback is the synchronize() of the paper's
+// vLLM integration (§6); package engine's pipelined loader uses it.
 package blend
 
 import (
@@ -189,41 +202,64 @@ func FirstReadLayer(mode Mode, requested, layers int) int {
 }
 
 // Fuse combines the chunk caches and suffix into one KV cache according to
-// opts. The input chunk caches are not modified.
+// opts: it assembles the fusion, loads the chunk KV and recomputes with no
+// per-layer callback. The input chunk caches are not modified. It panics
+// on input Assemble rejects.
 func Fuse(in Input, opts Options) *Result {
-	if len(in.Chunks) != len(in.ChunkTokens) {
-		panic(fmt.Sprintf("blend: %d chunk caches but %d chunk token lists", len(in.Chunks), len(in.ChunkTokens)))
+	res, err := Assemble(in)
+	if err != nil {
+		panic(err)
 	}
-	m := in.Model
-	cfg := m.Cfg
-	r := opts.RecomputeRatio
-	if r < 0 {
-		r = 0
-	}
-	if r > 1 {
-		r = 1
-	}
-	sched := opts.ScheduleDecay
-	if sched == nil {
-		sched = DefaultSchedule
-	}
+	load(in, res, opts)
+	Recompute(in.Model, res, opts, nil)
+	return res
+}
 
-	// Assemble the fused token sequence and the loaded (pre-computed)
-	// cache: each chunk's rows at its offset on every layer the fusion
-	// reads, its keys re-positioned in place, and the suffix rows empty.
+// Assemble is the fusion's first step (see the package doc). It checks in
+// against its model and returns the Result the other steps fill: the
+// fused token sequence (the chunks in input order, then the suffix), an
+// empty fused cache and zeroed per-layer statistics. A caller that loads
+// the chunk KV itself, instead of through Fuse, copies each chunk's rows
+// to its offset in the fused cache on every layer from FirstReadLayer up,
+// re-positioning its keys to that offset (kvcache.Cache.RotateKeys).
+func Assemble(in Input) (*Result, error) {
+	m := in.Model
+	if m == nil {
+		return nil, fmt.Errorf("blend: nil model")
+	}
+	if len(in.Chunks) != len(in.ChunkTokens) {
+		return nil, fmt.Errorf("blend: %d chunk caches but %d chunk token lists", len(in.Chunks), len(in.ChunkTokens))
+	}
+	cfg := m.Cfg
 	var tokens []int
 	for ci, cc := range in.Chunks {
 		if cc.Tokens != len(in.ChunkTokens[ci]) {
-			panic(fmt.Sprintf("blend: chunk %d cache has %d tokens, text has %d", ci, cc.Tokens, len(in.ChunkTokens[ci])))
+			return nil, fmt.Errorf("blend: chunk %d cache has %d tokens, text has %d", ci, cc.Tokens, len(in.ChunkTokens[ci]))
 		}
 		if cc.NumLayers != cfg.Layers || cc.KVDim != cfg.KVDim() {
-			panic(fmt.Sprintf("blend: chunk %d cache is %d layers × %d, model is %d × %d", ci, cc.NumLayers, cc.KVDim, cfg.Layers, cfg.KVDim()))
+			return nil, fmt.Errorf("blend: chunk %d cache is %d layers × %d, model is %d × %d", ci, cc.NumLayers, cc.KVDim, cfg.Layers, cfg.KVDim())
 		}
 		tokens = append(tokens, in.ChunkTokens[ci]...)
 	}
 	suffixStart := len(tokens)
 	tokens = append(tokens, in.SuffixTokens...)
-	fused := m.NewCache(len(tokens))
+	return &Result{
+		Cache:            m.NewCache(len(tokens)),
+		SuffixStart:      suffixStart,
+		Tokens:           tokens,
+		SelectedPerLayer: make([]int, cfg.Layers),
+		HKVD:             make([][]int, cfg.Layers),
+		DeviationByToken: make([]float64, len(tokens)),
+	}, nil
+}
+
+// load is the fusion's second step: it copies each chunk's rows to its
+// offset in res.Cache on every layer the fusion reads, and re-positions
+// the copied keys in place.
+func load(in Input, res *Result, opts Options) {
+	m := in.Model
+	cfg := m.Cfg
+	fused := res.Cache
 	first := FirstReadLayer(opts.Mode, opts.SelectionLayer, cfg.Layers)
 	angles := make([]float32, cfg.RotaryDims)
 	off := 0
@@ -243,25 +279,47 @@ func Fuse(in Input, opts Options) *Result {
 		}
 		off += cc.Tokens
 	}
+}
 
-	res := &Result{
-		Cache:            fused,
-		SuffixStart:      suffixStart,
-		Tokens:           tokens,
-		SelectedPerLayer: make([]int, cfg.Layers),
-		HKVD:             make([][]int, cfg.Layers),
-		DeviationByToken: make([]float64, len(tokens)),
+// Recompute is the fusion's last step: it runs opts.Mode's recompute over
+// an assembled res whose cache holds the loaded chunk KV, and fills in the
+// suffix hidden rows and the statistics. If ready is not nil, Recompute
+// calls it once per layer, for layers 0 to Layers-1 in ascending order,
+// before it first touches that layer's cache; on the selection layer that
+// is before it snapshots the loaded rows to measure deviation. Layer li's
+// chunk KV, if li ≥ FirstReadLayer, must be in res.Cache when ready(li)
+// returns, so a loader may fill the cache concurrently and ready is the
+// per-layer synchronize() of paper §6. Fuse loads first and passes nil.
+func Recompute(m *model.Model, res *Result, opts Options, ready func(li int)) {
+	if ready == nil {
+		ready = func(int) {}
 	}
-
-	switch opts.Mode {
-	case ModeFullRecompute:
-		fuseFullRecompute(m, res, opts)
-	case ModeFullReuse:
-		fuseFullReuse(m, res, opts)
-	default:
-		fuseBlend(m, res, SelectionLayer(opts.SelectionLayer, cfg.Layers), r, sched, opts)
+	if opts.Mode == ModeFullReuse {
+		fuseFullReuse(m, res, opts, ready)
+		return
 	}
-	return res
+	// Full recompute, and blend below its selection layer, recompute
+	// every token, into rows no loader fills. For blend this establishes
+	// correct selection-layer inputs; on layer 0 the written KV matches
+	// what loading would have given (position-recovered) because layer-0
+	// K/V depend only on embeddings.
+	full := FirstReadLayer(opts.Mode, opts.SelectionLayer, m.Cfg.Layers)
+	idx := allIdx(len(res.Tokens))
+	h := m.EmbedTokens(res.Tokens)
+	for li := 0; li < full; li++ {
+		ready(li)
+		var attn *tensor.Matrix
+		h, attn = m.ForwardLayerPartial(li, h, idx, res.Cache, opts.CollectAttention)
+		res.appendSuffixAttn(attn, idx, opts)
+		res.SelectedPerLayer[li] = res.SuffixStart
+		res.HKVD[li] = idx[:res.SuffixStart]
+		res.ComputedTokenLayers += len(idx)
+	}
+	if full == m.Cfg.Layers {
+		res.Hidden = rowsFor(h, idx, res.suffixIdx())
+		return
+	}
+	fuseBlend(m, res, full, h, idx, opts, ready)
 }
 
 // suffixIdx returns [suffixStart, len(tokens)).
@@ -281,24 +339,11 @@ func allIdx(n int) []int {
 	return idx
 }
 
-func fuseFullRecompute(m *model.Model, res *Result, opts Options) {
-	idx := allIdx(len(res.Tokens))
-	h := m.EmbedTokens(res.Tokens)
-	for li := 0; li < m.Cfg.Layers; li++ {
-		var attn *tensor.Matrix
-		h, attn = m.ForwardLayerPartial(li, h, idx, res.Cache, opts.CollectAttention)
-		res.appendSuffixAttn(attn, idx, opts)
-		res.SelectedPerLayer[li] = res.SuffixStart
-		res.HKVD[li] = idx[:res.SuffixStart]
-		res.ComputedTokenLayers += len(idx)
-	}
-	res.Hidden = extractRows(h, idx, res.suffixIdx())
-}
-
-func fuseFullReuse(m *model.Model, res *Result, opts Options) {
+func fuseFullReuse(m *model.Model, res *Result, opts Options, ready func(int)) {
 	idx := res.suffixIdx()
 	h := m.EmbedTokens(res.Tokens[res.SuffixStart:])
 	for li := 0; li < m.Cfg.Layers; li++ {
+		ready(li)
 		var attn *tensor.Matrix
 		h, attn = m.ForwardLayerPartial(li, h, idx, res.Cache, opts.CollectAttention)
 		if opts.CollectAttention {
@@ -309,42 +354,38 @@ func fuseFullReuse(m *model.Model, res *Result, opts Options) {
 	res.Hidden = h
 }
 
-// fuseBlend runs the selective recompute, selecting on layer selLayer.
-func fuseBlend(m *model.Model, res *Result, selLayer int, r float64, sched []float64, opts Options) {
+// fuseBlend runs the selective recompute from selLayer up; h holds the
+// selLayer input rows of every token, idx.
+func fuseBlend(m *model.Model, res *Result, selLayer int, h *tensor.Matrix, idx []int, opts Options, ready func(int)) {
 	cfg := m.Cfg
 	total := len(res.Tokens)
 	ctxLen := res.SuffixStart
-
-	// Layers below the selection layer: full recompute of every token,
-	// into rows Fuse left empty. This establishes correct selection-layer
-	// inputs; on layer 0 the written KV matches what loading would have
-	// given (position-recovered) because layer-0 K/V depend only on
-	// embeddings.
-	idx := allIdx(total)
-	h := m.EmbedTokens(res.Tokens)
-	var attn *tensor.Matrix
-	for li := 0; li < selLayer; li++ {
-		h, attn = m.ForwardLayerPartial(li, h, idx, res.Cache, opts.CollectAttention)
-		res.appendSuffixAttn(attn, idx, opts)
-		res.SelectedPerLayer[li] = ctxLen
-		res.HKVD[li] = idx[:ctxLen]
-		res.ComputedTokenLayers += total
+	r := opts.RecomputeRatio
+	if r < 0 {
+		r = 0
+	}
+	if r > 1 {
+		r = 1
+	}
+	sched := opts.ScheduleDecay
+	if sched == nil {
+		sched = DefaultSchedule
 	}
 
 	// Selection layer: fresh K/V for every token to measure the
 	// per-token KV deviation against the loaded cache, then pick HKVD.
 	// preK/preV snapshot the loaded rows here and, on every later layer,
 	// the rows of the surviving candidates.
+	ready(selLayer)
 	preK := res.Cache.K[selLayer].Clone()
 	preV := res.Cache.V[selLayer].Clone()
 	m.ProjectKV(selLayer, h, idx, res.Cache)
 	res.ProjectedTokenLayers += total
-	dev := make([]float64, ctxLen)
-	for j := 0; j < ctxLen; j++ {
+	dev := res.DeviationByToken[:ctxLen]
+	for j := range dev {
 		dk := tensor.L2Diff(res.Cache.K[selLayer].Row(j), preK.Row(j))
 		dv := tensor.L2Diff(res.Cache.V[selLayer].Row(j), preV.Row(j))
 		dev[j] = dk + dv
-		res.DeviationByToken[j] = dev[j]
 	}
 
 	ratioAt := func(step int) float64 {
@@ -374,8 +415,10 @@ func fuseBlend(m *model.Model, res *Result, selLayer int, r float64, sched []flo
 	sort.Ints(hkvd)
 
 	// Recompute attention+FFN on the selection layer for HKVD ∪ suffix.
-	sel := append(append([]int{}, hkvd...), res.suffixIdx()...)
-	hs := extractRows(h, idx, sel)
+	suffix := res.suffixIdx()
+	sel := append(append([]int{}, hkvd...), suffix...)
+	hs := rowsFor(h, idx, sel)
+	var attn *tensor.Matrix
 	hs, attn = m.ForwardLayerPartial(selLayer, hs, sel, res.Cache, opts.CollectAttention)
 	res.appendSuffixAttn(attn, sel, opts)
 	res.SelectedPerLayer[selLayer] = len(hkvd)
@@ -386,6 +429,7 @@ func fuseBlend(m *model.Model, res *Result, selLayer int, r float64, sched []flo
 	cur := sel
 	curCtx := hkvd
 	for li, step := selLayer+1, 1; li < cfg.Layers; li, step = li+1, step+1 {
+		ready(li)
 		if len(curCtx) > 0 {
 			var next []int
 			if opts.DisableGradualFilter || opts.RandomSelection {
@@ -432,16 +476,20 @@ func fuseBlend(m *model.Model, res *Result, selLayer int, r float64, sched []flo
 			}
 			curCtx = next
 		}
-		sel = append(append([]int{}, curCtx...), res.suffixIdx()...)
-		hs = rowsFor(hs, cur, sel)
-		hs, attn = m.ForwardLayerPartial(li, hs, sel, res.Cache, opts.CollectAttention)
-		res.appendSuffixAttn(attn, sel, opts)
+		// The kept rows are a subset of cur, so a set of the same size is
+		// the same set and its hidden rows are already in place.
+		if len(curCtx)+len(suffix) < len(cur) {
+			sel = append(append([]int{}, curCtx...), suffix...)
+			hs = rowsFor(hs, cur, sel)
+			cur = sel
+		}
+		hs, attn = m.ForwardLayerPartial(li, hs, cur, res.Cache, opts.CollectAttention)
+		res.appendSuffixAttn(attn, cur, opts)
 		res.SelectedPerLayer[li] = len(curCtx)
 		res.HKVD[li] = curCtx
-		res.ComputedTokenLayers += len(sel)
-		cur = sel
+		res.ComputedTokenLayers += len(cur)
 	}
-	res.Hidden = rowsFor(hs, cur, res.suffixIdx())
+	res.Hidden = rowsFor(hs, cur, suffix)
 }
 
 // appendSuffixAttn stores the suffix rows of a layer attention matrix.
@@ -450,12 +498,6 @@ func (r *Result) appendSuffixAttn(attn *tensor.Matrix, idx []int, opts Options) 
 		return
 	}
 	r.Attn = append(r.Attn, rowsFor(attn, idx, r.suffixIdx()))
-}
-
-// extractRows returns the rows of h (whose rows correspond to from) for
-// the positions in want, which must be a subset of from.
-func extractRows(h *tensor.Matrix, from, want []int) *tensor.Matrix {
-	return rowsFor(h, from, want)
 }
 
 // rowsFor maps positions to rows: h's rows correspond to sorted positions

@@ -6,10 +6,17 @@
 //	                         chunk's KV cache "into GPU memory" (here: into
 //	                         the fused cache), paying the storage device's
 //	                         simulated read latency;
-//	prefill_layer(...)     → the fusor running the selective recompute of
-//	                         one layer on the transformer substrate;
-//	synchronize()          → the per-layer barrier: the fusor blocks until
-//	                         the layer's KV has finished loading.
+//	prefill_layer(...)     → blend's fusor, blend.Recompute, which runs the
+//	                         selective recompute layer by layer on the
+//	                         transformer substrate;
+//	synchronize()          → the per-layer barrier: Recompute's per-layer
+//	                         callback, which blocks until the layer's KV
+//	                         has finished loading.
+//
+// The engine owns fetch_kv and synchronize(), the device delay and the
+// timeline; the recompute is blend's own code. It selects HKVD tokens once,
+// on the selection layer, at the flat ratio RecomputeRatio, and keeps that
+// set on every deeper layer (blend's DisableGradualFilter).
 //
 // The loader fetches only the layers the fusor reads, from the selection
 // layer up (blend.FirstReadLayer): every layer below it is recomputed for
@@ -30,7 +37,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/blend"
@@ -95,15 +101,13 @@ type Result struct {
 	SelectedPerLayer []int
 }
 
-// Run executes the fusion pipeline for one request.
+// Run executes the fusion pipeline for one request: blend.Assemble, then
+// blend.Recompute with a loader goroutine (or, unpipelined, a load per
+// layer) filling the fused cache ahead of it. Its outputs are bit for bit
+// those of blend.Fuse with a flat ScheduleDecay and DisableGradualFilter,
+// except that its loader also rotates keys by a zero position delta,
+// which can turn a -0 key entry into +0.
 func (cfg Config) Run(req Request) (*Result, error) {
-	m := cfg.Model
-	if m == nil {
-		return nil, fmt.Errorf("engine: nil model")
-	}
-	if len(req.Chunks) != len(req.ChunkTokens) {
-		return nil, fmt.Errorf("engine: %d caches vs %d token lists", len(req.Chunks), len(req.ChunkTokens))
-	}
 	if cfg.TimeScale < 0 {
 		return nil, fmt.Errorf("engine: negative time scale %v", cfg.TimeScale)
 	}
@@ -112,32 +116,20 @@ func (cfg Config) Run(req Request) (*Result, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 	}
+	m := cfg.Model
+	fus, err := blend.Assemble(blend.Input{Model: m, Chunks: req.Chunks,
+		ChunkTokens: req.ChunkTokens, SuffixTokens: req.SuffixTokens})
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	mc := m.Cfg
-	selLayer := blend.SelectionLayer(cfg.SelectionLayer, mc.Layers)
+	fused := fus.Cache
 	firstLoad := blend.FirstReadLayer(blend.ModeBlend, cfg.SelectionLayer, mc.Layers)
-
-	// Assemble the fused token sequence and allocate the (empty) fused
-	// cache; the loader fills it layer by layer.
-	var tokens []int
-	starts := make([]int, len(req.Chunks))
-	off := 0
+	// Every layer holds the same bytes, so every fetch waits the same.
 	var layerBytes int64
-	for ci, cc := range req.Chunks {
-		if cc.Tokens != len(req.ChunkTokens[ci]) {
-			return nil, fmt.Errorf("engine: chunk %d cache/token mismatch", ci)
-		}
-		if cc.NumLayers != mc.Layers || cc.KVDim != mc.KVDim() {
-			return nil, fmt.Errorf("engine: chunk %d cache is %d layers × %d, model is %d × %d", ci, cc.NumLayers, cc.KVDim, mc.Layers, mc.KVDim())
-		}
-		starts[ci] = off
-		tokens = append(tokens, req.ChunkTokens[ci]...)
-		off += cc.Tokens
+	for _, cc := range req.Chunks {
 		layerBytes += cc.LayerBytes()
 	}
-	suffixStart := off
-	tokens = append(tokens, req.SuffixTokens...)
-	fused := m.NewCache(len(tokens))
-	// Every layer holds the same bytes, so every fetch waits the same.
 	var delay time.Duration
 	if cfg.TimeScale > 0 && layerBytes > 0 {
 		ns := cfg.Device.ReadTime(layerBytes) * float64(cfg.TimeScale)
@@ -164,16 +156,17 @@ func (cfg Config) Run(req Request) (*Result, error) {
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		for ci, cc := range req.Chunks {
-			base := starts[ci]
-			copy(fused.K[li].Data[base*fused.KVDim:], cc.K[li].Data)
-			copy(fused.V[li].Data[base*fused.KVDim:], cc.V[li].Data)
+		off := 0
+		for _, cc := range req.Chunks {
+			copy(fused.K[li].Data[off*fused.KVDim:], cc.K[li].Data)
+			copy(fused.V[li].Data[off*fused.KVDim:], cc.V[li].Data)
 			if m.Rope != nil {
 				// Unlike blend.Fuse, a zero delta is rotated too, which
 				// can turn a -0 key entry into +0.
-				m.Rope.Angles(angles, base-cc.BasePos)
-				fused.RotateKeys(li, base, base+cc.Tokens, mc.KVHeads, mc.HeadDim, angles)
+				m.Rope.Angles(angles, off-cc.BasePos)
+				fused.RotateKeys(li, off, off+cc.Tokens, mc.KVHeads, mc.HeadDim, angles)
 			}
+			off += cc.Tokens
 		}
 		timings[li].LoadDone = time.Since(start)
 		close(loaded[li])
@@ -189,7 +182,12 @@ func (cfg Config) Run(req Request) (*Result, error) {
 		}()
 	}
 
+	// prefill_layer is blend's fusor. It calls synchronize(li) before it
+	// first touches layer li, so layer li-1's compute is done by then.
 	synchronize := func(li int) {
+		if li > 0 {
+			timings[li-1].ComputeDone = time.Since(start)
+		}
 		switch {
 		case li < firstLoad:
 			// Recomputed for every token: nothing to wait for.
@@ -199,61 +197,19 @@ func (cfg Config) Run(req Request) (*Result, error) {
 			<-loaded[li]
 		}
 	}
+	blend.Recompute(m, fus, blend.Options{Mode: blend.ModeBlend, RecomputeRatio: cfg.RecomputeRatio,
+		SelectionLayer: cfg.SelectionLayer, ScheduleDecay: []float64{1}, DisableGradualFilter: true}, synchronize)
+	timings[mc.Layers-1].ComputeDone = time.Since(start)
 
-	// The fusor: same algorithm as blend.Fuse, expressed against the
-	// synchronize/prefill_layer interfaces.
-	res := &Result{
+	return &Result{
 		Cache:            fused,
-		SuffixStart:      suffixStart,
-		Tokens:           tokens,
-		SelectedPerLayer: make([]int, mc.Layers),
-	}
-	ctxLen := suffixStart
-	total := len(tokens)
-	idx := allIdx(total)
-	h := m.EmbedTokens(tokens)
-
-	// Full recompute below the selection layer.
-	for li := 0; li < selLayer; li++ {
-		synchronize(li)
-		h, _ = m.ForwardLayerPartial(li, h, idx, fused, false)
-		res.SelectedPerLayer[li] = ctxLen
-		timings[li].ComputeDone = time.Since(start)
-	}
-
-	// Selection layer: measure deviation, pick HKVD.
-	synchronize(selLayer)
-	preK := fused.K[selLayer].Clone()
-	preV := fused.V[selLayer].Clone()
-	m.ProjectKV(selLayer, h, idx, fused)
-	dev := make([]float64, ctxLen)
-	for j := 0; j < ctxLen; j++ {
-		dev[j] = tensor.L2Diff(fused.K[selLayer].Row(j), preK.Row(j)) +
-			tensor.L2Diff(fused.V[selLayer].Row(j), preV.Row(j))
-	}
-	keep := int(cfg.RecomputeRatio*float64(ctxLen) + 0.5)
-	hkvd := kvcache.TopKIndices(dev, keep)
-	sort.Ints(hkvd)
-
-	sel := append(append([]int{}, hkvd...), suffixIdx(suffixStart, total)...)
-	hs := rowsFor(h, idx, sel)
-	hs, _ = m.ForwardLayerPartial(selLayer, hs, sel, fused, false)
-	res.SelectedPerLayer[selLayer] = len(hkvd)
-	timings[selLayer].ComputeDone = time.Since(start)
-
-	// Remaining layers: recompute the fixed HKVD ∪ suffix set (the
-	// engine demonstrates pipelining; gradual filtering lives in blend).
-	for li := selLayer + 1; li < mc.Layers; li++ {
-		synchronize(li)
-		hs, _ = m.ForwardLayerPartial(li, hs, sel, fused, false)
-		res.SelectedPerLayer[li] = len(hkvd)
-		timings[li].ComputeDone = time.Since(start)
-	}
-
-	res.Hidden = rowsFor(hs, sel, suffixIdx(suffixStart, total))
-	res.Wall = time.Since(start)
-	res.Layers = timings
-	return res, nil
+		Hidden:           fus.Hidden,
+		SuffixStart:      fus.SuffixStart,
+		Tokens:           fus.Tokens,
+		Wall:             time.Since(start),
+		Layers:           timings,
+		SelectedPerLayer: fus.SelectedPerLayer,
+	}, nil
 }
 
 // PipelineTime is the analytic model of a loader/fusor pipeline: the
@@ -318,37 +274,4 @@ func ChunkedStepTime(slice, decodeUnit float64, prefillers, decoders int, prefil
 		pace = decodeUnit
 	}
 	return pace * (1 + prefillMarginal*float64(prefillers-1) + decodeMarginal*float64(decoders))
-}
-
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-func suffixIdx(start, total int) []int {
-	idx := make([]int, total-start)
-	for i := range idx {
-		idx[i] = start + i
-	}
-	return idx
-}
-
-// rowsFor extracts the rows of h (rows keyed by sorted positions `from`)
-// for positions `want` ⊆ from.
-func rowsFor(h *tensor.Matrix, from, want []int) *tensor.Matrix {
-	out := tensor.New(len(want), h.Cols)
-	fi := 0
-	for wi, w := range want {
-		for fi < len(from) && from[fi] < w {
-			fi++
-		}
-		if fi >= len(from) || from[fi] != w {
-			panic(fmt.Sprintf("engine: position %d missing from row set", w))
-		}
-		copy(out.Row(wi), h.Row(fi))
-	}
-	return out
 }

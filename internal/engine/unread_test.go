@@ -162,3 +162,55 @@ func TestRunRejectsUntimeableDelays(t *testing.T) {
 		t.Fatal("a chunk cache with the wrong layer count must error")
 	}
 }
+
+// TestRecomputeCallsReadyPerLayer drives blend's fusor as Run does:
+// Assemble, then Recompute with a per-layer callback that loads layer li
+// only when it is called, and only from FirstReadLayer up. The callback
+// must run once per layer in ascending order, and each of the three modes
+// must give Fuse's result, so no layer is touched before its callback.
+func TestRecomputeCallsReadyPerLayer(t *testing.T) {
+	for _, dc := range digestCases()[:2] {
+		m, req := dc.m, dc.req
+		mc := m.Cfg
+		in := blend.Input{Model: m, Chunks: req.Chunks, ChunkTokens: req.ChunkTokens, SuffixTokens: req.SuffixTokens}
+		for _, mode := range []blend.Mode{blend.ModeBlend, blend.ModeFullReuse, blend.ModeFullRecompute} {
+			opts := blend.Options{Mode: mode, RecomputeRatio: 0.15, SelectionLayer: dc.selLayer}
+			res, err := blend.Assemble(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := blend.FirstReadLayer(mode, dc.selLayer, mc.Layers)
+			angles := make([]float32, mc.RotaryDims)
+			var calls []int
+			blend.Recompute(m, res, opts, func(li int) {
+				calls = append(calls, li)
+				if li < first {
+					return
+				}
+				// Fuse's load of layer li: a zero delta is not rotated.
+				off := 0
+				for _, cc := range req.Chunks {
+					copy(res.Cache.K[li].Data[off*mc.KVDim():], cc.K[li].Data)
+					copy(res.Cache.V[li].Data[off*mc.KVDim():], cc.V[li].Data)
+					if m.Rope != nil && off != cc.BasePos {
+						m.Rope.Angles(angles, off-cc.BasePos)
+						res.Cache.RotateKeys(li, off, off+cc.Tokens, mc.KVHeads, mc.HeadDim, angles)
+					}
+					off += cc.Tokens
+				}
+			})
+			if len(calls) != mc.Layers {
+				t.Errorf("%s %s: %d callbacks for %d layers: %v", mc.Name, mode, len(calls), mc.Layers, calls)
+			}
+			for i, li := range calls {
+				if li != i {
+					t.Errorf("%s %s: callbacks in order %v", mc.Name, mode, calls)
+					break
+				}
+			}
+			if got, want := fuseDigest(res), fuseDigest(blend.Fuse(in, opts)); got != want {
+				t.Errorf("%s %s: recompute behind the callback differs from Fuse", mc.Name, mode)
+			}
+		}
+	}
+}

@@ -14,6 +14,9 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	truncated := append([]byte(nil), good...)
 	truncated = truncated[:len(truncated)-1]
 	f.Add(truncated)
+	for _, h := range oversizedHeaders() {
+		f.Add(h)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Cache
 		if err := c.UnmarshalBinary(data); err != nil {

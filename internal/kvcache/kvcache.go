@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/rope"
 	"repro/internal/tensor"
@@ -150,6 +151,10 @@ func (c *Cache) LayerBytes() int64 {
 
 const magic = uint32(0x4b564342) // "KVCB"
 
+// maxLayers bounds the layer count UnmarshalBinary accepts, far above any
+// real model's.
+const maxLayers = 1 << 12
+
 // MarshalBinary serialises the cache with a fixed header followed by raw
 // little-endian float32 K and V planes, layer by layer.
 func (c *Cache) MarshalBinary() ([]byte, error) {
@@ -187,9 +192,16 @@ func (c *Cache) UnmarshalBinary(data []byte) error {
 	kvDim := int(binary.LittleEndian.Uint32(data[8:]))
 	tokens := int(binary.LittleEndian.Uint32(data[12:]))
 	base := int(int64(binary.LittleEndian.Uint64(data[16:])))
-	want := 24 + int64(layers)*int64(tokens)*int64(kvDim)*8
-	if int64(len(data)) != want {
-		return fmt.Errorf("kvcache: payload %d bytes, want %d", len(data), want)
+	// A layer of empty planes costs no payload bytes but still two
+	// matrices, so the payload size alone does not bound the layer count.
+	if layers > maxLayers {
+		return fmt.Errorf("kvcache: %d layers, at most %d", layers, maxLayers)
+	}
+	// tokens×kvDim < 2⁶⁴ and layers×8 < 2¹⁶, so their 128-bit product
+	// is the exact payload size.
+	hi, want := bits.Mul64(uint64(tokens)*uint64(kvDim), uint64(layers)*8)
+	if hi != 0 || uint64(len(data)-24) != want {
+		return fmt.Errorf("kvcache: payload %d bytes, want %d×%d×%d×8", len(data)-24, layers, tokens, kvDim)
 	}
 	*c = *New(layers, kvDim, tokens)
 	c.BasePos = base

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -120,6 +121,29 @@ func TestUnmarshalErrors(t *testing.T) {
 	if err := c.UnmarshalBinary(good[:len(good)-4]); err == nil {
 		t.Fatal("truncated payload must error")
 	}
+	// Bare headers whose payload size wraps to 0 in int64, or is 0 for any
+	// layer count: the decoder must reject them before it allocates.
+	for _, h := range oversizedHeaders() {
+		if err := c.UnmarshalBinary(h); err == nil {
+			t.Fatalf("header %x must error", h)
+		}
+	}
+}
+
+// oversizedHeaders returns bare 24-byte headers that declare
+// (2³¹ layers, KV width 4, 2³¹ tokens) and (2³²−1 layers, KV width 0,
+// 7 tokens).
+func oversizedHeaders() [][]byte {
+	var out [][]byte
+	for _, g := range [][3]uint32{{1 << 31, 4, 1 << 31}, {1<<32 - 1, 0, 7}} {
+		h := make([]byte, 24)
+		binary.LittleEndian.PutUint32(h[0:], magic)
+		binary.LittleEndian.PutUint32(h[4:], g[0])
+		binary.LittleEndian.PutUint32(h[8:], g[1])
+		binary.LittleEndian.PutUint32(h[12:], g[2])
+		out = append(out, h)
+	}
+	return out
 }
 
 func TestRotateKeysMatchesDirectRope(t *testing.T) {

@@ -166,13 +166,6 @@ func Add(dst, src []float32) {
 	}
 }
 
-// Scale multiplies every element of x by alpha in place.
-func Scale(x []float32, alpha float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Softmax normalises x in place into a probability distribution using the
 // numerically stable max-subtraction form.
 func Softmax(x []float32) {

@@ -377,10 +377,6 @@ func TestAddScale(t *testing.T) {
 	if y[0] != 8 || y[1] != 11 {
 		t.Fatalf("add got %v", y)
 	}
-	Scale(y, 0.5)
-	if y[0] != 4 || y[1] != 5.5 {
-		t.Fatalf("scale got %v", y)
-	}
 }
 
 func TestRNGDeterminism(t *testing.T) {

@@ -79,9 +79,6 @@ func (s Spec) Prefill(L int) float64 {
 	return s.PrefillLin*l + s.PrefillQuad*l*l
 }
 
-// PrefillLayer returns the per-layer prefill seconds for L tokens.
-func (s Spec) PrefillLayer(L int) float64 { return s.Prefill(L) / float64(s.Layers) }
-
 // Recompute returns T_recompute(r, LLM, L) = r × Prefill(LLM, L): the
 // selective-recompute cost at ratio r (paper footnote 5).
 func (s Spec) Recompute(r float64, L int) float64 { return r * s.Prefill(L) }

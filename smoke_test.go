@@ -52,8 +52,8 @@ func TestBuildAllMains(t *testing.T) {
 	}
 }
 
-// TestExamplesRunEndToEnd executes the quickstart and rag_pipeline
-// examples and checks for their expected output shape.
+// TestExamplesRunEndToEnd executes the quickstart, rag_pipeline and
+// pipelined_fusion examples and checks for their expected output shape.
 func TestExamplesRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs example binaries")
@@ -64,6 +64,7 @@ func TestExamplesRunEndToEnd(t *testing.T) {
 	}{
 		{"./examples/quickstart", []string{"question:", "answer:"}},
 		{"./examples/rag_pipeline", []string{"scheme", "cacheblend", "full-recompute"}},
+		{"./examples/pipelined_fusion", []string{"pipelined", "sequential", "saved"}},
 	}
 	for _, c := range cases {
 		c := c
