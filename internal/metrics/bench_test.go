@@ -1,0 +1,29 @@
+package metrics
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// BenchmarkPercentile times one p95 over 1k and 100k lognormal samples:
+// a serving run's TTFTs, and the TBTs of a decode-heavy one. Each call
+// copies its input, so ns/sample includes the copy.
+func BenchmarkPercentile(b *testing.B) {
+	for _, n := range []int{1000, 100_000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			g := rand.New(rand.NewSource(1))
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = math.Exp(g.NormFloat64())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Percentile(x, 95)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
+		})
+	}
+}

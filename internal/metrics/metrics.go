@@ -7,6 +7,8 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -173,28 +175,120 @@ func CoefVar(x []float64) float64 {
 // interpolation between order statistics. Degenerate inputs are
 // well-defined — the serving runtime's decode metrics hit them routinely
 // (zero-generation requests produce no TBT samples, one decode step
-// produces exactly one): an empty slice returns 0 for every p, a
-// single-element slice returns that element for every p, and p is
-// clamped to [0, 100] (p ≤ 0 returns the minimum, p ≥ 100 the maximum).
+// produces exactly one): an empty slice returns 0 for every p; otherwise
+// a NaN p returns NaN, a single-element slice returns that element for
+// every other p, and p is clamped to [0, 100] (p ≤ 0 returns the minimum,
+// p ≥ 100 the maximum). NaN samples order below every number, as
+// sort.Float64s orders them.
+//
+// x is not modified: Percentile selects the one or two order statistics
+// it interpolates from a copy of x in linear expected time, and returns
+// what interpolating a sorted copy would.
 func Percentile(x []float64, p float64) float64 {
 	if len(x) == 0 {
 		return 0
 	}
+	if math.IsNaN(p) {
+		return p
+	}
 	s := append([]float64(nil), x...)
-	sort.Float64s(s)
+	// Move the NaNs to the front, where sorting would put them.
+	nans := 0
+	for i, v := range s {
+		if v != v {
+			s[i], s[nans] = s[nans], v
+			nans++
+		}
+	}
+	n := len(s)
 	if p <= 0 {
-		return s[0]
+		if nans > 0 {
+			return s[0]
+		}
+		return slices.Min(s)
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		if nans == n {
+			return s[n-1]
+		}
+		return slices.Max(s[nans:])
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := p / 100 * float64(n-1)
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
+	if lo < nans {
+		return s[lo] // NaN, and so is any interpolation with it
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	num, k := s[nans:], lo-nans
+	selectNth(num, 0, len(num)-1, k)
+	if lo+1 >= n {
+		return num[k]
+	}
+	// Everything after num[k] is ≥ it, so the next order statistic is the
+	// smallest of them.
+	return num[k]*(1-frac) + slices.Min(num[k+1:])*frac
+}
+
+// selectNth reorders s[left:right+1], which holds no NaN, so that s[k]
+// is the value sorting that range would put there, no larger value
+// precedes it and no smaller one follows. It is Floyd and Rivest's
+// SELECT (CACM 18(3), 1975): a range over 600 long first selects k
+// within a sample around k, sized n^(2/3), whose result is the pivot,
+// so one partition pass usually leaves only a short range around k.
+// After 2·log2(n) passes it sorts what remains, bounding the worst case
+// at O(n log n).
+func selectNth(s []float64, left, right, k int) {
+	for budget := 2 * bits.Len(uint(right-left+1)); left < right; budget-- {
+		if budget == 0 {
+			sort.Float64s(s[left : right+1])
+			return
+		}
+		if right-left > 600 {
+			n := float64(right - left + 1)
+			i := float64(k - left + 1)
+			z := math.Log(n)
+			size := 0.5 * math.Exp(2*z/3)
+			sd := 0.5 * math.Sqrt(z*size*(n-size)/n)
+			if i < n/2 {
+				sd = -sd
+			}
+			lo := max(left, int(math.Floor(float64(k)-i*size/n+sd)))
+			hi := min(right, int(math.Floor(float64(k)+(n-i)*size/n+sd)))
+			selectNth(s, lo, hi, k)
+		}
+		// Hoare partition around t = s[k]. After the first swap s[left]
+		// ≤ t ≤ s[right], which stops both scans inside the range.
+		t := s[k]
+		i, j := left, right
+		s[left], s[k] = s[k], s[left]
+		if s[right] > t {
+			s[left], s[right] = s[right], s[left]
+		}
+		for i < j {
+			s[i], s[j] = s[j], s[i]
+			i++
+			j--
+			for s[i] < t {
+				i++
+			}
+			for s[j] > t {
+				j--
+			}
+		}
+		// Put t in its sorted place j.
+		if s[left] == t {
+			s[left], s[j] = s[j], s[left]
+		} else {
+			j++
+			s[j], s[right] = s[right], s[j]
+		}
+		if j <= k {
+			left = j + 1
+		}
+		if k <= j {
+			right = j - 1
+		}
+	}
 }
 
 // CDFPoint is one point of an empirical CDF.

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,9 +171,132 @@ func TestMeanPercentileDegenerate(t *testing.T) {
 	if Percentile(x, -5) != 1 || Percentile(x, 400) != 2 {
 		t.Fatal("out-of-range p must clamp to min/max")
 	}
-	// The input slice is never mutated (Percentile sorts a copy).
+	// A NaN p has no rank: NaN for any sample, still 0 for none.
+	for _, xs := range [][]float64{{3.5}, x} {
+		if got := Percentile(xs, math.NaN()); !math.IsNaN(got) {
+			t.Fatalf("Percentile(%v, NaN) = %v, want NaN", xs, got)
+		}
+	}
+	if got := Percentile(nil, math.NaN()); got != 0 {
+		t.Fatalf("Percentile(nil, NaN) = %v, want 0", got)
+	}
+	// The input slice is never mutated (Percentile selects from a copy).
 	if x[0] != 2 || x[1] != 1 {
 		t.Fatal("Percentile mutated its input")
+	}
+}
+
+// percentileSorted is Percentile as it was before it stopped sorting: a
+// sorted copy, interpolated. FuzzPercentile holds Percentile to it.
+func percentileSorted(x []float64, p float64) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), x...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	pos := p / 100 * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	frac := pos - float64(lo)
+	if lo+1 >= len(s) {
+		return s[lo]
+	}
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// specialValues are the samples FuzzPercentile mixes in: NaN, both
+// infinities and zeros, and the extremes of the float64 range.
+var specialValues = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+
+// FuzzPercentile checks that Percentile returns what interpolating a
+// sorted copy returns — equal under ==, or NaN for both — and never
+// modifies its input. The fuzzer picks a sample of 0 to 2000 values, how
+// many of them are special values, how many distinct values the rest tie
+// on (0 = no ties), the sample's layout (as drawn, ascending, descending,
+// or ascending runs of 50, like a run's time-ordered latencies) and p in
+// [-10, 110].
+func FuzzPercentile(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(0), uint8(0), uint8(0), uint16(600))       // empty
+	f.Add(int64(2), uint16(1), uint8(0), uint8(0), uint8(0), uint16(1050))      // one sample
+	f.Add(int64(3), uint16(2), uint8(0), uint8(0), uint8(0), uint16(850))       // two samples, p 75
+	f.Add(int64(4), uint16(1000), uint8(0), uint8(0), uint8(0), uint16(1050))   // p 95, no ties
+	f.Add(int64(5), uint16(2000), uint8(3), uint8(0), uint8(0), uint16(600))    // median of three values
+	f.Add(int64(6), uint16(2000), uint8(1), uint8(0), uint8(0), uint16(1097))   // all equal
+	f.Add(int64(7), uint16(1500), uint8(20), uint8(64), uint8(0), uint16(1051)) // ties and specials
+	f.Add(int64(8), uint16(300), uint8(0), uint8(255), uint8(0), uint16(377))   // specials only
+	f.Add(int64(9), uint16(999), uint8(5), uint8(16), uint8(0), uint16(0))      // p -10
+	f.Add(int64(10), uint16(999), uint8(5), uint8(16), uint8(0), uint16(1200))  // p 110
+	f.Add(int64(11), uint16(64), uint8(2), uint8(128), uint8(0), uint16(100))   // p 0
+	f.Add(int64(12), uint16(64), uint8(2), uint8(128), uint8(0), uint16(1100))  // p 100
+	f.Add(int64(13), uint16(2000), uint8(0), uint8(8), uint8(1), uint16(1050))  // ascending
+	f.Add(int64(14), uint16(2000), uint8(0), uint8(0), uint8(2), uint16(1050))  // descending
+	f.Add(int64(15), uint16(2000), uint8(9), uint8(0), uint8(3), uint16(1049))  // runs
+
+	f.Fuzz(func(t *testing.T, seed int64, rawN uint16, ties, specials, layout uint8, rawP uint16) {
+		checkPercentile(t, seed, int(rawN%2001), ties, specials, layout, float64(rawP%1201)/10-10)
+	})
+}
+
+// TestPercentileMatchesSort runs FuzzPercentile's check over a fixed grid
+// of sizes, value mixes, layouts and percentiles.
+func TestPercentileMatchesSort(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 10, 601, 1034, 2000} {
+		for _, ties := range []uint8{0, 3} {
+			for _, specials := range []uint8{0, 16} {
+				for layout := uint8(0); layout < 4; layout++ {
+					for _, p := range []float64{-10, 0, 4.5, 25, 50, 75, 90, 95, 99, 100, 110} {
+						checkPercentile(t, int64(n)+int64(p), n, ties, specials, layout, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkPercentile draws a sample of n values from seed — specials/256 of
+// them special values, the rest tied on `ties` distinct values (0 = no
+// ties), laid out as drawn, ascending, descending or in ascending runs of
+// 50 — and checks Percentile against percentileSorted at p.
+func checkPercentile(t *testing.T, seed int64, n int, ties, specials, layout uint8, p float64) {
+	t.Helper()
+	g := rand.New(rand.NewSource(seed))
+	x := make([]float64, n)
+	for i := range x {
+		switch {
+		case g.Intn(256) < int(specials):
+			x[i] = specialValues[g.Intn(len(specialValues))]
+		case ties > 0:
+			x[i] = float64(g.Intn(int(ties))) - float64(ties)/2
+		default:
+			x[i] = g.NormFloat64() * 1e3
+		}
+	}
+	switch layout % 4 {
+	case 1:
+		sort.Float64s(x)
+	case 2:
+		sort.Sort(sort.Reverse(sort.Float64Slice(x)))
+	case 3:
+		for i := 0; i < n; i += 50 {
+			sort.Float64s(x[i:min(i+50, n)])
+		}
+	}
+	orig := append([]float64(nil), x...)
+	got := Percentile(x, p)
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("Percentile mutated x[%d]: %v -> %v", i, orig[i], x[i])
+		}
+	}
+	want := percentileSorted(x, p)
+	if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+		t.Fatalf("Percentile(n=%d, layout=%d, p=%v) = %v, sorted copy gives %v", n, layout%4, p, got, want)
 	}
 }
 

@@ -16,7 +16,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Scheduling policy names accepted by Config.Sched.
@@ -190,20 +190,34 @@ func (c *cluster) sloClass(r request, now float64) int {
 	return 2
 }
 
-// sloLess is the admission order at virtual time now: class, then tenant
-// risk (higher first), then arrival, then index — a strict weak order, so
-// min-pops and sorts are deterministic.
-func (c *cluster) sloLess(a, b request, now float64) bool {
+// sloCompare is the admission order at virtual time now: class, then
+// tenant risk (higher first), then arrival, then index. It returns a
+// negative number when a goes first, a positive one when b does, and 0
+// only for equal indices — a strict total order over distinct requests,
+// so min-pops and sorts are deterministic.
+func (c *cluster) sloCompare(a, b request, now float64) int {
 	if ca, cb := c.sloClass(a, now), c.sloClass(b, now); ca != cb {
-		return ca < cb
+		return before(ca < cb)
 	}
 	if ra, rb := c.tenantRisk(a.tenant), c.tenantRisk(b.tenant); ra != rb {
-		return ra > rb
+		return before(ra > rb)
 	}
 	if a.arrival != b.arrival {
-		return a.arrival < b.arrival
+		return before(a.arrival < b.arrival)
 	}
-	return a.idx < b.idx
+	if a.idx != b.idx {
+		return before(a.idx < b.idx)
+	}
+	return 0
+}
+
+// before turns a test of whether a goes first, on keys already known to
+// differ, into a comparison result: -1 when it holds, +1 otherwise.
+func before(aFirst bool) int {
+	if aFirst {
+		return -1
+	}
+	return 1
 }
 
 // tenantRisk is the tenant's running SLO miss rate over every completion
@@ -250,8 +264,8 @@ func (c *cluster) allocPrefillSLO(batch []*member, budget int, now float64) (pre
 		m.slice = 0
 		order = append(order, m)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return c.sloLess(order[i].req, order[j].req, now)
+	slices.SortStableFunc(order, func(a, b *member) int {
+		return c.sloCompare(a.req, b.req, now)
 	})
 	left := budget
 	for _, m := range order {

@@ -195,7 +195,8 @@ func TestChunkedPrefillRelievesDecoders(t *testing.T) {
 func TestChunkedStepNeverSlowsDecode(t *testing.T) {
 	g := tensor.NewRNG(23)
 	cfg := schedConfig(SchedChunkedPrefill)
-	c := &cluster{cfg: cfg, decodeUnit: cfg.Spec.DecodeSecPerToken}
+	c := &cluster{cfg: cfg}
+	c.resolve()
 	// Budget at most 272 tokens: with this geometry (512-token chunks,
 	// 32-token query, ≥1 chunk) a legacy step spans at least 272 tokens'
 	// worth of service time, so every granted slice fits inside it.

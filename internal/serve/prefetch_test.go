@@ -156,8 +156,8 @@ func TestServiceTimeTwoPassLookup(t *testing.T) {
 		c.chunkBytes = cfg.Spec.KVBytes(cfg.ChunkTokens)
 		ts := kvstore.MustTiered(c.buildTiers(), kvstore.LRU)
 		// Pre-populate chunks 1 and 2; chunk 3 is absent.
-		ts.Put(chunkKey(cfg, 1), kvstore.Bytes(c.chunkBytes))
-		ts.Put(chunkKey(cfg, 2), kvstore.Bytes(c.chunkBytes))
+		ts.Put(chunkKey(cfg.Spec.Name, 1), kvstore.Bytes(c.chunkBytes))
+		ts.Put(chunkKey(cfg.Spec.Name, 2), kvstore.Bytes(c.chunkBytes))
 		return ts
 	}
 
@@ -168,7 +168,7 @@ func TestServiceTimeTwoPassLookup(t *testing.T) {
 	defer old.Close()
 	oldHits := 0
 	for _, id := range []int{2, 3, 1} {
-		key := chunkKey(cfg, id)
+		key := chunkKey(cfg.Spec.Name, id)
 		if _, _, ok := old.Get(key); ok {
 			oldHits++
 		} else {
@@ -180,7 +180,7 @@ func TestServiceTimeTwoPassLookup(t *testing.T) {
 	}
 
 	c := &cluster{cfg: cfg}
-	c.chunkBytes = cfg.Spec.KVBytes(cfg.ChunkTokens)
+	c.resolve()
 	c.stores = []*kvstore.Tiered{newStore()}
 	defer c.stores[0].Close()
 	_, lookups, hits, _ := c.serviceTime(0, []int{2, 3, 1}, 0)
@@ -206,7 +206,7 @@ func TestServiceTimeTwoPassDupKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &cluster{cfg: cfg}
-	c.chunkBytes = cfg.Spec.KVBytes(cfg.ChunkTokens)
+	c.resolve()
 	c.stores = []*kvstore.Tiered{kvstore.MustTiered(c.buildTiers(), kvstore.LRU)}
 	defer c.stores[0].Close()
 	_, lookups, hits, _ := c.serviceTime(0, []int{5, 5, 5}, 0)

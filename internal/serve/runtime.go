@@ -107,6 +107,15 @@ type cluster struct {
 	firstKill  float64                   // virtual time of the first kill (-1 = none yet)
 	ttftAt     []float64                 // first-token timestamps matching ttfts (nil without events)
 
+	// The config's effective values, resolved once per run (resolve): a
+	// value-receiver Config helper called per step or per admission
+	// copies the whole Config.
+	replicas       int     // configured replica count, joins excluded
+	maxBatch       int     // per-step batch cap
+	batchOverhead  float64 // marginal cost of each extra sequence in a prefill-paced step
+	decodeOverhead float64 // marginal cost of each extra sequence in a decode-only step
+	tiered         bool    // multi-tier hierarchy: per-tier recompute ratios
+
 	// Closed-loop drive: non-nil closed means arrivals come from the
 	// workload session, fed each completion at retirement, instead of a
 	// pre-materialised stream.
@@ -157,24 +166,84 @@ type cluster struct {
 	missScratch []chunk.ID
 	dupScratch  []chunk.ID
 	chunkSized  kvstore.Sized    // chunkBytes boxed once for every context-chunk Put
-	keyCache    map[int]chunk.ID // chunk id → store key: one SHA-256 per distinct id per run
+	keyTable    []keySlot        // chunk id → store key, for ids below len(keyTable)
+	keyMap      map[int]chunk.ID // chunk id → store key, for ids the table does not cover
+	keysCached  int              // distinct ids memoised in keyTable and keyMap
 	keyScratch  []chunk.ID       // router scoring keys (used within one route call, no park inside)
 	cntScratch  []int            // router per-node owner counts, same lifetime
 	memberPool  []*member        // retired members recycled into the next admission
 }
 
+// keySlot is one chunk id's memoised store key.
+type keySlot struct {
+	key chunk.ID
+	ok  bool
+}
+
+const (
+	// keyTableMin: the chunk-key table always grows to cover an id below
+	// it. The corpora of every figure, sweep and benchmark (at most 2000
+	// chunks) stay below it, so generated workloads never reach keyMap.
+	keyTableMin = 4096
+	// keyTableSlack: past keyTableMin, the table grows to cover an id only
+	// if the id is below this many times the distinct ids memoised.
+	keyTableSlack = 8
+)
+
 // chunkKeyOf memoises chunkKey: the serving hot loop hashes each distinct
-// chunk id once per run instead of once per lookup.
+// chunk id once per run instead of once per lookup. Ids index a table
+// directly; an id past its end grows it (growKeyTable) or, when growing
+// that far would leave the table mostly empty, is memoised in keyMap
+// instead. A replayed trace with a few huge ids thus costs a map entry
+// each, and the table's memory stays proportional to the ids the run
+// looks up.
 func (c *cluster) chunkKeyOf(id int) chunk.ID {
-	if k, ok := c.keyCache[id]; ok {
+	if uint(id) >= uint(len(c.keyTable)) && !c.growKeyTable(id) {
+		k, ok := c.keyMap[id]
+		if !ok {
+			if c.keyMap == nil {
+				c.keyMap = make(map[int]chunk.ID)
+			}
+			k = chunkKey(c.cfg.Spec.Name, id)
+			c.keyMap[id] = k
+			c.keysCached++
+		}
 		return k
 	}
-	if c.keyCache == nil {
-		c.keyCache = make(map[int]chunk.ID, 256)
+	s := &c.keyTable[id]
+	if !s.ok {
+		s.key, s.ok = chunkKey(c.cfg.Spec.Name, id), true
+		c.keysCached++
 	}
-	k := chunkKey(c.cfg, id)
-	c.keyCache[id] = k
-	return k
+	return s.key
+}
+
+// growKeyTable grows the chunk-key table by doubling until it covers id,
+// unless id is at least both keyTableMin and keyTableSlack times the
+// distinct ids memoised (this one included); the table thus never
+// exceeds twice the larger of the two. Ids the table now covers move out
+// of keyMap. It reports whether the table covers id.
+func (c *cluster) growKeyTable(id int) bool {
+	if id < 0 || (id >= keyTableMin && id >= keyTableSlack*(c.keysCached+1)) {
+		return false // negative ids fail workload validation; the map still copes
+	}
+	n := 2 * len(c.keyTable)
+	if n < 64 {
+		n = 64
+	}
+	for n <= id {
+		n *= 2
+	}
+	grown := make([]keySlot, n)
+	copy(grown, c.keyTable)
+	for mid, k := range c.keyMap {
+		if mid < n {
+			grown[mid] = keySlot{key: k, ok: true}
+			delete(c.keyMap, mid)
+		}
+	}
+	c.keyTable = grown
+	return true
 }
 
 // recycle zeroes a retired member (keeping its boxed payload for reuse)
@@ -298,10 +367,9 @@ func (c *cluster) buildTiers() []kvstore.Tier {
 	return tiers
 }
 
-// run executes the simulation and aggregates the Result.
-func (c *cluster) run() Result {
-	cfg := c.cfg
-
+// resolve derives the run's fixed values from the config, once per run.
+func (c *cluster) resolve() {
+	cfg := &c.cfg
 	c.chunkBytes = cfg.Spec.KVBytes(cfg.ChunkTokens)
 	c.genNS = cfg.Spec.Name + "/gen"
 	c.tokenBytes = cfg.Spec.KVBytesPerToken()
@@ -312,15 +380,27 @@ func (c *cluster) run() Result {
 	c.sloOn = cfg.sloOn()
 	c.sloTTFT, c.sloTBT = cfg.SLOTTFT, cfg.SLOTBT
 	c.starve = cfg.starveLimit()
+	c.isRouted = cfg.routed()
+	c.replicas = cfg.replicas()
+	c.maxBatch = cfg.maxBatch()
+	c.batchOverhead = cfg.batchOverhead()
+	c.decodeOverhead = cfg.decodeOverhead()
+	c.tiered = cfg.tiered()
+}
+
+// setup builds the run's state from the config and the stream: stores,
+// queues, routing and loader state, and the preallocated metric slices.
+func (c *cluster) setup() {
+	c.resolve()
+	cfg := &c.cfg
 	if c.sloSched {
 		// One closure for the whole run: every min-pop orders the queue at
 		// the popping replica's current virtual time.
-		c.sloCmp = func(a, b request) bool { return c.sloLess(a, b, c.clock.Now()) }
+		c.sloCmp = func(a, b request) bool { return c.sloCompare(a, b, c.clock.Now()) < 0 }
 	}
-	c.isRouted = cfg.routed()
 	nodes := 1 // store-shaped state slots: one shared node, or one per replica
 	if c.isRouted {
-		nodes = cfg.replicas()
+		nodes = c.replicas
 	}
 	c.stores = make([]*kvstore.Tiered, nodes)
 	for i := range c.stores {
@@ -328,13 +408,6 @@ func (c *cluster) run() Result {
 		// is N nodes' worth of hardware, the shared baseline one node's.
 		c.stores[i] = kvstore.MustTiered(c.buildTiers(), kvstore.LRU)
 	}
-	// One deferred sweep instead of per-store defers: membership joins
-	// append stores mid-run, and those must close too.
-	defer func() {
-		for _, s := range c.stores {
-			s.Close()
-		}
-	}()
 	if cfg.prefetchActive() || cfg.Router == RouterAffinity {
 		// One popularity estimator per node feeds the loaders and affinity
 		// routing alike — the shared demand signal.
@@ -352,7 +425,7 @@ func (c *cluster) run() Result {
 	for i := range c.queues {
 		c.queues[i] = sim.NewQueue[request](c.clock)
 	}
-	c.busy = make([]float64, cfg.replicas())
+	c.busy = make([]float64, c.replicas)
 	if c.closed != nil {
 		// The request slice grows as the session issues; size the
 		// idx-keyed state from the budget instead.
@@ -360,12 +433,12 @@ func (c *cluster) run() Result {
 	} else {
 		c.admitted = make([]bool, len(c.reqs))
 	}
-	c.dead = make([]bool, cfg.replicas())
+	c.dead = make([]bool, c.replicas)
 	c.firstKill = -1
 	if cfg.hasEvents() {
 		c.rerouted = make([]bool, len(c.reqs))
 	}
-	c.replicaReqs = make([]int64, cfg.replicas())
+	c.replicaReqs = make([]int64, c.replicas)
 	if c.isRouted {
 		c.depthSums = make([]float64, nodes)
 		c.inflight = make([]int, nodes)
@@ -402,18 +475,31 @@ func (c *cluster) run() Result {
 	if cfg.hasEvents() {
 		c.ttftAt = make([]float64, 0, measuredN)
 	}
+}
+
+// run executes the simulation and aggregates the Result.
+func (c *cluster) run() Result {
+	c.setup()
+	cfg := &c.cfg
+	// One deferred sweep instead of per-store defers: membership joins
+	// append stores mid-run, and those must close too.
+	defer func() {
+		for _, s := range c.stores {
+			s.Close()
+		}
+	}()
 
 	// Start order is the event order at t=0: the control process, then
 	// each replica's worker and loader.
 	c.clock.Wake(0, &arrivals{c: c})
-	for r := 0; r < cfg.replicas(); r++ {
+	for r := 0; r < c.replicas; r++ {
 		c.startReplica(r)
 	}
 	end := c.clock.Run()
 
 	res := Result{
 		Requests:   c.completed,
-		Replicas:   cfg.replicas(),
+		Replicas:   c.replicas,
 		MeanBatch:  c.batchHist.Mean(),
 		BatchSizes: c.batchHist.Counts(),
 	}
@@ -659,7 +745,7 @@ func (c *cluster) predDepth() int {
 	if c.isRouted {
 		return 1
 	}
-	return c.cfg.replicas()
+	return c.replicas
 }
 
 // arrivals is the control process. It interleaves the two input streams
@@ -818,7 +904,7 @@ func (w *replica) Run(now float64) {
 			prefillers++
 		}
 	}
-	headroom := c.cfg.maxBatch() - len(w.batch)
+	headroom := c.maxBatch - len(w.batch)
 	quota := c.policy.AdmitQuota(prefillers, decoders, headroom, w.deferred)
 	if quota > headroom {
 		quota = headroom
@@ -915,14 +1001,14 @@ func (c *cluster) planStep(batch []*member, now float64) (step, stall float64) {
 			prefillers, decoders, longest = allocPrefill(batch, c.budget)
 		}
 		if prefillers == 0 {
-			return engine.DecodeStepTime(c.decodeUnit, len(batch), c.cfg.decodeOverhead()), 0
+			return engine.DecodeStepTime(c.decodeUnit, len(batch), c.decodeOverhead), 0
 		}
 		decodeUnit := 0.0
 		if decoders > 0 {
 			decodeUnit = c.decodeUnit
 		}
 		step = engine.ChunkedStepTime(longest, decodeUnit, prefillers, decoders,
-			c.cfg.batchOverhead(), c.cfg.decodeOverhead())
+			c.batchOverhead, c.decodeOverhead)
 		return step, c.stall(step, decoders, len(batch))
 	}
 	step = c.stepTime(batch)
@@ -945,7 +1031,7 @@ func (c *cluster) stall(step float64, decoders, width int) float64 {
 	if decoders == 0 {
 		return 0
 	}
-	extra := step - engine.DecodeStepTime(c.decodeUnit, width, c.cfg.decodeOverhead())
+	extra := step - engine.DecodeStepTime(c.decodeUnit, width, c.decodeOverhead)
 	if extra <= 0 {
 		return 0
 	}
@@ -968,15 +1054,14 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 	service, lookups, hits, stall := c.serviceTime(si, req.ids, now)
 	var m *member
 	if n := len(c.memberPool); n > 0 {
-		m = c.memberPool[n-1]
+		m = c.memberPool[n-1] // zeroed by recycle, its boxed payload kept
 		c.memberPool = c.memberPool[:n-1]
 	} else {
 		m = &member{}
 	}
-	pay := m.genPayload
-	*m = member{req: req, si: si, unit: service / float64(steps), remaining: steps,
-		lookups: lookups, hits: hits}
-	m.genPayload = pay
+	m.req, m.si = req, si
+	m.unit, m.remaining = service/float64(steps), steps
+	m.lookups, m.hits = lookups, hits
 	if c.budget > 0 {
 		m.prefTotal = len(req.ids)*c.cfg.ChunkTokens + c.cfg.QueryTokens
 		m.perTok = service / float64(m.prefTotal)
@@ -1038,9 +1123,9 @@ func (c *cluster) stepTime(batch []*member) float64 {
 		}
 	}
 	if anyPrefill {
-		return longest * (1 + c.cfg.batchOverhead()*float64(len(batch)-1))
+		return longest * (1 + c.batchOverhead*float64(len(batch)-1))
 	}
-	return engine.DecodeStepTime(longest, len(batch), c.cfg.decodeOverhead())
+	return engine.DecodeStepTime(longest, len(batch), c.decodeOverhead)
 }
 
 // observeStep records one executed step's telemetry — batch size, busy

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/baselines"
+	"repro/internal/workload"
 )
 
 // TestReplicasSustainHigherRate is the scaling acceptance check: under
@@ -182,4 +183,57 @@ func TestSingleReplicaUnbatchedMatchesFCFS(t *testing.T) {
 	if res.MeanTTFT < 0.9*wantMean || res.MeanTTFT > 1.1*wantMean {
 		t.Fatalf("FCFS backlog mean TTFT %.3f, want ≈%.3f", res.MeanTTFT, wantMean)
 	}
+}
+
+// TestChunkKeyTable pins chunkKeyOf's memoisation: every id maps to its
+// chunkKey; a generated corpus stays in the dense table, never touching
+// the map; sparse huge ids (as a hand-written trace may carry) go to the
+// map without growing the table toward them; and once the table grows
+// over ids the map holds, they move into it.
+func TestChunkKeyTable(t *testing.T) {
+	cfg := hotConfig()
+	name := cfg.Spec.Name
+	check := func(c *cluster, id int) {
+		t.Helper()
+		if got := c.chunkKeyOf(id); got != chunkKey(name, id) {
+			t.Fatalf("chunkKeyOf(%d) is not chunkKey", id)
+		}
+	}
+
+	c := &cluster{cfg: cfg}
+	for _, r := range (workload.Poisson{Rate: 2, Chunks: cfg.chunks()}).Generate(2000, 3) {
+		for _, id := range r.Chunks {
+			check(c, id)
+			check(c, id) // memoised
+		}
+	}
+	if len(c.keyMap) != 0 || len(c.keyTable) > 2*cfg.ChunkPool {
+		t.Fatalf("generated corpus of %d chunks: table %d, map %d entries", cfg.ChunkPool, len(c.keyTable), len(c.keyMap))
+	}
+
+	c = &cluster{cfg: cfg}
+	sparse := []int{7, 1 << 30, 2_000_000_000, 1 << 30, -3, 12}
+	for _, id := range sparse {
+		check(c, id)
+	}
+	if len(c.keyTable) > keyTableMin || len(c.keyMap) != 3 || c.keysCached != 5 {
+		t.Fatalf("sparse ids: table %d, map %d, %d cached", len(c.keyTable), len(c.keyMap), c.keysCached)
+	}
+
+	// An id above keyTableMin first lands in the map, then moves into the
+	// table once enough ids are memoised for the table to grow over it:
+	// with 601 memoised, the slack bound is 8×602 = 4816 > 4700.
+	c = &cluster{cfg: cfg}
+	check(c, 4500)
+	if len(c.keyMap) != 1 {
+		t.Fatalf("id 4500 with nothing memoised should go to the map (table %d)", len(c.keyTable))
+	}
+	for id := 0; id < 600; id++ {
+		check(c, id)
+	}
+	check(c, 4700)
+	if len(c.keyMap) != 0 || len(c.keyTable) <= 4700 || c.keysCached != 602 {
+		t.Fatalf("after growth: table %d, map %d, %d cached", len(c.keyTable), len(c.keyMap), c.keysCached)
+	}
+	check(c, 4500)
 }

@@ -687,9 +687,9 @@ func runClosedLoop(cfg Config, w workload.ClosedLoopWorkload, n, warmup int, see
 // miss-insert can no longer demote or evict a chunk the same request
 // already counted (and priced) as a hit at a now-wrong tier.
 func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, lookups, hits int64, stall float64) {
-	cfg, store, chunkBytes := c.cfg, c.stores[si], c.chunkBytes
+	cfg, store, chunkBytes := &c.cfg, c.stores[si], c.chunkBytes
 	L := len(ids)*cfg.ChunkTokens + cfg.QueryTokens
-	spec := cfg.Spec
+	spec := &cfg.Spec
 	if c.chunkSized == nil {
 		// Boxed once, shared by every context-chunk insert of the run.
 		c.chunkSized = kvstore.Bytes(chunkBytes)
@@ -701,7 +701,7 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 	case baselines.PrefixCaching:
 		// Only a position-0 hit helps (§3.2). Following the paper's
 		// idealised assumption, loading the prefix KV is free.
-		key := prefixKey(cfg, ids[0])
+		key := prefixKey(spec.Name, ids[0])
 		_, _, hit := store.Get(key)
 		if !hit {
 			store.Put(key, c.chunkSized) //nolint:errcheck
@@ -791,7 +791,7 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 			}
 			d := store.TierDevice(tier)
 			tokens := n * cfg.ChunkTokens
-			blendCost += pipelineCost(spec, cfg.chunkRatio(tokens, d), tokens, d)
+			blendCost += pipelineCost(spec, c.chunkRatio(tokens, d), tokens, d)
 		}
 		blendCost += waitCost
 		return blendCost + missCost + spec.DecodeSecPerToken, lookups, hits,
@@ -810,7 +810,8 @@ func (c *cluster) chunkCost(si, tier int) float64 {
 	if c.cfg.Scheme == baselines.FullKVReuse {
 		return d.ReadTime(c.chunkBytes)
 	}
-	return pipelineCost(c.cfg.Spec, c.cfg.chunkRatio(c.cfg.ChunkTokens, d), c.cfg.ChunkTokens, d)
+	tokens := c.cfg.ChunkTokens
+	return pipelineCost(&c.cfg.Spec, c.chunkRatio(tokens, d), tokens, d)
 }
 
 // reuseStall is the request's tier-read stall: its priced reuse cost
@@ -824,7 +825,7 @@ func (c *cluster) reuseStall(si int, cost, wait float64, tierChunks []int, found
 	if wait == 0 && tierChunks[0] == found {
 		return 0
 	}
-	cfg, store := c.cfg, c.stores[si]
+	cfg, store := &c.cfg, c.stores[si]
 	var hotCost float64
 	if cfg.Scheme == baselines.FullKVReuse {
 		for tier := range tierChunks {
@@ -837,7 +838,7 @@ func (c *cluster) reuseStall(si int, cost, wait float64, tierChunks []int, found
 	} else if found > 0 {
 		d := store.TierDevice(0)
 		tokens := found * cfg.ChunkTokens
-		hotCost = pipelineCost(cfg.Spec, cfg.chunkRatio(tokens, d), tokens, d)
+		hotCost = pipelineCost(&cfg.Spec, c.chunkRatio(tokens, d), tokens, d)
 	}
 	if stall := cost - hotCost; stall > 0 {
 		return stall
@@ -848,19 +849,19 @@ func (c *cluster) reuseStall(si int, cost, wait float64, tierChunks []int, found
 // chunkRatio is the recompute ratio for reusing `tokens` of KV resident
 // on d. Untiered runs keep the configured fixed ratio (the paper's
 // single-device setup); tiered runs ask the loading controller for the
-// largest ratio the tier's loading delay hides, floored at cfg.Ratio.
-func (c Config) chunkRatio(tokens int, d device.Device) float64 {
-	if !c.tiered() {
-		return c.Ratio
+// largest ratio the tier's loading delay hides, floored at Config.Ratio.
+func (c *cluster) chunkRatio(tokens int, d device.Device) float64 {
+	if !c.tiered {
+		return c.cfg.Ratio
 	}
-	ctl := controller.Controller{Spec: c.Spec, QualityFloor: c.Ratio}
+	ctl := controller.Controller{Spec: c.cfg.Spec, QualityFloor: c.cfg.Ratio}
 	return ctl.PickRatio(tokens, d)
 }
 
 // pipelineCost is the pipelined load+recompute time for reusing hitTokens
 // of KV (zero when nothing is reused), per the engine's two-thread
 // loader/fusor schedule.
-func pipelineCost(spec timing.Spec, ratio float64, hitTokens int, d device.Device) float64 {
+func pipelineCost(spec *timing.Spec, ratio float64, hitTokens int, d device.Device) float64 {
 	if hitTokens == 0 {
 		return 0
 	}
@@ -869,12 +870,14 @@ func pipelineCost(spec timing.Spec, ratio float64, hitTokens int, d device.Devic
 	return engine.PipelineTime(spec.Layers, loadLayer, compLayer)
 }
 
-func chunkKey(cfg Config, id int) chunk.ID {
-	return chunk.Hash(cfg.Spec.Name, []int{id})
+// chunkKey is the store key of context chunk id under the named model.
+func chunkKey(model string, id int) chunk.ID {
+	return chunk.Hash(model, []int{id})
 }
 
-func prefixKey(cfg Config, id int) chunk.ID {
-	return chunk.Hash(cfg.Spec.Name+"/prefix0", []int{id})
+// prefixKey is the store key of a prefix-cache entry starting at chunk id.
+func prefixKey(model string, id int) chunk.ID {
+	return chunk.Hash(model+"/prefix0", []int{id})
 }
 
 // Capacity returns the maximum sustainable request rate of a single

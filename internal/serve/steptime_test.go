@@ -15,7 +15,9 @@ func stepCluster(batchOverhead, decodeOverhead float64) *cluster {
 	cfg := baseConfig(baselines.CacheBlend)
 	cfg.BatchOverhead = batchOverhead
 	cfg.DecodeOverhead = decodeOverhead
-	return &cluster{cfg: cfg}
+	c := &cluster{cfg: cfg}
+	c.resolve()
+	return c
 }
 
 // randomBatch draws a batch of members with random step units and phases.

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -224,25 +224,58 @@ func (m MultiTenant) Validate() error {
 }
 
 // Generate implements Workload. The stable merge breaks equal-arrival
-// ties by tenant index, keeping the stream deterministic.
+// ties by tenant index, then by stream order, keeping the stream
+// deterministic.
 func (m MultiTenant) Generate(n int, seed int64) []Request {
 	if n <= 0 {
 		return nil
 	}
-	var all []Request
+	streams := make([][]Request, len(m.Tenants))
+	total := 0
 	for i, w := range m.Tenants {
-		// Stamp tenants on copies: a sub-workload may hand out a slice it
-		// still owns (Trace.Generate returns its recorded stream).
-		for _, r := range w.Generate(n, seed+int64(i)*1_000_003) {
-			r.Tenant = i
-			all = append(all, r)
+		streams[i] = w.Generate(n, seed+int64(i)*1_000_003)
+		total += len(streams[i])
+	}
+	// Sort (arrival, tenant, index) keys, not the requests: the stable
+	// sort moves each element many times, and a key is half a request's
+	// size and holds no pointer. Since the sort reads nothing but the
+	// arrivals, it permutes the keys exactly as it would the requests.
+	keys := make([]arrivalKey, 0, total)
+	for i, stream := range streams {
+		for j, r := range stream {
+			keys = append(keys, arrivalKey{at: r.Arrival, tenant: i, idx: j})
 		}
 	}
-	sort.SliceStable(all, func(a, b int) bool { return all[a].Arrival < all[b].Arrival })
-	if len(all) > n {
-		all = all[:n]
+	// Compared with < rather than cmp.Compare, which orders NaN
+	// differently: the comparison is negative exactly when a arrives
+	// strictly first.
+	slices.SortStableFunc(keys, func(a, b arrivalKey) int {
+		switch {
+		case a.at < b.at:
+			return -1
+		case a.at > b.at:
+			return 1
+		}
+		return 0
+	})
+	if len(keys) > n {
+		keys = keys[:n]
 	}
-	return all
+	out := make([]Request, len(keys))
+	for i, k := range keys {
+		// Stamp tenants on copies: a sub-workload may hand out a slice it
+		// still owns (Trace.Generate returns its recorded stream).
+		out[i] = streams[k.tenant][k.idx]
+		out[i].Tenant = k.tenant
+	}
+	return out
+}
+
+// arrivalKey is MultiTenant's sort key: a request's arrival, its tenant
+// and its index in that tenant's stream.
+type arrivalKey struct {
+	at          float64
+	tenant, idx int
 }
 
 // TenantMix builds a k-tenant Poisson mix over one shared total rate and

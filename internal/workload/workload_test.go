@@ -199,20 +199,37 @@ func TestMultiTenantMerge(t *testing.T) {
 
 // TestMultiTenantDoesNotMutateSubStreams: a Trace reused as several
 // tenants hands out its own backing slice; stamping tenants must copy,
-// not write through it.
+// not write through it. The merge also keeps its tie rule — equal
+// arrivals go by tenant index, then by stream order — and the earliest n.
 func TestMultiTenantDoesNotMutateSubStreams(t *testing.T) {
-	tr := Trace{Label: "shared", Reqs: []Request{
-		{Arrival: 1, Chunks: []int{1}},
-		{Arrival: 2, Chunks: []int{2}},
-	}}
-	m := MultiTenant{Tenants: []Workload{tr, tr}}
-	reqs := m.Generate(4, 1)
-	seen := map[int]int{}
-	for _, r := range reqs {
-		seen[r.Tenant]++
+	// Eight requests in two arrival ties of four, chunk id = stream index;
+	// three tenants replay the same trace.
+	tr := Trace{Label: "shared"}
+	for i := 0; i < 8; i++ {
+		tr.Reqs = append(tr.Reqs, Request{Arrival: float64(1 + i/4), Chunks: []int{i}})
 	}
-	if seen[0] != 2 || seen[1] != 2 {
-		t.Fatalf("tenant stamping leaked across aliased sub-streams: %v", seen)
+	m := MultiTenant{Tenants: []Workload{tr, tr, tr}}
+	reqs := m.Generate(20, 1)
+	type key struct {
+		arrival       float64
+		tenant, chunk int
+	}
+	var want []key
+	for _, tie := range []int{0, 4} {
+		for tenant := range m.Tenants {
+			for i := tie; i < tie+4; i++ {
+				want = append(want, key{float64(1 + i/4), tenant, i})
+			}
+		}
+	}
+	want = want[:20]
+	if len(reqs) != len(want) {
+		t.Fatalf("got %d requests, want the earliest %d", len(reqs), len(want))
+	}
+	for i, w := range want {
+		if r := reqs[i]; (key{r.Arrival, r.Tenant, r.Chunks[0]}) != w {
+			t.Fatalf("request %d: arrival %v tenant %d chunk %d, want %+v", i, r.Arrival, r.Tenant, r.Chunks[0], w)
+		}
 	}
 	for i, r := range tr.Reqs {
 		if r.Tenant != 0 {
