@@ -312,25 +312,28 @@ func CDF(x []float64) []CDFPoint {
 // Histogram counts integer-valued observations — the serving runtime
 // uses it for batch-size distributions. The zero value is ready to use.
 type Histogram struct {
-	counts map[int]int64
+	small  [histSmall]int64 // small[v] counts v for 0 ≤ v < histSmall
+	counts map[int]int64    // every other value
 	n, sum int64
 }
 
+// histSmall bounds the values Histogram counts in an array instead of a
+// map; every batch cap in the repo is far below it.
+const histSmall = 64
+
 // Observe records one observation of v.
 func (h *Histogram) Observe(v int) {
-	if h.counts == nil {
-		h.counts = map[int]int64{}
+	if v >= 0 && v < histSmall {
+		h.small[v]++
+	} else {
+		if h.counts == nil {
+			h.counts = map[int]int64{}
+		}
+		h.counts[v]++
 	}
-	h.counts[v]++
 	h.n++
 	h.sum += int64(v)
 }
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n }
-
-// Count returns how often v was observed.
-func (h *Histogram) Count(v int) int64 { return h.counts[v] }
 
 // Mean returns the mean observation, or 0 when empty.
 func (h *Histogram) Mean() float64 {
@@ -340,28 +343,20 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Max returns the largest observed value, or 0 when empty.
-func (h *Histogram) Max() int {
-	m := 0
-	for v := range h.counts {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Counts returns a copy of the value→count map.
+// Counts returns the value→count map of every observed value; it is
+// empty, not nil, when nothing was observed.
 func (h *Histogram) Counts() map[int]int64 {
 	out := make(map[int]int64, len(h.counts))
+	for v, c := range h.small {
+		if c > 0 {
+			out[v] = c
+		}
+	}
 	for v, c := range h.counts {
 		out[v] = c
 	}
 	return out
 }
-
-// String renders "v:count" pairs in ascending value order.
-func (h *Histogram) String() string { return FormatCounts(h.counts) }
 
 // FormatCounts renders a value→count map as "v:count" pairs in ascending
 // value order — the shared rendering for batch-size histograms.

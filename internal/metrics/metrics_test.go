@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -344,31 +345,30 @@ func TestCDF(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	var h Histogram
-	if h.N() != 0 || h.Mean() != 0 || h.Max() != 0 || h.String() != "" {
-		t.Fatal("zero-value histogram not empty")
+	if c := h.Counts(); h.Mean() != 0 || c == nil || len(c) != 0 {
+		t.Fatalf("zero-value histogram: Mean %v, Counts %#v; want 0 and an empty map", h.Mean(), c)
 	}
-	for _, v := range []int{1, 1, 2, 4, 4, 4} {
+	// 63 is the last array-counted value; 64, 65 and -3 take the map.
+	obs := []int{1, 1, 2, 4, 4, 4, 0, 63, 64, 64, 65, -3}
+	sum := 0
+	for _, v := range obs {
 		h.Observe(v)
+		sum += v
 	}
-	if h.N() != 6 {
-		t.Fatalf("N = %d, want 6", h.N())
+	want := map[int]int64{0: 1, 1: 2, 2: 1, 4: 3, 63: 1, 64: 2, 65: 1, -3: 1}
+	if got := h.Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counts = %v, want %v", got, want)
 	}
-	if h.Count(4) != 3 || h.Count(3) != 0 {
-		t.Fatalf("counts wrong: %v", h.Counts())
+	if s := FormatCounts(h.Counts()); s != "-3:1 0:1 1:2 2:1 4:3 63:1 64:2 65:1" {
+		t.Fatalf("FormatCounts = %q", s)
 	}
-	if !eq(h.Mean(), 16.0/6, 1e-9) {
-		t.Fatalf("Mean = %v", h.Mean())
-	}
-	if h.Max() != 4 {
-		t.Fatalf("Max = %d", h.Max())
-	}
-	if h.String() != "1:2 2:1 4:3" {
-		t.Fatalf("String = %q", h.String())
+	if !eq(h.Mean(), float64(sum)/float64(len(obs)), 1e-12) {
+		t.Fatalf("Mean = %v, want %v", h.Mean(), float64(sum)/float64(len(obs)))
 	}
 	c := h.Counts()
-	c[1] = 99 // mutating the copy must not touch the histogram
-	if h.Count(1) != 2 {
-		t.Fatal("Counts() returned a live reference")
+	c[1], c[64] = 99, 99 // mutating the copy must not touch the histogram
+	if got := h.Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counts() returned a live reference: %v", got)
 	}
 }
 

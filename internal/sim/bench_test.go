@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // sleeper wakes itself one virtual second later, n times.
@@ -95,3 +97,28 @@ func BenchmarkTryPopMin(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkZipf times 1000 draws over BenchmarkServeHotPath's
+// 1500-chunk corpus at each skew the serving benchmarks use: 0.8
+// (exponent 5.000000000000001), 0.9 and 1.0 take the integer-power path,
+// and 1.1 (exponent 2.1) calls math.Pow. ns/draw divides by the draws.
+func BenchmarkZipf(b *testing.B) {
+	const draws = 1000
+	for _, s := range []float64{0.8, 0.9, 1.0, 1.1} {
+		b.Run(fmt.Sprintf("s%g", s), func(b *testing.B) {
+			g := tensor.NewRNG(1)
+			sum := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < draws; j++ {
+					sum += Zipf(g, 1500, s)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*draws), "ns/draw")
+			zipfSink = sum
+		})
+	}
+}
+
+var zipfSink int

@@ -111,6 +111,38 @@ func Zipf(g *tensor.RNG, n int, s float64) int {
 	} else {
 		exp = 1 + s
 	}
+	return zipfIndex(u, n, exp)
+}
+
+// zipfIndex maps a uniform draw u in [0, 1) to int(math.Pow(u, exp)·n),
+// clamped to n−1, without calling math.Pow where it can prove the same
+// index.
+//
+// The exponents in use sit within rounding of small integers: s = 0.8
+// gives 1/(1−0.8) = 5.000000000000001, s = 0.9 gives 10.000000000000002
+// and s = 1 gives exactly 2, and for a fraction as small as 8.9e-16
+// math.Pow still pays for an Exp and a Log. So when exp lies within
+// 1e-12 of an integer k in [1, 16], u^k is multiplied out instead. The
+// two products differ by the factor u^(exp−k) = e^((exp−k)·ln u) and a
+// few ulps of rounding on each side: k−1 multiplications here, and
+// math.Pow's own error. math/rand's Float64 returns 0 or at least
+// 2^-63, so |ln u| ≤ 43.7 and the factor is within 4.4e-11 of 1. A u^k·n
+// farther than a relative 1e-9 from every integer therefore truncates to
+// the index math.Pow gives; nearer ones, and u = 0, call math.Pow. The
+// margin holds for every positive double, whose |ln u| < 745 keeps the
+// factor within 7.5e-10 of 1, and a u^k that underflows leaves u^k·n
+// far below 1 on both paths.
+func zipfIndex(u float64, n int, exp float64) int {
+	if k := math.Round(exp); u > 0 && k >= 1 && k <= 16 && math.Abs(exp-k) <= 1e-12 {
+		p := u
+		for i := 1; i < int(k); i++ {
+			p *= u
+		}
+		x := p * float64(n)
+		if f := math.Floor(x); x-f > 1e-9*x && f+1-x > 1e-9*x {
+			return min(int(f), n-1)
+		}
+	}
 	idx := int(math.Pow(u, exp) * float64(n))
 	if idx >= n {
 		idx = n - 1

@@ -12,7 +12,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/tensor"
@@ -103,7 +102,7 @@ func (c ClosedLoop) Validate() error {
 		return fmt.Errorf("closed-loop: tenants %d: negative", c.Tenants)
 	case c.Clients <= 0:
 		return fmt.Errorf("closed-loop: clients %d: need at least one per tenant", c.Clients)
-	case math.IsNaN(c.Think) || math.IsInf(c.Think, 0) || c.Think <= 0:
+	case !finite(c.Think) || c.Think <= 0:
 		return fmt.Errorf("closed-loop: think time %v: must be positive and finite", c.Think)
 	}
 	if err := c.Chunks.Validate(); err != nil {
@@ -199,10 +198,12 @@ func (s *clientPool) issue(ci int, after float64) (Issue, bool) {
 	s.budget--
 	c := &s.clients[ci]
 	t := after + expo(c.g, c.think)
+	ids := make([]int, c.chunks.PerRequest)
+	c.chunks.Sample(c.g, t, ids)
 	return Issue{Client: ci, Req: Request{
 		Arrival:      t,
 		Tenant:       c.tenant,
-		Chunks:       c.chunks.Sample(c.g, t),
+		Chunks:       ids,
 		DecodeTokens: c.decode.Sample(c.g),
 	}}, true
 }

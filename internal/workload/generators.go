@@ -29,8 +29,8 @@ func (p Poisson) Name() string { return "poisson" }
 
 // Validate implements Workload.
 func (p Poisson) Validate() error {
-	if p.Rate <= 0 {
-		return fmt.Errorf("poisson: rate %v: must be positive", p.Rate)
+	if !finite(p.Rate) || p.Rate <= 0 {
+		return fmt.Errorf("poisson: rate %v: must be finite and positive", p.Rate)
 	}
 	if err := p.Chunks.Validate(); err != nil {
 		return fmt.Errorf("poisson: %w", err)
@@ -49,9 +49,12 @@ func (p Poisson) Generate(n int, seed int64) []Request {
 	g := tensor.NewRNG(seed)
 	arrivals := sim.PoissonArrivals(g, p.Rate, n)
 	reqs := make([]Request, n)
+	k := p.Chunks.PerRequest
+	arena := make([]int, n*k)
 	for i := range reqs {
-		reqs[i] = Request{Arrival: arrivals[i], Chunks: p.Chunks.Sample(g, arrivals[i]),
-			DecodeTokens: p.Decode.Sample(g)}
+		ids := chunkList(arena, i, k)
+		p.Chunks.Sample(g, arrivals[i], ids)
+		reqs[i] = Request{Arrival: arrivals[i], Chunks: ids, DecodeTokens: p.Decode.Sample(g)}
 	}
 	return reqs
 }
@@ -82,12 +85,12 @@ func (b Bursty) Name() string { return fmt.Sprintf("bursty×%g", b.Burst) }
 // Validate implements Workload.
 func (b Bursty) Validate() error {
 	switch {
-	case b.Rate <= 0:
-		return fmt.Errorf("bursty: rate %v: must be positive", b.Rate)
-	case b.Burst < 1:
-		return fmt.Errorf("bursty: burst factor %v: must be ≥ 1", b.Burst)
-	case b.Cycle < 0:
-		return fmt.Errorf("bursty: cycle %v: negative", b.Cycle)
+	case !finite(b.Rate) || b.Rate <= 0:
+		return fmt.Errorf("bursty: rate %v: must be finite and positive", b.Rate)
+	case !finite(b.Burst) || b.Burst < 1:
+		return fmt.Errorf("bursty: burst factor %v: must be finite and ≥ 1", b.Burst)
+	case !finite(b.Cycle) || b.Cycle < 0:
+		return fmt.Errorf("bursty: cycle %v: must be finite and non-negative", b.Cycle)
 	}
 	if err := b.Chunks.Validate(); err != nil {
 		return fmt.Errorf("bursty: %w", err)
@@ -114,6 +117,8 @@ func (b Bursty) Generate(n int, seed int64) []Request {
 	meanOff := cycle - meanOn
 	onRate := b.Rate * b.Burst
 	reqs := make([]Request, 0, n)
+	k := b.Chunks.PerRequest
+	arena := make([]int, n*k)
 	t := 0.0
 	for len(reqs) < n {
 		end := t + expo(g, meanOn)
@@ -122,8 +127,9 @@ func (b Bursty) Generate(n int, seed int64) []Request {
 			if t > end || len(reqs) == n {
 				break
 			}
-			reqs = append(reqs, Request{Arrival: t, Chunks: b.Chunks.Sample(g, t),
-				DecodeTokens: b.Decode.Sample(g)})
+			ids := chunkList(arena, len(reqs), k)
+			b.Chunks.Sample(g, t, ids)
+			reqs = append(reqs, Request{Arrival: t, Chunks: ids, DecodeTokens: b.Decode.Sample(g)})
 		}
 		t = end
 		if meanOff > 0 {
@@ -155,12 +161,12 @@ func (d Diurnal) Name() string { return fmt.Sprintf("diurnal×%g", d.Amplitude) 
 // Validate implements Workload.
 func (d Diurnal) Validate() error {
 	switch {
-	case d.Rate <= 0:
-		return fmt.Errorf("diurnal: rate %v: must be positive", d.Rate)
-	case d.Amplitude < 0 || d.Amplitude > 1:
+	case !finite(d.Rate) || d.Rate <= 0:
+		return fmt.Errorf("diurnal: rate %v: must be finite and positive", d.Rate)
+	case !(d.Amplitude >= 0 && d.Amplitude <= 1):
 		return fmt.Errorf("diurnal: amplitude %v: must be in [0, 1]", d.Amplitude)
-	case d.Period < 0:
-		return fmt.Errorf("diurnal: period %v: negative", d.Period)
+	case !finite(d.Period) || d.Period < 0:
+		return fmt.Errorf("diurnal: period %v: must be finite and non-negative", d.Period)
 	}
 	if err := d.Chunks.Validate(); err != nil {
 		return fmt.Errorf("diurnal: %w", err)
@@ -183,13 +189,16 @@ func (d Diurnal) Generate(n int, seed int64) []Request {
 	}
 	peak := d.Rate * (1 + d.Amplitude)
 	reqs := make([]Request, 0, n)
+	k := d.Chunks.PerRequest
+	arena := make([]int, n*k)
 	t := 0.0
 	for len(reqs) < n {
 		t += expo(g, 1/peak)
 		rate := d.Rate * (1 + d.Amplitude*math.Sin(2*math.Pi*t/period))
 		if g.Float64()*peak <= rate {
-			reqs = append(reqs, Request{Arrival: t, Chunks: d.Chunks.Sample(g, t),
-				DecodeTokens: d.Decode.Sample(g)})
+			ids := chunkList(arena, len(reqs), k)
+			d.Chunks.Sample(g, t, ids)
+			reqs = append(reqs, Request{Arrival: t, Chunks: ids, DecodeTokens: d.Decode.Sample(g)})
 		}
 	}
 	return reqs

@@ -36,7 +36,7 @@ type Request struct {
 
 // Validate reports the first structural problem with the request.
 func (r Request) Validate() error {
-	if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) || r.Arrival < 0 {
+	if !finite(r.Arrival) || r.Arrival < 0 {
 		return fmt.Errorf("arrival %v: must be finite and non-negative", r.Arrival)
 	}
 	if r.Tenant < 0 {
@@ -96,22 +96,23 @@ func (c Chunks) Validate() error {
 		return fmt.Errorf("chunk pool %d: need at least one chunk", c.Pool)
 	case c.PerRequest <= 0:
 		return fmt.Errorf("chunks per request %d: need at least one", c.PerRequest)
-	case c.Skew < 0:
-		return fmt.Errorf("chunk skew %v: negative", c.Skew)
+	case !finite(c.Skew) || c.Skew < 0:
+		return fmt.Errorf("chunk skew %v: must be finite and non-negative", c.Skew)
 	case c.Offset < 0:
 		return fmt.Errorf("chunk offset %d: negative", c.Offset)
-	case c.DriftPeriod < 0:
-		return fmt.Errorf("drift period %v: negative", c.DriftPeriod)
+	case !finite(c.DriftPeriod) || c.DriftPeriod < 0:
+		return fmt.Errorf("drift period %v: must be finite and non-negative", c.DriftPeriod)
 	case c.DriftStep < 0:
 		return fmt.Errorf("drift step %d: negative", c.DriftStep)
 	}
 	return nil
 }
 
-// Sample draws one request's chunk ids at virtual time at. Without offset
-// and drift the draw is exactly the runtime's original per-request Zipf
-// sampling, consuming g identically.
-func (c Chunks) Sample(g *tensor.RNG, at float64) []int {
+// Sample fills ids, which holds PerRequest entries, with one request's
+// chunk ids drawn at virtual time at. Without offset and drift the draw
+// is exactly the runtime's original per-request Zipf sampling, consuming
+// g identically.
+func (c Chunks) Sample(g *tensor.RNG, at float64, ids []int) {
 	shift := 0
 	if c.DriftPeriod > 0 {
 		step := c.DriftStep
@@ -120,7 +121,6 @@ func (c Chunks) Sample(g *tensor.RNG, at float64) []int {
 		}
 		shift = int(at/c.DriftPeriod) * step
 	}
-	ids := make([]int, c.PerRequest)
 	for j := range ids {
 		r := sim.Zipf(g, c.Pool, c.Skew)
 		if shift != 0 {
@@ -128,8 +128,12 @@ func (c Chunks) Sample(g *tensor.RNG, at float64) []int {
 		}
 		ids[j] = c.Offset + r
 	}
-	return ids
 }
+
+// chunkList returns request i's k chunk ids in arena, a generator's one
+// array for all its requests. The list is capped at its own length, so
+// appending to it reallocates instead of overwriting request i+1.
+func chunkList(arena []int, i, k int) []int { return arena[i*k : (i+1)*k : (i+1)*k] }
 
 // Decode describes how a stream samples each request's generation length
 // (the DecodeTokens carried on every Request). The zero value disables
@@ -147,7 +151,7 @@ type Decode struct {
 
 // Validate reports the first degenerate decode parameter.
 func (d Decode) Validate() error {
-	if math.IsNaN(d.Mean) || math.IsInf(d.Mean, 0) || d.Mean < 0 {
+	if !finite(d.Mean) || d.Mean < 0 {
 		return fmt.Errorf("decode mean %v: must be finite and non-negative", d.Mean)
 	}
 	return nil
@@ -179,6 +183,9 @@ func (d Decode) Sample(g *tensor.RNG) int {
 	// 1 + Geometric(p) on {0,1,…} with p = 1/Mean has mean exactly Mean.
 	return 1 + int(math.Log(u)/math.Log(1-1/d.Mean))
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // expo draws an exponential sample with the given mean.
 func expo(g *tensor.RNG, mean float64) float64 {

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -101,6 +102,16 @@ func TestGeneratorsCommonProperties(t *testing.T) {
 			again := w.Generate(n, 4)
 			if reflect.DeepEqual(reqs, again) {
 				t.Fatal("different seeds produced identical streams")
+			}
+			// Chunk lists may share one array but never capacity: an
+			// append to one request's list must leave the next one's ids.
+			for i := 0; i+1 < n; i++ {
+				next := slices.Clone(reqs[i+1].Chunks)
+				reqs[i].Chunks = append(reqs[i].Chunks, -1)
+				if !slices.Equal(reqs[i+1].Chunks, next) {
+					t.Fatalf("appending to request %d's chunks changed request %d's: %v -> %v",
+						i, i+1, next, reqs[i+1].Chunks)
+				}
 			}
 		})
 	}
@@ -305,10 +316,11 @@ func TestPopularityDrift(t *testing.T) {
 // validation error paths with recognisable messages.
 func TestValidateRejectsDegenerateParameters(t *testing.T) {
 	ch := testChunks()
-	cases := []struct {
+	type row struct {
 		w    Workload
 		want string
-	}{
+	}
+	cases := []row{
 		{Poisson{Rate: 0, Chunks: ch}, "rate"},
 		{Poisson{Rate: 1, Chunks: Chunks{Pool: 0, PerRequest: 6}}, "chunk pool"},
 		{Poisson{Rate: 1, Chunks: Chunks{Pool: 10, PerRequest: 0}}, "chunks per request"},
@@ -323,6 +335,21 @@ func TestValidateRejectsDegenerateParameters(t *testing.T) {
 		{MultiTenant{}, "no tenants"},
 		{MultiTenant{Tenants: []Workload{Poisson{Rate: 0, Chunks: ch}}}, "tenant 0"},
 		{Trace{}, "no requests"},
+	}
+	// Non-finite parameters: a NaN or +Inf must be named, not passed on
+	// to hang a generator or surface later as a bad arrival or chunk id.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		cases = append(cases, []row{
+			{Poisson{Rate: bad, Chunks: ch}, "rate"},
+			{Poisson{Rate: 1, Chunks: Chunks{Pool: 10, PerRequest: 2, Skew: bad}}, "skew"},
+			{Poisson{Rate: 1, Chunks: Chunks{Pool: 10, PerRequest: 2, DriftPeriod: bad}}, "drift period"},
+			{Bursty{Rate: bad, Burst: 4, Chunks: ch}, "rate"},
+			{Bursty{Rate: 1, Burst: bad, Chunks: ch}, "burst factor"},
+			{Bursty{Rate: 1, Burst: 2, Cycle: bad, Chunks: ch}, "cycle"},
+			{Diurnal{Rate: bad, Chunks: ch}, "rate"},
+			{Diurnal{Rate: 1, Amplitude: bad, Chunks: ch}, "amplitude"},
+			{Diurnal{Rate: 1, Period: bad, Chunks: ch}, "period"},
+		}...)
 	}
 	for _, c := range cases {
 		err := c.w.Validate()
