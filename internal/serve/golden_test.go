@@ -138,6 +138,24 @@ func goldenCases() []goldenCase {
 				Failover: true})
 		}
 	}
+	// Closed-loop decode cases, shaped like the serve-closed-decode
+	// benchmark: one replica, 3 tenants × 8 clients issuing long
+	// generations under the deadline-aware slo scheduler. They lock the
+	// per-token decode-KV appends, the TBT reductions (run-wide and per
+	// tenant) and the completion-driven arrival schedule.
+	for _, tiered := range []bool{false, true} {
+		for _, seed := range []int64{1, 7} {
+			name := "cacheblend/r1/"
+			if tiered {
+				name += "tiered"
+			} else {
+				name += "flat"
+			}
+			name += "/closed-decode/slo/seed" + strconv.FormatInt(seed, 10)
+			cases = append(cases, goldenCase{Name: name, Scheme: baselines.CacheBlend,
+				Replicas: 1, Tiered: tiered, Seed: seed, Workload: "closed-decode", Sched: SchedSLO})
+		}
+	}
 	return cases
 }
 
@@ -166,6 +184,9 @@ func (gc goldenCase) run(t *testing.T) Result {
 		w = workload.Poisson{Rate: rate, Chunks: chunks, Decode: workload.Decode{Mean: 24}}
 	case "decode-tenants":
 		w = workload.TenantMix(3, rate, chunks, 120, workload.Decode{Mean: 16})
+	case "closed-decode":
+		w = workload.ClosedLoop{Tenants: 3, Clients: 8, Think: 2, Chunks: chunks,
+			Decode: workload.Decode{Mean: 128}}
 	default:
 		t.Fatalf("unknown golden workload %q", gc.Workload)
 	}
@@ -192,6 +213,11 @@ func (gc goldenCase) config() Config {
 		ChunkTokens:      512,
 		QueryTokens:      32,
 		Skew:             0.9,
+	}
+	if gc.Sched == SchedSLO {
+		// The serve-closed-decode targets: the slo policy orders admission
+		// by the TTFT deadline, and both targets feed the attainment rows.
+		cfg.MaxBatch, cfg.SLOTTFT, cfg.SLOTBT = 8, 2, 0.05
 	}
 	if gc.Failover {
 		// ~285 s trace, warmup cutoff ~115 s: both events land in the
