@@ -545,6 +545,32 @@ func BenchmarkServeHotPath(b *testing.B) {
 	b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "sim-req/s")
 }
 
+// BenchmarkServeClosedDecode runs the repo benchmark's serve-closed-decode
+// workload (bench/) at 1,000 requests: a closed loop of 3 tenants × 8
+// clients issuing long generations (mean 128 tokens) under the
+// deadline-aware slo scheduler, one replica over one NVMe store. It is
+// the gated macro that drives a closed loop — a client process per
+// completion, slo min-pops — and with ~100 decode steps per request it
+// times the per-token path: each generated token's KV append and TBT
+// sample. sim-req/s is simulated requests per wall-clock second.
+func BenchmarkServeClosedDecode(b *testing.B) {
+	const requests = 1000
+	cfg := serve.Config{
+		Spec: timing.Mistral7B, Scheme: baselines.CacheBlend, Ratio: 0.15,
+		Device: device.NVMeSSD, MaxBatch: 8, ChunkTokens: 512, QueryTokens: 32,
+		Sched: serve.SchedSLO, SLOTTFT: 2, SLOTBT: 0.05,
+	}
+	w := workload.ClosedLoop{Tenants: 3, Clients: 8, Think: 2,
+		Chunks: workload.Chunks{Pool: 1500, PerRequest: 6, Skew: 0.8}, Decode: workload.Decode{Mean: 128}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.RunWorkload(cfg, w, requests, requests/4, 42); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "sim-req/s")
+}
+
 // ---- Ablation benches (DESIGN.md design-choice list) ---------------------
 
 func BenchmarkAblationGradualFilterOn(b *testing.B) {

@@ -73,6 +73,7 @@ var gatedPrefixes = []string{
 	"BenchmarkServeSched",
 	"BenchmarkServeRouted",
 	"BenchmarkServeFailover",
+	"BenchmarkServeClosedDecode",
 	"BenchmarkFusorBlend",
 	"BenchmarkPrefill512",
 }

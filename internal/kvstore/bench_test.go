@@ -83,22 +83,31 @@ func BenchmarkTieredPut(b *testing.B) {
 }
 
 // BenchmarkTieredUpdate times the per-token decode-KV append: a Put that
-// grows a key already resident on the top tier, in place.
+// grows a key already resident on the top tier, in place — found through
+// the tier's index (tiersN), or through a Slot handle, as the serving
+// runtime writes it (tiersN-slot).
 func BenchmarkTieredUpdate(b *testing.B) {
 	for _, depth := range []int{1, 3} {
-		b.Run(fmt.Sprintf("tiers%d", depth), func(b *testing.B) {
-			ts := filledTiered(b, depth, benchKeys())
-			gen := chunk.Hash("bench/gen", []int{0})
-			payload := new(Bytes)
-			*payload = 64
-			ts.Put(gen, payload) //nolint:errcheck // fits the top tier
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				*payload = Bytes(64 + i%1024)
-				ts.Put(gen, payload) //nolint:errcheck // fits the top tier
+		for _, handle := range []bool{false, true} {
+			name := fmt.Sprintf("tiers%d", depth)
+			var slot *Slot
+			if handle {
+				name, slot = name+"-slot", new(Slot)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				ts := filledTiered(b, depth, benchKeys())
+				gen := chunk.Hash("bench/gen", []int{0})
+				payload := new(Bytes)
+				*payload = 64
+				ts.PutSlot(slot, gen, payload) //nolint:errcheck // fits the top tier
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					*payload = Bytes(64 + i%1024)
+					ts.PutSlot(slot, gen, payload) //nolint:errcheck // fits the top tier
+				}
+			})
+		}
 	}
 }
 

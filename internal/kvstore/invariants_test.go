@@ -40,8 +40,10 @@ func TestStoreRandomizedInvariants(t *testing.T) {
 			switch g.Intn(4) {
 			case 0:
 				s.Put(key, Bytes(1+g.Intn(150))) //nolint:errcheck // always fits
-			case 1:
-				s.Update(key, Bytes(1+g.Intn(150)))
+			case 1: // in-place update of a resident entry
+				if b := Bytes(1 + g.Intn(150)); s.index[key] != nil {
+					s.put(key, b, s.index[key]) //nolint:errcheck // always fits
+				}
 			case 2:
 				s.Remove(key)
 			default:

@@ -54,10 +54,13 @@ func (s Stats) HitRate() float64 {
 // entry is one resident chunk, threaded onto the store's intrusive
 // recency list — no container/list element allocation per insert, and
 // removed entries recycle through a freelist instead of churning the GC.
+// An entry never moves between stores: each store recycles its own, so
+// store names the one store an entry can ever be resident in.
 type entry struct {
 	id         chunk.ID
 	payload    Sized
 	bytes      int64
+	store      *Store // the store e is resident in; nil once freed
 	prev, next *entry // recency list when resident; next chains the freelist
 }
 
@@ -138,7 +141,8 @@ func (s *Store) allocEntry() *entry {
 	return &entry{}
 }
 
-// freeEntry clears e (dropping its payload reference) and recycles it.
+// freeEntry clears e (dropping its payload reference and its store) and
+// recycles it.
 func (s *Store) freeEntry(e *entry) {
 	*e = entry{next: s.free}
 	s.free = e
@@ -187,12 +191,22 @@ func (s *Store) Peek(id chunk.ID) (Sized, bool) {
 
 // Put inserts or replaces the payload for id, evicting per policy until
 // the entry fits. Payloads larger than the whole capacity are rejected.
-func (s *Store) Put(id chunk.ID, payload Sized) error {
+func (s *Store) Put(id chunk.ID, payload Sized) error { return s.put(id, payload, nil) }
+
+// put is Put for a caller that may already hold id's entry: e, when not
+// nil, must be id's resident entry, and spares the index probe — the
+// tiered store's write through a Slot. A resident entry is updated in
+// place: recency refreshes and growth evicts per policy, exactly as for
+// a reinsert. A new entry is linked at the recency head.
+func (s *Store) put(id chunk.ID, payload Sized, e *entry) error {
 	n := payload.SizeBytes()
 	if s.capacity > 0 && n > s.capacity {
 		return fmt.Errorf("kvstore: payload %d bytes exceeds capacity %d", n, s.capacity)
 	}
-	if e, ok := s.index[id]; ok {
+	if e == nil {
+		e = s.index[id]
+	}
+	if e != nil {
 		s.used += n - e.bytes
 		e.payload = payload
 		e.bytes = n
@@ -201,8 +215,8 @@ func (s *Store) Put(id chunk.ID, payload Sized) error {
 		}
 	} else {
 		s.stats.Puts++
-		e := s.allocEntry()
-		e.id, e.payload, e.bytes = id, payload, n
+		e = s.allocEntry()
+		e.id, e.payload, e.bytes, e.store = id, payload, n, s
 		s.index[id] = e
 		s.pushFront(e)
 		s.used += n
@@ -210,32 +224,6 @@ func (s *Store) Put(id chunk.ID, payload Sized) error {
 	s.evict()
 	s.stats.BytesStored = s.used
 	return nil
-}
-
-// Update replaces id's payload in place when id is resident — recency
-// refreshes and growth evicts per policy, exactly like a Put of a
-// resident id — and reports ok=false (store untouched) when id is absent
-// or the payload exceeds capacity, for the caller to fall back to a full
-// Put. The hot caller is the serving runtime's per-token decode-KV
-// append, which rewrites the same key every generated token.
-func (s *Store) Update(id chunk.ID, payload Sized) bool {
-	n := payload.SizeBytes()
-	if s.capacity > 0 && n > s.capacity {
-		return false
-	}
-	e, ok := s.index[id]
-	if !ok {
-		return false
-	}
-	s.used += n - e.bytes
-	e.payload = payload
-	e.bytes = n
-	if s.policy == LRU {
-		s.moveToFront(e)
-	}
-	s.evict()
-	s.stats.BytesStored = s.used
-	return true
 }
 
 // Remove deletes id and returns its payload. It touches neither hit/miss

@@ -285,12 +285,17 @@ func TestPopularityStaleNowDoesNotInflate(t *testing.T) {
 // FuzzPrefetch drives random op sequences with a monotonic clock against
 // the transfer model and checks its core invariants: a join is charged at
 // most the transfer duration and the residual wait only shrinks; a
-// removed key never resurrects until the next Put; popularity scores stay
-// non-negative; the waste/moved and hit/miss ledgers stay consistent.
+// removed key never resurrects until the next Put; a write through a
+// Slot to a key in flight cancels its transfer as a Put does; popularity
+// scores stay non-negative; the waste/moved and hit/miss ledgers stay
+// consistent.
 func FuzzPrefetch(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 250, 7})
 	f.Add(int64(7), []byte{2, 2, 4, 1, 4, 2, 4, 200, 4})
 	f.Add(int64(42), []byte{3, 0, 2, 255, 4, 1, 2, 4})
+	// Fill past the top tier, prefetch, then write through a handle to
+	// the key in flight.
+	f.Add(int64(5), []byte{0, 6, 12, 18, 24, 30, 36, 42, 48, 54, 2, 2, 2, 2, 5, 2, 2, 5, 4, 5})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		ts := MustTiered(threeTiers(512, 1024, 0), LRU)
 		pop := NewPopularity(16, 64)
@@ -298,10 +303,12 @@ func FuzzPrefetch(f *testing.F) {
 		now := 0.0
 		lookups, removedAt := 0, make(map[chunk.ID]bool) // removed, no Put since
 		inflight := make(map[chunk.ID]float64)           // key → arrival
+		slots := make(map[chunk.ID]*Slot)                // one handle per key
+		var lastStarted *chunk.ID                        // key of the latest transfer started
 		for _, b := range ops {
 			now += float64(b%16) * 1e-3 // monotonic virtual clock
 			key := chunk.Hash("fuzz", []int{g.Intn(24)})
-			switch b % 5 {
+			switch b % 6 {
 			case 0:
 				ts.Put(key, Bytes(64+int64(b)%192)) //nolint:errcheck
 				delete(removedAt, key)
@@ -316,6 +323,7 @@ func FuzzPrefetch(f *testing.F) {
 						t.Fatalf("transfer arrives in the past: %v < %v", arrival, now)
 					}
 					inflight[key] = arrival
+					lastStarted = &key
 					if removedAt[key] {
 						t.Fatal("prefetch started for a removed key")
 					}
@@ -325,6 +333,23 @@ func FuzzPrefetch(f *testing.F) {
 				if s := pop.Score(key, now+float64(b)); s < 0 {
 					t.Fatalf("negative popularity score %v", s)
 				}
+			case 5: // a handle write, to the latest transfer's key if any
+				if lastStarted != nil {
+					key = *lastStarted
+				}
+				if slots[key] == nil {
+					slots[key] = new(Slot)
+				}
+				flying := ts.Inflight()
+				if _, ok := ts.flights[key]; ok {
+					flying--
+				}
+				ts.PutSlot(slots[key], key, Bytes(64+int64(b)%192)) //nolint:errcheck
+				if _, ok := ts.flights[key]; ok || ts.Inflight() != flying {
+					t.Fatalf("a write left its key's transfer in flight (%d in flight, want %d)", ts.Inflight(), flying)
+				}
+				delete(removedAt, key)
+				delete(inflight, key)
 			default:
 				_, _, wait, ok := ts.GetAt(key, now)
 				lookups++

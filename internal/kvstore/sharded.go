@@ -87,10 +87,7 @@ func (s *Sharded) Contains(id chunk.ID) bool { return s.shard(id).Contains(id) }
 func (s *Sharded) Peek(id chunk.ID) (Sized, bool) { return s.shard(id).Peek(id) }
 
 // Put inserts into id's shard, evicting within that shard as needed.
-func (s *Sharded) Put(id chunk.ID, payload Sized) error { return s.shard(id).Put(id, payload) }
-
-// Update replaces id's payload in place if resident; see Store.Update.
-func (s *Sharded) Update(id chunk.ID, payload Sized) bool { return s.shard(id).Update(id, payload) }
+func (s *Sharded) Put(id chunk.ID, payload Sized) error { return s.shard(id).put(id, payload, nil) }
 
 // LoadTime returns the simulated read time of id's payload (0 if absent).
 func (s *Sharded) LoadTime(id chunk.ID) float64 { return s.shard(id).LoadTime(id) }

@@ -180,27 +180,66 @@ func (t *Tiered) Contains(id chunk.ID) bool {
 // chunks are presumed hot). A previous copy on another tier is removed
 // first so the chunk never straddles tiers. If no tier can hold the
 // payload an error is returned.
-func (t *Tiered) Put(id chunk.ID, payload Sized) error {
-	t.cancel(id) // the new payload supersedes any copy in flight
-	// Fast path for the per-token decode-KV append: an id already resident
-	// on the top tier updates in place — entry and list element reused,
-	// recency refreshed, growth evicting exactly as a reinsert would —
-	// instead of remove-and-reinsert allocating a fresh entry per token.
-	if t.tiers[0].Update(id, payload) {
-		t.puts++
-		return nil
+func (t *Tiered) Put(id chunk.ID, payload Sized) error { return t.PutSlot(nil, id, payload) }
+
+// Slot is a handle on the entry a Tiered store last wrote for one id,
+// for a caller that rewrites that id over and over — the serving
+// runtime's per-token decode-KV append. The zero Slot names no entry.
+// A Slot never changes what a write does, only how fast it finds the
+// entry: a handle whose entry was since freed, recycled, demoted or
+// removed is detected and refreshed by the next write through it.
+type Slot struct{ e *entry }
+
+// PutSlot is Put through s (nil: no handle). An id already resident on
+// the top tier is updated in place — entry reused, recency refreshed,
+// growth evicting exactly as a reinsert would. When s names that entry
+// the write reaches it without probing the tier's index: an entry knows
+// the store it is resident in, and only id's top-tier shard can hold it.
+// Every other write takes the index, or the remove-and-reinsert path,
+// and leaves s naming the entry it wrote.
+func (t *Tiered) PutSlot(s *Slot, id chunk.ID, payload Sized) error {
+	if len(t.flights) > 0 {
+		t.cancel(id) // the new payload supersedes any copy in flight
+	}
+	top := t.tiers[0].shard(id)
+	var e *entry
+	if s != nil && s.e != nil && s.e.store == top && s.e.id == id {
+		e = s.e
+	} else {
+		e = top.index[id]
+	}
+	var err error
+	if e != nil {
+		// A payload the top tier cannot hold falls through to the tiers
+		// below, with the store untouched.
+		if err = top.put(id, payload, e); err == nil {
+			t.puts++
+			s.set(e)
+			return nil
+		}
 	}
 	for _, tier := range t.tiers {
 		tier.Remove(id)
 	}
-	var err error
 	for _, tier := range t.tiers {
-		if err = tier.Put(id, payload); err == nil {
+		st := tier.shard(id)
+		if err = st.put(id, payload, nil); err == nil {
 			t.puts++
+			// id was on no tier, so put linked a new entry at st's head,
+			// and its evictions only move other entries to lower tiers.
+			s.set(st.head)
 			return nil
 		}
 	}
+	s.set(nil)
 	return fmt.Errorf("kvstore: no tier can hold %d bytes: %w", payload.SizeBytes(), err)
+}
+
+// set points s at e; a nil s is the handle-less Put.
+func (s *Slot) set(e *entry) {
+	if s != nil {
+		s.e = e
+	}
 }
 
 // Remove deletes id from whichever tier holds it, reporting whether it

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/chunk"
@@ -234,11 +235,17 @@ func TestTieredPutReplaceNeverStraddles(t *testing.T) {
 // most one tier, no bounded tier exceeds its budget, promotions and
 // demotions conserve entries (an id is resident iff it was inserted and
 // never evicted off the bottom), and hit/miss accounting matches the
-// lookup count.
+// lookup count. A twin stack replays the tape with every Put written
+// through a Slot — one of three, each shared by many ids, so demotion,
+// promotion, eviction, removal and reuse for another id all leave
+// handles stale — and must stay indistinguishable from the plain stack.
 func FuzzTieredGetPut(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x80, 0x17})
 	f.Add([]byte("put-get-put-get-evict"))
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0x13, 0x37})
+	// One id rewritten through one handle: too big for its top shard (it
+	// lands on RAM), again, then small enough for the top; removed; back.
+	f.Add([]byte{0x05, 150, 0x05, 150, 0x05, 20, 0x05, 30, 0xe3, 1, 0x05, 40, 0x05, 150, 0x05, 10})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tiers := []Tier{
 			{Device: device.GPUHBM, Capacity: 1 << 8, Shards: 2},
@@ -246,6 +253,8 @@ func FuzzTieredGetPut(f *testing.F) {
 			{Device: device.NVMeSSD, Capacity: 1 << 10, Shards: 3},
 		}
 		ts := MustTiered(tiers, LRU)
+		twin := MustTiered(tiers, LRU)
+		var slots [3]Slot
 		live := map[chunk.ID]bool{} // model: inserted and not yet bottom-evicted
 		var lookups, hits int64
 		for i := 0; i+1 < len(ops); i += 2 {
@@ -256,9 +265,13 @@ func FuzzTieredGetPut(f *testing.F) {
 				if err := ts.Put(key, Bytes(size)); err != nil {
 					t.Fatalf("Put(%d bytes) failed: %v", size, err)
 				}
+				if err := twin.PutSlot(&slots[int(ops[i])%len(slots)], key, Bytes(size)); err != nil {
+					t.Fatalf("PutSlot(%d bytes) failed: %v", size, err)
+				}
 				live[key] = true
 			case 2: // Get
 				lookups++
+				twin.Get(key)
 				if _, tier, ok := ts.Get(key); ok {
 					hits++
 					if tier < 0 || tier >= len(tiers) {
@@ -268,7 +281,14 @@ func FuzzTieredGetPut(f *testing.F) {
 						t.Fatalf("hit on %s which was never inserted", key)
 					}
 				}
-			default: // passive probes
+			default:
+				if arg&1 == 1 {
+					ts.Remove(key)
+					twin.Remove(key)
+					delete(live, key)
+					break
+				}
+				// passive probes
 				ts.Contains(key)
 				ts.LoadTime(key)
 				ts.Used()
@@ -291,6 +311,7 @@ func FuzzTieredGetPut(f *testing.F) {
 			if total != ts.Len() {
 				t.Fatalf("entry conservation broken: %d resident ids but Len=%d", total, ts.Len())
 			}
+			sameTiered(t, ts, twin)
 		}
 		st := ts.Stats()
 		if st.Hits != hits || st.Hits+st.Misses != lookups {
@@ -298,4 +319,35 @@ func FuzzTieredGetPut(f *testing.F) {
 				st.Hits, st.Misses, hits, lookups)
 		}
 	})
+}
+
+// resident is one entry as Each reports it.
+type resident struct {
+	id    chunk.ID
+	bytes int64
+}
+
+// residents lists ts's entries in Each order.
+func residents(ts *Tiered) []resident {
+	var out []resident
+	ts.Each(func(id chunk.ID, bytes int64) { out = append(out, resident{id, bytes}) })
+	return out
+}
+
+// sameTiered fails the test unless the twin stack is indistinguishable
+// from the plain one: the same Stats, TierStats, Len and Each order.
+func sameTiered(t *testing.T, plain, twin *Tiered) {
+	t.Helper()
+	if a, b := plain.Stats(), twin.Stats(); a != b {
+		t.Fatalf("Stats: plain %+v, twin %+v", a, b)
+	}
+	if a, b := plain.TierStats(), twin.TierStats(); !slices.Equal(a, b) {
+		t.Fatalf("TierStats: plain %+v, twin %+v", a, b)
+	}
+	if a, b := plain.Len(), twin.Len(); a != b {
+		t.Fatalf("Len: plain %d, twin %d", a, b)
+	}
+	if a, b := residents(plain), residents(twin); !slices.Equal(a, b) {
+		t.Fatalf("Each order: plain %v, twin %v", a, b)
+	}
 }

@@ -213,20 +213,35 @@ func Percentile(x []float64, p float64) float64 {
 		}
 		return slices.Max(s[nans:])
 	}
+	return interpolate(n, p, func(lo int) (float64, float64) {
+		if lo < nans {
+			return s[lo], s[lo] // NaN, and so is any interpolation with it
+		}
+		num, k := s[nans:], lo-nans
+		selectNth(num, 0, len(num)-1, k)
+		if k+1 == len(num) {
+			return num[k], 0
+		}
+		// Everything after num[k] is ≥ it, so the next order statistic is
+		// the smallest of them.
+		return num[k], slices.Min(num[k+1:])
+	})
+}
+
+// interpolate is the rank arithmetic Percentile and Runs.Percentile
+// share: the p-th percentile (0 < p < 100) of n samples lies frac of the
+// way from the lo-th smallest (counting from 0) to the next. stats(lo)
+// returns those two order statistics; the second is read only when
+// lo+1 < n.
+func interpolate(n int, p float64, stats func(lo int) (float64, float64)) float64 {
 	pos := p / 100 * float64(n-1)
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
-	if lo < nans {
-		return s[lo] // NaN, and so is any interpolation with it
-	}
-	num, k := s[nans:], lo-nans
-	selectNth(num, 0, len(num)-1, k)
+	a, b := stats(lo)
 	if lo+1 >= n {
-		return num[k]
+		return a
 	}
-	// Everything after num[k] is ≥ it, so the next order statistic is the
-	// smallest of them.
-	return num[k]*(1-frac) + slices.Min(num[k+1:])*frac
+	return a*(1-frac) + b*frac
 }
 
 // selectNth reorders s[left:right+1], which holds no NaN, so that s[k]
@@ -289,6 +304,117 @@ func selectNth(s []float64, left, right, k int) {
 			right = j - 1
 		}
 	}
+}
+
+// Runs is a sample log kept as runs of consecutive, bitwise-equal values
+// — the serving runtime's time-between-tokens log. Every decoding member
+// of a step records the same sample, and decode-only steps at one batch
+// width repeat their durations, so a decode-heavy run's ~10⁵ samples
+// fold into ~10³ runs. Its Mean and Percentile equal Mean and
+// Percentile over the samples in Add order. The zero value is an empty
+// log.
+type Runs struct {
+	runs []run
+	n    int
+	sum  float64 // running sum in Add order: exactly Mean's additions
+}
+
+// run is one value repeated n times in a row.
+type run struct {
+	v float64
+	n int
+}
+
+// Add appends one sample, extending the last run when v is bitwise equal
+// to its value.
+func (r *Runs) Add(v float64) {
+	r.n++
+	r.sum += v
+	if k := len(r.runs) - 1; k >= 0 && math.Float64bits(r.runs[k].v) == math.Float64bits(v) {
+		r.runs[k].n++
+		return
+	}
+	r.runs = append(r.runs, run{v: v, n: 1})
+}
+
+// Len returns the number of samples added.
+func (r *Runs) Len() int { return r.n }
+
+// Mean returns the samples' arithmetic mean, 0 when empty. It makes the
+// additions Mean makes over the samples in Add order, so it returns the
+// same value.
+func (r *Runs) Mean() float64 {
+	if r.n == 0 {
+		return 0
+	}
+	return r.sum / float64(r.n)
+}
+
+// Percentile returns Percentile over the samples. It folds the runs
+// into one count per distinct value, sorts the values in Percentile's
+// order, and walks the counts to the order statistics it interpolates —
+// so its cost follows the runs and the distinct values, not the samples.
+// It follows Percentile's rules for an empty log, a NaN p, p ≤ 0 and
+// p ≥ 100, and leaves the log unchanged.
+func (r *Runs) Percentile(p float64) float64 {
+	if r.n == 0 {
+		return 0
+	}
+	if math.IsNaN(p) {
+		return p
+	}
+	counts := make(map[uint64]int)
+	for _, rn := range r.runs {
+		counts[orderKey(rn.v)] += rn.n
+	}
+	keys := make([]uint64, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if p <= 0 {
+		return keyValue(keys[0])
+	}
+	if p >= 100 {
+		return keyValue(keys[len(keys)-1])
+	}
+	return interpolate(r.n, p, func(lo int) (float64, float64) {
+		i, below := 0, 0 // value i holds order statistics below … below+counts−1
+		for below+counts[keys[i]] <= lo {
+			below += counts[keys[i]]
+			i++
+		}
+		a := keyValue(keys[i])
+		if lo+1 < below+counts[keys[i]] || i+1 == len(keys) {
+			return a, a
+		}
+		return a, keyValue(keys[i+1])
+	})
+}
+
+// orderKey maps v to a key whose unsigned order is Percentile's: every
+// NaN first (key 0, which no number maps to), then −Inf … −0, +0 … +Inf.
+// −0 orders before +0, so the ends match slices.Min and slices.Max.
+func orderKey(v float64) uint64 {
+	if v != v {
+		return 0
+	}
+	b := math.Float64bits(v)
+	if b>>63 == 1 {
+		return ^b // negative: a larger magnitude orders lower
+	}
+	return b | 1<<63
+}
+
+// keyValue inverts orderKey; key 0 stands for NaN.
+func keyValue(k uint64) float64 {
+	switch {
+	case k == 0:
+		return math.NaN()
+	case k>>63 == 1:
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 // CDFPoint is one point of an empirical CDF.

@@ -217,7 +217,10 @@ var specialValues = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Cop
 
 // FuzzPercentile checks that Percentile returns what interpolating a
 // sorted copy returns — equal under ==, or NaN for both — and never
-// modifies its input. The fuzzer picks a sample of 0 to 2000 values, how
+// modifies its input; and that a Runs log fed the same samples in order
+// returns the same Len, Mean (bit for bit, or NaN for both) and
+// Percentile (under the same rule, and at p ≤ 0 and p ≥ 100 bit for bit
+// unless both are NaN, so signed zeros show). The fuzzer picks a sample of 0 to 2000 values, how
 // many of them are special values, how many distinct values the rest tie
 // on (0 = no ties), the sample's layout (as drawn, ascending, descending,
 // or ascending runs of 50, like a run's time-ordered latencies) and p in
@@ -273,7 +276,8 @@ func checkPercentile(t *testing.T, seed int64, n int, ties, specials, layout uin
 		case g.Intn(256) < int(specials):
 			x[i] = specialValues[g.Intn(len(specialValues))]
 		case ties > 0:
-			x[i] = float64(g.Intn(int(ties))) - float64(ties)/2
+			// Tenths are inexact, so repeated adds round unlike a multiply.
+			x[i] = (float64(g.Intn(int(ties))) - float64(ties)/2) / 10
 		default:
 			x[i] = g.NormFloat64() * 1e3
 		}
@@ -298,6 +302,63 @@ func checkPercentile(t *testing.T, seed int64, n int, ties, specials, layout uin
 	want := percentileSorted(x, p)
 	if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 		t.Fatalf("Percentile(n=%d, layout=%d, p=%v) = %v, sorted copy gives %v", n, layout%4, p, got, want)
+	}
+	var r Runs
+	for _, v := range x {
+		r.Add(v)
+	}
+	if r.Len() != n {
+		t.Fatalf("Runs.Len() = %d after %d samples", r.Len(), n)
+	}
+	// NaN payloads follow operand order, which the compiler may commute.
+	if rm, m := r.Mean(), Mean(x); math.Float64bits(rm) != math.Float64bits(m) && !(math.IsNaN(rm) && math.IsNaN(m)) {
+		t.Fatalf("Runs.Mean(n=%d, layout=%d) = %v, Mean gives %v", n, layout%4, rm, m)
+	}
+	rp := r.Percentile(p)
+	if rp != want && !(math.IsNaN(rp) && math.IsNaN(want)) {
+		t.Fatalf("Runs.Percentile(n=%d, layout=%d, p=%v) = %v, sorted copy gives %v", n, layout%4, p, rp, want)
+	}
+	if (p <= 0 || p >= 100) && math.Float64bits(rp) != math.Float64bits(got) && !(math.IsNaN(rp) && math.IsNaN(got)) {
+		t.Fatalf("Runs.Percentile(n=%d, layout=%d, p=%v) = %v (bits %x), Percentile gives %v (bits %x)",
+			n, layout%4, p, rp, math.Float64bits(rp), got, math.Float64bits(got))
+	}
+}
+
+// TestRuns pins the run log on the cases FuzzPercentile reaches only by
+// chance: a long run of an inexact value, whose repeated adds Mean must
+// reproduce rather than multiply out, and signed zeros, which compare
+// equal but must stay distinct runs so the extremes keep their signs.
+func TestRuns(t *testing.T) {
+	var r Runs
+	x := make([]float64, 1000)
+	for i := range x {
+		x[i] = 0.1
+		r.Add(0.1)
+	}
+	if r.Mean() != Mean(x) || r.Mean() == 0.1 {
+		t.Fatalf("Mean of 1000 × 0.1 = %v, want Mean's %v (repeated adds, not 0.1)", r.Mean(), Mean(x))
+	}
+	if r.Len() != 1000 || r.Percentile(95) != 0.1 {
+		t.Fatalf("Len %d, p95 %v", r.Len(), r.Percentile(95))
+	}
+	negZero := math.Copysign(0, -1)
+	for _, zs := range [][]float64{{negZero, 0}, {0, negZero}, {negZero, negZero, 0, 0}} {
+		var z Runs
+		for _, v := range zs {
+			z.Add(v)
+		}
+		for _, p := range []float64{0, 100} {
+			if got, want := z.Percentile(p), Percentile(zs, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v: Runs.Percentile(%v) = %v, Percentile gives %v", zs, p, got, want)
+			}
+		}
+	}
+	var empty Runs
+	if empty.Len() != 0 || empty.Mean() != 0 || empty.Percentile(50) != 0 {
+		t.Fatal("an empty log must report 0")
+	}
+	if !math.IsNaN(r.Percentile(math.NaN())) {
+		t.Fatal("a NaN p must return NaN")
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -77,6 +78,26 @@ func TestClosedLoopRejectsEvents(t *testing.T) {
 	}
 	if _, err := RunWorkload(schedConfig(SchedFIFO), closedLoopW(4), 100, 100, 7); err == nil {
 		t.Fatal("warmup >= n did not fail for a closed-loop run")
+	}
+}
+
+// TestClosedLoopRejectsUnboundedThink: a think time whose draws could
+// overflow an arrival to +Inf fails validation with an error naming it,
+// instead of returning a NaN Result with a nil error.
+func TestClosedLoopRejectsUnboundedThink(t *testing.T) {
+	w := closedLoopW(2)
+	w.Tenants, w.Think = 1, 1e308
+	res, err := RunWorkload(schedConfig(SchedFIFO), w, 10, 2, 1)
+	if err == nil || !strings.Contains(err.Error(), "think time") {
+		t.Fatalf("think %v: err %v (MeanTTFT %v), want an error naming the think time", w.Think, err, res.MeanTTFT)
+	}
+	w.Think = workload.MaxThink
+	res, err = RunWorkload(schedConfig(SchedFIFO), w, 10, 2, 1)
+	if err != nil {
+		t.Fatalf("think at the cap: %v", err)
+	}
+	if math.IsNaN(res.MeanTTFT) || math.IsNaN(res.MeanTBT) || res.Rate <= 0 {
+		t.Fatalf("think at the cap: MeanTTFT %v MeanTBT %v Rate %v", res.MeanTTFT, res.MeanTBT, res.Rate)
 	}
 }
 

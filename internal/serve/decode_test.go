@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -216,5 +217,22 @@ func TestDecodeTraceReplayReproducesResult(t *testing.T) {
 	}
 	if orig.OutputTokens == 0 {
 		t.Fatal("decode trace produced no output tokens")
+	}
+}
+
+// TestTraceDecodeAboveCapRejected: a replayed trace's decode budgets are
+// bounded like a generated stream's. A budget past the request cap fails
+// RunWorkload with an error that names it, before any step is simulated,
+// and the JSONL loader rejects the same line.
+func TestTraceDecodeAboveCapRejected(t *testing.T) {
+	huge := workload.MaxDecodeTokens + 1
+	reqs := []workload.Request{{Arrival: 0, Chunks: []int{1, 2}}, {Arrival: 1, Chunks: []int{3}, DecodeTokens: huge}}
+	_, err := RunWorkload(baseConfig(baselines.CacheBlend), workload.Trace{Label: "huge", Reqs: reqs}, 2, 0, 1)
+	if err == nil || !strings.Contains(err.Error(), "decode tokens") {
+		t.Fatalf("trace with decode %d: err %v, want one naming decode tokens", huge, err)
+	}
+	line := fmt.Sprintf(`{"t":1,"chunks":[3],"decode":%d}`, huge)
+	if _, err := workload.Load(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), "decode tokens") {
+		t.Fatalf("loading a trace with decode %d: err %v, want one naming decode tokens", huge, err)
 	}
 }

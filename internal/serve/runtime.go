@@ -59,6 +59,7 @@ type member struct {
 	genKey        chunk.ID
 	genBytes      int64          // generated-KV footprint resident in the store
 	genPayload    *kvstore.Bytes // reusable boxed payload for the per-token decode-KV Put
+	genSlot       kvstore.Slot   // handle on genKey's store entry: a token's Put skips the index probe
 	lookups, hits int64          // its chunk-store lookup outcome at admission
 	acc           *tenantAcc     // tenant accumulator, resolved once at admission (nil unless multi-tenant and measured)
 }
@@ -66,7 +67,7 @@ type member struct {
 // tenantAcc accumulates one tenant's post-warmup service statistics.
 type tenantAcc struct {
 	ttfts           []float64
-	tbts            []float64
+	tbts            metrics.Runs
 	e2es            []float64
 	outTokens       int64
 	lookups, hits   int64
@@ -139,7 +140,7 @@ type cluster struct {
 	sloOrder          []*member               // allocPrefillSLO sort scratch
 
 	ttfts         []float64
-	tbts          []float64
+	tbts          metrics.Runs // one sample per measured decode token, as runs of equal values
 	e2es          []float64
 	prefillDelays []float64 // arrival → batch admission, post-warmup
 	stallTime     float64   // decoder-seconds lost to prefill pacing
@@ -451,24 +452,21 @@ func (c *cluster) setup() {
 		c.predPend = make([]int, nodes)
 	}
 
-	// Preallocate the metric slices from the stream: one TTFT/E2E per
-	// measured request, one TBT per measured decode token. Appends in the
-	// hot loop then never grow the backing arrays. A closed-loop stream's
-	// decode budgets aren't known yet, so its TBT slice grows on demand.
-	measuredN, tbtN := 0, 0
+	// Preallocate the per-request metric slices from the stream: one
+	// TTFT/E2E per measured request. Appends in the hot loop then never
+	// grow the backing arrays.
+	measuredN := 0
 	if c.closed != nil {
 		measuredN = c.closedN - c.warmup
 	} else {
 		for i := range c.reqs {
 			if c.reqs[i].arrival >= c.cutoff {
 				measuredN++
-				tbtN += c.reqs[i].decode
 			}
 		}
 	}
 	c.ttfts = make([]float64, 0, measuredN)
 	if c.hasDecode {
-		c.tbts = make([]float64, 0, tbtN)
 		c.e2es = make([]float64, 0, measuredN)
 	}
 	c.prefillDelays = make([]float64, 0, measuredN)
@@ -542,8 +540,8 @@ func (c *cluster) run() Result {
 		res.ReplicaUtil[i] = metrics.Utilization(b, end-c.cutoff)
 	}
 	if c.hasDecode {
-		res.MeanTBT = metrics.Mean(c.tbts)
-		res.P95TBT = metrics.Percentile(c.tbts, 95)
+		res.MeanTBT = c.tbts.Mean()
+		res.P95TBT = c.tbts.Percentile(95)
 		res.MeanE2E = metrics.Mean(c.e2es)
 		res.P95E2E = metrics.Percentile(c.e2es, 95)
 		res.OutputTokens = c.outTokens
@@ -655,8 +653,8 @@ func (c *cluster) tenantUsage() []TenantUsage {
 			P95TTFT:       metrics.Percentile(acc.ttfts, 95),
 			HitRate:       metrics.Ratio(acc.hits, acc.lookups),
 			Lookups:       acc.lookups,
-			MeanTBT:       metrics.Mean(acc.tbts),
-			P95TBT:        metrics.Percentile(acc.tbts, 95),
+			MeanTBT:       acc.tbts.Mean(),
+			P95TBT:        acc.tbts.Percentile(95),
 			MeanE2E:       metrics.Mean(acc.e2es),
 			OutputTokens:  acc.outTokens,
 			SLOAttainment: metrics.Ratio(acc.sloMet, acc.sloDone),
@@ -1178,7 +1176,7 @@ func (c *cluster) firstToken(m *member, now float64) {
 	if m.req.decode > 0 {
 		m.genBytes = c.tokenBytes
 		*m.genPayload = kvstore.Bytes(m.genBytes)
-		c.stores[m.si].Put(m.genKey, m.genPayload) //nolint:errcheck
+		c.stores[m.si].PutSlot(&m.genSlot, m.genKey, m.genPayload) //nolint:errcheck
 	}
 	if !c.measured(m.req) {
 		return
@@ -1199,18 +1197,20 @@ func (c *cluster) firstToken(m *member, now float64) {
 // sample and another token's worth of KV appended to the request's
 // growing entry in the shared store — generation competing with cached
 // chunks for the fast tiers is what makes decode-phase KV pressure real.
+// Both cost O(1): the append writes through the member's handle on its
+// entry, and the sample usually extends the TBT log's last run.
 func (c *cluster) token(m *member, now float64) {
 	m.genBytes += c.tokenBytes
 	*m.genPayload = kvstore.Bytes(m.genBytes)
-	c.stores[m.si].Put(m.genKey, m.genPayload) //nolint:errcheck
+	c.stores[m.si].PutSlot(&m.genSlot, m.genKey, m.genPayload) //nolint:errcheck
 	if c.sloOn {
 		m.tbtSum += now - m.lastToken
 	}
 	if c.measured(m.req) {
 		tbt := now - m.lastToken
-		c.tbts = append(c.tbts, tbt)
+		c.tbts.Add(tbt)
 		if m.acc != nil {
-			m.acc.tbts = append(m.acc.tbts, tbt)
+			m.acc.tbts.Add(tbt)
 		}
 	}
 	m.lastToken = now

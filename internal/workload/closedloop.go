@@ -74,13 +74,18 @@ type ClosedLoop struct {
 	// Think is the mean think time in seconds between a client's request
 	// completing and its next request being issued. Must be positive: the
 	// think gap is what makes a closed loop stable (and keeps per-client
-	// arrivals strictly after completions).
+	// arrivals strictly after completions). At most MaxThink.
 	Think float64
 	// Chunks describes the shared corpus the tenant slices divide.
 	Chunks Chunks
 	// Decode samples generation lengths (zero value = prefill-only).
 	Decode Decode
 }
+
+// MaxThink caps ClosedLoop.Think, in seconds. A think draw is at most
+// 43.7·Think (u ≥ 2⁻⁶³), so every arrival — a completion time plus a
+// draw — stays finite; an unbounded mean lets the sum overflow to +Inf.
+const MaxThink = 1e9
 
 // tenants returns the effective tenant count.
 func (c ClosedLoop) tenants() int {
@@ -104,6 +109,8 @@ func (c ClosedLoop) Validate() error {
 		return fmt.Errorf("closed-loop: clients %d: need at least one per tenant", c.Clients)
 	case !finite(c.Think) || c.Think <= 0:
 		return fmt.Errorf("closed-loop: think time %v: must be positive and finite", c.Think)
+	case c.Think > MaxThink:
+		return fmt.Errorf("closed-loop: think time %v: above the cap of %g s", c.Think, float64(MaxThink))
 	}
 	if err := c.Chunks.Validate(); err != nil {
 		return fmt.Errorf("closed-loop: %w", err)

@@ -27,6 +27,7 @@ func TestClosedLoopValidate(t *testing.T) {
 		{"negative think", func(c *ClosedLoop) { c.Think = -1 }},
 		{"nan think", func(c *ClosedLoop) { c.Think = math.NaN() }},
 		{"inf think", func(c *ClosedLoop) { c.Think = math.Inf(1) }},
+		{"think above the cap", func(c *ClosedLoop) { c.Think = 1e308 }},
 		{"bad chunks", func(c *ClosedLoop) { c.Chunks.PerRequest = 0 }},
 		{"pool below tenants", func(c *ClosedLoop) { c.Chunks.Pool = 2 }},
 		{"bad decode", func(c *ClosedLoop) { c.Decode.Mean = -1 }},

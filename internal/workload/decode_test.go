@@ -91,7 +91,7 @@ func TestDecodeDeterministic(t *testing.T) {
 
 // TestDecodeValidate rejects non-finite and negative means.
 func TestDecodeValidate(t *testing.T) {
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), MaxDecodeMean + 1, 1e300} {
 		if err := (Decode{Mean: bad}).Validate(); err == nil {
 			t.Fatalf("mean %v accepted", bad)
 		}
@@ -102,6 +102,33 @@ func TestDecodeValidate(t *testing.T) {
 	}
 	if err := (Decode{Mean: 0}).Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if err := (Decode{Mean: MaxDecodeMean}).Validate(); err != nil {
+		t.Fatalf("mean at the cap rejected: %v", err)
+	}
+}
+
+// TestDecodeCapBoundsDraws: every draw from a mean Validate accepts, after
+// the 1.5× tenant fan-out, passes Request.Validate's budget cap — also the
+// largest draw, from the smallest uniform math/rand can return.
+func TestDecodeCapBoundsDraws(t *testing.T) {
+	mean := 1.5 * MaxDecodeMean
+	worst := 1 + int(math.Log(0x1p-63)/math.Log(1-1/mean))
+	if worst > MaxDecodeTokens {
+		t.Fatalf("largest draw %d exceeds the request cap %d", worst, MaxDecodeTokens)
+	}
+	g := tensor.NewRNG(3)
+	for _, d := range []Decode{{Mean: mean}, {Mean: mean, Deterministic: true}} {
+		for i := 0; i < 1000; i++ {
+			r := Request{Chunks: []int{0}, DecodeTokens: d.Sample(g)}
+			if err := r.Validate(); err != nil {
+				t.Fatalf("%+v: draw %d rejected: %v", d, r.DecodeTokens, err)
+			}
+		}
+	}
+	r := Request{Chunks: []int{0}, DecodeTokens: MaxDecodeTokens + 1}
+	if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "decode tokens") {
+		t.Fatalf("budget above the cap: %v", err)
 	}
 }
 

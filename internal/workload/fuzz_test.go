@@ -9,38 +9,46 @@ import (
 // it must never panic, and whenever it accepts an input, the encoding
 // must be canonical — encode→decode→encode is byte-stable and the decoded
 // requests survive unchanged.
-// FuzzClosedLoop drives a closed-loop session with arbitrary pool shapes
-// and completion schedules and checks the contract the serving runtime
-// leans on: the session always answers (no deadlock — every Complete
-// either issues or reports the budget spent), per-client arrivals are
-// strictly after the completion that triggered them and strictly
-// increase, no client ever has more than one request outstanding (so a
-// tenant never exceeds its Clients concurrency limit), and exactly n
-// requests are issued in total.
+// FuzzClosedLoop drives a closed-loop session with arbitrary pool shapes,
+// think times, decode means and completion schedules and checks the
+// contract the serving runtime leans on: every parameter set Validate
+// accepts issues only requests Request.Validate accepts (finite arrivals,
+// bounded decode budgets); the session always answers (no deadlock —
+// every Complete either issues or reports the budget spent); per-client
+// arrivals are no earlier than the completion that triggered them and
+// strictly increase; no client ever has more than one request
+// outstanding (so a tenant never exceeds its Clients concurrency limit);
+// and exactly n requests are issued in total.
 func FuzzClosedLoop(f *testing.F) {
-	f.Add(int64(1), 3, 4, uint8(20), []byte{0, 1, 2, 3, 4, 5})
-	f.Add(int64(7), 1, 1, uint8(5), []byte{0, 0, 0, 0})
-	f.Add(int64(42), 5, 2, uint8(40), []byte{9, 3, 7, 1, 250})
-	f.Add(int64(-3), 2, 8, uint8(2), []byte{})
+	f.Add(int64(1), 3, 4, uint8(20), []byte{0, 1, 2, 3, 4, 5}, 0.5, 4.0)
+	f.Add(int64(7), 1, 1, uint8(5), []byte{0, 0, 0, 0}, 0.5, 4.0)
+	f.Add(int64(42), 5, 2, uint8(40), []byte{9, 3, 7, 1, 250}, 0.5, 4.0)
+	f.Add(int64(-3), 2, 8, uint8(2), []byte{}, 0.5, 4.0)
+	f.Add(int64(1), 1, 2, uint8(10), []byte{1}, 1e308, 4.0)    // think draws past MaxFloat64
+	f.Add(int64(1), 3, 2, uint8(10), []byte{1}, 2.0, 1e300)    // decode draws past MaxInt
+	f.Add(int64(2), 3, 2, uint8(30), []byte{1}, MaxThink, 0.0) // at the think cap
+	f.Add(int64(3), 3, 2, uint8(30), []byte{2}, 1e-9, float64(MaxDecodeMean))
 
-	f.Fuzz(func(t *testing.T, seed int64, tenants, clients int, n uint8, picks []byte) {
+	f.Fuzz(func(t *testing.T, seed int64, tenants, clients int, n uint8, picks []byte, think, mean float64) {
 		if tenants < 0 || tenants > 8 || clients < 1 || clients > 8 {
 			return
 		}
-		w := ClosedLoop{Tenants: tenants, Clients: clients, Think: 0.5,
-			Chunks: Chunks{Pool: 64, PerRequest: 2, Skew: 0.8}, Decode: Decode{Mean: 4}}
-		if err := w.Validate(); err != nil {
-			t.Fatalf("fuzz workload invalid: %v", err)
+		w := ClosedLoop{Tenants: tenants, Clients: clients, Think: think,
+			Chunks: Chunks{Pool: 64, PerRequest: 2, Skew: 0.8}, Decode: Decode{Mean: mean, Deterministic: seed%2 == 0}}
+		if w.Validate() != nil {
+			return
 		}
 		sess := w.Session(int(n), seed)
 
-		// outstanding[ci] is the client's in-flight arrival (NaN = idle).
+		// outstanding[ci] is the client's in-flight arrival (-1 = idle);
+		// last[ci] its latest arrival (-1 = none yet).
 		outstanding := make([]float64, sess.Clients())
 		last := make([]float64, sess.Clients())
 		for ci := range outstanding {
-			outstanding[ci] = -1
+			outstanding[ci], last[ci] = -1, -1
 		}
 		issued := 0
+		now := 0.0
 		note := func(iss Issue) {
 			if iss.Client < 0 || iss.Client >= sess.Clients() {
 				t.Fatalf("issue from client %d of %d", iss.Client, sess.Clients())
@@ -50,6 +58,9 @@ func FuzzClosedLoop(f *testing.F) {
 			}
 			if iss.Req.Arrival <= last[iss.Client] {
 				t.Fatalf("client %d arrival %v not after %v", iss.Client, iss.Req.Arrival, last[iss.Client])
+			}
+			if iss.Req.Arrival < now {
+				t.Fatalf("client %d arrival %v before the completion at %v", iss.Client, iss.Req.Arrival, now)
 			}
 			if err := iss.Req.Validate(); err != nil {
 				t.Fatalf("issued invalid request: %v", err)
@@ -61,7 +72,6 @@ func FuzzClosedLoop(f *testing.F) {
 		for _, iss := range sess.Initial() {
 			note(iss)
 		}
-		now := 0.0
 		// Complete in an arbitrary (fuzzer-chosen) order among in-flight
 		// clients; the session must keep answering regardless.
 		for step := 0; issued < int(n) || anyOutstanding(outstanding); step++ {

@@ -53,8 +53,24 @@ func (r Request) Validate() error {
 	if r.DecodeTokens < 0 {
 		return fmt.Errorf("decode tokens %d: negative", r.DecodeTokens)
 	}
+	if r.DecodeTokens > MaxDecodeTokens {
+		return fmt.Errorf("decode tokens %d: above the cap of %d", r.DecodeTokens, MaxDecodeTokens)
+	}
 	return nil
 }
+
+const (
+	// MaxDecodeMean caps Decode.Mean. The runtime simulates every decode
+	// step, so a mean far past any real generation length only buys a run
+	// that never ends — and past 2⁶³ a draw overflows int.
+	MaxDecodeMean = 1 << 20
+	// MaxDecodeTokens caps a request's DecodeTokens, bounding a replayed
+	// trace as MaxDecodeMean bounds a generated stream. Every draw from an
+	// accepted Mean passes: u ≥ 2⁻⁶³, so a geometric draw is at most
+	// 1 + 43.7·Mean, and the TenantMix and ClosedLoop fan-outs raise a
+	// tenant's mean at most 1.5×, which leaves a draw below 6.9e7 < 2²⁷.
+	MaxDecodeTokens = 1 << 27
+)
 
 // Workload yields a deterministic request stream for the serving runtime.
 type Workload interface {
@@ -153,6 +169,9 @@ type Decode struct {
 func (d Decode) Validate() error {
 	if !finite(d.Mean) || d.Mean < 0 {
 		return fmt.Errorf("decode mean %v: must be finite and non-negative", d.Mean)
+	}
+	if d.Mean > MaxDecodeMean {
+		return fmt.Errorf("decode mean %v: above the cap of %d tokens", d.Mean, MaxDecodeMean)
 	}
 	return nil
 }

@@ -206,6 +206,16 @@ func TestServeCLIDecodeSmoke(t *testing.T) {
 		"-decode", "8", "-decode-dist", "zipf", "-rates", "1"); err == nil {
 		t.Fatalf("unknown -decode-dist accepted:\n%s", out)
 	}
+	// Unbounded budgets fail validation instead of running out of memory,
+	// overflowing a draw, or overflowing a closed-loop arrival to +Inf.
+	if out, err := goToolErr(t, "run", "./cmd/cacheblend-serve",
+		"-decode", "1e10", "-decode-dist", "fixed", "-rates", "1", "-n", "5"); err == nil || !strings.Contains(out, "decode mean") {
+		t.Fatalf("-decode 1e10 accepted or error unclear:\n%s", out)
+	}
+	if out, err := goToolErr(t, "run", "./cmd/cacheblend-serve",
+		"-closed-loop", "2", "-think", "1e308", "-decode", "4", "-n", "10"); err == nil || !strings.Contains(out, "think time") {
+		t.Fatalf("-think 1e308 accepted or error unclear:\n%s", out)
+	}
 }
 
 // TestServeCLISchedSmoke drives the scheduling-policy flags: a
