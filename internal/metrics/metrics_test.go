@@ -220,11 +220,11 @@ var specialValues = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Cop
 // modifies its input; and that a Runs log fed the same samples in order
 // returns the same Len, Mean (bit for bit, or NaN for both) and
 // Percentile (under the same rule, and at p ≤ 0 and p ≥ 100 bit for bit
-// unless both are NaN, so signed zeros show). The fuzzer picks a sample of 0 to 2000 values, how
-// many of them are special values, how many distinct values the rest tie
-// on (0 = no ties), the sample's layout (as drawn, ascending, descending,
-// or ascending runs of 50, like a run's time-ordered latencies) and p in
-// [-10, 110].
+// unless both are NaN, so signed zeros show). The fuzzer picks a sample
+// of 0 to 2000 values, how many of them are special values, how many
+// distinct values the rest tie on (0 = no ties), the sample's layout (as
+// drawn, ascending, descending, or ascending runs of 50, like a run's
+// time-ordered latencies) and p in [-10, 110].
 func FuzzPercentile(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint8(0), uint8(0), uint8(0), uint16(600))       // empty
 	f.Add(int64(2), uint16(1), uint8(0), uint8(0), uint8(0), uint16(1050))      // one sample

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/tensor"
@@ -41,8 +42,9 @@ type Session interface {
 	Initial() []Issue
 	// Complete records that the given client's outstanding request
 	// finished at virtual time `at` and returns the client's next issue,
-	// whose arrival is `at` plus a think-time draw. ok is false once the
-	// session has issued its full request budget — the client retires.
+	// whose arrival is `at` plus a think-time draw, and always strictly
+	// after `at`. ok is false once the session has issued its full
+	// request budget — the client retires.
 	Complete(client int, at float64) (Issue, bool)
 }
 
@@ -205,6 +207,12 @@ func (s *clientPool) issue(ci int, after float64) (Issue, bool) {
 	s.budget--
 	c := &s.clients[ci]
 	t := after + expo(c.g, c.think)
+	if t <= after {
+		// The draw is below half an ulp of `after` (a tiny Think, or a
+		// late completion) and rounded away: the arrival takes the next
+		// float instead, so it still follows the completion.
+		t = math.Nextafter(after, math.Inf(1))
+	}
 	ids := make([]int, c.chunks.PerRequest)
 	c.chunks.Sample(c.g, t, ids)
 	return Issue{Client: ci, Req: Request{

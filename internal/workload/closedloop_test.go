@@ -109,6 +109,26 @@ func TestClosedLoopBudget(t *testing.T) {
 	}
 }
 
+// TestClosedLoopThinkGaps: the gap from a completion to the client's next
+// arrival is a think draw, averaging Think (4000 draws put 3σ at ±4.7%).
+func TestClosedLoopThinkGaps(t *testing.T) {
+	const n = 4000
+	w := testClosedLoop()
+	sess := w.Session(2*n, 11)
+	sess.Initial()
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		iss, ok := sess.Complete(i%sess.Clients(), 100)
+		if !ok {
+			t.Fatal("session refused within its budget")
+		}
+		sum += iss.Req.Arrival - 100
+	}
+	if mean := sum / n; math.Abs(mean-w.Think) > 0.05*w.Think {
+		t.Fatalf("mean think gap %v, want %v ± 5%%", mean, w.Think)
+	}
+}
+
 // TestClosedLoopSmallBudget: a budget below the pool size truncates the
 // initial wave — surplus clients never start.
 func TestClosedLoopSmallBudget(t *testing.T) {

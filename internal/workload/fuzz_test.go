@@ -5,18 +5,14 @@ import (
 	"testing"
 )
 
-// FuzzTraceRoundTrip throws arbitrary bytes at the JSONL trace decoder:
-// it must never panic, and whenever it accepts an input, the encoding
-// must be canonical — encode→decode→encode is byte-stable and the decoded
-// requests survive unchanged.
 // FuzzClosedLoop drives a closed-loop session with arbitrary pool shapes,
 // think times, decode means and completion schedules and checks the
 // contract the serving runtime leans on: every parameter set Validate
 // accepts issues only requests Request.Validate accepts (finite arrivals,
 // bounded decode budgets); the session always answers (no deadlock —
 // every Complete either issues or reports the budget spent); per-client
-// arrivals are no earlier than the completion that triggered them and
-// strictly increase; no client ever has more than one request
+// arrivals are strictly after t=0 and the completion that triggered them,
+// and strictly increase; no client ever has more than one request
 // outstanding (so a tenant never exceeds its Clients concurrency limit);
 // and exactly n requests are issued in total.
 func FuzzClosedLoop(f *testing.F) {
@@ -28,6 +24,8 @@ func FuzzClosedLoop(f *testing.F) {
 	f.Add(int64(1), 3, 2, uint8(10), []byte{1}, 2.0, 1e300)    // decode draws past MaxInt
 	f.Add(int64(2), 3, 2, uint8(30), []byte{1}, MaxThink, 0.0) // at the think cap
 	f.Add(int64(3), 3, 2, uint8(30), []byte{2}, 1e-9, float64(MaxDecodeMean))
+	f.Add(int64(4), 2, 3, uint8(30), []byte{1, 2}, 5e-324, 4.0) // subnormal think: every draw rounds to 0
+	f.Add(int64(5), 2, 3, uint8(30), []byte{3}, 1e-300, 4.0)    // draws far below an ulp of each completion
 
 	f.Fuzz(func(t *testing.T, seed int64, tenants, clients int, n uint8, picks []byte, think, mean float64) {
 		if tenants < 0 || tenants > 8 || clients < 1 || clients > 8 {
@@ -41,11 +39,12 @@ func FuzzClosedLoop(f *testing.F) {
 		sess := w.Session(int(n), seed)
 
 		// outstanding[ci] is the client's in-flight arrival (-1 = idle);
-		// last[ci] its latest arrival (-1 = none yet).
+		// last[ci] its latest arrival (0 = none yet: a first arrival must
+		// still be after t=0, since every client starts mid-think).
 		outstanding := make([]float64, sess.Clients())
 		last := make([]float64, sess.Clients())
 		for ci := range outstanding {
-			outstanding[ci], last[ci] = -1, -1
+			outstanding[ci] = -1
 		}
 		issued := 0
 		now := 0.0
@@ -59,8 +58,8 @@ func FuzzClosedLoop(f *testing.F) {
 			if iss.Req.Arrival <= last[iss.Client] {
 				t.Fatalf("client %d arrival %v not after %v", iss.Client, iss.Req.Arrival, last[iss.Client])
 			}
-			if iss.Req.Arrival < now {
-				t.Fatalf("client %d arrival %v before the completion at %v", iss.Client, iss.Req.Arrival, now)
+			if iss.Req.Arrival <= now {
+				t.Fatalf("client %d arrival %v not after the completion at %v", iss.Client, iss.Req.Arrival, now)
 			}
 			if err := iss.Req.Validate(); err != nil {
 				t.Fatalf("issued invalid request: %v", err)
@@ -118,6 +117,10 @@ func anyOutstanding(outstanding []float64) bool {
 	return false
 }
 
+// FuzzTraceRoundTrip throws arbitrary bytes at the JSONL trace decoder:
+// it must never panic, and whenever it accepts an input, the encoding
+// must be canonical — encode→decode→encode is byte-stable and the decoded
+// requests survive unchanged.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"t":0.5,"chunks":[3,0,17]}` + "\n" + `{"t":1.25,"tenant":2,"chunks":[51]}` + "\n"))
 	f.Add([]byte(`{"t":0,"chunks":[0]}`))
