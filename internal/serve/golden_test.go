@@ -156,6 +156,18 @@ func goldenCases() []goldenCase {
 				Replicas: 1, Tiered: tiered, Seed: seed, Workload: "closed-decode", Sched: SchedSLO})
 		}
 	}
+	// Routed-tiered cases, shaped like the serve-routed-tiered benchmark:
+	// four replicas with one HBM → RAM → slow-SSD stack each, affinity
+	// routing and predictive prefetch over four bursty drifting tenants.
+	// The HBM tier is eight one-chunk shards, so nearly every admission
+	// promotes and cascades; they lock every tier move the stacks make,
+	// the loaders' transfers and their in-flight joins.
+	for _, seed := range []int64{1, 7} {
+		name := "cacheblend/r4/tiered/routed-tiered/affinity-predictive/seed" + strconv.FormatInt(seed, 10)
+		cases = append(cases, goldenCase{Name: name, Scheme: baselines.CacheBlend,
+			Replicas: 4, Tiered: true, Seed: seed, Workload: "routed-tiered",
+			Router: RouterAffinity, Prefetch: PrefetchPredictive})
+	}
 	return cases
 }
 
@@ -187,6 +199,13 @@ func (gc goldenCase) run(t *testing.T) Result {
 	case "closed-decode":
 		w = workload.ClosedLoop{Tenants: 3, Clients: 8, Think: 2, Chunks: chunks,
 			Decode: workload.Decode{Mean: 128}}
+	case "routed-tiered":
+		tenants := make([]workload.Workload, 4)
+		for i := range tenants {
+			tenants[i] = workload.Bursty{Rate: 2, Burst: 4, Chunks: workload.Chunks{
+				Pool: 48, PerRequest: 6, Skew: 1.1, Offset: i * 48, DriftPeriod: 60}}
+		}
+		w = workload.MultiTenant{Tenants: tenants}
 	default:
 		t.Fatalf("unknown golden workload %q", gc.Workload)
 	}
@@ -233,6 +252,15 @@ func (gc goldenCase) config() Config {
 		}
 	} else {
 		cfg.StoreCapacity = total
+	}
+	if gc.Workload == "routed-tiered" {
+		chunkBytes := cfg.Spec.KVBytes(cfg.ChunkTokens)
+		cfg.MaxBatch, cfg.QueryTokens = 4, 128
+		cfg.Tiers = []TierConfig{
+			{Device: device.GPUHBM, Capacity: 8 * chunkBytes},
+			{Device: device.CPURAM, Capacity: 48 * chunkBytes},
+			{Device: device.SlowSSD},
+		}
 	}
 	return cfg
 }
