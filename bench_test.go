@@ -454,11 +454,18 @@ func BenchmarkServeRouted(b *testing.B) {
 			Chunks: workload.Chunks{Pool: 48, PerRequest: 6, Skew: 1.1, Offset: i * 48}}
 	}
 	w := workload.MultiTenant{Tenants: mix}
-	for _, policy := range []string{serve.RouterShared, serve.RouterHash, serve.RouterAffinity} {
-		policy := policy
-		b.Run(policy, func(b *testing.B) {
+	// affinity-predictive adds the loaders: transfers on per-replica
+	// stacks, the in-flight joins and the completions that promote.
+	for _, bc := range []struct{ name, router, prefetch string }{
+		{serve.RouterShared, serve.RouterShared, ""},
+		{serve.RouterHash, serve.RouterHash, ""},
+		{serve.RouterAffinity, serve.RouterAffinity, ""},
+		{"affinity-predictive", serve.RouterAffinity, serve.PrefetchPredictive},
+	} {
+		bc := bc
+		b.Run(bc.name, func(b *testing.B) {
 			c := cfg
-			c.Router = policy
+			c.Router, c.PrefetchPolicy = bc.router, bc.prefetch
 			var ttft float64
 			for i := 0; i < b.N; i++ {
 				res, err := serve.RunWorkload(c, w, 300, 50, 42)

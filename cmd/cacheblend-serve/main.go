@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -177,7 +178,11 @@ func main() {
 		cfg.Events = events
 	}
 	if *capacity > 0 {
-		cfg.StoreCapacity = int64(*capacity) * spec.KVBytes(*chunks**chunkTok)
+		capBytes, err := contextBytes("-capacity", int64(*capacity), spec.KVBytes(*chunks**chunkTok))
+		if err != nil {
+			fatal(err)
+		}
+		cfg.StoreCapacity = capBytes
 	}
 	if *tiersSpec != "" {
 		tiers, err := parseTiers(*tiersSpec, spec.KVBytes(*chunks**chunkTok))
@@ -430,7 +435,11 @@ func parseTiers(s string, ctxBytes int64) ([]serve.TierConfig, error) {
 		if err != nil || nCtx < 0 {
 			return nil, fmt.Errorf("bad tier capacity %q: want a context count ≥ 0", contexts)
 		}
-		tiers = append(tiers, serve.TierConfig{Device: dev, Capacity: int64(nCtx) * ctxBytes})
+		capBytes, err := contextBytes("-tiers", int64(nCtx), ctxBytes)
+		if err != nil {
+			return nil, err
+		}
+		tiers = append(tiers, serve.TierConfig{Device: dev, Capacity: capBytes})
 	}
 	for i, tc := range tiers[:len(tiers)-1] {
 		if tc.Capacity == 0 {
@@ -438,6 +447,16 @@ func parseTiers(s string, ctxBytes int64) ([]serve.TierConfig, error) {
 		}
 	}
 	return tiers, nil
+}
+
+// contextBytes converts n contexts of ctxBytes each into bytes, rejecting
+// a count whose byte total would wrap around; name is the flag that gave n.
+func contextBytes(name string, n, ctxBytes int64) (int64, error) {
+	if ctxBytes > 0 && n > math.MaxInt64/ctxBytes {
+		return 0, fmt.Errorf("%s: %d contexts of %d bytes overflow a byte count (at most %d)",
+			name, n, ctxBytes, math.MaxInt64/ctxBytes)
+	}
+	return n * ctxBytes, nil
 }
 
 func fmtUtils(utils []float64) string {

@@ -10,6 +10,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
+	"os"
 
 	"repro/internal/chunk"
 	"repro/internal/device"
@@ -27,6 +29,10 @@ func main() {
 		seed = flag.Int64("seed", 1, "workload seed")
 	)
 	flag.Parse()
+	if err := validate(*ops, *pool, *skew); err != nil {
+		fmt.Fprintln(os.Stderr, "kvstore-bench:", err)
+		os.Exit(1)
+	}
 
 	spec := timing.Mistral7B
 	chunkBytes := spec.KVBytes(512)
@@ -47,6 +53,20 @@ func main() {
 	for _, d := range device.Tiers() {
 		fmt.Printf("%-14s %8.1f ms\n", d.Name, d.ReadTime(ctxBytes)*1000)
 	}
+}
+
+// validate rejects flag values the workload cannot draw from: no lookups,
+// an empty pool, or a skew sim.Zipf cannot use.
+func validate(ops, pool int, skew float64) error {
+	switch {
+	case ops <= 0:
+		return fmt.Errorf("-ops %d: must be positive", ops)
+	case pool <= 0:
+		return fmt.Errorf("-pool %d: must be positive", pool)
+	case math.IsNaN(skew) || math.IsInf(skew, 0) || skew < 0:
+		return fmt.Errorf("-skew %v: must be finite and non-negative", skew)
+	}
+	return nil
 }
 
 func run(ops, pool int, skew float64, seed int64, capBytes int64, policy kvstore.Policy, chunkBytes int64) (float64, kvstore.Stats) {

@@ -65,6 +65,32 @@ func BenchmarkTieredGetAt(b *testing.B) {
 	}
 }
 
+// BenchmarkTieredContains times one presence probe, the affinity
+// router's scoring call. Half the probed keys were never inserted, as
+// when the router probes other replicas' stacks for a tenant's chunks.
+func BenchmarkTieredContains(b *testing.B) {
+	for _, depth := range []int{1, 3} {
+		b.Run(fmt.Sprintf("tiers%d", depth), func(b *testing.B) {
+			keys := benchKeys()
+			ts := filledTiered(b, depth, keys)
+			absent := stressKeys(2 * len(keys))[len(keys):]
+			probes := make([]chunk.ID, 0, 2*len(keys))
+			for i, k := range keys {
+				probes = append(probes, k, absent[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchFound = ts.Contains(probes[i%len(probes)])
+			}
+		})
+	}
+}
+
+// benchFound keeps BenchmarkTieredContains's probes from being optimised
+// away.
+var benchFound bool
+
 // BenchmarkTieredPut times one chunk insert or replace, evictions and
 // demotions included.
 func BenchmarkTieredPut(b *testing.B) {

@@ -51,11 +51,12 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// entry is one resident chunk, threaded onto the store's intrusive
+// entry is one resident chunk, threaded onto its store's intrusive
 // recency list — no container/list element allocation per insert, and
-// removed entries recycle through a freelist instead of churning the GC.
-// An entry never moves between stores: each store recycles its own, so
-// store names the one store an entry can ever be resident in.
+// removed entries recycle through their index's freelist instead of
+// churning the GC. In a tier stack an entry moves between the stack's
+// stores as it is promoted and demoted, and store always names the one it
+// is resident in.
 type entry struct {
 	id         chunk.ID
 	payload    Sized
@@ -64,18 +65,51 @@ type entry struct {
 	prev, next *entry // recency list when resident; next chains the freelist
 }
 
-// Store is a capacity-bounded KV cache store on one device.
+// index maps every resident id to its entry and recycles freed entries.
+// A standalone Store owns one. A Tiered owns one that every store in its
+// stack shares: an id has at most one entry in a stack, whichever tier
+// holds it, so the index changes only when an id enters or leaves it.
+type index struct {
+	m    map[chunk.ID]*entry
+	free *entry // recycled entries, chained via next
+}
+
+// enter indexes id with an entry off the freelist, or a new one.
+func (x *index) enter(id chunk.ID) *entry {
+	e := x.free
+	if e != nil {
+		x.free = e.next
+		e.next = nil
+	} else {
+		e = new(entry)
+	}
+	e.id = id
+	x.m[id] = e
+	return e
+}
+
+// drop deletes e's id and recycles e, clearing its payload reference and
+// its store. e must be on no recency list.
+func (x *index) drop(e *entry) {
+	delete(x.m, e.id)
+	*e = entry{next: x.free}
+	x.free = e
+}
+
+// Store is a capacity-bounded KV cache store on one device. It is either
+// standalone, with an index of its own, or one shard of one tier of a
+// Tiered stack, sharing the stack's index and demoting its victims.
 type Store struct {
-	dev      device.Device
-	capacity int64
-	used     int64
-	policy   Policy
-	head     *entry // most recently used
-	tail     *entry // eviction end
-	index    map[chunk.ID]*entry
-	free     *entry // recycled entries, chained via next
-	stats    Stats
-	onEvict  func(chunk.ID, Sized)
+	dev        device.Device
+	capacity   int64
+	used       int64
+	n          int // resident entries
+	policy     Policy
+	head, tail *entry // most recently used; eviction end
+	idx        *index
+	stack      *Tiered // the stack s is a tier of; nil when standalone
+	tier       int     // s's tier in stack
+	stats      Stats
 }
 
 // New creates a store on dev holding at most capacity bytes. A
@@ -85,7 +119,7 @@ func New(dev device.Device, capacity int64, policy Policy) *Store {
 		dev:      dev,
 		capacity: capacity,
 		policy:   policy,
-		index:    make(map[chunk.ID]*entry),
+		idx:      &index{m: make(map[chunk.ID]*entry)},
 	}
 }
 
@@ -94,6 +128,16 @@ func (s *Store) Device() device.Device { return s.dev }
 
 // Capacity returns the store's byte budget (≤ 0 = unbounded).
 func (s *Store) Capacity() int64 { return s.capacity }
+
+// lookup returns id's entry if it is resident in s. Every Store method
+// finds ids through it: a stacked store's index also holds the ids
+// resident on the stack's other stores.
+func (s *Store) lookup(id chunk.ID) *entry {
+	if e := s.idx.m[id]; e != nil && e.store == s {
+		return e
+	}
+	return nil
+}
 
 // pushFront links e at the recency head. e must be unlinked.
 func (s *Store) pushFront(e *entry) {
@@ -131,37 +175,39 @@ func (s *Store) moveToFront(e *entry) {
 	s.pushFront(e)
 }
 
-// allocEntry takes an entry off the freelist, or heap-allocates one.
-func (s *Store) allocEntry() *entry {
-	if e := s.free; e != nil {
-		s.free = e.next
-		e.next = nil
-		return e
+// add makes e resident in s at the recency head, as n bytes.
+func (s *Store) add(e *entry, n int64) {
+	e.store, e.bytes = s, n
+	s.pushFront(e)
+	s.used += n
+	s.n++
+}
+
+// take makes e, resident in s, resident nowhere. It stays indexed.
+func (s *Store) take(e *entry) {
+	s.unlink(e)
+	s.used -= e.bytes
+	s.n--
+}
+
+// place makes e, an indexed entry resident nowhere, resident in s at the
+// recency head, sized by its payload, then evicts. A payload larger than
+// the whole capacity is refused, leaving e resident nowhere.
+func (s *Store) place(e *entry) bool {
+	n := e.payload.SizeBytes()
+	if s.capacity > 0 && n > s.capacity {
+		return false
 	}
-	return &entry{}
-}
-
-// freeEntry clears e (dropping its payload reference and its store) and
-// recycles it.
-func (s *Store) freeEntry(e *entry) {
-	*e = entry{next: s.free}
-	s.free = e
-}
-
-// SetEvictHandler registers fn to receive entries evicted under capacity
-// pressure instead of dropping them silently — the hook the tiered store
-// uses to demote victims to the next tier. fn runs once the victim has
-// left the store, so it may insert into other stores (or even back into
-// this one).
-func (s *Store) SetEvictHandler(fn func(chunk.ID, Sized)) {
-	s.onEvict = fn
+	s.add(e, n)
+	s.evict()
+	return true
 }
 
 // Get returns the payload for id if present, marking a hit and refreshing
 // recency; otherwise it records a miss.
 func (s *Store) Get(id chunk.ID) (Sized, bool) {
-	e, ok := s.index[id]
-	if !ok {
+	e := s.lookup(id)
+	if e == nil {
 		s.stats.Misses++
 		return nil, false
 	}
@@ -173,96 +219,68 @@ func (s *Store) Get(id chunk.ID) (Sized, bool) {
 }
 
 // Contains reports presence without touching recency or stats.
-func (s *Store) Contains(id chunk.ID) bool {
-	_, ok := s.index[id]
-	return ok
-}
-
-// Peek returns id's payload without touching recency, hit/miss statistics
-// or placement — the read the tiered store's prefetch scheduler uses to
-// size a transfer without perturbing LRU order.
-func (s *Store) Peek(id chunk.ID) (Sized, bool) {
-	e, ok := s.index[id]
-	if !ok {
-		return nil, false
-	}
-	return e.payload, true
-}
+func (s *Store) Contains(id chunk.ID) bool { return s.lookup(id) != nil }
 
 // Put inserts or replaces the payload for id, evicting per policy until
 // the entry fits. Payloads larger than the whole capacity are rejected.
 func (s *Store) Put(id chunk.ID, payload Sized) error { return s.put(id, payload, nil) }
 
 // put is Put for a caller that may already hold id's entry: e, when not
-// nil, must be id's resident entry, and spares the index probe — the
-// tiered store's write through a Slot. A resident entry is updated in
-// place: recency refreshes and growth evicts per policy, exactly as for
-// a reinsert. A new entry is linked at the recency head.
+// nil, must be id's entry resident in s, and spares the index probe — the
+// tiered store's in-place write. A resident entry is updated in place:
+// recency refreshes and growth evicts per policy, exactly as for a
+// reinsert. A new entry is linked at the recency head.
 func (s *Store) put(id chunk.ID, payload Sized, e *entry) error {
 	n := payload.SizeBytes()
 	if s.capacity > 0 && n > s.capacity {
 		return fmt.Errorf("kvstore: payload %d bytes exceeds capacity %d", n, s.capacity)
 	}
 	if e == nil {
-		e = s.index[id]
+		e = s.lookup(id)
 	}
 	if e != nil {
 		s.used += n - e.bytes
-		e.payload = payload
 		e.bytes = n
 		if s.policy == LRU {
 			s.moveToFront(e)
 		}
 	} else {
 		s.stats.Puts++
-		e = s.allocEntry()
-		e.id, e.payload, e.bytes, e.store = id, payload, n, s
-		s.index[id] = e
-		s.pushFront(e)
-		s.used += n
+		e = s.idx.enter(id)
+		s.add(e, n)
 	}
+	e.payload = payload
 	s.evict()
 	s.stats.BytesStored = s.used
 	return nil
 }
 
 // Remove deletes id and returns its payload. It touches neither hit/miss
-// nor eviction counters — the tiered store uses it to move entries
-// between tiers without distorting placement statistics.
+// nor eviction counters.
 func (s *Store) Remove(id chunk.ID) (Sized, bool) {
-	e, ok := s.index[id]
-	if !ok {
+	e := s.lookup(id)
+	if e == nil {
 		return nil, false
 	}
 	payload := e.payload
-	s.unlink(e)
-	delete(s.index, id)
-	s.used -= e.bytes
+	s.take(e)
+	s.idx.drop(e)
 	s.stats.BytesStored = s.used
-	s.freeEntry(e)
 	return payload, true
 }
 
-// evict evicts from the back until within capacity. Each victim goes to
-// the evict handler, if one is registered, once it has left the store and
-// its entry is recycled.
+// evict evicts from the back until within capacity. A standalone store
+// drops each victim; a stacked store hands it to its stack, which demotes
+// it a tier.
 func (s *Store) evict() {
-	if s.capacity <= 0 {
-		return
-	}
-	for s.used > s.capacity {
+	for s.capacity > 0 && s.used > s.capacity {
 		e := s.tail
-		if e == nil {
-			break
-		}
-		id, payload := e.id, e.payload
-		s.unlink(e)
-		delete(s.index, id)
-		s.used -= e.bytes
+		s.take(e)
 		s.stats.Evictions++
-		s.freeEntry(e)
-		if s.onEvict != nil {
-			s.onEvict(id, payload)
+		if s.stack != nil {
+			s.stack.demote(s.tier, e)
+		} else {
+			s.idx.drop(e)
 		}
 	}
 }
@@ -274,7 +292,7 @@ func (s *Store) Used() int64 {
 
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
-	return len(s.index)
+	return s.n
 }
 
 // Each calls fn for every resident entry with its id and byte size, in
@@ -296,8 +314,8 @@ func (s *Store) Stats() Stats {
 // LoadTime returns the simulated seconds to read id's payload from the
 // backing device (0 if absent). It does not count as a Get.
 func (s *Store) LoadTime(id chunk.ID) float64 {
-	e, ok := s.index[id]
-	if !ok {
+	e := s.lookup(id)
+	if e == nil {
 		return 0
 	}
 	return s.dev.ReadTime(e.bytes)

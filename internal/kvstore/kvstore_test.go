@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/chunk"
@@ -151,26 +152,26 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestEvictHandlerReceivesVictims(t *testing.T) {
-	s := newTest(250, LRU)
-	var evicted []chunk.ID
-	s.SetEvictHandler(func(id chunk.ID, p Sized) {
-		if p.SizeBytes() != 100 {
-			t.Fatalf("victim payload %d bytes, want 100", p.SizeBytes())
-		}
-		evicted = append(evicted, id)
-	})
+// TestTieredDemotionOrder: top-tier victims leave in LRU order and each
+// lands at the head of the tier below, so the older victim ends up behind
+// the newer one there.
+func TestTieredDemotionOrder(t *testing.T) {
+	ts := MustTiered([]Tier{
+		{Device: device.GPUHBM, Capacity: 250},
+		{Device: device.NVMeSSD},
+	}, LRU)
 	for i := 1; i <= 4; i++ {
-		if err := s.Put(id(i), Bytes(100)); err != nil {
+		if err := ts.Put(id(i), Bytes(100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Capacity 250 holds 2 entries: ids 1 then 2 fall off the back.
-	if len(evicted) != 2 || evicted[0] != id(1) || evicted[1] != id(2) {
-		t.Fatalf("evict handler saw %v, want [id(1) id(2)]", evicted)
+	// The top holds 2 entries: ids 1 then 2 fall off its back.
+	want := []resident{{id(2), 100}, {id(1), 100}}
+	if got := residents(ts.tiers[1].Each); !slices.Equal(got, want) {
+		t.Fatalf("tier 1 holds %v, want %v", got, want)
 	}
-	if s.Stats().Evictions != 2 {
-		t.Fatalf("evictions=%d want 2", s.Stats().Evictions)
+	if d := ts.TierStats()[0].Demotions; d != 2 {
+		t.Fatalf("demotions=%d want 2", d)
 	}
 }
 

@@ -81,17 +81,11 @@ func (t *Tiered) Prefetch(id chunk.ID, now, bw float64) (arrival float64, starte
 	if tr, ok := t.flights[id]; ok {
 		return tr.arrival, false
 	}
-	src := -1
-	var payload Sized
-	for i, tier := range t.tiers {
-		if p, ok := tier.Peek(id); ok {
-			src, payload = i, p
-			break
-		}
-	}
-	if src <= 0 {
+	e := t.idx.m[id]
+	if e == nil || e.store.tier == 0 {
 		return 0, false // absent, or already hot
 	}
+	src, payload := e.store.tier, e.payload
 	if bw <= 0 {
 		bw = 1
 	}
@@ -138,10 +132,8 @@ func (t *Tiered) GetAt(id chunk.ID, now float64) (payload Sized, tier int, wait 
 // without touching recency, statistics or placement. The predictive
 // prefetcher uses it to pick popular-but-cold candidates.
 func (t *Tiered) TierOf(id chunk.ID) int {
-	for i, tier := range t.tiers {
-		if tier.Contains(id) {
-			return i
-		}
+	if e := t.idx.m[id]; e != nil {
+		return e.store.tier
 	}
 	return -1
 }
@@ -191,30 +183,20 @@ func (t *Tiered) advance(now float64) {
 // hierarchy mid-flight is NOT re-inserted — its bytes moved for nothing.
 func (t *Tiered) complete(tr *transfer) {
 	delete(t.flights, tr.id)
-	src := -1
-	for i, tier := range t.tiers {
-		if tier.Contains(tr.id) {
-			src = i
-			break
-		}
-	}
+	e := t.idx.m[tr.id]
 	switch {
-	case src < 0:
+	case e == nil:
 		// Evicted while in flight: never resurrect.
 		t.pf.BytesWasted += tr.bytes
 		return
-	case src == 0:
+	case e.store.tier == 0:
 		// Already hot (re-inserted ahead of the transfer): nothing to move.
 		t.pf.Completed++
 		return
-	}
-	payload, _ := t.tiers[src].Remove(tr.id)
-	if err := t.tiers[0].Put(tr.id, payload); err != nil {
-		t.tiers[src].Put(tr.id, payload) //nolint:errcheck // it fit before
+	case !t.promote(e):
 		t.pf.BytesWasted += tr.bytes
 		return
 	}
-	t.promos[src]++
 	t.pf.Completed++
 	if !tr.read {
 		t.unread[tr.id] = tr.bytes

@@ -288,7 +288,10 @@ func TestPopularityStaleNowDoesNotInflate(t *testing.T) {
 // removed key never resurrects until the next Put; a write through a
 // Slot to a key in flight cancels its transfer as a Put does; popularity
 // scores stay non-negative; the waste/moved and hit/miss ledgers stay
-// consistent.
+// consistent; the stack's index holds exactly its resident entries. The
+// frozen pre-index stack (reference_test.go) replays every op and must
+// return the same values and hold the same tiers, recency order,
+// statistics and transfers.
 func FuzzPrefetch(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 250, 7})
 	f.Add(int64(7), []byte{2, 2, 4, 1, 4, 2, 4, 200, 4})
@@ -297,28 +300,40 @@ func FuzzPrefetch(f *testing.F) {
 	// the key in flight.
 	f.Add(int64(5), []byte{0, 6, 12, 18, 24, 30, 36, 42, 48, 54, 2, 2, 2, 2, 5, 2, 2, 5, 4, 5})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
-		ts := MustTiered(threeTiers(512, 1024, 0), LRU)
+		tiers := threeTiers(512, 1024, 0)
+		ts := MustTiered(tiers, LRU)
+		ref := mustRefTiered(tiers, LRU)
 		pop := NewPopularity(16, 64)
 		g := tensor.NewRNG(seed)
 		now := 0.0
 		lookups, removedAt := 0, make(map[chunk.ID]bool) // removed, no Put since
 		inflight := make(map[chunk.ID]float64)           // key → arrival
 		slots := make(map[chunk.ID]*Slot)                // one handle per key
+		refSlots := make(map[chunk.ID]*refSlot)          // the reference's handles
 		var lastStarted *chunk.ID                        // key of the latest transfer started
 		for _, b := range ops {
 			now += float64(b%16) * 1e-3 // monotonic virtual clock
 			key := chunk.Hash("fuzz", []int{g.Intn(24)})
 			switch b % 6 {
 			case 0:
-				ts.Put(key, Bytes(64+int64(b)%192)) //nolint:errcheck
+				size := Bytes(64 + int64(b)%192)
+				if err, refErr := ts.Put(key, size), ref.Put(key, size); (err == nil) != (refErr == nil) {
+					t.Fatalf("Put error %v, reference %v", err, refErr)
+				}
 				delete(removedAt, key)
 				delete(inflight, key)
 			case 1:
-				ts.Remove(key)
+				if a, b := ts.Remove(key), ref.Remove(key); a != b {
+					t.Fatalf("Remove = %v, reference %v", a, b)
+				}
 				removedAt[key] = true
 				delete(inflight, key)
 			case 2:
-				if arrival, started := ts.Prefetch(key, now, 1); started {
+				arrival, started := ts.Prefetch(key, now, 1)
+				if ra, rs := ref.Prefetch(key, now, 1); arrival != ra || started != rs {
+					t.Fatalf("Prefetch = (%v, %v), reference (%v, %v)", arrival, started, ra, rs)
+				}
+				if started {
 					if arrival < now {
 						t.Fatalf("transfer arrives in the past: %v < %v", arrival, now)
 					}
@@ -333,25 +348,35 @@ func FuzzPrefetch(f *testing.F) {
 				if s := pop.Score(key, now+float64(b)); s < 0 {
 					t.Fatalf("negative popularity score %v", s)
 				}
+				if a, b := ts.TierOf(key), ref.TierOf(key); a != b {
+					t.Fatalf("TierOf = %d, reference %d", a, b)
+				}
 			case 5: // a handle write, to the latest transfer's key if any
 				if lastStarted != nil {
 					key = *lastStarted
 				}
 				if slots[key] == nil {
-					slots[key] = new(Slot)
+					slots[key], refSlots[key] = new(Slot), new(refSlot)
 				}
 				flying := ts.Inflight()
 				if _, ok := ts.flights[key]; ok {
 					flying--
 				}
-				ts.PutSlot(slots[key], key, Bytes(64+int64(b)%192)) //nolint:errcheck
+				size := Bytes(64 + int64(b)%192)
+				err, refErr := ts.PutSlot(slots[key], key, size), ref.PutSlot(refSlots[key], key, size)
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("PutSlot error %v, reference %v", err, refErr)
+				}
 				if _, ok := ts.flights[key]; ok || ts.Inflight() != flying {
 					t.Fatalf("a write left its key's transfer in flight (%d in flight, want %d)", ts.Inflight(), flying)
 				}
 				delete(removedAt, key)
 				delete(inflight, key)
 			default:
-				_, _, wait, ok := ts.GetAt(key, now)
+				payload, tier, wait, ok := ts.GetAt(key, now)
+				if rp, rt, rw, rok := ref.GetAt(key, now); payload != rp || tier != rt || wait != rw || ok != rok {
+					t.Fatalf("GetAt = (%v, %d, %v, %v), reference (%v, %d, %v, %v)", payload, tier, wait, ok, rp, rt, rw, rok)
+				}
 				lookups++
 				if ok {
 					pop.Touch(key, now)
@@ -371,6 +396,8 @@ func FuzzPrefetch(f *testing.F) {
 					delete(inflight, key) // landed (or was orphaned) by now
 				}
 			}
+			placement(t, ts)
+			sameAsRef(t, ts, ref)
 		}
 		pf := ts.PrefetchStats()
 		if pf.BytesWasted > pf.BytesMoved {
@@ -386,5 +413,9 @@ func FuzzPrefetch(f *testing.F) {
 		if st.Hits+st.Misses != int64(lookups) {
 			t.Fatalf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, lookups)
 		}
+		if a, b := ts.Drain(), ref.Drain(); a != b {
+			t.Fatalf("Drain = %d, reference %d", a, b)
+		}
+		sameAsRef(t, ts, ref)
 	})
 }

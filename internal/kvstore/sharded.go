@@ -1,43 +1,46 @@
-// Sharded store: one tier of the serving runtime's KV cache, split into
-// shards. Chunk IDs are content hashes, so routing on the ID's leading
-// bytes spreads entries uniformly across independent Stores, each with
-// its own capacity slice and its own LRU order.
+// Sharded store: one tier of a Tiered stack, split into shards. Chunk IDs
+// are content hashes, so routing on the ID's leading bytes spreads entries
+// uniformly across the shards, each with its own capacity slice and its
+// own LRU order. The shards index through their stack's one index, so a
+// lookup needs no shard: only an insert or a demotion picks one.
 package kvstore
 
 import (
 	"encoding/binary"
 
 	"repro/internal/chunk"
-	"repro/internal/device"
 )
 
-// Sharded is a capacity-bounded KV store split across shards, each
-// evicting within its own budget.
+// Sharded is one capacity-bounded tier of a stack, split across shards,
+// each evicting within its own budget.
 type Sharded struct {
 	shards []*Store
 }
 
-// NewSharded creates a store of n shards on dev with the total capacity
-// split evenly (capacity ≤ 0 means unbounded; n ≤ 0 means one shard).
-// Shard 0 absorbs the capacity-division remainder so the shard budgets
-// sum to exactly capacity (each shard still gets at least 1 byte).
-func NewSharded(dev device.Device, capacity int64, policy Policy, n int) *Sharded {
+// newSharded builds tier i of stack t from tc: tc.Shards shards (≤ 0
+// means one) on tc.Device with tc.Capacity split evenly (≤ 0 means
+// unbounded). Shard 0 absorbs the capacity-division remainder so the
+// shard budgets sum to exactly the capacity (each shard still gets at
+// least 1 byte).
+func newSharded(t *Tiered, i int, tc Tier, policy Policy) *Sharded {
+	n := tc.Shards
 	if n <= 0 {
 		n = 1
 	}
 	s := &Sharded{shards: make([]*Store, n)}
-	for i := range s.shards {
+	for j := range s.shards {
 		per := int64(0)
-		if capacity > 0 {
-			per = capacity / int64(n)
-			if i == 0 {
-				per += capacity % int64(n)
+		if tc.Capacity > 0 {
+			per = tc.Capacity / int64(n)
+			if j == 0 {
+				per += tc.Capacity % int64(n)
 			}
 			if per <= 0 {
 				per = 1
 			}
 		}
-		s.shards[i] = New(dev, per, policy)
+		s.shards[j] = &Store{dev: tc.Device, capacity: per, policy: policy,
+			idx: &t.idx, stack: t, tier: i}
 	}
 	return s
 }
@@ -47,50 +50,6 @@ func NewSharded(dev device.Device, capacity int64, policy Policy, n int) *Sharde
 func (s *Sharded) shard(id chunk.ID) *Store {
 	return s.shards[binary.LittleEndian.Uint64(id[:8])%uint64(len(s.shards))]
 }
-
-// Shards returns the number of shards.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
-// Device returns the backing device (shared by all shards).
-func (s *Sharded) Device() device.Device { return s.shards[0].Device() }
-
-// Capacity returns the summed shard byte budgets (0 = unbounded).
-func (s *Sharded) Capacity() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		if sh.Capacity() <= 0 {
-			return 0
-		}
-		n += sh.Capacity()
-	}
-	return n
-}
-
-// SetEvictHandler registers fn on every shard; see Store.SetEvictHandler.
-func (s *Sharded) SetEvictHandler(fn func(chunk.ID, Sized)) {
-	for _, sh := range s.shards {
-		sh.SetEvictHandler(fn)
-	}
-}
-
-// Remove deletes id from its shard without touching hit/miss/eviction
-// counters, returning the payload if present.
-func (s *Sharded) Remove(id chunk.ID) (Sized, bool) { return s.shard(id).Remove(id) }
-
-// Get looks id up in its shard.
-func (s *Sharded) Get(id chunk.ID) (Sized, bool) { return s.shard(id).Get(id) }
-
-// Contains reports presence without touching recency or stats.
-func (s *Sharded) Contains(id chunk.ID) bool { return s.shard(id).Contains(id) }
-
-// Peek returns id's payload without touching recency or stats.
-func (s *Sharded) Peek(id chunk.ID) (Sized, bool) { return s.shard(id).Peek(id) }
-
-// Put inserts into id's shard, evicting within that shard as needed.
-func (s *Sharded) Put(id chunk.ID, payload Sized) error { return s.shard(id).put(id, payload, nil) }
-
-// LoadTime returns the simulated read time of id's payload (0 if absent).
-func (s *Sharded) LoadTime(id chunk.ID) float64 { return s.shard(id).LoadTime(id) }
 
 // Used returns the total stored bytes across shards.
 func (s *Sharded) Used() int64 {
@@ -118,16 +77,11 @@ func (s *Sharded) Each(fn func(id chunk.ID, bytes int64)) {
 	}
 }
 
-// Stats returns the summed counters of all shards.
-func (s *Sharded) Stats() Stats {
-	var t Stats
+// evictions sums the shards' eviction counts.
+func (s *Sharded) evictions() int64 {
+	var n int64
 	for _, sh := range s.shards {
-		st := sh.Stats()
-		t.Hits += st.Hits
-		t.Misses += st.Misses
-		t.Puts += st.Puts
-		t.Evictions += st.Evictions
-		t.BytesStored += st.BytesStored
+		n += sh.stats.Evictions
 	}
-	return t
+	return n
 }

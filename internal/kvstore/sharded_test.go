@@ -7,13 +7,21 @@ import (
 	"repro/internal/device"
 )
 
+// oneTier is a single-tier stack of n shards on NVMe: a Sharded tier on
+// its own.
+func oneTier(capacity int64, n int) *Tiered {
+	return MustTiered([]Tier{{Device: device.NVMeSSD, Capacity: capacity, Shards: n}}, LRU)
+}
+
 func TestShardedBasics(t *testing.T) {
-	s := NewSharded(device.NVMeSSD, 0, LRU, 8)
-	if s.Shards() != 8 {
-		t.Fatalf("Shards() = %d, want 8", s.Shards())
+	s := oneTier(0, 8)
+	if n := len(s.tiers[0].shards); n != 8 {
+		t.Fatalf("%d shards, want 8", n)
 	}
-	if s.Device().Name != device.NVMeSSD.Name {
-		t.Fatalf("wrong device %q", s.Device().Name)
+	for _, sh := range s.tiers[0].shards {
+		if sh.Device().Name != device.NVMeSSD.Name {
+			t.Fatalf("wrong device %q", sh.Device().Name)
+		}
 	}
 	ids := make([]chunk.ID, 100)
 	for i := range ids {
@@ -26,7 +34,7 @@ func TestShardedBasics(t *testing.T) {
 		t.Fatalf("Len=%d Used=%d, want 100/1000", s.Len(), s.Used())
 	}
 	for _, id := range ids {
-		if _, ok := s.Get(id); !ok {
+		if _, tier, ok := s.Get(id); !ok || tier != 0 {
 			t.Fatalf("lost id %s", id)
 		}
 		if !s.Contains(id) {
@@ -43,12 +51,12 @@ func TestShardedBasics(t *testing.T) {
 }
 
 func TestShardedSpreadsAcrossShards(t *testing.T) {
-	s := NewSharded(device.NVMeSSD, 0, LRU, 8)
+	s := oneTier(0, 8)
 	for i := 0; i < 800; i++ {
 		s.Put(chunk.Hash("m", []int{i}), Bytes(1)) //nolint:errcheck
 	}
 	// SHA-256 routing: each shard should hold a nontrivial share.
-	for i, sh := range s.shards {
+	for i, sh := range s.tiers[0].shards {
 		if n := sh.Len(); n < 50 {
 			t.Fatalf("shard %d holds only %d of 800 entries — routing is skewed", i, n)
 		}
@@ -64,29 +72,27 @@ func TestShardedCapacitySumsToBudget(t *testing.T) {
 	}{
 		{103, 4}, {1<<20 + 13, 7}, {17, 3}, {64, 8}, {5, 5},
 	} {
-		s := NewSharded(device.NVMeSSD, tc.capacity, LRU, tc.n)
+		s := oneTier(tc.capacity, tc.n)
 		var sum int64
-		for _, sh := range s.shards {
+		for _, sh := range s.tiers[0].shards {
 			sum += sh.Capacity()
 		}
 		if sum != tc.capacity {
 			t.Errorf("capacity=%d n=%d: shard budgets sum to %d", tc.capacity, tc.n, sum)
 		}
-		if got := s.Capacity(); got != tc.capacity {
-			t.Errorf("capacity=%d n=%d: Capacity()=%d", tc.capacity, tc.n, got)
-		}
 	}
 	// Unbounded stays unbounded.
-	u := NewSharded(device.NVMeSSD, 0, LRU, 4)
-	if u.Capacity() != 0 {
-		t.Fatalf("unbounded Capacity()=%d want 0", u.Capacity())
+	for _, sh := range oneTier(0, 4).tiers[0].shards {
+		if sh.Capacity() != 0 {
+			t.Fatalf("unbounded shard Capacity()=%d want 0", sh.Capacity())
+		}
 	}
 }
 
 func TestShardedCapacityEvicts(t *testing.T) {
 	// 4 shards × 25 bytes each; inserting 200 one-byte entries must evict
 	// within shards and never exceed the total budget.
-	s := NewSharded(device.NVMeSSD, 100, LRU, 4)
+	s := oneTier(100, 4)
 	for i := 0; i < 200; i++ {
 		if err := s.Put(chunk.Hash("m", []int{i}), Bytes(1)); err != nil {
 			t.Fatal(err)
@@ -95,7 +101,12 @@ func TestShardedCapacityEvicts(t *testing.T) {
 	if s.Used() > 100 {
 		t.Fatalf("Used %d exceeds capacity 100", s.Used())
 	}
-	if s.Stats().Evictions == 0 {
-		t.Fatal("expected evictions under capacity pressure")
+	for i, sh := range s.tiers[0].shards {
+		if sh.Used() != sh.Capacity() {
+			t.Fatalf("shard %d holds %d of its %d bytes after 200 inserts", i, sh.Used(), sh.Capacity())
+		}
+	}
+	if s.Stats().Evictions != 100 {
+		t.Fatalf("evictions=%d, want the 100 inserts the shards could not keep", s.Stats().Evictions)
 	}
 }

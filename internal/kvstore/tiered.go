@@ -1,12 +1,15 @@
 // Tiered store: CacheBlend's loading controller (§5.1) picks *where* a KV
 // cache lives so loading delay hides selective recompute. Tiered realises
 // the placement side of that decision as a stack of per-tier Sharded
-// stores — e.g. GPU-HBM → CPU-RAM → NVMe — searched top-down on Get. Hits
-// on a lower tier promote the chunk to the top (it is hot); capacity
-// pressure on a tier demotes its LRU victims to the next tier down via
-// the Store evict handler instead of dropping them; entries leave the
-// hierarchy only off the bottom tier. The result approximates one global
-// LRU over the summed capacity while keeping hot chunks on fast devices.
+// stores — e.g. GPU-HBM → CPU-RAM → NVMe — with one index for the whole
+// stack: a chunk lives on at most one tier, so one probe finds it on
+// whichever tier holds it, and each tier is a set of recency lists its
+// entries are relinked between. Hits on a lower tier promote the chunk to
+// the top (it is hot); capacity pressure on a tier demotes its LRU
+// victims to the next tier down instead of dropping them; entries leave
+// the hierarchy only off the bottom tier. Neither move touches the index.
+// The result approximates one global LRU over the summed capacity while
+// keeping hot chunks on fast devices.
 package kvstore
 
 import (
@@ -53,6 +56,7 @@ type TierStats struct {
 // use.
 type Tiered struct {
 	tiers  []*Sharded
+	idx    index // every resident id, whichever tier holds it
 	cfg    []Tier
 	hits   []int64 // lookups served per tier
 	promos []int64 // promotions out of each tier
@@ -78,6 +82,7 @@ func NewTiered(tiers []Tier, policy Policy) (*Tiered, error) {
 	}
 	t := &Tiered{
 		tiers:   make([]*Sharded, len(tiers)),
+		idx:     index{m: make(map[chunk.ID]*entry)},
 		cfg:     append([]Tier(nil), tiers...),
 		hits:    make([]int64, len(tiers)),
 		promos:  make([]int64, len(tiers)),
@@ -93,29 +98,7 @@ func NewTiered(tiers []Tier, policy Policy) (*Tiered, error) {
 		if tc.Capacity <= 0 && i < len(tiers)-1 {
 			return nil, fmt.Errorf("kvstore: tier %d (%s) above the bottom must be bounded", i, tc.Device.Name)
 		}
-		n := tc.Shards
-		if n <= 0 {
-			n = 1
-		}
-		t.tiers[i] = NewSharded(tc.Device, tc.Capacity, policy, n)
-	}
-	// Demotion cascade: tier i's LRU victims land on tier i+1 (which may
-	// evict in turn, recursing at most len(tiers)-1 deep). The bottom
-	// tier keeps the default drop-on-evict.
-	for i := 0; i < len(t.tiers)-1; i++ {
-		i, next := i, t.tiers[i+1]
-		t.tiers[i].SetEvictHandler(func(id chunk.ID, payload Sized) {
-			if i == 0 {
-				// Demoted off the top before any lookup used it: an
-				// unread prefetch promotion was undone.
-				t.wasteUnread(id)
-			}
-			if err := next.Put(id, payload); err != nil {
-				t.drops[i]++ // next tier's shard cannot hold it: drop
-				return
-			}
-			t.demos[i]++
-		})
+		t.tiers[i] = newSharded(t, i, tc, policy)
 	}
 	return t, nil
 }
@@ -135,45 +118,70 @@ func (t *Tiered) Depth() int { return len(t.tiers) }
 // TierDevice returns tier i's device.
 func (t *Tiered) TierDevice(i int) device.Device { return t.cfg[i].Device }
 
-// Get searches the tiers top-down. On a hit it returns the payload and
-// the tier index it was found on (the tier whose loading delay the
-// caller should charge), then promotes the chunk to the top tier — the
-// promotion may cascade demotions downward. A chunk the top tier cannot
-// hold stays where it is.
+// Get looks id up on whichever tier holds it. On a hit it returns the
+// payload and the tier index it was found on (the tier whose loading
+// delay the caller should charge), then promotes the chunk to the top
+// tier — the promotion may cascade demotions downward. A chunk the top
+// tier cannot hold stays where it is.
 func (t *Tiered) Get(id chunk.ID) (Sized, int, bool) {
-	for i, tier := range t.tiers {
-		payload, ok := tier.Get(id)
-		if !ok {
-			continue
-		}
-		t.hits[i]++
-		if i > 0 {
-			// Remove before re-inserting at the top: the promotion's
-			// demotion cascade could otherwise push another chunk into
-			// tier i and evict this one to i+1, leaving it on two tiers.
-			tier.Remove(id)
-			if err := t.tiers[0].Put(id, payload); err != nil {
-				// Top tier can never hold it: put it back where it was.
-				tier.Put(id, payload) //nolint:errcheck // it fit before
-			} else {
-				t.promos[i]++
-			}
-		}
-		return payload, i, true
+	e := t.idx.m[id]
+	if e == nil {
+		t.misses++
+		return nil, -1, false
 	}
-	t.misses++
-	return nil, -1, false
+	payload, i := e.payload, e.store.tier
+	t.hits[i]++
+	if e.store.policy == LRU {
+		e.store.moveToFront(e)
+	}
+	if i > 0 {
+		t.promote(e)
+	}
+	return payload, i, true
+}
+
+// promote moves e from its cold tier to the head of its shard on the top
+// tier, which then evicts. An entry the top shard cannot hold goes back to
+// the head of its own list, under LRU and FIFO alike.
+func (t *Tiered) promote(e *entry) bool {
+	from := e.store
+	from.take(e)
+	if t.tiers[0].shard(e.id).place(e) {
+		t.promos[from.tier]++
+		return true
+	}
+	if !from.place(e) {
+		t.idx.drop(e) // its payload outgrew its own shard too
+	}
+	return false
+}
+
+// demote moves e, a victim just evicted from tier i, to the head of its
+// shard on tier i+1, which may evict in turn. A victim of the bottom
+// tier, or one the next shard cannot hold, leaves the stack.
+func (t *Tiered) demote(i int, e *entry) {
+	if i == len(t.tiers)-1 {
+		t.idx.drop(e)
+		return
+	}
+	if i == 0 {
+		// Demoted off the top before any lookup used it: an unread
+		// prefetch promotion was undone.
+		t.wasteUnread(e.id)
+	}
+	if t.tiers[i+1].shard(e.id).place(e) {
+		t.demos[i]++
+		return
+	}
+	t.drops[i]++
+	t.idx.drop(e)
 }
 
 // Contains reports presence on any tier without touching recency, stats
 // or placement.
 func (t *Tiered) Contains(id chunk.ID) bool {
-	for _, tier := range t.tiers {
-		if tier.Contains(id) {
-			return true
-		}
-	}
-	return false
+	_, ok := t.idx.m[id]
+	return ok
 }
 
 // Put inserts or replaces id on the highest tier that accepts it (new
@@ -193,46 +201,48 @@ type Slot struct{ e *entry }
 // PutSlot is Put through s (nil: no handle). An id already resident on
 // the top tier is updated in place — entry reused, recency refreshed,
 // growth evicting exactly as a reinsert would. When s names that entry
-// the write reaches it without probing the tier's index: an entry knows
-// the store it is resident in, and only id's top-tier shard can hold it.
-// Every other write takes the index, or the remove-and-reinsert path,
-// and leaves s naming the entry it wrote.
+// the write reaches it without probing the index: an entry knows the
+// store it is resident in, and that store knows its stack and its tier.
+// Any other write takes id's entry out of its tier, or enters id, and
+// inserts it top-down; every write leaves s naming the entry it wrote.
 func (t *Tiered) PutSlot(s *Slot, id chunk.ID, payload Sized) error {
 	if len(t.flights) > 0 {
 		t.cancel(id) // the new payload supersedes any copy in flight
 	}
-	top := t.tiers[0].shard(id)
 	var e *entry
-	if s != nil && s.e != nil && s.e.store == top && s.e.id == id {
+	if s != nil {
 		e = s.e
-	} else {
-		e = top.index[id]
 	}
-	var err error
+	// A stack holds one entry per id, so an entry of this id resident on
+	// this stack's top tier is the one the index would return.
+	if e == nil || e.store == nil || e.store.stack != t || e.store.tier != 0 || e.id != id {
+		e = t.idx.m[id]
+	}
+	// A payload the top tier cannot hold falls through to the tiers below,
+	// with the store untouched.
+	if e != nil && e.store.tier == 0 && e.store.put(id, payload, e) == nil {
+		t.puts++
+		s.set(e)
+		return nil
+	}
 	if e != nil {
-		// A payload the top tier cannot hold falls through to the tiers
-		// below, with the store untouched.
-		if err = top.put(id, payload, e); err == nil {
+		e.store.take(e)
+	} else {
+		e = t.idx.enter(id)
+	}
+	e.payload = payload
+	for _, tier := range t.tiers {
+		// id is on no tier, so place links e at its shard's head, and its
+		// evictions only move other entries to lower tiers.
+		if tier.shard(id).place(e) {
 			t.puts++
 			s.set(e)
 			return nil
 		}
 	}
-	for _, tier := range t.tiers {
-		tier.Remove(id)
-	}
-	for _, tier := range t.tiers {
-		st := tier.shard(id)
-		if err = st.put(id, payload, nil); err == nil {
-			t.puts++
-			// id was on no tier, so put linked a new entry at st's head,
-			// and its evictions only move other entries to lower tiers.
-			s.set(st.head)
-			return nil
-		}
-	}
+	t.idx.drop(e)
 	s.set(nil)
-	return fmt.Errorf("kvstore: no tier can hold %d bytes: %w", payload.SizeBytes(), err)
+	return fmt.Errorf("kvstore: no tier can hold %d bytes", payload.SizeBytes())
 }
 
 // set points s at e; a nil s is the handle-less Put.
@@ -243,29 +253,27 @@ func (s *Slot) set(e *entry) {
 }
 
 // Remove deletes id from whichever tier holds it, reporting whether it
-// was present. Removal is a release, not an eviction: it fires no evict
-// handler and touches no hit/miss statistics. The serving runtime uses
-// it to free a retired request's generated KV.
+// was present. Removal is a release, not an eviction: it demotes nothing
+// and touches no hit/miss statistics. The serving runtime uses it to free
+// a retired request's generated KV.
 func (t *Tiered) Remove(id chunk.ID) bool {
 	t.cancel(id) // a removed key must never resurrect at arrival
 	t.wasteUnread(id)
-	removed := false
-	for _, tier := range t.tiers {
-		if _, ok := tier.Remove(id); ok {
-			removed = true
-		}
+	e := t.idx.m[id]
+	if e == nil {
+		return false
 	}
-	return removed
+	e.store.take(e)
+	t.idx.drop(e)
+	return true
 }
 
 // LoadTime returns the simulated seconds to read id's payload from the
 // tier it currently lives on (0 if absent). It does not count as a Get
 // and does not promote.
 func (t *Tiered) LoadTime(id chunk.ID) float64 {
-	for _, tier := range t.tiers {
-		if lt := tier.LoadTime(id); lt > 0 {
-			return lt
-		}
+	if e := t.idx.m[id]; e != nil {
+		return e.store.dev.ReadTime(e.bytes)
 	}
 	return 0
 }
@@ -312,15 +320,15 @@ func (t *Tiered) TierStats() []TierStats {
 			BytesResident: tier.Used(),
 		}
 		if i == len(t.tiers)-1 {
-			out[i].Evictions += tier.Stats().Evictions
+			out[i].Evictions += tier.evictions()
 		}
 	}
 	return out
 }
 
 // Stats aggregates the hierarchy into the flat Stats shape: hits and
-// misses are whole-hierarchy lookups (per-tier probe noise excluded),
-// evictions count only entries that left the hierarchy.
+// misses are whole-hierarchy lookups, evictions count only entries that
+// left the hierarchy.
 func (t *Tiered) Stats() Stats {
 	st := Stats{Misses: t.misses, Puts: t.puts}
 	for _, s := range t.TierStats() {

@@ -18,19 +18,14 @@ func threeTiers(hbm, ram, nvme int64) []Tier {
 }
 
 // tierOf returns the index of the single tier holding id, or -1 if the
-// chunk is absent — and fails the test if it straddles tiers.
+// chunk is absent — and fails the test if it straddles tiers or the
+// index disagrees with the tiers (see placement).
 func tierOf(t *testing.T, ts *Tiered, id chunk.ID) int {
 	t.Helper()
-	found := -1
-	for i, tier := range ts.tiers {
-		if tier.Contains(id) {
-			if found >= 0 {
-				t.Fatalf("chunk %s lives on tiers %d and %d", id, found, i)
-			}
-			found = i
-		}
+	if i, ok := placement(t, ts)[id]; ok {
+		return i
 	}
-	return found
+	return -1
 }
 
 func TestTieredValidation(t *testing.T) {
@@ -232,13 +227,18 @@ func TestTieredPutReplaceNeverStraddles(t *testing.T) {
 
 // FuzzTieredGetPut drives a tier stack with an arbitrary op tape and
 // asserts the structural invariants after every op: a chunk lives on at
-// most one tier, no bounded tier exceeds its budget, promotions and
-// demotions conserve entries (an id is resident iff it was inserted and
-// never evicted off the bottom), and hit/miss accounting matches the
-// lookup count. A twin stack replays the tape with every Put written
-// through a Slot — one of three, each shared by many ids, so demotion,
-// promotion, eviction, removal and reuse for another id all leave
-// handles stale — and must stay indistinguishable from the plain stack.
+// most one tier, the stack's index holds exactly its resident entries, no
+// bounded tier exceeds its budget, promotions and demotions conserve
+// entries (an id is resident iff it was inserted and never evicted off
+// the bottom), and hit/miss accounting matches the lookup count. An odd
+// tape, whose last byte no op reads, runs FIFO instead of LRU.
+//
+// The frozen pre-index stack (reference_test.go) replays every op and
+// must return the same values and hold the same tiers, recency order and
+// statistics. So must a twin stack that replays the tape with every Put
+// written through a Slot — one of three, each shared by many ids, so
+// demotion, promotion, eviction, removal and reuse for another id all
+// leave handles stale.
 func FuzzTieredGetPut(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x80, 0x17})
 	f.Add([]byte("put-get-put-get-evict"))
@@ -246,14 +246,25 @@ func FuzzTieredGetPut(f *testing.F) {
 	// One id rewritten through one handle: too big for its top shard (it
 	// lands on RAM), again, then small enough for the top; removed; back.
 	f.Add([]byte{0x05, 150, 0x05, 150, 0x05, 20, 0x05, 30, 0xe3, 1, 0x05, 40, 0x05, 150, 0x05, 10})
+	// FIFO: two ids too big for their top shard land on RAM, then a hit on
+	// the older one cannot promote it and moves it to the head of RAM.
+	f.Add([]byte{0x05, 150, 0x06, 150, 0x99, 0, 0})
+	// Twenty 200-byte ids overflow every tier: victims leave off the bottom.
+	fill := make([]byte, 0, 40)
+	for k := byte(0); k < 20; k++ {
+		fill = append(fill, k, 199)
+	}
+	f.Add(fill)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tiers := []Tier{
 			{Device: device.GPUHBM, Capacity: 1 << 8, Shards: 2},
 			{Device: device.CPURAM, Capacity: 1 << 9},
 			{Device: device.NVMeSSD, Capacity: 1 << 10, Shards: 3},
 		}
-		ts := MustTiered(tiers, LRU)
-		twin := MustTiered(tiers, LRU)
+		policy := Policy(len(ops) % 2)
+		ts := MustTiered(tiers, policy)
+		twin := MustTiered(tiers, policy)
+		ref := mustRefTiered(tiers, policy)
 		var slots [3]Slot
 		live := map[chunk.ID]bool{} // model: inserted and not yet bottom-evicted
 		var lookups, hits int64
@@ -265,6 +276,9 @@ func FuzzTieredGetPut(f *testing.F) {
 				if err := ts.Put(key, Bytes(size)); err != nil {
 					t.Fatalf("Put(%d bytes) failed: %v", size, err)
 				}
+				if err := ref.Put(key, Bytes(size)); err != nil {
+					t.Fatalf("reference Put(%d bytes) failed: %v", size, err)
+				}
 				if err := twin.PutSlot(&slots[int(ops[i])%len(slots)], key, Bytes(size)); err != nil {
 					t.Fatalf("PutSlot(%d bytes) failed: %v", size, err)
 				}
@@ -272,7 +286,11 @@ func FuzzTieredGetPut(f *testing.F) {
 			case 2: // Get
 				lookups++
 				twin.Get(key)
-				if _, tier, ok := ts.Get(key); ok {
+				payload, tier, ok := ts.Get(key)
+				if rp, rt, rok := ref.Get(key); payload != rp || tier != rt || ok != rok {
+					t.Fatalf("Get = (%v, %d, %v), reference (%v, %d, %v)", payload, tier, ok, rp, rt, rok)
+				}
+				if ok {
 					hits++
 					if tier < 0 || tier >= len(tiers) {
 						t.Fatalf("hit tier %d out of range", tier)
@@ -283,15 +301,23 @@ func FuzzTieredGetPut(f *testing.F) {
 				}
 			default:
 				if arg&1 == 1 {
-					ts.Remove(key)
 					twin.Remove(key)
+					if a, b := ts.Remove(key), ref.Remove(key); a != b {
+						t.Fatalf("Remove = %v, reference %v", a, b)
+					}
 					delete(live, key)
 					break
 				}
 				// passive probes
-				ts.Contains(key)
-				ts.LoadTime(key)
-				ts.Used()
+				if a, b := ts.Contains(key), ref.Contains(key); a != b {
+					t.Fatalf("Contains = %v, reference %v", a, b)
+				}
+				if a, b := ts.LoadTime(key), ref.LoadTime(key); a != b {
+					t.Fatalf("LoadTime = %v, reference %v", a, b)
+				}
+				if a, b := ts.TierOf(key), ref.TierOf(key); a != b {
+					t.Fatalf("TierOf = %d, reference %d", a, b)
+				}
 			}
 			// Invariants after every op.
 			for ti, tier := range ts.tiers {
@@ -299,19 +325,18 @@ func FuzzTieredGetPut(f *testing.F) {
 					t.Fatalf("tier %d used %d exceeds capacity %d", ti, tier.Used(), cap)
 				}
 			}
-			total := 0
+			on := placement(t, ts)
+			placement(t, twin)
 			for key := range live {
-				switch on := tierOf(t, ts, key); {
-				case on >= 0:
-					total++
-				default:
+				if _, ok := on[key]; !ok {
 					delete(live, key) // evicted off the bottom
 				}
 			}
-			if total != ts.Len() {
-				t.Fatalf("entry conservation broken: %d resident ids but Len=%d", total, ts.Len())
+			if len(live) != ts.Len() {
+				t.Fatalf("entry conservation broken: %d resident ids but Len=%d", len(live), ts.Len())
 			}
-			sameTiered(t, ts, twin)
+			sameAsRef(t, ts, ref)
+			sameAsRef(t, twin, ref)
 		}
 		st := ts.Stats()
 		if st.Hits != hits || st.Hits+st.Misses != lookups {
@@ -321,33 +346,72 @@ func FuzzTieredGetPut(f *testing.F) {
 	})
 }
 
+// TestSlotAcrossStacks: a Slot written through two stacks names an entry
+// of one of them, and a write through the other stack must not reach it.
+func TestSlotAcrossStacks(t *testing.T) {
+	a := MustTiered(threeTiers(100, 100, 0), LRU)
+	b := MustTiered(threeTiers(100, 100, 0), LRU)
+	var s Slot
+	key := id(1)
+	for _, w := range []struct {
+		ts    *Tiered
+		bytes int64
+	}{{a, 10}, {b, 20}, {a, 30}, {b, 40}} {
+		if err := w.ts.PutSlot(&s, key, Bytes(w.bytes)); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.ts.Used(); got != w.bytes {
+			t.Fatalf("the write of %d bytes left %d in its stack", w.bytes, got)
+		}
+	}
+	if a.Len() != 1 || b.Len() != 1 || a.Used() != 30 || b.Used() != 40 {
+		t.Fatalf("stacks hold %d entries / %d bytes and %d / %d, want 1 / 30 and 1 / 40",
+			a.Len(), a.Used(), b.Len(), b.Used())
+	}
+	placement(t, a)
+	placement(t, b)
+}
+
 // resident is one entry as Each reports it.
 type resident struct {
 	id    chunk.ID
 	bytes int64
 }
 
-// residents lists ts's entries in Each order.
-func residents(ts *Tiered) []resident {
+// residents lists the entries each reports, in order.
+func residents(each func(func(chunk.ID, int64))) []resident {
 	var out []resident
-	ts.Each(func(id chunk.ID, bytes int64) { out = append(out, resident{id, bytes}) })
+	each(func(id chunk.ID, bytes int64) { out = append(out, resident{id, bytes}) })
 	return out
 }
 
-// sameTiered fails the test unless the twin stack is indistinguishable
-// from the plain one: the same Stats, TierStats, Len and Each order.
-func sameTiered(t *testing.T, plain, twin *Tiered) {
+// sameAsRef fails the test unless ts is indistinguishable from ref, the
+// frozen pre-index stack replaying the same ops: tier by tier the same
+// Each order, Len and Used, and the same TierStats, Stats, PrefetchStats
+// and Inflight.
+func sameAsRef(t *testing.T, ts *Tiered, ref *refTiered) {
 	t.Helper()
-	if a, b := plain.Stats(), twin.Stats(); a != b {
-		t.Fatalf("Stats: plain %+v, twin %+v", a, b)
+	for i, tier := range ts.tiers {
+		if got, want := residents(tier.Each), residents(ref.tiers[i].Each); !slices.Equal(got, want) {
+			t.Fatalf("tier %d Each order: %v, reference %v", i, got, want)
+		}
+		if a, b := tier.Len(), ref.tiers[i].Len(); a != b {
+			t.Fatalf("tier %d Len: %d, reference %d", i, a, b)
+		}
+		if a, b := tier.Used(), ref.tiers[i].Used(); a != b {
+			t.Fatalf("tier %d Used: %d, reference %d", i, a, b)
+		}
 	}
-	if a, b := plain.TierStats(), twin.TierStats(); !slices.Equal(a, b) {
-		t.Fatalf("TierStats: plain %+v, twin %+v", a, b)
+	if a, b := ts.TierStats(), ref.TierStats(); !slices.Equal(a, b) {
+		t.Fatalf("TierStats: %+v, reference %+v", a, b)
 	}
-	if a, b := plain.Len(), twin.Len(); a != b {
-		t.Fatalf("Len: plain %d, twin %d", a, b)
+	if a, b := ts.Stats(), ref.Stats(); a != b {
+		t.Fatalf("Stats: %+v, reference %+v", a, b)
 	}
-	if a, b := residents(plain), residents(twin); !slices.Equal(a, b) {
-		t.Fatalf("Each order: plain %v, twin %v", a, b)
+	if a, b := ts.PrefetchStats(), ref.PrefetchStats(); a != b {
+		t.Fatalf("PrefetchStats: %+v, reference %+v", a, b)
+	}
+	if a, b := ts.Inflight(), ref.Inflight(); a != b {
+		t.Fatalf("Inflight: %d, reference %d", a, b)
 	}
 }

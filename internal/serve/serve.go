@@ -66,9 +66,9 @@ type Config struct {
 	// StoreCapacity bounds the KV store (0 = unbounded).
 	StoreCapacity int64
 	// Tiers places the KV store across a storage hierarchy (e.g. GPU-HBM
-	// → CPU-RAM → NVMe): lookups search top-down, hits promote hot
-	// chunks upward, capacity pressure demotes LRU victims to the next
-	// tier, and only the bottom tier evicts. Each tier is sharded like
+	// → CPU-RAM → NVMe): a lookup finds a chunk on whichever tier holds
+	// it, hits promote hot chunks upward, capacity pressure demotes LRU
+	// victims to the next tier, and only the bottom tier evicts. Each tier is sharded like
 	// the flat store. Empty means one tier on Device with StoreCapacity —
 	// the original single-device runtime.
 	Tiers []TierConfig

@@ -289,4 +289,43 @@ func TestServeCLITieredSmoke(t *testing.T) {
 			t.Fatalf("tiered serve CLI output missing %q:\n%s", w, out)
 		}
 	}
+	// A context count whose byte total wraps around int64 is rejected,
+	// naming the flag and the count: 137438953473 contexts of Mistral-7B's
+	// 6×512-token context (3·2²⁷ bytes) used to wrap to one context, and
+	// 30000000000 to a negative capacity.
+	for _, tc := range []struct{ flag, value, count string }{
+		{"-tiers", "gpu-hbm:137438953473,nvme-ssd:0", "137438953473"},
+		{"-tiers", "gpu-hbm:30000000000,nvme-ssd:0", "30000000000"},
+		{"-capacity", "137438953473", "137438953473"},
+	} {
+		out, err := goToolErr(t, "run", "./cmd/cacheblend-serve", tc.flag, tc.value, "-rates", "1", "-n", "10")
+		if err == nil || !strings.Contains(out, tc.flag+": "+tc.count+" contexts") {
+			t.Fatalf("%s %s accepted or error unclear:\n%s", tc.flag, tc.value, out)
+		}
+	}
+}
+
+// TestKVStoreBenchCLISmoke runs the store benchmark on a small workload and
+// checks that flags the workload cannot draw from are rejected by name
+// instead of panicking (-pool 0) or printing a meaningless hit rate
+// (-skew NaN).
+func TestKVStoreBenchCLISmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the kvstore-bench binary")
+	}
+	out := goTool(t, "run", "./cmd/kvstore-bench", "-ops", "2000", "-pool", "200")
+	for _, w := range []string{"hit rate by capacity", "50% of pool", "per-tier load time", "gpu-hbm"} {
+		if !strings.Contains(out, w) {
+			t.Fatalf("kvstore-bench output missing %q:\n%s", w, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"-ops", "0"}, {"-pool", "0"}, {"-pool", "-3"},
+		{"-skew", "NaN"}, {"-skew", "-1"}, {"-skew", "Inf"},
+	} {
+		out, err := goToolErr(t, "run", "./cmd/kvstore-bench", args[0], args[1])
+		if err == nil || !strings.Contains(out, "kvstore-bench: "+args[0]+" ") || strings.Contains(out, "panic") {
+			t.Fatalf("kvstore-bench %s %s accepted or error unclear:\n%s", args[0], args[1], out)
+		}
+	}
 }
