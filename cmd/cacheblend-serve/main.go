@@ -7,16 +7,16 @@
 //
 //	cacheblend-serve -model Mistral-7B -scheme cacheblend -rates 0.2,0.5,1,2
 //	cacheblend-serve -model Yi-34B -scheme prefix-caching -capacity 64
-//	cacheblend-serve -replicas 4 -batch 8 -shards 16
+//	cacheblend-serve -replicas 4 -batch 8
 //	cacheblend-serve -tiers gpu-hbm:8,cpu-ram:64,nvme-ssd:0 -v
 //	cacheblend-serve -workload bursty -burst 8 -rates 1
 //	cacheblend-serve -tenants 3 -rates 1 -v
 //	cacheblend-serve -decode 64 -batch 8 -rates 0.5 -v
 //	cacheblend-serve -decode 32 -decode-dist fixed -rates 1
-//	cacheblend-serve -sched chunked-prefill -prefill-budget 128 -decode 64 -batch 8 -rates 0.5 -v
+//	cacheblend-serve -sched chunked-prefill -decode 64 -batch 8 -rates 0.5 -v
 //	cacheblend-serve -sched decode-priority -decode 64 -batch 8 -rates 0.5 -v
 //	cacheblend-serve -tiers gpu-hbm:8,cpu-ram:24,nvme-ssd:0 -prefetch predictive -workload bursty -burst 24 -rates 0.5 -v
-//	cacheblend-serve -tiers gpu-hbm:8,cpu-ram:24,nvme-ssd:0 -prefetch on-enqueue -prefetch-bw 0.5 -rates 0.5
+//	cacheblend-serve -tiers gpu-hbm:8,cpu-ram:24,nvme-ssd:0 -prefetch on-enqueue -rates 0.5
 //	cacheblend-serve -router affinity -replicas 4 -tiers gpu-hbm:8,cpu-ram:48,slow-ssd:0 -tenants 4 -rates 8 -v
 //	cacheblend-serve -router affinity -replicas 4 -tiers gpu-hbm:8,cpu-ram:48,slow-ssd:0 -tenants 4 -rates 16 -kill 15:1 -join 26:1 -v
 //	cacheblend-serve -workload bursty -rates 1 -record run.jsonl
@@ -59,13 +59,10 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "model replicas pulling from the shared queue")
 		batch     = flag.Int("batch", 1, "continuous-batching cap per replica step")
 		sched     = flag.String("sched", "", "scheduling policy (fifo, chunked-prefill, decode-priority, slo); empty = fifo")
-		budget    = flag.Int("prefill-budget", 0, "chunked-prefill per-step prefill token budget (0 = default 256; requires -sched chunked-prefill or slo)")
 		sloTTFT   = flag.Float64("slo-ttft", 0, "TTFT SLO target in seconds (the slo policy schedules against it, any policy reports attainment)")
 		sloTBT    = flag.Float64("slo-tbt", 0, "mean-TBT SLO target in seconds")
 		prefetch  = flag.String("prefetch", "", "tier prefetch policy (off, on-enqueue, predictive); empty = off")
 		router    = flag.String("router", "", "replica-routing policy (shared, hash, affinity); empty = shared; hash/affinity give each replica its own tier stack")
-		prefBW    = flag.Float64("prefetch-bw", 0, "loader bandwidth budget as a fraction of the source tier's read bandwidth in (0,1] (0 = full bandwidth; requires an active -prefetch policy)")
-		shards    = flag.Int("shards", 0, "KV store shards (0 = default)")
 		killSpec  = flag.String("kill", "", "membership kills as time:replica pairs, e.g. 15:1,40:2 (times in simulated seconds)")
 		joinSpec  = flag.String("join", "", "membership joins as time:count pairs, e.g. 26:1 (cold replicas added at the time)")
 		n         = flag.Int("n", 1500, "requests per rate point")
@@ -87,6 +84,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// Counts the runtime would otherwise quietly reinterpret: a negative
+	// capacity as unbounded, fewer than one tenant as one, a negative
+	// client pool as open loop.
+	switch {
+	case *capacity < 0:
+		fatal(fmt.Errorf("-capacity %d: must be ≥ 0 (0 = unbounded)", *capacity))
+	case *tenants < 1:
+		fatal(fmt.Errorf("-tenants %d: must be ≥ 1", *tenants))
+	case *closedLoop < 0:
+		fatal(fmt.Errorf("-closed-loop %d: must be ≥ 0 (0 = open loop)", *closedLoop))
+	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *tracePath != "" && set["workload"] {
@@ -154,15 +162,12 @@ func main() {
 		Scheme:           baselines.Scheme(*scheme),
 		Ratio:            *ratio,
 		Device:           dev,
-		StoreShards:      *shards,
 		Replicas:         *replicas,
 		MaxBatch:         *batch,
 		Sched:            *sched,
-		PrefillBudget:    *budget,
 		SLOTTFT:          *sloTTFT,
 		SLOTBT:           *sloTBT,
 		PrefetchPolicy:   *prefetch,
-		PrefetchBW:       *prefBW,
 		Router:           *router,
 		ChunkPool:        *pool,
 		ChunksPerRequest: *chunks,

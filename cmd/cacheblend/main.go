@@ -30,10 +30,17 @@ func main() {
 	)
 	flag.Parse()
 
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "cacheblend: -parallel %d: must be ≥ 0\n", *parallel)
-		os.Exit(2)
+	// Zero selects a default for each of these counts; a negative one is
+	// rejected rather than read as zero.
+	nonNegative := func(name string, v int) {
+		if v < 0 {
+			fmt.Fprintf(os.Stderr, "cacheblend: -%s %d: must be ≥ 0\n", name, v)
+			os.Exit(2)
+		}
 	}
+	nonNegative("requests", *requests)
+	nonNegative("cases", *cases)
+	nonNegative("parallel", *parallel)
 	experiments.MaxParallel = *parallel
 
 	if *list || *fig == "" {

@@ -108,13 +108,16 @@ func benchBatch() []*member {
 	return batch
 }
 
-// BenchmarkAllocPrefill times one chunked-prefill step's grant of a
-// 256-token budget over benchBatch, in admission order.
+// BenchmarkAllocPrefill times one chunked-prefill step's grant of the
+// prefill budget over benchBatch, in admission order.
 func BenchmarkAllocPrefill(b *testing.B) {
+	c := newCluster(schedConfig(SchedChunkedPrefill), nil, 0)
+	c.resolve()
 	batch := benchBatch()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		allocPrefill(batch, 256)
+		c.allocPrefill(batch, 40)
 	}
 }
 
@@ -131,7 +134,8 @@ func BenchmarkAllocPrefillSLO(b *testing.B) {
 	}
 	batch := benchBatch()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.allocPrefillSLO(batch, c.budget, 40)
+		c.allocPrefill(batch, 40)
 	}
 }

@@ -205,7 +205,7 @@ func TestSLOPolicyClosedLoop(t *testing.T) {
 
 // TestSLOPolicyStarvationBound mirrors the decode-priority bound: the
 // slo policy deprioritises late requests, but the aging class (waiting
-// past StarveLimit×SLOTTFT) jumps the queue, so no request's prefill
+// past starveLimit×SLOTTFT) jumps the queue, so no request's prefill
 // delay can run away even at sustained overload.
 func TestSLOPolicyStarvationBound(t *testing.T) {
 	w := burstyDecode(1.5) // well past capacity: the queue is never empty for long
@@ -213,9 +213,7 @@ func TestSLOPolicyStarvationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sloConfig()
-	cfg.StarveLimit = 6
-	slo, err := RunWorkload(cfg, w, 300, 60, 5)
+	slo, err := RunWorkload(sloConfig(), w, 300, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

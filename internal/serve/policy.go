@@ -1,7 +1,7 @@
-// The pluggable scheduling-policy layer: a Policy controls the two
-// decisions the replica loop makes at every step boundary — how many
-// waiting requests may join the running batch (admission), and how much
-// prefill work a step may spend (the per-step prefill token budget).
+// The scheduling layer: the two decisions the replica loop makes at
+// every step boundary — how many waiting requests may join the running
+// batch (admission), and how much prefill work a step may spend (the
+// per-step prefill token budget).
 // The decode-phase telemetry from the decode refactor exposed the
 // head-of-line blocking FIFO admission causes: any prefilling member
 // paces every decoder in the batch for a whole chunk step, so one
@@ -11,13 +11,11 @@
 // may run, decode-priority admission holds prefills at the door while
 // the batch is decoding (with an aging bound so prefill delay stays
 // finite at overload) — and the StallTime/PrefillDelay metrics in
-// Result quantify what each removes.
+// Result quantify what each removes. A run resolves its policy once,
+// into a prefill budget and a decode-priority flag (cluster.resolve).
 package serve
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Scheduling policy names accepted by Config.Sched.
 const (
@@ -26,122 +24,96 @@ const (
 	// Config.Sched selects it too.
 	SchedFIFO = "fifo"
 	// SchedChunkedPrefill admits FIFO but caps the prefill tokens a
-	// step may spend at Config.PrefillBudget, splitting a joining
+	// step may spend at 256 (prefillBudget), splitting a joining
 	// request's prefill across steps so resident decoders keep emitting
 	// tokens at near-decode cadence (Sarathi-style stall-free batching).
 	SchedChunkedPrefill = "chunked-prefill"
 	// SchedDecodePriority defers admitting new prefill work while any
-	// batch member is decoding, admitting one aged request after
-	// Config.StarveLimit consecutive deferred step boundaries so
-	// prefill delay stays finite at overload.
+	// batch member is decoding, admitting one aged request after 8
+	// (starveLimit) consecutive deferred step boundaries so prefill delay
+	// stays finite at overload.
 	SchedDecodePriority = "decode-priority"
 	// SchedSLO is deadline-aware admission against Config.SLOTTFT
 	// (required) and SLOTBT: the replica pops the queue in SLO order —
-	// aged requests first (waiting past StarveLimit×SLOTTFT, the
-	// starvation bound), then still-feasible requests by at-risk-tenant
-	// priority and earliest deadline, with already-late requests
+	// aged requests first (waiting past 8×SLOTTFT, the starvation
+	// bound), then still-feasible requests by at-risk-tenant priority
+	// and earliest deadline, with already-late requests
 	// deprioritised so they can't drag feasible ones past their targets
 	// — and bounds per-step prefill like chunked-prefill (the budget
 	// shared in the same SLO order) so resident decoders hold TBT.
 	SchedSLO = "slo"
 )
 
-// Policy controls how a replica schedules its running batch. Every
-// method must be pure: the runtime is a deterministic simulation, so a
-// policy may not sample randomness or keep mutable state of its own.
-type Policy interface {
-	// Name identifies the policy in telemetry and errors.
-	Name() string
-	// AdmitQuota returns how many waiting requests the replica may
-	// admit at this step boundary, given the batch's phase composition
-	// (prefillers/decoders), the batch-cap headroom, and how many
-	// consecutive boundaries admission has already been deferred while
-	// work waited. The runtime clamps the quota to [0, headroom]; an
-	// idle replica (empty batch) always admits its first request
-	// directly from the shared queue, bypassing the quota.
-	AdmitQuota(prefillers, decoders, headroom, deferred int) int
-	// PrefillBudget returns the per-step prefill token budget shared by
-	// the batch's prefilling members, 0 meaning whole-chunk steps.
-	PrefillBudget() int
-}
+const (
+	// prefillBudget caps the prefill tokens one step may spend across
+	// the batch's prefilling members under SchedChunkedPrefill and
+	// SchedSLO, splitting a joining request's prefill over multiple
+	// steps so resident decoders keep near-decode cadence.
+	prefillBudget = 256
+	// starveLimit bounds SchedDecodePriority's deferral: after this many
+	// consecutive step boundaries where admission was deferred while
+	// work waited, the replica admits one request regardless, so prefill
+	// delay stays finite at overload. Under SchedSLO it is the aging
+	// bound instead: a request waiting longer than starveLimit×SLOTTFT
+	// jumps to the front of the admission order, so deprioritised late
+	// requests can't starve.
+	starveLimit = 8
+)
 
-// fifoPolicy is the default scheduler: greedy admission, no budget.
-type fifoPolicy struct{}
-
-func (fifoPolicy) Name() string                  { return SchedFIFO }
-func (fifoPolicy) AdmitQuota(_, _, h, _ int) int { return h }
-func (fifoPolicy) PrefillBudget() int            { return 0 }
-
-// chunkedPolicy admits greedily but bounds per-step prefill work: the
-// budget — not the door — is what protects decoders.
-type chunkedPolicy struct{ budget int }
-
-func (chunkedPolicy) Name() string                  { return SchedChunkedPrefill }
-func (chunkedPolicy) AdmitQuota(_, _, h, _ int) int { return h }
-func (p chunkedPolicy) PrefillBudget() int          { return p.budget }
-
-// decodePriorityPolicy holds prefill admission while the batch decodes,
-// with an aging bound: after starve consecutive deferred boundaries it
-// admits one request regardless, so no prefill waits forever.
-type decodePriorityPolicy struct{ starve int }
-
-func (decodePriorityPolicy) Name() string { return SchedDecodePriority }
-func (p decodePriorityPolicy) AdmitQuota(prefillers, decoders, headroom, deferred int) int {
-	if decoders == 0 {
+// admitQuota returns how many waiting requests a replica may admit at
+// this step boundary, given its batch and the batch-cap headroom: every
+// request that fits, except under decode-priority while a member
+// decodes — none then, or one once admission has been deferred
+// starveLimit consecutive boundaries (deferred) while work waited. An
+// idle replica (empty batch) always admits its first request directly
+// from its queue, bypassing the quota.
+func (c *cluster) admitQuota(batch []*member, headroom, deferred int) int {
+	if !c.decodePriority || headroom <= 0 {
 		return headroom
 	}
-	if deferred >= p.starve {
-		return 1 // aged: admit one even over active decoders
+	for _, m := range batch {
+		if m.decoding {
+			if deferred >= starveLimit {
+				return 1 // aged: admit one even over active decoders
+			}
+			return 0
+		}
 	}
-	return 0
-}
-func (decodePriorityPolicy) PrefillBudget() int { return 0 }
-
-// sloPolicy admits greedily by count — which requests fill the quota is
-// decided at the queue, where the replica pops in SLO order — and bounds
-// per-step prefill like chunked-prefill: TBT is half the SLO, so a
-// joining prefill must not stall resident decoders for a whole chunk.
-type sloPolicy struct{ budget int }
-
-func (sloPolicy) Name() string                  { return SchedSLO }
-func (sloPolicy) AdmitQuota(_, _, h, _ int) int { return h }
-func (p sloPolicy) PrefillBudget() int          { return p.budget }
-
-// policy constructs the configured scheduling policy. Call after
-// Validate: unknown names panic here.
-func (c Config) policy() Policy {
-	switch c.Sched {
-	case "", SchedFIFO:
-		return fifoPolicy{}
-	case SchedChunkedPrefill:
-		return chunkedPolicy{budget: c.prefillBudget()}
-	case SchedDecodePriority:
-		return decodePriorityPolicy{starve: c.starveLimit()}
-	case SchedSLO:
-		return sloPolicy{budget: c.prefillBudget()}
-	}
-	panic(fmt.Sprintf("serve: unknown scheduling policy %q", c.Sched))
+	return headroom
 }
 
-// allocPrefill grants this step's prefill token slices in batch
-// (admission) order under a shared budget: the oldest prefilling member
-// drains first, the next takes what is left. It writes each prefilling
-// member's slice field (0 = resident but idle this step) and returns
-// how many members prefill this step, how many decode, and the longest
-// granted slice's duration. A positive budget always grants the oldest
-// prefiller at least one token, so a batch with prefill work can never
-// stall; slices never exceed a member's remaining tokens, so tokens are
-// never double-counted.
-func allocPrefill(batch []*member, budget int) (prefillers, decoders int, longest float64) {
-	left := budget
+// allocPrefill grants this step's prefill token slices from the shared
+// budget c.budget: the first prefiller in the grant order drains first,
+// the next takes what is left. The order is batch (admission) order, or
+// under the slo policy the SLO admission key at the boundary time now,
+// so the budget drains into the most deadline-urgent resident prefiller
+// first and a request admitted early but still feasible cannot hold the
+// whole budget while an aged or at-risk neighbour idles. It writes each
+// prefilling member's slice field (0 = resident but idle this step) and
+// returns how many members prefill this step, how many decode, and the
+// longest granted slice's duration. A positive budget always grants the
+// first prefiller at least one token, so a batch with prefill work can
+// never stall; slices never exceed a member's remaining tokens, so
+// tokens are never double-counted.
+func (c *cluster) allocPrefill(batch []*member, now float64) (prefillers, decoders int, longest float64) {
+	order := c.prefillOrder[:0]
 	for _, m := range batch {
 		if m.decoding {
 			decoders++
 			continue
 		}
 		m.slice = 0
+		order = append(order, m)
+	}
+	if c.sloSched {
+		slices.SortStableFunc(order, func(a, b *member) int {
+			return c.sloCompare(a.req, b.req, now)
+		})
+	}
+	left := c.budget
+	for _, m := range order {
 		if left <= 0 {
-			continue
+			break
 		}
 		grant := m.prefTotal - m.prefDone
 		if grant > left {
@@ -154,18 +126,19 @@ func allocPrefill(batch []*member, budget int) (prefillers, decoders int, longes
 			longest = t
 		}
 	}
+	c.prefillOrder = order // hand the (possibly grown) scratch back
 	return prefillers, decoders, longest
 }
 
 // SLO admission order. The slo policy pops the queue — and shares the
 // per-step prefill budget — by a three-class key:
 //
-//	class 0 (aged):     waiting longer than StarveLimit×SLOTTFT. Front of
+//	class 0 (aged):     waiting longer than starveLimit×SLOTTFT. Front of
 //	                    the line unconditionally, so the deprioritised
 //	                    late class below can never starve — the wait of
 //	                    any request is bounded by the aging threshold
 //	                    plus one queue drain, mirroring decode-priority's
-//	                    StarveLimit bound.
+//	                    starveLimit bound.
 //	class 1 (feasible): still inside its TTFT target. Ordered by at-risk
 //	                    tenant first (the tenant with the worst running
 //	                    attainment — the per-tenant fairness the ISSUE's
@@ -181,7 +154,7 @@ func allocPrefill(batch []*member, budget int) (prefillers, decoders int, longes
 // sloClass computes the class of a queued request at virtual time now.
 func (c *cluster) sloClass(r request, now float64) int {
 	wait := now - r.arrival
-	if wait > float64(c.starve)*c.sloTTFT {
+	if wait > starveLimit*c.sloTTFT {
 		return 0
 	}
 	if wait <= c.sloTTFT {
@@ -245,44 +218,4 @@ func (c *cluster) bumpRisk(t int, met bool) {
 	if met {
 		c.riskMet[t]++
 	}
-}
-
-// allocPrefillSLO is allocPrefill with the grant order decided by the SLO
-// admission key instead of batch (admission) order: at a step boundary
-// the budget drains into the most deadline-urgent resident prefiller
-// first, so a request admitted early but still feasible cannot hold the
-// whole budget while an aged or at-risk neighbour idles. Same contract
-// otherwise: a positive budget always grants the first-ordered prefiller
-// at least one token, slices never exceed remaining tokens.
-func (c *cluster) allocPrefillSLO(batch []*member, budget int, now float64) (prefillers, decoders int, longest float64) {
-	order := c.sloOrder[:0]
-	for _, m := range batch {
-		if m.decoding {
-			decoders++
-			continue
-		}
-		m.slice = 0
-		order = append(order, m)
-	}
-	slices.SortStableFunc(order, func(a, b *member) int {
-		return c.sloCompare(a.req, b.req, now)
-	})
-	left := budget
-	for _, m := range order {
-		if left <= 0 {
-			break
-		}
-		grant := m.prefTotal - m.prefDone
-		if grant > left {
-			grant = left
-		}
-		m.slice = grant
-		left -= grant
-		prefillers++
-		if t := float64(grant) * m.perTok; t > longest {
-			longest = t
-		}
-	}
-	c.sloOrder = order // hand the (possibly grown) scratch back
-	return prefillers, decoders, longest
 }

@@ -66,11 +66,6 @@ func TestSchedValidate(t *testing.T) {
 		want   string
 	}{
 		{"unknown policy", func(c *Config) { c.Sched = "sarathi" }, "scheduling policy"},
-		{"negative budget", func(c *Config) { c.PrefillBudget = -1 }, "prefill budget"},
-		{"negative starve", func(c *Config) { c.StarveLimit = -1 }, "starve limit"},
-		{"budget without chunked", func(c *Config) { c.Sched = SchedFIFO; c.PrefillBudget = 64 }, "prefill budget"},
-		{"budget on the default policy", func(c *Config) { c.PrefillBudget = 64 }, "prefill budget"},
-		{"starve without decode-priority", func(c *Config) { c.Sched = SchedChunkedPrefill; c.StarveLimit = 4 }, "starve limit"},
 		{"slo without target", func(c *Config) { c.Sched = SchedSLO }, "TTFT target"},
 		{"negative ttft target", func(c *Config) { c.Sched = SchedFIFO; c.SLOTTFT = -1 }, "TTFT SLO target"},
 		{"nan tbt target", func(c *Config) { c.Sched = SchedFIFO; c.SLOTBT = math.NaN() }, "TBT SLO target"},
@@ -255,9 +250,7 @@ func TestDecodePriorityStarvationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := schedConfig(SchedDecodePriority)
-	cfg.StarveLimit = 6
-	dp, err := RunWorkload(cfg, w, 300, 60, 5)
+	dp, err := RunWorkload(schedConfig(SchedDecodePriority), w, 300, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,45 +270,44 @@ func TestDecodePriorityStarvationBound(t *testing.T) {
 	}
 }
 
-// TestAdmitQuotaContracts pins the policies' admission arithmetic,
-// including the aging guarantee the starvation bound rests on.
+// TestAdmitQuotaContracts pins the policies' admission arithmetic on a
+// resolved cluster, including the aging guarantee the starvation bound
+// rests on, and the per-step prefill budget each policy resolves to.
 func TestAdmitQuotaContracts(t *testing.T) {
-	cfg := schedConfig(SchedDecodePriority)
-	cfg.StarveLimit = 3
-	dp := cfg.policy()
-	if q := dp.AdmitQuota(2, 0, 5, 0); q != 5 {
+	resolved := func(sched string) *cluster {
+		c := &cluster{cfg: schedConfig(sched)}
+		c.resolve()
+		return c
+	}
+	prefilling := []*member{{}, {}}
+	decoding := []*member{{}, {decoding: true}}
+	dp := resolved(SchedDecodePriority)
+	if q := dp.admitQuota(prefilling, 5, 0); q != 5 {
 		t.Fatalf("decode-free batch must admit greedily: quota %d, want 5", q)
 	}
-	if q := dp.AdmitQuota(0, 4, 5, 0); q != 0 {
+	if q := dp.admitQuota(decoding, 5, 0); q != 0 {
 		t.Fatalf("fresh decoding batch must defer: quota %d, want 0", q)
 	}
-	if q := dp.AdmitQuota(0, 4, 5, 2); q != 0 {
+	if q := dp.admitQuota(decoding, 5, starveLimit-1); q != 0 {
 		t.Fatalf("below the starve limit must still defer: quota %d", q)
 	}
-	if q := dp.AdmitQuota(0, 4, 5, 3); q != 1 {
+	if q := dp.admitQuota(decoding, 5, starveLimit); q != 1 {
 		t.Fatalf("aged past the starve limit must admit one: quota %d", q)
 	}
-	for _, sched := range []string{SchedFIFO, SchedChunkedPrefill, SchedSLO} {
-		c := schedConfig(sched)
-		p := c.policy()
-		if q := p.AdmitQuota(1, 7, 3, 0); q != 3 {
-			t.Fatalf("%s: quota %d, want headroom 3", sched, q)
+	if q := dp.admitQuota(decoding, 0, starveLimit); q != 0 {
+		t.Fatalf("aged but full batch must admit nothing: quota %d", q)
+	}
+	for _, sched := range []string{"", SchedFIFO, SchedChunkedPrefill, SchedSLO} {
+		if q := resolved(sched).admitQuota(decoding, 3, 0); q != 3 {
+			t.Fatalf("%q: quota %d, want headroom 3", sched, q)
 		}
 	}
-	for _, sched := range []string{SchedChunkedPrefill, SchedSLO} {
-		if b := schedConfig(sched).policy().PrefillBudget(); b != 256 {
-			t.Fatalf("%s default budget %d, want 256", sched, b)
-		}
-		c := schedConfig(sched)
-		c.PrefillBudget = 64
-		if b := c.policy().PrefillBudget(); b != 64 {
-			t.Fatalf("%s configured budget %d, want 64", sched, b)
-		}
-	}
-	for _, sched := range []string{"", SchedFIFO, SchedDecodePriority} {
-		c := schedConfig(sched)
-		if b := c.policy().PrefillBudget(); b != 0 {
-			t.Fatalf("%s: whole-chunk policy reports budget %d", sched, b)
+	for sched, want := range map[string]int{
+		"": 0, SchedFIFO: 0, SchedDecodePriority: 0,
+		SchedChunkedPrefill: prefillBudget, SchedSLO: prefillBudget,
+	} {
+		if b := resolved(sched).budget; b != want {
+			t.Fatalf("%q: budget %d, want %d", sched, b, want)
 		}
 	}
 }

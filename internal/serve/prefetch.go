@@ -71,30 +71,20 @@ func (c Config) prefetchActive() bool {
 	return c.PrefetchPolicy == PrefetchOnEnqueue || c.PrefetchPolicy == PrefetchPredictive
 }
 
-// prefetchBW returns the effective loader bandwidth fraction.
-func (c Config) prefetchBW() float64 {
-	if c.PrefetchBW <= 0 {
-		return 1
-	}
-	return c.PrefetchBW
-}
-
 // loader is replica r's prefetch process: it drains its node's prefetch
-// queue and issues tier promotions, sleeping each transfer to completion
-// before issuing the next — one transfer in flight per loader is the
-// bandwidth budget's serialisation point (the budget itself scales each
-// transfer's duration). Jobs whose request was admitted while they queued
-// are dropped, and a mid-job admission stops the remaining keys: the
-// request's tier reads are already priced against wherever its chunks
-// are, so further promotion only displaces top-tier residents and bills
-// PrefetchWastedBytes. Popping a predictive job releases its node's
-// dedupe slot before the promotions run. Each Run continues the current
-// job; with none left the loader parks on its queue, and exits once the
-// queue is closed and drained.
+// queue and issues tier promotions at the source tier's full read
+// bandwidth, sleeping each transfer to completion before issuing the
+// next — one transfer in flight per loader. Jobs whose request was
+// admitted while they queued are dropped, and a mid-job admission stops
+// the remaining keys: the request's tier reads are already priced
+// against wherever its chunks are, so further promotion only displaces
+// top-tier residents and bills PrefetchWastedBytes. Popping a predictive
+// job releases its node's dedupe slot before the promotions run. Each
+// Run continues the current job; with none left the loader parks on its
+// queue, and exits once the queue is closed and drained.
 type loader struct {
 	c     *cluster
 	qi    int
-	bw    float64
 	queue *sim.Queue[prefetchJob]
 	store *kvstore.Tiered
 	cold  func(chunk.ID) bool // predictive candidates: resident below the top tier
@@ -107,7 +97,7 @@ type loader struct {
 func (c *cluster) newLoader(r int) *loader {
 	qi := c.qi(r)
 	store := c.stores[qi]
-	return &loader{c: c, qi: qi, bw: c.cfg.prefetchBW(), queue: c.pfQueues[qi], store: store,
+	return &loader{c: c, qi: qi, queue: c.pfQueues[qi], store: store,
 		cold: func(id chunk.ID) bool { return store.TierOf(id) > 0 }}
 }
 
@@ -120,7 +110,7 @@ func (l *loader) Run(now float64) {
 			}
 			key := l.keys[l.k]
 			l.k++
-			if arrival, started := l.store.Prefetch(key, now, l.bw); started {
+			if arrival, started := l.store.Prefetch(key, now, 1); started {
 				c.clock.Wake(arrival, l) // sleep the transfer to completion
 				return
 			}
@@ -176,13 +166,6 @@ func (c Config) validatePrefetch() error {
 	default:
 		return fmt.Errorf("prefetch policy %q: want %s, %s or %s",
 			c.PrefetchPolicy, PrefetchOff, PrefetchOnEnqueue, PrefetchPredictive)
-	}
-	if !finite(c.PrefetchBW) || c.PrefetchBW < 0 || c.PrefetchBW > 1 {
-		return fmt.Errorf("prefetch bandwidth %v: must be a fraction in [0, 1]", c.PrefetchBW)
-	}
-	if c.PrefetchBW > 0 && !c.prefetchActive() {
-		return fmt.Errorf("prefetch bandwidth %v requires an active prefetch policy (got %q)",
-			c.PrefetchBW, c.PrefetchPolicy)
 	}
 	if c.prefetchActive() {
 		if len(c.tierConfigs()) < 2 {

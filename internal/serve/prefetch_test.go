@@ -53,14 +53,7 @@ func TestPrefetchValidation(t *testing.T) {
 		{"off", func(c *Config) { c.PrefetchPolicy = PrefetchOff }, true},
 		{"on-enqueue", func(c *Config) { c.PrefetchPolicy = PrefetchOnEnqueue }, true},
 		{"predictive", func(c *Config) { c.PrefetchPolicy = PrefetchPredictive }, true},
-		{"bw-fraction", func(c *Config) { c.PrefetchBW = 0.5 }, true},
 		{"unknown-policy", func(c *Config) { c.PrefetchPolicy = "sometimes" }, false},
-		{"bw-too-big", func(c *Config) { c.PrefetchBW = 1.5 }, false},
-		{"bw-negative", func(c *Config) { c.PrefetchBW = -0.1 }, false},
-		{"bw-without-active-policy", func(c *Config) {
-			c.PrefetchPolicy = PrefetchOff
-			c.PrefetchBW = 0.5
-		}, false},
 		{"active-needs-tiers", func(c *Config) {
 			c.Tiers = nil
 			c.Device = device.NVMeSSD

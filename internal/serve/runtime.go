@@ -92,9 +92,8 @@ type cluster struct {
 	tokenBytes int64   // generated KV bytes per decoded token
 	decodeUnit float64 // unbatched per-token decode step duration
 	hasDecode  bool    // some request carries a generation budget
-	policy     Policy
-	budget     int  // the policy's per-step prefill token budget (0 = whole-chunk)
-	isRouted   bool // per-replica stores with real routing (hash/affinity)
+	budget     int     // per-step prefill token budget (0 = whole-chunk steps)
+	isRouted   bool    // per-replica stores with real routing (hash/affinity)
 	ring       *hashRing
 	pops       []*kvstore.Popularity
 	pfQueues   []*sim.Queue[prefetchJob] // loader work queues (active policies only)
@@ -111,11 +110,10 @@ type cluster struct {
 	// The config's effective values, resolved once per run (resolve): a
 	// value-receiver Config helper called per step or per admission
 	// copies the whole Config.
-	replicas       int     // configured replica count, joins excluded
-	maxBatch       int     // per-step batch cap
-	batchOverhead  float64 // marginal cost of each extra sequence in a prefill-paced step
-	decodeOverhead float64 // marginal cost of each extra sequence in a decode-only step
-	tiered         bool    // multi-tier hierarchy: per-tier recompute ratios
+	replicas       int  // configured replica count, joins excluded
+	maxBatch       int  // per-step batch cap
+	decodePriority bool // the decode-priority policy gates admission
+	tiered         bool // multi-tier hierarchy: per-tier recompute ratios
 
 	// Closed-loop drive: non-nil closed means arrivals come from the
 	// workload session, fed each completion at retirement, instead of a
@@ -131,13 +129,12 @@ type cluster struct {
 	sloSched          bool
 	sloOn             bool
 	sloTTFT, sloTBT   float64
-	starve            int                     // aging bound in TTFT targets (cfg.starveLimit())
 	sloCmp            func(a, b request) bool // queue pop order at the current virtual time
 	riskMet, riskDone []int64                 // per-tenant running SLO outcomes (all completions)
 	sloOK             int64                   // measured completions meeting every target
 	sloTTFTOK         int64                   // … meeting the TTFT target
 	sloTBTOK          int64                   // … meeting the TBT target
-	sloOrder          []*member               // allocPrefillSLO sort scratch
+	prefillOrder      []*member               // allocPrefill grant-order scratch
 
 	ttfts         []float64
 	tbts          metrics.Runs // one sample per measured decode token, as runs of equal values
@@ -347,14 +344,20 @@ func newClosedCluster(cfg Config, sess workload.Session, init []workload.Issue, 
 }
 
 // buildTiers maps the config's storage hierarchy (or its single-device
-// fallback) onto kvstore tiers. Each tier is sharded like the flat store
-// was, but never so finely that a shard can't hold one chunk — a tiny
-// bounded shard would silently reject every Put and serve 0% hits.
+// fallback) onto kvstore tiers. Each tier splits into shards keyed by
+// chunk-ID hash, each with an equal slice of the tier's capacity and its
+// own LRU: one shard for a single replica (exact global LRU, the paper's
+// setup), 8 when replicas share the store — but never so finely that a
+// shard can't hold one chunk: a tiny bounded shard would silently reject
+// every Put and serve 0% hits.
 func (c *cluster) buildTiers() []kvstore.Tier {
 	cfgs := c.cfg.tierConfigs()
 	tiers := make([]kvstore.Tier, len(cfgs))
 	for i, tc := range cfgs {
-		shards := c.cfg.shards()
+		shards := 8
+		if c.cfg.replicas() == 1 {
+			shards = 1
+		}
 		if tc.Capacity > 0 {
 			if maxShards := int(tc.Capacity / c.chunkBytes); maxShards < shards {
 				shards = maxShards
@@ -375,17 +378,16 @@ func (c *cluster) resolve() {
 	c.genNS = cfg.Spec.Name + "/gen"
 	c.tokenBytes = cfg.Spec.KVBytesPerToken()
 	c.decodeUnit = cfg.Spec.DecodeSecPerToken
-	c.policy = cfg.policy()
-	c.budget = c.policy.PrefillBudget()
+	if cfg.Sched == SchedChunkedPrefill || cfg.Sched == SchedSLO {
+		c.budget = prefillBudget
+	}
+	c.decodePriority = cfg.Sched == SchedDecodePriority
 	c.sloSched = cfg.Sched == SchedSLO
 	c.sloOn = cfg.sloOn()
 	c.sloTTFT, c.sloTBT = cfg.SLOTTFT, cfg.SLOTBT
-	c.starve = cfg.starveLimit()
 	c.isRouted = cfg.routed()
 	c.replicas = cfg.replicas()
 	c.maxBatch = cfg.maxBatch()
-	c.batchOverhead = cfg.batchOverhead()
-	c.decodeOverhead = cfg.decodeOverhead()
 	c.tiered = cfg.tiered()
 }
 
@@ -894,19 +896,8 @@ func (w *replica) Run(now float64) {
 	// the waiting requests may join at this step boundary (FIFO takes
 	// everything that fits; decode-priority holds prefills while the
 	// batch decodes). New requests only enter at a step boundary.
-	prefillers, decoders := 0, 0
-	for _, m := range w.batch {
-		if m.decoding {
-			decoders++
-		} else {
-			prefillers++
-		}
-	}
 	headroom := c.maxBatch - len(w.batch)
-	quota := c.policy.AdmitQuota(prefillers, decoders, headroom, w.deferred)
-	if quota > headroom {
-		quota = headroom
-	}
+	quota := c.admitQuota(w.batch, headroom, w.deferred)
 	if c.dead[r] {
 		quota = 0 // a dead worker finishes its batch but admits nothing
 	}
@@ -991,22 +982,16 @@ func (w *replica) endStep(now float64) {
 // bounded slice with the engine's chunked mixed-step model.
 func (c *cluster) planStep(batch []*member, now float64) (step, stall float64) {
 	if c.budget > 0 {
-		var prefillers, decoders int
-		var longest float64
-		if c.sloSched {
-			prefillers, decoders, longest = c.allocPrefillSLO(batch, c.budget, now)
-		} else {
-			prefillers, decoders, longest = allocPrefill(batch, c.budget)
-		}
+		prefillers, decoders, longest := c.allocPrefill(batch, now)
 		if prefillers == 0 {
-			return engine.DecodeStepTime(c.decodeUnit, len(batch), c.decodeOverhead), 0
+			return engine.DecodeStepTime(c.decodeUnit, len(batch), decodeOverhead), 0
 		}
 		decodeUnit := 0.0
 		if decoders > 0 {
 			decodeUnit = c.decodeUnit
 		}
 		step = engine.ChunkedStepTime(longest, decodeUnit, prefillers, decoders,
-			c.batchOverhead, c.decodeOverhead)
+			batchOverhead, decodeOverhead)
 		return step, c.stall(step, decoders, len(batch))
 	}
 	step = c.stepTime(batch)
@@ -1029,7 +1014,7 @@ func (c *cluster) stall(step float64, decoders, width int) float64 {
 	if decoders == 0 {
 		return 0
 	}
-	extra := step - engine.DecodeStepTime(c.decodeUnit, width, c.decodeOverhead)
+	extra := step - engine.DecodeStepTime(c.decodeUnit, width, decodeOverhead)
 	if extra <= 0 {
 		return 0
 	}
@@ -1101,6 +1086,22 @@ func (c *cluster) genKey(idx int) chunk.ID {
 	return chunk.Hash(c.genNS, []int{idx})
 }
 
+const (
+	// batchOverhead is the marginal step-time factor of each additional
+	// sequence in a batch: a step over B requests costs the longest
+	// member step × (1 + batchOverhead×(B−1)). Values below 1 make
+	// batching pay (amortised weight loading, cf. Figure 15c). It prices
+	// prefill-paced steps — any step whose batch contains at least one
+	// prefilling member.
+	batchOverhead = 0.35
+	// decodeOverhead is the marginal step-time factor of each additional
+	// sequence in a decode-only step (engine.DecodeStepTime). Decode is
+	// memory-bandwidth-bound — the batch shares one weight stream and
+	// only per-sequence KV reads scale with width — so its marginal cost
+	// is far below prefill's.
+	decodeOverhead = 0.08
+)
+
 // stepTime is the virtual duration of one batched step: the longest
 // member paces it, every extra sequence adds a marginal cost. A step
 // with any prefilling member is FLOP-bound and priced with the prefill
@@ -1121,9 +1122,9 @@ func (c *cluster) stepTime(batch []*member) float64 {
 		}
 	}
 	if anyPrefill {
-		return longest * (1 + c.batchOverhead*float64(len(batch)-1))
+		return longest * (1 + batchOverhead*float64(len(batch)-1))
 	}
-	return engine.DecodeStepTime(longest, len(batch), c.decodeOverhead)
+	return engine.DecodeStepTime(longest, len(batch), decodeOverhead)
 }
 
 // observeStep records one executed step's telemetry — batch size, busy

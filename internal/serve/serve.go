@@ -72,54 +72,20 @@ type Config struct {
 	// the flat store. Empty means one tier on Device with StoreCapacity —
 	// the original single-device runtime.
 	Tiers []TierConfig
-	// StoreShards splits the KV store into shards keyed by chunk-ID
-	// hash. Each shard gets an equal slice of StoreCapacity and runs its
-	// own LRU. 0 picks a default: 1 shard for
-	// a single replica (exact global LRU, the paper's setup), 8 when
-	// replicas share the store.
-	StoreShards int
 	// Replicas is the number of model replicas pulling from the shared
 	// admission queue (0 = 1).
 	Replicas int
 	// MaxBatch caps how many requests one replica advances per step with
 	// continuous batching (0 = 1, no batching).
 	MaxBatch int
-	// BatchOverhead is the marginal step-time factor of each additional
-	// sequence in a batch: a step over B requests costs the longest
-	// member step × (1 + BatchOverhead×(B−1)). Values below 1 make
-	// batching pay (amortised weight loading, cf. Figure 15c); 0 uses
-	// the default 0.35. It prices prefill-paced steps — any step whose
-	// batch contains at least one prefilling member.
-	BatchOverhead float64
-	// DecodeOverhead is the marginal step-time factor of each additional
-	// sequence in a decode-only step (engine.DecodeStepTime). Decode is
-	// memory-bandwidth-bound — the batch shares one weight stream and only
-	// per-sequence KV reads scale with width — so its marginal cost is far
-	// below prefill's; 0 uses the default 0.08.
-	DecodeOverhead float64
 	// Sched selects the scheduling policy controlling batch admission
 	// and per-step prefill budgets: SchedFIFO (greedy admission,
 	// whole-chunk prefill steps; "" means the same), SchedChunkedPrefill
-	// (per-step prefill token budget, see PrefillBudget),
-	// SchedDecodePriority (defer prefill admission while the batch
-	// decodes, see StarveLimit), or SchedSLO (deadline-aware admission
+	// (a 256-token per-step prefill budget), SchedDecodePriority (defer
+	// prefill admission while the batch decodes, for at most 8 step
+	// boundaries in a row), or SchedSLO (deadline-aware admission
 	// against SLOTTFT).
 	Sched string
-	// PrefillBudget caps the prefill tokens one step may spend across
-	// the batch's prefilling members under SchedChunkedPrefill,
-	// splitting a joining request's prefill over multiple steps so
-	// resident decoders keep near-decode cadence. 0 uses the default
-	// 256; setting it with any other policy is a validation error.
-	PrefillBudget int
-	// StarveLimit bounds SchedDecodePriority's deferral: after this
-	// many consecutive step boundaries where admission was deferred
-	// while work waited, the replica admits one request regardless, so
-	// prefill delay stays finite at overload. Under SchedSLO it is the
-	// aging bound instead: a request waiting longer than
-	// StarveLimit×SLOTTFT jumps to the front of the admission order, so
-	// deprioritised late requests can't starve. 0 uses the default 8;
-	// setting it with any other policy is a validation error.
-	StarveLimit int
 	// SLOTTFT is the per-request TTFT target in seconds: a request meets
 	// its SLO only if its first token arrives within SLOTTFT of its
 	// arrival. Required (> 0) by SchedSLO, whose admission order is
@@ -141,10 +107,6 @@ type Config struct {
 	// active policies require a multi-tier hierarchy and a chunk-reusing
 	// scheme (FullKVReuse or CacheBlend).
 	PrefetchPolicy string
-	// PrefetchBW is the loader's bandwidth budget as a fraction of the
-	// source tier's read bandwidth, in (0, 1]; 0 uses the full device.
-	// Setting it requires an active prefetch policy.
-	PrefetchBW float64
 	// Router selects the replica-routing topology: RouterShared (one
 	// store and one admission queue for every replica, a single node; ""
 	// means the same), RouterHash
@@ -191,38 +153,6 @@ func (c Config) maxBatch() int {
 	return c.MaxBatch
 }
 
-// batchOverhead returns the effective marginal batch cost factor.
-func (c Config) batchOverhead() float64 {
-	if c.BatchOverhead <= 0 {
-		return 0.35
-	}
-	return c.BatchOverhead
-}
-
-// decodeOverhead returns the effective marginal decode-step width factor.
-func (c Config) decodeOverhead() float64 {
-	if c.DecodeOverhead <= 0 {
-		return 0.08
-	}
-	return c.DecodeOverhead
-}
-
-// prefillBudget returns the effective chunked-prefill token budget.
-func (c Config) prefillBudget() int {
-	if c.PrefillBudget <= 0 {
-		return 256
-	}
-	return c.PrefillBudget
-}
-
-// starveLimit returns the effective decode-priority aging bound.
-func (c Config) starveLimit() int {
-	if c.StarveLimit <= 0 {
-		return 8
-	}
-	return c.StarveLimit
-}
-
 // sloOn reports whether the run populates the SLO attainment telemetry
 // in Result: any per-request target is configured, whatever the policy,
 // so sweeps can measure every policy against the same targets.
@@ -231,17 +161,6 @@ func (c Config) sloOn() bool { return c.SLOTTFT > 0 || c.SLOTBT > 0 }
 // finite reports whether x is neither NaN nor infinite. Range checks
 // alone let NaN through: every comparison with NaN is false.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// shards returns the effective store shard count.
-func (c Config) shards() int {
-	if c.StoreShards > 0 {
-		return c.StoreShards
-	}
-	if c.replicas() == 1 {
-		return 1 // exact global LRU when nothing contends
-	}
-	return 8
-}
 
 // tiered reports whether a multi-tier hierarchy is configured.
 func (c Config) tiered() bool { return len(c.Tiers) > 0 }
@@ -291,32 +210,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("replicas %d: negative", c.Replicas)
 	case c.MaxBatch < 0:
 		return fmt.Errorf("max batch %d: negative", c.MaxBatch)
-	case !finite(c.BatchOverhead) || c.BatchOverhead < 0:
-		return fmt.Errorf("batch overhead %v: must be finite and non-negative", c.BatchOverhead)
-	case !finite(c.DecodeOverhead) || c.DecodeOverhead < 0:
-		return fmt.Errorf("decode overhead %v: must be finite and non-negative", c.DecodeOverhead)
-	case c.StoreShards < 0:
-		return fmt.Errorf("store shards %d: negative", c.StoreShards)
 	case c.StoreCapacity < 0:
 		return fmt.Errorf("store capacity %d: negative", c.StoreCapacity)
-	case c.PrefillBudget < 0:
-		return fmt.Errorf("prefill budget %d: negative", c.PrefillBudget)
-	case c.StarveLimit < 0:
-		return fmt.Errorf("starve limit %d: negative", c.StarveLimit)
 	}
 	switch c.Sched {
 	case "", SchedFIFO, SchedChunkedPrefill, SchedDecodePriority, SchedSLO:
 	default:
 		return fmt.Errorf("scheduling policy %q: want %s, %s, %s or %s",
 			c.Sched, SchedFIFO, SchedChunkedPrefill, SchedDecodePriority, SchedSLO)
-	}
-	if c.PrefillBudget > 0 && c.Sched != SchedChunkedPrefill && c.Sched != SchedSLO {
-		return fmt.Errorf("prefill budget %d requires the %s or %s policy (got %q)",
-			c.PrefillBudget, SchedChunkedPrefill, SchedSLO, c.Sched)
-	}
-	if c.StarveLimit > 0 && c.Sched != SchedDecodePriority && c.Sched != SchedSLO {
-		return fmt.Errorf("starve limit %d requires the %s or %s policy (got %q)",
-			c.StarveLimit, SchedDecodePriority, SchedSLO, c.Sched)
 	}
 	switch {
 	case !finite(c.SLOTTFT) || c.SLOTTFT < 0:
@@ -357,7 +258,7 @@ func (c Config) Validate() error {
 // use the same warmup cutoff TTFT does — samples from the warmup period
 // (before the first post-warmup request arrives) are excluded everywhere.
 type Result struct {
-	Rate       float64 // offered request rate (req/s)
+	Rate       float64 // request rate (req/s): realised by RunWorkload, offered by Run
 	MeanTTFT   float64
 	P95TTFT    float64
 	Throughput float64 // completed requests/s over the run
@@ -411,7 +312,7 @@ type Result struct {
 	// MeanPrefillDelay/P95PrefillDelay summarise the wait between a
 	// post-warmup request's arrival and its admission into a replica
 	// batch — pure queueing under FIFO, queueing plus deferred
-	// admission under decode-priority (bounded by StarveLimit).
+	// admission under decode-priority (bounded by its starveLimit).
 	MeanPrefillDelay float64 `json:",omitempty"`
 	P95PrefillDelay  float64 `json:",omitempty"`
 	// SLO telemetry, populated only when per-request targets

@@ -11,11 +11,8 @@ import (
 )
 
 // stepCluster builds a bare cluster good enough to call stepTime.
-func stepCluster(batchOverhead, decodeOverhead float64) *cluster {
-	cfg := baseConfig(baselines.CacheBlend)
-	cfg.BatchOverhead = batchOverhead
-	cfg.DecodeOverhead = decodeOverhead
-	c := &cluster{cfg: cfg}
+func stepCluster() *cluster {
+	c := &cluster{cfg: baseConfig(baselines.CacheBlend)}
 	c.resolve()
 	return c
 }
@@ -37,7 +34,7 @@ func randomBatch(g *tensor.RNG, n int) []*member {
 // presence with the prefill batch overhead.
 func TestStepTimeProperties(t *testing.T) {
 	g := tensor.NewRNG(17)
-	c := stepCluster(0, 0) // defaults: 0.35 prefill, 0.08 decode
+	c := stepCluster()
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + g.Intn(12)
 		batch := randomBatch(g, n)
@@ -56,9 +53,9 @@ func TestStepTimeProperties(t *testing.T) {
 			t.Fatalf("trial %d: step %.4f below longest member %.4f", trial, step, longest)
 		}
 		// Exact pricing by phase mix.
-		want := longest * (1 + c.cfg.batchOverhead()*float64(n-1))
+		want := longest * (1 + batchOverhead*float64(n-1))
 		if !anyPrefill {
-			want = engine.DecodeStepTime(longest, n, c.cfg.decodeOverhead())
+			want = engine.DecodeStepTime(longest, n, decodeOverhead)
 		}
 		if math.Abs(step-want) > 1e-12 {
 			t.Fatalf("trial %d: step %.6f, want %.6f (prefill=%v, n=%d)", trial, step, want, anyPrefill, n)
@@ -79,7 +76,7 @@ func TestStepTimeProperties(t *testing.T) {
 // step costs exactly its unit, a lone decode step exactly the per-token
 // decode time — no batch overhead of either kind.
 func TestStepTimeSolo(t *testing.T) {
-	c := stepCluster(0.35, 0.08)
+	c := stepCluster()
 	if got := c.stepTime([]*member{{unit: 0.2}}); got != 0.2 {
 		t.Fatalf("solo prefill step %.4f, want 0.2", got)
 	}

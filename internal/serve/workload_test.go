@@ -180,10 +180,6 @@ func TestRunWorkloadValidation(t *testing.T) {
 		{"nan ratio", mut(func(c *Config) { c.Ratio = math.NaN() }), w, 100, 10, "ratio"},
 		{"nan skew", mut(func(c *Config) { c.Skew = math.NaN() }), w, 100, 10, "skew"},
 		{"infinite skew", mut(func(c *Config) { c.Skew = math.Inf(1) }), w, 100, 10, "skew"},
-		{"nan batch overhead", mut(func(c *Config) { c.BatchOverhead = math.NaN() }), w, 100, 10, "batch overhead"},
-		{"nan decode overhead", mut(func(c *Config) { c.DecodeOverhead = math.NaN() }), w, 100, 10, "decode overhead"},
-		{"infinite decode overhead", mut(func(c *Config) { c.DecodeOverhead = math.Inf(1) }), w, 100, 10, "decode overhead"},
-		{"nan prefetch bandwidth", mut(func(c *Config) { c.PrefetchBW = math.NaN() }), w, 100, 10, "prefetch bandwidth"},
 		{"no spec", mut(func(c *Config) { c.Spec = timing.Spec{} }), w, 100, 10, "spec"},
 		{"negative replicas", mut(func(c *Config) { c.Replicas = -2 }), w, 100, 10, "replicas"},
 		{"no device", mut(func(c *Config) { c.Device = device.Device{} }), w, 100, 10, "device"},

@@ -82,6 +82,9 @@ func TestExamplesRunEndToEnd(t *testing.T) {
 
 // TestServeCLISmoke drives the serving CLI end to end with the new
 // replica/batching flags. A default run reports its router telemetry too.
+// Counts the runtime would quietly reinterpret — a negative capacity as
+// unbounded, fewer than one tenant as one, a negative client pool as open
+// loop — are rejected, naming the flag and its value.
 func TestServeCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the serve binary")
@@ -91,6 +94,41 @@ func TestServeCLISmoke(t *testing.T) {
 	for _, w := range []string{"replicas=2", "mean_ttft", "replica-util=", "router shared"} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("serve CLI output missing %q:\n%s", w, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"-capacity", "-3"}, {"-tenants", "0"}, {"-tenants", "-2"}, {"-closed-loop", "-1"},
+	} {
+		out, err := goToolErr(t, "run", "./cmd/cacheblend-serve", args[0], args[1], "-rates", "1", "-n", "10")
+		if err == nil || !strings.Contains(out, "cacheblend-serve: "+args[0]+" "+args[1]+":") {
+			t.Fatalf("cacheblend-serve %s %s accepted or error unclear:\n%s", args[0], args[1], out)
+		}
+	}
+}
+
+// TestFiguresCLISmoke drives the figure CLI's flags: -list names the
+// figures, a small figure run prints its table, and negative counts are
+// rejected by name instead of being read as each figure's default.
+func TestFiguresCLISmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the cacheblend binary")
+	}
+	out := goTool(t, "run", "./cmd/cacheblend", "-list")
+	for _, w := range []string{"reproducible figures:", "14 ", "slo"} {
+		if !strings.Contains(out, w) {
+			t.Fatalf("cacheblend -list output missing %q:\n%s", w, out)
+		}
+	}
+	out = goTool(t, "run", "./cmd/cacheblend", "-fig", "14", "-requests", "60")
+	if !strings.Contains(out, "figure 14 finished in") {
+		t.Fatalf("cacheblend -fig 14 output incomplete:\n%s", out)
+	}
+	for _, args := range [][]string{
+		{"-requests", "-5"}, {"-cases", "-1"}, {"-parallel", "-1"},
+	} {
+		out, err := goToolErr(t, "run", "./cmd/cacheblend", "-fig", "14", args[0], args[1])
+		if err == nil || !strings.Contains(out, "cacheblend: "+args[0]+" "+args[1]+":") {
+			t.Fatalf("cacheblend %s %s accepted or error unclear:\n%s", args[0], args[1], out)
 		}
 	}
 }
@@ -219,14 +257,14 @@ func TestServeCLIDecodeSmoke(t *testing.T) {
 }
 
 // TestServeCLISchedSmoke drives the scheduling-policy flags: a
-// chunked-prefill run with an explicit budget must print the scheduling
-// telemetry, and the policy/knob validation errors must surface cleanly.
+// chunked-prefill run must print the scheduling telemetry, and an
+// unknown policy must fail with a clear error.
 func TestServeCLISchedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the serve binary")
 	}
 	out := goTool(t, "run", "./cmd/cacheblend-serve",
-		"-sched", "chunked-prefill", "-prefill-budget", "128",
+		"-sched", "chunked-prefill",
 		"-decode", "16", "-batch", "4", "-rates", "1", "-n", "200", "-v")
 	for _, w := range []string{"sched=chunked-prefill", "tbt=", "sched stall=", "prefill-delay="} {
 		if !strings.Contains(out, w) {
@@ -241,10 +279,6 @@ func TestServeCLISchedSmoke(t *testing.T) {
 	if out, err := goToolErr(t, "run", "./cmd/cacheblend-serve",
 		"-sched", "sarathi", "-rates", "1"); err == nil || !strings.Contains(out, "scheduling policy") {
 		t.Fatalf("unknown -sched accepted or error unclear:\n%s", out)
-	}
-	if out, err := goToolErr(t, "run", "./cmd/cacheblend-serve",
-		"-prefill-budget", "128", "-rates", "1"); err == nil || !strings.Contains(out, "prefill budget") {
-		t.Fatalf("-prefill-budget without -sched chunked-prefill accepted or error unclear:\n%s", out)
 	}
 }
 
