@@ -244,45 +244,52 @@ func TestPrefetchRandomizedInvariants(t *testing.T) {
 
 // TestPopularityTopMatchesSort pins Top's one-pass selection to the full
 // ranking it replaces: for every k, the first k ids of all tracked ids
-// sorted by (score desc, id bytes asc), appended after dst's contents.
+// sorted by (decayed score desc, id bytes asc), appended after dst's
+// contents. It ranks with decay on and off, at times before, among and
+// long after the touches, so stored and decayed scores order the ids
+// differently and many decay to exact ties.
 func TestPopularityTopMatchesSort(t *testing.T) {
-	p := NewPopularity(8, 0)
-	g := tensor.NewRNG(3)
-	for i := 0; i < 400; i++ {
-		// Whole-second touches at a coarse clock make many exact score ties.
-		p.Touch(id(g.Intn(40)), float64(g.Intn(30)))
-	}
-	now := 40.0
 	type ranked struct {
 		id    chunk.ID
 		score float64
 	}
-	var all []ranked
-	for k, e := range p.scores {
-		if k[0]%3 != 0 { // the keep filter below
-			all = append(all, ranked{k, p.decayed(e, now)})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return bytes.Compare(all[i].id[:], all[j].id[:]) < 0
-	})
 	keep := func(c chunk.ID) bool { return c[0]%3 != 0 }
 	prefix := []chunk.ID{id(999)}
-	for _, k := range []int{0, 1, 2, 5, len(all), len(all) + 3} {
-		got := p.Top(append([]chunk.ID(nil), prefix...), now, k, keep)
-		want := len(all)
-		if k > 0 && k < want {
-			want = k
+	for _, halflife := range []float64{8, 0.5, 0, -1} {
+		p := NewPopularity(halflife, 0)
+		g := tensor.NewRNG(3)
+		for i := 0; i < 400; i++ {
+			// Whole-second touches at a coarse clock make many exact score ties.
+			p.Touch(id(g.Intn(40)), float64(g.Intn(30)))
 		}
-		if len(got) != 1+want || got[0] != prefix[0] {
-			t.Fatalf("k=%d: got %d ids (prefix kept: %v), want 1+%d", k, len(got), got[0] == prefix[0], want)
-		}
-		for i, r := range all[:want] {
-			if got[1+i] != r.id {
-				t.Fatalf("k=%d: rank %d is %s, want %s", k, i, got[1+i], r.id)
+		for _, now := range []float64{0, 12.5, 29, 40, 400, 5000} {
+			var all []ranked
+			for k, e := range p.scores {
+				if keep(k) {
+					all = append(all, ranked{k, p.decayed(e, now)})
+				}
+			}
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].score != all[j].score {
+					return all[i].score > all[j].score
+				}
+				return bytes.Compare(all[i].id[:], all[j].id[:]) < 0
+			})
+			for _, k := range []int{0, 1, 2, 5, len(all), len(all) + 3} {
+				got := p.Top(append([]chunk.ID(nil), prefix...), now, k, keep)
+				want := len(all)
+				if k > 0 && k < want {
+					want = k
+				}
+				if len(got) != 1+want || got[0] != prefix[0] {
+					t.Fatalf("halflife %v, now %v, k=%d: got %d ids (prefix kept: %v), want 1+%d",
+						halflife, now, k, len(got), got[0] == prefix[0], want)
+				}
+				for i, r := range all[:want] {
+					if got[1+i] != r.id {
+						t.Fatalf("halflife %v, now %v, k=%d: rank %d is %s, want %s", halflife, now, k, i, got[1+i], r.id)
+					}
+				}
 			}
 		}
 	}

@@ -87,10 +87,19 @@ func (p *Popularity) Len() int {
 // id. Ties break on id bytes so the ranking is deterministic. One pass
 // over the tracked entries keeps the k best in order, so the small k the
 // predictive prefetcher asks for costs a linear scan and no allocation.
+//
+// Once k entries are kept, an entry whose stored score is below the k-th
+// kept score is skipped before keep or the decay runs: scores are never
+// negative and decay multiplies by at most 1, so its decayed score is
+// lower still and could not rank. keep is therefore not called for every
+// entry, and must be a pure predicate.
 func (p *Popularity) Top(dst []chunk.ID, now float64, k int, keep func(chunk.ID) bool) []chunk.ID {
 	base := len(dst)
 	scores := p.topScores[:0]
 	for id, e := range p.scores {
+		if k > 0 && len(scores) == k && e.score < scores[k-1] {
+			continue
+		}
 		if keep != nil && !keep(id) {
 			continue
 		}

@@ -21,7 +21,8 @@
 package kvstore
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/chunk"
 )
@@ -148,13 +149,15 @@ func (t *Tiered) PrefetchStats() PrefetchStats {
 	return t.pf
 }
 
-// advance applies every transfer due by now, in (arrival, issue)
-// order so concurrent loaders complete deterministically.
+// advance applies every transfer due by now, in (arrival, issue) order
+// so concurrent loaders complete deterministically. seq is unique, so the
+// order is total and any correct sort gives it. complete neither cancels
+// a transfer nor calls advance, so the due list lives in a scratch slice.
 func (t *Tiered) advance(now float64) {
 	if len(t.flightQ) == 0 {
 		return
 	}
-	var due []*transfer
+	due := t.due[:0]
 	rest := t.flightQ[:0]
 	for _, tr := range t.flightQ {
 		switch {
@@ -166,15 +169,17 @@ func (t *Tiered) advance(now float64) {
 		}
 	}
 	t.flightQ = rest
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].arrival != due[j].arrival {
-			return due[i].arrival < due[j].arrival
+	slices.SortFunc(due, func(a, b *transfer) int {
+		if a.arrival != b.arrival {
+			return cmp.Compare(a.arrival, b.arrival)
 		}
-		return due[i].seq < due[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, tr := range due {
 		t.complete(tr)
 	}
+	clear(due) // release the completed transfers
+	t.due = due[:0]
 }
 
 // complete lands one due transfer: the payload moves from wherever

@@ -214,6 +214,51 @@ func TestPrefetchUnreadDemotionCountsWaste(t *testing.T) {
 	}
 }
 
+// TestPrefetchCompletionOrder: transfers due by one lookup land in
+// arrival order, and equal arrivals in issue order. The chunk landed last
+// ends on the top tier, and the others are demoted back under it.
+func TestPrefetchCompletionOrder(t *testing.T) {
+	// setup leaves two same-size chunks on tier 1 and a third on tier 2,
+	// whose slower device makes its transfer arrive later.
+	setup := func() (ts *Tiered, pair [2]chunk.ID, slow chunk.ID) {
+		ts = MustTiered(threeTiers(100, 200, 0), LRU)
+		pair, slow = [2]chunk.ID{id(20), id(21)}, id(22)
+		ts.Put(slow, Bytes(100)) //nolint:errcheck
+		demoteTo(t, ts, slow, 2, 100)
+		for _, c := range pair {
+			ts.Put(c, Bytes(100)) //nolint:errcheck
+		}
+		demoteTo(t, ts, pair[1], 1, 100)
+		if got := tierOf(t, ts, pair[0]); got != 1 {
+			t.Fatalf("setup: chunk on tier %d, want 1", got)
+		}
+		return ts, pair, slow
+	}
+	absent := chunk.Hash("absent", []int{5}) // a lookup of it only lands transfers
+	for _, first := range []int{0, 1} {
+		ts, pair, _ := setup()
+		a, b := pair[first], pair[1-first]
+		at, _ := ts.Prefetch(a, 0, 1)
+		if again, _ := ts.Prefetch(b, 0, 1); again != at {
+			t.Fatalf("setup: same-size transfers from one tier arrive at %v and %v", at, again)
+		}
+		ts.GetAt(absent, at)
+		if ta, tb := tierOf(t, ts, a), tierOf(t, ts, b); ta != 1 || tb != 0 {
+			t.Fatalf("equal arrivals: issued first on tier %d, second on tier %d; want 1 and 0", ta, tb)
+		}
+	}
+	ts, pair, slow := setup()
+	late, _ := ts.Prefetch(slow, 0, 1)
+	at, _ := ts.Prefetch(pair[0], 0, 1)
+	if late <= at {
+		t.Fatalf("setup: tier-2 transfer arrives at %v, not after the tier-1 one at %v", late, at)
+	}
+	ts.GetAt(absent, late)
+	if tl, te := tierOf(t, ts, slow), tierOf(t, ts, pair[0]); tl != 0 || te != 1 {
+		t.Fatalf("later arrival issued first on tier %d, earlier one on tier %d; want 0 and 1", tl, te)
+	}
+}
+
 func TestPrefetchStatsAccuracy(t *testing.T) {
 	var pf PrefetchStats
 	if pf.Accuracy() != 0 {

@@ -68,6 +68,7 @@ type Tiered struct {
 	// In-flight prefetch transfer model (prefetch.go).
 	flights   map[chunk.ID]*transfer // keys currently being promoted
 	flightQ   []*transfer            // issue-ordered queue advance drains
+	due       []*transfer            // advance's scratch: the transfers it completes
 	flightSeq int
 	unread    map[chunk.ID]int64 // completed prefetches no lookup has touched
 	pf        PrefetchStats

@@ -133,7 +133,8 @@ type Config struct {
 	ChunkTokens int
 	// QueryTokens is the fresh suffix length.
 	QueryTokens int
-	// Skew is the chunk popularity skew (sim.Zipf exponent).
+	// Skew is the chunk popularity skew sim.Zipf takes (0 = uniform). It
+	// is not the exponent: see workload.Chunks.Skew.
 	Skew float64
 }
 

@@ -218,6 +218,14 @@ func TestRunWorkloadRejectsBrokenStreams(t *testing.T) {
 		!strings.Contains(err.Error(), "before request") {
 		t.Fatalf("out-of-order stream accepted: %v", err)
 	}
+	// MultiTenant merges its tenants' streams on the promise that each is
+	// arrival-ordered; a broken one reaches the same check, not a panic.
+	mixed := workload.MultiTenant{Tenants: []workload.Workload{disordered,
+		workload.Trace{Label: "y", Reqs: []workload.Request{{Arrival: 1.5, Chunks: []int{3}}}}}}
+	if _, err := RunWorkload(cfg, mixed, 3, 0, 1); err == nil ||
+		!strings.Contains(err.Error(), "before request") {
+		t.Fatalf("out-of-order tenant stream accepted: %v", err)
+	}
 	invalid := workload.Trace{Label: "x", Reqs: []workload.Request{{Arrival: 1, Chunks: nil}}}
 	if _, err := RunWorkload(cfg, invalid, 1, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "no chunks") {

@@ -99,9 +99,14 @@ func BenchmarkTryPopMin(b *testing.B) {
 }
 
 // BenchmarkZipf times 1000 draws over BenchmarkServeHotPath's
-// 1500-chunk corpus at each skew the serving benchmarks use: 0.8
-// (exponent 5.000000000000001), 0.9 and 1.0 take the integer-power path,
-// and 1.1 (exponent 2.1) calls math.Pow. ns/draw divides by the draws.
+// 1500-chunk corpus at each skew the serving benchmarks use, first
+// through sim.Zipf: 0.8 (exponent 5.000000000000001), 0.9 and 1.0
+// multiply out an integer power, and 1.1 (exponent 2.1) calls math.Pow.
+// The sampler cases draw through a ZipfSampler built outside the timer:
+// at skew 1.1 over serve-routed-tiered's 48-chunk tenant corpora and the
+// 1500-chunk one, where it looks the index up in its table, and at 0.8,
+// where it has no table. ns/draw divides by the draws. The build cases
+// time building the skew-1.1 table alone.
 func BenchmarkZipf(b *testing.B) {
 	const draws = 1000
 	for _, s := range []float64{0.8, 0.9, 1.0, 1.1} {
@@ -117,6 +122,35 @@ func BenchmarkZipf(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*draws), "ns/draw")
 			zipfSink = sum
+		})
+	}
+	for _, tc := range []struct {
+		n int
+		s float64
+	}{{48, 1.1}, {1500, 1.1}, {1500, 0.8}} {
+		b.Run(fmt.Sprintf("sampler/n%d/s%g", tc.n, tc.s), func(b *testing.B) {
+			z := NewZipfSampler(tc.n, tc.s, tc.n)
+			g := tensor.NewRNG(1)
+			sum := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < draws; j++ {
+					sum += z.Draw(g)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*draws), "ns/draw")
+			zipfSink = sum
+		})
+	}
+	for _, n := range []int{48, 1500} {
+		b.Run(fmt.Sprintf("build/n%d/s1.1", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if NewZipfSampler(n, 1.1, n).bound == nil {
+					b.Fatal("no table built")
+				}
+			}
 		})
 	}
 }

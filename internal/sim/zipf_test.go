@@ -17,7 +17,12 @@ func zipfRef(g *tensor.RNG, n int, s float64) int {
 	if s <= 0 {
 		return g.Intn(n)
 	}
-	return zipfIndexRef(g.Float64(), n, zipfExponent(s))
+	u := g.Float64()
+	exp := 1 + s
+	if s < 1 {
+		exp = 1 / (1 - s)
+	}
+	return zipfIndexRef(u, n, exp)
 }
 
 // zipfIndexRef is zipfRef's index computation, always through math.Pow.
@@ -29,18 +34,13 @@ func zipfIndexRef(u float64, n int, exp float64) int {
 	return idx
 }
 
-// zipfExponent is the exponent Zipf derives from a positive skew.
-func zipfExponent(s float64) float64 {
-	if s < 1 {
-		return 1 / (1 - s)
-	}
-	return 1 + s
-}
-
 // TestZipfMatchesReference draws 2M indices from Zipf and from the
-// reference on equal seeds, for skews on both sides of s = 1 (0.5, 0.8
-// and 1.0 take the fast path, 1.1 never does) and domains from one id to
-// 100k.
+// reference on equal seeds, for skews on both sides of s = 1 (0.5, 0.8,
+// 0.9 and 1.0 multiply out an integer power, 1.1 calls math.Pow) and
+// domains from one id to 100k. It then draws through a ZipfSampler built
+// for every fuzzSkews skew and a few more, once for a stream of n draws
+// (with a table, unless the exponent is multiplied out) and once for n−1
+// (without one).
 func TestZipfMatchesReference(t *testing.T) {
 	const draws = 2_000_000
 	for _, s := range []float64{0.5, 0.8, 0.9, 1.0, 1.1} {
@@ -56,6 +56,63 @@ func TestZipfMatchesReference(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+	const samplerDraws = 20_000
+	for _, s := range append([]float64{0, 0.3, 1.65, 2.5}, fuzzSkews...) {
+		s := s
+		t.Run(fmt.Sprintf("sampler/s%g", s), func(t *testing.T) {
+			t.Parallel()
+			for _, n := range []int{1, 7, 48, 500, 1500, 100_000} {
+				for _, stream := range []int{n, n - 1} {
+					z := NewZipfSampler(n, s, stream)
+					if want := stream >= n && s > 0 && intExponent(zipfExponent(s)) == 0; (z.bound != nil) != want {
+						t.Fatalf("n %d, stream of %d draws: table built %v, want %v", n, stream, z.bound != nil, want)
+					}
+					seed := int64(n) + int64(s*1000) + int64(stream)
+					a, b := tensor.NewRNG(seed), tensor.NewRNG(seed)
+					for i := 0; i < samplerDraws; i++ {
+						if got, want := z.Draw(a), zipfRef(b, n, s); got != want {
+							t.Fatalf("n %d, stream of %d draws, draw %d: sampler = %d, reference gives %d",
+								n, stream, i, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestZipfSamplerTableBounded: a sampler builds its table only for a
+// stream of at least n draws over an exponent it cannot multiply out, so
+// a billion-id domain drawn a few hundred times allocates the sampler
+// and nothing else, and still draws the reference's indices.
+func TestZipfSamplerTableBounded(t *testing.T) {
+	for _, tc := range []struct {
+		n, draws int
+		s        float64
+		table    bool
+	}{
+		{1_000_000_000, 1200, 1.1, false},
+		{1_000_000_000, 1200, 0.4, false},
+		{48, 47, 1.1, false},
+		{48, 48, 1.1, true},
+		{48, 12_000, 0.8, false}, // exponent 5.000000000000001, multiplied out
+		{48, 12_000, 0, false},   // uniform
+	} {
+		var z *ZipfSampler
+		allocs := testing.AllocsPerRun(1, func() { z = NewZipfSampler(tc.n, tc.s, tc.draws) })
+		if (z.bound != nil) != tc.table {
+			t.Fatalf("%+v: table built %v", tc, z.bound != nil)
+		}
+		if !tc.table && allocs != 1 {
+			t.Fatalf("%+v: %v allocations, want the sampler's one", tc, allocs)
+		}
+		a, b := tensor.NewRNG(5), tensor.NewRNG(5)
+		for i := 0; i < 1000; i++ {
+			if got, want := z.Draw(a), zipfRef(b, tc.n, tc.s); got != want {
+				t.Fatalf("%+v, draw %d: sampler = %d, reference gives %d", tc, i, got, want)
+			}
 		}
 	}
 }
@@ -75,25 +132,35 @@ var fuzzSkews = func() []float64 {
 	return out
 }()
 
-// FuzzZipf checks that zipfIndex returns the reference's index. The skew
-// is fuzzSkews[sel], or s itself when sel is past the list. The draw u is
+// FuzzZipf checks that zipfIndex, and the table of a ZipfSampler built
+// for a stream of n draws, return the reference's index. The skew is
+// fuzzSkews[sel], or s itself when sel is past the list. The draw u is
 // ((i+ε)/n)^(1/exp): just off the point where u^exp·n crosses index i,
 // with ε = eps·1e-15·max(i, 1), so inputs sit from about an ulp to about
 // 2e-6 relative away from a boundary, on either side. i = 0 with ε ≤ 0
-// gives u = 0.
+// gives u = 0. The table is checked on domains up to 65,536 ids and
+// rebuilt only when the domain or the exponent changes.
 func FuzzZipf(f *testing.F) {
 	for sel := range fuzzSkews {
 		f.Add(uint8(sel), 0.0, uint32(1500), uint32(700), int32(-3))
 	}
-	f.Add(uint8(0), 0.0, uint32(1500), uint32(0), int32(0))            // u = 0
-	f.Add(uint8(3), 0.0, uint32(0), uint32(1), int32(-1))              // n = 1, u just below 1
-	f.Add(uint8(3), 0.0, uint32(999_999), uint32(999_999), int32(-1))  // n = 1e6, top index
-	f.Add(uint8(4), 0.0, uint32(47), uint32(24), int32(500))           // guard edge, above
-	f.Add(uint8(4), 0.0, uint32(47), uint32(24), int32(-500))          // guard edge, below
-	f.Add(uint8(6), 0.0, uint32(99_999), uint32(31_623), int32(1))     // s = 1, one ulp-ish off
-	f.Add(uint8(255), 0.75, uint32(1499), uint32(1000), int32(2_000))  // fuzzed skew
-	f.Add(uint8(255), 1e-17, uint32(1499), uint32(1000), int32(-2000)) // exponent exactly 1
+	f.Add(uint8(0), 0.0, uint32(1500), uint32(0), int32(0))                   // u = 0
+	f.Add(uint8(3), 0.0, uint32(0), uint32(1), int32(-1))                     // n = 1, u just below 1
+	f.Add(uint8(3), 0.0, uint32(999_999), uint32(999_999), int32(-1))         // n = 1e6, top index
+	f.Add(uint8(4), 0.0, uint32(47), uint32(24), int32(500))                  // guard edge, above
+	f.Add(uint8(4), 0.0, uint32(47), uint32(24), int32(-500))                 // guard edge, below
+	f.Add(uint8(6), 0.0, uint32(99_999), uint32(31_623), int32(1))            // s = 1, one ulp-ish off
+	f.Add(uint8(255), 0.75, uint32(1499), uint32(1000), int32(2_000))         // fuzzed skew
+	f.Add(uint8(255), 1e-17, uint32(1499), uint32(1000), int32(-2000))        // exponent exactly 1
+	f.Add(uint8(255), 0.3, uint32(499), uint32(250), int32(4))                // exponent 1.43
+	f.Add(uint8(255), 1.55, uint32(1499), uint32(37), int32(-7))              // exponent 2.55
+	f.Add(uint8(255), 1-1e-6, uint32(1499), uint32(1200), int32(9))           // exponent 1e6
+	f.Add(uint8(255), math.Nextafter(1, 0), uint32(47), uint32(20), int32(1)) // exponent 9e15
+	f.Add(uint8(255), 100.0, uint32(47), uint32(3), int32(-1))                // exponent 101
+	f.Add(uint8(255), 1.3, uint32(0), uint32(0), int32(0))                    // n = 1, u = 0
+	f.Add(uint8(255), 1.3, uint32(0), uint32(1), int32(-1))                   // n = 1, u just below 1
 
+	var z *ZipfSampler // the last domain's sampler
 	f.Fuzz(func(t *testing.T, sel uint8, s float64, rawN, rawI uint32, eps int32) {
 		if int(sel) < len(fuzzSkews) {
 			s = fuzzSkews[sel]
@@ -112,8 +179,21 @@ func FuzzZipf(f *testing.F) {
 		case u >= 1:
 			u = math.Nextafter(1, 0)
 		}
-		if got, want := zipfIndex(u, n, exp), zipfIndexRef(u, n, exp); got != want {
+		want := zipfIndexRef(u, n, exp)
+		if got := zipfIndex(u, n, exp); got != want {
 			t.Fatalf("zipfIndex(%v, %d, %v) = %d, math.Pow gives %d", u, n, exp, got, want)
+		}
+		if n > 1<<16 {
+			return
+		}
+		if z == nil || z.n != n || z.exp != exp {
+			z = NewZipfSampler(n, s, n)
+		}
+		if z.bound == nil {
+			return // an exponent zipfIndex multiplies out: checked above
+		}
+		if got := z.lookup(u); got != want {
+			t.Fatalf("sampler over %d ids at exponent %v: lookup(%v) = %d, math.Pow gives %d", n, exp, u, got, want)
 		}
 	})
 }

@@ -5,11 +5,13 @@ import "testing"
 // BenchmarkGenerate times generating a 1000-request stream: Poisson,
 // Bursty and Diurnal over BenchmarkServeHotPath's 1500-chunk corpus;
 // serve-routed-tiered's mix of four drifting Bursty tenants over
-// disjoint 48-chunk corpora, which generates 1000 per tenant and merges
-// them; and serve-closed-decode's closed loop of 3 tenants × 8 clients,
-// whose session issues one request per completion (each completed one
-// virtual second after it arrives). ns/req divides by the 1000 requests
-// returned or issued.
+// disjoint 48-chunk corpora, which generates 1000 per tenant, each
+// through its own skew-1.1 Zipf table, and k-way merges the four
+// arrival-ordered streams, keeping the earliest 1000; and
+// serve-closed-decode's closed loop of 3 tenants × 8 clients, whose
+// session issues one request per completion (each completed one virtual
+// second after it arrives). ns/req divides by the 1000 requests returned
+// or issued.
 func BenchmarkGenerate(b *testing.B) {
 	const n = 1000
 	hot := Chunks{Pool: 1500, PerRequest: 6, Skew: 0.8}

@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -147,15 +148,16 @@ func (c ClosedLoop) Session(n int, seed int64) Session {
 	slice := c.Chunks.Pool / k
 	s := &clientPool{budget: n}
 	s.clients = make([]client, k*c.Clients)
-	for i := range s.clients {
-		tenant := i / c.Clients
+	for tenant := 0; tenant < k; tenant++ {
 		ch := c.Chunks
 		ch.Pool = slice
 		ch.Offset = c.Chunks.Offset + tenant*slice
 		dec := c.Decode
 		if k > 1 {
-			// The TenantMix fan-out: tenant 0 most uniform and terse,
-			// tenant k−1 most head-heavy and long-winded.
+			// The TenantMix fan-out: skew and decode mean scale from 0.5×
+			// (tenant 0, the tersest) to 1.5× (tenant k−1, the most
+			// long-winded). Head weight follows sim.Zipf's exponent, which
+			// is not monotone in the skew.
 			fan := 0.5 + float64(tenant)/float64(k-1)
 			ch.Skew = c.Chunks.Skew * fan
 			if dec.Mean > 0 {
@@ -165,15 +167,21 @@ func (c ClosedLoop) Session(n int, seed int64) Session {
 				}
 			}
 		}
-		s.clients[i] = client{
-			// A private stream per client keeps think times and chunk
-			// draws independent of every other client's progress (the
-			// MultiTenant per-tenant seed idiom, at client granularity).
-			g:      tensor.NewRNG(seed + int64(i)*7_368_787),
-			tenant: tenant,
-			chunks: ch,
-			decode: dec,
-			think:  c.Think,
+		// The tenant's clients share one sampler, sized for the whole
+		// budget: one tenant may issue all of it.
+		z := ch.Sampler(n)
+		for i := tenant * c.Clients; i < (tenant+1)*c.Clients; i++ {
+			s.clients[i] = client{
+				// A private stream per client keeps think times and chunk
+				// draws independent of every other client's progress (the
+				// MultiTenant per-tenant seed idiom, at client granularity).
+				g:      tensor.NewRNG(seed + int64(i)*7_368_787),
+				tenant: tenant,
+				chunks: ch,
+				zipf:   z,
+				decode: dec,
+				think:  c.Think,
+			}
 		}
 	}
 	return s
@@ -184,6 +192,7 @@ type client struct {
 	g      *tensor.RNG
 	tenant int
 	chunks Chunks
+	zipf   *sim.ZipfSampler // the tenant's, shared by its clients
 	decode Decode
 	think  float64
 }
@@ -214,7 +223,7 @@ func (s *clientPool) issue(ci int, after float64) (Issue, bool) {
 		t = math.Nextafter(after, math.Inf(1))
 	}
 	ids := make([]int, c.chunks.PerRequest)
-	c.chunks.Sample(c.g, t, ids)
+	c.chunks.Sample(c.g, c.zipf, t, ids)
 	return Issue{Client: ci, Req: Request{
 		Arrival:      t,
 		Tenant:       c.tenant,

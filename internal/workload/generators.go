@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -51,9 +50,10 @@ func (p Poisson) Generate(n int, seed int64) []Request {
 	reqs := make([]Request, n)
 	k := p.Chunks.PerRequest
 	arena := make([]int, n*k)
+	z := p.Chunks.Sampler(n)
 	for i := range reqs {
 		ids := chunkList(arena, i, k)
-		p.Chunks.Sample(g, arrivals[i], ids)
+		p.Chunks.Sample(g, z, arrivals[i], ids)
 		reqs[i] = Request{Arrival: arrivals[i], Chunks: ids, DecodeTokens: p.Decode.Sample(g)}
 	}
 	return reqs
@@ -119,6 +119,7 @@ func (b Bursty) Generate(n int, seed int64) []Request {
 	reqs := make([]Request, 0, n)
 	k := b.Chunks.PerRequest
 	arena := make([]int, n*k)
+	z := b.Chunks.Sampler(n)
 	t := 0.0
 	for len(reqs) < n {
 		end := t + expo(g, meanOn)
@@ -128,7 +129,7 @@ func (b Bursty) Generate(n int, seed int64) []Request {
 				break
 			}
 			ids := chunkList(arena, len(reqs), k)
-			b.Chunks.Sample(g, t, ids)
+			b.Chunks.Sample(g, z, t, ids)
 			reqs = append(reqs, Request{Arrival: t, Chunks: ids, DecodeTokens: b.Decode.Sample(g)})
 		}
 		t = end
@@ -191,13 +192,14 @@ func (d Diurnal) Generate(n int, seed int64) []Request {
 	reqs := make([]Request, 0, n)
 	k := d.Chunks.PerRequest
 	arena := make([]int, n*k)
+	z := d.Chunks.Sampler(n)
 	t := 0.0
 	for len(reqs) < n {
 		t += expo(g, 1/peak)
 		rate := d.Rate * (1 + d.Amplitude*math.Sin(2*math.Pi*t/period))
 		if g.Float64()*peak <= rate {
 			ids := chunkList(arena, len(reqs), k)
-			d.Chunks.Sample(g, t, ids)
+			d.Chunks.Sample(g, z, t, ids)
 			reqs = append(reqs, Request{Arrival: t, Chunks: ids, DecodeTokens: d.Decode.Sample(g)})
 		}
 	}
@@ -232,8 +234,11 @@ func (m MultiTenant) Validate() error {
 	return nil
 }
 
-// Generate implements Workload. The stable merge breaks equal-arrival
-// ties by tenant index, then by stream order, keeping the stream
+// Generate implements Workload. Every sub-stream is in nondecreasing
+// arrival order (the Workload contract), so a k-way merge interleaves
+// them: the earliest head goes next, and an
+// arrival tie goes to the lower tenant index, then to stream order. That
+// is the stable sort of all streams on arrival, keeping the stream
 // deterministic.
 func (m MultiTenant) Generate(n int, seed int64) []Request {
 	if n <= 0 {
@@ -245,59 +250,39 @@ func (m MultiTenant) Generate(n int, seed int64) []Request {
 		streams[i] = w.Generate(n, seed+int64(i)*1_000_003)
 		total += len(streams[i])
 	}
-	// Sort (arrival, tenant, index) keys, not the requests: the stable
-	// sort moves each element many times, and a key is half a request's
-	// size and holds no pointer. Since the sort reads nothing but the
-	// arrivals, it permutes the keys exactly as it would the requests.
-	keys := make([]arrivalKey, 0, total)
-	for i, stream := range streams {
-		for j, r := range stream {
-			keys = append(keys, arrivalKey{at: r.Arrival, tenant: i, idx: j})
+	out := make([]Request, min(n, total))
+	next := make([]int, len(streams)) // each stream's head
+	for o := range out {
+		t, at := -1, 0.0
+		for i, s := range streams {
+			if h := next[i]; h < len(s) && (t < 0 || s[h].Arrival < at) {
+				t, at = i, s[h].Arrival
+			}
 		}
-	}
-	// Compared with < rather than cmp.Compare, which orders NaN
-	// differently: the comparison is negative exactly when a arrives
-	// strictly first.
-	slices.SortStableFunc(keys, func(a, b arrivalKey) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		}
-		return 0
-	})
-	if len(keys) > n {
-		keys = keys[:n]
-	}
-	out := make([]Request, len(keys))
-	for i, k := range keys {
 		// Stamp tenants on copies: a sub-workload may hand out a slice it
 		// still owns (Trace.Generate returns its recorded stream).
-		out[i] = streams[k.tenant][k.idx]
-		out[i].Tenant = k.tenant
+		out[o] = streams[t][next[t]]
+		out[o].Tenant = t
+		next[t]++
 	}
 	return out
 }
 
-// arrivalKey is MultiTenant's sort key: a request's arrival, its tenant
-// and its index in that tenant's stream.
-type arrivalKey struct {
-	at          float64
-	tenant, idx int
-}
-
 // TenantMix builds a k-tenant Poisson mix over one shared total rate and
 // corpus: each tenant gets an equal rate share and a disjoint 1/k slice
-// of the pool, per-tenant skew fans out across [0.5, 1.5]× the base skew
-// (tenant 0 most uniform, tenant k−1 most head-heavy), and odd tenants'
-// popularity rankings drift a quarter of their slice every driftPeriod
-// seconds (0 = no drift). Per-tenant mean generation lengths fan out the
-// same way across [0.5, 1.5]× dec.Mean — tenant 0 gives terse answers,
-// tenant k−1 long ones — clamped to at least one token; Decode{} keeps
-// the whole mix prefill-only and seed-compatible with the pre-decode
-// streams. It is the mix the serving CLI's -tenants flag and the golden
-// multi-tenant traces use.
+// of the pool, per-tenant skew fans out linearly across [0.5, 1.5]× the
+// base skew, from tenant 0 to tenant k−1, and odd tenants' popularity
+// rankings drift a quarter of their slice every driftPeriod seconds
+// (0 = no drift). Head weight follows sim.Zipf's exponent, which is not
+// monotone in the skew, so the fan-out need not order the tenants by it:
+// at base skew 0.8 over three tenants, the skews 0.4, 0.8 and 1.2 give
+// the exponents 1.67, 5 and 2.2, and tenant 1 is the most head-heavy.
+// Per-tenant mean generation lengths fan out the same way across
+// [0.5, 1.5]× dec.Mean — tenant 0 gives terse answers, tenant k−1 long
+// ones — clamped to at least one token; Decode{} keeps the whole mix
+// prefill-only and seed-compatible with the pre-decode streams. It is
+// the mix the serving CLI's -tenants flag and the golden multi-tenant
+// traces use.
 func TenantMix(k int, rate float64, ch Chunks, driftPeriod float64, dec Decode) MultiTenant {
 	if k < 1 {
 		k = 1

@@ -92,7 +92,10 @@ type Chunks struct {
 	Pool int
 	// PerRequest is how many chunks each request retrieves.
 	PerRequest int
-	// Skew is the popularity skew (sim.Zipf exponent; 0 = uniform).
+	// Skew is the popularity skew sim.Zipf takes (0 = uniform). It is not
+	// the exponent: sim.Zipf raises a uniform draw to 1/(1−Skew) below 1
+	// and to 1+Skew from 1, so the head weight is not monotone in Skew
+	// (0.9 gives exponent 10, 1.1 gives 2.1).
 	Skew float64
 	// Offset shifts sampled ids, giving tenants disjoint corpora.
 	Offset int
@@ -124,11 +127,17 @@ func (c Chunks) Validate() error {
 	return nil
 }
 
+// Sampler builds the Zipf sampler for a stream of reqs requests drawn
+// from c: one per generated stream, shared read-only by its draws.
+func (c Chunks) Sampler(reqs int) *sim.ZipfSampler {
+	return sim.NewZipfSampler(c.Pool, c.Skew, reqs*c.PerRequest)
+}
+
 // Sample fills ids, which holds PerRequest entries, with one request's
-// chunk ids drawn at virtual time at. Without offset and drift the draw
-// is exactly the runtime's original per-request Zipf sampling, consuming
-// g identically.
-func (c Chunks) Sample(g *tensor.RNG, at float64, ids []int) {
+// chunk ids drawn at virtual time at through z, c's Sampler. Without
+// offset and drift the draw is exactly the runtime's original
+// per-request sim.Zipf sampling, consuming g identically.
+func (c Chunks) Sample(g *tensor.RNG, z *sim.ZipfSampler, at float64, ids []int) {
 	shift := 0
 	if c.DriftPeriod > 0 {
 		step := c.DriftStep
@@ -138,7 +147,7 @@ func (c Chunks) Sample(g *tensor.RNG, at float64, ids []int) {
 		shift = int(at/c.DriftPeriod) * step
 	}
 	for j := range ids {
-		r := sim.Zipf(g, c.Pool, c.Skew)
+		r := z.Draw(g)
 		if shift != 0 {
 			r = (r + shift) % c.Pool
 		}
