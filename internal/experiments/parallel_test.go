@@ -52,7 +52,12 @@ func TestPmapPanicPropagates(t *testing.T) {
 // check: every registered experiment, run sequentially (MaxParallel=1)
 // and on the default worker pool, must render byte-identical text —
 // each cell is an independent deterministic simulation, and the tables
-// assemble in grid order either way.
+// assemble in grid order either way. The sequential render must also
+// match the figure golden; rewrite it on purpose with
+//
+//	go test ./internal/experiments -run TestParallelSequentialEquivalence -update
+//
+// and list what moved first by running the same test with -audit.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered experiment twice")
@@ -67,6 +72,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 		return b.String()
 	}
 	defer func(old int) { MaxParallel = old }(MaxParallel)
+	var all strings.Builder
 	for _, e := range All() {
 		MaxParallel = 1
 		seq := render(e.Run(opts))
@@ -76,5 +82,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 			t.Errorf("figure %s: parallel output diverges from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
 				e.ID, seq, par)
 		}
+		all.WriteString(seq)
 	}
+	checkFigureGolden(t, all.String())
 }

@@ -8,13 +8,17 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/baselines"
 	"repro/internal/device"
 	"repro/internal/timing"
 	"repro/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden trace-replay results")
+var (
+	updateGolden = flag.Bool("update", false, "rewrite the golden trace-replay results")
+	auditGolden  = flag.Bool("audit", false, "compare every golden case and print one row per moved field")
+)
 
 // goldenCase is one replayed serving trace: fixed seed, scheme, replica
 // count, placement and workload. The full Result is compared against the
@@ -271,7 +275,9 @@ func (gc goldenCase) config() Config {
 //
 //	go test ./internal/serve -run TestGoldenTraceReplay -update
 //
-// and review the diff: a golden change IS a behaviour change.
+// and review the diff: a golden change IS a behaviour change. With
+// -audit instead, every case is compared and the failure lists each moved
+// field: how many cases moved, the largest relative move and its case.
 func TestGoldenTraceReplay(t *testing.T) {
 	results := map[string]Result{}
 	for _, gc := range goldenCases() {
@@ -300,9 +306,10 @@ func TestGoldenTraceReplay(t *testing.T) {
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(results) {
+	if len(want) != len(results) && !*auditGolden {
 		t.Fatalf("golden has %d cases, run produced %d — regenerate with -update", len(want), len(results))
 	}
+	var tally audit.Tally
 	for name, got := range results {
 		w, ok := want[name]
 		if !ok {
@@ -311,9 +318,24 @@ func TestGoldenTraceReplay(t *testing.T) {
 		}
 		gj, _ := json.Marshal(got)
 		wj, _ := json.Marshal(w)
-		if string(gj) != string(wj) {
-			t.Errorf("%s drifted:\n got %s\nwant %s", name, gj, wj)
+		if string(gj) == string(wj) {
+			continue
 		}
+		if !*auditGolden {
+			t.Errorf("%s drifted:\n got %s\nwant %s", name, gj, wj)
+			continue
+		}
+		var gv, wv any
+		if err := json.Unmarshal(gj, &gv); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(wj, &wv); err != nil {
+			t.Fatal(err)
+		}
+		tally.Compare(name, gv, wv)
+	}
+	if tally.Len() > 0 {
+		t.Errorf("%d fields moved across the %d golden cases:\n%s", tally.Len(), len(results), &tally)
 	}
 }
 
