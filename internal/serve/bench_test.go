@@ -21,9 +21,9 @@ func hotConfig() Config {
 	return cfg
 }
 
-// benchCluster returns a set-up cluster over the first n requests w
-// generates, warmed by routing each request and pricing it on its node,
-// so the timed calls run against stores in steady state.
+// benchCluster returns a set-up cluster whose wave is the first n
+// requests w generates, warmed by routing each request and pricing it on
+// its node, so the timed calls run against stores in steady state.
 func benchCluster(b *testing.B, cfg Config, w workload.Workload, n int) *cluster {
 	b.Helper()
 	if err := cfg.Validate(); err != nil {
@@ -31,8 +31,9 @@ func benchCluster(b *testing.B, cfg Config, w workload.Workload, n int) *cluster
 	}
 	c := newCluster(cfg, w.Generate(n, 7), 0)
 	c.setup()
-	for _, r := range c.reqs {
-		c.serviceTime(c.route(r, r.arrival), r.ids, r.arrival)
+	for i := range c.wave {
+		r := &c.wave[i]
+		c.serviceTime(c.route(request{ids: r.Chunks}, r.Arrival), r.Chunks, r.Arrival)
 	}
 	return c
 }
@@ -60,8 +61,8 @@ func BenchmarkServiceTime(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := &c.reqs[i%len(c.reqs)]
-				c.serviceTime(0, r.ids, r.arrival)
+				r := &c.wave[i%len(c.wave)]
+				c.serviceTime(0, r.Chunks, r.Arrival)
 			}
 		})
 	}
@@ -75,14 +76,14 @@ func BenchmarkRoute(b *testing.B) {
 	for _, router := range []string{RouterShared, RouterHash, RouterAffinity} {
 		b.Run(router, func(b *testing.B) {
 			c := benchCluster(b, routerTestConfig(router), routerTestMix(2), 4096)
-			end := c.reqs[len(c.reqs)-1].arrival
+			end := c.wave[len(c.wave)-1].Arrival
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Time keeps moving forward past the warm-up, as the
 				// affinity router's popularity decay expects.
-				r := c.reqs[i%len(c.reqs)]
-				c.route(r, end+float64(i)/2)
+				r := &c.wave[i%len(c.wave)]
+				c.route(request{ids: r.Chunks}, end+float64(i)/2)
 			}
 		})
 	}

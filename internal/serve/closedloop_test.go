@@ -228,3 +228,18 @@ func TestSLOPolicyStarvationBound(t *testing.T) {
 			slo.P95PrefillDelay, fifo.P95PrefillDelay)
 	}
 }
+
+// TestClosedLoopWarmupInsideWave: a warmup shorter than the initial wave
+// (each client's first request) excludes exactly the first warmup
+// dispatches, so the run measures n − warmup requests.
+func TestClosedLoopWarmupInsideWave(t *testing.T) {
+	const n, warmup = 200, 5
+	w := closedLoopW(8) // 3 tenants × 8 clients: a 24-request wave
+	res, err := RunWorkload(schedConfig(SchedFIFO), w, n, warmup, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != n-warmup {
+		t.Fatalf("measured %d requests, want n − warmup = %d", res.Requests, n-warmup)
+	}
+}

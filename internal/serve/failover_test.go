@@ -345,3 +345,31 @@ func TestFailoverLegacyUnrouted(t *testing.T) {
 		t.Fatalf("%d replica slots after join, want 5", len(res.ReplicaUtil))
 	}
 }
+
+// TestKillAfterLastArrival: a kill that fires after the last arrival
+// still finds the queues open. The dead node's backlog re-routes to the
+// survivors, and every measured request finishes.
+func TestKillAfterLastArrival(t *testing.T) {
+	w := routerTestMix(16)
+	const n, warmup, seed = 400, 100, 5
+	reqs := w.Generate(n, seed)
+	kill := MembershipEvent{At: reqs[len(reqs)-1].Arrival + 0.5, Kill: 2}
+	for _, tc := range []struct {
+		router   string
+		rerouted int64
+	}{{RouterHash, 31}, {RouterAffinity, 78}} {
+		cfg := routerTestConfig(tc.router)
+		cfg.Events = []MembershipEvent{kill}
+		res, err := RunWorkload(cfg, w, n, warmup, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.router, err)
+		}
+		if res.Failovers != 1 || res.ReroutedRequests != tc.rerouted {
+			t.Errorf("%s: %d kills re-routed %d requests, want 1 kill re-routing %d",
+				tc.router, res.Failovers, res.ReroutedRequests, tc.rerouted)
+		}
+		if res.Requests != n-warmup {
+			t.Errorf("%s: %d measured requests finished, want %d", tc.router, res.Requests, n-warmup)
+		}
+	}
+}

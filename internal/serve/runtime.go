@@ -80,10 +80,23 @@ type tenantAcc struct {
 // owns index r of each slice, its own node; under the shared topology the
 // slices have one element every replica shares, a single node.
 type cluster struct {
-	cfg        Config
-	reqs       []request
-	warmup     int
-	cutoff     float64 // virtual time the warmup period ends
+	cfg Config
+	// The run's input: wave is the whole open stream, or a closed loop's
+	// initial wave (each client's first request), and clients[i] is
+	// wave[i]'s issuing client. A closed loop's session issues every later
+	// request, one per completion, up to the run's total.
+	wave    []workload.Request
+	clients []int            // nil for an open stream
+	session workload.Session // nil for an open stream
+	total   int              // requests the run dispatches: the stream's length, or the session's budget
+	issued  int              // requests dispatched so far, and the next one's idx
+	ctlDone bool             // the control process has walked the wave and applied every event
+	lastArr float64          // arrival of the last dispatched request
+
+	warmup        int
+	firstMeasured int     // requests from this idx on are measured
+	cutoff        float64 // virtual time the warmup period ends: the warmup-th dispatch's arrival
+
 	clock      *sim.Clock
 	queues     []*sim.Queue[request]
 	stores     []*kvstore.Tiered
@@ -114,13 +127,6 @@ type cluster struct {
 	maxBatch       int  // per-step batch cap
 	decodePriority bool // the decode-priority policy gates admission
 	tiered         bool // multi-tier hierarchy: per-tier recompute ratios
-
-	// Closed-loop drive: non-nil closed means arrivals come from the
-	// workload session, fed each completion at retirement, instead of a
-	// pre-materialised stream.
-	closed     workload.Session
-	closedN    int              // the session's total request budget
-	initIssues []workload.Issue // the initial wave, arrival-ordered
 
 	// SLO state. sloSched orders admission by deadline (the slo policy);
 	// sloOn evaluates every completion against the targets — set whenever
@@ -265,31 +271,22 @@ func (c *cluster) qi(r int) int {
 // measured reports whether a request belongs to the measured window. One
 // rule for every per-request sample — TTFT, TBT, E2E, completion,
 // prefill delay, tier stall, arrival-time queue depth: a request is
-// measured iff it arrives at or after the cutoff (the first post-warmup
-// request's arrival), so arrivals tying the cutoff timestamp are measured
-// regardless of index, and a warmup request admitted late contributes
-// nothing. Interval samples (observeStep) instead credit their
-// post-cutoff overlap, since a step is not owned by one request.
-//
-// Closed-loop runs use dispatch order instead: requests materialise one
-// at a time in nondecreasing arrival order, so "the first warmup
-// requests" is exactly idx < warmup, and the cutoff timestamp (set when
-// the warmup-th request is issued) only drives the interval metrics.
-func (c *cluster) measured(req request) bool {
-	if c.closed != nil {
-		return req.idx >= c.warmup
-	}
-	return req.arrival >= c.cutoff
-}
+// measured iff its dispatch index is at least firstMeasured. Interval
+// samples (observeStep) instead credit their post-cutoff overlap, since a
+// step is not owned by one request.
+func (c *cluster) measured(req request) bool { return req.idx >= c.firstMeasured }
 
-// newCluster adopts a validated, arrival-ordered request stream.
-func newCluster(cfg Config, stream []workload.Request, warmup int) *cluster {
-	c := &cluster{cfg: cfg, warmup: warmup}
-	c.reqs = make([]request, len(stream))
+// newCluster adopts a validated, arrival-ordered wave as an open stream;
+// RunWorkload attaches a closed loop's clients, session and budget.
+func newCluster(cfg Config, wave []workload.Request, warmup int) *cluster {
+	c := &cluster{cfg: cfg, wave: wave, total: len(wave), warmup: warmup, cutoff: math.Inf(1)}
 	maxTenant := 0
-	for i, r := range stream {
-		c.reqs[i] = request{idx: i, arrival: r.Arrival, tenant: r.Tenant,
-			ids: r.Chunks, decode: r.DecodeTokens}
+	// A closed loop's wave covers every client that will ever issue (a
+	// client's later requests come only through its own completions), so
+	// the stream-shape flags derived here are exact for it too; issue
+	// still re-checks to stay safe against other Session implementations.
+	for i := range wave {
+		r := &wave[i]
 		if r.Tenant != 0 {
 			c.multiTenant = true
 		}
@@ -303,42 +300,15 @@ func newCluster(cfg Config, stream []workload.Request, warmup int) *cluster {
 	if c.multiTenant {
 		c.tenants = make([]*tenantAcc, maxTenant+1)
 	}
-	// The warmup period ends when the first measured request arrives:
-	// every metric — TTFT, throughput, batch sizes, queue depth, replica
-	// utilization, decode telemetry — applies this one cutoff.
-	if warmup < len(c.reqs) {
-		c.cutoff = c.reqs[warmup].arrival
-	}
-	return c
-}
-
-// newClosedCluster adopts a closed-loop session: the validated initial
-// wave seeds the request slice (which grows as completions trigger new
-// issues, up to the session's n budget) and the warmup cutoff timestamp
-// stays +Inf until the warmup-th request is actually issued.
-func newClosedCluster(cfg Config, sess workload.Session, init []workload.Issue, n, warmup int) *cluster {
-	c := &cluster{cfg: cfg, warmup: warmup, closed: sess, closedN: n, initIssues: init}
-	c.reqs = make([]request, 0, n)
-	c.cutoff = math.Inf(1)
-	maxTenant := 0
-	// The wave covers every client that will ever issue (a client's later
-	// requests come only through its own completions), so the stream-shape
-	// flags derived here are exact even though most requests don't exist
-	// yet; issueReq still re-checks to stay safe against other Session
-	// implementations.
-	for _, iss := range init {
-		if iss.Req.Tenant != 0 {
-			c.multiTenant = true
+	// The first warmup requests are excluded, except wave requests whose
+	// arrival ties the warmup-th's: they are measured whatever their
+	// index. The wave is dispatched in order, so for an open stream this
+	// is exactly "arrives at or after the cutoff".
+	c.firstMeasured = warmup
+	if warmup < len(wave) {
+		for c.firstMeasured > 0 && wave[c.firstMeasured-1].Arrival == wave[warmup].Arrival {
+			c.firstMeasured--
 		}
-		if iss.Req.Tenant > maxTenant {
-			maxTenant = iss.Req.Tenant
-		}
-		if iss.Req.DecodeTokens > 0 {
-			c.hasDecode = true
-		}
-	}
-	if c.multiTenant {
-		c.tenants = make([]*tenantAcc, maxTenant+1)
 	}
 	return c
 }
@@ -429,17 +399,11 @@ func (c *cluster) setup() {
 		c.queues[i] = sim.NewQueue[request](c.clock)
 	}
 	c.busy = make([]float64, c.replicas)
-	if c.closed != nil {
-		// The request slice grows as the session issues; size the
-		// idx-keyed state from the budget instead.
-		c.admitted = make([]bool, c.closedN)
-	} else {
-		c.admitted = make([]bool, len(c.reqs))
-	}
+	c.admitted = make([]bool, c.total)
 	c.dead = make([]bool, c.replicas)
 	c.firstKill = -1
 	if cfg.hasEvents() {
-		c.rerouted = make([]bool, len(c.reqs))
+		c.rerouted = make([]bool, c.total)
 	}
 	c.replicaReqs = make([]int64, c.replicas)
 	if c.isRouted {
@@ -454,19 +418,10 @@ func (c *cluster) setup() {
 		c.predPend = make([]int, nodes)
 	}
 
-	// Preallocate the per-request metric slices from the stream: one
-	// TTFT/E2E per measured request. Appends in the hot loop then never
-	// grow the backing arrays.
-	measuredN := 0
-	if c.closed != nil {
-		measuredN = c.closedN - c.warmup
-	} else {
-		for i := range c.reqs {
-			if c.reqs[i].arrival >= c.cutoff {
-				measuredN++
-			}
-		}
-	}
+	// Preallocate the per-request metric slices: one TTFT/E2E per
+	// measured request. Appends in the hot loop then never grow the
+	// backing arrays.
+	measuredN := c.total - c.firstMeasured
 	c.ttfts = make([]float64, 0, measuredN)
 	if c.hasDecode {
 		c.e2es = make([]float64, 0, measuredN)
@@ -502,6 +457,9 @@ func (c *cluster) run() Result {
 		Replicas:   c.replicas,
 		MeanBatch:  c.batchHist.Mean(),
 		BatchSizes: c.batchHist.Counts(),
+	}
+	if c.lastArr > 0 {
+		res.Rate = float64(c.issued) / c.lastArr
 	}
 	res.MeanTTFT = metrics.Mean(c.ttfts)
 	res.P95TTFT = metrics.Percentile(c.ttfts, 95)
@@ -665,22 +623,20 @@ func (c *cluster) tenantUsage() []TenantUsage {
 	return out
 }
 
-// issueReq materialises one closed-loop issue as the next request and
-// dispatches it; the nth (budget-exhausting) dispatch closes the
-// admission and loader queues, ending the run once in-flight work
-// drains. Every arrival passes through here exactly once — from the
-// arrivals process for the initial wave, from a per-issue client process
-// afterwards — and both sleep to the issue's arrival first, so requests
-// are dispatched in nondecreasing virtual-time order like an open-loop
-// stream.
-func (c *cluster) issueReq(iss workload.Issue, now float64) {
-	idx := len(c.reqs)
-	if idx >= c.closedN {
-		panic(fmt.Sprintf("serve: closed-loop session issued request %d past its budget %d", idx, c.closedN))
+// issue numbers one arriving request, routes it and hands it to its node:
+// queue push, prefetch job, and the arrival-time depth sampling. Every
+// request passes through here exactly once, in nondecreasing arrival
+// order: a wave request from the control process, a closed loop's later
+// ones from the client tasks their completions start.
+func (c *cluster) issue(in *workload.Request, client int, now float64) {
+	idx := c.issued
+	if idx >= c.total {
+		panic(fmt.Sprintf("serve: closed-loop session issued request %d past its budget %d", idx, c.total))
 	}
-	r := request{idx: idx, arrival: iss.Req.Arrival, tenant: iss.Req.Tenant,
-		ids: iss.Req.Chunks, decode: iss.Req.DecodeTokens, client: iss.Client}
-	c.reqs = append(c.reqs, r)
+	c.issued++
+	c.lastArr = in.Arrival
+	r := request{idx: idx, arrival: in.Arrival, tenant: in.Tenant,
+		ids: in.Chunks, decode: in.DecodeTokens, client: client}
 	// Defensive against Session implementations whose later issues
 	// broaden the stream beyond the initial wave (ClosedLoop's cannot).
 	if r.tenant != 0 {
@@ -691,19 +647,9 @@ func (c *cluster) issueReq(iss workload.Issue, now float64) {
 	}
 	if idx == c.warmup {
 		// The warmup period ends here: interval metrics (step telemetry,
-		// utilization, throughput windows) cut at this timestamp, matching
-		// the idx-based per-request rule.
+		// utilization, throughput windows) cut at this timestamp.
 		c.cutoff = r.arrival
 	}
-	c.dispatch(r, now)
-	if len(c.reqs) == c.closedN {
-		c.closeQueues()
-	}
-}
-
-// dispatch routes one arriving request and hands it to its node: queue
-// push, prefetch job, and the arrival-time depth sampling.
-func (c *cluster) dispatch(r request, now float64) {
 	t := c.route(r, now)
 	if c.inflight != nil {
 		c.inflight[t]++
@@ -736,6 +682,7 @@ func (c *cluster) dispatch(r request, now float64) {
 			c.pfQueues[t].Push(prefetchJob{req: -1})
 		}
 	}
+	c.closeIfDone()
 }
 
 // predDepth is the queue depth that triggers a predictive promotion: a
@@ -749,17 +696,15 @@ func (c *cluster) predDepth() int {
 }
 
 // arrivals is the control process. It interleaves the two input streams
-// in time order: request arrivals and membership events. An event tying
-// an arrival's timestamp applies first, so the arrival routes against the
-// post-event replica set. A closed-loop run only walks the initial wave
-// here — every later arrival is issued by the completion hook in retire,
-// by a client task of its own (and membership events are rejected up
-// front in runClosedLoop). Each Run performs the step it slept to, then
-// sleeps to the next one; an open-loop run closes the queues after its
-// last step.
+// in time order: the wave's arrivals and membership events. An event
+// tying an arrival's timestamp applies first, so the arrival routes
+// against the post-event replica set. A closed loop's later arrivals are
+// issued by the client tasks retire starts (and membership events are
+// rejected up front by RunWorkload). Each Run performs the step it slept
+// to, then sleeps to the next one.
 type arrivals struct {
 	c     *cluster
-	i, ei int  // next arrival (request or initial issue), next membership event
+	i, ei int  // next wave request, next membership event
 	armed bool // woken at the time of the next step
 }
 
@@ -768,18 +713,12 @@ type arrivals struct {
 // are exhausted.
 func (a *arrivals) next() (t float64, event, ok bool) {
 	c := a.c
-	if c.closed != nil {
-		if a.i < len(c.initIssues) {
-			return c.initIssues[a.i].Req.Arrival, false, true
-		}
-		return 0, false, false
-	}
 	events := c.cfg.Events
-	if a.ei < len(events) && (a.i == len(c.reqs) || events[a.ei].At <= c.reqs[a.i].arrival) {
+	if a.ei < len(events) && (a.i == len(c.wave) || events[a.ei].At <= c.wave[a.i].Arrival) {
 		return events[a.ei].At, true, true
 	}
-	if a.i < len(c.reqs) {
-		return c.reqs[a.i].arrival, false, true
+	if a.i < len(c.wave) {
+		return c.wave[a.i].Arrival, false, true
 	}
 	return 0, false, false
 }
@@ -787,33 +726,36 @@ func (a *arrivals) next() (t float64, event, ok bool) {
 func (a *arrivals) Run(now float64) {
 	c := a.c
 	if a.armed {
-		_, event, _ := a.next()
-		switch {
-		case event:
+		if _, event, _ := a.next(); event {
 			c.applyEvent(c.cfg.Events[a.ei], now)
 			a.ei++
-		case c.closed != nil:
-			c.issueReq(c.initIssues[a.i], now)
-			a.i++
-		default:
-			c.dispatch(c.reqs[a.i], now)
+		} else {
+			client := 0
+			if c.clients != nil {
+				client = c.clients[a.i]
+			}
+			c.issue(&c.wave[a.i], client, now)
 			a.i++
 		}
 	}
 	t, _, ok := a.next()
 	if !ok {
-		if c.closed == nil {
-			c.closeQueues()
-		}
+		c.ctlDone = true
+		c.closeIfDone()
 		return
 	}
 	a.armed = true
 	c.clock.Wake(t, a)
 }
 
-// closeQueues ends the input: replicas and loaders exit once their queues
-// drain.
-func (c *cluster) closeQueues() {
+// closeIfDone ends the input once every request is dispatched and the
+// control process has applied its last membership event: replicas and
+// loaders then exit once their queues drain. A kill after the last
+// arrival re-routes the dead node's backlog, so it must find them open.
+func (c *cluster) closeIfDone() {
+	if c.issued < c.total || !c.ctlDone {
+		return
+	}
 	for _, q := range c.queues {
 		q.Close()
 	}
@@ -1058,10 +1000,9 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 			m.genPayload = new(kvstore.Bytes)
 		}
 	}
-	// Admission-time telemetry follows its request through the unified
-	// warmup rule: measured iff the request arrived at or after the
-	// cutoff, like TTFT — a warmup arrival admitted after the cutoff
-	// contributes nothing, a cutoff-tying arrival contributes everywhere.
+	// Admission-time telemetry follows its request through the one warmup
+	// rule, like TTFT: a warmup request admitted after the cutoff
+	// contributes nothing, a cutoff-tying one contributes everywhere.
 	if !c.measured(req) {
 		return m
 	}
@@ -1231,12 +1172,12 @@ func (c *cluster) retire(m *member, now float64) {
 	if c.sloOn {
 		c.sloOutcome(m)
 	}
-	if c.closed != nil {
+	if c.session != nil {
 		// Completion feedback: the issuing client thinks, then issues its
 		// next request from a short-lived task of its own. The session
 		// guarantees the next arrival is strictly after now, so the sleep
 		// is real and the dispatch order stays nondecreasing in time.
-		if iss, ok := c.closed.Complete(m.req.client, now); ok {
+		if iss, ok := c.session.Complete(m.req.client, now); ok {
 			c.clock.Wake(now, &client{c: c, iss: iss})
 		}
 	}
@@ -1280,7 +1221,7 @@ func (cl *client) Run(now float64) {
 		cl.c.clock.Wake(cl.iss.Req.Arrival, cl)
 		return
 	}
-	cl.c.issueReq(cl.iss, now)
+	cl.c.issue(&cl.iss.Req, cl.iss.Client, now)
 }
 
 // sloOutcome evaluates a completed request against the configured
@@ -1319,9 +1260,8 @@ func (c *cluster) sloOutcome(m *member) {
 }
 
 // acc returns (allocating if needed) the tenant's accumulator. The dense
-// slice is sized from the stream's maximum tenant id in newCluster (or a
-// closed-loop run's initial wave — grown here should a session broaden
-// its tenant set mid-run).
+// slice is sized from the wave's maximum tenant id in newCluster, and
+// grown here should a session broaden its tenant set mid-run.
 func (c *cluster) acc(tenant int) *tenantAcc {
 	if tenant >= len(c.tenants) {
 		grown := make([]*tenantAcc, tenant+1)

@@ -484,15 +484,18 @@ func Run(cfg Config, rate float64, n, warmup int, seed int64) Result {
 
 // RunWorkload simulates the first n requests of the stream w yields and
 // returns aggregate and per-tenant statistics, excluding the first warmup
-// requests. Everything is validated up front with descriptive errors
-// instead of panics. Result.Rate is the stream's realised mean arrival
-// rate (so a replayed trace reproduces the generating run's Result field
-// for field). Same cfg, workload and seed ⇒ identical Result.
+// requests and any that arrive with the last of them. Everything is
+// validated up front with descriptive errors instead of panics.
+// Result.Rate is the realised mean arrival rate: requests dispatched over
+// the last dispatched arrival (so a replayed trace reproduces the
+// generating run's Result field for field). Same cfg, workload and seed ⇒
+// identical Result.
 //
 // A workload implementing workload.ClosedLoopWorkload is driven in
-// closed loop instead: arrivals come from the workload's Session, fed
-// each request's completion at member retirement, so offered load
-// self-throttles with service quality the way a finite client pool does.
+// closed loop instead: its Session's initial wave is dispatched like an
+// open stream, and every later arrival is issued by the session when the
+// runtime reports a completion, so offered load self-throttles with
+// service quality the way a finite client pool does.
 func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, fmt.Errorf("serve: %w", err)
@@ -506,70 +509,49 @@ func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Re
 	if warmup < 0 {
 		return Result{}, fmt.Errorf("serve: warmup = %d: negative", warmup)
 	}
+	var (
+		wave    []workload.Request
+		clients []int
+		sess    workload.Session
+		total   = n
+	)
 	if cw, ok := w.(workload.ClosedLoopWorkload); ok {
-		return runClosedLoop(cfg, cw, n, warmup, seed)
+		if cfg.hasEvents() {
+			// A kill re-queues in-flight work with original arrivals — under
+			// feedback-driven arrivals that replay has no meaning yet.
+			return Result{}, fmt.Errorf("serve: membership events are not supported with a closed-loop workload")
+		}
+		sess = cw.Session(n, seed)
+		init := sess.Initial()
+		wave, clients = make([]workload.Request, len(init)), make([]int, len(init))
+		for i, iss := range init {
+			wave[i], clients[i] = iss.Req, iss.Client
+		}
+	} else {
+		wave = w.Generate(n, seed)
+		total = len(wave)
 	}
-	reqs := w.Generate(n, seed)
-	if len(reqs) == 0 {
+	if len(wave) == 0 {
 		return Result{}, fmt.Errorf("serve: workload %s yielded no requests", w.Name())
 	}
-	if warmup >= len(reqs) {
-		return Result{}, fmt.Errorf("serve: warmup %d must be below the stream's %d requests", warmup, len(reqs))
+	if warmup >= total {
+		return Result{}, fmt.Errorf("serve: warmup %d must be below the run's %d requests", warmup, total)
 	}
-	for i := range reqs {
-		if err := reqs[i].Validate(); err != nil {
+	for i := range wave {
+		if err := wave[i].Validate(); err != nil {
 			return Result{}, fmt.Errorf("serve: workload %s: request %d: %w", w.Name(), i, err)
 		}
-		if i > 0 && reqs[i].Arrival < reqs[i-1].Arrival {
+		if i > 0 && wave[i].Arrival < wave[i-1].Arrival {
 			return Result{}, fmt.Errorf("serve: workload %s: request %d arrives at %v, before request %d at %v",
-				w.Name(), i, reqs[i].Arrival, i-1, reqs[i-1].Arrival)
+				w.Name(), i, wave[i].Arrival, i-1, wave[i-1].Arrival)
+		}
+		if sess != nil && (clients[i] < 0 || clients[i] >= sess.Clients()) {
+			return Result{}, fmt.Errorf("serve: workload %s: request %d from unknown client %d", w.Name(), i, clients[i])
 		}
 	}
-	res := newCluster(cfg, reqs, warmup).run()
-	if last := reqs[len(reqs)-1].Arrival; last > 0 {
-		res.Rate = float64(len(reqs)) / last
-	}
-	return res, nil
-}
-
-// runClosedLoop drives a closed-loop session: the initial wave (each
-// client's first request) is validated and dispatched like an open-loop
-// stream, and every later arrival is issued by the session when the
-// runtime reports a completion. Result.Rate is the realised arrival rate
-// — under a closed loop it is an output of the run, not an input.
-func runClosedLoop(cfg Config, w workload.ClosedLoopWorkload, n, warmup int, seed int64) (Result, error) {
-	if warmup >= n {
-		return Result{}, fmt.Errorf("serve: warmup %d must be below the run's %d requests", warmup, n)
-	}
-	if cfg.hasEvents() {
-		// A kill re-queues in-flight work with original arrivals — under
-		// feedback-driven arrivals that replay has no meaning yet.
-		return Result{}, fmt.Errorf("serve: membership events are not supported with a closed-loop workload")
-	}
-	sess := w.Session(n, seed)
-	init := sess.Initial()
-	if len(init) == 0 {
-		return Result{}, fmt.Errorf("serve: workload %s yielded no requests", w.Name())
-	}
-	for i, iss := range init {
-		if err := iss.Req.Validate(); err != nil {
-			return Result{}, fmt.Errorf("serve: workload %s: initial request %d: %w", w.Name(), i, err)
-		}
-		if iss.Client < 0 || iss.Client >= sess.Clients() {
-			return Result{}, fmt.Errorf("serve: workload %s: initial request %d from unknown client %d",
-				w.Name(), i, iss.Client)
-		}
-		if i > 0 && iss.Req.Arrival < init[i-1].Req.Arrival {
-			return Result{}, fmt.Errorf("serve: workload %s: initial request %d arrives at %v, before request %d at %v",
-				w.Name(), i, iss.Req.Arrival, i-1, init[i-1].Req.Arrival)
-		}
-	}
-	c := newClosedCluster(cfg, sess, init, n, warmup)
-	res := c.run()
-	if last := c.reqs[len(c.reqs)-1].arrival; last > 0 {
-		res.Rate = float64(len(c.reqs)) / last
-	}
-	return res, nil
+	c := newCluster(cfg, wave, warmup)
+	c.clients, c.session, c.total = clients, sess, total
+	return c.run(), nil
 }
 
 // serviceTime computes one request's prefill service time under the
