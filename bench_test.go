@@ -222,6 +222,18 @@ func BenchmarkRetrievalTopK(b *testing.B) {
 	}
 }
 
+// servePoisson runs the first n requests of a Poisson stream at rate,
+// drawn from the config's sampling fields.
+func servePoisson(b *testing.B, cfg serve.Config, rate float64, n, warmup int, seed int64) serve.Result {
+	w := workload.Poisson{Rate: rate, Chunks: workload.Chunks{
+		Pool: cfg.ChunkPool, PerRequest: cfg.ChunksPerRequest, Skew: cfg.Skew}}
+	res, err := serve.RunWorkload(cfg, w, n, warmup, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func BenchmarkServingStep(b *testing.B) {
 	cfg := serve.Config{
 		Spec: timing.Mistral7B, Scheme: baselines.CacheBlend, Ratio: 0.15,
@@ -230,7 +242,7 @@ func BenchmarkServingStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serve.Run(cfg, 0.5, 200, 50, int64(i))
+		servePoisson(b, cfg, 0.5, 200, 50, int64(i))
 	}
 }
 
@@ -250,7 +262,7 @@ func BenchmarkServeReplicas(b *testing.B) {
 			}
 			var tput float64
 			for i := 0; i < b.N; i++ {
-				res := serve.Run(cfg, 8*float64(replicas), 400, 100, 42)
+				res := servePoisson(b, cfg, 8*float64(replicas), 400, 100, 42)
 				tput = res.Throughput
 			}
 			b.ReportMetric(tput, "req/s")
@@ -292,7 +304,7 @@ func BenchmarkServeTiered(b *testing.B) {
 			}
 			var ttft float64
 			for i := 0; i < b.N; i++ {
-				res := serve.Run(cfg, 0.5, 400, 100, 42)
+				res := servePoisson(b, cfg, 0.5, 400, 100, 42)
 				ttft = res.MeanTTFT
 			}
 			b.ReportMetric(ttft*1000, "ttft-ms")

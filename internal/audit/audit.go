@@ -98,16 +98,14 @@ func (t *Tally) Compare(where string, got, want any) {
 	g, w := map[string]string{}, map[string]string{}
 	flatten("", got, g)
 	flatten("", want, w)
-	seen := map[string]bool{}
-	for _, leaves := range []map[string]string{g, w} {
-		for path := range leaves {
-			if seen[path] {
-				continue
-			}
-			seen[path] = true
-			if g[path] != w[path] {
-				t.Add(collapse(path), where, g[path], w[path])
-			}
+	for path, gv := range g {
+		if gv != w[path] {
+			t.Add(collapse(path), where, gv, w[path])
+		}
+	}
+	for path, wv := range w {
+		if _, ok := g[path]; !ok {
+			t.Add(collapse(path), where, "", wv)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func BurstSweep(requests int) *Table {
 	// is visible, while cached schemes have headroom to absorb bursts.
 	fullCfg := base
 	fullCfg.Scheme = baselines.FullRecompute
-	rate := 0.8 * serve.Capacity(fullCfg, 42)
+	rate := 0.8 * capacity(fullCfg)
 
 	chunks := workload.Chunks{Pool: base.ChunkPool, PerRequest: base.ChunksPerRequest, Skew: base.Skew}
 	loads := []struct {

@@ -9,7 +9,30 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/timing"
+	"repro/internal/workload"
 )
+
+// runPoisson runs one serving cell at seed 42: the first requests of a
+// Poisson stream at rate, drawn from the config's sampling fields.
+func runPoisson(cfg serve.Config, rate float64, requests, warmup int) serve.Result {
+	w := workload.Poisson{Rate: rate, Chunks: workload.Chunks{
+		Pool: cfg.ChunkPool, PerRequest: cfg.ChunksPerRequest, Skew: cfg.Skew}}
+	res, err := serve.RunWorkload(cfg, w, requests, warmup, 42)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return res
+}
+
+// capacity is serve.Capacity at seed 42, the probe that anchors a rate
+// sweep.
+func capacity(cfg serve.Config) float64 {
+	c, err := serve.Capacity(cfg, 42)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return c
+}
 
 // Fig14 reproduces Figure 14: mean TTFT versus request rate for
 // CacheBlend, full KV recompute, and two prefix-caching capacity
@@ -77,7 +100,7 @@ func Fig14(requests int) *Table {
 			QueryTokens:      32,
 			Skew:             wl.skew,
 		}
-		return fig14Cell{rate: rate, res: serve.Run(cfg, rate, requests, warmup, 42)}
+		return fig14Cell{rate: rate, res: runPoisson(cfg, rate, requests, warmup)}
 	})
 	i := 0
 	for _, wl := range workloads {
@@ -130,20 +153,20 @@ func Fig14Scaling(requests int) *Table {
 	}
 	// The capacity probe anchors every cell's rate, so it runs first; the
 	// (replicas, rate) grid then runs on the worker pool in grid order.
-	soloCap := serve.Capacity(base, 42)
+	soloCap := capacity(base)
 	rates := []float64{soloCap, 2 * soloCap, 4 * soloCap, 8 * soloCap}
 	counts := []int{1, 2, 4}
 	cells := pmap(len(counts)*len(rates), func(i int) serve.Result {
 		cfg := base
 		cfg.Replicas = counts[i/len(rates)]
-		return serve.Run(cfg, rates[i%len(rates)], requests, warmup, 42)
+		return runPoisson(cfg, rates[i%len(rates)], requests, warmup)
 	})
 	for ci, replicas := range counts {
-		for ri := range rates {
+		for ri, rate := range rates {
 			res := cells[ci*len(rates)+ri]
 			util := metrics.Mean(res.ReplicaUtil)
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(replicas), f3(res.Rate), f3(res.MeanTTFT), f3(res.P95TTFT),
+				fmt.Sprint(replicas), f3(rate), f3(res.MeanTTFT), f3(res.P95TTFT),
 				f2(res.Throughput), f2(res.MeanBatch), pct(util),
 			})
 		}

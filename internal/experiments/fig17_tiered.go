@@ -66,15 +66,15 @@ func Fig17Tiered(requests int) *Table {
 	}
 	// The capacity probe anchors every cell's rate, so it runs first; the
 	// (split, rate) grid then runs on the worker pool in grid order.
-	soloCap := serve.Capacity(base, 42)
+	soloCap := capacity(base)
 	rates := []float64{soloCap * 0.5, soloCap, 2 * soloCap}
 	cells := pmap(len(splits)*len(rates), func(i int) serve.Result {
 		cfg := base
 		cfg.Tiers = splits[i/len(rates)].tiers
-		return serve.Run(cfg, rates[i%len(rates)], requests, warmup, 42)
+		return runPoisson(cfg, rates[i%len(rates)], requests, warmup)
 	})
 	for si, split := range splits {
-		for ri := range rates {
+		for ri, rate := range rates {
 			res := cells[si*len(rates)+ri]
 			var promos, demos int64
 			hits := make([]string, len(res.Tiers))
@@ -84,7 +84,7 @@ func Fig17Tiered(requests int) *Table {
 				demos += tu.Demotions
 			}
 			t.Rows = append(t.Rows, []string{
-				split.name, f3(res.Rate), f3(res.MeanTTFT), f3(res.P95TTFT),
+				split.name, f3(rate), f3(res.MeanTTFT), f3(res.P95TTFT),
 				pct(res.HitRate), strings.Join(hits, " "),
 				fmt.Sprint(promos), fmt.Sprint(demos),
 			})

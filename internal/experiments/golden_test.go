@@ -88,11 +88,7 @@ func parseTables(text string) (map[string]*table, []string) {
 		line = strings.TrimRight(line, " ")
 		switch {
 		case strings.HasPrefix(line, "== ") && strings.HasSuffix(line, " =="):
-			name := strings.TrimSuffix(strings.TrimPrefix(line, "== "), " ==")
-			title := name
-			for n := 2; tables[title] != nil; n++ {
-				title = fmt.Sprintf("%s #%d", name, n)
-			}
+			title := strings.TrimSuffix(strings.TrimPrefix(line, "== "), " ==")
 			cur = &table{}
 			tables[title] = cur
 			titles = append(titles, title)
@@ -125,6 +121,9 @@ func auditFigures(got, want string) string {
 			tally.Add(title, "table", "present", "absent")
 			continue
 		}
+		if strings.Join(g.header, "|") != strings.Join(w.header, "|") {
+			tally.Add(title+" | header", "table", "moved", "")
+		}
 		if len(g.rows) != len(w.rows) {
 			tally.Add(title+" | rows", "table", fmt.Sprint(len(g.rows)), fmt.Sprint(len(w.rows)))
 		}
@@ -132,25 +131,22 @@ func auditFigures(got, want string) string {
 			tally.Add(title+" | notes", "table", "moved", "")
 		}
 		for r := 0; r < len(g.rows) && r < len(w.rows); r++ {
-			gr, wr := g.rows[r], w.rows[r]
-			where := fmt.Sprintf("row %d (%s)", r+1, wr[0])
-			for c := 0; c < len(gr) || c < len(wr); c++ {
-				col := fmt.Sprint(c)
-				if c < len(g.header) {
-					col = g.header[c]
-				}
-				var gc, wc string
-				if c < len(gr) {
-					gc = gr[c]
-				}
-				if c < len(wr) {
-					wc = wr[c]
-				}
-				if gc != wc {
+			where := fmt.Sprintf("row %d (%s)", r+1, cellAt(w.rows[r], 0))
+			for c, col := range g.header {
+				if gc, wc := cellAt(g.rows[r], c), cellAt(w.rows[r], c); gc != wc {
 					tally.Add(title+" | "+col, where, gc, wc)
 				}
 			}
 		}
 	}
 	return tally.String()
+}
+
+// cellAt returns a row's i-th cell, or "" past its end: a trailing empty
+// cell reads back as no cell.
+func cellAt(row []string, i int) string {
+	if i < len(row) {
+		return row[i]
+	}
+	return ""
 }

@@ -1,6 +1,6 @@
 // Parallel sweep execution: every serving sweep in this package is a
-// grid of independent simulation cells — one serve.Run/RunWorkload call
-// per (config, workload, seed) tuple — whose only coupling is the order
+// grid of independent simulation cells — one serve.RunWorkload call per
+// (config, workload, seed) tuple — whose only coupling is the order
 // their aggregates appear in the output table. pmap runs those cells on
 // a bounded worker pool and hands the results back in grid order, so a
 // sweep's rendered table is byte-identical to the sequential loops it

@@ -31,10 +31,9 @@ type goldenCase struct {
 	Replicas int
 	Tiered   bool
 	Seed     int64
-	// Workload selects the arrival generator: "" is the Poisson path
-	// through serve.Run (those goldens predate the workload subsystem and
-	// double as its seed-compatibility check), the others go through
-	// RunWorkload.
+	// Workload selects the arrival generator: "" is a Poisson stream
+	// drawn from the config's sampling fields (those goldens predate the
+	// workload subsystem and double as its seed-compatibility check).
 	Workload string
 	// Sched selects the scheduling policy ("" = fifo; the policy cases
 	// lock the chunked-prefill and decode-priority schedules the way the
@@ -175,8 +174,7 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// run executes the case: Poisson cases through serve.Run, workload cases
-// through RunWorkload.
+// run executes the case through RunWorkload.
 func (gc goldenCase) run(t *testing.T) Result {
 	t.Helper()
 	cfg := gc.config()
@@ -185,7 +183,7 @@ func (gc goldenCase) run(t *testing.T) Result {
 	var w workload.Workload
 	switch gc.Workload {
 	case "":
-		return Run(cfg, rate, n, warmup, gc.Seed)
+		w = workload.Poisson{Rate: rate, Chunks: chunks}
 	case "bursty":
 		w = workload.Bursty{Rate: rate, Burst: 8, Chunks: chunks}
 	case "bursty-drift":
@@ -279,8 +277,9 @@ func (gc goldenCase) config() Config {
 // -audit instead, every case is compared and the failure lists each moved
 // field: how many cases moved, the largest relative move and its case.
 func TestGoldenTraceReplay(t *testing.T) {
+	cases := goldenCases()
 	results := map[string]Result{}
-	for _, gc := range goldenCases() {
+	for _, gc := range cases {
 		results[gc.Name] = gc.run(t)
 	}
 	path := filepath.Join("testdata", "golden_trace_replay.json")
@@ -309,8 +308,9 @@ func TestGoldenTraceReplay(t *testing.T) {
 	if len(want) != len(results) && !*auditGolden {
 		t.Fatalf("golden has %d cases, run produced %d — regenerate with -update", len(want), len(results))
 	}
-	var tally audit.Tally
-	for name, got := range results {
+	var tally audit.Tally // walked in case order, so it names the first of tied cases
+	for _, gc := range cases {
+		name, got := gc.Name, results[gc.Name]
 		w, ok := want[name]
 		if !ok {
 			t.Errorf("%s: no golden entry — regenerate with -update", name)

@@ -15,11 +15,19 @@ import (
 func TestReplicasSustainHigherRate(t *testing.T) {
 	cfg := baseConfig(baselines.CacheBlend)
 	cfg.MaxBatch = 4
-
-	cfg.Replicas = 1
-	sat1 := SaturationRate(cfg, 11)
-	cfg.Replicas = 4
-	sat4 := SaturationRate(cfg, 11)
+	perReplica, err := Capacity(cfg, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The saturation rate is the completion rate under far more load than
+	// the replicas and their batches can absorb.
+	saturation := func(replicas int) float64 {
+		cfg.Replicas = replicas
+		overload := 4 * perReplica * float64(replicas*cfg.MaxBatch)
+		return runPoisson(t, cfg, overload, 600, 150, 11).Throughput
+	}
+	sat1 := saturation(1)
+	sat4 := saturation(4)
 	if sat4 <= sat1 {
 		t.Fatalf("4 replicas saturate at %.2f req/s, not above 1 replica's %.2f", sat4, sat1)
 	}
@@ -32,9 +40,9 @@ func TestReplicasSustainHigherRate(t *testing.T) {
 	// absorbs it.
 	rate := 1.5 * sat1
 	cfg.Replicas = 1
-	r1 := Run(cfg, rate, 600, 150, 11)
+	r1 := runPoisson(t, cfg, rate, 600, 150, 11)
 	cfg.Replicas = 4
-	r4 := Run(cfg, rate, 600, 150, 11)
+	r4 := runPoisson(t, cfg, rate, 600, 150, 11)
 	if r4.MeanTTFT >= r1.MeanTTFT/2 {
 		t.Fatalf("4 replicas at %.2f req/s: ttft %.3f should be far below 1 replica's %.3f",
 			rate, r4.MeanTTFT, r1.MeanTTFT)
@@ -52,12 +60,12 @@ func TestDeterministicResults(t *testing.T) {
 	cfg.Replicas = 4
 	cfg.MaxBatch = 4
 	cfg.StoreCapacity = int64(64) * cfg.Spec.KVBytes(cfg.ChunkTokens)
-	a := Run(cfg, 0.9, 500, 100, 99)
-	b := Run(cfg, 0.9, 500, 100, 99)
+	a := runPoisson(t, cfg, 0.9, 500, 100, 99)
+	b := runPoisson(t, cfg, 0.9, 500, 100, 99)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
-	c := Run(cfg, 0.9, 500, 100, 100)
+	c := runPoisson(t, cfg, 0.9, 500, 100, 100)
 	if reflect.DeepEqual(a.MeanTTFT, c.MeanTTFT) && reflect.DeepEqual(a.BatchSizes, c.BatchSizes) {
 		t.Fatal("different seeds produced identical runs — seed is ignored")
 	}
@@ -70,7 +78,7 @@ func TestContinuousBatchingJoinsUnderLoad(t *testing.T) {
 	cfg := baseConfig(baselines.CacheBlend)
 	cfg.MaxBatch = 4
 
-	overloaded := Run(cfg, 20, 400, 100, 8)
+	overloaded := runPoisson(t, cfg, 20, 400, 100, 8)
 	if overloaded.MeanBatch <= 1.5 {
 		t.Fatalf("overloaded replica should batch: mean batch %.2f, sizes %v",
 			overloaded.MeanBatch, overloaded.BatchSizes)
@@ -82,7 +90,7 @@ func TestContinuousBatchingJoinsUnderLoad(t *testing.T) {
 		t.Fatalf("overloaded queue depth %.2f should exceed 1", overloaded.MeanQueueDepth)
 	}
 
-	idle := Run(cfg, 0.01, 200, 50, 8)
+	idle := runPoisson(t, cfg, 0.01, 200, 50, 8)
 	for size := range idle.BatchSizes {
 		if size != 1 {
 			t.Fatalf("trickle load ran a batch of %d: %v", size, idle.BatchSizes)
@@ -96,9 +104,9 @@ func TestContinuousBatchingJoinsUnderLoad(t *testing.T) {
 func TestBatchingRaisesThroughput(t *testing.T) {
 	cfg := baseConfig(baselines.CacheBlend)
 	cfg.MaxBatch = 1
-	solo := Run(cfg, 10, 400, 100, 9)
+	solo := runPoisson(t, cfg, 10, 400, 100, 9)
 	cfg.MaxBatch = 8
-	batched := Run(cfg, 10, 400, 100, 9)
+	batched := runPoisson(t, cfg, 10, 400, 100, 9)
 	if batched.Throughput <= solo.Throughput {
 		t.Fatalf("batch cap 8 throughput %.2f not above unbatched %.2f",
 			batched.Throughput, solo.Throughput)
@@ -110,7 +118,7 @@ func TestBatchingRaisesThroughput(t *testing.T) {
 func TestReplicaFairness(t *testing.T) {
 	cfg := baseConfig(baselines.CacheBlend)
 	cfg.Replicas = 4
-	res := Run(cfg, 40, 600, 150, 10) // well past 4-replica saturation
+	res := runPoisson(t, cfg, 40, 600, 150, 10) // well past 4-replica saturation
 	if len(res.ReplicaUtil) != 4 {
 		t.Fatalf("want 4 utilization samples, got %v", res.ReplicaUtil)
 	}
@@ -139,7 +147,7 @@ func TestRuntimeMetricsPopulated(t *testing.T) {
 	cfg := baseConfig(baselines.CacheBlend)
 	cfg.Replicas = 2
 	cfg.MaxBatch = 4
-	res := Run(cfg, 2, 400, 100, 12)
+	res := runPoisson(t, cfg, 2, 400, 100, 12)
 	if res.Replicas != 2 {
 		t.Fatalf("Replicas = %d", res.Replicas)
 	}
@@ -164,7 +172,7 @@ func TestTinyCapacityStillCaches(t *testing.T) {
 	cfg := baseConfig(baselines.CacheBlend)
 	cfg.Replicas = 4 // defaults to 8 shards, > chunks-per-context
 	cfg.StoreCapacity = cfg.Spec.KVBytes(cfg.ChunksPerRequest * cfg.ChunkTokens)
-	res := Run(cfg, 0.5, 400, 100, 13)
+	res := runPoisson(t, cfg, 0.5, 400, 100, 13)
 	if res.HitRate <= 0 {
 		t.Fatalf("one-context store served 0%% hits — shard slices too small for a chunk")
 	}
@@ -177,7 +185,7 @@ func TestSingleReplicaUnbatchedMatchesFCFS(t *testing.T) {
 	cfg := baseConfig(baselines.FullRecompute)
 	// Deterministic service time S for full recompute (store-independent).
 	S := cfg.Spec.FullPrefillTTFT(cfg.ChunksPerRequest*cfg.ChunkTokens + cfg.QueryTokens)
-	res := Run(cfg, 1000, 50, 0, 3) // effectively simultaneous arrivals
+	res := runPoisson(t, cfg, 1000, 50, 0, 3) // effectively simultaneous arrivals
 	// Request i completes ≈ (i+1)×S after t≈0, so mean TTFT ≈ S×(n+1)/2.
 	wantMean := S * float64(50+1) / 2
 	if res.MeanTTFT < 0.9*wantMean || res.MeanTTFT > 1.1*wantMean {

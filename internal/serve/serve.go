@@ -1,9 +1,10 @@
 // Package serve simulates an LLM serving deployment end to end: a
-// workload-generated (or trace-replayed) request stream into a shared
-// admission queue, N replica workers with continuous batching (requests
-// join and leave a running batch at step boundaries), a capacity-bounded
-// sharded KV cache store shared by all replicas, and per-scheme prefill
-// costs from the calibrated timing model. Requests run a two-phase
+// workload-generated (or trace-replayed) request stream into admission
+// queues, N replica workers with continuous batching (requests join and
+// leave a running batch at step boundaries), capacity-bounded tiered KV
+// cache stores — one shared by all replicas, or one per replica when a
+// router places requests — and per-scheme prefill costs from the
+// calibrated timing model. Requests run a two-phase
 // lifecycle: chunk-granularity prefill steps, then — when the workload
 // gives them a generation budget (workload.Request.DecodeTokens) —
 // per-token decode steps that batch with other members' prefills and
@@ -125,7 +126,9 @@ type Config struct {
 	// see MembershipEvent for the per-event semantics. Empty keeps the
 	// static replica set.
 	Events []MembershipEvent
-	// ChunkPool is the number of distinct chunks in the corpus.
+	// ChunkPool is the number of distinct chunks in the corpus. It,
+	// ChunksPerRequest and Skew shape the Poisson stream Capacity probes
+	// with; a run's own stream comes from its workload.
 	ChunkPool int
 	// ChunksPerRequest is how many chunks each request retrieves.
 	ChunksPerRequest int
@@ -176,7 +179,7 @@ func (c Config) tierConfigs() []TierConfig {
 }
 
 // chunks returns the workload sampling parameters embedded in the config,
-// for the Poisson wrapper and the CLI's generator construction.
+// for Capacity's probe stream.
 func (c Config) chunks() workload.Chunks {
 	return workload.Chunks{Pool: c.ChunkPool, PerRequest: c.ChunksPerRequest, Skew: c.Skew}
 }
@@ -259,7 +262,7 @@ func (c Config) Validate() error {
 // use the same warmup cutoff TTFT does — samples from the warmup period
 // (before the first post-warmup request arrives) are excluded everywhere.
 type Result struct {
-	Rate       float64 // request rate (req/s): realised by RunWorkload, offered by Run
+	Rate       float64 // realised request rate (req/s): requests dispatched over the last dispatched arrival
 	MeanTTFT   float64
 	P95TTFT    float64
 	Throughput float64 // completed requests/s over the run
@@ -462,34 +465,15 @@ func (r Result) String() string {
 	return s
 }
 
-// Run simulates n requests arriving at the given Poisson rate and returns
-// aggregate TTFT/throughput statistics. The first warmup requests are
-// excluded from statistics (the paper skips its first 1 000 queries while
-// the store is cold). Same cfg, rate and seed ⇒ identical Result.
-//
-// Run is a thin wrapper: it builds a Poisson workload from the config's
-// sampling fields and panics on invalid input — the validation errors are
-// RunWorkload's, so the message still names the broken field.
-func Run(cfg Config, rate float64, n, warmup int, seed int64) Result {
-	w := workload.Poisson{Rate: rate, Chunks: cfg.chunks()}
-	res, err := RunWorkload(cfg, w, n, warmup, seed)
-	if err != nil {
-		// Reject here, on the caller's goroutine, rather than mid-run on
-		// a replica process.
-		panic(err.Error())
-	}
-	res.Rate = rate // report the offered rate, not the realised one
-	return res
-}
-
 // RunWorkload simulates the first n requests of the stream w yields and
 // returns aggregate and per-tenant statistics, excluding the first warmup
-// requests and any that arrive with the last of them. Everything is
-// validated up front with descriptive errors instead of panics.
-// Result.Rate is the realised mean arrival rate: requests dispatched over
-// the last dispatched arrival (so a replayed trace reproduces the
-// generating run's Result field for field). Same cfg, workload and seed ⇒
-// identical Result.
+// requests (the paper skips its first 1 000 queries while the store is
+// cold) save those arriving together with the first measured one.
+// Everything is validated up front with descriptive errors instead of
+// panics. Result.Rate is the realised mean arrival rate: requests
+// dispatched over the last dispatched arrival (so a replayed trace
+// reproduces the generating run's Result field for field). Same cfg,
+// workload and seed ⇒ identical Result.
 //
 // A workload implementing workload.ClosedLoopWorkload is driven in
 // closed loop instead: its Session's initial wave is dispatched like an
@@ -766,28 +750,15 @@ func prefixKey(model string, id int) chunk.ID {
 
 // Capacity returns the maximum sustainable request rate of a single
 // replica without batching: the reciprocal of the steady-state mean
-// service time, measured by probing the simulator at a very low rate.
-func Capacity(cfg Config, seed int64) float64 {
+// service time, measured by probing the simulator with a very low-rate
+// Poisson stream drawn from the config's sampling fields.
+func Capacity(cfg Config, seed int64) (float64, error) {
 	probe := cfg
 	probe.Replicas = 1
 	probe.MaxBatch = 1
-	res := Run(probe, 0.01, 400, 100, seed)
-	if res.MeanTTFT <= 0 {
-		return 0
+	res, err := RunWorkload(probe, workload.Poisson{Rate: 0.01, Chunks: cfg.chunks()}, 400, 100, seed)
+	if err != nil || res.MeanTTFT <= 0 {
+		return 0, err
 	}
-	return 1 / res.MeanTTFT
-}
-
-// SaturationRate measures the configuration's maximum sustained
-// completion rate — replicas and continuous batching included — by
-// offering far more load than one replica can absorb and measuring the
-// completed-request throughput.
-func SaturationRate(cfg Config, seed int64) float64 {
-	perReplica := Capacity(cfg, seed)
-	if perReplica <= 0 {
-		return 0
-	}
-	overload := 4 * perReplica * float64(cfg.replicas()*cfg.maxBatch())
-	res := Run(cfg, overload, 600, 150, seed)
-	return res.Throughput
+	return 1 / res.MeanTTFT, nil
 }

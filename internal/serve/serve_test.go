@@ -7,6 +7,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/device"
 	"repro/internal/timing"
+	"repro/internal/workload"
 )
 
 func baseConfig(s baselines.Scheme) Config {
@@ -24,13 +25,24 @@ func baseConfig(s baselines.Scheme) Config {
 	}
 }
 
+// runPoisson runs the first n requests of a Poisson stream at rate, drawn
+// from the config's sampling fields.
+func runPoisson(t *testing.T, cfg Config, rate float64, n, warmup int, seed int64) Result {
+	t.Helper()
+	res, err := RunWorkload(cfg, workload.Poisson{Rate: rate, Chunks: cfg.chunks()}, n, warmup, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestLowRateTTFTOrdering(t *testing.T) {
 	// At a low request rate (no queueing), the TTFT ordering must be
 	// reuse < cacheblend < prefix caching < full recompute, the paper's
 	// Figure 12/14 ordering.
 	rate := 0.05
 	get := func(s baselines.Scheme) float64 {
-		return Run(baseConfig(s), rate, 600, 200, 1).MeanTTFT
+		return runPoisson(t, baseConfig(s), rate, 600, 200, 1).MeanTTFT
 	}
 	reuse := get(baselines.FullKVReuse)
 	blendT := get(baselines.CacheBlend)
@@ -50,8 +62,8 @@ func TestLowRateTTFTOrdering(t *testing.T) {
 
 func TestTTFTGrowsWithRate(t *testing.T) {
 	cfg := baseConfig(baselines.FullRecompute)
-	low := Run(cfg, 0.05, 400, 100, 2).MeanTTFT
-	high := Run(cfg, 0.9, 400, 100, 2).MeanTTFT
+	low := runPoisson(t, cfg, 0.05, 400, 100, 2).MeanTTFT
+	high := runPoisson(t, cfg, 0.9, 400, 100, 2).MeanTTFT
 	if high <= low {
 		t.Fatalf("queueing should raise TTFT: low-rate %.3f vs high-rate %.3f", low, high)
 	}
@@ -61,8 +73,8 @@ func TestBlendSustainsHigherRate(t *testing.T) {
 	// The throughput claim: at a rate that saturates full recompute,
 	// CacheBlend still serves with bounded TTFT.
 	rate := 0.8
-	full := Run(baseConfig(baselines.FullRecompute), rate, 500, 150, 3)
-	bl := Run(baseConfig(baselines.CacheBlend), rate, 500, 150, 3)
+	full := runPoisson(t, baseConfig(baselines.FullRecompute), rate, 500, 150, 3)
+	bl := runPoisson(t, baseConfig(baselines.CacheBlend), rate, 500, 150, 3)
 	if bl.MeanTTFT >= full.MeanTTFT/2 {
 		t.Fatalf("blend at saturating rate should be far faster: blend %.3f vs full %.3f",
 			bl.MeanTTFT, full.MeanTTFT)
@@ -73,9 +85,16 @@ func TestBlendSustainsHigherRate(t *testing.T) {
 }
 
 func TestCapacityOrdering(t *testing.T) {
-	full := Capacity(baseConfig(baselines.FullRecompute), 4)
-	prefix := Capacity(baseConfig(baselines.PrefixCaching), 4)
-	bl := Capacity(baseConfig(baselines.CacheBlend), 4)
+	capacity := func(s baselines.Scheme) float64 {
+		c, err := Capacity(baseConfig(s), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	full := capacity(baselines.FullRecompute)
+	prefix := capacity(baselines.PrefixCaching)
+	bl := capacity(baselines.CacheBlend)
 	if !(full < prefix && prefix < bl) {
 		t.Fatalf("capacity ordering wrong: full %.2f prefix %.2f blend %.2f", full, prefix, bl)
 	}
@@ -94,22 +113,28 @@ func TestChunkHitRateBeatsPrefixHitRate(t *testing.T) {
 	pc.StoreCapacity = capBytes
 	cb := baseConfig(baselines.CacheBlend)
 	cb.StoreCapacity = capBytes
-	prefix := Run(pc, 0.2, 1500, 500, 5)
-	bl := Run(cb, 0.2, 1500, 500, 5)
+	prefix := runPoisson(t, pc, 0.2, 1500, 500, 5)
+	bl := runPoisson(t, cb, 0.2, 1500, 500, 5)
 	if bl.HitRate <= prefix.HitRate {
 		t.Fatalf("chunk hit rate %.2f should beat prefix hit rate %.2f", bl.HitRate, prefix.HitRate)
 	}
 }
 
 func TestRateSweepMonotoneRates(t *testing.T) {
+	cfg := baseConfig(baselines.CacheBlend)
 	rates := []float64{0.05, 0.2, 0.4}
 	res := make([]Result, len(rates))
 	for i, rate := range rates {
-		res[i] = Run(baseConfig(baselines.CacheBlend), rate, 300, 100, 6)
+		res[i] = runPoisson(t, cfg, rate, 300, 100, 6)
 	}
 	for i, r := range res {
-		if r.Rate != rates[i] || r.Requests != 200 {
+		// Rate is the realised one: requests over the last arrival.
+		reqs := workload.Poisson{Rate: rates[i], Chunks: cfg.chunks()}.Generate(300, 6)
+		if r.Rate != 300/reqs[len(reqs)-1].Arrival || r.Requests != 200 {
 			t.Fatalf("result %d malformed: %+v", i, r)
+		}
+		if i > 0 && r.Rate <= res[i-1].Rate {
+			t.Fatalf("realised rates %v and %v not increasing with the offered %v", res[i-1].Rate, r.Rate, rates)
 		}
 	}
 	if !strings.Contains(res[0].String(), "mean_ttft") {
@@ -129,8 +154,8 @@ func TestSlowDeviceHurtsReuseMoreThanBlend(t *testing.T) {
 		cfgR.Device = d
 		cfgB := baseConfig(baselines.CacheBlend)
 		cfgB.Device = d
-		r := Run(cfgR, 0.05, 400, 100, 7).MeanTTFT
-		b := Run(cfgB, 0.05, 400, 100, 7).MeanTTFT
+		r := runPoisson(t, cfgR, 0.05, 400, 100, 7).MeanTTFT
+		b := runPoisson(t, cfgB, 0.05, 400, 100, 7).MeanTTFT
 		return b / r
 	}
 	if gap(slow) >= gap(fast) {
@@ -139,21 +164,12 @@ func TestSlowDeviceHurtsReuseMoreThanBlend(t *testing.T) {
 	}
 }
 
-func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestCapacityRejectsBadConfig: a config the simulator cannot serve is
+// Capacity's error, not a panic.
+func TestCapacityRejectsBadConfig(t *testing.T) {
+	for _, cfg := range []Config{{}, baseConfig(baselines.MapReduce)} {
+		if c, err := Capacity(cfg, 1); err == nil || !strings.Contains(err.Error(), "not a serving mode") {
+			t.Errorf("scheme %q: capacity %v, error %v; want a serving-mode error", cfg.Scheme, c, err)
 		}
-	}()
-	Run(Config{}, 1, 10, 0, 1)
-}
-
-func TestNonServingSchemePanics(t *testing.T) {
-	cfg := baseConfig(baselines.MapReduce)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Run(cfg, 1, 10, 0, 1)
+	}
 }

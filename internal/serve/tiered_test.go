@@ -29,8 +29,8 @@ func TestTieredBeatsSingleSlowTier(t *testing.T) {
 	flat.StoreCapacity = total
 	tiered := tieredConfig(total/8, total/4, total-total/8-total/4)
 	for _, rate := range []float64{0.1, 0.4} {
-		fr := Run(flat, rate, 900, 300, 11)
-		tr := Run(tiered, rate, 900, 300, 11)
+		fr := runPoisson(t, flat, rate, 900, 300, 11)
+		tr := runPoisson(t, tiered, rate, 900, 300, 11)
 		if tr.MeanTTFT >= fr.MeanTTFT {
 			t.Fatalf("rate %.1f: tiered mean TTFT %.4f not below nvme-only %.4f",
 				rate, tr.MeanTTFT, fr.MeanTTFT)
@@ -53,7 +53,7 @@ func TestTierHitRatesSumToLookups(t *testing.T) {
 		80*timing.Mistral7B.KVBytes(512),
 		0, // unbounded bottom
 	)
-	res := Run(cfg, 0.3, 800, 200, 9)
+	res := runPoisson(t, cfg, 0.3, 800, 200, 9)
 	if res.Lookups == 0 {
 		t.Fatal("no lookups recorded")
 	}
@@ -92,8 +92,8 @@ func TestSingleTierMatchesLegacyConfig(t *testing.T) {
 		legacy.StoreCapacity = 64 * timing.Mistral7B.KVBytes(512)
 		single := legacy
 		single.Tiers = []TierConfig{{Device: legacy.Device, Capacity: legacy.StoreCapacity}}
-		lr := Run(legacy, 0.3, 400, 100, 4)
-		sr := Run(single, 0.3, 400, 100, 4)
+		lr := runPoisson(t, legacy, 0.3, 400, 100, 4)
+		sr := runPoisson(t, single, 0.3, 400, 100, 4)
 		if lr.MeanTTFT != sr.MeanTTFT || lr.P95TTFT != sr.P95TTFT ||
 			lr.Throughput != sr.Throughput || lr.HitRate != sr.HitRate {
 			t.Fatalf("%s: single-tier run diverged from legacy: %+v vs %+v", scheme, sr, lr)
@@ -111,8 +111,8 @@ func TestFasterTopTierNeverHurts(t *testing.T) {
 		{Device: device.CPURAM, Capacity: flat.StoreCapacity / 4},
 		{Device: device.NVMeSSD, Capacity: flat.StoreCapacity - flat.StoreCapacity/4},
 	}
-	fr := Run(flat, 0.2, 600, 200, 8)
-	lr := Run(layered, 0.2, 600, 200, 8)
+	fr := runPoisson(t, flat, 0.2, 600, 200, 8)
+	lr := runPoisson(t, layered, 0.2, 600, 200, 8)
 	if lr.MeanTTFT > fr.MeanTTFT {
 		t.Fatalf("RAM front tier raised TTFT: %.4f vs %.4f", lr.MeanTTFT, fr.MeanTTFT)
 	}

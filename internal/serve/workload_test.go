@@ -17,24 +17,6 @@ func testWorkloadChunks(cfg Config) workload.Chunks {
 	return workload.Chunks{Pool: cfg.ChunkPool, PerRequest: cfg.ChunksPerRequest, Skew: cfg.Skew}
 }
 
-// TestRunMatchesRunWorkload pins Run's contract as a thin wrapper: apart
-// from Rate (offered vs realised), Run and RunWorkload with the
-// equivalent Poisson generator must return the identical Result.
-func TestRunMatchesRunWorkload(t *testing.T) {
-	cfg := baseConfig(baselines.CacheBlend)
-	cfg.Replicas = 2
-	cfg.MaxBatch = 3
-	a := Run(cfg, 0.8, 300, 100, 21)
-	b, err := RunWorkload(cfg, workload.Poisson{Rate: 0.8, Chunks: testWorkloadChunks(cfg)}, 300, 100, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Rate = b.Rate
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("wrapper diverged from RunWorkload:\n%+v\n%+v", a, b)
-	}
-}
-
 // TestTraceReplayReproducesResult is the record/replay acceptance check:
 // a bursty multi-replica run, exported through the JSONL trace format and
 // replayed, must reproduce the generating run's Result field for field.
@@ -122,7 +104,7 @@ func TestPerTenantStats(t *testing.T) {
 		t.Fatalf("tenant requests sum to %d, aggregate %d", total, res.Requests)
 	}
 
-	solo := Run(baseConfig(baselines.CacheBlend), 0.5, 300, 100, 14)
+	solo := runPoisson(t, baseConfig(baselines.CacheBlend), 0.5, 300, 100, 14)
 	if solo.Tenants != nil {
 		t.Fatalf("single-tenant run grew a tenant breakdown: %+v", solo.Tenants)
 	}

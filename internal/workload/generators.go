@@ -12,8 +12,8 @@ import (
 // Poisson is the memoryless single-tenant generator the runtime was born
 // with: exponential inter-arrival gaps at Rate, i.i.d. Zipf chunk draws.
 // It consumes the seed exactly the way the pre-workload runtime did (all
-// arrivals first, then chunk ids in arrival order), so serve.Run keeps
-// its historical bit-identical results.
+// arrivals first, then chunk ids in arrival order), so the serve goldens
+// that predate the workload subsystem keep their streams bit for bit.
 type Poisson struct {
 	// Rate is the arrival rate in requests/second.
 	Rate   float64

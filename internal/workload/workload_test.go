@@ -35,9 +35,10 @@ func meanRate(reqs []Request) float64 {
 	return float64(len(reqs)) / reqs[len(reqs)-1].Arrival
 }
 
-// TestPoissonMatchesLegacySampling pins the seed compatibility serve.Run
-// depends on: Poisson.Generate must consume the RNG exactly like the
-// pre-workload runtime (all arrivals first, then chunk ids in order).
+// TestPoissonMatchesLegacySampling pins the seed compatibility the
+// Poisson serve goldens depend on: Poisson.Generate must consume the RNG
+// exactly like the pre-workload runtime (all arrivals first, then chunk
+// ids in order).
 func TestPoissonMatchesLegacySampling(t *testing.T) {
 	const n, seed = 50, 9
 	ch := testChunks()
