@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -171,5 +172,39 @@ func TestCapacityRejectsBadConfig(t *testing.T) {
 		if c, err := Capacity(cfg, 1); err == nil || !strings.Contains(err.Error(), "not a serving mode") {
 			t.Errorf("scheme %q: capacity %v, error %v; want a serving-mode error", cfg.Scheme, c, err)
 		}
+	}
+}
+
+// runUnvalidated runs the first n requests of the base Poisson stream on
+// cfg straight through the cluster, skipping RunWorkload's Validate, and
+// returns what the run panicked with (nil if it finished).
+func runUnvalidated(cfg Config, n int) (panicked any) {
+	wave := workload.Poisson{Rate: 1, Chunks: baseConfig(baselines.CacheBlend).chunks()}.Generate(n, 1)
+	defer func() { panicked = recover() }()
+	newCluster(cfg, wave, 0).run()
+	return nil
+}
+
+// TestBadConfigPanics: the zero Config, forced past Validate into a run,
+// panics building its store — the zero device fails the store's check —
+// instead of serving on a device with no bandwidth; through the entry
+// points it is an error (TestCapacityRejectsBadConfig).
+func TestBadConfigPanics(t *testing.T) {
+	if p := runUnvalidated(Config{}, 10); p == nil || !strings.Contains(fmt.Sprint(p), "device") {
+		t.Fatalf("zero config ran with panic %v; want the store's device panic", p)
+	}
+}
+
+// TestNonServingSchemePanics: a scheme that is not a serving mode, forced
+// past Validate into a run, panics in the pricing switch; the same config
+// otherwise runs, so the scheme alone is what stops it.
+func TestNonServingSchemePanics(t *testing.T) {
+	cfg := baseConfig(baselines.MapReduce)
+	if p := runUnvalidated(cfg, 10); p == nil || !strings.Contains(fmt.Sprint(p), "not a serving mode") {
+		t.Fatalf("scheme %q ran with panic %v; want a serving-mode panic", cfg.Scheme, p)
+	}
+	cfg.Scheme = baselines.CacheBlend
+	if p := runUnvalidated(cfg, 10); p != nil {
+		t.Fatalf("scheme %q panicked: %v", cfg.Scheme, p)
 	}
 }
