@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/device"
+	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 func id(i int) chunk.ID { return chunk.Hash("m", []int{i}) }
@@ -216,4 +218,71 @@ func TestDeviceAccessor(t *testing.T) {
 		t.Fatal("Device accessor wrong")
 	}
 	_ = fmt.Sprintf("%v", s.Stats())
+}
+
+// TestOneTierMatchesStore: a one-tier stack is the standalone store. Random
+// Get/Put/Remove ops replay on a one-tier Tiered and on refStore, the
+// frozen standalone store, under both policies at unbounded, tight and
+// roomy capacities, and after every op both must agree on each lookup's
+// payload and hit, each removal, the recency order, the footprint and the
+// hit, miss, eviction and byte counters. Puts is not compared: a stack
+// counts every successful write, the store counted inserts only.
+func TestOneTierMatchesStore(t *testing.T) {
+	for _, policy := range []Policy{LRU, FIFO} {
+		for _, capacity := range []int64{0, 500, 2000} {
+			ts := MustTiered([]Tier{{Device: device.NVMeSSD, Capacity: capacity}}, policy)
+			ref := newRefStore(device.NVMeSSD, capacity, policy)
+			g := tensor.NewRNG(int64(policy) + capacity + 1)
+			run := fmt.Sprintf("policy %d, capacity %d", policy, capacity)
+			for i := 0; i < 20000; i++ {
+				key := id(sim.Zipf(g, 64, 0.9))
+				switch g.Intn(3) {
+				case 0:
+					size := Bytes(1 + g.Intn(150)) // within every capacity
+					if err, refErr := ts.Put(key, size), ref.Put(key, size); err != nil || refErr != nil {
+						t.Fatalf("%s, op %d: Put = %v, reference %v", run, i, err, refErr)
+					}
+				case 1:
+					_, refOK := ref.Remove(key)
+					if ok := ts.Remove(key); ok != refOK {
+						t.Fatalf("%s, op %d: Remove = %v, reference %v", run, i, ok, refOK)
+					}
+				default:
+					payload, _, ok := ts.Get(key)
+					if rp, rok := ref.Get(key); payload != rp || ok != rok {
+						t.Fatalf("%s, op %d: Get = (%v, %v), reference (%v, %v)", run, i, payload, ok, rp, rok)
+					}
+				}
+				if got, want := residents(ts.Each), residents(ref.Each); !slices.Equal(got, want) {
+					t.Fatalf("%s, op %d: Each order %v, reference %v", run, i, got, want)
+				}
+				if a, b := ts.Used(), ref.Used(); a != b {
+					t.Fatalf("%s, op %d: Used %d, reference %d", run, i, a, b)
+				}
+				st, rst := ts.Stats(), ref.Stats()
+				if st.Hits != rst.Hits || st.Misses != rst.Misses || st.Evictions != rst.Evictions || st.BytesStored != rst.BytesStored {
+					t.Fatalf("%s, op %d: Stats %+v, reference %+v", run, i, st, rst)
+				}
+			}
+		}
+	}
+
+	// The one difference in kind: an overwrite too large for the store.
+	// Both refuse it, but a stack takes the old copy out before it places
+	// the new one (refTiered's rule too), while the standalone store kept
+	// the old copy.
+	ts := MustTiered([]Tier{{Device: device.NVMeSSD, Capacity: 500}}, LRU)
+	ref := newRefStore(device.NVMeSSD, 500, LRU)
+	if err, refErr := ts.Put(id(1), Bytes(100)), ref.Put(id(1), Bytes(100)); err != nil || refErr != nil {
+		t.Fatalf("Put = %v, reference %v", err, refErr)
+	}
+	if err, refErr := ts.Put(id(1), Bytes(501)), ref.Put(id(1), Bytes(501)); err == nil || refErr == nil {
+		t.Fatalf("oversize overwrite accepted: Put = %v, reference %v", err, refErr)
+	}
+	if ts.Contains(id(1)) || ts.Used() != 0 {
+		t.Fatalf("the stack kept the old copy: Contains %v, Used %d", ts.Contains(id(1)), ts.Used())
+	}
+	if !ref.Contains(id(1)) || ref.Used() != 100 {
+		t.Fatalf("the store dropped the old copy: Contains %v, Used %d", ref.Contains(id(1)), ref.Used())
+	}
 }

@@ -55,7 +55,7 @@ type goldenCase struct {
 
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	for _, scheme := range []baselines.Scheme{baselines.CacheBlend, baselines.PrefixCaching} {
+	for _, scheme := range []baselines.Scheme{baselines.CacheBlend, baselines.PrefixCaching, baselines.FullKVReuse} {
 		for _, replicas := range []int{1, 2, 4} {
 			for _, tiered := range []bool{false, true} {
 				for _, seed := range []int64{1, 7} {
@@ -164,12 +164,15 @@ func goldenCases() []goldenCase {
 	// routing and predictive prefetch over four bursty drifting tenants.
 	// The HBM tier is eight one-chunk shards, so nearly every admission
 	// promotes and cascades; they lock every tier move the stacks make,
-	// the loaders' transfers and their in-flight joins.
-	for _, seed := range []int64{1, 7} {
-		name := "cacheblend/r4/tiered/routed-tiered/affinity-predictive/seed" + strconv.FormatInt(seed, 10)
-		cases = append(cases, goldenCase{Name: name, Scheme: baselines.CacheBlend,
-			Replicas: 4, Tiered: true, Seed: seed, Workload: "routed-tiered",
-			Router: RouterAffinity, Prefetch: PrefetchPredictive})
+	// the loaders' transfers and their in-flight joins. The full-KV-reuse
+	// twin prices those joins and tier reads as pure loading.
+	for _, scheme := range []baselines.Scheme{baselines.CacheBlend, baselines.FullKVReuse} {
+		for _, seed := range []int64{1, 7} {
+			name := string(scheme) + "/r4/tiered/routed-tiered/affinity-predictive/seed" + strconv.FormatInt(seed, 10)
+			cases = append(cases, goldenCase{Name: name, Scheme: scheme,
+				Replicas: 4, Tiered: true, Seed: seed, Workload: "routed-tiered",
+				Router: RouterAffinity, Prefetch: PrefetchPredictive})
+		}
 	}
 	return cases
 }

@@ -1,12 +1,15 @@
 package repro
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateKVStoreBench = flag.Bool("update", false, "rewrite the pinned kvstore-bench output")
 
 // goTool runs the go command from the repository root and returns its
 // combined output.
@@ -339,10 +342,11 @@ func TestServeCLITieredSmoke(t *testing.T) {
 	}
 }
 
-// TestKVStoreBenchCLISmoke runs the store benchmark on a small workload and
-// checks that flags the workload cannot draw from are rejected by name
-// instead of panicking (-pool 0) or printing a meaningless hit rate
-// (-skew NaN).
+// TestKVStoreBenchCLISmoke runs the store benchmark on a small workload,
+// compares its output with the pinned cmd/kvstore-bench/testdata/small.txt
+// (rewrite it with -update), and checks that flags the workload cannot
+// draw from are rejected by name instead of panicking (-pool 0) or
+// printing a meaningless hit rate (-skew NaN).
 func TestKVStoreBenchCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the kvstore-bench binary")
@@ -352,6 +356,22 @@ func TestKVStoreBenchCLISmoke(t *testing.T) {
 		if !strings.Contains(out, w) {
 			t.Fatalf("kvstore-bench output missing %q:\n%s", w, out)
 		}
+	}
+	pinned := filepath.Join("cmd", "kvstore-bench", "testdata", "small.txt")
+	if *updateKVStoreBench {
+		if err := os.MkdirAll(filepath.Dir(pinned), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pinned, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(pinned)
+	if err != nil {
+		t.Fatalf("missing pinned output (run with -update once): %v", err)
+	}
+	if out != string(want) {
+		t.Fatalf("kvstore-bench -ops 2000 -pool 200 output moved:\n got:\n%s\nwant:\n%s", out, want)
 	}
 	for _, args := range [][]string{
 		{"-ops", "0"}, {"-pool", "0"}, {"-pool", "-3"},
