@@ -198,12 +198,12 @@ func BenchmarkKVCacheSerialise(b *testing.B) {
 }
 
 func BenchmarkKVStoreZipf(b *testing.B) {
-	s := kvstore.New(device.NVMeSSD, 1<<30, kvstore.LRU)
+	s := kvstore.MustTiered([]kvstore.Tier{{Device: device.NVMeSSD, Capacity: 1 << 30}}, kvstore.LRU)
 	g := tensor.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := chunk.Hash("bench", []int{sim.Zipf(g, 4096, 0.8)})
-		if _, ok := s.Get(id); !ok {
+		if _, _, ok := s.Get(id); !ok {
 			s.Put(id, kvstore.Bytes(1<<20)) //nolint:errcheck
 		}
 	}
@@ -644,13 +644,13 @@ func BenchmarkAblationEvictionFIFO(b *testing.B) {
 
 func benchEviction(b *testing.B, p kvstore.Policy) {
 	b.Helper()
-	s := kvstore.New(device.NVMeSSD, 64<<20, p)
+	s := kvstore.MustTiered([]kvstore.Tier{{Device: device.NVMeSSD, Capacity: 64 << 20}}, p)
 	g := tensor.NewRNG(7)
 	hits := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := chunk.Hash("bench", []int{sim.Zipf(g, 1024, 0.9)})
-		if _, ok := s.Get(id); ok {
+		if _, _, ok := s.Get(id); ok {
 			hits++
 		} else {
 			s.Put(id, kvstore.Bytes(1<<20)) //nolint:errcheck

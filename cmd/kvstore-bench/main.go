@@ -71,10 +71,10 @@ func validate(ops, pool int, skew float64) error {
 
 func run(ops, pool int, skew float64, seed int64, capBytes int64, policy kvstore.Policy, chunkBytes int64) (float64, kvstore.Stats) {
 	g := tensor.NewRNG(seed)
-	s := kvstore.New(device.NVMeSSD, capBytes, policy)
+	s := kvstore.MustTiered([]kvstore.Tier{{Device: device.NVMeSSD, Capacity: capBytes}}, policy)
 	for i := 0; i < ops; i++ {
 		id := chunk.Hash("bench", []int{sim.Zipf(g, pool, skew)})
-		if _, ok := s.Get(id); !ok {
+		if _, _, ok := s.Get(id); !ok {
 			s.Put(id, kvstore.Bytes(chunkBytes)) //nolint:errcheck
 		}
 	}

@@ -38,8 +38,8 @@ func TestStoreRandomizedInvariants(t *testing.T) {
 			case 0:
 				s.Put(key, Bytes(1+g.Intn(150))) //nolint:errcheck // always fits
 			case 1: // in-place update of a resident entry
-				if b, e := Bytes(1+g.Intn(150)), s.lookup(key); e != nil {
-					s.put(key, b, e) //nolint:errcheck // always fits
+				if b := Bytes(1 + g.Intn(150)); s.Contains(key) {
+					s.Put(key, b) //nolint:errcheck // always fits
 				}
 			case 2:
 				s.Remove(key)
@@ -86,8 +86,8 @@ func TestShardedRandomizedInvariants(t *testing.T) {
 			lookups++
 		}
 		for si, sh := range s.tiers[0].shards {
-			if sh.Used() > sh.Capacity() {
-				t.Fatalf("op %d: shard %d used %d exceeds its %d", i, si, sh.Used(), sh.Capacity())
+			if sh.Used() > sh.capacity {
+				t.Fatalf("op %d: shard %d used %d exceeds its %d", i, si, sh.Used(), sh.capacity)
 			}
 		}
 		if n, used := residentBytes(s.Each); n != s.Len() || used != s.Used() || used > capacity {

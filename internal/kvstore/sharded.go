@@ -39,8 +39,7 @@ func newSharded(t *Tiered, i int, tc Tier, policy Policy) *Sharded {
 				per = 1
 			}
 		}
-		s.shards[j] = &Store{dev: tc.Device, capacity: per, policy: policy,
-			idx: &t.idx, stack: t, tier: i}
+		s.shards[j] = &Store{dev: tc.Device, capacity: per, policy: policy, stack: t, tier: i}
 	}
 	return s
 }
@@ -81,7 +80,7 @@ func (s *Sharded) Each(fn func(id chunk.ID, bytes int64)) {
 func (s *Sharded) evictions() int64 {
 	var n int64
 	for _, sh := range s.shards {
-		n += sh.stats.Evictions
+		n += sh.evictions
 	}
 	return n
 }

@@ -19,8 +19,8 @@ func TestShardedBasics(t *testing.T) {
 		t.Fatalf("%d shards, want 8", n)
 	}
 	for _, sh := range s.tiers[0].shards {
-		if sh.Device().Name != device.NVMeSSD.Name {
-			t.Fatalf("wrong device %q", sh.Device().Name)
+		if sh.dev.Name != device.NVMeSSD.Name {
+			t.Fatalf("wrong device %q", sh.dev.Name)
 		}
 	}
 	ids := make([]chunk.ID, 100)
@@ -75,7 +75,7 @@ func TestShardedCapacitySumsToBudget(t *testing.T) {
 		s := oneTier(tc.capacity, tc.n)
 		var sum int64
 		for _, sh := range s.tiers[0].shards {
-			sum += sh.Capacity()
+			sum += sh.capacity
 		}
 		if sum != tc.capacity {
 			t.Errorf("capacity=%d n=%d: shard budgets sum to %d", tc.capacity, tc.n, sum)
@@ -83,8 +83,8 @@ func TestShardedCapacitySumsToBudget(t *testing.T) {
 	}
 	// Unbounded stays unbounded.
 	for _, sh := range oneTier(0, 4).tiers[0].shards {
-		if sh.Capacity() != 0 {
-			t.Fatalf("unbounded shard Capacity()=%d want 0", sh.Capacity())
+		if sh.capacity != 0 {
+			t.Fatalf("unbounded shard capacity=%d want 0", sh.capacity)
 		}
 	}
 }
@@ -102,8 +102,8 @@ func TestShardedCapacityEvicts(t *testing.T) {
 		t.Fatalf("Used %d exceeds capacity 100", s.Used())
 	}
 	for i, sh := range s.tiers[0].shards {
-		if sh.Used() != sh.Capacity() {
-			t.Fatalf("shard %d holds %d of its %d bytes after 200 inserts", i, sh.Used(), sh.Capacity())
+		if sh.Used() != sh.capacity {
+			t.Fatalf("shard %d holds %d of its %d bytes after 200 inserts", i, sh.Used(), sh.capacity)
 		}
 	}
 	if s.Stats().Evictions != 100 {

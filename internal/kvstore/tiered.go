@@ -221,7 +221,7 @@ func (t *Tiered) PutSlot(s *Slot, id chunk.ID, payload Sized) error {
 	}
 	// A payload the top tier cannot hold falls through to the tiers below,
 	// with the store untouched.
-	if e != nil && e.store.tier == 0 && e.store.put(id, payload, e) == nil {
+	if e != nil && e.store.tier == 0 && e.store.put(e, payload) {
 		t.puts++
 		s.set(e)
 		return nil
