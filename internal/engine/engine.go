@@ -44,6 +44,7 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/tensor"
+	"repro/internal/timing"
 )
 
 // Config controls the pipelined execution.
@@ -212,27 +213,13 @@ func (cfg Config) Run(req Request) (*Result, error) {
 	}, nil
 }
 
-// PipelineTime is the analytic model of a loader/fusor pipeline: the
-// completion time of a loader streaming `layers` layers at loadLayer
-// seconds each, ahead of a fusor spending compLayer seconds per layer,
-// where layer i's recompute starts only after both its KV load and layer
-// i-1's recompute finish. Whichever side is slower paces the pipeline and
-// the other is hidden. It charges a load on every layer: that is the
-// serving runtime's assumption, which uses this as the per-replica
-// execution model for blended prefills. Run does not load the layers
-// below the selection layer, so it can finish earlier than this model
+// PipelineTime is timing.Pipeline, the analytic model of Run's
+// loader/fusor pipeline, kept under this name for the benchmark module.
+// The model charges a load on every layer. Run does not load the layers
+// below the selection layer, so it can finish earlier than the model
 // predicts.
 func PipelineTime(layers int, loadLayer, compLayer float64) float64 {
-	loadDone, compDone := 0.0, 0.0
-	for i := 0; i < layers; i++ {
-		loadDone += loadLayer
-		start := loadDone
-		if compDone > start {
-			start = compDone
-		}
-		compDone = start + compLayer
-	}
-	return compDone
+	return timing.Pipeline(layers, loadLayer, compLayer)
 }
 
 // DecodeStepTime is the analytic cost of one decode iteration over a
@@ -244,7 +231,7 @@ func PipelineTime(layers int, loadLayer, compLayer float64) float64 {
 // overhead (the serving runtime defaults it to 0.08 vs prefill's 0.35).
 // Width below 1 is treated as 1. The serving runtime uses this as the
 // per-step execution model for decode-only batches, the way it uses
-// PipelineTime for blended prefills.
+// timing.Pipeline for blended prefills.
 func DecodeStepTime(perToken float64, width int, marginal float64) float64 {
 	if width < 1 {
 		width = 1

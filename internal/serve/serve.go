@@ -34,7 +34,6 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/controller"
 	"repro/internal/device"
-	"repro/internal/engine"
 	"repro/internal/kvstore"
 	"repro/internal/timing"
 	"repro/internal/workload"
@@ -541,14 +540,14 @@ func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Re
 // serviceTime computes one request's prefill service time under the
 // scheme, updating replica si's KV store, and reports the request's store
 // lookup and hit counts for per-tenant accounting plus its tier-read
-// stall (the priced cost beyond an all-HBM request). It is evaluated when the request is admitted into a
-// replica's batch, against the store's state at that moment, and sizes the prompt
-// from the request's own chunk list — trace-replayed requests may
-// retrieve any number of chunks. Hits are charged the read time of the
-// tier the chunk was found on — or, for a chunk whose promotion is
-// already in flight, the transfer's residual wait; for CacheBlend each
-// tier's reused tokens recompute at the ratio the loading controller
-// picks for that tier's device (§5.1).
+// stall (the priced cost beyond an all-HBM request). It is evaluated when
+// the request is admitted into a replica's batch, against the store's
+// state at that moment, and sizes the prompt from the request's own chunk
+// list — trace-replayed requests may retrieve any number of chunks. Each
+// tier's hits are priced together by reuseCost, off the tier they were
+// found on — or, for a chunk whose promotion is already in flight, off the
+// top tier after the transfer's residual wait. Missing chunks and the
+// query are full prefill.
 //
 // Lookups and inserts run in two passes — every lookup resolves against
 // the store's pre-request state before any miss is inserted — so a
@@ -615,7 +614,7 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 				continue
 			}
 			found++
-			if wait > 0 && wait+c.chunkCost(si, 0) <= c.chunkCost(si, tier) {
+			if wait > 0 && wait+c.reuseCost(si, 0, 1) <= c.reuseCost(si, tier, 1) {
 				// In-flight join: pay the transfer's remaining time, then
 				// read the chunk where it is landing — the top tier. Only
 				// when that beats reading the source tier directly: the
@@ -638,54 +637,40 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 		// Hand the (possibly grown) scratch back for the next admission.
 		c.missScratch, c.dupScratch = missKeys, dupKeys
 		lookups, hits = int64(len(ids)), int64(found)
-		missTokens := (len(ids)-found)*cfg.ChunkTokens + cfg.QueryTokens
-		missCost := spec.Prefill(missTokens)
-		if cfg.Scheme == baselines.FullKVReuse {
-			var loadCost float64
-			for tier, n := range tierChunks {
-				loadCost += store.TierDevice(tier).ReadTime(int64(n) * chunkBytes)
-			}
-			loadCost += waitCost
-			return loadCost + missCost + spec.DecodeSecPerToken, lookups, hits,
-				c.reuseStall(si, loadCost, waitCost, tierChunks, found)
-		}
-		// CacheBlend: selective recompute of the reused tokens, pipelined
-		// with their loading (§5) per the engine's loader/fusor schedule,
-		// tier by tier; missing chunks and the query are full prefill.
-		var blendCost float64
+		var reuse float64
 		for tier, n := range tierChunks {
-			if n == 0 {
-				continue
+			if n > 0 {
+				reuse += c.reuseCost(si, tier, n)
 			}
-			d := store.TierDevice(tier)
-			tokens := n * cfg.ChunkTokens
-			blendCost += pipelineCost(spec, c.chunkRatio(tokens, d), tokens, d)
 		}
-		blendCost += waitCost
-		return blendCost + missCost + spec.DecodeSecPerToken, lookups, hits,
-			c.reuseStall(si, blendCost, waitCost, tierChunks, found)
+		reuse += waitCost
+		missTokens := (len(ids)-found)*cfg.ChunkTokens + cfg.QueryTokens
+		return reuse + spec.Prefill(missTokens) + spec.DecodeSecPerToken, lookups, hits,
+			c.reuseStall(si, reuse, waitCost, tierChunks, found)
 
 	default:
 		panic(fmt.Sprintf("serve: scheme %q is not a serving mode", cfg.Scheme))
 	}
 }
 
-// chunkCost prices reusing one resident chunk off the given tier of
-// replica si's store under the config's scheme — the per-chunk comparison
-// deciding whether an in-flight join beats a synchronous source-tier read.
-func (c *cluster) chunkCost(si, tier int) float64 {
+// reuseCost prices reusing n chunks resident on the given tier of replica
+// si's store under the config's scheme: full KV reuse reads their KV;
+// CacheBlend pipelines each layer's loading with selective recompute
+// (§5, timing.Pipeline) at the ratio chunkRatio picks for the tier's
+// device. Zero chunks cost exactly 0.
+func (c *cluster) reuseCost(si, tier, n int) float64 {
 	d := c.stores[si].TierDevice(tier)
 	if c.cfg.Scheme == baselines.FullKVReuse {
-		return d.ReadTime(c.chunkBytes)
+		return d.ReadTime(int64(n) * c.chunkBytes)
 	}
-	tokens := c.cfg.ChunkTokens
-	return pipelineCost(&c.cfg.Spec, c.chunkRatio(tokens, d), tokens, d)
+	spec, tokens := &c.cfg.Spec, n*c.cfg.ChunkTokens
+	return timing.Pipeline(spec.Layers, spec.LoadLayer(tokens, d),
+		spec.RecomputeLayer(c.chunkRatio(tokens, d), tokens))
 }
 
 // reuseStall is the request's tier-read stall: its priced reuse cost
 // (waits included) beyond what the same found chunks would have cost had
-// every one been HBM-resident — the hypothetical cost is computed through
-// the same per-tier pricing with all hits moved to tier 0, so fixed
+// every one been on the top tier, priced by the same reuseCost, so fixed
 // per-tier latency terms cancel. A request that waited on no transfer and
 // found every hit on the top tier stalls exactly zero (both costs are the
 // same expression), so it skips the repricing.
@@ -693,22 +678,7 @@ func (c *cluster) reuseStall(si int, cost, wait float64, tierChunks []int, found
 	if wait == 0 && tierChunks[0] == found {
 		return 0
 	}
-	cfg, store := &c.cfg, c.stores[si]
-	var hotCost float64
-	if cfg.Scheme == baselines.FullKVReuse {
-		for tier := range tierChunks {
-			n := 0
-			if tier == 0 {
-				n = found
-			}
-			hotCost += store.TierDevice(tier).ReadTime(int64(n) * c.chunkBytes)
-		}
-	} else if found > 0 {
-		d := store.TierDevice(0)
-		tokens := found * cfg.ChunkTokens
-		hotCost = pipelineCost(&cfg.Spec, c.chunkRatio(tokens, d), tokens, d)
-	}
-	if stall := cost - hotCost; stall > 0 {
+	if stall := cost - c.reuseCost(si, 0, found); stall > 0 {
 		return stall
 	}
 	return 0
@@ -724,18 +694,6 @@ func (c *cluster) chunkRatio(tokens int, d device.Device) float64 {
 	}
 	ctl := controller.Controller{Spec: c.cfg.Spec, QualityFloor: c.cfg.Ratio}
 	return ctl.PickRatio(tokens, d)
-}
-
-// pipelineCost is the pipelined load+recompute time for reusing hitTokens
-// of KV (zero when nothing is reused), per the engine's two-thread
-// loader/fusor schedule.
-func pipelineCost(spec *timing.Spec, ratio float64, hitTokens int, d device.Device) float64 {
-	if hitTokens == 0 {
-		return 0
-	}
-	loadLayer := d.ReadTime(spec.LayerBytes(hitTokens))
-	compLayer := spec.RecomputeLayer(ratio, hitTokens)
-	return engine.PipelineTime(spec.Layers, loadLayer, compLayer)
 }
 
 // chunkKey is the store key of context chunk id under the named model.

@@ -108,21 +108,27 @@ func (s Spec) LoadLayer(L int, d device.Device) float64 { return d.ReadTime(s.La
 
 // TTFT computes the time-to-first-token of a CacheBlend request at
 // recompute ratio r with the KV stored on d, with or without the
-// §5 per-layer pipelining of loading and recompute.
-//
-// Pipelined: loading layer i+1 overlaps recomputing layer i. Layer i's
-// recompute can start once its KV is loaded and layer i-1's recompute is
-// done; TTFT is when the last layer's recompute finishes, plus one decode
-// step for the first token.
+// §5 per-layer pipelining of loading and recompute (Pipeline), plus one
+// decode step for the first token.
 func (s Spec) TTFT(r float64, L int, d device.Device, pipelined bool) float64 {
 	loadLayer := s.LoadLayer(L, d)
 	compLayer := s.RecomputeLayer(r, L)
 	if !pipelined {
 		return float64(s.Layers)*(loadLayer+compLayer) + s.DecodeSecPerToken
 	}
-	loadDone := 0.0
-	compDone := 0.0
-	for i := 0; i < s.Layers; i++ {
+	return Pipeline(s.Layers, loadLayer, compLayer) + s.DecodeSecPerToken
+}
+
+// Pipeline is the §5 loader/fusor recurrence (Figure 10): the completion
+// time of a loader streaming `layers` layers at loadLayer seconds each,
+// ahead of a fusor spending compLayer seconds per layer. Loading layer
+// i+1 overlaps recomputing layer i: layer i's recompute starts once both
+// its KV load and layer i-1's recompute are done. Whichever side is
+// slower paces the pipeline and the other is hidden. It charges a load on
+// every layer. Zero layers, or zero load and zero compute, take exactly 0.
+func Pipeline(layers int, loadLayer, compLayer float64) float64 {
+	loadDone, compDone := 0.0, 0.0
+	for i := 0; i < layers; i++ {
 		loadDone += loadLayer
 		start := loadDone
 		if compDone > start {
@@ -130,7 +136,7 @@ func (s Spec) TTFT(r float64, L int, d device.Device, pipelined bool) float64 {
 		}
 		compDone = start + compLayer
 	}
-	return compDone + s.DecodeSecPerToken
+	return compDone
 }
 
 // FullPrefillTTFT returns the TTFT of full KV recompute (no cache reuse).
