@@ -1,7 +1,10 @@
 package kvstore
 
 import (
+	"bytes"
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/chunk"
@@ -315,6 +318,64 @@ func TestPopularityCapCompaction(t *testing.T) {
 	}
 	if p.Score(hot, 16) < 5 {
 		t.Fatalf("compaction evicted the hottest chunk (score %v)", p.Score(hot, 16))
+	}
+}
+
+// TestPopularityTieBreaksByID: tied scores rank, and compact, by id bytes
+// whatever order the ids were first touched in. The ids are touched in
+// descending byte order, so a tie-break that follows first-touch order
+// reverses both the ranking and the set compaction keeps.
+func TestPopularityTieBreaksByID(t *testing.T) {
+	ids := stressKeys(20)
+	slices.SortFunc(ids, func(a, b chunk.ID) int { return bytes.Compare(b[:], a[:]) })
+	const now = 3.0
+
+	p := NewPopularity(10, 0)
+	for _, c := range ids {
+		p.Touch(c, now)
+	}
+	want := slices.Clone(ids)
+	slices.Reverse(want)
+	if top := p.Top(nil, now, 0, nil); !slices.Equal(top, want) {
+		t.Fatalf("tied ranking %v, want ascending id bytes %v", top, want)
+	}
+
+	// At the cap every Touch of a new id first compacts to 3/4 of it. The
+	// model keeps what a (score asc, id bytes asc) sort keeps; every third
+	// id is touched twice, so scores and id bytes both decide.
+	const max = 8
+	p = NewPopularity(10, max)
+	model := map[chunk.ID]float64{}
+	for i, c := range ids {
+		if len(model) >= max {
+			all := make([]chunk.ID, 0, len(model))
+			for k := range model {
+				all = append(all, k)
+			}
+			slices.SortFunc(all, func(a, b chunk.ID) int {
+				if model[a] != model[b] {
+					return cmp.Compare(model[a], model[b])
+				}
+				return bytes.Compare(a[:], b[:])
+			})
+			for _, gone := range all[:len(all)-max*3/4] {
+				delete(model, gone)
+			}
+		}
+		p.Touch(c, now)
+		model[c]++
+		if i%3 == 0 {
+			p.Touch(c, now)
+			model[c]++
+		}
+		if p.Len() != len(model) {
+			t.Fatalf("after %d touches: %d tracked, model %d", i+1, p.Len(), len(model))
+		}
+		for k, s := range model {
+			if got := p.Score(k, now); got != s {
+				t.Fatalf("after %d touches: %s scores %v, model %v", i+1, k, got, s)
+			}
+		}
 	}
 }
 
