@@ -13,7 +13,8 @@ import (
 // Layer benchmarks for the serving runtime's store calls, at the depths
 // it builds: one tier (a single device) and three (HBM → RAM → NVMe, with
 // upper tiers far smaller than the key pool, so lookups promote and puts
-// cascade demotions).
+// cascade demotions). They call the handle forms the runtime calls, except
+// BenchmarkTieredPut, which times the chunk.ID forward.
 
 const benchChunk = 1 << 10
 
@@ -49,6 +50,15 @@ func filledTiered(b *testing.B, depth int, keys []chunk.ID) *Tiered {
 	return ts
 }
 
+// handlesOf names keys in ts's table.
+func handlesOf(ts *Tiered, keys []chunk.ID) []Handle {
+	hs := make([]Handle, len(keys))
+	for i, k := range keys {
+		hs[i] = ts.names.Intern(k)
+	}
+	return hs
+}
+
 // BenchmarkTieredGetAt times one prefetch-aware lookup (no transfer in
 // flight), including any promotion and demotion cascade it triggers.
 func BenchmarkTieredGetAt(b *testing.B) {
@@ -56,10 +66,11 @@ func BenchmarkTieredGetAt(b *testing.B) {
 		b.Run(fmt.Sprintf("tiers%d", depth), func(b *testing.B) {
 			keys := benchKeys()
 			ts := filledTiered(b, depth, keys)
+			hs := handlesOf(ts, keys)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ts.GetAt(keys[i%len(keys)], float64(i))
+				ts.GetAtH(hs[i%len(hs)], float64(i))
 			}
 		})
 	}
@@ -78,10 +89,11 @@ func BenchmarkTieredContains(b *testing.B) {
 			for i, k := range keys {
 				probes = append(probes, k, absent[i])
 			}
+			hs := handlesOf(ts, probes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchFound = ts.Contains(probes[i%len(probes)])
+				benchFound = ts.Contains(hs[i%len(hs)])
 			}
 		})
 	}
@@ -108,43 +120,40 @@ func BenchmarkTieredPut(b *testing.B) {
 	}
 }
 
-// BenchmarkTieredUpdate times the per-token decode-KV append: a Put that
-// grows a key already resident on the top tier, in place — found through
-// the tier's index (tiersN), or through a Slot handle, as the serving
-// runtime writes it (tiersN-slot).
+// BenchmarkTieredUpdate times the per-token decode-KV append: a write by
+// handle that grows a key already resident on the top tier, in place, as
+// the serving runtime writes it.
 func BenchmarkTieredUpdate(b *testing.B) {
 	for _, depth := range []int{1, 3} {
-		for _, handle := range []bool{false, true} {
-			name := fmt.Sprintf("tiers%d", depth)
-			var slot *Slot
-			if handle {
-				name, slot = name+"-slot", new(Slot)
+		b.Run(fmt.Sprintf("tiers%d", depth), func(b *testing.B) {
+			ts := filledTiered(b, depth, benchKeys())
+			gen := ts.names.Name(chunk.Hash("bench/gen", []int{0}))
+			payload := new(Bytes)
+			*payload = 64
+			ts.PutH(gen, payload) //nolint:errcheck // fits the top tier
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				*payload = Bytes(64 + i%1024)
+				ts.PutH(gen, payload) //nolint:errcheck // fits the top tier
 			}
-			b.Run(name, func(b *testing.B) {
-				ts := filledTiered(b, depth, benchKeys())
-				gen := chunk.Hash("bench/gen", []int{0})
-				payload := new(Bytes)
-				*payload = 64
-				ts.PutSlot(slot, gen, payload) //nolint:errcheck // fits the top tier
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					*payload = Bytes(64 + i%1024)
-					ts.PutSlot(slot, gen, payload) //nolint:errcheck // fits the top tier
-				}
-			})
-		}
+		})
 	}
 }
 
 // BenchmarkPopularityTouch times one decayed access count.
 func BenchmarkPopularityTouch(b *testing.B) {
+	names := NewNames()
+	p := names.NewPopularity(64, 4096)
 	keys := benchKeys()
-	p := NewPopularity(64, 4096)
+	hs := make([]Handle, len(keys))
+	for i, k := range keys {
+		hs[i] = names.Intern(k)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Touch(keys[i%len(keys)], float64(i)*1e-3)
+		p.TouchH(hs[i%len(hs)], float64(i)*1e-3)
 	}
 }
 
@@ -157,8 +166,8 @@ func BenchmarkPopularityTop(b *testing.B) {
 	for i := 0; i < 8192; i++ {
 		p.Touch(keys[sim.Zipf(g, len(keys), 0.9)], float64(i)*1e-3)
 	}
-	keep := func(id chunk.ID) bool { return id[0]&1 == 0 }
-	var top []chunk.ID
+	keep := func(h Handle) bool { return p.names.ID(h)[0]&1 == 0 }
+	var top []Handle
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

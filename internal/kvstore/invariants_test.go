@@ -38,7 +38,7 @@ func TestStoreRandomizedInvariants(t *testing.T) {
 			case 0:
 				s.Put(key, Bytes(1+g.Intn(150))) //nolint:errcheck // always fits
 			case 1: // in-place update of a resident entry
-				if b := Bytes(1 + g.Intn(150)); s.Contains(key) {
+				if b := Bytes(1 + g.Intn(150)); s.Contains(s.names.Intern(key)) {
 					s.Put(key, b) //nolint:errcheck // always fits
 				}
 			case 2:
@@ -50,9 +50,9 @@ func TestStoreRandomizedInvariants(t *testing.T) {
 			if s.Used() > capacity {
 				t.Fatalf("op %d: used %d exceeds capacity %d", i, s.Used(), capacity)
 			}
-			if n, used := residentBytes(s.Each); n != s.Len() || used != s.Used() || len(s.idx.m) != n {
+			if n, used := residentBytes(s.Each); n != s.Len() || used != s.Used() || indexed(s) != n {
 				t.Fatalf("op %d: Each sees %d entries / %d bytes, store reports %d / %d, index holds %d",
-					i, n, used, s.Len(), s.Used(), len(s.idx.m))
+					i, n, used, s.Len(), s.Used(), indexed(s))
 			}
 		}
 		st := s.Stats()
@@ -102,29 +102,42 @@ func TestShardedRandomizedInvariants(t *testing.T) {
 	}
 }
 
+// indexed counts the handles ts's index holds an entry for.
+func indexed(ts *Tiered) int {
+	n := 0
+	for _, e := range ts.idx.of {
+		if e != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // placement maps every resident id to its tier, walking the shards'
 // recency lists — the entries Each reports — and checks the stack's one
 // index against them: each listed entry must be the index's entry for
-// its id, resident in its id's shard of the listing tier, no id may be
-// listed twice, and the index must hold exactly Len() ids.
+// its handle, resident in its id's shard of the listing tier, no id may
+// be listed twice (under one handle or two), and the index must hold
+// exactly Len() handles.
 func placement(t *testing.T, ts *Tiered) map[chunk.ID]int {
 	t.Helper()
 	on := make(map[chunk.ID]int, ts.Len())
 	for i, tier := range ts.tiers {
 		for _, sh := range tier.shards {
 			for e := sh.head; e != nil; e = e.next {
-				if j, dup := on[e.id]; dup {
-					t.Fatalf("chunk %s lives on tiers %d and %d", e.id, j, i)
+				id := ts.names.ID(e.h)
+				if j, dup := on[id]; dup {
+					t.Fatalf("chunk %s lives on tiers %d and %d", id, j, i)
 				}
-				on[e.id] = i
-				if ts.idx.m[e.id] != e || e.store != sh || sh != tier.shard(e.id) || sh.stack != ts || sh.tier != i {
-					t.Fatalf("chunk %s listed on tier %d is not the index's entry resident there", e.id, i)
+				on[id] = i
+				if ts.idx.get(e.h) != e || e.store != sh || sh != tier.shard(&id) || sh.stack != ts || sh.tier != i {
+					t.Fatalf("chunk %s listed on tier %d is not the index's entry resident there", id, i)
 				}
 			}
 		}
 	}
-	if len(ts.idx.m) != ts.Len() || len(on) != ts.Len() {
-		t.Fatalf("index holds %d ids and the lists %d, Len is %d", len(ts.idx.m), len(on), ts.Len())
+	if n := indexed(ts); n != ts.Len() || len(on) != ts.Len() {
+		t.Fatalf("index holds %d handles and the lists %d ids, Len is %d", n, len(on), ts.Len())
 	}
 	return on
 }
@@ -196,13 +209,13 @@ func TestTieredRandomizedInvariants(t *testing.T) {
 func TestPrefetchRandomizedInvariants(t *testing.T) {
 	tiers := threeTiers(1<<10, 1<<11, 0) // 16 and 32 chunks: most keys sit cold
 	ts := MustTiered(tiers, LRU)
-	pop := NewPopularity(32, 256)
 	keys := make([]chunk.ID, 64)
 	for i := range keys {
 		keys[i] = chunk.Hash("race", []int{i})
 	}
-	cold := func(c chunk.ID) bool { return ts.TierOf(c) > 0 }
-	var top []chunk.ID
+	pop := ts.names.NewPopularity(32, 256)
+	cold := func(h Handle) bool { return ts.TierOf(h) > 0 }
+	var top []Handle
 	g := tensor.NewRNG(1000)
 	now := 0.0
 	var lookups int64
@@ -219,9 +232,9 @@ func TestPrefetchRandomizedInvariants(t *testing.T) {
 		case 3:
 			pop.Touch(key, now)
 			top = pop.Top(top[:0], now, 8, cold)
-			for _, c := range top {
-				if ts.TierOf(c) <= 0 {
-					t.Fatalf("op %d: Top returned %s, which is not on a cold tier", i, c)
+			for _, h := range top {
+				if ts.TierOf(h) <= 0 {
+					t.Fatalf("op %d: Top returned %s, which is not on a cold tier", i, ts.names.ID(h))
 				}
 			}
 		default:
@@ -253,10 +266,10 @@ func TestPopularityTopMatchesSort(t *testing.T) {
 		id    chunk.ID
 		score float64
 	}
-	keep := func(c chunk.ID) bool { return c[0]%3 != 0 }
-	prefix := []chunk.ID{id(999)}
 	for _, halflife := range []float64{8, 0.5, 0, -1} {
 		p := NewPopularity(halflife, 0)
+		keep := func(h Handle) bool { return p.names.ID(h)[0]%3 != 0 }
+		prefix := []Handle{p.names.Intern(id(999))}
 		g := tensor.NewRNG(3)
 		for i := 0; i < 400; i++ {
 			// Whole-second touches at a coarse clock make many exact score ties.
@@ -264,9 +277,9 @@ func TestPopularityTopMatchesSort(t *testing.T) {
 		}
 		for _, now := range []float64{0, 12.5, 29, 40, 400, 5000} {
 			var all []ranked
-			for k, e := range p.scores {
-				if keep(k) {
-					all = append(all, ranked{k, p.decayed(e, now)})
+			for _, h := range p.tracked {
+				if keep(h) {
+					all = append(all, ranked{p.names.ID(h), p.decayed(&p.scores[h], now)})
 				}
 			}
 			sort.Slice(all, func(i, j int) bool {
@@ -276,7 +289,7 @@ func TestPopularityTopMatchesSort(t *testing.T) {
 				return bytes.Compare(all[i].id[:], all[j].id[:]) < 0
 			})
 			for _, k := range []int{0, 1, 2, 5, len(all), len(all) + 3} {
-				got := p.Top(append([]chunk.ID(nil), prefix...), now, k, keep)
+				got := p.Top(append([]Handle(nil), prefix...), now, k, keep)
 				want := len(all)
 				if k > 0 && k < want {
 					want = k
@@ -286,8 +299,8 @@ func TestPopularityTopMatchesSort(t *testing.T) {
 						halflife, now, k, len(got), got[0] == prefix[0], want)
 				}
 				for i, r := range all[:want] {
-					if got[1+i] != r.id {
-						t.Fatalf("halflife %v, now %v, k=%d: rank %d is %s, want %s", halflife, now, k, i, got[1+i], r.id)
+					if c := p.names.ID(got[1+i]); c != r.id {
+						t.Fatalf("halflife %v, now %v, k=%d: rank %d is %s, want %s", halflife, now, k, i, c, r.id)
 					}
 				}
 			}

@@ -1,19 +1,19 @@
-// Package kvstore implements the KV cache store of §5.1: a hash-addressed
-// map from chunk IDs to stored KV caches with capacity accounting, LRU (or
+// Package kvstore implements the KV cache store of §5.1: KV caches stored
+// under their chunks' content-hash IDs, with capacity accounting, LRU (or
 // FIFO) eviction and hit/miss statistics. Every store is a tier stack
 // (Tiered) over simulated storage devices, fastest first; a single device
 // is the one-tier stack. Loading delay is the read time of the device a
-// chunk is found on.
+// chunk is found on. A run names each chunk ID once with a dense Handle
+// (Names), and the stacks and popularity views index their per-chunk
+// state by handle; the chunk.ID methods are forwards that name the ID
+// first.
 //
 // Stores are owned by one simulation run. The serving runtime runs every
 // simulated process on one goroutine, so no store takes a lock: none is
 // safe for concurrent use, and each parallel sweep cell builds its own.
 package kvstore
 
-import (
-	"repro/internal/chunk"
-	"repro/internal/device"
-)
+import "repro/internal/device"
 
 // Sized is anything whose storage footprint is known. *kvcache.Cache
 // implements it; the serving simulator stores plain byte sizes.
@@ -57,25 +57,36 @@ func (s Stats) HitRate() float64 {
 // removed entries recycle through their index's freelist instead of
 // churning the GC. An entry moves between its stack's stores as it is
 // promoted and demoted, and store always names the one it is resident in.
+// It holds its chunk's handle, not its 32-byte id, so it fits the 64-byte
+// size class; the id is read through the stack's table where needed.
 type entry struct {
-	id         chunk.ID
+	h          Handle
 	payload    Sized
 	bytes      int64
 	store      *Store // the store e is resident in; nil once freed
 	prev, next *entry // recency list when resident; next chains the freelist
 }
 
-// index maps every resident id to its entry and recycles freed entries.
-// A Tiered owns one that every store in its stack shares: an id has at
-// most one entry in a stack, whichever tier holds it, so the index
-// changes only when an id enters or leaves it.
+// index maps every resident handle to its entry and recycles freed
+// entries. A Tiered owns one that every store in its stack shares: a
+// handle has at most one entry in a stack, whichever tier holds it, so
+// the index changes only when a handle enters or leaves it.
 type index struct {
-	m    map[chunk.ID]*entry
-	free *entry // recycled entries, chained via next
+	of   []*entry // handle → resident entry; nil where absent
+	free *entry   // recycled entries, chained via next
 }
 
-// enter indexes id with an entry off the freelist, or a new one.
-func (x *index) enter(id chunk.ID) *entry {
+// get returns h's entry, or nil.
+func (x *index) get(h Handle) *entry {
+	if int(h) < len(x.of) {
+		return x.of[h]
+	}
+	return nil
+}
+
+// enter indexes h, a handle of table n, with an entry off the freelist,
+// or a new one.
+func (x *index) enter(h Handle, n *Names) *entry {
 	e := x.free
 	if e != nil {
 		x.free = e.next
@@ -83,22 +94,23 @@ func (x *index) enter(id chunk.ID) *entry {
 	} else {
 		e = new(entry)
 	}
-	e.id = id
-	x.m[id] = e
+	e.h = h
+	x.of = covering(x.of, h, n)
+	x.of[h] = e
 	return e
 }
 
-// drop deletes e's id and recycles e, clearing its payload reference and
-// its store. e must be on no recency list.
+// drop unindexes e's handle and recycles e, clearing its payload reference
+// and its store. e must be on no recency list.
 func (x *index) drop(e *entry) {
-	delete(x.m, e.id)
+	x.of[e.h] = nil
 	*e = entry{next: x.free}
 	x.free = e
 }
 
 // Store is a capacity-bounded list of the entries resident on one device:
-// one shard of one tier of a Tiered stack. It finds no ids itself — the
-// stack's index does — and hands each eviction victim to its stack,
+// one shard of one tier of a Tiered stack. It finds no chunks itself —
+// the stack's index does — and hands each eviction victim to its stack,
 // which demotes it a tier.
 type Store struct {
 	dev        device.Device
@@ -210,11 +222,11 @@ func (s *Store) Len() int {
 	return s.n
 }
 
-// Each calls fn for every resident entry with its id and byte size, in
-// recency order (most recently used first). It touches neither recency
+// each calls fn for every resident entry with its handle and byte size,
+// in recency order (most recently used first). It touches neither recency
 // nor statistics; fn must not call back into the store.
-func (s *Store) Each(fn func(id chunk.ID, bytes int64)) {
+func (s *Store) each(fn func(h Handle, bytes int64)) {
 	for e := s.head; e != nil; e = e.next {
-		fn(e.id, e.bytes)
+		fn(e.h, e.bytes)
 	}
 }

@@ -51,10 +51,10 @@ func TestLRUEviction(t *testing.T) {
 	if err := s.Put(id(4), Bytes(100)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Contains(id(2)) {
+	if s.Contains(s.names.Intern(id(2))) {
 		t.Fatal("LRU should have evicted id 2")
 	}
-	if !s.Contains(id(1)) || !s.Contains(id(3)) || !s.Contains(id(4)) {
+	if !s.Contains(s.names.Intern(id(1))) || !s.Contains(s.names.Intern(id(3))) || !s.Contains(s.names.Intern(id(4))) {
 		t.Fatal("wrong eviction victim")
 	}
 	if s.Stats().Evictions != 1 {
@@ -69,7 +69,7 @@ func TestFIFOEvictionIgnoresRecency(t *testing.T) {
 	}
 	s.Get(id(1)) // should NOT protect id 1 under FIFO
 	s.Put(id(4), Bytes(100))
-	if s.Contains(id(1)) {
+	if s.Contains(s.names.Intern(id(1))) {
 		t.Fatal("FIFO should have evicted the oldest entry regardless of use")
 	}
 }
@@ -112,12 +112,12 @@ func TestEvictionKeepsWithinCapacity(t *testing.T) {
 func TestLoadTime(t *testing.T) {
 	s := MustTiered([]Tier{{Device: device.SlowSSD}}, LRU)
 	s.Put(id(1), Bytes(1e9))
-	got := s.LoadTime(id(1))
+	got := s.LoadTime(s.names.Intern(id(1)))
 	want := device.SlowSSD.ReadTime(1e9)
 	if got != want {
 		t.Fatalf("LoadTime=%v want %v", got, want)
 	}
-	if s.LoadTime(id(2)) != 0 {
+	if s.LoadTime(s.names.Intern(id(2))) != 0 {
 		t.Fatal("missing entry must load in 0")
 	}
 }
@@ -141,7 +141,7 @@ func TestRemove(t *testing.T) {
 	if !s.Remove(id(1)) {
 		t.Fatal("Remove of a resident id must report true")
 	}
-	if s.Contains(id(1)) || s.Len() != 1 || s.Used() != 60 {
+	if s.Contains(s.names.Intern(id(1))) || s.Len() != 1 || s.Used() != 60 {
 		t.Fatalf("store inconsistent after Remove: len=%d used=%d", s.Len(), s.Used())
 	}
 	if s.Remove(id(99)) {
@@ -168,7 +168,7 @@ func TestTieredDemotionOrder(t *testing.T) {
 	}
 	// The top holds 2 entries: ids 1 then 2 fall off its back.
 	want := []resident{{id(2), 100}, {id(1), 100}}
-	if got := residents(ts.tiers[1].Each); !slices.Equal(got, want) {
+	if got := residents(idEach(ts, ts.tiers[1].each)); !slices.Equal(got, want) {
 		t.Fatalf("tier 1 holds %v, want %v", got, want)
 	}
 	if d := ts.TierStats()[0].Demotions; d != 2 {
@@ -278,8 +278,8 @@ func TestOneTierMatchesStore(t *testing.T) {
 	if err, refErr := ts.Put(id(1), Bytes(501)), ref.Put(id(1), Bytes(501)); err == nil || refErr == nil {
 		t.Fatalf("oversize overwrite accepted: Put = %v, reference %v", err, refErr)
 	}
-	if ts.Contains(id(1)) || ts.Used() != 0 {
-		t.Fatalf("the stack kept the old copy: Contains %v, Used %d", ts.Contains(id(1)), ts.Used())
+	if ts.Contains(ts.names.Intern(id(1))) || ts.Used() != 0 {
+		t.Fatalf("the stack kept the old copy: Contains %v, Used %d", ts.Contains(ts.names.Intern(id(1))), ts.Used())
 	}
 	if !ref.Contains(id(1)) || ref.Used() != 100 {
 		t.Fatalf("the store dropped the old copy: Contains %v, Used %d", ref.Contains(id(1)), ref.Used())

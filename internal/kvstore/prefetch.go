@@ -27,10 +27,10 @@ import (
 	"repro/internal/chunk"
 )
 
-// transfer is one in-flight prefetch promotion: id's payload is being
+// transfer is one in-flight prefetch promotion: h's payload is being
 // copied from tier src to the top tier, completing at arrival.
 type transfer struct {
-	id        chunk.ID
+	h         Handle
 	payload   Sized
 	src       int
 	bytes     int64
@@ -78,11 +78,16 @@ func (p PrefetchStats) Accuracy() float64 {
 // or already in flight (arrival then reports the existing transfer's
 // completion time).
 func (t *Tiered) Prefetch(id chunk.ID, now, bw float64) (arrival float64, started bool) {
+	return t.PrefetchH(t.names.Intern(id), now, bw)
+}
+
+// PrefetchH is Prefetch by handle.
+func (t *Tiered) PrefetchH(h Handle, now, bw float64) (arrival float64, started bool) {
 	t.advance(now)
-	if tr, ok := t.flights[id]; ok {
+	if tr := t.flight(h); tr != nil {
 		return tr.arrival, false
 	}
-	e := t.idx.m[id]
+	e := t.idx.get(h)
 	if e == nil || e.store.tier == 0 {
 		return 0, false // absent, or already hot
 	}
@@ -93,11 +98,13 @@ func (t *Tiered) Prefetch(id chunk.ID, now, bw float64) (arrival float64, starte
 	bytes := payload.SizeBytes()
 	t.flightSeq++
 	tr := &transfer{
-		id: id, payload: payload, src: src, bytes: bytes,
+		h: h, payload: payload, src: src, bytes: bytes,
 		arrival: now + t.cfg[src].Device.ReadTime(bytes)/bw,
 		seq:     t.flightSeq,
 	}
-	t.flights[id] = tr
+	t.flights = covering(t.flights, h, t.names)
+	t.flights[h] = tr
+	t.inflight++
 	t.flightQ = append(t.flightQ, tr)
 	t.pf.Issued++
 	t.pf.BytesMoved += bytes
@@ -111,29 +118,40 @@ func (t *Tiered) Prefetch(id chunk.ID, now, bw float64) (arrival float64, starte
 // and leaves the promotion to the transfer's completion. Any other lookup
 // behaves exactly like Get.
 func (t *Tiered) GetAt(id chunk.ID, now float64) (payload Sized, tier int, wait float64, ok bool) {
+	return t.GetAtH(t.names.Intern(id), now)
+}
+
+// GetAtH is GetAt by handle.
+func (t *Tiered) GetAtH(h Handle, now float64) (payload Sized, tier int, wait float64, ok bool) {
 	t.advance(now)
-	if tr, ok := t.flights[id]; ok {
+	if tr := t.flight(h); tr != nil {
 		t.hits[tr.src]++
 		t.pf.Hits++
 		t.pf.InflightJoins++
 		tr.read = true
 		return tr.payload, tr.src, tr.arrival - now, true
 	}
-	payload, tier, ok = t.Get(id)
-	if ok {
-		if _, unread := t.unread[id]; unread {
-			t.pf.Hits++ // first read of a completed prefetch: it paid off
-			delete(t.unread, id)
-		}
+	payload, tier, ok = t.GetH(h)
+	if ok && int(h) < len(t.unread) && t.unread[h] != nil {
+		t.pf.Hits++ // first read of a completed prefetch: it paid off
+		t.unread[h] = nil
 	}
 	return payload, tier, 0, ok
 }
 
-// TierOf reports the tier index id currently lives on (-1 if absent)
+// flight returns h's transfer in flight, or nil.
+func (t *Tiered) flight(h Handle) *transfer {
+	if int(h) < len(t.flights) {
+		return t.flights[h]
+	}
+	return nil
+}
+
+// TierOf reports the tier index h currently lives on (-1 if absent)
 // without touching recency, statistics or placement. The predictive
 // prefetcher uses it to pick popular-but-cold candidates.
-func (t *Tiered) TierOf(id chunk.ID) int {
-	if e := t.idx.m[id]; e != nil {
+func (t *Tiered) TierOf(h Handle) int {
+	if e := t.idx.get(h); e != nil {
 		return e.store.tier
 	}
 	return -1
@@ -141,7 +159,7 @@ func (t *Tiered) TierOf(id chunk.ID) int {
 
 // Inflight reports how many transfers are currently in flight.
 func (t *Tiered) Inflight() int {
-	return len(t.flights)
+	return t.inflight
 }
 
 // PrefetchStats snapshots the transfer-model counters.
@@ -187,8 +205,9 @@ func (t *Tiered) advance(now float64) {
 // under demotion cascades while in flight). A chunk that left the
 // hierarchy mid-flight is NOT re-inserted — its bytes moved for nothing.
 func (t *Tiered) complete(tr *transfer) {
-	delete(t.flights, tr.id)
-	e := t.idx.m[tr.id]
+	t.flights[tr.h] = nil
+	t.inflight--
+	e := t.idx.get(tr.h)
 	switch {
 	case e == nil:
 		// Evicted while in flight: never resurrect.
@@ -204,7 +223,8 @@ func (t *Tiered) complete(tr *transfer) {
 	}
 	t.pf.Completed++
 	if !tr.read {
-		t.unread[tr.id] = tr.bytes
+		t.unread = covering(t.unread, tr.h, t.names)
+		t.unread[tr.h] = tr
 	}
 }
 
@@ -221,34 +241,37 @@ func (t *Tiered) Drain() int {
 		if tr.cancelled {
 			continue
 		}
-		t.cancel(tr.id)
+		t.cancel(tr.h)
 		n++
 	}
 	t.flightQ = t.flightQ[:0]
 	return n
 }
 
-// cancel aborts id's in-flight transfer, if any: Put supersedes the
+// cancel aborts h's in-flight transfer, if any: Put supersedes the
 // copy being moved, Remove releases the key outright. Bytes already
 // streaming count as wasted unless a join read them.
-func (t *Tiered) cancel(id chunk.ID) {
-	tr, ok := t.flights[id]
-	if !ok {
+func (t *Tiered) cancel(h Handle) {
+	tr := t.flight(h)
+	if tr == nil {
 		return
 	}
 	tr.cancelled = true
-	delete(t.flights, id)
+	t.flights[h] = nil
+	t.inflight--
 	if !tr.read {
 		t.pf.BytesWasted += tr.bytes
 	}
 }
 
-// wasteUnread marks a completed-but-unread prefetch of id as undone
+// wasteUnread marks a completed-but-unread prefetch of h as undone
 // — called when demotion, eviction or removal takes the promoted copy off
 // the top tier before any lookup touched it.
-func (t *Tiered) wasteUnread(id chunk.ID) {
-	if b, ok := t.unread[id]; ok {
-		t.pf.BytesWasted += b
-		delete(t.unread, id)
+func (t *Tiered) wasteUnread(h Handle) {
+	if int(h) < len(t.unread) {
+		if tr := t.unread[h]; tr != nil {
+			t.pf.BytesWasted += tr.bytes
+			t.unread[h] = nil
+		}
 	}
 }

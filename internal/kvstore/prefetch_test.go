@@ -162,7 +162,7 @@ func TestPrefetchRemoveNeverResurrects(t *testing.T) {
 	if _, _, _, ok := ts.GetAt(c, arrival+1); ok {
 		t.Fatal("removed chunk resurrected by a late transfer arrival")
 	}
-	if got := ts.TierOf(c); got != -1 {
+	if got := ts.TierOf(ts.names.Intern(c)); got != -1 {
 		t.Fatalf("removed chunk on tier %d", got)
 	}
 	pf := ts.PrefetchStats()
@@ -186,7 +186,7 @@ func TestPrefetchEvictedMidflightNotReinserted(t *testing.T) {
 	// and leaves the hierarchy while its transfer is still in flight.
 	ts.Put(chunk.Hash("fresh", []int{1}), Bytes(100)) //nolint:errcheck
 	ts.Put(chunk.Hash("fresh", []int{2}), Bytes(100)) //nolint:errcheck
-	if got := ts.TierOf(c); got != -1 {
+	if got := ts.TierOf(ts.names.Intern(c)); got != -1 {
 		t.Fatalf("setup: chunk still on tier %d", got)
 	}
 	if _, _, _, ok := ts.GetAt(c, arrival+1); ok {
@@ -207,7 +207,7 @@ func TestPrefetchUnreadDemotionCountsWaste(t *testing.T) {
 	// Land the transfer without reading c (a lookup of an absent chunk
 	// advances the clock), then demote c off the top before any read.
 	ts.GetAt(chunk.Hash("absent", []int{3}), arrival+1)
-	if got := ts.TierOf(c); got != 0 {
+	if got := ts.TierOf(ts.names.Intern(c)); got != 0 {
 		t.Fatalf("setup: chunk on tier %d, want promoted to 0", got)
 	}
 	ts.Put(chunk.Hash("fresh", []int{4}), Bytes(100)) //nolint:errcheck — demotes c
@@ -273,33 +273,42 @@ func TestPrefetchStatsAccuracy(t *testing.T) {
 	}
 }
 
+// topIDs is p.Top into a fresh slice, read back as ids.
+func topIDs(p *Popularity, now float64, k int, keep func(Handle) bool) []chunk.ID {
+	var ids []chunk.ID
+	for _, h := range p.Top(nil, now, k, keep) {
+		ids = append(ids, p.names.ID(h))
+	}
+	return ids
+}
+
 func TestPopularityDecayAndRanking(t *testing.T) {
 	p := NewPopularity(10, 0)
 	a, b := id(10), id(11)
 	for i := 0; i < 3; i++ {
 		p.Touch(a, 0)
 	}
-	if got := p.Score(a, 0); got != 3 {
+	if got := p.Score(p.names.Intern(a), 0); got != 3 {
 		t.Fatalf("score %v, want 3", got)
 	}
-	if got := p.Score(a, 10); math.Abs(got-1.5) > 1e-12 {
+	if got := p.Score(p.names.Intern(a), 10); math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("score after one halflife %v, want 1.5", got)
 	}
 	// Recency beats stale volume: two fresh touches of b outrank a's
 	// three decayed ones after two halflives.
 	p.Touch(b, 20)
 	p.Touch(b, 20)
-	top := p.Top(nil, 20, 1, nil)
+	top := topIDs(p, 20, 1, nil)
 	if len(top) != 1 || top[0] != b {
 		t.Fatalf("top at t=20 = %v, want [%s]", top, b)
 	}
 	// The keep filter drops ids.
-	top = p.Top(nil, 20, 2, func(c chunk.ID) bool { return c != b })
+	top = topIDs(p, 20, 2, func(h Handle) bool { return p.names.ID(h) != b })
 	if len(top) != 1 || top[0] != a {
 		t.Fatalf("filtered top = %v, want [%s]", top, a)
 	}
 	// Scores never go negative, no matter how stale.
-	if got := p.Score(a, 1e6); got < 0 {
+	if got := p.Score(p.names.Intern(a), 1e6); got < 0 {
 		t.Fatalf("score went negative: %v", got)
 	}
 }
@@ -316,8 +325,8 @@ func TestPopularityCapCompaction(t *testing.T) {
 	if p.Len() > 8 {
 		t.Fatalf("tracked %d chunks, cap is 8", p.Len())
 	}
-	if p.Score(hot, 16) < 5 {
-		t.Fatalf("compaction evicted the hottest chunk (score %v)", p.Score(hot, 16))
+	if p.Score(p.names.Intern(hot), 16) < 5 {
+		t.Fatalf("compaction evicted the hottest chunk (score %v)", p.Score(p.names.Intern(hot), 16))
 	}
 }
 
@@ -336,7 +345,7 @@ func TestPopularityTieBreaksByID(t *testing.T) {
 	}
 	want := slices.Clone(ids)
 	slices.Reverse(want)
-	if top := p.Top(nil, now, 0, nil); !slices.Equal(top, want) {
+	if top := topIDs(p, now, 0, nil); !slices.Equal(top, want) {
 		t.Fatalf("tied ranking %v, want ascending id bytes %v", top, want)
 	}
 
@@ -372,7 +381,7 @@ func TestPopularityTieBreaksByID(t *testing.T) {
 			t.Fatalf("after %d touches: %d tracked, model %d", i+1, p.Len(), len(model))
 		}
 		for k, s := range model {
-			if got := p.Score(k, now); got != s {
+			if got := p.Score(p.names.Intern(k), now); got != s {
 				t.Fatalf("after %d touches: %s scores %v, model %v", i+1, k, got, s)
 			}
 		}
@@ -383,7 +392,7 @@ func TestPopularityStaleNowDoesNotInflate(t *testing.T) {
 	p := NewPopularity(10, 0)
 	c := id(21)
 	p.Touch(c, 100)
-	if got := p.Score(c, 50); got != 1 {
+	if got := p.Score(p.names.Intern(c), 50); got != 1 {
 		t.Fatalf("stale-clock score %v, want 1 (no inverse decay)", got)
 	}
 }
@@ -391,13 +400,18 @@ func TestPopularityStaleNowDoesNotInflate(t *testing.T) {
 // FuzzPrefetch drives random op sequences with a monotonic clock against
 // the transfer model and checks its core invariants: a join is charged at
 // most the transfer duration and the residual wait only shrinks; a
-// removed key never resurrects until the next Put; a write through a
-// Slot to a key in flight cancels its transfer as a Put does; popularity
-// scores stay non-negative; the waste/moved and hit/miss ledgers stay
-// consistent; the stack's index holds exactly its resident entries. The
-// frozen pre-index stack (reference_test.go) replays every op and must
-// return the same values and hold the same tiers, recency order,
-// statistics and transfers.
+// removed key never resurrects until the next Put; a write by handle to a
+// key in flight cancels its transfer as a Put does; popularity scores stay
+// non-negative; the waste/moved and hit/miss ledgers stay consistent; the
+// stack's index holds exactly its resident entries. The frozen pre-index
+// stack (reference_test.go) replays every op and must return the same
+// values and hold the same tiers, recency order, statistics and transfers.
+//
+// The stack shares its table with another stack that named ids first, so
+// its handles do not start at 0. Its keys are named up front, and every op
+// but Put goes by handle; Put takes the chunk.ID, and its first call
+// builds the table's id map from the live handles. Either way an id must
+// keep the one handle it was named with.
 func FuzzPrefetch(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 250, 7})
 	f.Add(int64(7), []byte{2, 2, 4, 1, 4, 2, 4, 200, 4})
@@ -407,19 +421,29 @@ func FuzzPrefetch(f *testing.F) {
 	f.Add(int64(5), []byte{0, 6, 12, 18, 24, 30, 36, 42, 48, 54, 2, 2, 2, 2, 5, 2, 2, 5, 4, 5})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		tiers := threeTiers(512, 1024, 0)
-		ts := MustTiered(tiers, LRU)
+		names := NewNames()
+		other := names.MustTiered(tiers, LRU)
+		for i := 0; i < 5; i++ {
+			if err := other.PutH(names.Name(chunk.Hash("other", []int{i})), Bytes(64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := names.MustTiered(tiers, LRU)
+		handles := make([]Handle, 24) // fuzz key i's handle
+		for i := range handles {
+			handles[i] = names.Name(chunk.Hash("fuzz", []int{i}))
+		}
 		ref := mustRefTiered(tiers, LRU)
-		pop := NewPopularity(16, 64)
+		pop := names.NewPopularity(16, 64)
 		g := tensor.NewRNG(seed)
 		now := 0.0
 		lookups, removedAt := 0, make(map[chunk.ID]bool) // removed, no Put since
 		inflight := make(map[chunk.ID]float64)           // key → arrival
-		slots := make(map[chunk.ID]*Slot)                // one handle per key
-		refSlots := make(map[chunk.ID]*refSlot)          // the reference's handles
-		var lastStarted *chunk.ID                        // key of the latest transfer started
+		lastStarted := -1                                // key index of the latest transfer started
 		for _, b := range ops {
 			now += float64(b%16) * 1e-3 // monotonic virtual clock
-			key := chunk.Hash("fuzz", []int{g.Intn(24)})
+			k := g.Intn(24)
+			key, h := chunk.Hash("fuzz", []int{k}), handles[k]
 			switch b % 6 {
 			case 0:
 				size := Bytes(64 + int64(b)%192)
@@ -429,13 +453,13 @@ func FuzzPrefetch(f *testing.F) {
 				delete(removedAt, key)
 				delete(inflight, key)
 			case 1:
-				if a, b := ts.Remove(key), ref.Remove(key); a != b {
+				if a, b := ts.RemoveH(h), ref.Remove(key); a != b {
 					t.Fatalf("Remove = %v, reference %v", a, b)
 				}
 				removedAt[key] = true
 				delete(inflight, key)
 			case 2:
-				arrival, started := ts.Prefetch(key, now, 1)
+				arrival, started := ts.PrefetchH(h, now, 1)
 				if ra, rs := ref.Prefetch(key, now, 1); arrival != ra || started != rs {
 					t.Fatalf("Prefetch = (%v, %v), reference (%v, %v)", arrival, started, ra, rs)
 				}
@@ -444,48 +468,45 @@ func FuzzPrefetch(f *testing.F) {
 						t.Fatalf("transfer arrives in the past: %v < %v", arrival, now)
 					}
 					inflight[key] = arrival
-					lastStarted = &key
+					lastStarted = k
 					if removedAt[key] {
 						t.Fatal("prefetch started for a removed key")
 					}
 				}
 			case 3:
-				pop.Touch(key, now)
-				if s := pop.Score(key, now+float64(b)); s < 0 {
+				pop.TouchH(h, now)
+				if s := pop.Score(h, now+float64(b)); s < 0 {
 					t.Fatalf("negative popularity score %v", s)
 				}
-				if a, b := ts.TierOf(key), ref.TierOf(key); a != b {
+				if a, b := ts.TierOf(h), ref.TierOf(key); a != b {
 					t.Fatalf("TierOf = %d, reference %d", a, b)
 				}
 			case 5: // a handle write, to the latest transfer's key if any
-				if lastStarted != nil {
-					key = *lastStarted
-				}
-				if slots[key] == nil {
-					slots[key], refSlots[key] = new(Slot), new(refSlot)
+				if lastStarted >= 0 {
+					key, h = chunk.Hash("fuzz", []int{lastStarted}), handles[lastStarted]
 				}
 				flying := ts.Inflight()
-				if _, ok := ts.flights[key]; ok {
+				if ts.flight(h) != nil {
 					flying--
 				}
 				size := Bytes(64 + int64(b)%192)
-				err, refErr := ts.PutSlot(slots[key], key, size), ref.PutSlot(refSlots[key], key, size)
+				err, refErr := ts.PutH(h, size), ref.Put(key, size)
 				if (err == nil) != (refErr == nil) {
-					t.Fatalf("PutSlot error %v, reference %v", err, refErr)
+					t.Fatalf("PutH error %v, reference %v", err, refErr)
 				}
-				if _, ok := ts.flights[key]; ok || ts.Inflight() != flying {
+				if ts.flight(h) != nil || ts.Inflight() != flying {
 					t.Fatalf("a write left its key's transfer in flight (%d in flight, want %d)", ts.Inflight(), flying)
 				}
 				delete(removedAt, key)
 				delete(inflight, key)
 			default:
-				payload, tier, wait, ok := ts.GetAt(key, now)
+				payload, tier, wait, ok := ts.GetAtH(h, now)
 				if rp, rt, rw, rok := ref.GetAt(key, now); payload != rp || tier != rt || wait != rw || ok != rok {
-					t.Fatalf("GetAt = (%v, %d, %v, %v), reference (%v, %d, %v, %v)", payload, tier, wait, ok, rp, rt, rw, rok)
+					t.Fatalf("GetAtH = (%v, %d, %v, %v), reference (%v, %d, %v, %v)", payload, tier, wait, ok, rp, rt, rw, rok)
 				}
 				lookups++
 				if ok {
-					pop.Touch(key, now)
+					pop.TouchH(h, now)
 				}
 				if wait < 0 {
 					t.Fatalf("negative residual wait %v", wait)
@@ -504,6 +525,10 @@ func FuzzPrefetch(f *testing.F) {
 			}
 			placement(t, ts)
 			sameAsRef(t, ts, ref)
+			if names.Len() != 5+len(handles) || other.Len() != 5 {
+				t.Fatalf("the table holds %d handles and the other stack %d entries, want %d and 5",
+					names.Len(), other.Len(), 5+len(handles))
+			}
 		}
 		pf := ts.PrefetchStats()
 		if pf.BytesWasted > pf.BytesMoved {

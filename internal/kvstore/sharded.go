@@ -2,7 +2,8 @@
 // are content hashes, so routing on the ID's leading bytes spreads entries
 // uniformly across the shards, each with its own capacity slice and its
 // own LRU order. The shards index through their stack's one index, so a
-// lookup needs no shard: only an insert or a demotion picks one.
+// lookup needs no shard: only an insert or a demotion picks one, reading
+// the chunk's ID through the stack's handle table.
 package kvstore
 
 import (
@@ -46,7 +47,10 @@ func newSharded(t *Tiered, i int, tc Tier, policy Policy) *Sharded {
 
 // shard routes id to its shard. Chunk IDs are SHA-256 output, so the
 // leading 8 bytes are already uniformly distributed.
-func (s *Sharded) shard(id chunk.ID) *Store {
+func (s *Sharded) shard(id *chunk.ID) *Store {
+	if len(s.shards) == 1 {
+		return s.shards[0]
+	}
 	return s.shards[binary.LittleEndian.Uint64(id[:8])%uint64(len(s.shards))]
 }
 
@@ -68,11 +72,11 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// Each calls fn for every resident entry across shards (shard by shard,
-// recency order within each). See Store.Each.
-func (s *Sharded) Each(fn func(id chunk.ID, bytes int64)) {
+// each calls fn for every resident entry across shards (shard by shard,
+// recency order within each). See Store.each.
+func (s *Sharded) each(fn func(h Handle, bytes int64)) {
 	for _, sh := range s.shards {
-		sh.Each(fn)
+		sh.each(fn)
 	}
 }
 

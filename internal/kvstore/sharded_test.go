@@ -37,10 +37,10 @@ func TestShardedBasics(t *testing.T) {
 		if _, tier, ok := s.Get(id); !ok || tier != 0 {
 			t.Fatalf("lost id %s", id)
 		}
-		if !s.Contains(id) {
+		if !s.Contains(s.names.Intern(id)) {
 			t.Fatalf("Contains(%s) false", id)
 		}
-		if s.LoadTime(id) <= 0 {
+		if s.LoadTime(s.names.Intern(id)) <= 0 {
 			t.Fatalf("LoadTime(%s) not positive", id)
 		}
 	}

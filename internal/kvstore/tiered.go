@@ -4,12 +4,13 @@
 // stores — e.g. GPU-HBM → CPU-RAM → NVMe — with one index for the whole
 // stack: a chunk lives on at most one tier, so one probe finds it on
 // whichever tier holds it, and each tier is a set of recency lists its
-// entries are relinked between. Hits on a lower tier promote the chunk to
-// the top (it is hot); capacity pressure on a tier demotes its LRU
-// victims to the next tier down instead of dropping them; entries leave
-// the hierarchy only off the bottom tier. Neither move touches the index.
-// The result approximates one global LRU over the summed capacity while
-// keeping hot chunks on fast devices.
+// entries are relinked between. The index is a slice over the handles of
+// the stack's Names table, so the probe is one slice load. Hits on a
+// lower tier promote the chunk to the top (it is hot); capacity pressure
+// on a tier demotes its LRU victims to the next tier down instead of
+// dropping them; entries leave the hierarchy only off the bottom tier.
+// Neither move touches the index. The result approximates one global LRU
+// over the summed capacity while keeping hot chunks on fast devices.
 package kvstore
 
 import (
@@ -52,11 +53,16 @@ type TierStats struct {
 }
 
 // Tiered is a multi-tier KV store in which a chunk lives on at most one
-// tier. Like Store, it is owned by one run and not safe for concurrent
-// use.
+// tier. It is built over a Names table, and every per-chunk state it
+// keeps — its index, its transfers in flight and its unread prefetch
+// marks — is a slice indexed by handle. Each method that takes a
+// chunk.ID names the ID in the table and forwards to its handle form, the
+// one the serving runtime calls. Like Store, a stack is owned by one run
+// and not safe for concurrent use.
 type Tiered struct {
+	names  *Names
 	tiers  []*Sharded
-	idx    index // every resident id, whichever tier holds it
+	idx    index // every resident handle, whichever tier holds it
 	cfg    []Tier
 	hits   []int64 // lookups served per tier
 	promos []int64 // promotions out of each tier
@@ -65,32 +71,43 @@ type Tiered struct {
 	misses int64
 	puts   int64
 
-	// In-flight prefetch transfer model (prefetch.go).
-	flights   map[chunk.ID]*transfer // keys currently being promoted
-	flightQ   []*transfer            // issue-ordered queue advance drains
-	due       []*transfer            // advance's scratch: the transfers it completes
+	// In-flight prefetch transfer model (prefetch.go), by handle.
+	flights   []*transfer // handle → its transfer in flight; nil: none
+	inflight  int         // transfers in flight
+	flightQ   []*transfer // issue-ordered queue advance drains
+	due       []*transfer // advance's scratch: the transfers it completes
 	flightSeq int
-	unread    map[chunk.ID]int64 // completed prefetches no lookup has touched
+	unread    []*transfer // handle → its completed transfer no lookup has read; nil: none
 	pf        PrefetchStats
 }
 
-// NewTiered builds a tier stack, fastest tier first. Every tier above the
-// bottom must be capacity-bounded (an unbounded upper tier would never
-// demote, starving the tiers below it).
+// NewTiered builds a tier stack over a Names table of its own, fastest
+// tier first. Every tier above the bottom must be capacity-bounded (an
+// unbounded upper tier would never demote, starving the tiers below it).
 func NewTiered(tiers []Tier, policy Policy) (*Tiered, error) {
+	return NewNames().NewTiered(tiers, policy)
+}
+
+// MustTiered is NewTiered for static configurations known to be valid.
+func MustTiered(tiers []Tier, policy Policy) *Tiered {
+	return NewNames().MustTiered(tiers, policy)
+}
+
+// NewTiered builds a tier stack over n, as the package's NewTiered does
+// over a table of its own. Stacks over one table share its handles, each
+// holding its own state for them.
+func (n *Names) NewTiered(tiers []Tier, policy Policy) (*Tiered, error) {
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("kvstore: tiered store needs at least one tier")
 	}
 	t := &Tiered{
-		tiers:   make([]*Sharded, len(tiers)),
-		idx:     index{m: make(map[chunk.ID]*entry)},
-		cfg:     append([]Tier(nil), tiers...),
-		hits:    make([]int64, len(tiers)),
-		promos:  make([]int64, len(tiers)),
-		demos:   make([]int64, len(tiers)),
-		drops:   make([]int64, len(tiers)),
-		flights: make(map[chunk.ID]*transfer),
-		unread:  make(map[chunk.ID]int64),
+		names:  n,
+		tiers:  make([]*Sharded, len(tiers)),
+		cfg:    append([]Tier(nil), tiers...),
+		hits:   make([]int64, len(tiers)),
+		promos: make([]int64, len(tiers)),
+		demos:  make([]int64, len(tiers)),
+		drops:  make([]int64, len(tiers)),
 	}
 	for i, tc := range tiers {
 		if err := tc.Device.Validate(); err != nil {
@@ -105,8 +122,8 @@ func NewTiered(tiers []Tier, policy Policy) (*Tiered, error) {
 }
 
 // MustTiered is NewTiered for static configurations known to be valid.
-func MustTiered(tiers []Tier, policy Policy) *Tiered {
-	t, err := NewTiered(tiers, policy)
+func (n *Names) MustTiered(tiers []Tier, policy Policy) *Tiered {
+	t, err := n.NewTiered(tiers, policy)
 	if err != nil {
 		panic(err)
 	}
@@ -119,13 +136,22 @@ func (t *Tiered) Depth() int { return len(t.tiers) }
 // TierDevice returns tier i's device.
 func (t *Tiered) TierDevice(i int) device.Device { return t.cfg[i].Device }
 
+// shard returns h's shard on tier i, picked by the leading bytes of the
+// id h names.
+func (t *Tiered) shard(i int, h Handle) *Store {
+	return t.tiers[i].shard(&t.names.ids[h])
+}
+
 // Get looks id up on whichever tier holds it. On a hit it returns the
 // payload and the tier index it was found on (the tier whose loading
 // delay the caller should charge), then promotes the chunk to the top
 // tier — the promotion may cascade demotions downward. A chunk the top
 // tier cannot hold stays where it is.
-func (t *Tiered) Get(id chunk.ID) (Sized, int, bool) {
-	e := t.idx.m[id]
+func (t *Tiered) Get(id chunk.ID) (Sized, int, bool) { return t.GetH(t.names.Intern(id)) }
+
+// GetH is Get by handle.
+func (t *Tiered) GetH(h Handle) (Sized, int, bool) {
+	e := t.idx.get(h)
 	if e == nil {
 		t.misses++
 		return nil, -1, false
@@ -147,7 +173,7 @@ func (t *Tiered) Get(id chunk.ID) (Sized, int, bool) {
 func (t *Tiered) promote(e *entry) bool {
 	from := e.store
 	from.take(e)
-	if t.tiers[0].shard(e.id).place(e) {
+	if t.shard(0, e.h).place(e) {
 		t.promos[from.tier]++
 		return true
 	}
@@ -168,9 +194,9 @@ func (t *Tiered) demote(i int, e *entry) {
 	if i == 0 {
 		// Demoted off the top before any lookup used it: an unread
 		// prefetch promotion was undone.
-		t.wasteUnread(e.id)
+		t.wasteUnread(e.h)
 	}
-	if t.tiers[i+1].shard(e.id).place(e) {
+	if t.shard(i+1, e.h).place(e) {
 		t.demos[i]++
 		return
 	}
@@ -178,89 +204,61 @@ func (t *Tiered) demote(i int, e *entry) {
 	t.idx.drop(e)
 }
 
-// Contains reports presence on any tier without touching recency, stats
-// or placement.
-func (t *Tiered) Contains(id chunk.ID) bool {
-	_, ok := t.idx.m[id]
-	return ok
-}
+// Contains reports h's presence on any tier without touching recency,
+// stats or placement.
+func (t *Tiered) Contains(h Handle) bool { return t.idx.get(h) != nil }
 
 // Put inserts or replaces id on the highest tier that accepts it (new
 // chunks are presumed hot). A previous copy on another tier is removed
 // first so the chunk never straddles tiers. If no tier can hold the
 // payload an error is returned.
-func (t *Tiered) Put(id chunk.ID, payload Sized) error { return t.PutSlot(nil, id, payload) }
+func (t *Tiered) Put(id chunk.ID, payload Sized) error { return t.PutH(t.names.Intern(id), payload) }
 
-// Slot is a handle on the entry a Tiered store last wrote for one id,
-// for a caller that rewrites that id over and over — the serving
-// runtime's per-token decode-KV append. The zero Slot names no entry.
-// A Slot never changes what a write does, only how fast it finds the
-// entry: a handle whose entry was since freed, recycled, demoted or
-// removed is detected and refreshed by the next write through it.
-type Slot struct{ e *entry }
-
-// PutSlot is Put through s (nil: no handle). An id already resident on
-// the top tier is updated in place — entry reused, recency refreshed,
-// growth evicting exactly as a reinsert would. When s names that entry
-// the write reaches it without probing the index: an entry knows the
-// store it is resident in, and that store knows its stack and its tier.
-// Any other write takes id's entry out of its tier, or enters id, and
-// inserts it top-down; every write leaves s naming the entry it wrote.
-func (t *Tiered) PutSlot(s *Slot, id chunk.ID, payload Sized) error {
-	if len(t.flights) > 0 {
-		t.cancel(id) // the new payload supersedes any copy in flight
+// PutH is Put by handle. A handle already resident on the top tier is
+// updated in place — entry reused, recency refreshed, growth evicting
+// exactly as a reinsert would — so the serving runtime's per-token
+// decode-KV append finds its entry with one slice load. Any other write
+// takes h's entry out of its tier, or enters h, and inserts it top-down.
+func (t *Tiered) PutH(h Handle, payload Sized) error {
+	if t.inflight > 0 {
+		t.cancel(h) // the new payload supersedes any copy in flight
 	}
-	var e *entry
-	if s != nil {
-		e = s.e
-	}
-	// A stack holds one entry per id, so an entry of this id resident on
-	// this stack's top tier is the one the index would return.
-	if e == nil || e.store == nil || e.store.stack != t || e.store.tier != 0 || e.id != id {
-		e = t.idx.m[id]
-	}
+	e := t.idx.get(h)
 	// A payload the top tier cannot hold falls through to the tiers below,
 	// with the store untouched.
 	if e != nil && e.store.tier == 0 && e.store.put(e, payload) {
 		t.puts++
-		s.set(e)
 		return nil
 	}
 	if e != nil {
 		e.store.take(e)
 	} else {
-		e = t.idx.enter(id)
+		e = t.idx.enter(h, t.names)
 	}
 	e.payload = payload
-	for _, tier := range t.tiers {
-		// id is on no tier, so place links e at its shard's head, and its
+	for i := range t.tiers {
+		// h is on no tier, so place links e at its shard's head, and its
 		// evictions only move other entries to lower tiers.
-		if tier.shard(id).place(e) {
+		if t.shard(i, h).place(e) {
 			t.puts++
-			s.set(e)
 			return nil
 		}
 	}
 	t.idx.drop(e)
-	s.set(nil)
 	return fmt.Errorf("kvstore: no tier can hold %d bytes", payload.SizeBytes())
-}
-
-// set points s at e; a nil s is the handle-less Put.
-func (s *Slot) set(e *entry) {
-	if s != nil {
-		s.e = e
-	}
 }
 
 // Remove deletes id from whichever tier holds it, reporting whether it
 // was present. Removal is a release, not an eviction: it demotes nothing
 // and touches no hit/miss statistics. The serving runtime uses it to free
 // a retired request's generated KV.
-func (t *Tiered) Remove(id chunk.ID) bool {
-	t.cancel(id) // a removed key must never resurrect at arrival
-	t.wasteUnread(id)
-	e := t.idx.m[id]
+func (t *Tiered) Remove(id chunk.ID) bool { return t.RemoveH(t.names.Intern(id)) }
+
+// RemoveH is Remove by handle.
+func (t *Tiered) RemoveH(h Handle) bool {
+	t.cancel(h) // a removed key must never resurrect at arrival
+	t.wasteUnread(h)
+	e := t.idx.get(h)
 	if e == nil {
 		return false
 	}
@@ -269,11 +267,11 @@ func (t *Tiered) Remove(id chunk.ID) bool {
 	return true
 }
 
-// LoadTime returns the simulated seconds to read id's payload from the
+// LoadTime returns the simulated seconds to read h's payload from the
 // tier it currently lives on (0 if absent). It does not count as a Get
 // and does not promote.
-func (t *Tiered) LoadTime(id chunk.ID) float64 {
-	if e := t.idx.m[id]; e != nil {
+func (t *Tiered) LoadTime(h Handle) float64 {
+	if e := t.idx.get(h); e != nil {
 		return e.store.dev.ReadTime(e.bytes)
 	}
 	return 0
@@ -299,11 +297,16 @@ func (t *Tiered) Len() int {
 
 // Each calls fn for every entry resident in the hierarchy with its id and
 // byte size, tier by tier from the top. A chunk lives on at most one tier,
-// so ids are distinct. The affinity router's duplication accounting walks
-// per-replica stores with it; fn must not call back into the store.
+// so ids are distinct. fn must not call back into the store.
 func (t *Tiered) Each(fn func(id chunk.ID, bytes int64)) {
+	t.EachH(func(h Handle, bytes int64) { fn(t.names.ids[h], bytes) })
+}
+
+// EachH is Each by handle. The routed cluster's duplication accounting
+// walks per-replica stacks over one table with it.
+func (t *Tiered) EachH(fn func(h Handle, bytes int64)) {
 	for _, tier := range t.tiers {
-		tier.Each(fn)
+		tier.each(fn)
 	}
 }
 

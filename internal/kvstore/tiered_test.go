@@ -197,13 +197,13 @@ func TestTieredStatsAccounting(t *testing.T) {
 	if st.BytesStored != ts.Used() {
 		t.Fatalf("BytesStored %d != Used %d", st.BytesStored, ts.Used())
 	}
-	if ts.LoadTime(id(0)) <= 0 {
+	if ts.LoadTime(ts.names.Intern(id(0))) <= 0 {
 		t.Fatal("resident chunk must have positive load time")
 	}
-	if ts.LoadTime(id(100)) != 0 {
+	if ts.LoadTime(ts.names.Intern(id(100))) != 0 {
 		t.Fatal("absent chunk must load in 0")
 	}
-	if !ts.Contains(id(0)) || ts.Contains(id(100)) {
+	if !ts.Contains(ts.names.Intern(id(0))) || ts.Contains(ts.names.Intern(id(100))) {
 		t.Fatal("Contains wrong")
 	}
 }
@@ -235,10 +235,10 @@ func TestTieredPutReplaceNeverStraddles(t *testing.T) {
 //
 // The frozen pre-index stack (reference_test.go) replays every op and
 // must return the same values and hold the same tiers, recency order and
-// statistics. So must a twin stack that replays the tape with every Put
-// written through a Slot — one of three, each shared by many ids, so
-// demotion, promotion, eviction, removal and reuse for another id all
-// leave handles stale.
+// statistics. So must a twin stack that replays the tape by handle, over
+// a table it shares with another stack that named ids first, so its
+// handles do not start at 0 and its shard picks read ids through the
+// table at an offset.
 func FuzzTieredGetPut(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x80, 0x17})
 	f.Add([]byte("put-get-put-get-evict"))
@@ -263,13 +263,23 @@ func FuzzTieredGetPut(f *testing.F) {
 		}
 		policy := Policy(len(ops) % 2)
 		ts := MustTiered(tiers, policy)
-		twin := MustTiered(tiers, policy)
+		names := NewNames()
+		other := names.MustTiered(tiers, policy)
+		for k := 0; k < 7; k++ {
+			if err := other.PutH(names.Name(chunk.Hash("other", []int{k})), Bytes(16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twin := names.MustTiered(tiers, policy)
+		handles := make([]Handle, 37) // key k's handle in the twin's table
+		for k := range handles {
+			handles[k] = names.Name(id(k))
+		}
 		ref := mustRefTiered(tiers, policy)
-		var slots [3]Slot
 		live := map[chunk.ID]bool{} // model: inserted and not yet bottom-evicted
 		var lookups, hits int64
 		for i := 0; i+1 < len(ops); i += 2 {
-			key := id(int(ops[i]) % 37)
+			key, h := id(int(ops[i])%37), handles[int(ops[i])%37]
 			switch op, arg := ops[i]>>6, ops[i+1]; op {
 			case 0, 1: // Put with a size that always fits somewhere
 				size := int64(arg)%200 + 1
@@ -279,16 +289,18 @@ func FuzzTieredGetPut(f *testing.F) {
 				if err := ref.Put(key, Bytes(size)); err != nil {
 					t.Fatalf("reference Put(%d bytes) failed: %v", size, err)
 				}
-				if err := twin.PutSlot(&slots[int(ops[i])%len(slots)], key, Bytes(size)); err != nil {
-					t.Fatalf("PutSlot(%d bytes) failed: %v", size, err)
+				if err := twin.PutH(h, Bytes(size)); err != nil {
+					t.Fatalf("PutH(%d bytes) failed: %v", size, err)
 				}
 				live[key] = true
 			case 2: // Get
 				lookups++
-				twin.Get(key)
 				payload, tier, ok := ts.Get(key)
 				if rp, rt, rok := ref.Get(key); payload != rp || tier != rt || ok != rok {
 					t.Fatalf("Get = (%v, %d, %v), reference (%v, %d, %v)", payload, tier, ok, rp, rt, rok)
+				}
+				if tp, tt, tok := twin.GetH(h); tp != payload || tt != tier || tok != ok {
+					t.Fatalf("GetH = (%v, %d, %v), Get (%v, %d, %v)", tp, tt, tok, payload, tier, ok)
 				}
 				if ok {
 					hits++
@@ -301,22 +313,25 @@ func FuzzTieredGetPut(f *testing.F) {
 				}
 			default:
 				if arg&1 == 1 {
-					twin.Remove(key)
-					if a, b := ts.Remove(key), ref.Remove(key); a != b {
+					a, b := ts.Remove(key), ref.Remove(key)
+					if a != b {
 						t.Fatalf("Remove = %v, reference %v", a, b)
+					}
+					if tw := twin.RemoveH(h); tw != a {
+						t.Fatalf("RemoveH = %v, Remove %v", tw, a)
 					}
 					delete(live, key)
 					break
 				}
 				// passive probes
-				if a, b := ts.Contains(key), ref.Contains(key); a != b {
-					t.Fatalf("Contains = %v, reference %v", a, b)
+				if a, b := ts.Contains(ts.names.Intern(key)), ref.Contains(key); a != b || twin.Contains(h) != a {
+					t.Fatalf("Contains = %v, reference %v, twin %v", a, b, twin.Contains(h))
 				}
-				if a, b := ts.LoadTime(key), ref.LoadTime(key); a != b {
-					t.Fatalf("LoadTime = %v, reference %v", a, b)
+				if a, b := ts.LoadTime(ts.names.Intern(key)), ref.LoadTime(key); a != b || twin.LoadTime(h) != a {
+					t.Fatalf("LoadTime = %v, reference %v, twin %v", a, b, twin.LoadTime(h))
 				}
-				if a, b := ts.TierOf(key), ref.TierOf(key); a != b {
-					t.Fatalf("TierOf = %d, reference %d", a, b)
+				if a, b := ts.TierOf(ts.names.Intern(key)), ref.TierOf(key); a != b || twin.TierOf(h) != a {
+					t.Fatalf("TierOf = %d, reference %d, twin %d", a, b, twin.TierOf(h))
 				}
 			}
 			// Invariants after every op.
@@ -337,6 +352,10 @@ func FuzzTieredGetPut(f *testing.F) {
 			}
 			sameAsRef(t, ts, ref)
 			sameAsRef(t, twin, ref)
+			if other.Len() != 7 || names.Len() != 7+len(handles) {
+				t.Fatalf("the other stack holds %d entries and the table %d handles, want 7 and %d",
+					other.Len(), names.Len(), 7+len(handles))
+			}
 		}
 		st := ts.Stats()
 		if st.Hits != hits || st.Hits+st.Misses != lookups {
@@ -346,18 +365,18 @@ func FuzzTieredGetPut(f *testing.F) {
 	})
 }
 
-// TestSlotAcrossStacks: a Slot written through two stacks names an entry
-// of one of them, and a write through the other stack must not reach it.
-func TestSlotAcrossStacks(t *testing.T) {
-	a := MustTiered(threeTiers(100, 100, 0), LRU)
-	b := MustTiered(threeTiers(100, 100, 0), LRU)
-	var s Slot
-	key := id(1)
+// TestHandleAcrossStacks: two stacks over one table hold separate entries
+// for one handle, and a write through either must not reach the other's.
+func TestHandleAcrossStacks(t *testing.T) {
+	names := NewNames()
+	a := names.MustTiered(threeTiers(100, 100, 0), LRU)
+	b := names.MustTiered(threeTiers(100, 100, 0), LRU)
+	h := names.Name(id(1))
 	for _, w := range []struct {
 		ts    *Tiered
 		bytes int64
 	}{{a, 10}, {b, 20}, {a, 30}, {b, 40}} {
-		if err := w.ts.PutSlot(&s, key, Bytes(w.bytes)); err != nil {
+		if err := w.ts.PutH(h, Bytes(w.bytes)); err != nil {
 			t.Fatal(err)
 		}
 		if got := w.ts.Used(); got != w.bytes {
@@ -370,6 +389,13 @@ func TestSlotAcrossStacks(t *testing.T) {
 	}
 	placement(t, a)
 	placement(t, b)
+}
+
+// idEach turns a walk by handle over ts's table into a walk by id.
+func idEach(ts *Tiered, each func(func(Handle, int64))) func(func(chunk.ID, int64)) {
+	return func(fn func(chunk.ID, int64)) {
+		each(func(h Handle, bytes int64) { fn(ts.names.ID(h), bytes) })
+	}
 }
 
 // resident is one entry as Each reports it.
@@ -392,7 +418,7 @@ func residents(each func(func(chunk.ID, int64))) []resident {
 func sameAsRef(t *testing.T, ts *Tiered, ref *refTiered) {
 	t.Helper()
 	for i, tier := range ts.tiers {
-		if got, want := residents(tier.Each), residents(ref.tiers[i].Each); !slices.Equal(got, want) {
+		if got, want := residents(idEach(ts, tier.each)), residents(ref.tiers[i].Each); !slices.Equal(got, want) {
 			t.Fatalf("tier %d Each order: %v, reference %v", i, got, want)
 		}
 		if a, b := tier.Len(), ref.tiers[i].Len(); a != b {
