@@ -236,3 +236,39 @@ func TestTraceDecodeAboveCapRejected(t *testing.T) {
 		t.Fatalf("loading a trace with decode %d: err %v, want one naming decode tokens", huge, err)
 	}
 }
+
+// TestDecodeHandlesReleased: a decoding request names its KV key at
+// admission and releases the handle at retirement, so after a decode run
+// the run's table holds exactly the chunk keys, and it never held more
+// than those plus one decode key per batch slot of every replica.
+func TestDecodeHandlesReleased(t *testing.T) {
+	cfg := routerTestConfig(RouterAffinity)
+	cfg.PrefetchPolicy = PrefetchPredictive
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	wave := routerTestMix(4).Generate(600, 3)
+	distinct := map[int]bool{}
+	for i := range wave {
+		wave[i].DecodeTokens = 4 + i%13
+		for _, id := range wave[i].Chunks {
+			distinct[id] = true
+		}
+	}
+	c := newCluster(cfg, wave, 0)
+	if res := c.run(); res.OutputTokens == 0 {
+		t.Fatal("the run decoded nothing")
+	}
+	if n := c.names.Len(); n != len(distinct) {
+		t.Fatalf("after the run the table holds %d handles, want the %d chunk keys", n, len(distinct))
+	}
+	for id := range distinct {
+		if c.names.ID(c.chunkKeyOf(id)) != chunkKey(cfg.Spec.Name, id) {
+			t.Fatalf("chunk %d's handle names another key", id)
+		}
+	}
+	if peak, bound := c.names.Issued(), len(distinct)+c.maxBatch*len(c.busy); peak > bound || peak <= len(distinct) {
+		t.Fatalf("the table peaked at %d handles, want above the %d chunk keys and at most %d",
+			peak, len(distinct), bound)
+	}
+}

@@ -183,14 +183,14 @@ func (c *cluster) join() {
 	}
 	if c.isRouted {
 		c.queues = append(c.queues, sim.NewQueue[request](c.clock))
-		c.stores = append(c.stores, kvstore.MustTiered(c.buildTiers(), kvstore.LRU))
+		c.stores = append(c.stores, c.names.MustTiered(c.buildTiers(), kvstore.LRU))
 		c.inflight = append(c.inflight, 0)
 		// Pre-join arrivals never saw this queue, so its depth sum starts
 		// at zero — QueueSkew averages over the full measured window, the
 		// cold start included.
 		c.depthSums = append(c.depthSums, 0)
 		if c.pops != nil {
-			c.pops = append(c.pops, kvstore.NewPopularity(popHalflife, popMaxEntries))
+			c.pops = append(c.pops, c.names.NewPopularity(popHalflife, popMaxEntries))
 		}
 		if c.pfQueues != nil {
 			c.pfQueues = append(c.pfQueues, sim.NewQueue[prefetchJob](c.clock))

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/baselines"
-	"repro/internal/chunk"
 	"repro/internal/kvstore"
 	"repro/internal/sim"
 )
@@ -87,10 +86,10 @@ type loader struct {
 	qi    int
 	queue *sim.Queue[prefetchJob]
 	store *kvstore.Tiered
-	cold  func(chunk.ID) bool // predictive candidates: resident below the top tier
+	cold  func(kvstore.Handle) bool // predictive candidates: resident below the top tier
 	job   prefetchJob
-	keys  []chunk.ID // the current job's store keys; the buffer is reused across jobs
-	k     int        // next key of the current job
+	keys  []kvstore.Handle // the current job's store keys; the buffer is reused across jobs
+	k     int              // next key of the current job
 }
 
 // newLoader builds replica r's loader over its node's queue and store.
@@ -98,7 +97,7 @@ func (c *cluster) newLoader(r int) *loader {
 	qi := c.qi(r)
 	store := c.stores[qi]
 	return &loader{c: c, qi: qi, queue: c.pfQueues[qi], store: store,
-		cold: func(id chunk.ID) bool { return store.TierOf(id) > 0 }}
+		cold: func(h kvstore.Handle) bool { return store.TierOf(h) > 0 }}
 }
 
 func (l *loader) Run(now float64) {
@@ -110,7 +109,7 @@ func (l *loader) Run(now float64) {
 			}
 			key := l.keys[l.k]
 			l.k++
-			if arrival, started := l.store.Prefetch(key, now, 1); started {
+			if arrival, started := l.store.PrefetchH(key, now, 1); started {
 				c.clock.Wake(arrival, l) // sleep the transfer to completion
 				return
 			}
@@ -136,7 +135,7 @@ func (l *loader) Run(now float64) {
 // jobKeys appends the current job's store keys to dst: a request job
 // names its own chunks; a predictive job asks the node's popularity
 // estimator for the hottest chunks currently stranded on a cold tier.
-func (l *loader) jobKeys(dst []chunk.ID, now float64) []chunk.ID {
+func (l *loader) jobKeys(dst []kvstore.Handle, now float64) []kvstore.Handle {
 	if l.job.req < 0 {
 		return l.c.pops[l.qi].Top(dst, now, predictiveFanout, l.cold)
 	}
@@ -151,11 +150,11 @@ func (l *loader) jobKeys(dst []chunk.ID, now float64) []chunk.ID {
 // promotion and report a residual wait (with nothing in flight it is a
 // plain Get). When loaders run, the lookup also feeds the node's
 // popularity view the predictive loader ranks by.
-func (c *cluster) lookup(si int, key chunk.ID, now float64) (tier int, wait float64, ok bool) {
+func (c *cluster) lookup(si int, key kvstore.Handle, now float64) (tier int, wait float64, ok bool) {
 	if c.pfQueues != nil {
-		c.pops[si].Touch(key, now)
+		c.pops[si].TouchH(key, now)
 	}
-	_, tier, wait, ok = c.stores[si].GetAt(key, now)
+	_, tier, wait, ok = c.stores[si].GetAtH(key, now)
 	return tier, wait, ok
 }
 

@@ -144,10 +144,13 @@ func TestServiceTimeTwoPassLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	newStore := func() *kvstore.Tiered {
+	// The store is filled through the chunk.ID methods, and serviceTime
+	// then names the same chunks through its key table: the two naming
+	// paths must agree on every handle.
+	newStore := func(names *kvstore.Names) *kvstore.Tiered {
 		c := &cluster{cfg: cfg}
 		c.chunkBytes = cfg.Spec.KVBytes(cfg.ChunkTokens)
-		ts := kvstore.MustTiered(c.buildTiers(), kvstore.LRU)
+		ts := names.MustTiered(c.buildTiers(), kvstore.LRU)
 		// Pre-populate chunks 1 and 2; chunk 3 is absent.
 		ts.Put(chunkKey(cfg.Spec.Name, 1), kvstore.Bytes(c.chunkBytes))
 		ts.Put(chunkKey(cfg.Spec.Name, 2), kvstore.Bytes(c.chunkBytes))
@@ -157,7 +160,7 @@ func TestServiceTimeTwoPassLookup(t *testing.T) {
 	// The old interleaved scan over the request [2, 3, 1]: Get(2) hits,
 	// the miss-insert of 3 evicts LRU chunk 1, Get(1) then misses — one
 	// hit for a request that arrived with two of its chunks resident.
-	old := newStore()
+	old := newStore(kvstore.NewNames())
 	defer old.Close()
 	oldHits := 0
 	for _, id := range []int{2, 3, 1} {
@@ -172,9 +175,9 @@ func TestServiceTimeTwoPassLookup(t *testing.T) {
 		t.Fatalf("interleaved scan: got %d hits, the historical bug produced 1", oldHits)
 	}
 
-	c := &cluster{cfg: cfg}
+	c := &cluster{cfg: cfg, names: kvstore.NewNames()}
 	c.resolve()
-	c.stores = []*kvstore.Tiered{newStore()}
+	c.stores = []*kvstore.Tiered{newStore(c.names)}
 	defer c.stores[0].Close()
 	_, lookups, hits, _ := c.serviceTime(0, []int{2, 3, 1}, 0)
 	if lookups != 3 {
@@ -185,6 +188,9 @@ func TestServiceTimeTwoPassLookup(t *testing.T) {
 	}
 	if st := c.stores[0].Stats(); st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("two-pass store stats: got %d hits / %d misses, want 2 / 1", st.Hits, st.Misses)
+	}
+	if n := c.names.Len(); n != 3 || c.stores[0].Len() != 2 {
+		t.Errorf("two-pass: %d handles for 3 chunk ids and %d entries, want 3 and 2", n, c.stores[0].Len())
 	}
 }
 
@@ -198,9 +204,9 @@ func TestServiceTimeTwoPassDupKeys(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{cfg: cfg}
+	c := &cluster{cfg: cfg, names: kvstore.NewNames()}
 	c.resolve()
-	c.stores = []*kvstore.Tiered{kvstore.MustTiered(c.buildTiers(), kvstore.LRU)}
+	c.stores = []*kvstore.Tiered{c.names.MustTiered(c.buildTiers(), kvstore.LRU)}
 	defer c.stores[0].Close()
 	_, lookups, hits, _ := c.serviceTime(0, []int{5, 5, 5}, 0)
 	if lookups != 3 || hits != 2 {

@@ -220,7 +220,7 @@ func (c *cluster) routeHash(req request) int {
 		counts[i] = 0
 	}
 	for _, id := range req.ids {
-		counts[c.ring.owner(c.chunkKeyOf(id))]++
+		counts[c.ring.owner(c.names.ID(c.chunkKeyOf(id)))]++
 	}
 	best := -1
 	for r, n := range counts {
@@ -284,7 +284,7 @@ func (c *cluster) routeAffinity(req request, now float64) int {
 		}
 	}
 	for _, key := range keys {
-		c.pops[best].Touch(key, now)
+		c.pops[best].TouchH(key, now)
 	}
 	return best
 }

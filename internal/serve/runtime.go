@@ -45,21 +45,20 @@ type request struct {
 // the per-step slice set by allocPrefill from the shared budget.
 type member struct {
 	req           request
-	unit          float64 // duration of one step in the current phase
-	remaining     int     // steps left in the current phase
-	prefTotal     int     // prefill tokens in total (budgeted stepping)
-	prefDone      int     // prefill tokens already computed
-	perTok        float64 // prefill seconds per token
-	slice         int     // tokens granted for the current step
-	decoding      bool    // prefill finished, decode phase entered
-	lastToken     float64 // virtual time the latest token was emitted
-	ttft          float64 // realised TTFT (recorded only when SLOs are evaluated)
-	tbtSum        float64 // summed TBT samples (ditto), for the mean-TBT target
-	si            int     // index of the store the request was admitted against
-	genKey        chunk.ID
+	unit          float64        // duration of one step in the current phase
+	remaining     int            // steps left in the current phase
+	prefTotal     int            // prefill tokens in total (budgeted stepping)
+	prefDone      int            // prefill tokens already computed
+	perTok        float64        // prefill seconds per token
+	slice         int            // tokens granted for the current step
+	decoding      bool           // prefill finished, decode phase entered
+	lastToken     float64        // virtual time the latest token was emitted
+	ttft          float64        // realised TTFT (recorded only when SLOs are evaluated)
+	tbtSum        float64        // summed TBT samples (ditto), for the mean-TBT target
+	si            int            // index of the store the request was admitted against
+	gen           kvstore.Handle // its generated KV's store key, named at admission, released at retirement
 	genBytes      int64          // generated-KV footprint resident in the store
 	genPayload    *kvstore.Bytes // reusable boxed payload for the per-token decode-KV Put
-	genSlot       kvstore.Slot   // handle on genKey's store entry: a token's Put skips the index probe
 	lookups, hits int64          // its chunk-store lookup outcome at admission
 	acc           *tenantAcc     // tenant accumulator, resolved once at admission (nil unless multi-tenant and measured)
 }
@@ -99,6 +98,7 @@ type cluster struct {
 
 	clock      *sim.Clock
 	queues     []*sim.Queue[request]
+	names      *kvstore.Names // the run's chunk handles: every store and popularity view is built over it
 	stores     []*kvstore.Tiered
 	chunkBytes int64
 	genNS      string  // store-key namespace of generated KV: the model name + "/gen"
@@ -167,20 +167,20 @@ type cluster struct {
 	// scheduler discipline means at most one admission is in flight per
 	// cluster, so per-call allocation buys nothing.
 	tierScratch []int
-	missScratch []chunk.ID
-	dupScratch  []chunk.ID
-	chunkSized  kvstore.Sized    // chunkBytes boxed once for every context-chunk Put
-	keyTable    []keySlot        // chunk id → store key, for ids below len(keyTable)
-	keyMap      map[int]chunk.ID // chunk id → store key, for ids the table does not cover
-	keysCached  int              // distinct ids memoised in keyTable and keyMap
-	keyScratch  []chunk.ID       // router scoring keys (used within one route call, no park inside)
-	cntScratch  []int            // router per-node owner counts, same lifetime
-	memberPool  []*member        // retired members recycled into the next admission
+	missScratch []kvstore.Handle
+	dupScratch  []kvstore.Handle
+	chunkSized  kvstore.Sized          // chunkBytes boxed once for every context-chunk Put
+	keyTable    []keySlot              // chunk id → its store key's handle, for ids below len(keyTable)
+	keyMap      map[int]kvstore.Handle // chunk id → its store key's handle, for ids the table does not cover
+	keysCached  int                    // distinct ids memoised in keyTable and keyMap
+	keyScratch  []kvstore.Handle       // router scoring keys (used within one route call, no park inside)
+	cntScratch  []int                  // router per-node owner counts, same lifetime
+	memberPool  []*member              // retired members recycled into the next admission
 }
 
-// keySlot is one chunk id's memoised store key.
+// keySlot is one chunk id's memoised store-key handle.
 type keySlot struct {
-	key chunk.ID
+	key kvstore.Handle
 	ok  bool
 }
 
@@ -194,21 +194,23 @@ const (
 	keyTableSlack = 8
 )
 
-// chunkKeyOf memoises chunkKey: the serving hot loop hashes each distinct
-// chunk id once per run instead of once per lookup. Ids index a table
-// directly; an id past its end grows it (growKeyTable) or, when growing
-// that far would leave the table mostly empty, is memoised in keyMap
-// instead. A replayed trace with a few huge ids thus costs a map entry
-// each, and the table's memory stays proportional to the ids the run
-// looks up.
-func (c *cluster) chunkKeyOf(id int) chunk.ID {
+// chunkKeyOf returns the handle of chunk id's store key, chunkKey, and
+// memoises it: the serving hot loop hashes and names each distinct chunk
+// id once per run, and every store and popularity view finds it by that
+// handle. Naming each id once is what lets the run name with Names.Name,
+// which probes nothing. Ids index a table directly; an id past its end
+// grows it (growKeyTable) or, when growing that far would leave the table
+// mostly empty, is memoised in keyMap instead. A replayed trace with a
+// few huge ids thus costs a map entry each, and the table's memory stays
+// proportional to the ids the run looks up.
+func (c *cluster) chunkKeyOf(id int) kvstore.Handle {
 	if uint(id) >= uint(len(c.keyTable)) && !c.growKeyTable(id) {
 		k, ok := c.keyMap[id]
 		if !ok {
 			if c.keyMap == nil {
-				c.keyMap = make(map[int]chunk.ID)
+				c.keyMap = make(map[int]kvstore.Handle)
 			}
-			k = chunkKey(c.cfg.Spec.Name, id)
+			k = c.names.Name(chunkKey(c.cfg.Spec.Name, id))
 			c.keyMap[id] = k
 			c.keysCached++
 		}
@@ -216,7 +218,7 @@ func (c *cluster) chunkKeyOf(id int) chunk.ID {
 	}
 	s := &c.keyTable[id]
 	if !s.ok {
-		s.key, s.ok = chunkKey(c.cfg.Spec.Name, id), true
+		s.key, s.ok = c.names.Name(chunkKey(c.cfg.Spec.Name, id)), true
 		c.keysCached++
 	}
 	return s.key
@@ -375,18 +377,19 @@ func (c *cluster) setup() {
 	if c.isRouted {
 		nodes = c.replicas
 	}
+	c.names = kvstore.NewNames()
 	c.stores = make([]*kvstore.Tiered, nodes)
 	for i := range c.stores {
 		// Every node gets the full configured tier stack: a routed cluster
 		// is N nodes' worth of hardware, the shared baseline one node's.
-		c.stores[i] = kvstore.MustTiered(c.buildTiers(), kvstore.LRU)
+		c.stores[i] = c.names.MustTiered(c.buildTiers(), kvstore.LRU)
 	}
 	if cfg.prefetchActive() || cfg.Router == RouterAffinity {
 		// One popularity estimator per node feeds the loaders and affinity
 		// routing alike — the shared demand signal.
 		c.pops = make([]*kvstore.Popularity, nodes)
 		for i := range c.pops {
-			c.pops[i] = kvstore.NewPopularity(popHalflife, popMaxEntries)
+			c.pops[i] = c.names.NewPopularity(popHalflife, popMaxEntries)
 		}
 	}
 	if cfg.Router == RouterHash {
@@ -579,15 +582,15 @@ func (c *cluster) run() Result {
 // replicas' clienteles share.
 func (c *cluster) duplicationBytes() int64 {
 	var total, unique int64
-	seen := make(map[chunk.ID]bool, c.stores[0].Len())
+	seen := make([]bool, c.names.Issued())
 	for i, s := range c.stores {
 		if c.dead[i] {
 			continue // a dead node's residue is gone, not redundancy
 		}
-		s.Each(func(id chunk.ID, bytes int64) {
+		s.EachH(func(h kvstore.Handle, bytes int64) {
 			total += bytes
-			if !seen[id] {
-				seen[id] = true
+			if !seen[h] {
+				seen[h] = true
 				unique += bytes
 			}
 		})
@@ -992,7 +995,7 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 		m.perTok = service / float64(m.prefTotal)
 	}
 	if req.decode > 0 {
-		m.genKey = c.genKey(req.idx)
+		m.gen = c.names.Name(c.genKey(req.idx))
 		// One boxed payload per decoding member: every per-token Put
 		// rewrites this value instead of boxing a fresh interface. Pooled
 		// members carry theirs over.
@@ -1022,7 +1025,9 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 
 // genKey is the store key of one request's generated (decode) KV — a
 // namespace of its own (genNS, built once per run), so generation growth
-// can never alias a context chunk's cache entry.
+// can never alias a context chunk's cache entry. Admission names it once,
+// and retirement releases its handle, so the run's table holds the chunk
+// pool plus one key per batched request with a decode budget.
 func (c *cluster) genKey(idx int) chunk.ID {
 	return chunk.Hash(c.genNS, []int{idx})
 }
@@ -1118,7 +1123,7 @@ func (c *cluster) firstToken(m *member, now float64) {
 	if m.req.decode > 0 {
 		m.genBytes = c.tokenBytes
 		*m.genPayload = kvstore.Bytes(m.genBytes)
-		c.stores[m.si].PutSlot(&m.genSlot, m.genKey, m.genPayload) //nolint:errcheck
+		c.stores[m.si].PutH(m.gen, m.genPayload) //nolint:errcheck
 	}
 	if !c.measured(m.req) {
 		return
@@ -1139,12 +1144,12 @@ func (c *cluster) firstToken(m *member, now float64) {
 // sample and another token's worth of KV appended to the request's
 // growing entry in the shared store — generation competing with cached
 // chunks for the fast tiers is what makes decode-phase KV pressure real.
-// Both cost O(1): the append writes through the member's handle on its
-// entry, and the sample usually extends the TBT log's last run.
+// Both cost O(1): the append finds its entry by the member's handle with
+// one slice load, and the sample usually extends the TBT log's last run.
 func (c *cluster) token(m *member, now float64) {
 	m.genBytes += c.tokenBytes
 	*m.genPayload = kvstore.Bytes(m.genBytes)
-	c.stores[m.si].PutSlot(&m.genSlot, m.genKey, m.genPayload) //nolint:errcheck
+	c.stores[m.si].PutH(m.gen, m.genPayload) //nolint:errcheck
 	if c.sloOn {
 		m.tbtSum += now - m.lastToken
 	}
@@ -1159,12 +1164,13 @@ func (c *cluster) token(m *member, now float64) {
 }
 
 // retire removes a finished request from the system: its generated KV is
-// released from the store, and post-warmup requests contribute their
-// completion statistics.
+// released from the store, then its handle from the run's table, and
+// post-warmup requests contribute their completion statistics.
 func (c *cluster) retire(m *member, now float64) {
 	defer c.recycle(m) // the caller drops m from the batch after retire
 	if m.req.decode > 0 {
-		c.stores[m.si].Remove(m.genKey)
+		c.stores[m.si].RemoveH(m.gen)
+		c.names.Release(m.gen)
 	}
 	if c.inflight != nil {
 		c.inflight[m.si]--

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/baselines"
+	"repro/internal/kvstore"
 	"repro/internal/workload"
 )
 
@@ -193,22 +194,26 @@ func TestSingleReplicaUnbatchedMatchesFCFS(t *testing.T) {
 	}
 }
 
-// TestChunkKeyTable pins chunkKeyOf's memoisation: every id maps to its
-// chunkKey; a generated corpus stays in the dense table, never touching
-// the map; sparse huge ids (as a hand-written trace may carry) go to the
-// map without growing the table toward them; and once the table grows
-// over ids the map holds, they move into it.
+// TestChunkKeyTable pins chunkKeyOf's memoisation: every id maps to the
+// handle of its chunkKey, named once — the run's table holds one handle
+// per memoised id; a generated corpus stays in the dense table, never
+// touching the map; sparse huge ids (as a hand-written trace may carry)
+// go to the map without growing the table toward them; and once the
+// table grows over ids the map holds, they move into it, handles and all.
 func TestChunkKeyTable(t *testing.T) {
 	cfg := hotConfig()
 	name := cfg.Spec.Name
 	check := func(c *cluster, id int) {
 		t.Helper()
-		if got := c.chunkKeyOf(id); got != chunkKey(name, id) {
-			t.Fatalf("chunkKeyOf(%d) is not chunkKey", id)
+		if got := c.names.ID(c.chunkKeyOf(id)); got != chunkKey(name, id) {
+			t.Fatalf("chunkKeyOf(%d) does not name chunkKey", id)
+		}
+		if c.names.Len() != c.keysCached {
+			t.Fatalf("after chunkKeyOf(%d): %d handles named for %d ids memoised", id, c.names.Len(), c.keysCached)
 		}
 	}
 
-	c := &cluster{cfg: cfg}
+	c := &cluster{cfg: cfg, names: kvstore.NewNames()}
 	for _, r := range (workload.Poisson{Rate: 2, Chunks: cfg.chunks()}).Generate(2000, 3) {
 		for _, id := range r.Chunks {
 			check(c, id)
@@ -219,7 +224,7 @@ func TestChunkKeyTable(t *testing.T) {
 		t.Fatalf("generated corpus of %d chunks: table %d, map %d entries", cfg.ChunkPool, len(c.keyTable), len(c.keyMap))
 	}
 
-	c = &cluster{cfg: cfg}
+	c = &cluster{cfg: cfg, names: kvstore.NewNames()}
 	sparse := []int{7, 1 << 30, 2_000_000_000, 1 << 30, -3, 12}
 	for _, id := range sparse {
 		check(c, id)
@@ -231,7 +236,7 @@ func TestChunkKeyTable(t *testing.T) {
 	// An id above keyTableMin first lands in the map, then moves into the
 	// table once enough ids are memoised for the table to grow over it:
 	// with 601 memoised, the slack bound is 8×602 = 4816 > 4700.
-	c = &cluster{cfg: cfg}
+	c = &cluster{cfg: cfg, names: kvstore.NewNames()}
 	check(c, 4500)
 	if len(c.keyMap) != 1 {
 		t.Fatalf("id 4500 with nothing memoised should go to the map (table %d)", len(c.keyTable))

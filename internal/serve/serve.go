@@ -626,7 +626,7 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 			tierChunks[tier]++
 		}
 		for _, key := range missKeys {
-			store.Put(key, c.chunkSized) //nolint:errcheck
+			store.PutH(key, c.chunkSized) //nolint:errcheck
 		}
 		for _, key := range dupKeys {
 			if tier, _, ok := c.lookup(si, key, now); ok {
