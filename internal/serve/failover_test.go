@@ -373,3 +373,80 @@ func TestKillAfterLastArrival(t *testing.T) {
 		}
 	}
 }
+
+// killProbe records a node's prefetch counters right after a kill: woken
+// at the kill's time, it wakes again at that instant, behind the control
+// process, until the kill has fired.
+type killProbe struct {
+	c      *cluster
+	node   int
+	issued int64
+	fired  bool
+}
+
+func (p *killProbe) Run(now float64) {
+	if p.c.failovers == 0 {
+		p.c.clock.Wake(now, p)
+		return
+	}
+	p.issued = p.c.stores[p.node].PrefetchStats().Issued
+	p.fired = true
+}
+
+// TestKilledNodeLoaderStops: a loader asleep on a transfer when its node
+// dies must not wake up and promote the rest of its job on the dead
+// store. The kill drains the node's transfers; nothing may issue there
+// afterwards, and nothing may be left in flight at the end.
+func TestKilledNodeLoaderStops(t *testing.T) {
+	cfg := routerTestConfig(RouterAffinity)
+	cfg.PrefetchPolicy = PrefetchPredictive
+	const n, warmup, seed, dead = 400, 100, 18, 2
+	reqs := routerTestMix(16).Generate(n, seed)
+	kill := MembershipEvent{At: reqs[199].Arrival, Kill: dead}
+	cfg.Events = []MembershipEvent{kill}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(cfg, reqs, warmup)
+	c.setup()
+	c.clock.Wake(0, &arrivals{c: c})
+	for r := 0; r < c.replicas; r++ {
+		c.startReplica(r)
+	}
+	probe := &killProbe{c: c, node: dead}
+	c.clock.Wake(kill.At, probe)
+	c.clock.Run()
+	if !probe.fired {
+		t.Fatal("the kill never fired")
+	}
+	store := c.stores[dead]
+	if got := store.PrefetchStats().Issued; got != probe.issued {
+		t.Errorf("dead node issued %d transfers after the kill (%d at the kill, %d at the end)",
+			got-probe.issued, probe.issued, got)
+	}
+	if n := store.Inflight(); n != 0 {
+		t.Errorf("dead node ends the run with %d transfers in flight", n)
+	}
+}
+
+// TestSharedPredictiveTriggerCountsLiveWorkers: the predictive trigger
+// fires once a node's queue is deeper than the live workers draining it.
+// A shared 4-replica node with one worker killed has three, so the fourth
+// queued request triggers a promotion.
+func TestSharedPredictiveTriggerCountsLiveWorkers(t *testing.T) {
+	cfg := routerTestConfig(RouterShared)
+	cfg.PrefetchPolicy = PrefetchPredictive
+	wave := make([]workload.Request, 4)
+	for i := range wave {
+		wave[i] = workload.Request{Arrival: 1, Chunks: []int{i}}
+	}
+	c := newCluster(cfg, wave, 0)
+	c.setup()
+	c.kill(1, 1)
+	for i := range wave {
+		c.issue(&wave[i], 0, 1)
+	}
+	if c.predPend[0] != 1 {
+		t.Fatalf("%d predictive jobs queued at depth 4 with 3 live workers, want 1", c.predPend[0])
+	}
+}

@@ -30,7 +30,7 @@ const (
 	// admission queue: the queueing delay becomes transfer overlap.
 	PrefetchOnEnqueue = "on-enqueue"
 	// PrefetchPredictive is PrefetchOnEnqueue plus a demand signal: when
-	// arrivals find the admission queue backed up past the replica count,
+	// arrivals find the admission queue backed up past its live workers,
 	// the loaders additionally promote the most popular cold chunks by
 	// decayed hit count, so the hot set is resident before the requests
 	// that want it are even admitted. This is what tracks the workload
@@ -80,7 +80,10 @@ func (c Config) prefetchActive() bool {
 // top-tier residents and bills PrefetchWastedBytes. Popping a predictive
 // job releases its node's dedupe slot before the promotions run. Each
 // Run continues the current job; with none left the loader parks on its
-// queue, and exits once the queue is closed and drained.
+// queue, and exits once the queue is closed and drained. A loader whose
+// node went dark while it slept exits at that wake: the kill drained the
+// node's transfers, and the rest of the job would promote on a store no
+// request reads again.
 type loader struct {
 	c     *cluster
 	qi    int
@@ -102,6 +105,9 @@ func (c *cluster) newLoader(r int) *loader {
 
 func (l *loader) Run(now float64) {
 	c := l.c
+	if c.isRouted && c.dead[l.qi] {
+		return
+	}
 	for {
 		for l.k < len(l.keys) {
 			if l.job.req >= 0 && c.admitted[l.job.req] {

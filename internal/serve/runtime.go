@@ -689,13 +689,14 @@ func (c *cluster) issue(in *workload.Request, client int, now float64) {
 }
 
 // predDepth is the queue depth that triggers a predictive promotion: a
-// node's queue backed up past the workers draining it — every replica in
-// the shared topology, exactly one under the routed policies.
+// node's queue backed up past the live workers draining it — every
+// replica not killed in the shared topology, joins included, and exactly
+// one under the routed policies.
 func (c *cluster) predDepth() int {
 	if c.isRouted {
 		return 1
 	}
-	return c.replicas
+	return len(c.dead) - c.failovers
 }
 
 // arrivals is the control process. It interleaves the two input streams
