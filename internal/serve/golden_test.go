@@ -46,7 +46,7 @@ type goldenCase struct {
 	// cases lock the ring ownership and affinity-score schedules plus the
 	// skew/duplication telemetry).
 	Router string
-	// Failover adds a membership schedule — kill one replica at ~40% of
+	// Failover adds a membership schedule — kill replica 1 at ~40% of
 	// the trace, join a cold one at ~70% — locking the drain/re-route
 	// order and the failover telemetry (Failovers, ReroutedRequests,
 	// ReWarmStall, RecoveryTime).
@@ -174,6 +174,19 @@ func goldenCases() []goldenCase {
 				Router: RouterAffinity, Prefetch: PrefetchPredictive})
 		}
 	}
+	// Membership × prefetch cases: the routed-tiered workload under
+	// predictive prefetch with the failover schedule, per topology. A
+	// kill meets loaders asleep on transfers and the shared node's
+	// predictive trigger; seed 7 moves with the trigger's live-worker
+	// count, seeds 4 and 8 with the dead node's loader stopping.
+	for _, router := range []string{RouterShared, RouterHash, RouterAffinity} {
+		for _, seed := range []int64{4, 7, 8} {
+			name := "cacheblend/r4/tiered/routed-tiered/failover-" + router + "-predictive/seed" + strconv.FormatInt(seed, 10)
+			cases = append(cases, goldenCase{Name: name, Scheme: baselines.CacheBlend,
+				Replicas: 4, Tiered: true, Seed: seed, Workload: "routed-tiered",
+				Router: router, Prefetch: PrefetchPredictive, Failover: true})
+		}
+	}
 	return cases
 }
 
@@ -214,6 +227,11 @@ func (gc goldenCase) run(t *testing.T) Result {
 	default:
 		t.Fatalf("unknown golden workload %q", gc.Workload)
 	}
+	if gc.Failover && gc.Workload == "routed-tiered" {
+		// A ~19 s trace: the schedule scales to its last arrival.
+		last := w.Generate(n, gc.Seed)[n-1].Arrival
+		cfg.Events = []MembershipEvent{{At: 0.4 * last, Kill: 1}, {At: 0.7 * last, Join: 1}}
+	}
 	res, err := RunWorkload(cfg, w, n, warmup, gc.Seed)
 	if err != nil {
 		t.Fatalf("%s: %v", gc.Name, err)
@@ -243,7 +261,7 @@ func (gc goldenCase) config() Config {
 		// by the TTFT deadline, and both targets feed the attainment rows.
 		cfg.MaxBatch, cfg.SLOTTFT, cfg.SLOTBT = 8, 2, 0.05
 	}
-	if gc.Failover {
+	if gc.Failover && gc.Workload != "routed-tiered" {
 		// ~285 s trace, warmup cutoff ~115 s: both events land in the
 		// measured window.
 		cfg.Events = []MembershipEvent{{At: 120, Kill: 1}, {At: 200, Join: 1}}

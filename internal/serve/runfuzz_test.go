@@ -1,0 +1,196 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"repro/internal/baselines"
+	"repro/internal/device"
+	"repro/internal/timing"
+	"repro/internal/workload"
+)
+
+// fuzzBytes hands out fuzz input one decision at a time. Past the end
+// every decision reads 0, so a short input takes the first option of
+// each remaining choice.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// pick returns the next decision as an index below n.
+func (b *fuzzBytes) pick(n int) int { return b.next() % n }
+
+// fuzzRun is one decoded RunWorkload call.
+type fuzzRun struct {
+	cfg       Config
+	w         workload.Workload
+	n, warmup int
+	seed      int64
+	stream    []workload.Request // the open stream's requests; nil for a closed loop
+}
+
+// decodeFuzzRun decodes a bounded configuration and workload: scheme,
+// flat or tiered store, router, prefetch policy, scheduler, SLO targets,
+// decode lengths, tenants, and for an open stream a membership schedule
+// placed against its last arrival. Many combinations fail validation on
+// purpose: RunWorkload must reject them with an error.
+func decodeFuzzRun(data []byte) fuzzRun {
+	b := fuzzBytes(data)
+	cfg := Config{
+		Spec:           timing.Mistral7B,
+		Scheme:         []baselines.Scheme{baselines.CacheBlend, baselines.FullKVReuse, baselines.PrefixCaching, baselines.FullRecompute}[b.pick(4)],
+		Ratio:          float64(b.pick(5)) / 4,
+		Device:         device.NVMeSSD,
+		Replicas:       b.pick(5),
+		MaxBatch:       b.pick(9),
+		Router:         []string{"", RouterShared, RouterHash, RouterAffinity}[b.pick(4)],
+		PrefetchPolicy: []string{"", PrefetchOff, PrefetchOnEnqueue, PrefetchPredictive}[b.pick(4)],
+		Sched:          []string{"", SchedFIFO, SchedChunkedPrefill, SchedDecodePriority, SchedSLO}[b.pick(5)],
+		SLOTTFT:        []float64{0, 0.5, 2, 10}[b.pick(4)],
+		SLOTBT:         []float64{0, 0.02, 0.05, 0.5}[b.pick(4)],
+		ChunkTokens:    128 * (1 + b.pick(4)),
+		QueryTokens:    32 * b.pick(5),
+	}
+	chunkBytes := cfg.Spec.KVBytes(cfg.ChunkTokens)
+	if b.pick(2) == 1 {
+		cfg.Tiers = []TierConfig{
+			{Device: device.GPUHBM, Capacity: int64(1+b.pick(16)) * chunkBytes},
+			{Device: device.CPURAM, Capacity: int64(1+b.pick(64)) * chunkBytes},
+			{Device: []device.Device{device.NVMeSSD, device.SlowSSD}[b.pick(2)]},
+		}
+	} else {
+		cfg.StoreCapacity = int64(b.pick(128)) * chunkBytes // 0 = unbounded
+	}
+	tenants := 1 + b.pick(4)
+	chunks := workload.Chunks{Pool: 4 + b.pick(200), PerRequest: 1 + b.pick(8),
+		Skew: float64(b.pick(13)) / 10, DriftPeriod: float64(30 * b.pick(3))}
+	dec := workload.Decode{Mean: float64(8 * b.pick(4))}
+	rate := []float64{0.5, 2, 8, 32}[b.pick(4)]
+	r := fuzzRun{cfg: cfg, n: 10 + b.next(), seed: int64(b.next())}
+	r.warmup = b.pick(r.n)
+	switch b.pick(3) {
+	case 0:
+		r.w = workload.TenantMix(tenants, rate, chunks, chunks.DriftPeriod, dec)
+	case 1:
+		r.w = workload.Bursty{Rate: rate, Burst: float64(1 + b.pick(24)), Chunks: chunks, Decode: dec}
+	default:
+		r.w = workload.ClosedLoop{Tenants: tenants, Clients: 1 + b.pick(8),
+			Think: []float64{0.1, 1, 4}[b.pick(3)], Chunks: chunks, Decode: dec}
+		return r
+	}
+	r.stream = r.w.Generate(r.n, r.seed)
+	last := 0.0
+	if len(r.stream) > 0 {
+		last = r.stream[len(r.stream)-1].Arrival
+	}
+	at, nodes := 0.0, cfg.replicas()
+	for i := b.pick(4); i > 0; i-- {
+		at += last * float64(1+b.pick(8)) / 16 // may pass the last arrival
+		if b.pick(3) == 0 {
+			join := 1 + b.pick(2)
+			r.cfg.Events = append(r.cfg.Events, MembershipEvent{At: at, Join: join})
+			nodes += join
+		} else {
+			r.cfg.Events = append(r.cfg.Events, MembershipEvent{At: at, Kill: b.pick(nodes)})
+		}
+	}
+	return r
+}
+
+// FuzzRunWorkload drives RunWorkload over the joint configuration space:
+// scheme × flat/tiered × router × prefetch × scheduler × SLO targets ×
+// decode × tenants × membership schedule, on an open stream or a closed
+// loop of at most a few hundred requests. Every input either fails
+// validation with an error, or runs deterministically to a Result that
+// marshals to JSON (no NaN or Inf) and keeps the run's conservation laws:
+// tier hits plus misses equal lookups, every dispatched request is
+// admitted once, an open stream completes exactly its measured requests,
+// and every utilisation, attainment and hit rate lies in [0, 1].
+func FuzzRunWorkload(f *testing.F) {
+	f.Add([]byte{})
+	// CacheBlend, 4 replicas, affinity, predictive, tiered, a kill and a join.
+	f.Add([]byte{0, 1, 4, 4, 3, 3, 0, 0, 0, 3, 0, 1, 7, 47, 3, 3, 80, 5, 11, 0, 2, 1, 140, 8, 50, 0, 2, 5, 1, 1, 3, 0, 0})
+	// Hash routing with on-enqueue prefetch and decode under chunked prefill.
+	f.Add([]byte{1, 3, 2, 3, 2, 2, 2, 0, 0, 1, 2, 1, 3, 20, 1, 1, 60, 4, 9, 30, 2, 2, 200, 3, 40, 1, 4, 1, 2, 5, 1, 1})
+	// Shared node, slo scheduler with both targets, closed loop.
+	f.Add([]byte{0, 2, 3, 6, 1, 3, 4, 2, 2, 3, 1, 1, 5, 30, 0, 2, 40, 5, 8, 0, 3, 1, 120, 9, 30, 2, 3, 1})
+	// Prefix caching on a flat store.
+	f.Add([]byte{2, 0, 2, 2, 0, 0, 0, 0, 0, 3, 4, 0, 60, 2, 100, 4, 9, 0, 1, 2, 90, 1, 10, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := decodeFuzzRun(data)
+		res, err := RunWorkload(r.cfg, r.w, r.n, r.warmup, r.seed)
+		if err != nil {
+			return // rejected up front
+		}
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("Result does not marshal: %v\n%+v", err, res)
+		}
+		again, err := RunWorkload(r.cfg, r.w, r.n, r.warmup, r.seed)
+		if err != nil {
+			t.Fatalf("second run failed: %v", err)
+		}
+		if blob2, _ := json.Marshal(again); !bytes.Equal(blob, blob2) {
+			t.Fatalf("second run differs:\n%s\n%s", blob, blob2)
+		}
+		var tierHits int64
+		for _, tu := range res.Tiers {
+			tierHits += tu.Hits
+		}
+		if tierHits+res.Misses != res.Lookups {
+			t.Fatalf("tier hits %d + misses %d != lookups %d", tierHits, res.Misses, res.Lookups)
+		}
+		dispatched := int64(r.n) // a closed loop issues its whole budget
+		if r.stream != nil {
+			dispatched = int64(len(r.stream))
+		}
+		var admitted int64
+		for _, n := range res.ReplicaRequests {
+			admitted += n
+		}
+		if admitted != dispatched {
+			t.Fatalf("replicas admitted %d requests, %d dispatched", admitted, dispatched)
+		}
+		if r.stream != nil {
+			// The warmup tie rule: requests arriving with the warmup-th
+			// one are measured whatever their index.
+			first := r.warmup
+			for first > 0 && r.stream[first-1].Arrival == r.stream[r.warmup].Arrival {
+				first--
+			}
+			if want := len(r.stream) - first; res.Requests != want {
+				t.Fatalf("%d measured requests completed, want %d", res.Requests, want)
+			}
+		}
+		inUnit := func(name string, i int, v float64) {
+			if v < 0 || v > 1 {
+				t.Fatalf("%s[%d] = %v, outside [0, 1]", name, i, v)
+			}
+		}
+		for i, v := range []float64{res.HitRate, res.HBMHitRate,
+			res.SLOAttainment, res.SLOTTFTAttainment, res.SLOTBTAttainment} {
+			inUnit("HitRate, HBMHitRate, SLOAttainment, SLOTTFTAttainment, SLOTBTAttainment", i, v)
+		}
+		for i, v := range res.ReplicaUtil {
+			inUnit("ReplicaUtil", i, v)
+		}
+		for i, v := range res.ReplicaHitRates {
+			inUnit("ReplicaHitRates", i, v)
+		}
+		for i, tu := range res.Tiers {
+			inUnit("Tiers HitRate", i, tu.HitRate)
+		}
+		for i, tu := range res.Tenants {
+			inUnit("Tenants HitRate", i, tu.HitRate)
+			inUnit("Tenants SLOAttainment", i, tu.SLOAttainment)
+		}
+	})
+}
