@@ -33,7 +33,7 @@ func benchCluster(b *testing.B, cfg Config, w workload.Workload, n int) *cluster
 	c.setup()
 	for i := range c.wave {
 		r := &c.wave[i]
-		c.serviceTime(c.route(request{ids: r.Chunks}, r.Arrival), r.Chunks, r.Arrival)
+		c.serviceTime(c.nodes[c.route(request{ids: r.Chunks}, r.Arrival)], r.Chunks, r.Arrival)
 	}
 	return c
 }
@@ -62,7 +62,7 @@ func BenchmarkServiceTime(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := &c.wave[i%len(c.wave)]
-				c.serviceTime(0, r.Chunks, r.Arrival)
+				c.serviceTime(c.nodes[0], r.Chunks, r.Arrival)
 			}
 		})
 	}

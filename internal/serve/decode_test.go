@@ -267,7 +267,7 @@ func TestDecodeHandlesReleased(t *testing.T) {
 			t.Fatalf("chunk %d's handle names another key", id)
 		}
 	}
-	if peak, bound := c.names.Issued(), len(distinct)+c.maxBatch*len(c.busy); peak > bound || peak <= len(distinct) {
+	if peak, bound := c.names.Issued(), len(distinct)+c.maxBatch*len(c.workers); peak > bound || peak <= len(distinct) {
 		t.Fatalf("the table peaked at %d handles, want above the %d chunk keys and at most %d",
 			peak, len(distinct), bound)
 	}

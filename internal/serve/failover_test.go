@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -207,29 +206,24 @@ func TestFailoverMarshalZeroTrafficReplica(t *testing.T) {
 
 // TestRouteHashChunklessLeastLoaded pins the satellite fix: a chunkless
 // request must go to the least-loaded live node. The old fallback,
-// req.idx % len(c.queues), ignored load entirely and — once membership
+// req.idx % len(c.nodes), ignored load entirely and — once membership
 // events exist — could index a dead node and panic pushing to its closed
 // queue.
 func TestRouteHashChunklessLeastLoaded(t *testing.T) {
 	cfg := routerTestConfig(RouterHash)
 	c := newCluster(cfg, nil, 0)
-	c.isRouted = true
-	c.clock = sim.NewClock()
-	c.queues = make([]*sim.Queue[request], 4)
-	for i := range c.queues {
-		c.queues[i] = sim.NewQueue[request](c.clock)
+	for _, inflight := range []int{3, 1, 2, 4} {
+		c.nodes = append(c.nodes, &node{inflight: inflight, live: 1})
 	}
-	c.inflight = []int{3, 1, 2, 4}
-	c.dead = make([]bool, 4)
 	req := request{idx: 8} // the old modulo fallback would pick node 0
 	if got := c.routeHash(req); got != 1 {
 		t.Fatalf("chunkless request routed to node %d, want least-loaded node 1", got)
 	}
-	c.dead[1] = true
+	c.nodes[1].live = 0
 	if got := c.routeHash(req); got != 2 {
 		t.Fatalf("chunkless request routed to node %d after kill of 1, want node 2", got)
 	}
-	c.dead[0], c.dead[2] = true, true
+	c.nodes[0].live, c.nodes[2].live = 0, 0
 	// Node 0 — the modulo target — is now dead; only node 3 survives.
 	if got := c.routeHash(req); got != 3 {
 		t.Fatalf("chunkless request routed to node %d, want sole live node 3", got)
@@ -252,8 +246,8 @@ func TestAffinityJoinNoThrash(t *testing.T) {
 	}
 	donorDemotions := func(c *cluster) int64 {
 		var n int64
-		for _, s := range c.stores[:4] {
-			for _, ts := range s.TierStats() {
+		for _, nd := range c.nodes[:4] {
+			for _, ts := range nd.store.TierStats() {
 				n += ts.Demotions
 			}
 		}
@@ -261,10 +255,10 @@ func TestAffinityJoinNoThrash(t *testing.T) {
 	}
 	base := run(nil)
 	joined := run([]MembershipEvent{{At: 10, Join: 1}})
-	if len(joined.stores) != 5 {
-		t.Fatalf("join did not add a store: %d", len(joined.stores))
+	if len(joined.nodes) != 5 {
+		t.Fatalf("join did not add a node: %d", len(joined.nodes))
 	}
-	if joined.replicaReqs[4] == 0 {
+	if joined.workers[4].reqs == 0 {
 		t.Fatal("joined replica attracted no traffic — affinity never migrated a tenant")
 	}
 	baseD, joinD := donorDemotions(base), donorDemotions(joined)
@@ -389,7 +383,7 @@ func (p *killProbe) Run(now float64) {
 		p.c.clock.Wake(now, p)
 		return
 	}
-	p.issued = p.c.stores[p.node].PrefetchStats().Issued
+	p.issued = p.c.nodes[p.node].store.PrefetchStats().Issued
 	p.fired = true
 }
 
@@ -409,17 +403,13 @@ func TestKilledNodeLoaderStops(t *testing.T) {
 	}
 	c := newCluster(cfg, reqs, warmup)
 	c.setup()
-	c.clock.Wake(0, &arrivals{c: c})
-	for r := 0; r < c.replicas; r++ {
-		c.startReplica(r)
-	}
 	probe := &killProbe{c: c, node: dead}
 	c.clock.Wake(kill.At, probe)
 	c.clock.Run()
 	if !probe.fired {
 		t.Fatal("the kill never fired")
 	}
-	store := c.stores[dead]
+	store := c.nodes[dead].store
 	if got := store.PrefetchStats().Issued; got != probe.issued {
 		t.Errorf("dead node issued %d transfers after the kill (%d at the kill, %d at the end)",
 			got-probe.issued, probe.issued, got)
@@ -446,7 +436,7 @@ func TestSharedPredictiveTriggerCountsLiveWorkers(t *testing.T) {
 	for i := range wave {
 		c.issue(&wave[i], 0, 1)
 	}
-	if c.predPend[0] != 1 {
-		t.Fatalf("%d predictive jobs queued at depth 4 with 3 live workers, want 1", c.predPend[0])
+	if n := c.nodes[0].predPend; n != 1 {
+		t.Fatalf("%d predictive jobs queued at depth 4 with 3 live workers, want 1", n)
 	}
 }

@@ -11,12 +11,7 @@
 // not a source of nondeterminism.
 package serve
 
-import (
-	"fmt"
-
-	"repro/internal/kvstore"
-	"repro/internal/sim"
-)
+import "fmt"
 
 // recoveryWindow is the TTFT-averaging window RecoveryTime is measured
 // over: post-event first-token samples are bucketed into 1-second spans
@@ -36,13 +31,13 @@ type MembershipEvent struct {
 	// At is the virtual time (seconds) the event fires. Must be positive
 	// and non-decreasing across the event list.
 	At float64
-	// Kill names the replica (node) index to fail. The index must be
-	// live when the event fires, and the last live replica cannot be
-	// killed. Under the routed policies the node goes dark: its queued
-	// requests re-route to survivors, its vnodes leave the hash ring,
-	// its loader stops and its in-flight transfers are drained. Under
-	// the shared topology only the worker dies — the store is the
-	// cluster's, so a kill is pure capacity loss.
+	// Kill names the replica index to fail. The index must be live when
+	// the event fires, and the last live replica cannot be killed. A
+	// node whose last live worker dies goes dark: its queued requests
+	// re-route to survivors, its vnodes leave the hash ring, its loader
+	// stops and its in-flight transfers are drained. Under the routed
+	// policies every kill darkens the replica's own node; the shared
+	// node always keeps a worker, so there a kill is pure capacity loss.
 	Kill int
 	// Join is how many fresh replicas join (0 = this is a kill event).
 	// A joined node starts cold: empty tiers, an empty popularity view,
@@ -101,57 +96,62 @@ func (c Config) validateEvents() error {
 }
 
 // applyEvent fires one membership event at the control process's current
-// virtual time.
+// virtual time. A joined replica works home's node: under the routed
+// policies a full cold node — empty tier stack, empty popularity view,
+// its own queues and loader, and its ring vnodes; under the shared
+// topology the shared node, as one more worker on its queue. Starting
+// tasks from the running control process is legal: the new worker and
+// loader wake at the current instant.
 func (c *cluster) applyEvent(ev MembershipEvent, now float64) {
-	if ev.Join > 0 {
-		for i := 0; i < ev.Join; i++ {
-			c.join()
-		}
+	if ev.Join == 0 {
+		c.kill(ev.Kill, now)
 		return
 	}
-	c.kill(ev.Kill, now)
+	for i := 0; i < ev.Join; i++ {
+		c.startReplica(c.home())
+	}
 }
 
-// kill fails replica k. Routed topologies lose the whole node: queued
-// requests drain back through route (keeping their original arrivals, so
-// the failover cost shows up as queueing delay, not dropped samples),
-// the node's vnodes leave the hash ring, its admission and prefetch
-// queues close (the worker and loader exit once their current work
-// retires) and its in-flight transfers drain. The shared topology loses
-// only the worker — the store belongs to the cluster.
+// kill fails replica k. Its node goes dark once no live worker is left:
+// queued requests drain back through route (keeping their original
+// arrivals, so the failover cost shows up as queueing delay, not dropped
+// samples), the node's vnodes leave the hash ring, its admission and
+// prefetch queues close (the worker and loader exit once their current
+// work retires) and its in-flight transfers drain. A node with workers
+// left keeps serving: the shared store is the cluster's.
 func (c *cluster) kill(k int, now float64) {
 	c.failovers++
 	if c.firstKill < 0 {
 		c.firstKill = now
 	}
-	c.dead[k] = true
-	if c.ring != nil {
-		c.ring.remove(k)
-	}
-	if !c.isRouted {
+	w := c.workers[k]
+	w.dead = true
+	n := w.node
+	if n.live--; n.live > 0 {
 		return
 	}
-	q := c.queues[k]
+	if c.ring != nil {
+		c.ring.remove(k) // a routed node's index is its replica's
+	}
 	for {
-		req, ok := q.TryPop()
+		req, ok := n.queue.TryPop()
 		if !ok {
 			break
 		}
-		c.inflight[k]--
+		n.inflight--
 		c.reroute(req, now)
 	}
-	q.Close()
-	if c.pfQueues != nil {
-		pq := c.pfQueues[k]
+	n.queue.Close()
+	if n.pfQueue != nil {
 		for {
-			if _, ok := pq.TryPop(); !ok {
+			if _, ok := n.pfQueue.TryPop(); !ok {
 				break
 			}
 		}
-		c.predPend[k] = 0
-		pq.Close()
-		c.stores[k].Drain()
+		n.predPend = 0
+		n.pfQueue.Close()
 	}
+	n.store.Drain()
 }
 
 // reroute sends one request orphaned by a kill back through the router.
@@ -160,47 +160,12 @@ func (c *cluster) kill(k int, now float64) {
 func (c *cluster) reroute(req request, now float64) {
 	c.reroutedN++
 	c.rerouted[req.idx] = true
-	t := c.route(req, now)
-	c.inflight[t]++
-	c.queues[t].Push(req)
-	if c.pfQueues != nil {
-		c.pfQueues[t].Push(prefetchJob{req: req.idx, ids: req.ids})
+	t := c.nodes[c.route(req, now)]
+	t.inflight++
+	t.queue.Push(req)
+	if t.pfQueue != nil {
+		t.pfQueue.Push(prefetchJob{req: req.idx, ids: req.ids})
 	}
-}
-
-// join adds one fresh replica at the current virtual time. Under the
-// routed policies the newcomer is a full cold node — empty tier stack,
-// empty popularity view, its own queue and loader, and its ring vnodes;
-// under the shared topology it is one more worker on the shared queue.
-// Starting tasks from the running control process is legal: the new
-// worker and loader wake at the current instant.
-func (c *cluster) join() {
-	r := len(c.busy)
-	c.busy = append(c.busy, 0)
-	c.dead = append(c.dead, false)
-	if c.replicaReqs != nil {
-		c.replicaReqs = append(c.replicaReqs, 0)
-	}
-	if c.isRouted {
-		c.queues = append(c.queues, sim.NewQueue[request](c.clock))
-		c.stores = append(c.stores, c.names.MustTiered(c.buildTiers(), kvstore.LRU))
-		c.inflight = append(c.inflight, 0)
-		// Pre-join arrivals never saw this queue, so its depth sum starts
-		// at zero — QueueSkew averages over the full measured window, the
-		// cold start included.
-		c.depthSums = append(c.depthSums, 0)
-		if c.pops != nil {
-			c.pops = append(c.pops, c.names.NewPopularity(popHalflife, popMaxEntries))
-		}
-		if c.pfQueues != nil {
-			c.pfQueues = append(c.pfQueues, sim.NewQueue[prefetchJob](c.clock))
-			c.predPend = append(c.predPend, 0)
-		}
-		if c.ring != nil {
-			c.ring.add(r)
-		}
-	}
-	c.startReplica(r)
 }
 
 // recoveryTime measures the TTFT transient after the first kill: the

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/kvstore"
-	"repro/internal/sim"
 )
 
 // Prefetch policy names accepted by Config.PrefetchPolicy.
@@ -70,7 +69,7 @@ func (c Config) prefetchActive() bool {
 	return c.PrefetchPolicy == PrefetchOnEnqueue || c.PrefetchPolicy == PrefetchPredictive
 }
 
-// loader is replica r's prefetch process: it drains its node's prefetch
+// loader is one replica's prefetch process: it drains its node's prefetch
 // queue and issues tier promotions at the source tier's full read
 // bandwidth, sleeping each transfer to completion before issuing the
 // next — one transfer in flight per loader. Jobs whose request was
@@ -85,27 +84,16 @@ func (c Config) prefetchActive() bool {
 // node's transfers, and the rest of the job would promote on a store no
 // request reads again.
 type loader struct {
-	c     *cluster
-	qi    int
-	queue *sim.Queue[prefetchJob]
-	store *kvstore.Tiered
-	cold  func(kvstore.Handle) bool // predictive candidates: resident below the top tier
-	job   prefetchJob
-	keys  []kvstore.Handle // the current job's store keys; the buffer is reused across jobs
-	k     int              // next key of the current job
-}
-
-// newLoader builds replica r's loader over its node's queue and store.
-func (c *cluster) newLoader(r int) *loader {
-	qi := c.qi(r)
-	store := c.stores[qi]
-	return &loader{c: c, qi: qi, queue: c.pfQueues[qi], store: store,
-		cold: func(h kvstore.Handle) bool { return store.TierOf(h) > 0 }}
+	c    *cluster
+	node *node
+	job  prefetchJob
+	keys []kvstore.Handle // the current job's store keys; the buffer is reused across jobs
+	k    int              // next key of the current job
 }
 
 func (l *loader) Run(now float64) {
-	c := l.c
-	if c.isRouted && c.dead[l.qi] {
+	c, n := l.c, l.node
+	if n.live == 0 {
 		return
 	}
 	for {
@@ -115,21 +103,21 @@ func (l *loader) Run(now float64) {
 			}
 			key := l.keys[l.k]
 			l.k++
-			if arrival, started := l.store.PrefetchH(key, now, 1); started {
+			if arrival, started := n.store.PrefetchH(key, now, 1); started {
 				c.clock.Wake(arrival, l) // sleep the transfer to completion
 				return
 			}
 		}
 		l.keys, l.k = l.keys[:0], 0
-		job, ok := l.queue.TryPop()
+		job, ok := n.pfQueue.TryPop()
 		if !ok {
-			if !l.queue.Closed() {
-				l.queue.Wait(l)
+			if !n.pfQueue.Closed() {
+				n.pfQueue.Wait(l)
 			}
 			return
 		}
 		if job.req < 0 {
-			c.predPend[l.qi]--
+			n.predPend--
 		} else if c.admitted[job.req] {
 			continue // stale: the request no longer benefits
 		}
@@ -143,7 +131,7 @@ func (l *loader) Run(now float64) {
 // estimator for the hottest chunks currently stranded on a cold tier.
 func (l *loader) jobKeys(dst []kvstore.Handle, now float64) []kvstore.Handle {
 	if l.job.req < 0 {
-		return l.c.pops[l.qi].Top(dst, now, predictiveFanout, l.cold)
+		return l.node.pop.Top(dst, now, predictiveFanout, l.node.cold)
 	}
 	for _, id := range l.job.ids {
 		dst = append(dst, l.c.chunkKeyOf(id))
@@ -151,16 +139,16 @@ func (l *loader) jobKeys(dst []kvstore.Handle, now float64) []kvstore.Handle {
 	return dst
 }
 
-// lookup resolves one chunk lookup against node si's store at virtual
+// lookup resolves one chunk lookup against the node's store at virtual
 // time now through the transfer-aware GetAt, which may join an in-flight
 // promotion and report a residual wait (with nothing in flight it is a
 // plain Get). When loaders run, the lookup also feeds the node's
 // popularity view the predictive loader ranks by.
-func (c *cluster) lookup(si int, key kvstore.Handle, now float64) (tier int, wait float64, ok bool) {
-	if c.pfQueues != nil {
-		c.pops[si].TouchH(key, now)
+func (n *node) lookup(key kvstore.Handle, now float64) (tier int, wait float64, ok bool) {
+	if n.pfQueue != nil {
+		n.pop.TouchH(key, now)
 	}
-	_, tier, wait, ok = c.stores[si].GetAtH(key, now)
+	_, tier, wait, ok = n.store.GetAtH(key, now)
 	return tier, wait, ok
 }
 

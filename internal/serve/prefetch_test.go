@@ -177,20 +177,19 @@ func TestServiceTimeTwoPassLookup(t *testing.T) {
 
 	c := &cluster{cfg: cfg, names: kvstore.NewNames()}
 	c.resolve()
-	c.stores = []*kvstore.Tiered{newStore(c.names)}
-	defer c.stores[0].Close()
-	_, lookups, hits, _ := c.serviceTime(0, []int{2, 3, 1}, 0)
+	n := &node{store: newStore(c.names)}
+	_, lookups, hits, _ := c.serviceTime(n, []int{2, 3, 1}, 0)
 	if lookups != 3 {
 		t.Fatalf("two-pass: got %d lookups, want 3", lookups)
 	}
 	if hits != 2 {
 		t.Errorf("two-pass: got %d hits, want 2 (chunks 1 and 2 were resident at admission)", hits)
 	}
-	if st := c.stores[0].Stats(); st.Hits != 2 || st.Misses != 1 {
+	if st := n.store.Stats(); st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("two-pass store stats: got %d hits / %d misses, want 2 / 1", st.Hits, st.Misses)
 	}
-	if n := c.names.Len(); n != 3 || c.stores[0].Len() != 2 {
-		t.Errorf("two-pass: %d handles for 3 chunk ids and %d entries, want 3 and 2", n, c.stores[0].Len())
+	if h := c.names.Len(); h != 3 || n.store.Len() != 2 {
+		t.Errorf("two-pass: %d handles for 3 chunk ids and %d entries, want 3 and 2", h, n.store.Len())
 	}
 }
 
@@ -206,9 +205,8 @@ func TestServiceTimeTwoPassDupKeys(t *testing.T) {
 	}
 	c := &cluster{cfg: cfg, names: kvstore.NewNames()}
 	c.resolve()
-	c.stores = []*kvstore.Tiered{c.names.MustTiered(c.buildTiers(), kvstore.LRU)}
-	defer c.stores[0].Close()
-	_, lookups, hits, _ := c.serviceTime(0, []int{5, 5, 5}, 0)
+	n := &node{store: c.names.MustTiered(c.buildTiers(), kvstore.LRU)}
+	_, lookups, hits, _ := c.serviceTime(n, []int{5, 5, 5}, 0)
 	if lookups != 3 || hits != 2 {
 		t.Errorf("dup request: got %d lookups / %d hits, want 3 / 2 (miss, then two hits on the inserted copy)",
 			lookups, hits)

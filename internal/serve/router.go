@@ -119,28 +119,6 @@ type hashRing struct {
 	points []ringPoint
 }
 
-// newHashRing builds the ring for n replicas, deterministically: replica
-// r's virtual points are the chunk hashes of ("router/vnode", [r, v]).
-func newHashRing(n int) *hashRing {
-	ring := &hashRing{points: make([]ringPoint, 0, n*ringVnodes)}
-	for r := 0; r < n; r++ {
-		for v := 0; v < ringVnodes; v++ {
-			id := chunk.Hash("router/vnode", []int{r, v})
-			ring.points = append(ring.points, ringPoint{
-				hash:    binary.LittleEndian.Uint64(id[:8]),
-				replica: r,
-			})
-		}
-	}
-	sort.Slice(ring.points, func(i, j int) bool {
-		if ring.points[i].hash != ring.points[j].hash {
-			return ring.points[i].hash < ring.points[j].hash
-		}
-		return ring.points[i].replica < ring.points[j].replica
-	})
-	return ring
-}
-
 // remove deletes replica r's virtual nodes from the ring — the
 // membership-kill path. Only the dead replica's points leave, so every
 // chunk a survivor owned keeps its owner (the stability property
@@ -156,10 +134,11 @@ func (h *hashRing) remove(replica int) {
 	h.points = pts
 }
 
-// add inserts replica r's virtual nodes — the membership-join path. The
-// points are exactly the ones newHashRing would have given index r, so
-// ownership moves only onto the newcomer and a ring that removes then
-// re-adds a replica is restored bit for bit.
+// add inserts replica r's virtual nodes, deterministically: the chunk
+// hashes of ("router/vnode", [r, v]). The points are sorted by (hash,
+// replica), a total order, so a ring is the same whatever order its
+// replicas joined in: ownership moves only onto a newcomer, and a ring
+// that removes then re-adds a replica is restored bit for bit.
 func (h *hashRing) add(replica int) {
 	for v := 0; v < ringVnodes; v++ {
 		id := chunk.Hash("router/vnode", []int{replica, v})
@@ -186,11 +165,11 @@ func (h *hashRing) owner(id chunk.ID) int {
 	return h.points[i].replica
 }
 
-// route picks the replica (and with it the store, queue and loader) an
-// arriving request is dispatched to. The shared topology uses index 0,
-// the single shared state.
+// route picks the node (and with it the store, queues and loader) an
+// arriving request is dispatched to, by its index in nodes. One node
+// leaves nothing to decide.
 func (c *cluster) route(req request, now float64) int {
-	if len(c.queues) == 1 {
+	if len(c.nodes) == 1 {
 		return 0
 	}
 	switch c.cfg.Router {
@@ -212,10 +191,10 @@ func (c *cluster) routeHash(req request) int {
 	if len(req.ids) == 0 {
 		return c.leastLoaded()
 	}
-	if cap(c.cntScratch) < len(c.queues) {
-		c.cntScratch = make([]int, len(c.queues))
+	if cap(c.cntScratch) < len(c.nodes) {
+		c.cntScratch = make([]int, len(c.nodes))
 	}
-	counts := c.cntScratch[:len(c.queues)]
+	counts := c.cntScratch[:len(c.nodes)]
 	for i := range counts {
 		counts[i] = 0
 	}
@@ -223,11 +202,11 @@ func (c *cluster) routeHash(req request) int {
 		counts[c.ring.owner(c.names.ID(c.chunkKeyOf(id)))]++
 	}
 	best := -1
-	for r, n := range counts {
-		if c.dead[r] {
+	for r, k := range counts {
+		if c.nodes[r].live == 0 {
 			continue
 		}
-		if best < 0 || n > counts[best] {
+		if best < 0 || k > counts[best] {
 			best = r
 		}
 	}
@@ -239,11 +218,11 @@ func (c *cluster) routeHash(req request) int {
 // requests with no chunk set to route by.
 func (c *cluster) leastLoaded() int {
 	best := -1
-	for r := range c.queues {
-		if c.dead[r] {
+	for r, n := range c.nodes {
+		if n.live == 0 {
 			continue
 		}
-		if best < 0 || c.inflight[r] < c.inflight[best] {
+		if best < 0 || n.inflight < c.nodes[best].inflight {
 			best = r
 		}
 	}
@@ -262,17 +241,17 @@ func (c *cluster) routeAffinity(req request, now float64) int {
 	}
 	c.keyScratch = keys[:0]
 	best, bestScore := -1, 0.0
-	for r := range c.queues {
-		if c.dead[r] {
-			continue // a killed node never scores, whatever it still holds
+	for r, n := range c.nodes {
+		if n.live == 0 {
+			continue // a dark node never scores, whatever it still holds
 		}
-		score := -affinityLoadPenalty * float64(c.inflight[r])
+		score := -affinityLoadPenalty * float64(n.inflight)
 		for _, key := range keys {
-			if c.stores[r].Contains(key) {
+			if n.store.Contains(key) {
 				score++
 				continue
 			}
-			if s := c.pops[r].Score(key, now); s > 0 {
+			if s := n.pop.Score(key, now); s > 0 {
 				if s > 1 {
 					s = 1
 				}
@@ -284,7 +263,7 @@ func (c *cluster) routeAffinity(req request, now float64) int {
 		}
 	}
 	for _, key := range keys {
-		c.pops[best].TouchH(key, now)
+		c.nodes[best].pop.TouchH(key, now)
 	}
 	return best
 }

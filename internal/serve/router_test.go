@@ -34,6 +34,16 @@ func routerTestConfig(router string) Config {
 	}
 }
 
+// newHashRing builds the ring a hash-routed cluster of n replicas starts
+// with.
+func newHashRing(n int) *hashRing {
+	ring := new(hashRing)
+	for r := 0; r < n; r++ {
+		ring.add(r)
+	}
+	return ring
+}
+
 // routerTestMix is four bursty tenants over disjoint 48-chunk corpora.
 func routerTestMix(rate float64) workload.Workload {
 	mix := make([]workload.Workload, 4)

@@ -55,7 +55,7 @@ type member struct {
 	lastToken     float64        // virtual time the latest token was emitted
 	ttft          float64        // realised TTFT (recorded only when SLOs are evaluated)
 	tbtSum        float64        // summed TBT samples (ditto), for the mean-TBT target
-	si            int            // index of the store the request was admitted against
+	node          *node          // the node the request was admitted on
 	gen           kvstore.Handle // its generated KV's store key, named at admission, released at retirement
 	genBytes      int64          // generated-KV footprint resident in the store
 	genPayload    *kvstore.Bytes // reusable boxed payload for the per-token decode-KV Put
@@ -73,11 +73,28 @@ type tenantAcc struct {
 	sloDone, sloMet int64 // completions SLO-evaluated / meeting every target
 }
 
-// cluster is the state of one simulated run. The store-shaped state —
-// stores, admission queues, popularity views, loader queues — is sliced
-// per replica: under the routed policies (hash, affinity) every replica
-// owns index r of each slice, its own node; under the shared topology the
-// slices have one element every replica shares, a single node.
+// node is one storage node of the cluster: a tier stack, the admission
+// queue its workers pull from, and the routing and prefetch state over
+// them. The shared topology is one node every replica works; under the
+// routed policies (hash, affinity) each replica owns one.
+type node struct {
+	store    *kvstore.Tiered
+	queue    *sim.Queue[request]
+	pop      *kvstore.Popularity     // demand view: nil unless loaders run or affinity routes
+	pfQueue  *sim.Queue[prefetchJob] // loader work queue: nil unless loaders run
+	predPend int                     // predictive jobs queued on pfQueue (dedupe)
+	inflight int                     // requests routed here, not yet retired
+	depthSum float64                 // queue depths sampled at measured arrivals
+	live     int                     // workers not killed; a node with none is dark
+}
+
+// cold reports whether h is resident below the node's top tier: the
+// predictive loader's candidates.
+func (n *node) cold(h kvstore.Handle) bool { return n.store.TierOf(h) > 0 }
+
+// cluster is the state of one simulated run. Per-node state lives in
+// nodes and per-replica state in workers; only newNode and home decide
+// the topology.
 type cluster struct {
 	cfg Config
 	// The run's input: wave is the whole open stream, or a closed loop's
@@ -97,28 +114,23 @@ type cluster struct {
 	cutoff        float64 // virtual time the warmup period ends: the warmup-th dispatch's arrival
 
 	clock      *sim.Clock
-	queues     []*sim.Queue[request]
 	names      *kvstore.Names // the run's chunk handles: every store and popularity view is built over it
-	stores     []*kvstore.Tiered
+	nodes      []*node
+	workers    []*replica // replica index → its worker, joins appended
 	chunkBytes int64
 	genNS      string  // store-key namespace of generated KV: the model name + "/gen"
 	tokenBytes int64   // generated KV bytes per decoded token
 	decodeUnit float64 // unbatched per-token decode step duration
 	hasDecode  bool    // some request carries a generation budget
 	budget     int     // per-step prefill token budget (0 = whole-chunk steps)
-	isRouted   bool    // per-replica stores with real routing (hash/affinity)
+	routed     bool    // one node per replica (hash/affinity), not one shared node
 	ring       *hashRing
-	pops       []*kvstore.Popularity
-	pfQueues   []*sim.Queue[prefetchJob] // loader work queues (active policies only)
-	admitted   []bool                    // request idx → already admitted (loader cancellation)
-	predPend   []int                     // queued predictive jobs per loader queue (dedupe)
-	inflight   []int                     // requests routed to each node, not yet retired
-	dead       []bool                    // replica index → killed by a membership event
-	rerouted   []bool                    // request idx → re-enqueued by a kill (nil without events)
-	failovers  int                       // kill events fired
-	reroutedN  int64                     // requests drained off dead nodes and re-routed
-	firstKill  float64                   // virtual time of the first kill (-1 = none yet)
-	ttftAt     []float64                 // first-token timestamps matching ttfts (nil without events)
+	admitted   []bool    // request idx → already admitted (loader cancellation)
+	rerouted   []bool    // request idx → re-enqueued by a kill (nil without events)
+	failovers  int       // kill events fired
+	reroutedN  int64     // requests drained off dead nodes and re-routed
+	firstKill  float64   // virtual time of the first kill (-1 = none yet)
+	ttftAt     []float64 // first-token timestamps matching ttfts (nil without events)
 
 	// The config's effective values, resolved once per run (resolve): a
 	// value-receiver Config helper called per step or per admission
@@ -152,12 +164,9 @@ type cluster struct {
 	outTokens     int64
 	completed     int
 	lastDone      float64
-	busy          []float64
 	batchHist     metrics.Histogram
 	depthSum      float64
 	depthN        int
-	depthSums     []float64 // per-replica depth sums at measured arrivals (routed)
-	replicaReqs   []int64   // requests each replica admitted
 	// post-warmup step counts by batch composition
 	stepsPrefill, stepsDecode, stepsMixed int64
 	multiTenant                           bool
@@ -261,15 +270,6 @@ func (c *cluster) recycle(m *member) {
 	c.memberPool = append(c.memberPool, m)
 }
 
-// qi maps a replica index to its slot in the per-replica slices: its own
-// index under the routed policies, the single shared slot otherwise.
-func (c *cluster) qi(r int) int {
-	if c.isRouted {
-		return r
-	}
-	return 0
-}
-
 // measured reports whether a request belongs to the measured window. One
 // rule for every per-request sample — TTFT, TBT, E2E, completion,
 // prefill delay, tier stall, arrival-time queue depth: a request is
@@ -357,68 +357,32 @@ func (c *cluster) resolve() {
 	c.sloSched = cfg.Sched == SchedSLO
 	c.sloOn = cfg.sloOn()
 	c.sloTTFT, c.sloTBT = cfg.SLOTTFT, cfg.SLOTBT
-	c.isRouted = cfg.routed()
+	c.routed = cfg.routed()
 	c.replicas = cfg.replicas()
 	c.maxBatch = cfg.maxBatch()
 	c.tiered = cfg.tiered()
 }
 
-// setup builds the run's state from the config and the stream: stores,
-// queues, routing and loader state, and the preallocated metric slices.
+// setup builds the run's state from the config and the stream — nodes,
+// routing state and the preallocated metric slices — and starts its
+// processes at t=0.
 func (c *cluster) setup() {
 	c.resolve()
 	cfg := &c.cfg
+	c.clock = sim.NewClock()
 	if c.sloSched {
 		// One closure for the whole run: every min-pop orders the queue at
 		// the popping replica's current virtual time.
 		c.sloCmp = func(a, b request) bool { return c.sloCompare(a, b, c.clock.Now()) < 0 }
 	}
-	nodes := 1 // store-shaped state slots: one shared node, or one per replica
-	if c.isRouted {
-		nodes = c.replicas
-	}
 	c.names = kvstore.NewNames()
-	c.stores = make([]*kvstore.Tiered, nodes)
-	for i := range c.stores {
-		// Every node gets the full configured tier stack: a routed cluster
-		// is N nodes' worth of hardware, the shared baseline one node's.
-		c.stores[i] = c.names.MustTiered(c.buildTiers(), kvstore.LRU)
-	}
-	if cfg.prefetchActive() || cfg.Router == RouterAffinity {
-		// One popularity estimator per node feeds the loaders and affinity
-		// routing alike — the shared demand signal.
-		c.pops = make([]*kvstore.Popularity, nodes)
-		for i := range c.pops {
-			c.pops[i] = c.names.NewPopularity(popHalflife, popMaxEntries)
-		}
-	}
 	if cfg.Router == RouterHash {
-		c.ring = newHashRing(nodes)
+		c.ring = new(hashRing) // each node adds its vnodes as it is built
 	}
-
-	c.clock = sim.NewClock()
-	c.queues = make([]*sim.Queue[request], nodes)
-	for i := range c.queues {
-		c.queues[i] = sim.NewQueue[request](c.clock)
-	}
-	c.busy = make([]float64, c.replicas)
 	c.admitted = make([]bool, c.total)
-	c.dead = make([]bool, c.replicas)
 	c.firstKill = -1
 	if cfg.hasEvents() {
 		c.rerouted = make([]bool, c.total)
-	}
-	c.replicaReqs = make([]int64, c.replicas)
-	if c.isRouted {
-		c.depthSums = make([]float64, nodes)
-		c.inflight = make([]int, nodes)
-	}
-	if cfg.prefetchActive() {
-		c.pfQueues = make([]*sim.Queue[prefetchJob], nodes)
-		for i := range c.pfQueues {
-			c.pfQueues[i] = sim.NewQueue[prefetchJob](c.clock)
-		}
-		c.predPend = make([]int, nodes)
 	}
 
 	// Preallocate the per-request metric slices: one TTFT/E2E per
@@ -433,26 +397,55 @@ func (c *cluster) setup() {
 	if cfg.hasEvents() {
 		c.ttftAt = make([]float64, 0, measuredN)
 	}
+
+	// Start order is the event order at t=0: the control process, then
+	// each replica's worker and loader.
+	c.clock.Wake(0, &arrivals{c: c})
+	for r := 0; r < c.replicas; r++ {
+		c.startReplica(c.home())
+	}
+}
+
+// newNode builds a cold node — empty tiers, an empty popularity view,
+// empty queues — and, under hash routing, puts its vnodes on the ring.
+// Every node gets the full configured tier stack: a routed cluster is N
+// nodes' worth of hardware, the shared baseline one node's. A node that
+// joins mid-run starts its depth sum at zero: QueueSkew averages over the
+// whole measured window, the cold start included.
+func (c *cluster) newNode() *node {
+	n := &node{
+		store: c.names.MustTiered(c.buildTiers(), kvstore.LRU),
+		queue: sim.NewQueue[request](c.clock),
+	}
+	if c.cfg.prefetchActive() || c.cfg.Router == RouterAffinity {
+		// One popularity estimator per node feeds the loaders and affinity
+		// routing alike — the shared demand signal.
+		n.pop = c.names.NewPopularity(popHalflife, popMaxEntries)
+	}
+	if c.cfg.prefetchActive() {
+		n.pfQueue = sim.NewQueue[prefetchJob](c.clock)
+	}
+	if c.ring != nil {
+		c.ring.add(len(c.nodes))
+	}
+	c.nodes = append(c.nodes, n)
+	return n
+}
+
+// home returns the node a starting replica works: a fresh one of its own
+// under the routed policies, so replica r owns nodes[r]; the one shared
+// node otherwise.
+func (c *cluster) home() *node {
+	if c.routed || len(c.nodes) == 0 {
+		return c.newNode()
+	}
+	return c.nodes[0]
 }
 
 // run executes the simulation and aggregates the Result.
 func (c *cluster) run() Result {
 	c.setup()
 	cfg := &c.cfg
-	// One deferred sweep instead of per-store defers: membership joins
-	// append stores mid-run, and those must close too.
-	defer func() {
-		for _, s := range c.stores {
-			s.Close()
-		}
-	}()
-
-	// Start order is the event order at t=0: the control process, then
-	// each replica's worker and loader.
-	c.clock.Wake(0, &arrivals{c: c})
-	for r := 0; r < c.replicas; r++ {
-		c.startReplica(r)
-	}
 	end := c.clock.Run()
 
 	res := Result{
@@ -473,16 +466,16 @@ func (c *cluster) run() Result {
 	// Store statistics aggregate across the nodes; per-tier rows sum the
 	// same tier index of every node's stack.
 	var st kvstore.Stats
-	for _, s := range c.stores {
-		ss := s.Stats()
+	for _, n := range c.nodes {
+		ss := n.store.Stats()
 		st.Hits += ss.Hits
 		st.Misses += ss.Misses
 	}
 	res.HitRate = st.HitRate()
 	res.Lookups = st.Hits + st.Misses
 	res.Misses = st.Misses
-	for _, s := range c.stores {
-		for i, ts := range s.TierStats() {
+	for _, n := range c.nodes {
+		for i, ts := range n.store.TierStats() {
 			if i == len(res.Tiers) {
 				res.Tiers = append(res.Tiers, TierUsage{Device: ts.Device})
 			}
@@ -498,10 +491,15 @@ func (c *cluster) run() Result {
 	if c.depthN > 0 {
 		res.MeanQueueDepth = c.depthSum / float64(c.depthN)
 	}
-	res.ReplicaUtil = make([]float64, len(c.busy))
-	for i, b := range c.busy {
-		res.ReplicaUtil[i] = metrics.Utilization(b, end-c.cutoff)
+	busy := make([]float64, len(c.workers))
+	res.ReplicaUtil = make([]float64, len(c.workers))
+	res.ReplicaRequests = make([]int64, len(c.workers))
+	for i, w := range c.workers {
+		busy[i] = w.busy
+		res.ReplicaUtil[i] = metrics.Utilization(w.busy, end-c.cutoff)
+		res.ReplicaRequests[i] = w.reqs
 	}
+	res.LoadSkew = metrics.CoefVar(busy)
 	if c.hasDecode {
 		res.MeanTBT = c.tbts.Mean()
 		res.P95TBT = c.tbts.Percentile(95)
@@ -537,8 +535,8 @@ func (c *cluster) run() Result {
 	}
 	var joins int64
 	res.TierStallTime = c.tierStall
-	for _, s := range c.stores {
-		pf := s.PrefetchStats()
+	for _, n := range c.nodes {
+		pf := n.store.PrefetchStats()
 		res.PrefetchIssued += pf.Issued
 		res.PrefetchHits += pf.Hits
 		res.PrefetchWastedBytes += pf.BytesWasted
@@ -549,24 +547,20 @@ func (c *cluster) run() Result {
 	if res.Router == "" {
 		res.Router = RouterShared
 	}
-	res.ReplicaHitRates = make([]float64, len(c.stores))
-	for i, s := range c.stores {
-		res.ReplicaHitRates[i] = s.Stats().HitRate()
+	res.ReplicaHitRates = make([]float64, len(c.nodes))
+	for i, n := range c.nodes {
+		res.ReplicaHitRates[i] = n.store.Stats().HitRate()
 	}
-	res.ReplicaRequests = c.replicaReqs
-	res.LoadSkew = metrics.CoefVar(c.busy)
-	if c.isRouted {
-		// A shared node has one queue and one store: no queue balance to
-		// measure, no second copy to count.
-		if c.depthN > 0 {
-			means := make([]float64, len(c.depthSums))
-			for i, s := range c.depthSums {
-				means[i] = s / float64(c.depthN)
-			}
-			res.QueueSkew = metrics.CoefVar(means)
+	// One node has no queue balance to measure (the CoefVar of one value
+	// is 0) and no second copy to count, so both stay zero and omitted.
+	if c.depthN > 0 {
+		means := make([]float64, len(c.nodes))
+		for i, n := range c.nodes {
+			means[i] = n.depthSum / float64(c.depthN)
 		}
-		res.DuplicationBytes = c.duplicationBytes()
+		res.QueueSkew = metrics.CoefVar(means)
 	}
+	res.DuplicationBytes = c.duplicationBytes()
 	res.Failovers = c.failovers
 	res.ReroutedRequests = c.reroutedN
 	res.ReWarmStall = c.reWarmStall
@@ -577,17 +571,20 @@ func (c *cluster) run() Result {
 
 // duplicationBytes is the routed cluster's redundancy bill at run end:
 // the bytes resident beyond one copy per distinct chunk, summed across
-// every node's tier stack. Hash routing duplicates the chunks a request
-// straddles ownership over; affinity routing duplicates whatever two
-// replicas' clienteles share.
+// every live node's tier stack. Hash routing duplicates the chunks a
+// request straddles ownership over; affinity routing duplicates whatever
+// two replicas' clienteles share. One node holds one copy of each.
 func (c *cluster) duplicationBytes() int64 {
+	if len(c.nodes) == 1 {
+		return 0
+	}
 	var total, unique int64
 	seen := make([]bool, c.names.Issued())
-	for i, s := range c.stores {
-		if c.dead[i] {
-			continue // a dead node's residue is gone, not redundancy
+	for _, n := range c.nodes {
+		if n.live == 0 {
+			continue // a dark node's residue is gone, not redundancy
 		}
-		s.EachH(func(h kvstore.Handle, bytes int64) {
+		n.store.EachH(func(h kvstore.Handle, bytes int64) {
 			total += bytes
 			if !seen[h] {
 				seen[h] = true
@@ -653,50 +650,35 @@ func (c *cluster) issue(in *workload.Request, client int, now float64) {
 		// utilization, throughput windows) cut at this timestamp.
 		c.cutoff = r.arrival
 	}
-	t := c.route(r, now)
-	if c.inflight != nil {
-		c.inflight[t]++
-	}
+	t := c.nodes[c.route(r, now)]
+	t.inflight++
 	// Sample the depth each measured arrival finds on the queue it
 	// joins, excluding itself (arrivals see time averages — PASTA);
 	// warmup-period arrivals are excluded like every other warmup
-	// sample. Routed runs additionally sample every node's depth,
-	// the balance snapshot QueueSkew summarises.
+	// sample. Every node's depth is sampled too, the balance snapshot
+	// QueueSkew summarises.
 	if c.measured(r) {
-		c.depthSum += float64(c.queues[t].Len())
+		c.depthSum += float64(t.queue.Len())
 		c.depthN++
-		if c.depthSums != nil {
-			for i, q := range c.queues {
-				c.depthSums[i] += float64(q.Len())
-			}
+		for _, n := range c.nodes {
+			n.depthSum += float64(n.queue.Len())
 		}
 	}
-	c.queues[t].Push(r)
-	if c.pfQueues != nil {
-		// The node's loader starts moving this request's chunks
-		// while it queues; under the predictive policy a backed-up
-		// queue additionally triggers a popularity-driven promotion
-		// — at most one queued per node (back-to-back triggers
-		// would rank the same hot set and promote it twice).
-		c.pfQueues[t].Push(prefetchJob{req: r.idx, ids: r.ids})
-		if c.cfg.PrefetchPolicy == PrefetchPredictive &&
-			c.queues[t].Len() > c.predDepth() && c.predPend[t] == 0 {
-			c.predPend[t]++
-			c.pfQueues[t].Push(prefetchJob{req: -1})
+	t.queue.Push(r)
+	if t.pfQueue != nil {
+		// The node's loader starts moving this request's chunks while
+		// it queues; under the predictive policy a queue backed up past
+		// the node's live workers additionally triggers a
+		// popularity-driven promotion — at most one queued per node
+		// (back-to-back triggers would rank the same hot set and promote
+		// it twice).
+		t.pfQueue.Push(prefetchJob{req: r.idx, ids: r.ids})
+		if c.cfg.PrefetchPolicy == PrefetchPredictive && t.queue.Len() > t.live && t.predPend == 0 {
+			t.predPend++
+			t.pfQueue.Push(prefetchJob{req: -1})
 		}
 	}
 	c.closeIfDone()
-}
-
-// predDepth is the queue depth that triggers a predictive promotion: a
-// node's queue backed up past the live workers draining it — every
-// replica not killed in the shared topology, joins included, and exactly
-// one under the routed policies.
-func (c *cluster) predDepth() int {
-	if c.isRouted {
-		return 1
-	}
-	return len(c.dead) - c.failovers
 }
 
 // arrivals is the control process. It interleaves the two input streams
@@ -760,21 +742,28 @@ func (c *cluster) closeIfDone() {
 	if c.issued < c.total || !c.ctlDone {
 		return
 	}
-	for _, q := range c.queues {
-		q.Close()
+	// Every admission queue closes before any loader queue: closing wakes
+	// the parked processes, and that order is the event order.
+	for _, n := range c.nodes {
+		n.queue.Close()
 	}
-	for _, q := range c.pfQueues {
-		q.Close()
+	for _, n := range c.nodes {
+		if n.pfQueue != nil {
+			n.pfQueue.Close()
+		}
 	}
 }
 
-// startReplica starts replica r's worker, and its loader when prefetch is
-// active, at the current virtual time.
-func (c *cluster) startReplica(r int) {
+// startReplica starts the next replica's worker on node n, and the
+// node's loader when prefetch is active, at the current virtual time.
+func (c *cluster) startReplica(n *node) {
 	now := c.clock.Now()
-	c.clock.Wake(now, &replica{c: c, r: r, queue: c.queues[c.qi(r)]})
-	if c.pfQueues != nil {
-		c.clock.Wake(now, c.newLoader(r))
+	w := &replica{c: c, node: n}
+	c.workers = append(c.workers, w)
+	n.live++
+	c.clock.Wake(now, w)
+	if n.pfQueue != nil {
+		c.clock.Wake(now, &loader{c: c, node: n})
 	}
 }
 
@@ -797,16 +786,18 @@ func (c *cluster) pop(q *sim.Queue[request]) (request, bool) {
 // drained.
 type replica struct {
 	c           *cluster
-	r           int
-	queue       *sim.Queue[request]
+	node        *node
 	batch       []*member
 	deferred    int  // consecutive boundaries the policy held the door while work waited
 	stepping    bool // woken at the end of a planned step
+	dead        bool // killed by a membership event
 	step, stall float64
+	busy        float64 // post-warmup busy seconds
+	reqs        int64   // requests admitted over the whole run
 }
 
 func (w *replica) Run(now float64) {
-	c, r, queue := w.c, w.r, w.queue
+	c, queue := w.c, w.node.queue
 	if w.stepping {
 		w.stepping = false
 		w.endStep(now)
@@ -822,10 +813,10 @@ func (w *replica) Run(now float64) {
 			}
 			return // parked, or queue closed and drained with the batch empty — done
 		}
-		if c.dead[r] && !queue.Closed() {
-			// Killed while parked on the shared queue (routed queues
-			// close at the kill, so a wait there never wakes a dead
-			// worker with an item): hand the request back to the
+		if w.dead && !queue.Closed() {
+			// Killed while parked on the shared queue (a dark node's
+			// queue closes at the kill, so a wait there never wakes a
+			// dead worker with an item): hand the request back to the
 			// tail for a live worker and exit. Once the queue is
 			// closed the stream is over and survivors may already
 			// have exited, so the item is served rather than risk
@@ -835,7 +826,7 @@ func (w *replica) Run(now float64) {
 			queue.Push(req)
 			return
 		}
-		w.batch = append(w.batch, c.admit(req, now, r))
+		w.batch = append(w.batch, c.admit(req, now, w))
 		w.deferred = 0
 	}
 	// Continuous batching, join side: the policy decides how many of
@@ -844,7 +835,7 @@ func (w *replica) Run(now float64) {
 	// batch decodes). New requests only enter at a step boundary.
 	headroom := c.maxBatch - len(w.batch)
 	quota := c.admitQuota(w.batch, headroom, w.deferred)
-	if c.dead[r] {
+	if w.dead {
 		quota = 0 // a dead worker finishes its batch but admits nothing
 	}
 	admitted := 0
@@ -853,7 +844,7 @@ func (w *replica) Run(now float64) {
 		if !ok {
 			break
 		}
-		w.batch = append(w.batch, c.admit(req, now, r))
+		w.batch = append(w.batch, c.admit(req, now, w))
 		admitted++
 	}
 	if admitted > 0 {
@@ -874,7 +865,7 @@ func (w *replica) Run(now float64) {
 // member one step, retiring those that finish.
 func (w *replica) endStep(now float64) {
 	c := w.c
-	c.observeStep(w.batch, w.step, w.stall, now, w.r)
+	c.observeStep(w, now)
 	live := w.batch[:0]
 	for _, m := range w.batch {
 		if !m.decoding {
@@ -968,19 +959,18 @@ func (c *cluster) stall(step float64, decoders, width int) float64 {
 }
 
 // admit computes the request's per-scheme prefill service time against
-// replica r's store at its current state and splits it into
+// worker w's node's store at its current state and splits it into
 // chunk-boundary steps — or, under a budgeted policy, into
 // token-granularity progress over the same total service time; the decode
 // budget rides along on the member. now is the admission instant, sampled
 // for the prefill-delay telemetry. Marking the request admitted here is
 // what cancels its still-queued prefetch job: the tier reads are paid
 // now, so promoting its chunks afterwards could only waste transfers.
-func (c *cluster) admit(req request, now float64, r int) *member {
-	si := c.qi(r)
+func (c *cluster) admit(req request, now float64, w *replica) *member {
 	c.admitted[req.idx] = true
-	c.replicaReqs[r]++
+	w.reqs++
 	steps := len(req.ids) + 1 // one per chunk, one for the query
-	service, lookups, hits, stall := c.serviceTime(si, req.ids, now)
+	service, lookups, hits, stall := c.serviceTime(w.node, req.ids, now)
 	var m *member
 	if n := len(c.memberPool); n > 0 {
 		m = c.memberPool[n-1] // zeroed by recycle, its boxed payload kept
@@ -988,7 +978,7 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 	} else {
 		m = &member{}
 	}
-	m.req, m.si = req, si
+	m.req, m.node = req, w.node
 	m.unit, m.remaining = service/float64(steps), steps
 	m.lookups, m.hits = lookups, hits
 	if c.budget > 0 {
@@ -1074,13 +1064,14 @@ func (c *cluster) stepTime(batch []*member) float64 {
 	return engine.DecodeStepTime(longest, len(batch), decodeOverhead)
 }
 
-// observeStep records one executed step's telemetry — batch size, busy
-// time, stall, phase composition — unless it ends inside the warmup
-// period (one cutoff for every metric, the cutoff TTFT uses).
-func (c *cluster) observeStep(batch []*member, step, stall, now float64, r int) {
+// observeStep records worker w's step that just ended at now — batch
+// size, busy time, stall, phase composition — unless it ends inside the
+// warmup period (one cutoff for every metric, the cutoff TTFT uses).
+func (c *cluster) observeStep(w *replica, now float64) {
 	if now <= c.cutoff {
 		return
 	}
+	batch, step, stall := w.batch, w.step, w.stall
 	// A step straddling the cutoff only credits its post-cutoff portion:
 	// utilization's denominator starts at the cutoff, so crediting the
 	// whole step would overstate busy time (and could push it past 1).
@@ -1089,7 +1080,7 @@ func (c *cluster) observeStep(batch []*member, step, stall, now float64, r int) 
 		stall *= busy / step
 		step = busy
 	}
-	c.busy[r] += step
+	w.busy += step
 	c.stallTime += stall
 	c.batchHist.Observe(len(batch))
 	prefill, decode := false, false
@@ -1124,7 +1115,7 @@ func (c *cluster) firstToken(m *member, now float64) {
 	if m.req.decode > 0 {
 		m.genBytes = c.tokenBytes
 		*m.genPayload = kvstore.Bytes(m.genBytes)
-		c.stores[m.si].PutH(m.gen, m.genPayload) //nolint:errcheck
+		m.node.store.PutH(m.gen, m.genPayload) //nolint:errcheck
 	}
 	if !c.measured(m.req) {
 		return
@@ -1150,7 +1141,7 @@ func (c *cluster) firstToken(m *member, now float64) {
 func (c *cluster) token(m *member, now float64) {
 	m.genBytes += c.tokenBytes
 	*m.genPayload = kvstore.Bytes(m.genBytes)
-	c.stores[m.si].PutH(m.gen, m.genPayload) //nolint:errcheck
+	m.node.store.PutH(m.gen, m.genPayload) //nolint:errcheck
 	if c.sloOn {
 		m.tbtSum += now - m.lastToken
 	}
@@ -1170,12 +1161,10 @@ func (c *cluster) token(m *member, now float64) {
 func (c *cluster) retire(m *member, now float64) {
 	defer c.recycle(m) // the caller drops m from the batch after retire
 	if m.req.decode > 0 {
-		c.stores[m.si].RemoveH(m.gen)
+		m.node.store.RemoveH(m.gen)
 		c.names.Release(m.gen)
 	}
-	if c.inflight != nil {
-		c.inflight[m.si]--
-	}
+	m.node.inflight--
 	if c.sloOn {
 		c.sloOutcome(m)
 	}

@@ -538,7 +538,7 @@ func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Re
 }
 
 // serviceTime computes one request's prefill service time under the
-// scheme, updating replica si's KV store, and reports the request's store
+// scheme, updating node n's KV store, and reports the request's store
 // lookup and hit counts for per-tenant accounting plus its tier-read
 // stall (the priced cost beyond an all-HBM request). It is evaluated when
 // the request is admitted into a replica's batch, against the store's
@@ -553,8 +553,8 @@ func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Re
 // the store's pre-request state before any miss is inserted — so a
 // miss-insert can no longer demote or evict a chunk the same request
 // already counted (and priced) as a hit at a now-wrong tier.
-func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, lookups, hits int64, stall float64) {
-	cfg, store, chunkBytes := &c.cfg, c.stores[si], c.chunkBytes
+func (c *cluster) serviceTime(n *node, ids []int, now float64) (secs float64, lookups, hits int64, stall float64) {
+	cfg, store, chunkBytes := &c.cfg, n.store, c.chunkBytes
 	L := len(ids)*cfg.ChunkTokens + cfg.QueryTokens
 	spec := &cfg.Spec
 	if c.chunkSized == nil {
@@ -608,13 +608,13 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 				dupKeys = append(dupKeys, key)
 				continue
 			}
-			tier, wait, ok := c.lookup(si, key, now)
+			tier, wait, ok := n.lookup(key, now)
 			if !ok {
 				missKeys = append(missKeys, key)
 				continue
 			}
 			found++
-			if wait > 0 && wait+c.reuseCost(si, 0, 1) <= c.reuseCost(si, tier, 1) {
+			if wait > 0 && wait+c.reuseCost(n, 0, 1) <= c.reuseCost(n, tier, 1) {
 				// In-flight join: pay the transfer's remaining time, then
 				// read the chunk where it is landing — the top tier. Only
 				// when that beats reading the source tier directly: the
@@ -629,7 +629,7 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 			store.PutH(key, c.chunkSized) //nolint:errcheck
 		}
 		for _, key := range dupKeys {
-			if tier, _, ok := c.lookup(si, key, now); ok {
+			if tier, _, ok := n.lookup(key, now); ok {
 				found++
 				tierChunks[tier]++
 			}
@@ -638,32 +638,32 @@ func (c *cluster) serviceTime(si int, ids []int, now float64) (secs float64, loo
 		c.missScratch, c.dupScratch = missKeys, dupKeys
 		lookups, hits = int64(len(ids)), int64(found)
 		var reuse float64
-		for tier, n := range tierChunks {
-			if n > 0 {
-				reuse += c.reuseCost(si, tier, n)
+		for tier, k := range tierChunks {
+			if k > 0 {
+				reuse += c.reuseCost(n, tier, k)
 			}
 		}
 		reuse += waitCost
 		missTokens := (len(ids)-found)*cfg.ChunkTokens + cfg.QueryTokens
 		return reuse + spec.Prefill(missTokens) + spec.DecodeSecPerToken, lookups, hits,
-			c.reuseStall(si, reuse, waitCost, tierChunks, found)
+			c.reuseStall(n, reuse, waitCost, tierChunks, found)
 
 	default:
 		panic(fmt.Sprintf("serve: scheme %q is not a serving mode", cfg.Scheme))
 	}
 }
 
-// reuseCost prices reusing n chunks resident on the given tier of replica
-// si's store under the config's scheme: full KV reuse reads their KV;
+// reuseCost prices reusing k chunks resident on the given tier of node
+// n's store under the config's scheme: full KV reuse reads their KV;
 // CacheBlend pipelines each layer's loading with selective recompute
 // (§5, timing.Pipeline) at the ratio chunkRatio picks for the tier's
 // device. Zero chunks cost exactly 0.
-func (c *cluster) reuseCost(si, tier, n int) float64 {
-	d := c.stores[si].TierDevice(tier)
+func (c *cluster) reuseCost(n *node, tier, k int) float64 {
+	d := n.store.TierDevice(tier)
 	if c.cfg.Scheme == baselines.FullKVReuse {
-		return d.ReadTime(int64(n) * c.chunkBytes)
+		return d.ReadTime(int64(k) * c.chunkBytes)
 	}
-	spec, tokens := &c.cfg.Spec, n*c.cfg.ChunkTokens
+	spec, tokens := &c.cfg.Spec, k*c.cfg.ChunkTokens
 	return timing.Pipeline(spec.Layers, spec.LoadLayer(tokens, d),
 		spec.RecomputeLayer(c.chunkRatio(tokens, d), tokens))
 }
@@ -674,11 +674,11 @@ func (c *cluster) reuseCost(si, tier, n int) float64 {
 // per-tier latency terms cancel. A request that waited on no transfer and
 // found every hit on the top tier stalls exactly zero (both costs are the
 // same expression), so it skips the repricing.
-func (c *cluster) reuseStall(si int, cost, wait float64, tierChunks []int, found int) float64 {
+func (c *cluster) reuseStall(n *node, cost, wait float64, tierChunks []int, found int) float64 {
 	if wait == 0 && tierChunks[0] == found {
 		return 0
 	}
-	if stall := cost - c.reuseCost(si, 0, found); stall > 0 {
+	if stall := cost - c.reuseCost(n, 0, found); stall > 0 {
 		return stall
 	}
 	return 0
