@@ -47,7 +47,8 @@ type PrefetchStats struct {
 	Issued, Completed int64
 	// Hits counts lookups a prefetch served: reads that found their chunk
 	// promoted by a completed transfer (first read only), plus the
-	// in-flight joins below.
+	// in-flight joins below. Every join counts, so one transfer can serve
+	// several hits, and Hits can exceed Issued.
 	Hits int64
 	// InflightJoins is the subset of Hits that arrived before the
 	// transfer finished and paid only the residual wait.
@@ -58,15 +59,6 @@ type PrefetchStats struct {
 	// cancelled or orphaned mid-flight, and completed promotions undone
 	// (demoted or removed) before any lookup touched them.
 	BytesWasted int64
-}
-
-// Accuracy is Hits over Issued — the fraction of transfers that served at
-// least one read. 0 with no transfers.
-func (p PrefetchStats) Accuracy() float64 {
-	if p.Issued == 0 {
-		return 0
-	}
-	return float64(p.Hits) / float64(p.Issued)
 }
 
 // Prefetch schedules an asynchronous promotion of id from the cold tier

@@ -262,17 +262,6 @@ func TestPrefetchCompletionOrder(t *testing.T) {
 	}
 }
 
-func TestPrefetchStatsAccuracy(t *testing.T) {
-	var pf PrefetchStats
-	if pf.Accuracy() != 0 {
-		t.Fatal("accuracy with no transfers must be 0")
-	}
-	pf = PrefetchStats{Issued: 4, Hits: 3}
-	if pf.Accuracy() != 0.75 {
-		t.Fatalf("accuracy %v, want 0.75", pf.Accuracy())
-	}
-}
-
 // topIDs is p.Top into a fresh slice, read back as ids.
 func topIDs(p *Popularity, now float64, k int, keep func(Handle) bool) []chunk.ID {
 	var ids []chunk.ID

@@ -369,22 +369,24 @@ func TestKillAfterLastArrival(t *testing.T) {
 }
 
 // killProbe records a node's prefetch counters right after a kill: woken
-// at the kill's time, it wakes again at that instant, behind the control
-// process, until the kill has fired.
+// at the kill's time ahead of the control process, it wakes once more at
+// that instant, behind it.
 type killProbe struct {
 	c      *cluster
 	node   int
 	issued int64
+	waited bool
 	fired  bool
 }
 
 func (p *killProbe) Run(now float64) {
-	if p.c.failovers == 0 {
+	if !p.waited {
+		p.waited = true
 		p.c.clock.Wake(now, p)
 		return
 	}
 	p.issued = p.c.nodes[p.node].store.PrefetchStats().Issued
-	p.fired = true
+	p.fired = p.c.failovers > 0
 }
 
 // TestKilledNodeLoaderStops: a loader asleep on a transfer when its node

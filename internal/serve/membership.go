@@ -41,8 +41,9 @@ type MembershipEvent struct {
 	Kill int
 	// Join is how many fresh replicas join (0 = this is a kill event).
 	// A joined node starts cold: empty tiers, an empty popularity view,
-	// and — under hash routing — exactly the vnodes newHashRing would
-	// have given its index, so ownership moves only onto the newcomer.
+	// and — under hash routing — exactly the vnodes a cluster started
+	// with that many replicas gives its index, so ownership moves only
+	// onto the newcomer.
 	Join int
 }
 

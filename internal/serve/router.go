@@ -29,8 +29,10 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/baselines"
@@ -147,11 +149,11 @@ func (h *hashRing) add(replica int) {
 			replica: replica,
 		})
 	}
-	sort.Slice(h.points, func(i, j int) bool {
-		if h.points[i].hash != h.points[j].hash {
-			return h.points[i].hash < h.points[j].hash
+	slices.SortFunc(h.points, func(a, b ringPoint) int {
+		if a.hash != b.hash {
+			return cmp.Compare(a.hash, b.hash)
 		}
-		return h.points[i].replica < h.points[j].replica
+		return cmp.Compare(a.replica, b.replica)
 	})
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/baselines"
 	"repro/internal/chunk"
 	"repro/internal/engine"
 	"repro/internal/kvstore"
@@ -118,12 +119,12 @@ type cluster struct {
 	nodes      []*node
 	workers    []*replica // replica index → its worker, joins appended
 	chunkBytes int64
+	keyNS      string  // store-key namespace of chunk KV: the model name, + "/prefix0" under prefix caching
 	genNS      string  // store-key namespace of generated KV: the model name + "/gen"
 	tokenBytes int64   // generated KV bytes per decoded token
 	decodeUnit float64 // unbatched per-token decode step duration
 	hasDecode  bool    // some request carries a generation budget
 	budget     int     // per-step prefill token budget (0 = whole-chunk steps)
-	routed     bool    // one node per replica (hash/affinity), not one shared node
 	ring       *hashRing
 	admitted   []bool    // request idx → already admitted (loader cancellation)
 	rerouted   []bool    // request idx → re-enqueued by a kill (nil without events)
@@ -203,10 +204,12 @@ const (
 	keyTableSlack = 8
 )
 
-// chunkKeyOf returns the handle of chunk id's store key, chunkKey, and
-// memoises it: the serving hot loop hashes and names each distinct chunk
-// id once per run, and every store and popularity view finds it by that
-// handle. Naming each id once is what lets the run name with Names.Name,
+// chunkKeyOf returns the handle of chunk id's store key, chunkKey in the
+// run's keyNS, and memoises it: the serving hot loop hashes and names
+// each distinct chunk id once per run, and every store and popularity
+// view finds it by that handle. Under prefix caching the key names the
+// prefix-cache entry starting at the chunk; no other path names chunk
+// keys then, since routing and loaders need a chunk-reusing scheme. Naming each id once is what lets the run name with Names.Name,
 // which probes nothing. Ids index a table directly; an id past its end
 // grows it (growKeyTable) or, when growing that far would leave the table
 // mostly empty, is memoised in keyMap instead. A replayed trace with a
@@ -219,7 +222,7 @@ func (c *cluster) chunkKeyOf(id int) kvstore.Handle {
 			if c.keyMap == nil {
 				c.keyMap = make(map[int]kvstore.Handle)
 			}
-			k = c.names.Name(chunkKey(c.cfg.Spec.Name, id))
+			k = c.names.Name(chunkKey(c.keyNS, id))
 			c.keyMap[id] = k
 			c.keysCached++
 		}
@@ -227,7 +230,7 @@ func (c *cluster) chunkKeyOf(id int) kvstore.Handle {
 	}
 	s := &c.keyTable[id]
 	if !s.ok {
-		s.key, s.ok = c.names.Name(chunkKey(c.cfg.Spec.Name, id)), true
+		s.key, s.ok = c.names.Name(chunkKey(c.keyNS, id)), true
 		c.keysCached++
 	}
 	return s.key
@@ -347,6 +350,10 @@ func (c *cluster) buildTiers() []kvstore.Tier {
 func (c *cluster) resolve() {
 	cfg := &c.cfg
 	c.chunkBytes = cfg.Spec.KVBytes(cfg.ChunkTokens)
+	c.keyNS = cfg.Spec.Name
+	if cfg.Scheme == baselines.PrefixCaching {
+		c.keyNS += "/prefix0"
+	}
 	c.genNS = cfg.Spec.Name + "/gen"
 	c.tokenBytes = cfg.Spec.KVBytesPerToken()
 	c.decodeUnit = cfg.Spec.DecodeSecPerToken
@@ -357,7 +364,6 @@ func (c *cluster) resolve() {
 	c.sloSched = cfg.Sched == SchedSLO
 	c.sloOn = cfg.sloOn()
 	c.sloTTFT, c.sloTBT = cfg.SLOTTFT, cfg.SLOTBT
-	c.routed = cfg.routed()
 	c.replicas = cfg.replicas()
 	c.maxBatch = cfg.maxBatch()
 	c.tiered = cfg.tiered()
@@ -377,7 +383,8 @@ func (c *cluster) setup() {
 	}
 	c.names = kvstore.NewNames()
 	if cfg.Router == RouterHash {
-		c.ring = new(hashRing) // each node adds its vnodes as it is built
+		// Each node adds its vnodes as it is built.
+		c.ring = &hashRing{points: make([]ringPoint, 0, c.replicas*ringVnodes)}
 	}
 	c.admitted = make([]bool, c.total)
 	c.firstKill = -1
@@ -436,7 +443,7 @@ func (c *cluster) newNode() *node {
 // under the routed policies, so replica r owns nodes[r]; the one shared
 // node otherwise.
 func (c *cluster) home() *node {
-	if c.routed || len(c.nodes) == 0 {
+	if c.cfg.routed() || len(c.nodes) == 0 {
 		return c.newNode()
 	}
 	return c.nodes[0]

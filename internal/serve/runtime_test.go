@@ -214,6 +214,7 @@ func TestChunkKeyTable(t *testing.T) {
 	}
 
 	c := &cluster{cfg: cfg, names: kvstore.NewNames()}
+	c.resolve()
 	for _, r := range (workload.Poisson{Rate: 2, Chunks: cfg.chunks()}).Generate(2000, 3) {
 		for _, id := range r.Chunks {
 			check(c, id)
@@ -225,6 +226,7 @@ func TestChunkKeyTable(t *testing.T) {
 	}
 
 	c = &cluster{cfg: cfg, names: kvstore.NewNames()}
+	c.resolve()
 	sparse := []int{7, 1 << 30, 2_000_000_000, 1 << 30, -3, 12}
 	for _, id := range sparse {
 		check(c, id)
@@ -237,6 +239,7 @@ func TestChunkKeyTable(t *testing.T) {
 	// table once enough ids are memoised for the table to grow over it:
 	// with 601 memoised, the slack bound is 8×602 = 4816 > 4700.
 	c = &cluster{cfg: cfg, names: kvstore.NewNames()}
+	c.resolve()
 	check(c, 4500)
 	if len(c.keyMap) != 1 {
 		t.Fatalf("id 4500 with nothing memoised should go to the map (table %d)", len(c.keyTable))

@@ -349,9 +349,10 @@ type Result struct {
 	TierStallTime float64 `json:",omitempty"`
 	// PrefetchIssued counts transfers the loaders started; PrefetchHits
 	// how many lookups a prefetch served (in-flight joins plus first
-	// reads of completed promotions); PrefetchWastedBytes the transfer
-	// bytes that never served a read (cancelled, orphaned, or demoted
-	// unread).
+	// reads of completed promotions). Every join counts, so one transfer
+	// can serve several hits and PrefetchHits can exceed PrefetchIssued.
+	// PrefetchWastedBytes is the transfer bytes that never served a read
+	// (cancelled, orphaned, or demoted unread).
 	PrefetchIssued      int64 `json:",omitempty"`
 	PrefetchHits        int64 `json:",omitempty"`
 	PrefetchWastedBytes int64 `json:",omitempty"`
@@ -568,10 +569,9 @@ func (c *cluster) serviceTime(n *node, ids []int, now float64) (secs float64, lo
 	case baselines.PrefixCaching:
 		// Only a position-0 hit helps (§3.2). Following the paper's
 		// idealised assumption, loading the prefix KV is free.
-		key := prefixKey(spec.Name, ids[0])
-		_, _, hit := store.Get(key)
-		if !hit {
-			store.Put(key, c.chunkSized) //nolint:errcheck
+		key := c.chunkKeyOf(ids[0])
+		if _, _, hit := store.GetH(key); !hit {
+			store.PutH(key, c.chunkSized) //nolint:errcheck
 			return spec.FullPrefillTTFT(L), 1, 0, 0
 		}
 		rest := L - cfg.ChunkTokens
@@ -696,14 +696,10 @@ func (c *cluster) chunkRatio(tokens int, d device.Device) float64 {
 	return ctl.PickRatio(tokens, d)
 }
 
-// chunkKey is the store key of context chunk id under the named model.
-func chunkKey(model string, id int) chunk.ID {
-	return chunk.Hash(model, []int{id})
-}
-
-// prefixKey is the store key of a prefix-cache entry starting at chunk id.
-func prefixKey(model string, id int) chunk.ID {
-	return chunk.Hash(model+"/prefix0", []int{id})
+// chunkKey is the store key of chunk id in namespace ns (cluster.keyNS
+// for chunk KV).
+func chunkKey(ns string, id int) chunk.ID {
+	return chunk.Hash(ns, []int{id})
 }
 
 // Capacity returns the maximum sustainable request rate of a single
