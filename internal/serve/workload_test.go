@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/device"
@@ -212,6 +213,29 @@ func TestRunWorkloadRejectsBrokenStreams(t *testing.T) {
 	if _, err := RunWorkload(cfg, invalid, 1, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "no chunks") {
 		t.Fatalf("chunkless request accepted: %v", err)
+	}
+}
+
+// TestRunWorkloadRejectsOverflowingDiurnal: at a rate whose thinning
+// clock overflows on its first draw, Diurnal used to hang; its stream now
+// ends in +Inf arrivals, and the run is rejected with the error Bursty
+// and Poisson streams give. The run is on its own goroutine, so a hang
+// fails the test instead of stalling the suite.
+func TestRunWorkloadRejectsOverflowingDiurnal(t *testing.T) {
+	cfg := baseConfig(baselines.CacheBlend)
+	w := workload.Diurnal{Rate: 1e-309, Amplitude: 0.5, Chunks: testWorkloadChunks(cfg)}
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunWorkload(cfg, w, 10, 0, 1)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "arrival +Inf") {
+			t.Fatalf("overflowing diurnal stream: err %v, want one naming the +Inf arrival", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunWorkload on an overflowing diurnal stream still running after 10 s")
 	}
 }
 

@@ -168,6 +168,10 @@ func (d Diurnal) Validate() error {
 		return fmt.Errorf("diurnal: amplitude %v: must be in [0, 1]", d.Amplitude)
 	case !finite(d.Period) || d.Period < 0:
 		return fmt.Errorf("diurnal: period %v: must be finite and non-negative", d.Period)
+	case math.IsInf(d.Rate*(1+d.Amplitude), 1):
+		// Thinning draws at the peak rate; an infinite one never advances
+		// the clock and rejects every draw.
+		return fmt.Errorf("diurnal: rate %v at amplitude %v: the peak rate overflows", d.Rate, d.Amplitude)
 	}
 	if err := d.Chunks.Validate(); err != nil {
 		return fmt.Errorf("diurnal: %w", err)
@@ -196,7 +200,15 @@ func (d Diurnal) Generate(n int, seed int64) []Request {
 	t := 0.0
 	for len(reqs) < n {
 		t += expo(g, 1/peak)
-		rate := d.Rate * (1 + d.Amplitude*math.Sin(2*math.Pi*t/period))
+		// Once the phase overflows (the clock has, or a period lies far
+		// below the clock's resolution) the curve averages out to the mean
+		// rate. Thinning to it keeps an overflowing clock from rejecting
+		// every draw: the stream ends in +Inf arrivals, which the runtime
+		// rejects, instead of never ending.
+		rate := d.Rate
+		if phase := 2 * math.Pi * t / period; finite(phase) {
+			rate *= 1 + d.Amplitude*math.Sin(phase)
+		}
 		if g.Float64()*peak <= rate {
 			ids := chunkList(arena, len(reqs), k)
 			d.Chunks.Sample(g, z, t, ids)

@@ -8,7 +8,8 @@ import (
 
 // generateRef is MultiTenant.Generate as it was before the k-way merge:
 // a stable sort of every tenant's (arrival, tenant, index) keys on
-// arrival. It is kept as the reference the merge must match.
+// arrival, over n requests drawn from each tenant by its reference
+// (refStream). It is kept as the reference the merge must match.
 func generateRef(m MultiTenant, n int, seed int64) []Request {
 	if n <= 0 {
 		return nil
@@ -16,7 +17,7 @@ func generateRef(m MultiTenant, n int, seed int64) []Request {
 	streams := make([][]Request, len(m.Tenants))
 	total := 0
 	for i, w := range m.Tenants {
-		streams[i] = w.Generate(n, seed+int64(i)*1_000_003)
+		streams[i] = refStream(w, n, seed+int64(i)*1_000_003)
 		total += len(streams[i])
 	}
 	type arrivalKey struct {
@@ -50,49 +51,121 @@ func generateRef(m MultiTenant, n int, seed int64) []Request {
 }
 
 // TestMultiTenantMatchesReference: the generated mixes the serving
-// benchmarks and goldens use merge exactly as the stable sort did, with
-// n below, at and above one tenant's stream.
+// benchmarks and goldens use, a Diurnal mix with a Poisson tenant, and a
+// mix nesting both beside a trace merge exactly as the stable sort of the
+// reference streams did, with n below, at and above one tenant's stream,
+// and every tenant's own Generate equals its reference.
 func TestMultiTenantMatchesReference(t *testing.T) {
 	routed := make([]Workload, 4)
 	for i := range routed {
 		routed[i] = Bursty{Rate: 2, Burst: 4,
 			Chunks: Chunks{Pool: 48, PerRequest: 6, Skew: 1.1, Offset: i * 48, DriftPeriod: 60}}
 	}
+	diurnal := MultiTenant{Tenants: []Workload{
+		Diurnal{Rate: 3, Amplitude: 0.9, Chunks: Chunks{Pool: 64, PerRequest: 3, Skew: 1.1}, Decode: Decode{Mean: 8}},
+		Diurnal{Rate: 1, Amplitude: 0.5, Period: 5,
+			Chunks: Chunks{Pool: 64, PerRequest: 2, Offset: 64, DriftPeriod: 7}, Decode: Decode{Mean: 3, Deterministic: true}},
+		Poisson{Rate: 2, Chunks: Chunks{Pool: 64, PerRequest: 4, Skew: 1, Offset: 128}},
+	}}
+	trace := Trace{Reqs: []Request{{Arrival: 0.5, Chunks: []int{1}}, {Arrival: 0.5, Chunks: []int{2}}, {Arrival: 9, Chunks: []int{3}}}}
 	for _, m := range []MultiTenant{
 		{Tenants: routed},
 		TenantMix(3, 6, Chunks{Pool: 300, PerRequest: 4, Skew: 0.8}, 10, Decode{Mean: 16}),
 		TenantMix(1, 2, Chunks{Pool: 50, PerRequest: 2, Skew: 1.1}, 0, Decode{}),
+		diurnal,
+		{Tenants: []Workload{TenantMix(2, 4, Chunks{Pool: 40, PerRequest: 2, Skew: 0.8}, 0, Decode{}), diurnal, trace}},
 	} {
 		for _, n := range []int{0, 1, 7, 500} {
 			for seed := int64(1); seed <= 3; seed++ {
 				if got, want := m.Generate(n, seed), generateRef(m, n, seed); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s, n %d, seed %d: merge differs from the stable sort", m.Name(), n, seed)
 				}
+				for i, w := range m.Tenants {
+					s := seed + int64(i)*1_000_003
+					if got, want := w.Generate(n, s), refStream(w, n, s); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, n %d, seed %d: tenant %d (%s) differs from its reference", m.Name(), n, seed, i, w.Name())
+					}
+				}
 			}
 		}
 	}
 }
 
-// FuzzMultiTenantMerge holds MultiTenant's merge to the stable sort it
-// replaced. It builds 1–6 arrival-ordered traces on a coarse half-second
-// clock, so arrivals tie often within and across tenants: data's bytes
-// are dealt to the tenants in turn, each one a request whose gap after
-// its tenant's previous arrival is b%4 half-seconds. n runs from below
-// one tenant's length to above all tenants' total. Every request and
-// tenant stamp must equal the reference's, and no trace may change.
-func FuzzMultiTenantMerge(f *testing.F) {
-	f.Add(uint8(2), uint16(5), []byte{0, 0, 1, 0, 2, 0, 0, 3})
-	f.Add(uint8(0), uint16(3), []byte{1, 2, 3})
-	f.Add(uint8(5), uint16(40), []byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 4, 8, 12, 2, 6, 0, 0})
-	f.Add(uint8(3), uint16(0), []byte{7, 7, 7, 7})
-	f.Add(uint8(4), uint16(9), []byte{})
+// fuzzGenerator decodes one tenant from spec, a byte per choice (0 past
+// its end): nil for a trace, or a Poisson, Bursty or Diurnal generator
+// over small sets of rates, burst factors, amplitudes, pools, chunks per
+// request, skews (uniform, integer-power and table Zipf draws), drift and
+// decode lengths.
+func fuzzGenerator(spec *[]byte) Workload {
+	pick := func(n int) int {
+		if len(*spec) == 0 {
+			return 0
+		}
+		v := int((*spec)[0]) % n
+		*spec = (*spec)[1:]
+		return v
+	}
+	kind := pick(4)
+	if kind == 0 {
+		return nil
+	}
+	ch := Chunks{
+		Pool:        []int{1, 7, 48}[pick(3)],
+		PerRequest:  []int{1, 3, 6}[pick(3)],
+		Skew:        []float64{0, 0.8, 1, 1.1}[pick(4)],
+		Offset:      48 * pick(4),
+		DriftPeriod: []float64{0, 2, 30}[pick(3)],
+	}
+	dec := []Decode{{}, {Mean: 16}, {Mean: 4, Deterministic: true}}[pick(3)]
+	rate := []float64{0.5, 2, 8}[pick(3)]
+	switch kind {
+	case 1:
+		return Poisson{Rate: rate, Chunks: ch, Decode: dec}
+	case 2:
+		return Bursty{Rate: rate, Burst: []float64{1, 4, 16}[pick(3)], Cycle: []float64{0, 3}[pick(2)], Chunks: ch, Decode: dec}
+	}
+	return Diurnal{Rate: rate, Amplitude: []float64{0, 0.5, 1}[pick(3)], Period: []float64{0, 5}[pick(2)], Chunks: ch, Decode: dec}
+}
 
-	f.Fuzz(func(t *testing.T, rawK uint8, rawN uint16, data []byte) {
+// FuzzMultiTenantMerge holds MultiTenant's merge to the stable sort it
+// replaced, over the tenants' reference streams. Each of 1–6 tenants is
+// decoded from spec (fuzzGenerator): a generator, or an arrival-ordered
+// trace on a coarse half-second clock, so arrivals tie often within and
+// across tenants. data's bytes are dealt to the trace tenants in turn,
+// each one a request whose gap after its tenant's previous arrival is b%4
+// half-seconds. n runs from below one trace's length to above all traces'
+// total, and rawK also picks the seed. Every request and tenant stamp
+// must equal the reference's, every generator tenant's own Generate must
+// equal its reference, and no trace may change.
+func FuzzMultiTenantMerge(f *testing.F) {
+	f.Add(uint8(2), uint16(5), []byte{}, []byte{0, 0, 1, 0, 2, 0, 0, 3})
+	f.Add(uint8(0), uint16(3), []byte{}, []byte{1, 2, 3})
+	f.Add(uint8(5), uint16(40), []byte{}, []byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 4, 8, 12, 2, 6, 0, 0})
+	f.Add(uint8(3), uint16(0), []byte{}, []byte{7, 7, 7, 7})
+	f.Add(uint8(4), uint16(9), []byte{}, []byte{})
+	// Four drifting Bursty tenants, serve-routed-tiered's shape.
+	f.Add(uint8(3), uint16(60), []byte{2, 2, 2, 3, 0, 2, 0, 1, 1, 0, 2, 2, 2, 3, 1, 2, 0, 1, 1, 0, 2, 2, 2, 3, 2, 2, 0, 1, 1, 0, 2, 2, 2, 3, 3, 2, 0, 1, 1, 0}, []byte{})
+	// Poisson, Diurnal and a trace, with decode lengths.
+	f.Add(uint8(8), uint16(30), []byte{1, 1, 1, 2, 0, 0, 1, 2, 0, 3, 2, 2, 1, 1, 1, 2, 2, 1, 1, 0}, []byte{0, 1, 2, 3, 0, 1})
+	f.Add(uint8(13), uint16(50), []byte{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 2, 2, 3, 3, 1, 2, 2, 1, 1, 1, 1, 0, 1, 1, 2, 2, 1, 2, 0}, []byte{5})
+
+	f.Fuzz(func(t *testing.T, rawK uint8, rawN uint16, spec, data []byte) {
 		k := 1 + int(rawK%6)
-		traces := make([]Trace, k)
-		clock := make([]int, k)
+		seed := 1 + int64(rawK/6)
+		m := MultiTenant{Tenants: make([]Workload, k)}
+		var traced []int // the trace tenants, in order
+		for i := range m.Tenants {
+			if m.Tenants[i] = fuzzGenerator(&spec); m.Tenants[i] == nil {
+				traced = append(traced, i)
+			}
+		}
+		traces := make([]Trace, len(traced))
+		clock := make([]int, len(traced))
 		for j, b := range data {
-			i := j % k
+			if len(traced) == 0 {
+				break
+			}
+			i := j % len(traced)
 			clock[i] += int(b % 4)
 			traces[i].Reqs = append(traces[i].Reqs, Request{
 				Arrival:      0.5 * float64(clock[i]),
@@ -100,15 +173,14 @@ func FuzzMultiTenantMerge(f *testing.F) {
 				DecodeTokens: int(b / 4),
 			})
 		}
-		m := MultiTenant{Tenants: make([]Workload, k)}
-		before := make([][]Request, k)
+		before := make([][]Request, len(traces))
 		for i, tr := range traces {
-			m.Tenants[i] = tr
+			m.Tenants[traced[i]] = tr
 			before[i] = cloneRequests(tr.Reqs)
 		}
-		n := int(rawN) % (len(data) + 3)
-		got := m.Generate(n, 1)
-		want := generateRef(m, n, 1)
+		n := int(rawN) % (len(data) + 64)
+		got := m.Generate(n, seed)
+		want := generateRef(m, n, seed)
 		if len(got) != len(want) {
 			t.Fatalf("n %d: merged %d requests, the stable sort %d", n, len(got), len(want))
 		}
@@ -117,10 +189,19 @@ func FuzzMultiTenantMerge(f *testing.F) {
 				t.Fatalf("n %d, request %d: merged %+v, the stable sort gives %+v", n, i, got[i], want[i])
 			}
 		}
+		for i, w := range m.Tenants {
+			if _, ok := w.(Trace); ok {
+				continue
+			}
+			s := seed + int64(i)*1_000_003
+			if got, want := w.Generate(n, s), refStream(w, n, s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n %d: tenant %d (%+v) differs from its reference", n, i, w)
+			}
+		}
 		for i, tr := range traces {
 			for j, r := range tr.Reqs {
 				if !reflect.DeepEqual(r, before[i][j]) {
-					t.Fatalf("Generate changed tenant %d's request %d to %+v", i, j, r)
+					t.Fatalf("Generate changed trace tenant %d's request %d to %+v", traced[i], j, r)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -163,6 +164,45 @@ func TestDiurnalRateCurve(t *testing.T) {
 	}
 	if up < down*2 {
 		t.Fatalf("day half %d arrivals vs night half %d: curve too flat", up, down)
+	}
+}
+
+// TestDiurnalOverflowingPhaseEnds: once the thinning clock overflows to
+// +Inf, or the phase 2πt/period does on a finite clock, the rate curve
+// is NaN and no draw used to pass the thinning test, so Generate never
+// returned. It now thins to the mean rate there: the overflowed stream
+// is full length and ends in +Inf arrivals, which serve.RunWorkload
+// rejects. Each call runs on its own goroutine, so a hang fails the test
+// instead of stalling the suite.
+func TestDiurnalOverflowingPhaseEnds(t *testing.T) {
+	for _, c := range []struct {
+		d   Diurnal
+		inf bool // every arrival overflows
+	}{
+		{Diurnal{Rate: 1e-309, Amplitude: 0.5}, true},
+		{Diurnal{Rate: 5e-324, Amplitude: 1}, true},
+		{Diurnal{Rate: 1e-10, Amplitude: 0.5, Period: 1e-300}, false},
+	} {
+		c.d.Chunks = Chunks{Pool: 4, PerRequest: 2}
+		if err := c.d.Validate(); err != nil {
+			t.Fatalf("%+v: %v", c.d, err)
+		}
+		done := make(chan []Request, 1)
+		go func(d Diurnal) { done <- d.Generate(3, 1) }(c.d)
+		var reqs []Request
+		select {
+		case reqs = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("rate %v, period %v: Generate(3, 1) still running after 10 s", c.d.Rate, c.d.Period)
+		}
+		if len(reqs) != 3 {
+			t.Fatalf("rate %v, period %v: %d requests, want 3", c.d.Rate, c.d.Period, len(reqs))
+		}
+		for i, r := range reqs {
+			if math.IsInf(r.Arrival, 1) != c.inf || math.IsNaN(r.Arrival) {
+				t.Fatalf("rate %v, period %v: request %d arrives at %v", c.d.Rate, c.d.Period, i, r.Arrival)
+			}
+		}
 	}
 }
 
@@ -337,6 +377,7 @@ func TestValidateRejectsDegenerateParameters(t *testing.T) {
 		{Bursty{Rate: 1, Burst: 2, Cycle: -3, Chunks: ch}, "cycle"},
 		{Diurnal{Rate: 1, Amplitude: 1.5, Chunks: ch}, "amplitude"},
 		{Diurnal{Rate: 0, Chunks: ch}, "rate"},
+		{Diurnal{Rate: 1e308, Amplitude: 1, Chunks: ch}, "peak rate overflows"},
 		{MultiTenant{}, "no tenants"},
 		{MultiTenant{Tenants: []Workload{Poisson{Rate: 0, Chunks: ch}}}, "tenant 0"},
 		{Trace{}, "no requests"},
