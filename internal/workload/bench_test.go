@@ -5,9 +5,12 @@ import "testing"
 // BenchmarkGenerate times generating a 1000-request stream: Poisson,
 // Bursty and Diurnal over BenchmarkServeHotPath's 1500-chunk corpus;
 // serve-routed-tiered's mix of four drifting Bursty tenants over
-// disjoint 48-chunk corpora, which generates 1000 per tenant, each
-// through its own skew-1.1 Zipf table, and k-way merges the four
-// arrival-ordered streams, keeping the earliest 1000; and
+// disjoint 48-chunk corpora, each with its own skew-1.1 Zipf table
+// sized for a 1000-request stream, whose k-way merge keeps the earliest
+// 1000 and draws each tenant's requests only as it takes them (at most
+// 1003 in all); a TenantMix of three Poisson tenants over the same
+// corpus, where each tenant draws its 1000 arrivals up front and the
+// chunks and decode length of only the requests the merge pulls; and
 // serve-closed-decode's closed loop of 3 tenants × 8 clients, whose
 // session issues one request per completion (each completed one virtual
 // second after it arrives). ns/req divides by the 1000 requests returned
@@ -32,6 +35,7 @@ func BenchmarkGenerate(b *testing.B) {
 		{"bursty", generate(Bursty{Rate: 2, Burst: 4, Chunks: hot})},
 		{"diurnal", generate(Diurnal{Rate: 2, Amplitude: 0.8, Chunks: hot})},
 		{"multi-tenant4", generate(MultiTenant{Tenants: tenants})},
+		{"tenant-mix3", generate(TenantMix(3, 2, hot, 60, Decode{Mean: 4}))},
 		{"closed-loop3x8", func(seed int64) int { return drainSession(closed.Session(n, seed)) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

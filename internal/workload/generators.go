@@ -9,6 +9,85 @@ import (
 	"repro/internal/tensor"
 )
 
+// source yields a generator's stream one request at a time, making for
+// each request exactly the draws the whole stream's Generate makes.
+type source interface {
+	// next returns the stream's next request; ok is false once the
+	// stream is spent.
+	next() (r Request, ok bool)
+}
+
+// streamer is a workload whose stream opens as a source: Poisson,
+// Bursty, Diurnal and MultiTenant.
+type streamer interface {
+	// open starts the stream Generate(n, seed) returns, handing out its
+	// chunk lists from a.
+	open(n int, seed int64, a *arena) source
+}
+
+// drain is every streamer's Generate: the first n requests of its
+// stream.
+func drain(s streamer, n int, seed int64) []Request {
+	if n <= 0 {
+		return nil
+	}
+	src := s.open(n, seed, &arena{left: n})
+	out := make([]Request, 0, n)
+	for len(out) < n {
+		r, ok := src.next()
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// openSource opens w's n-request stream from seed: lazily when w is a
+// streamer, else (a Trace, a closed loop, a caller's Workload) through
+// its Generate.
+func openSource(w Workload, n int, seed int64, a *arena) source {
+	if s, ok := w.(streamer); ok {
+		return s.open(n, seed, a)
+	}
+	return &sliceSource{w.Generate(n, seed)}
+}
+
+// sliceSource yields a materialised stream.
+type sliceSource struct{ reqs []Request }
+
+func (s *sliceSource) next() (Request, bool) {
+	if len(s.reqs) == 0 {
+		return Request{}, false
+	}
+	r := s.reqs[0]
+	s.reqs = s.reqs[1:]
+	return r, true
+}
+
+// draws is a generator's per-request sampling: its RNG, its chunk
+// sampler sized for an n-request stream, its decode lengths, and the
+// arena its chunk lists come from.
+type draws struct {
+	g   *tensor.RNG
+	z   *sim.ZipfSampler
+	ch  Chunks
+	dec Decode
+	a   *arena
+}
+
+func newDraws(ch Chunks, dec Decode, n int, seed int64, a *arena) draws {
+	return draws{g: tensor.NewRNG(seed), z: ch.Sampler(n), ch: ch, dec: dec, a: a}
+}
+
+// request draws the chunks and decode length of the request arriving at
+// virtual time at.
+func (d *draws) request(at float64) Request {
+	ids := d.a.list(d.ch.PerRequest)
+	d.ch.Sample(d.g, d.z, at, ids)
+	return Request{Arrival: at, Chunks: ids, DecodeTokens: d.dec.Sample(d.g)}
+}
+
 // Poisson is the memoryless single-tenant generator the runtime was born
 // with: exponential inter-arrival gaps at Rate, i.i.d. Zipf chunk draws.
 // It consumes the seed exactly the way the pre-workload runtime did (all
@@ -41,22 +120,28 @@ func (p Poisson) Validate() error {
 }
 
 // Generate implements Workload.
-func (p Poisson) Generate(n int, seed int64) []Request {
-	if n <= 0 {
-		return nil
+func (p Poisson) Generate(n int, seed int64) []Request { return drain(p, n, seed) }
+
+// open draws all n arrivals first, the seed-compatibility contract above,
+// and each request's chunks and decode length as the request is pulled.
+func (p Poisson) open(n int, seed int64, a *arena) source {
+	s := &poissonSource{draws: newDraws(p.Chunks, p.Decode, n, seed, a)}
+	s.arrivals = sim.PoissonArrivals(s.g, p.Rate, n)
+	return s
+}
+
+type poissonSource struct {
+	draws
+	arrivals []float64 // the arrivals not yet pulled
+}
+
+func (s *poissonSource) next() (Request, bool) {
+	if len(s.arrivals) == 0 {
+		return Request{}, false
 	}
-	g := tensor.NewRNG(seed)
-	arrivals := sim.PoissonArrivals(g, p.Rate, n)
-	reqs := make([]Request, n)
-	k := p.Chunks.PerRequest
-	arena := make([]int, n*k)
-	z := p.Chunks.Sampler(n)
-	for i := range reqs {
-		ids := chunkList(arena, i, k)
-		p.Chunks.Sample(g, z, arrivals[i], ids)
-		reqs[i] = Request{Arrival: arrivals[i], Chunks: ids, DecodeTokens: p.Decode.Sample(g)}
-	}
-	return reqs
+	at := s.arrivals[0]
+	s.arrivals = s.arrivals[1:]
+	return s.request(at), true
 }
 
 // Bursty is a two-state MMPP-style on/off generator: ON windows emit
@@ -101,43 +186,46 @@ func (b Bursty) Validate() error {
 	return nil
 }
 
-// Generate implements Workload. Overshooting gaps at a window's end are
-// discarded and redrawn at the next window — exact for a Poisson process
-// by memorylessness.
-func (b Bursty) Generate(n int, seed int64) []Request {
-	if n <= 0 {
-		return nil
-	}
-	g := tensor.NewRNG(seed)
+// Generate implements Workload.
+func (b Bursty) Generate(n int, seed int64) []Request { return drain(b, n, seed) }
+
+func (b Bursty) open(n int, seed int64, a *arena) source {
 	cycle := b.Cycle
 	if cycle <= 0 {
 		cycle = 32 / b.Rate
 	}
 	meanOn := cycle / b.Burst
-	meanOff := cycle - meanOn
-	onRate := b.Rate * b.Burst
-	reqs := make([]Request, 0, n)
-	k := b.Chunks.PerRequest
-	arena := make([]int, n*k)
-	z := b.Chunks.Sampler(n)
-	t := 0.0
-	for len(reqs) < n {
-		end := t + expo(g, meanOn)
-		for {
-			t += expo(g, 1/onRate)
-			if t > end || len(reqs) == n {
-				break
-			}
-			ids := chunkList(arena, len(reqs), k)
-			b.Chunks.Sample(g, z, t, ids)
-			reqs = append(reqs, Request{Arrival: t, Chunks: ids, DecodeTokens: b.Decode.Sample(g)})
+	return &burstySource{draws: newDraws(b.Chunks, b.Decode, n, seed, a),
+		meanOn: meanOn, meanOff: cycle - meanOn, gap: 1 / (b.Rate * b.Burst)}
+}
+
+// burstySource keeps its clock, the open ON window's end and whether a
+// window is open across pulls.
+type burstySource struct {
+	draws
+	meanOn, meanOff, gap float64 // gap: the mean gap inside an ON window
+	t, end               float64
+	on                   bool
+}
+
+// next draws gaps until one lands inside an ON window. A gap that
+// overshoots the window's end is discarded and redrawn in the next
+// window, after the OFF window — exact for a Poisson process by
+// memorylessness.
+func (s *burstySource) next() (Request, bool) {
+	for {
+		if !s.on {
+			s.end, s.on = s.t+expo(s.g, s.meanOn), true
 		}
-		t = end
-		if meanOff > 0 {
-			t += expo(g, meanOff)
+		s.t += expo(s.g, s.gap)
+		if !(s.t > s.end) {
+			return s.request(s.t), true
+		}
+		s.t, s.on = s.end, false
+		if s.meanOff > 0 {
+			s.t += expo(s.g, s.meanOff)
 		}
 	}
-	return reqs
 }
 
 // Diurnal modulates arrivals with a sinusoidal rate curve,
@@ -183,47 +271,53 @@ func (d Diurnal) Validate() error {
 }
 
 // Generate implements Workload.
-func (d Diurnal) Generate(n int, seed int64) []Request {
-	if n <= 0 {
-		return nil
-	}
-	g := tensor.NewRNG(seed)
+func (d Diurnal) Generate(n int, seed int64) []Request { return drain(d, n, seed) }
+
+func (d Diurnal) open(n int, seed int64, a *arena) source {
 	period := d.Period
 	if period <= 0 {
 		period = 64 / d.Rate
 	}
-	peak := d.Rate * (1 + d.Amplitude)
-	reqs := make([]Request, 0, n)
-	k := d.Chunks.PerRequest
-	arena := make([]int, n*k)
-	z := d.Chunks.Sampler(n)
-	t := 0.0
-	for len(reqs) < n {
-		t += expo(g, 1/peak)
+	return &diurnalSource{draws: newDraws(d.Chunks, d.Decode, n, seed, a),
+		rate: d.Rate, amplitude: d.Amplitude, period: period, peak: d.Rate * (1 + d.Amplitude)}
+}
+
+// diurnalSource keeps its thinning clock t across pulls.
+type diurnalSource struct {
+	draws
+	rate, amplitude, period, peak float64
+	t                             float64
+}
+
+func (s *diurnalSource) next() (Request, bool) {
+	for {
+		s.t += expo(s.g, 1/s.peak)
 		// Once the phase overflows (the clock has, or a period lies far
 		// below the clock's resolution) the curve averages out to the mean
 		// rate. Thinning to it keeps an overflowing clock from rejecting
 		// every draw: the stream ends in +Inf arrivals, which the runtime
 		// rejects, instead of never ending.
-		rate := d.Rate
-		if phase := 2 * math.Pi * t / period; finite(phase) {
-			rate *= 1 + d.Amplitude*math.Sin(phase)
+		rate := s.rate
+		if phase := 2 * math.Pi * s.t / s.period; finite(phase) {
+			rate *= 1 + s.amplitude*math.Sin(phase)
 		}
-		if g.Float64()*peak <= rate {
-			ids := chunkList(arena, len(reqs), k)
-			d.Chunks.Sample(g, z, t, ids)
-			reqs = append(reqs, Request{Arrival: t, Chunks: ids, DecodeTokens: d.Decode.Sample(g)})
+		if s.g.Float64()*s.peak <= rate {
+			return s.request(s.t), true
 		}
 	}
-	return reqs
 }
 
 // MultiTenant interleaves per-tenant streams into one arrival-ordered
-// stream: each tenant generates n requests from a tenant-derived seed,
-// the merged stream keeps the earliest n overall, and requests are
-// stamped with their tenant's index. Generating n per tenant (rather
-// than n/k) keeps every tenant active across the whole simulated span
-// even when their rates differ.
+// stream: each tenant's stream is its n-request stream from a
+// tenant-derived seed, the merged stream keeps the earliest n overall,
+// and requests are stamped with their tenant's index. Sizing every
+// tenant's stream at n (rather than n/k) keeps every tenant active
+// across the whole simulated span even when their rates differ. Each
+// tenant's stream is drawn as the merge takes it, so a merge of k tenants
+// draws at most n+k−1 requests, not k·n: a Poisson tenant still draws
+// its n arrivals first, and a tenant that is not one of this package's
+// generators (a Trace, a closed loop, a caller's Workload) is drawn
+// eagerly, through its Generate.
 type MultiTenant struct {
 	// Tenants holds one request stream per tenant; Tenants[i]'s requests
 	// are stamped Tenant=i.
@@ -248,36 +342,58 @@ func (m MultiTenant) Validate() error {
 
 // Generate implements Workload. Every sub-stream is in nondecreasing
 // arrival order (the Workload contract), so a k-way merge interleaves
-// them: the earliest head goes next, and an
-// arrival tie goes to the lower tenant index, then to stream order. That
-// is the stable sort of all streams on arrival, keeping the stream
-// deterministic.
-func (m MultiTenant) Generate(n int, seed int64) []Request {
-	if n <= 0 {
-		return nil
-	}
-	streams := make([][]Request, len(m.Tenants))
-	total := 0
+// them: the earliest head goes next, and an arrival tie goes to the
+// lower tenant index, then to stream order. That is the stable sort of
+// all streams on arrival, keeping the stream deterministic.
+func (m MultiTenant) Generate(n int, seed int64) []Request { return drain(m, n, seed) }
+
+// open opens every tenant's stream and pulls its head. The merge takes
+// at most one list per tenant beyond the requests drained from it.
+func (m MultiTenant) open(n int, seed int64, a *arena) source {
+	a.left += len(m.Tenants)
+	s := &mergeSource{heads: make([]head, len(m.Tenants)), taken: -1}
 	for i, w := range m.Tenants {
-		streams[i] = w.Generate(n, seed+int64(i)*1_000_003)
-		total += len(streams[i])
+		h := &s.heads[i]
+		h.src = openSource(w, n, seed+int64(i)*1_000_003, a)
+		h.req, h.ok = h.src.next()
 	}
-	out := make([]Request, min(n, total))
-	next := make([]int, len(streams)) // each stream's head
-	for o := range out {
-		t, at := -1, 0.0
-		for i, s := range streams {
-			if h := next[i]; h < len(s) && (t < 0 || s[h].Arrival < at) {
-				t, at = i, s[h].Arrival
-			}
+	return s
+}
+
+// mergeSource is MultiTenant's k-way merge. It pulls a tenant's next
+// request only when asked for a request after taking that tenant's head.
+type mergeSource struct {
+	heads []head
+	taken int // the tenant whose head the last pull took; -1 for none
+}
+
+// head is one tenant's stream and its next request; ok is false once
+// the stream is spent.
+type head struct {
+	src source
+	req Request
+	ok  bool
+}
+
+func (s *mergeSource) next() (Request, bool) {
+	if s.taken >= 0 {
+		h := &s.heads[s.taken]
+		h.req, h.ok = h.src.next()
+	}
+	s.taken = -1
+	for i := range s.heads {
+		if h := &s.heads[i]; h.ok && (s.taken < 0 || h.req.Arrival < s.heads[s.taken].req.Arrival) {
+			s.taken = i
 		}
-		// Stamp tenants on copies: a sub-workload may hand out a slice it
-		// still owns (Trace.Generate returns its recorded stream).
-		out[o] = streams[t][next[t]]
-		out[o].Tenant = t
-		next[t]++
 	}
-	return out
+	if s.taken < 0 {
+		return Request{}, false
+	}
+	// Stamp the tenant on a copy: a fallback tenant's requests are the
+	// slice its Generate returned (a Trace's recorded stream).
+	r := s.heads[s.taken].req
+	r.Tenant = s.taken
+	return r, true
 }
 
 // TenantMix builds a k-tenant Poisson mix over one shared total rate and

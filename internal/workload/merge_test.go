@@ -91,6 +91,61 @@ func TestMultiTenantMatchesReference(t *testing.T) {
 	}
 }
 
+// countedTenant is a generator whose source counts the requests pulled
+// from it into pulls.
+type countedTenant struct {
+	Workload // a Poisson, Bursty or Diurnal generator
+	pulls    *int
+}
+
+func (c countedTenant) open(n int, seed int64, a *arena) source {
+	return countedSource{c.Workload.(streamer).open(n, seed, a), c.pulls}
+}
+
+type countedSource struct {
+	source
+	pulls *int
+}
+
+func (c countedSource) next() (Request, bool) {
+	r, ok := c.source.next()
+	if ok {
+		*c.pulls++
+	}
+	return r, ok
+}
+
+// TestMultiTenantDrawsOnlyWhatItKeeps: a merge of k tenants draws a
+// tenant's next request only when it takes that tenant's head, so
+// Generate(n, …) pulls at most n+k requests in all, where drawing every
+// tenant's whole stream would pull k·n. Every request it keeps is
+// pulled, and counting the pulls changes no request.
+func TestMultiTenantDrawsOnlyWhatItKeeps(t *testing.T) {
+	const n = 2000
+	routed := make([]Workload, 4) // serve-routed-tiered's mix
+	for i := range routed {
+		routed[i] = Bursty{Rate: 2, Burst: 4,
+			Chunks: Chunks{Pool: 48, PerRequest: 6, Skew: 1.1, Offset: i * 48, DriftPeriod: 60}}
+	}
+	for _, m := range []MultiTenant{
+		{Tenants: routed},
+		TenantMix(3, 6, Chunks{Pool: 300, PerRequest: 4, Skew: 0.8}, 10, Decode{Mean: 16}),
+	} {
+		pulls := 0
+		counted := MultiTenant{Tenants: make([]Workload, len(m.Tenants))}
+		for i, w := range m.Tenants {
+			counted.Tenants[i] = countedTenant{w, &pulls}
+		}
+		got := counted.Generate(n, 5)
+		if !reflect.DeepEqual(got, m.Generate(n, 5)) {
+			t.Fatalf("%s: counting the pulls changed the stream", m.Name())
+		}
+		if k := len(m.Tenants); pulls < n || pulls > n+k {
+			t.Fatalf("%s: pulled %d requests to keep %d, want n to n+k = %d", m.Name(), pulls, n, n+k)
+		}
+	}
+}
+
 // fuzzGenerator decodes one tenant from spec, a byte per choice (0 past
 // its end): nil for a trace, or a Poisson, Bursty or Diurnal generator
 // over small sets of rates, burst factors, amplitudes, pools, chunks per

@@ -155,10 +155,26 @@ func (c Chunks) Sample(g *tensor.RNG, z *sim.ZipfSampler, at float64, ids []int)
 	}
 }
 
-// chunkList returns request i's k chunk ids in arena, a generator's one
-// array for all its requests. The list is capped at its own length, so
-// appending to it reallocates instead of overwriting request i+1.
-func chunkList(arena []int, i, k int) []int { return arena[i*k : (i+1)*k : (i+1)*k] }
+// arena hands out a stream's chunk lists from shared blocks, so the
+// stream allocates per block, not per request. left bounds the lists the
+// stream may still take, so when every list has one length the first
+// block holds them all. Each list is capped at its own length, so
+// appending to it reallocates instead of overwriting the next list.
+type arena struct {
+	free []int
+	left int
+}
+
+// list returns the next k-id chunk list.
+func (a *arena) list(k int) []int {
+	if len(a.free) < k {
+		a.free = make([]int, max(a.left, 1)*k)
+	}
+	ids := a.free[:k:k]
+	a.free = a.free[k:]
+	a.left--
+	return ids
+}
 
 // Decode describes how a stream samples each request's generation length
 // (the DecodeTokens carried on every Request). The zero value disables
