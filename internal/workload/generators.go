@@ -12,9 +12,9 @@ import (
 // source yields a generator's stream one request at a time, making for
 // each request exactly the draws the whole stream's Generate makes.
 type source interface {
-	// next returns the stream's next request; ok is false once the
-	// stream is spent.
-	next() (r Request, ok bool)
+	// next fills r with the stream's next request, and reports false,
+	// leaving r as it was, once the stream is spent.
+	next(r *Request) bool
 }
 
 // streamer is a workload whose stream opens as a source: Poisson,
@@ -32,13 +32,11 @@ func drain(s streamer, n int, seed int64) []Request {
 		return nil
 	}
 	src := s.open(n, seed, &arena{left: n})
-	out := make([]Request, 0, n)
-	for len(out) < n {
-		r, ok := src.next()
-		if !ok {
-			break
+	out := make([]Request, n)
+	for i := range out {
+		if !src.next(&out[i]) {
+			return out[:i]
 		}
-		out = append(out, r)
 	}
 	return out
 }
@@ -56,13 +54,13 @@ func openSource(w Workload, n int, seed int64, a *arena) source {
 // sliceSource yields a materialised stream.
 type sliceSource struct{ reqs []Request }
 
-func (s *sliceSource) next() (Request, bool) {
+func (s *sliceSource) next(r *Request) bool {
 	if len(s.reqs) == 0 {
-		return Request{}, false
+		return false
 	}
-	r := s.reqs[0]
+	*r = s.reqs[0]
 	s.reqs = s.reqs[1:]
-	return r, true
+	return true
 }
 
 // draws is a generator's per-request sampling: its RNG, its chunk
@@ -80,12 +78,12 @@ func newDraws(ch Chunks, dec Decode, n int, seed int64, a *arena) draws {
 	return draws{g: tensor.NewRNG(seed), z: ch.Sampler(n), ch: ch, dec: dec, a: a}
 }
 
-// request draws the chunks and decode length of the request arriving at
-// virtual time at.
-func (d *draws) request(at float64) Request {
+// fill sets r to the request arriving at virtual time at, drawing its
+// chunks and decode length.
+func (d *draws) fill(r *Request, at float64) {
 	ids := d.a.list(d.ch.PerRequest)
 	d.ch.Sample(d.g, d.z, at, ids)
-	return Request{Arrival: at, Chunks: ids, DecodeTokens: d.dec.Sample(d.g)}
+	*r = Request{Arrival: at, Chunks: ids, DecodeTokens: d.dec.Sample(d.g)}
 }
 
 // Poisson is the memoryless single-tenant generator the runtime was born
@@ -132,16 +130,17 @@ func (p Poisson) open(n int, seed int64, a *arena) source {
 
 type poissonSource struct {
 	draws
-	arrivals []float64 // the arrivals not yet pulled
+	arrivals []float64
+	pulled   int
 }
 
-func (s *poissonSource) next() (Request, bool) {
-	if len(s.arrivals) == 0 {
-		return Request{}, false
+func (s *poissonSource) next(r *Request) bool {
+	if s.pulled == len(s.arrivals) {
+		return false
 	}
-	at := s.arrivals[0]
-	s.arrivals = s.arrivals[1:]
-	return s.request(at), true
+	s.fill(r, s.arrivals[s.pulled])
+	s.pulled++
+	return true
 }
 
 // Bursty is a two-state MMPP-style on/off generator: ON windows emit
@@ -212,14 +211,15 @@ type burstySource struct {
 // overshoots the window's end is discarded and redrawn in the next
 // window, after the OFF window — exact for a Poisson process by
 // memorylessness.
-func (s *burstySource) next() (Request, bool) {
+func (s *burstySource) next(r *Request) bool {
 	for {
 		if !s.on {
 			s.end, s.on = s.t+expo(s.g, s.meanOn), true
 		}
 		s.t += expo(s.g, s.gap)
 		if !(s.t > s.end) {
-			return s.request(s.t), true
+			s.fill(r, s.t)
+			return true
 		}
 		s.t, s.on = s.end, false
 		if s.meanOff > 0 {
@@ -289,7 +289,7 @@ type diurnalSource struct {
 	t                             float64
 }
 
-func (s *diurnalSource) next() (Request, bool) {
+func (s *diurnalSource) next(r *Request) bool {
 	for {
 		s.t += expo(s.g, 1/s.peak)
 		// Once the phase overflows (the clock has, or a period lies far
@@ -302,7 +302,8 @@ func (s *diurnalSource) next() (Request, bool) {
 			rate *= 1 + s.amplitude*math.Sin(phase)
 		}
 		if s.g.Float64()*s.peak <= rate {
-			return s.request(s.t), true
+			s.fill(r, s.t)
+			return true
 		}
 	}
 }
@@ -355,7 +356,7 @@ func (m MultiTenant) open(n int, seed int64, a *arena) source {
 	for i, w := range m.Tenants {
 		h := &s.heads[i]
 		h.src = openSource(w, n, seed+int64(i)*1_000_003, a)
-		h.req, h.ok = h.src.next()
+		h.ok = h.src.next(&h.req)
 	}
 	return s
 }
@@ -375,10 +376,10 @@ type head struct {
 	ok  bool
 }
 
-func (s *mergeSource) next() (Request, bool) {
+func (s *mergeSource) next(r *Request) bool {
 	if s.taken >= 0 {
 		h := &s.heads[s.taken]
-		h.req, h.ok = h.src.next()
+		h.ok = h.src.next(&h.req)
 	}
 	s.taken = -1
 	for i := range s.heads {
@@ -387,13 +388,11 @@ func (s *mergeSource) next() (Request, bool) {
 		}
 	}
 	if s.taken < 0 {
-		return Request{}, false
+		return false
 	}
-	// Stamp the tenant on a copy: a fallback tenant's requests are the
-	// slice its Generate returned (a Trace's recorded stream).
-	r := s.heads[s.taken].req
+	*r = s.heads[s.taken].req
 	r.Tenant = s.taken
-	return r, true
+	return true
 }
 
 // TenantMix builds a k-tenant Poisson mix over one shared total rate and

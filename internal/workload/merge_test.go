@@ -107,12 +107,12 @@ type countedSource struct {
 	pulls *int
 }
 
-func (c countedSource) next() (Request, bool) {
-	r, ok := c.source.next()
+func (c countedSource) next(r *Request) bool {
+	ok := c.source.next(r)
 	if ok {
 		*c.pulls++
 	}
-	return r, ok
+	return ok
 }
 
 // TestMultiTenantDrawsOnlyWhatItKeeps: a merge of k tenants draws a

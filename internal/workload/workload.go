@@ -6,6 +6,14 @@
 // deterministic (arrival time, tenant, chunk ids) stream for a given
 // seed, and any generated stream can be exported as a JSONL trace and
 // replayed bit-identically through serve.RunWorkload.
+//
+// Poisson, Bursty, Diurnal and MultiTenant draw their streams one
+// request at a time, and Generate keeps the first n. MultiTenant draws
+// each tenant's stream as its merge takes it, so a mix of k tenants
+// draws at most n+k−1 requests, not k·n. A Poisson tenant still draws
+// all n arrivals first, and a tenant that is not one of these generators
+// (a Trace, a closed loop, a caller's Workload) is drawn eagerly,
+// through its Generate.
 package workload
 
 import (
