@@ -9,12 +9,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// source yields a generator's stream one request at a time, making for
-// each request exactly the draws the whole stream's Generate makes.
+// source yields a generator's stream in pieces as short as one request,
+// making for each request exactly the draws the whole stream's Generate
+// makes.
 type source interface {
-	// next fills r with the stream's next request, and reports false,
-	// leaving r as it was, once the stream is spent.
-	next(r *Request) bool
+	// fill sets out to the stream's next len(out) requests and returns
+	// how many it set: fewer once the stream is spent.
+	fill(out []Request) int
 }
 
 // streamer is a workload whose stream opens as a source: Poisson,
@@ -31,14 +32,8 @@ func drain(s streamer, n int, seed int64) []Request {
 	if n <= 0 {
 		return nil
 	}
-	src := s.open(n, seed, &arena{left: n})
 	out := make([]Request, n)
-	for i := range out {
-		if !src.next(&out[i]) {
-			return out[:i]
-		}
-	}
-	return out
+	return out[:s.open(n, seed, &arena{left: n}).fill(out)]
 }
 
 // openSource opens w's n-request stream from seed: lazily when w is a
@@ -54,13 +49,10 @@ func openSource(w Workload, n int, seed int64, a *arena) source {
 // sliceSource yields a materialised stream.
 type sliceSource struct{ reqs []Request }
 
-func (s *sliceSource) next(r *Request) bool {
-	if len(s.reqs) == 0 {
-		return false
-	}
-	*r = s.reqs[0]
-	s.reqs = s.reqs[1:]
-	return true
+func (s *sliceSource) fill(out []Request) int {
+	k := copy(out, s.reqs)
+	s.reqs = s.reqs[k:]
+	return k
 }
 
 // draws is a generator's per-request sampling: its RNG, its chunk
@@ -78,9 +70,9 @@ func newDraws(ch Chunks, dec Decode, n int, seed int64, a *arena) draws {
 	return draws{g: tensor.NewRNG(seed), z: ch.Sampler(n), ch: ch, dec: dec, a: a}
 }
 
-// fill sets r to the request arriving at virtual time at, drawing its
+// draw sets r to the request arriving at virtual time at, drawing its
 // chunks and decode length.
-func (d *draws) fill(r *Request, at float64) {
+func (d *draws) draw(r *Request, at float64) {
 	ids := d.a.list(d.ch.PerRequest)
 	d.ch.Sample(d.g, d.z, at, ids)
 	*r = Request{Arrival: at, Chunks: ids, DecodeTokens: d.dec.Sample(d.g)}
@@ -134,13 +126,14 @@ type poissonSource struct {
 	pulled   int
 }
 
-func (s *poissonSource) next(r *Request) bool {
-	if s.pulled == len(s.arrivals) {
-		return false
+func (s *poissonSource) fill(out []Request) int {
+	at := s.arrivals[s.pulled:]
+	out = out[:min(len(out), len(at))]
+	for i := range out {
+		s.draw(&out[i], at[i])
 	}
-	s.fill(r, s.arrivals[s.pulled])
-	s.pulled++
-	return true
+	s.pulled += len(out)
+	return len(out)
 }
 
 // Bursty is a two-state MMPP-style on/off generator: ON windows emit
@@ -207,25 +200,27 @@ type burstySource struct {
 	on                   bool
 }
 
-// next draws gaps until one lands inside an ON window. A gap that
-// overshoots the window's end is discarded and redrawn in the next
-// window, after the OFF window — exact for a Poisson process by
+// fill draws gaps until one lands inside an ON window, for each request.
+// A gap that overshoots the window's end is discarded and redrawn in the
+// next window, after the OFF window — exact for a Poisson process by
 // memorylessness.
-func (s *burstySource) next(r *Request) bool {
-	for {
+func (s *burstySource) fill(out []Request) int {
+	for i := 0; i < len(out); {
 		if !s.on {
 			s.end, s.on = s.t+expo(s.g, s.meanOn), true
 		}
 		s.t += expo(s.g, s.gap)
 		if !(s.t > s.end) {
-			s.fill(r, s.t)
-			return true
+			s.draw(&out[i], s.t)
+			i++
+			continue
 		}
 		s.t, s.on = s.end, false
 		if s.meanOff > 0 {
 			s.t += expo(s.g, s.meanOff)
 		}
 	}
+	return len(out)
 }
 
 // Diurnal modulates arrivals with a sinusoidal rate curve,
@@ -289,8 +284,8 @@ type diurnalSource struct {
 	t                             float64
 }
 
-func (s *diurnalSource) next(r *Request) bool {
-	for {
+func (s *diurnalSource) fill(out []Request) int {
+	for i := 0; i < len(out); {
 		s.t += expo(s.g, 1/s.peak)
 		// Once the phase overflows (the clock has, or a period lies far
 		// below the clock's resolution) the curve averages out to the mean
@@ -302,10 +297,11 @@ func (s *diurnalSource) next(r *Request) bool {
 			rate *= 1 + s.amplitude*math.Sin(phase)
 		}
 		if s.g.Float64()*s.peak <= rate {
-			s.fill(r, s.t)
-			return true
+			s.draw(&out[i], s.t)
+			i++
 		}
 	}
+	return len(out)
 }
 
 // MultiTenant interleaves per-tenant streams into one arrival-ordered
@@ -351,48 +347,46 @@ func (m MultiTenant) Generate(n int, seed int64) []Request { return drain(m, n, 
 // open opens every tenant's stream and pulls its head. The merge takes
 // at most one list per tenant beyond the requests drained from it.
 func (m MultiTenant) open(n int, seed int64, a *arena) source {
-	a.left += len(m.Tenants)
-	s := &mergeSource{heads: make([]head, len(m.Tenants)), taken: -1}
+	k := len(m.Tenants)
+	a.left += k
+	s := &mergeSource{srcs: make([]source, k), heads: make([]Request, k), live: make([]bool, k), taken: -1}
 	for i, w := range m.Tenants {
-		h := &s.heads[i]
-		h.src = openSource(w, n, seed+int64(i)*1_000_003, a)
-		h.ok = h.src.next(&h.req)
+		s.srcs[i] = openSource(w, n, seed+int64(i)*1_000_003, a)
+		s.pull(i)
 	}
 	return s
 }
 
 // mergeSource is MultiTenant's k-way merge. It pulls a tenant's next
-// request only when asked for a request after taking that tenant's head.
+// request only when it needs a request after taking that tenant's head.
 type mergeSource struct {
-	heads []head
-	taken int // the tenant whose head the last pull took; -1 for none
+	srcs  []source
+	heads []Request // heads[i] is tenant i's next request while live[i]
+	live  []bool
+	taken int // the tenant whose head the merge took last; -1 for none
 }
 
-// head is one tenant's stream and its next request; ok is false once
-// the stream is spent.
-type head struct {
-	src source
-	req Request
-	ok  bool
-}
+// pull replaces tenant i's head with its stream's next request.
+func (s *mergeSource) pull(i int) { s.live[i] = s.srcs[i].fill(s.heads[i:i+1]) == 1 }
 
-func (s *mergeSource) next(r *Request) bool {
-	if s.taken >= 0 {
-		h := &s.heads[s.taken]
-		h.ok = h.src.next(&h.req)
-	}
-	s.taken = -1
-	for i := range s.heads {
-		if h := &s.heads[i]; h.ok && (s.taken < 0 || h.req.Arrival < s.heads[s.taken].req.Arrival) {
-			s.taken = i
+func (s *mergeSource) fill(out []Request) int {
+	for o := range out {
+		if s.taken >= 0 {
+			s.pull(s.taken)
 		}
+		s.taken = -1
+		for i := range s.heads {
+			if s.live[i] && (s.taken < 0 || s.heads[i].Arrival < s.heads[s.taken].Arrival) {
+				s.taken = i
+			}
+		}
+		if s.taken < 0 {
+			return o
+		}
+		out[o] = s.heads[s.taken]
+		out[o].Tenant = s.taken
 	}
-	if s.taken < 0 {
-		return false
-	}
-	*r = s.heads[s.taken].req
-	r.Tenant = s.taken
-	return true
+	return len(out)
 }
 
 // TenantMix builds a k-tenant Poisson mix over one shared total rate and

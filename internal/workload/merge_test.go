@@ -107,12 +107,10 @@ type countedSource struct {
 	pulls *int
 }
 
-func (c countedSource) next(r *Request) bool {
-	ok := c.source.next(r)
-	if ok {
-		*c.pulls++
-	}
-	return ok
+func (c countedSource) fill(out []Request) int {
+	k := c.source.fill(out)
+	*c.pulls += k
+	return k
 }
 
 // TestMultiTenantDrawsOnlyWhatItKeeps: a merge of k tenants draws a
