@@ -71,9 +71,8 @@ func newDraws(ch Chunks, dec Decode, n int, seed int64, a *arena) draws {
 }
 
 // draw sets r to the request arriving at virtual time at, drawing its
-// chunks and decode length.
-func (d *draws) draw(r *Request, at float64) {
-	ids := d.a.list(d.ch.PerRequest)
+// chunks into ids and its decode length.
+func (d *draws) draw(r *Request, at float64, ids []int) {
 	d.ch.Sample(d.g, d.z, at, ids)
 	*r = Request{Arrival: at, Chunks: ids, DecodeTokens: d.dec.Sample(d.g)}
 }
@@ -129,8 +128,10 @@ type poissonSource struct {
 func (s *poissonSource) fill(out []Request) int {
 	at := s.arrivals[s.pulled:]
 	out = out[:min(len(out), len(at))]
+	k := s.ch.PerRequest
+	ids := s.a.lists(len(out), k)
 	for i := range out {
-		s.draw(&out[i], at[i])
+		s.draw(&out[i], at[i], chunkList(ids, i, k))
 	}
 	s.pulled += len(out)
 	return len(out)
@@ -205,13 +206,15 @@ type burstySource struct {
 // next window, after the OFF window — exact for a Poisson process by
 // memorylessness.
 func (s *burstySource) fill(out []Request) int {
+	k := s.ch.PerRequest
+	ids := s.a.lists(len(out), k)
 	for i := 0; i < len(out); {
 		if !s.on {
 			s.end, s.on = s.t+expo(s.g, s.meanOn), true
 		}
 		s.t += expo(s.g, s.gap)
 		if !(s.t > s.end) {
-			s.draw(&out[i], s.t)
+			s.draw(&out[i], s.t, chunkList(ids, i, k))
 			i++
 			continue
 		}
@@ -285,6 +288,8 @@ type diurnalSource struct {
 }
 
 func (s *diurnalSource) fill(out []Request) int {
+	k := s.ch.PerRequest
+	ids := s.a.lists(len(out), k)
 	for i := 0; i < len(out); {
 		s.t += expo(s.g, 1/s.peak)
 		// Once the phase overflows (the clock has, or a period lies far
@@ -297,7 +302,7 @@ func (s *diurnalSource) fill(out []Request) int {
 			rate *= 1 + s.amplitude*math.Sin(phase)
 		}
 		if s.g.Float64()*s.peak <= rate {
-			s.draw(&out[i], s.t)
+			s.draw(&out[i], s.t, chunkList(ids, i, k))
 			i++
 		}
 	}

@@ -7,9 +7,9 @@
 // seed, and any generated stream can be exported as a JSONL trace and
 // replayed bit-identically through serve.RunWorkload.
 //
-// Poisson, Bursty, Diurnal and MultiTenant draw their streams one
-// request at a time, and Generate keeps the first n. MultiTenant draws
-// each tenant's stream as its merge takes it, so a mix of k tenants
+// Poisson, Bursty, Diurnal and MultiTenant draw their streams through a
+// source that can stop after any request. MultiTenant draws each
+// tenant's stream only as its merge takes it, so a mix of k tenants
 // draws at most n+k−1 requests, not k·n. A Poisson tenant still draws
 // all n arrivals first, and a tenant that is not one of these generators
 // (a Trace, a closed loop, a caller's Workload) is drawn eagerly,
@@ -166,23 +166,28 @@ func (c Chunks) Sample(g *tensor.RNG, z *sim.ZipfSampler, at float64, ids []int)
 // arena hands out a stream's chunk lists from shared blocks, so the
 // stream allocates per block, not per request. left bounds the lists the
 // stream may still take, so when every list has one length the first
-// block holds them all. Each list is capped at its own length, so
-// appending to it reallocates instead of overwriting the next list.
+// block holds them all.
 type arena struct {
 	free []int
 	left int
 }
 
-// list returns the next k-id chunk list.
-func (a *arena) list(k int) []int {
-	if len(a.free) < k {
-		a.free = make([]int, max(a.left, 1)*k)
+// lists returns the next m chunk lists of k ids each, back to back;
+// chunkList cuts one out.
+func (a *arena) lists(m, k int) []int {
+	if len(a.free) < m*k {
+		a.free = make([]int, max(a.left, m)*k)
 	}
-	ids := a.free[:k:k]
-	a.free = a.free[k:]
-	a.left--
+	ids := a.free[:m*k]
+	a.free = a.free[m*k:]
+	a.left -= m
 	return ids
 }
+
+// chunkList returns list i of the k-id lists in ids. The list is capped
+// at its own length, so appending to it reallocates instead of
+// overwriting list i+1.
+func chunkList(ids []int, i, k int) []int { return ids[i*k : (i+1)*k : (i+1)*k] }
 
 // Decode describes how a stream samples each request's generation length
 // (the DecodeTokens carried on every Request). The zero value disables
