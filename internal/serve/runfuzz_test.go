@@ -39,10 +39,13 @@ type fuzzRun struct {
 
 // decodeFuzzRun decodes a bounded configuration and workload: scheme,
 // flat or tiered store, router, prefetch policy, scheduler, SLO targets,
-// decode lengths, tenants, and for an open stream a membership schedule
-// placed against its last arrival. Many combinations fail validation on
-// purpose: RunWorkload must reject them with an error.
-func decodeFuzzRun(data []byte) fuzzRun {
+// geometric or deterministic decode lengths, tenants, the stream (a
+// TenantMix, Bursty, Diurnal, a MultiTenant of drifting Bursty tenants,
+// generators mixed with a recorded and reloaded trace, or a closed loop),
+// and for an open stream a membership schedule placed against its last
+// arrival. Many combinations fail validation on purpose: RunWorkload
+// must reject them with an error.
+func decodeFuzzRun(t *testing.T, data []byte) fuzzRun {
 	b := fuzzBytes(data)
 	cfg := Config{
 		Spec:           timing.Mistral7B,
@@ -72,19 +75,53 @@ func decodeFuzzRun(data []byte) fuzzRun {
 	tenants := 1 + b.pick(4)
 	chunks := workload.Chunks{Pool: 4 + b.pick(200), PerRequest: 1 + b.pick(8),
 		Skew: float64(b.pick(13)) / 10, DriftPeriod: float64(30 * b.pick(3))}
-	dec := workload.Decode{Mean: float64(8 * b.pick(4))}
+	d := b.pick(8)
+	dec := workload.Decode{Mean: float64(8 * (d % 4)), Deterministic: d >= 4}
 	rate := []float64{0.5, 2, 8, 32}[b.pick(4)]
 	r := fuzzRun{cfg: cfg, n: 10 + b.next(), seed: int64(b.next())}
 	r.warmup = b.pick(r.n)
-	switch b.pick(3) {
+	switch b.pick(6) {
 	case 0:
 		r.w = workload.TenantMix(tenants, rate, chunks, chunks.DriftPeriod, dec)
 	case 1:
 		r.w = workload.Bursty{Rate: rate, Burst: float64(1 + b.pick(24)), Chunks: chunks, Decode: dec}
-	default:
+	case 2:
 		r.w = workload.ClosedLoop{Tenants: tenants, Clients: 1 + b.pick(8),
 			Think: []float64{0.1, 1, 4}[b.pick(3)], Chunks: chunks, Decode: dec}
 		return r
+	case 3:
+		r.w = workload.Diurnal{Rate: rate, Amplitude: float64(b.pick(5)) / 4,
+			Period: []float64{0, 10, 60}[b.pick(3)], Chunks: chunks, Decode: dec}
+	case 4:
+		// serve-routed-tiered's shape: drifting bursty tenants over
+		// disjoint corpus slices.
+		m := workload.MultiTenant{Tenants: make([]workload.Workload, tenants)}
+		burst, drift := float64(1+b.pick(8)), []float64{30, 60}[b.pick(2)]
+		for i := range m.Tenants {
+			ch := chunks
+			ch.Offset, ch.DriftPeriod = i*chunks.Pool, drift
+			m.Tenants[i] = workload.Bursty{Rate: rate / float64(tenants), Burst: burst, Chunks: ch, Decode: dec}
+		}
+		r.w = m
+	default:
+		// Generator tenants beside a replayed one: a Poisson stream
+		// recorded as a JSONL trace and loaded back.
+		var buf bytes.Buffer
+		rec := workload.Poisson{Rate: rate, Chunks: chunks, Decode: dec}
+		if err := workload.Record(&buf, rec.Generate(1+b.pick(r.n), r.seed+1)); err != nil {
+			t.Fatalf("recording %+v: %v", rec, err)
+		}
+		reqs, err := workload.Load(&buf)
+		if err != nil {
+			t.Fatalf("reloading %+v: %v", rec, err)
+		}
+		ch := chunks
+		ch.Offset = chunks.Pool
+		r.w = workload.MultiTenant{Tenants: []workload.Workload{
+			workload.Diurnal{Rate: rate, Amplitude: 0.5, Chunks: ch, Decode: dec},
+			workload.Trace{Label: "replay", Reqs: reqs},
+			workload.Bursty{Rate: rate, Burst: 4, Chunks: ch, Decode: dec},
+		}}
 	}
 	r.stream = r.w.Generate(r.n, r.seed)
 	last := 0.0
@@ -107,8 +144,9 @@ func decodeFuzzRun(data []byte) fuzzRun {
 
 // FuzzRunWorkload drives RunWorkload over the joint configuration space:
 // scheme × flat/tiered × router × prefetch × scheduler × SLO targets ×
-// decode × tenants × membership schedule, on an open stream or a closed
-// loop of at most a few hundred requests. Every input either fails
+// decode × tenants × membership schedule, on an open stream (generated,
+// mixed, or partly replayed from a trace) or a closed loop of at most a
+// few hundred requests. Every input either fails
 // validation with an error, or runs deterministically to a Result that
 // marshals to JSON (no NaN or Inf) and keeps the run's conservation laws:
 // tier hits plus misses equal lookups, every dispatched request is
@@ -124,8 +162,14 @@ func FuzzRunWorkload(f *testing.F) {
 	f.Add([]byte{0, 2, 3, 6, 1, 3, 4, 2, 2, 3, 1, 1, 5, 30, 0, 2, 40, 5, 8, 0, 3, 1, 120, 9, 30, 2, 3, 1})
 	// Prefix caching on a flat store.
 	f.Add([]byte{2, 0, 2, 2, 0, 0, 0, 0, 0, 3, 4, 0, 60, 2, 100, 4, 9, 0, 1, 2, 90, 1, 10, 0})
+	// Diurnal with deterministic decode, 4 replicas, affinity, predictive, tiered, a kill.
+	f.Add([]byte{0, 1, 4, 4, 3, 3, 0, 0, 0, 3, 0, 1, 7, 47, 3, 0, 60, 4, 8, 0, 6, 1, 100, 3, 25, 3, 4, 1, 1, 3, 1, 2})
+	// serve-routed-tiered's shape: four drifting bursty tenants over slow-SSD tiers.
+	f.Add([]byte{0, 1, 4, 4, 3, 3, 0, 0, 0, 3, 0, 1, 7, 47, 1, 3, 44, 5, 11, 0, 0, 2, 190, 5, 50, 4, 3, 1, 0})
+	// Generators beside a recorded and reloaded trace, a join.
+	f.Add([]byte{1, 2, 2, 3, 1, 0, 2, 0, 0, 1, 2, 0, 40, 1, 30, 2, 10, 1, 5, 1, 80, 7, 20, 5, 40, 1, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := decodeFuzzRun(data)
+		r := decodeFuzzRun(t, data)
 		res, err := RunWorkload(r.cfg, r.w, r.n, r.warmup, r.seed)
 		if err != nil {
 			return // rejected up front
