@@ -377,10 +377,18 @@ func TestPrefetchSweepShape(t *testing.T) {
 		}
 	}
 	// The synchronous baseline issues no transfers at all.
-	for _, row := range tab.Rows {
-		if row[0] == "off" && cell(t, tab, 0, "accuracy") != "-" && row[6] != "-" {
-			t.Fatalf("off row reports prefetch accuracy %q", row[6])
+	offRows := 0
+	for i, row := range tab.Rows {
+		if row[0] != "off" {
+			continue
 		}
+		offRows++
+		if acc := cell(t, tab, i, "accuracy"); acc != "-" {
+			t.Fatalf("off row %s reports prefetch accuracy %q", row[1], acc)
+		}
+	}
+	if offRows != 2 {
+		t.Fatalf("want 2 off rows (one per workload), got %d", offRows)
 	}
 }
 

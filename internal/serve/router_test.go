@@ -155,6 +155,48 @@ func TestRouterSharedMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestOneReplicaRoutingEqualsShared is a metamorphic relation: with one
+// replica a routed cluster has one node, the same hardware the shared
+// baseline serves from, so hash and affinity routing must reproduce the
+// shared run in every Result field but Router, under every prefetch
+// policy.
+func TestOneReplicaRoutingEqualsShared(t *testing.T) {
+	w := routerTestMix(2)
+	for _, pf := range []string{PrefetchOff, PrefetchOnEnqueue, PrefetchPredictive} {
+		run := func(router string) Result {
+			cfg := routerTestConfig(router)
+			cfg.Replicas, cfg.PrefetchPolicy = 1, pf
+			res, err := RunWorkload(cfg, w, 400, 100, 5)
+			if err != nil {
+				t.Fatalf("%s, prefetch %s: %v", router, pf, err)
+			}
+			return res
+		}
+		shared := run(RouterShared)
+		if pf != PrefetchOff && shared.PrefetchIssued == 0 {
+			t.Fatalf("prefetch %s issued no transfer: the relation would not reach the loaders", pf)
+		}
+		want, err := json.Marshal(shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, router := range []string{RouterHash, RouterAffinity} {
+			res := run(router)
+			if res.Router != router {
+				t.Errorf("prefetch %s: Router = %q, want %q", pf, res.Router, router)
+			}
+			res.Router = shared.Router
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("prefetch %s: one-replica %s run differs from shared:\n %s\n %s", pf, router, got, want)
+			}
+		}
+	}
+}
+
 // TestAffinityBeatsHashAndShared is the acceptance property of the
 // router: on multi-tenant bursty Zipf traffic whose corpora exceed a
 // replica's HBM tier, affinity routing must beat both the shared

@@ -150,7 +150,8 @@ func decodeFuzzRun(t *testing.T, data []byte) fuzzRun {
 // validation with an error, or runs deterministically to a Result that
 // marshals to JSON (no NaN or Inf) and keeps the run's conservation laws:
 // tier hits plus misses equal lookups, every dispatched request is
-// admitted once, an open stream completes exactly its measured requests,
+// admitted once, an open stream completes exactly its measured requests
+// and makes exactly the store lookups its scheme asks of its chunk lists,
 // and every utilisation, attainment and hit rate lies in [0, 1].
 func FuzzRunWorkload(f *testing.F) {
 	f.Add([]byte{})
@@ -212,6 +213,21 @@ func FuzzRunWorkload(f *testing.F) {
 			}
 			if want := len(r.stream) - first; res.Requests != want {
 				t.Fatalf("%d measured requests completed, want %d", res.Requests, want)
+			}
+			// Lookup conservation: each request is admitted once and looks
+			// up every chunk of its list (CacheBlend, full KV reuse), its
+			// prefix entry (prefix caching) or nothing (full recompute).
+			var lookups int64
+			for _, req := range r.stream {
+				switch r.cfg.Scheme {
+				case baselines.CacheBlend, baselines.FullKVReuse:
+					lookups += int64(len(req.Chunks))
+				case baselines.PrefixCaching:
+					lookups++
+				}
+			}
+			if res.Lookups != lookups {
+				t.Fatalf("%s: %d store lookups, want %d for the dispatched stream", r.cfg.Scheme, res.Lookups, lookups)
 			}
 		}
 		inUnit := func(name string, i int, v float64) {

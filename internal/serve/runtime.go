@@ -139,7 +139,10 @@ type cluster struct {
 	replicas       int  // configured replica count, joins excluded
 	maxBatch       int  // per-step batch cap
 	decodePriority bool // the decode-priority policy gates admission
-	tiered         bool // multi-tier hierarchy: per-tier recompute ratios
+	// price[tier][k] is reuseCost(tier, k). resolve makes one empty row
+	// per tier; fillPrice grows a row and prices each entry on first use
+	// (-1 until then).
+	price [][]float64
 
 	// SLO state. sloSched orders admission by deadline (the slo policy);
 	// sloOn evaluates every completion against the targets — set whenever
@@ -366,7 +369,7 @@ func (c *cluster) resolve() {
 	c.sloTTFT, c.sloTBT = cfg.SLOTTFT, cfg.SLOTBT
 	c.replicas = cfg.replicas()
 	c.maxBatch = cfg.maxBatch()
-	c.tiered = cfg.tiered()
+	c.price = make([][]float64, len(cfg.tierConfigs()))
 }
 
 // setup builds the run's state from the config and the stream — nodes,

@@ -614,7 +614,7 @@ func (c *cluster) serviceTime(n *node, ids []int, now float64) (secs float64, lo
 				continue
 			}
 			found++
-			if wait > 0 && wait+c.reuseCost(n, 0, 1) <= c.reuseCost(n, tier, 1) {
+			if wait > 0 && wait+c.reuseCost(0, 1) <= c.reuseCost(tier, 1) {
 				// In-flight join: pay the transfer's remaining time, then
 				// read the chunk where it is landing — the top tier. Only
 				// when that beats reading the source tier directly: the
@@ -640,32 +640,72 @@ func (c *cluster) serviceTime(n *node, ids []int, now float64) (secs float64, lo
 		var reuse float64
 		for tier, k := range tierChunks {
 			if k > 0 {
-				reuse += c.reuseCost(n, tier, k)
+				reuse += c.reuseCost(tier, k)
 			}
 		}
 		reuse += waitCost
 		missTokens := (len(ids)-found)*cfg.ChunkTokens + cfg.QueryTokens
 		return reuse + spec.Prefill(missTokens) + spec.DecodeSecPerToken, lookups, hits,
-			c.reuseStall(n, reuse, waitCost, tierChunks, found)
+			c.reuseStall(reuse, waitCost, tierChunks, found)
 
 	default:
 		panic(fmt.Sprintf("serve: scheme %q is not a serving mode", cfg.Scheme))
 	}
 }
 
-// reuseCost prices reusing k chunks resident on the given tier of node
-// n's store under the config's scheme: full KV reuse reads their KV;
-// CacheBlend pipelines each layer's loading with selective recompute
-// (§5, timing.Pipeline) at the ratio chunkRatio picks for the tier's
-// device. Zero chunks cost exactly 0.
-func (c *cluster) reuseCost(n *node, tier, k int) float64 {
-	d := n.store.TierDevice(tier)
-	if c.cfg.Scheme == baselines.FullKVReuse {
-		return d.ReadTime(int64(k) * c.chunkBytes)
+// reuseCost prices reusing k chunks resident on the given tier under the
+// config's scheme. It reads the run's price table and prices an entry
+// only on its first use (fillPrice): every node's stack is built from
+// one config, so tier i has one device for the whole run, and the cost
+// of reusing k chunks from it is fixed.
+func (c *cluster) reuseCost(tier, k int) float64 {
+	if row := c.price[tier]; k < len(row) && row[k] >= 0 {
+		return row[k]
 	}
-	spec, tokens := &c.cfg.Spec, k*c.cfg.ChunkTokens
-	return timing.Pipeline(spec.Layers, spec.LoadLayer(tokens, d),
-		spec.RecomputeLayer(c.chunkRatio(tokens, d), tokens))
+	return c.fillPrice(tier, k)
+}
+
+// fillPrice prices reusing k chunks resident on tier into the run's
+// table, first growing the tier's row by doubling until it covers k.
+// Full KV reuse reads their KV; CacheBlend pipelines each layer's loading
+// with selective recompute (§5, timing.Pipeline). Untiered runs recompute
+// at the configured fixed ratio (the paper's single-device setup); tiered
+// runs ask the loading controller for the largest ratio the tier's
+// loading delay hides, floored at Config.Ratio. Zero chunks cost exactly
+// 0. A negative or NaN price, which only a degenerate Spec gives, fails
+// reuseCost's table test and is repriced on every use: slower, never
+// different.
+func (c *cluster) fillPrice(tier, k int) float64 {
+	row := c.price[tier]
+	if k >= len(row) {
+		n := 2 * len(row)
+		if n < 8 {
+			n = 8
+		}
+		for n <= k {
+			n *= 2
+		}
+		grown := make([]float64, n)
+		for i := copy(grown, row); i < n; i++ {
+			grown[i] = -1 // not yet priced
+		}
+		row, c.price[tier] = grown, grown
+	}
+	cfg := &c.cfg
+	d := cfg.tierConfigs()[tier].Device
+	var p float64
+	if cfg.Scheme == baselines.FullKVReuse {
+		p = d.ReadTime(int64(k) * c.chunkBytes)
+	} else {
+		spec, tokens, ratio := &cfg.Spec, k*cfg.ChunkTokens, cfg.Ratio
+		if cfg.tiered() {
+			ctl := controller.Controller{Spec: cfg.Spec, QualityFloor: cfg.Ratio}
+			ratio = ctl.PickRatio(tokens, d)
+		}
+		p = timing.Pipeline(spec.Layers, spec.LoadLayer(tokens, d), spec.RecomputeLayer(ratio, tokens))
+	}
+	row[k] = p
+	return p
 }
 
 // reuseStall is the request's tier-read stall: its priced reuse cost
@@ -674,26 +714,14 @@ func (c *cluster) reuseCost(n *node, tier, k int) float64 {
 // per-tier latency terms cancel. A request that waited on no transfer and
 // found every hit on the top tier stalls exactly zero (both costs are the
 // same expression), so it skips the repricing.
-func (c *cluster) reuseStall(n *node, cost, wait float64, tierChunks []int, found int) float64 {
+func (c *cluster) reuseStall(cost, wait float64, tierChunks []int, found int) float64 {
 	if wait == 0 && tierChunks[0] == found {
 		return 0
 	}
-	if stall := cost - c.reuseCost(n, 0, found); stall > 0 {
+	if stall := cost - c.reuseCost(0, found); stall > 0 {
 		return stall
 	}
 	return 0
-}
-
-// chunkRatio is the recompute ratio for reusing `tokens` of KV resident
-// on d. Untiered runs keep the configured fixed ratio (the paper's
-// single-device setup); tiered runs ask the loading controller for the
-// largest ratio the tier's loading delay hides, floored at Config.Ratio.
-func (c *cluster) chunkRatio(tokens int, d device.Device) float64 {
-	if !c.tiered {
-		return c.cfg.Ratio
-	}
-	ctl := controller.Controller{Spec: c.cfg.Spec, QualityFloor: c.cfg.Ratio}
-	return ctl.PickRatio(tokens, d)
 }
 
 // chunkKey is the store key of chunk id in namespace ns (cluster.keyNS
