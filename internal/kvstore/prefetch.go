@@ -22,22 +22,31 @@ package kvstore
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/chunk"
 )
 
 // transfer is one in-flight prefetch promotion: h's payload is being
-// copied from tier src to the top tier, completing at arrival.
+// copied from tier src to the top tier, completing at arrival. It lives
+// in a slot of its stack's table until it lands or is cancelled.
 type transfer struct {
-	h         Handle
-	payload   Sized
-	src       int
-	bytes     int64
-	arrival   float64
-	seq       int  // issue order, breaking equal-arrival completion ties
-	read      bool // a lookup joined the transfer in flight
-	cancelled bool // superseded by Put or cancelled by Remove
+	h       Handle
+	payload Sized
+	src     int
+	bytes   int64
+	arrival float64
+	seq     int  // issue order, breaking equal-arrival completion ties; 0: a free slot
+	read    bool // a lookup joined the transfer in flight
+}
+
+// queued is a transfer's place in issue order: its slot and seq. Once
+// the slot no longer holds that seq, the transfer was cancelled (Put,
+// Remove or Drain), and the entry is dropped.
+type queued struct {
+	slot uint32
+	seq  int
 }
 
 // PrefetchStats counts the in-flight transfer model's activity.
@@ -88,19 +97,39 @@ func (t *Tiered) PrefetchH(h Handle, now, bw float64) (arrival float64, started 
 		bw = 1
 	}
 	bytes := payload.SizeBytes()
+	arrival = now + t.cfg[src].Device.ReadTime(bytes)/bw
 	t.flightSeq++
-	tr := &transfer{
-		h: h, payload: payload, src: src, bytes: bytes,
-		arrival: now + t.cfg[src].Device.ReadTime(bytes)/bw,
-		seq:     t.flightSeq,
-	}
+	s := t.slot()
+	t.slots[s] = transfer{h: h, payload: payload, src: src, bytes: bytes, arrival: arrival, seq: t.flightSeq}
 	t.flights = covering(t.flights, h, t.names)
-	t.flights[h] = tr
-	t.inflight++
-	t.flightQ = append(t.flightQ, tr)
+	t.flights[h] = s + 1
+	if arrival < t.nextDue { // a NaN arrival is never due
+		t.nextDue = arrival
+	}
+	t.flightQ = append(t.flightQ, queued{slot: s, seq: t.flightSeq})
 	t.pf.Issued++
 	t.pf.BytesMoved += bytes
-	return tr.arrival, true
+	return arrival, true
+}
+
+// slot takes a free slot for a new transfer, growing the table if none
+// is free.
+func (t *Tiered) slot() uint32 {
+	if k := len(t.free); k > 0 {
+		s := t.free[k-1]
+		t.free = t.free[:k-1]
+		return s
+	}
+	t.slots = append(t.slots, transfer{})
+	return uint32(len(t.slots) - 1)
+}
+
+// release ends slot s's transfer: its handle has none in flight, and the
+// slot is free for reuse.
+func (t *Tiered) release(s uint32) {
+	t.flights[t.slots[s].h] = 0
+	t.slots[s] = transfer{}
+	t.free = append(t.free, s)
 }
 
 // GetAt is the prefetch-aware Get: it first applies every transfer due by
@@ -124,17 +153,20 @@ func (t *Tiered) GetAtH(h Handle, now float64) (payload Sized, tier int, wait fl
 		return tr.payload, tr.src, tr.arrival - now, true
 	}
 	payload, tier, ok = t.GetH(h)
-	if ok && int(h) < len(t.unread) && t.unread[h] != nil {
+	if ok && int(h) < len(t.unread) && t.unread[h] != 0 {
 		t.pf.Hits++ // first read of a completed prefetch: it paid off
-		t.unread[h] = nil
+		t.unread[h] = 0
 	}
 	return payload, tier, 0, ok
 }
 
-// flight returns h's transfer in flight, or nil.
+// flight returns h's transfer in flight, or nil. The pointer is good
+// until the next transfer starts.
 func (t *Tiered) flight(h Handle) *transfer {
 	if int(h) < len(t.flights) {
-		return t.flights[h]
+		if s := t.flights[h]; s != 0 {
+			return &t.slots[s-1]
+		}
 	}
 	return nil
 }
@@ -151,7 +183,7 @@ func (t *Tiered) TierOf(h Handle) int {
 
 // Inflight reports how many transfers are currently in flight.
 func (t *Tiered) Inflight() int {
-	return t.inflight
+	return len(t.slots) - len(t.free)
 }
 
 // PrefetchStats snapshots the transfer-model counters.
@@ -159,46 +191,56 @@ func (t *Tiered) PrefetchStats() PrefetchStats {
 	return t.pf
 }
 
-// advance applies every transfer due by now, in (arrival, issue) order
-// so concurrent loaders complete deterministically. seq is unique, so the
+// advance applies every transfer due by now. It returns at once while now
+// is before the queue's earliest arrival, unless the queue has grown past
+// twice the slot table: only cancelled entries make it longer than the
+// table, and land's pass over the queue drops them.
+func (t *Tiered) advance(now float64) {
+	if now >= t.nextDue || len(t.flightQ) > 2*len(t.slots) {
+		t.land(now)
+	}
+}
+
+// land completes every transfer due by now, in (arrival, issue) order so
+// concurrent loaders complete deterministically. seq is unique, so the
 // order is total and any correct sort gives it. complete neither cancels
 // a transfer nor calls advance, so the due list lives in a scratch slice.
-func (t *Tiered) advance(now float64) {
-	if len(t.flightQ) == 0 {
-		return
-	}
-	due := t.due[:0]
-	rest := t.flightQ[:0]
-	for _, tr := range t.flightQ {
+func (t *Tiered) land(now float64) {
+	due, rest, next := t.due[:0], t.flightQ[:0], math.Inf(1)
+	for _, q := range t.flightQ {
+		tr := &t.slots[q.slot]
 		switch {
-		case tr.cancelled: // dropped from the queue
+		case tr.seq != q.seq: // cancelled: dropped from the queue
 		case tr.arrival <= now:
-			due = append(due, tr)
+			due = append(due, q.slot)
 		default:
-			rest = append(rest, tr)
+			rest = append(rest, q)
+			if tr.arrival < next { // a NaN arrival is never due
+				next = tr.arrival
+			}
 		}
 	}
-	t.flightQ = rest
-	slices.SortFunc(due, func(a, b *transfer) int {
-		if a.arrival != b.arrival {
-			return cmp.Compare(a.arrival, b.arrival)
+	t.flightQ, t.nextDue = rest, next
+	slices.SortFunc(due, func(a, b uint32) int {
+		x, y := &t.slots[a], &t.slots[b]
+		if x.arrival != y.arrival {
+			return cmp.Compare(x.arrival, y.arrival)
 		}
-		return cmp.Compare(a.seq, b.seq)
+		return cmp.Compare(x.seq, y.seq)
 	})
-	for _, tr := range due {
-		t.complete(tr)
+	for _, s := range due {
+		t.complete(s)
 	}
-	clear(due) // release the completed transfers
 	t.due = due[:0]
 }
 
-// complete lands one due transfer: the payload moves from wherever
+// complete lands slot s's due transfer: the payload moves from wherever
 // the chunk now lives to the top tier (the residence may have shifted
 // under demotion cascades while in flight). A chunk that left the
 // hierarchy mid-flight is NOT re-inserted — its bytes moved for nothing.
-func (t *Tiered) complete(tr *transfer) {
-	t.flights[tr.h] = nil
-	t.inflight--
+func (t *Tiered) complete(s uint32) {
+	tr := t.slots[s]
+	t.release(s)
 	e := t.idx.get(tr.h)
 	switch {
 	case e == nil:
@@ -216,7 +258,7 @@ func (t *Tiered) complete(tr *transfer) {
 	t.pf.Completed++
 	if !tr.read {
 		t.unread = covering(t.unread, tr.h, t.names)
-		t.unread[tr.h] = tr
+		t.unread[tr.h] = 1 + tr.bytes
 	}
 }
 
@@ -229,31 +271,29 @@ func (t *Tiered) complete(tr *transfer) {
 // the waste accounting is deterministic.
 func (t *Tiered) Drain() int {
 	n := 0
-	for _, tr := range t.flightQ {
-		if tr.cancelled {
-			continue
+	for _, q := range t.flightQ {
+		if tr := &t.slots[q.slot]; tr.seq == q.seq {
+			t.cancel(tr.h)
+			n++
 		}
-		t.cancel(tr.h)
-		n++
 	}
-	t.flightQ = t.flightQ[:0]
+	t.flightQ, t.nextDue = t.flightQ[:0], math.Inf(1)
 	return n
 }
 
 // cancel aborts h's in-flight transfer, if any: Put supersedes the
 // copy being moved, Remove releases the key outright. Bytes already
-// streaming count as wasted unless a join read them.
+// streaming count as wasted unless a join read them. The transfer's
+// queue entry stays behind until land or Drain drops it.
 func (t *Tiered) cancel(h Handle) {
 	tr := t.flight(h)
 	if tr == nil {
 		return
 	}
-	tr.cancelled = true
-	t.flights[h] = nil
-	t.inflight--
 	if !tr.read {
 		t.pf.BytesWasted += tr.bytes
 	}
+	t.release(t.flights[h] - 1)
 }
 
 // wasteUnread marks a completed-but-unread prefetch of h as undone
@@ -261,9 +301,9 @@ func (t *Tiered) cancel(h Handle) {
 // the top tier before any lookup touched it.
 func (t *Tiered) wasteUnread(h Handle) {
 	if int(h) < len(t.unread) {
-		if tr := t.unread[h]; tr != nil {
-			t.pf.BytesWasted += tr.bytes
-			t.unread[h] = nil
+		if m := t.unread[h]; m != 0 {
+			t.pf.BytesWasted += m - 1
+			t.unread[h] = 0
 		}
 	}
 }

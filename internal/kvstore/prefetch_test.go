@@ -262,6 +262,42 @@ func TestPrefetchCompletionOrder(t *testing.T) {
 	}
 }
 
+// TestPrefetchAllocatesNothing: once its tables have grown, a stack
+// prefetches a cold chunk, joins the transfer in flight and lands it
+// without allocating. Each cycle promotes one of two chunks over the
+// other, which the landing demotes to be the next cycle's cold chunk.
+func TestPrefetchAllocatesNothing(t *testing.T) {
+	ts := MustTiered(threeTiers(100, 0, 0)[:2], LRU) // one chunk of HBM over unbounded RAM
+	var hs [2]Handle
+	for i := range hs {
+		hs[i] = ts.names.Name(id(30 + i))
+		if err := ts.PutH(hs[i], Bytes(100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now, cold := 0.0, 0
+	cycle := func() {
+		h := hs[cold]
+		arrival, started := ts.PrefetchH(h, now, 1)
+		if !started {
+			t.Fatalf("prefetch at %v did not start", now)
+		}
+		if _, tier, wait, _ := ts.GetAtH(h, (now+arrival)/2); tier != 1 || wait <= 0 {
+			t.Fatalf("mid-flight lookup on tier %d waiting %v, want a join on tier 1", tier, wait)
+		}
+		if _, tier, _, _ := ts.GetAtH(h, arrival); tier != 0 {
+			t.Fatalf("lookup at arrival on tier %d, want 0", tier)
+		}
+		now, cold = arrival, 1-cold
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a prefetch cycle allocates %v times, want 0", allocs)
+	}
+	if pf := ts.PrefetchStats(); pf.Completed != 101 || pf.InflightJoins != 101 || pf.BytesWasted != 0 {
+		t.Fatalf("stats %+v: want 101 transfers landed and joined, none wasted", pf)
+	}
+}
+
 // topIDs is p.Top into a fresh slice, read back as ids.
 func topIDs(p *Popularity, now float64, k int, keep func(Handle) bool) []chunk.ID {
 	var ids []chunk.ID
@@ -390,11 +426,16 @@ func TestPopularityStaleNowDoesNotInflate(t *testing.T) {
 // the transfer model and checks its core invariants: a join is charged at
 // most the transfer duration and the residual wait only shrinks; a
 // removed key never resurrects until the next Put; a write by handle to a
-// key in flight cancels its transfer as a Put does; popularity scores stay
-// non-negative; the waste/moved and hit/miss ledgers stay consistent; the
-// stack's index holds exactly its resident entries. The frozen pre-index
-// stack (reference_test.go) replays every op and must return the same
-// values and hold the same tiers, recency order, statistics and transfers.
+// key in flight cancels its transfer as a Put does; Drain, at any point,
+// cancels every transfer; popularity scores stay non-negative; the
+// waste/moved and hit/miss ledgers stay consistent; the stack's index
+// holds exactly its resident entries. The frozen pre-index stack
+// (reference_test.go) replays every op and must return the same values
+// and hold the same tiers, recency order, statistics and transfers.
+//
+// An op byte b picks the op (b % 7) and advances the clock by b % 16 ms.
+// Each op goes to a random key, except a handle write, and a Put, Remove
+// or Prefetch from byte 128 up, which go to the latest transfer's key.
 //
 // The stack shares its table with another stack that named ids first, so
 // its handles do not start at 0. Its keys are named up front, and every op
@@ -407,7 +448,22 @@ func FuzzPrefetch(f *testing.F) {
 	f.Add(int64(42), []byte{3, 0, 2, 255, 4, 1, 2, 4})
 	// Fill past the top tier, prefetch, then write through a handle to
 	// the key in flight.
-	f.Add(int64(5), []byte{0, 6, 12, 18, 24, 30, 36, 42, 48, 54, 2, 2, 2, 2, 5, 2, 2, 5, 4, 5})
+	f.Add(int64(5), []byte{0, 7, 14, 21, 28, 35, 42, 49, 56, 63, 2, 2, 2, 2, 5, 2, 2, 5, 4, 5})
+	// The next three cancel a transfer and, with the clock stopped (bytes
+	// ≡ 0 mod 16), prefetch its key again (128) into the cancelled one's
+	// slot. Then the clock moves and lands the rest.
+	// Cancelled by a Put (224) and pushed back down by fresh Puts; another
+	// transfer in flight keeps the stale queue entry ahead of the new one:
+	f.Add(int64(5), []byte{0, 112, 0, 112, 0, 112, 0, 112, 0, 112, 0, 112,
+		16, 16, 16, 16, 16, 16, 224, 0, 112, 0, 112, 0, 112, 128, 32, 16, 128, 79, 4, 32, 15})
+	// Cancelled by a Remove (176), Put back (224) and pushed down, again
+	// behind the stale entry:
+	f.Add(int64(10), []byte{0, 112, 0, 112, 0, 112, 0, 112, 0, 112, 0, 112,
+		16, 16, 16, 16, 16, 16, 176, 224, 0, 112, 0, 112, 0, 112, 128, 32, 79, 4, 32})
+	// Cancelled by a mid-sequence Drain (160), which also empties the
+	// queue:
+	f.Add(int64(3), []byte{0, 112, 0, 112, 0, 112, 0, 112, 0, 112,
+		16, 16, 16, 16, 160, 128, 16, 16, 32, 160, 128, 79, 4, 32})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		tiers := threeTiers(512, 1024, 0)
 		names := NewNames()
@@ -431,9 +487,12 @@ func FuzzPrefetch(f *testing.F) {
 		lastStarted := -1                                // key index of the latest transfer started
 		for _, b := range ops {
 			now += float64(b%16) * 1e-3 // monotonic virtual clock
-			k := g.Intn(24)
+			k, op := g.Intn(24), b%7
+			if lastStarted >= 0 && (op == 5 || op <= 2 && b >= 128) {
+				k = lastStarted
+			}
 			key, h := chunk.Hash("fuzz", []int{k}), handles[k]
-			switch b % 6 {
+			switch op {
 			case 0:
 				size := Bytes(64 + int64(b)%192)
 				if err, refErr := ts.Put(key, size), ref.Put(key, size); (err == nil) != (refErr == nil) {
@@ -471,9 +530,6 @@ func FuzzPrefetch(f *testing.F) {
 					t.Fatalf("TierOf = %d, reference %d", a, b)
 				}
 			case 5: // a handle write, to the latest transfer's key if any
-				if lastStarted >= 0 {
-					key, h = chunk.Hash("fuzz", []int{lastStarted}), handles[lastStarted]
-				}
 				flying := ts.Inflight()
 				if ts.flight(h) != nil {
 					flying--
@@ -488,6 +544,14 @@ func FuzzPrefetch(f *testing.F) {
 				}
 				delete(removedAt, key)
 				delete(inflight, key)
+			case 6:
+				if a, b := ts.Drain(), ref.Drain(); a != b {
+					t.Fatalf("Drain = %d, reference %d", a, b)
+				}
+				if ts.Inflight() != 0 {
+					t.Fatalf("%d transfers in flight after Drain", ts.Inflight())
+				}
+				clear(inflight)
 			default:
 				payload, tier, wait, ok := ts.GetAtH(h, now)
 				if rp, rt, rw, rok := ref.GetAt(key, now); payload != rp || tier != rt || wait != rw || ok != rok {

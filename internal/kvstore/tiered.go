@@ -15,6 +15,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/chunk"
 	"repro/internal/device"
@@ -55,7 +56,9 @@ type TierStats struct {
 // Tiered is a multi-tier KV store in which a chunk lives on at most one
 // tier. It is built over a Names table, and every per-chunk state it
 // keeps — its index, its transfers in flight and its unread prefetch
-// marks — is a slice indexed by handle. Each method that takes a
+// marks — is a slice indexed by handle. Its transfers in flight are
+// values in a slot table, so a prefetch allocates nothing once the
+// tables have grown. Each method that takes a
 // chunk.ID names the ID in the table and forwards to its handle form, the
 // one the serving runtime calls. Like Store, a stack is owned by one run
 // and not safe for concurrent use.
@@ -71,13 +74,15 @@ type Tiered struct {
 	misses int64
 	puts   int64
 
-	// In-flight prefetch transfer model (prefetch.go), by handle.
-	flights   []*transfer // handle → its transfer in flight; nil: none
-	inflight  int         // transfers in flight
-	flightQ   []*transfer // issue-ordered queue advance drains
-	due       []*transfer // advance's scratch: the transfers it completes
+	// In-flight prefetch transfer model (prefetch.go).
+	slots     []transfer // transfers in flight, by slot; seq 0 marks a free slot
+	free      []uint32   // free slots, reused last-freed first
+	flights   []uint32   // handle → 1 + its transfer's slot; 0: none in flight
+	flightQ   []queued   // issue-ordered queue land drains
+	nextDue   float64    // no transfer in flightQ arrives before it; +Inf when it is empty
+	due       []uint32   // land's scratch: the slots it completes
 	flightSeq int
-	unread    []*transfer // handle → its completed transfer no lookup has read; nil: none
+	unread    []int64 // handle → 1 + the bytes of its completed transfer no lookup has read; 0: none
 	pf        PrefetchStats
 }
 
@@ -101,13 +106,14 @@ func (n *Names) NewTiered(tiers []Tier, policy Policy) (*Tiered, error) {
 		return nil, fmt.Errorf("kvstore: tiered store needs at least one tier")
 	}
 	t := &Tiered{
-		names:  n,
-		tiers:  make([]*Sharded, len(tiers)),
-		cfg:    append([]Tier(nil), tiers...),
-		hits:   make([]int64, len(tiers)),
-		promos: make([]int64, len(tiers)),
-		demos:  make([]int64, len(tiers)),
-		drops:  make([]int64, len(tiers)),
+		names:   n,
+		tiers:   make([]*Sharded, len(tiers)),
+		cfg:     append([]Tier(nil), tiers...),
+		hits:    make([]int64, len(tiers)),
+		promos:  make([]int64, len(tiers)),
+		demos:   make([]int64, len(tiers)),
+		drops:   make([]int64, len(tiers)),
+		nextDue: math.Inf(1),
 	}
 	for i, tc := range tiers {
 		if err := tc.Device.Validate(); err != nil {
@@ -220,7 +226,7 @@ func (t *Tiered) Put(id chunk.ID, payload Sized) error { return t.PutH(t.names.I
 // decode-KV append finds its entry with one slice load. Any other write
 // takes h's entry out of its tier, or enters h, and inserts it top-down.
 func (t *Tiered) PutH(h Handle, payload Sized) error {
-	if t.inflight > 0 {
+	if t.Inflight() > 0 {
 		t.cancel(h) // the new payload supersedes any copy in flight
 	}
 	e := t.idx.get(h)

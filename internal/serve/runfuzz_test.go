@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"testing"
 
 	"repro/internal/baselines"
 	"repro/internal/device"
+	"repro/internal/kvstore"
 	"repro/internal/timing"
 	"repro/internal/workload"
 )
@@ -152,7 +154,10 @@ func decodeFuzzRun(t *testing.T, data []byte) fuzzRun {
 // tier hits plus misses equal lookups, every dispatched request is
 // admitted once, an open stream completes exactly its measured requests
 // and makes exactly the store lookups its scheme asks of its chunk lists,
-// and every utilisation, attainment and hit rate lies in [0, 1].
+// every utilisation, attainment and hit rate lies in [0, 1], and at run
+// end no node's tier, nor any shard of it, holds more bytes than its
+// capacity. The second run takes RunWorkload's own path but keeps its
+// cluster, whose stacks the capacity law reads.
 func FuzzRunWorkload(f *testing.F) {
 	f.Add([]byte{})
 	// CacheBlend, 4 replicas, affinity, predictive, tiered, a kill and a join.
@@ -179,13 +184,14 @@ func FuzzRunWorkload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Result does not marshal: %v\n%+v", err, res)
 		}
-		again, err := RunWorkload(r.cfg, r.w, r.n, r.warmup, r.seed)
+		c, err := workloadCluster(r.cfg, r.w, r.n, r.warmup, r.seed)
 		if err != nil {
 			t.Fatalf("second run failed: %v", err)
 		}
-		if blob2, _ := json.Marshal(again); !bytes.Equal(blob, blob2) {
+		if blob2, _ := json.Marshal(c.run()); !bytes.Equal(blob, blob2) {
 			t.Fatalf("second run differs:\n%s\n%s", blob, blob2)
 		}
+		withinCapacity(t, c)
 		var tierHits int64
 		for _, tu := range res.Tiers {
 			tierHits += tu.Hits
@@ -253,4 +259,54 @@ func FuzzRunWorkload(f *testing.F) {
 			inUnit("Tenants SLOAttainment", i, tu.SLOAttainment)
 		}
 	})
+}
+
+// withinCapacity checks the capacity law on a finished run: no node's
+// tier, and no shard of it, holds more resident bytes than its capacity.
+// Each resident entry's bytes count toward the shard its id routes to,
+// by the id's leading eight bytes as the stack routes it; a tier's
+// shards must sum to the tier's own resident count.
+func withinCapacity(t *testing.T, c *cluster) {
+	t.Helper()
+	tiers := c.buildTiers()
+	type resident struct {
+		h     kvstore.Handle
+		bytes int64
+	}
+	var all []resident
+	for ni, n := range c.nodes {
+		all = all[:0]
+		n.store.EachH(func(h kvstore.Handle, bytes int64) { all = append(all, resident{h, bytes}) })
+		used := make([][]int64, len(tiers))
+		for i, tc := range tiers {
+			used[i] = make([]int64, max(tc.Shards, 1))
+		}
+		for _, e := range all {
+			i, id := n.store.TierOf(e.h), c.names.ID(e.h)
+			used[i][binary.LittleEndian.Uint64(id[:8])%uint64(len(used[i]))] += e.bytes
+		}
+		for i, ts := range n.store.TierStats() {
+			if ts.Capacity > 0 && ts.BytesResident > ts.Capacity {
+				t.Fatalf("node %d tier %d holds %d bytes, capacity %d", ni, i, ts.BytesResident, ts.Capacity)
+			}
+			var sum int64
+			for j, u := range used[i] {
+				sum += u
+				if ts.Capacity <= 0 {
+					continue
+				}
+				shards := int64(len(used[i]))
+				capacity := ts.Capacity / shards
+				if j == 0 {
+					capacity += ts.Capacity % shards
+				}
+				if u > max(capacity, 1) {
+					t.Fatalf("node %d tier %d shard %d of %d holds %d bytes, capacity %d", ni, i, j, shards, u, max(capacity, 1))
+				}
+			}
+			if sum != ts.BytesResident {
+				t.Fatalf("node %d tier %d: entries sum to %d bytes, the tier counts %d", ni, i, sum, ts.BytesResident)
+			}
+		}
+	}
 }

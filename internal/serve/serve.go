@@ -481,17 +481,27 @@ func (r Result) String() string {
 // runtime reports a completion, so offered load self-throttles with
 // service quality the way a finite client pool does.
 func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Result, error) {
+	c, err := workloadCluster(cfg, w, n, warmup, seed)
+	if err != nil {
+		return Result{}, err
+	}
+	return c.run(), nil
+}
+
+// workloadCluster validates RunWorkload's arguments and builds the
+// cluster that runs them.
+func workloadCluster(cfg Config, w workload.Workload, n, warmup int, seed int64) (*cluster, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, fmt.Errorf("serve: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if err := w.Validate(); err != nil {
-		return Result{}, fmt.Errorf("serve: workload: %w", err)
+		return nil, fmt.Errorf("serve: workload: %w", err)
 	}
 	if n <= 0 {
-		return Result{}, fmt.Errorf("serve: n = %d: need at least one request", n)
+		return nil, fmt.Errorf("serve: n = %d: need at least one request", n)
 	}
 	if warmup < 0 {
-		return Result{}, fmt.Errorf("serve: warmup = %d: negative", warmup)
+		return nil, fmt.Errorf("serve: warmup = %d: negative", warmup)
 	}
 	var (
 		wave    []workload.Request
@@ -503,7 +513,7 @@ func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Re
 		if cfg.hasEvents() {
 			// A kill re-queues in-flight work with original arrivals — under
 			// feedback-driven arrivals that replay has no meaning yet.
-			return Result{}, fmt.Errorf("serve: membership events are not supported with a closed-loop workload")
+			return nil, fmt.Errorf("serve: membership events are not supported with a closed-loop workload")
 		}
 		sess = cw.Session(n, seed)
 		init := sess.Initial()
@@ -516,26 +526,26 @@ func RunWorkload(cfg Config, w workload.Workload, n, warmup int, seed int64) (Re
 		total = len(wave)
 	}
 	if len(wave) == 0 {
-		return Result{}, fmt.Errorf("serve: workload %s yielded no requests", w.Name())
+		return nil, fmt.Errorf("serve: workload %s yielded no requests", w.Name())
 	}
 	if warmup >= total {
-		return Result{}, fmt.Errorf("serve: warmup %d must be below the run's %d requests", warmup, total)
+		return nil, fmt.Errorf("serve: warmup %d must be below the run's %d requests", warmup, total)
 	}
 	for i := range wave {
 		if err := wave[i].Validate(); err != nil {
-			return Result{}, fmt.Errorf("serve: workload %s: request %d: %w", w.Name(), i, err)
+			return nil, fmt.Errorf("serve: workload %s: request %d: %w", w.Name(), i, err)
 		}
 		if i > 0 && wave[i].Arrival < wave[i-1].Arrival {
-			return Result{}, fmt.Errorf("serve: workload %s: request %d arrives at %v, before request %d at %v",
+			return nil, fmt.Errorf("serve: workload %s: request %d arrives at %v, before request %d at %v",
 				w.Name(), i, wave[i].Arrival, i-1, wave[i-1].Arrival)
 		}
 		if sess != nil && (clients[i] < 0 || clients[i] >= sess.Clients()) {
-			return Result{}, fmt.Errorf("serve: workload %s: request %d from unknown client %d", w.Name(), i, clients[i])
+			return nil, fmt.Errorf("serve: workload %s: request %d from unknown client %d", w.Name(), i, clients[i])
 		}
 	}
 	c := newCluster(cfg, wave, warmup)
 	c.clients, c.session, c.total = clients, sess, total
-	return c.run(), nil
+	return c, nil
 }
 
 // serviceTime computes one request's prefill service time under the

@@ -24,10 +24,14 @@ type Task interface {
 	Run(now float64)
 }
 
-// Clock schedules tasks over virtual time.
+// Clock schedules tasks over virtual time. Its pending wakes are next, a
+// one-event slot, and the heap. A task most often schedules the wake that
+// runs next just before it returns, and the slot lets that wake skip a
+// heap push and pop.
 type Clock struct {
 	now  float64
 	seq  int
+	next event // a pending wake outside the heap; next.task == nil: none
 	heap eventHeap
 	// parked counts the live tasks with no pending event: those waiting
 	// on a Queue. They are the only tasks a drained heap can strand, so
@@ -53,22 +57,40 @@ func (c *Clock) Wake(t float64, task Task) {
 		t = c.now
 	}
 	c.seq++
-	c.heap.push(event{at: t, seq: c.seq, task: task})
+	ev := event{at: t, seq: c.seq, task: task}
+	if c.next.task == nil {
+		c.next = ev
+		return
+	}
+	// The slot keeps the earlier of the two in (at, seq) order.
+	if ev.before(c.next) {
+		ev, c.next = c.next, ev
+	}
+	c.heap.push(ev)
 }
 
-// Run drives the clock until the event queue is drained, returning the
-// final virtual time. It panics on deadlock — tasks still parked on a
-// queue with no event that could ever wake them.
+// Run drives the clock until no wake is pending, returning the final
+// virtual time. Each turn runs the earliest pending wake in (at, seq)
+// order: the slot's when it precedes the heap's minimum. It panics on
+// deadlock — tasks still parked on a queue with no event that could ever
+// wake them.
 func (c *Clock) Run() float64 {
-	for len(c.heap) > 0 {
-		ev := c.heap.pop()
+	for {
+		var ev event
+		switch {
+		case c.next.task != nil && (len(c.heap) == 0 || c.next.before(c.heap[0])):
+			ev, c.next = c.next, event{}
+		case len(c.heap) > 0:
+			ev = c.heap.pop()
+		default:
+			if c.parked > 0 {
+				panic(fmt.Sprintf("sim: deadlock: %d task(s) blocked at t=%.3f with no pending events", c.parked, c.now))
+			}
+			return c.now
+		}
 		c.now = ev.at
 		ev.task.Run(c.now)
 	}
-	if c.parked > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d task(s) blocked at t=%.3f with no pending events", c.parked, c.now))
-	}
-	return c.now
 }
 
 // Proc is the handle of a goroutine process started by Go. It is only
@@ -126,14 +148,14 @@ func (p *Proc) SleepUntil(t float64) {
 	if t < c.now {
 		t = c.now
 	}
-	// Fast path: if the wake event would be the strict heap minimum, this
-	// process is the next runnable one — advance the clock and keep
-	// running without the park/resume channel round-trip. Strictness
-	// matters: an equal-time event already in the heap has a smaller seq
-	// and must run first. Skipping the seq increment is safe because the
-	// relative push order of all other events (and so their tie-breaking)
-	// is unchanged.
-	if len(c.heap) == 0 || t < c.heap[0].at {
+	// Fast path: if the wake would strictly precede every pending one, in
+	// the slot and in the heap, this process is the next runnable one —
+	// advance the clock and keep running without the park/resume channel
+	// round-trip. Strictness matters: an equal-time pending wake has a
+	// smaller seq and must run first. Skipping the seq increment is safe
+	// because the relative order of all other wakes (and so their
+	// tie-breaking) is unchanged.
+	if (c.next.task == nil || t < c.next.at) && (len(c.heap) == 0 || t < c.heap[0].at) {
 		c.now = t
 		return
 	}
