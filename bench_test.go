@@ -11,6 +11,7 @@ package repro
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/blend"
@@ -680,29 +681,54 @@ func BenchmarkAblationPipeliningOff(b *testing.B) {
 }
 
 func BenchmarkEnginePipelined(b *testing.B) {
-	benchEngine(b, true)
+	benchEngine(b, engine.Config{Device: device.NVMeSSD, Pipelined: true})
 }
 
 func BenchmarkEngineSequential(b *testing.B) {
-	benchEngine(b, false)
+	benchEngine(b, engine.Config{Device: device.NVMeSSD})
 }
 
-func benchEngine(b *testing.B, pipelined bool) {
+// BenchmarkEngineTimed runs benchEngine's request with the
+// rag-fusion-pipelined workload's device and time scale: reads from a slow
+// SSD, each simulated second taking 10 s of real time. Its ns/op is set by
+// those sleeps, so benchjson does not gate it. late-ms is the mean
+// lateness of the loaded layers, LoadDone − LoadDue.
+func BenchmarkEngineTimed(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		pipelined bool
+	}{{"pipelined", true}, {"sequential", false}} {
+		c := c
+		b.Run(c.name, func(b *testing.B) {
+			benchEngine(b, engine.Config{Device: device.SlowSSD, TimeScale: 10 * time.Second, Pipelined: c.pipelined})
+		})
+	}
+}
+
+// benchEngine runs benchInput's request through cfg's device, time scale
+// and pipelining at ratio 0.15 from the QA model's selection layer. A
+// timed cfg (TimeScale > 0) also reports late-ms.
+func benchEngine(b *testing.B, cfg engine.Config) {
 	b.Helper()
-	m, v := qamodel.Build()
 	in, _ := benchInput(b)
-	_ = v
 	req := engine.Request{
 		Chunks: in.Chunks, ChunkTokens: in.ChunkTokens, SuffixTokens: in.SuffixTokens,
 	}
-	cfg := engine.Config{
-		Model: m, Device: device.NVMeSSD, RecomputeRatio: 0.15,
-		SelectionLayer: qamodel.SelectionLayer, Pipelined: pipelined,
-	}
+	cfg.Model, cfg.RecomputeRatio, cfg.SelectionLayer = in.Model, 0.15, qamodel.SelectionLayer
+	first := blend.FirstReadLayer(blend.ModeBlend, cfg.SelectionLayer, in.Model.Cfg.Layers)
+	var late time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Run(req); err != nil {
+		res, err := cfg.Run(req)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for _, l := range res.Layers[first:] {
+			late += l.LoadDone - l.LoadDue
+		}
+	}
+	if cfg.TimeScale > 0 {
+		loads := b.N * (in.Model.Cfg.Layers - first)
+		b.ReportMetric(float64(late)/float64(time.Millisecond)/float64(loads), "late-ms")
 	}
 }

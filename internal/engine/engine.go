@@ -31,7 +31,16 @@
 //
 // Device read delays are simulated with a configurable time scale (real
 // nanoseconds per simulated second) so tests run fast while the overlap
-// behaviour stays observable.
+// behaviour stays observable. The reads follow the device's timeline, not
+// the loader's: fetch_kv first places a layer (copies and re-rotates it)
+// and then waits for the absolute time its read is due before releasing
+// it. Pipelined, the device serves one read at a time and the loader
+// issues each as soon as the previous completes, so the k-th loaded layer
+// is due k read delays after the start; unpipelined, a read is due one
+// delay after the fusor asks for it. So goroutine start-up, the copy and
+// a timer's overshoot on one layer no longer push back the next layer's
+// read. Each layer records when its read was due (LayerTiming.LoadDue)
+// beside when it was released, so its lateness is LoadDone − LoadDue.
 package engine
 
 import (
@@ -78,8 +87,12 @@ type Request struct {
 // LayerTiming records when one layer was loaded and computed (relative to
 // the start of the request, in real time).
 type LayerTiming struct {
-	// LoadDone is when the layer's chunk KV finished loading; 0 for a
-	// layer below the selection layer, which is recomputed, not fetched.
+	// LoadDue is when the layer's simulated device read completes on the
+	// device's timeline, and LoadDone when the loader released the layer
+	// to the fusor, never before LoadDue; LoadDone − LoadDue is the
+	// emulation's lateness. Both are 0 for a layer below the selection
+	// layer, which is recomputed, not fetched.
+	LoadDue     time.Duration
 	LoadDone    time.Duration
 	ComputeDone time.Duration
 }
@@ -138,14 +151,20 @@ func (cfg Config) Run(req Request) (*Result, error) {
 			return nil, fmt.Errorf("engine: a layer's %g ns load delay overflows time.Duration", ns)
 		}
 		delay = time.Duration(ns)
+		// The reads are serial, so the last is due no earlier than one
+		// delay per loaded layer after the start.
+		if n := mc.Layers - firstLoad; n > 0 && delay > math.MaxInt64/time.Duration(n) {
+			return nil, fmt.Errorf("engine: %d loaded layers of %v load delay each overflow time.Duration", n, delay)
+		}
 	}
 
 	start := time.Now()
 	timings := make([]LayerTiming, mc.Layers)
 
 	// fetch_kv: copy one layer of every chunk's KV into the fused cache,
-	// re-rotating keys to their fused positions, after the simulated
-	// device read delay. loaded is closed per layer by the loader
+	// re-rotating keys to their fused positions, then wait until the
+	// simulated device read completes at due (measured from start) and
+	// release the layer. loaded is closed per layer by the loader
 	// goroutine; synchronize() is a receive on it. Layers below firstLoad
 	// are never fetched.
 	loaded := make([]chan struct{}, mc.Layers)
@@ -153,10 +172,7 @@ func (cfg Config) Run(req Request) (*Result, error) {
 		loaded[i] = make(chan struct{})
 	}
 	angles := make([]float32, mc.RotaryDims) // fetchLayer's; layers load one at a time
-	fetchLayer := func(li int) {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
+	fetchLayer := func(li int, due time.Duration) {
 		off := 0
 		for _, cc := range req.Chunks {
 			copy(fused.K[li].Data[off*fused.KVDim:], cc.K[li].Data)
@@ -169,16 +185,18 @@ func (cfg Config) Run(req Request) (*Result, error) {
 			}
 			off += cc.Tokens
 		}
-		timings[li].LoadDone = time.Since(start)
+		time.Sleep(due - time.Since(start))
+		timings[li].LoadDue, timings[li].LoadDone = due, time.Since(start)
 		close(loaded[li])
 	}
 
 	if cfg.Pipelined {
 		// The loader goroutine streams the read layers in order, ahead of
-		// the fusor.
+		// the fusor. The device serves one read at a time, each issued as
+		// the previous completes, so the k-th read is due at k×delay.
 		go func() {
 			for li := firstLoad; li < mc.Layers; li++ {
-				fetchLayer(li)
+				fetchLayer(li, time.Duration(li-firstLoad+1)*delay)
 			}
 		}()
 	}
@@ -193,7 +211,9 @@ func (cfg Config) Run(req Request) (*Result, error) {
 		case li < firstLoad:
 			// Recomputed for every token: nothing to wait for.
 		case !cfg.Pipelined:
-			fetchLayer(li) // strictly sequential: load now, then compute
+			// Strictly sequential: the read is issued now, and the layer
+			// is computed once it completes.
+			fetchLayer(li, time.Since(start)+delay)
 		default:
 			<-loaded[li]
 		}

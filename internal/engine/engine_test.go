@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,7 +179,7 @@ func TestEngineOverlapSavesWallTime(t *testing.T) {
 	// Genuine overlap: some layer's load completed before the previous
 	// layer's compute finished.
 	overlapped := false
-	for li := 1; li < testCfg.Layers; li++ {
+	for li := 1; li < m.Cfg.Layers; li++ {
 		if pip.Layers[li].LoadDone < pip.Layers[li-1].ComputeDone {
 			overlapped = true
 		}
@@ -205,6 +206,55 @@ func TestEngineTimelineMonotone(t *testing.T) {
 	}
 	if res.Wall < res.Layers[testCfg.Layers-1].ComputeDone {
 		t.Fatal("wall time earlier than last layer completion")
+	}
+}
+
+// TestEngineLoadSchedule checks the loader's device timeline exactly, with
+// no timing tolerance. Pipelined, the device serves one read at a time and
+// the loader issues each as the previous completes, so the j-th loaded
+// layer is due j read delays after the start. Unpipelined, a read is due
+// one delay after the fusor asks for it, so no earlier than the previous
+// layer's compute plus a delay. No layer is released before it is due,
+// and a layer below the selection layer is neither due nor loaded.
+func TestEngineLoadSchedule(t *testing.T) {
+	m := model.NewRandom(testCfg, 15)
+	req := makeRequest(m, 2, 8, 4, 16)
+	dev, scale := device.NVMeSSD, 10*time.Second
+	var layerBytes int64
+	for _, c := range req.Chunks {
+		layerBytes += c.LayerBytes()
+	}
+	delay := time.Duration(dev.ReadTime(layerBytes) * float64(scale))
+	first := blend.FirstReadLayer(blend.ModeBlend, 0, testCfg.Layers)
+	if first == 0 || delay <= 0 {
+		t.Fatalf("first loaded layer %d, delay %v: the test needs a recomputed layer and a positive delay", first, delay)
+	}
+	for _, pipelined := range []bool{true, false} {
+		res, err := Config{Model: m, Device: dev, RecomputeRatio: 0.2,
+			TimeScale: scale, Pipelined: pipelined}.Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, l := range res.Layers {
+			switch {
+			case li < first:
+				if l.LoadDue != 0 || l.LoadDone != 0 {
+					t.Errorf("pipelined=%v: recomputed layer %d due %v, loaded %v", pipelined, li, l.LoadDue, l.LoadDone)
+				}
+				continue
+			case pipelined:
+				if want := time.Duration(li-first+1) * delay; l.LoadDue != want {
+					t.Errorf("pipelined: layer %d due %v, want %v", li, l.LoadDue, want)
+				}
+			default:
+				if earliest := res.Layers[li-1].ComputeDone + delay; l.LoadDue < earliest {
+					t.Errorf("sequential: layer %d due %v, before layer %d's compute plus a delay (%v)", li, l.LoadDue, li-1, earliest)
+				}
+			}
+			if l.LoadDone < l.LoadDue {
+				t.Errorf("pipelined=%v: layer %d released at %v, before its read was due at %v", pipelined, li, l.LoadDone, l.LoadDue)
+			}
+		}
 	}
 }
 
@@ -250,6 +300,28 @@ func TestEngineErrors(t *testing.T) {
 	bad.ChunkTokens[0] = bad.ChunkTokens[0][:4]
 	if _, err := (Config{Model: m, Device: device.CPURAM}).Run(bad); err == nil {
 		t.Fatal("cache/token length mismatch must error")
+	}
+	// One layer's ~3e18 ns delay fits a time.Duration, but the serial
+	// reads of the five loaded layers do not. The run is on its own
+	// goroutine, so an accepted schedule fails the test instead of
+	// sleeping for decades.
+	good := makeRequest(m, 2, 8, 4, 12)
+	glacial := device.Device{Name: "glacial", ReadBW: 1e9, WriteBW: 1e9, Latency: 3e9}
+	if ns := glacial.ReadTime(good.Chunks[0].LayerBytes()*2) * float64(time.Second); ns >= math.MaxInt64 {
+		t.Fatalf("a layer's delay %g ns must fit a time.Duration", ns)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Config{Model: m, Device: glacial, TimeScale: time.Second}.Run(good)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "5 loaded layers") {
+			t.Fatalf("a load schedule past time.Duration: err %v, want one naming the 5 loaded layers", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a load schedule past time.Duration still running after 10 s")
 	}
 }
 

@@ -148,16 +148,18 @@ func decodeFuzzRun(t *testing.T, data []byte) fuzzRun {
 // scheme × flat/tiered × router × prefetch × scheduler × SLO targets ×
 // decode × tenants × membership schedule, on an open stream (generated,
 // mixed, or partly replayed from a trace) or a closed loop of at most a
-// few hundred requests. Every input either fails
-// validation with an error, or runs deterministically to a Result that
-// marshals to JSON (no NaN or Inf) and keeps the run's conservation laws:
-// tier hits plus misses equal lookups, every dispatched request is
-// admitted once, an open stream completes exactly its measured requests
-// and makes exactly the store lookups its scheme asks of its chunk lists,
-// every utilisation, attainment and hit rate lies in [0, 1], and at run
-// end no node's tier, nor any shard of it, holds more bytes than its
-// capacity. The second run takes RunWorkload's own path but keeps its
-// cluster, whose stacks the capacity law reads.
+// few hundred requests. Every input either fails validation with an
+// error, or runs deterministically to a Result that marshals to JSON (no
+// NaN or Inf) and keeps the run's conservation laws: tier hits plus
+// misses equal lookups, every dispatched request is admitted once, an
+// open stream or a closed loop completes exactly its measured requests,
+// an open stream makes exactly the store lookups its scheme asks of its
+// chunk lists, every utilisation, attainment and hit rate lies in
+// [0, 1], and at run end no node's tier, nor any shard of it, holds more
+// bytes than its capacity. The second run takes RunWorkload's own path
+// but keeps its cluster, whose stacks the capacity law reads and whose
+// dispatch budget and first measured index give a closed loop's measured
+// count.
 func FuzzRunWorkload(f *testing.F) {
 	f.Add([]byte{})
 	// CacheBlend, 4 replicas, affinity, predictive, tiered, a kill and a join.
@@ -235,6 +237,10 @@ func FuzzRunWorkload(f *testing.F) {
 			if res.Lookups != lookups {
 				t.Fatalf("%s: %d store lookups, want %d for the dispatched stream", r.cfg.Scheme, res.Lookups, lookups)
 			}
+		} else if want := c.total - c.firstMeasured; res.Requests != want {
+			// A closed loop's measured count is known only once its
+			// session has drawn its wave, so it is read off the cluster.
+			t.Fatalf("closed loop: %d measured requests completed, want %d", res.Requests, want)
 		}
 		inUnit := func(name string, i int, v float64) {
 			if v < 0 || v > 1 {
