@@ -7,6 +7,7 @@ package model
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -67,11 +68,19 @@ func TestForwardAllocatesOnlyResults(t *testing.T) {
 }
 
 // allocsPerRunAt is testing.AllocsPerRun at GOMAXPROCS procs instead of 1:
-// the mean number of allocations of a call to f after one warm-up call,
-// rounded down.
+// the mean number of allocations of a call to f, rounded down, counted in
+// steady state, with GC held off and after 200 warm-up calls. A split
+// call's caller can resume on another P than the one it woke its helpers
+// from, so the sudogs that WaitGroup.Wait and the helpers' receives park
+// on move between the per-P caches; each GC empties the central cache
+// behind them, and the runtime then allocates fresh ones. That is the
+// runtime's cost, not the call's.
 func allocsPerRunAt(procs, runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	f()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 200; i++ {
+		f()
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -42,7 +42,9 @@
 // any order on any goroutine, and the result stays bit-identical to the
 // serial one. A call whose attended work Σ(idx[r]+1) reaches 2048
 // (splitWork) shares each pass's rows with up to GOMAXPROCS-1 long-lived
-// helper goroutines, one per 2048 of work. ProjectKV, which is that
+// helper goroutines, one per 2048 of work. The caller yields once a
+// helper has taken the pass, so the helper starts at once rather than
+// after the scheduler's idle back-off. ProjectKV, which is that
 // first pass alone, follows the same rule. Smaller calls, such as a
 // chunk prefill, a decode step or a suffix-only pass, run on the caller,
 // and GOMAXPROCS=1 keeps every call there. There is no setting.

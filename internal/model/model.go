@@ -380,14 +380,14 @@ func (p *layerPass) attendRow(s *scratch, r int) {
 		qh := q[hh*headDim : (hh+1)*headDim]
 		w := s.scores[:n]
 		scoreKeysAt(w, qh, nonzeros(s.qdims, qh), K, off, scale)
-		tensor.Softmax(w)
+		rows := tensor.Softmax(w, s.rows)
 		if p.attn != nil {
 			copy(p.attn.Row(r)[hh*T:hh*T+n], w)
 		}
 		if len(read) == 0 {
 			continue
 		}
-		sumValuesAt(headOut[hh*headDim:(hh+1)*headDim], read, w, nonzeros(s.rows, w), V, off)
+		sumValuesAt(headOut[hh*headDim:(hh+1)*headDim], read, w, rows, V, off)
 	}
 	res := p.out.Row(r)
 	copy(res, p.h.Row(r))

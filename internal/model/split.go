@@ -12,9 +12,11 @@ import (
 // splitWork is the attended work, Σ(idx[r]+1) over a call's rows, that
 // pays for one helper goroutine: a ForwardLayerPartial or ProjectKV call
 // takes one helper per splitWork of work, up to GOMAXPROCS-1, so a call
-// below it runs on the caller alone. On a 2-core Xeon VM an idle helper
-// started 60–70 µs after it was woken, so a small pass finishes before
-// its helper can take a row.
+// below it runs on the caller alone. When the value was chosen, an idle
+// helper started 60–70 µs after it was woken on a 2-core Xeon VM, so a
+// small pass finished before its helper could take a row. wake now
+// yields to the helper, which starts within a few µs, but the value has
+// not been retuned.
 //
 // The value comes from timing passes split (with this constant at 0)
 // against serial ones, at -cpu 2 and 1 on a 2-core Xeon VM. On the
@@ -136,6 +138,16 @@ var (
 // wake hands p to up to n idle helpers, first starting helpers until n
 // exist. It waits for none: a helper busy with another call's pass leaves
 // its share to the goroutines that took p.
+//
+// Once a helper has taken p, wake yields the caller's P. A goroutine
+// readied by a channel send waits in the sender's runnext slot, and an
+// idle P steals from that slot only after a usleep(3) back-off, which
+// Linux's default 50 µs timer slack stretches to ~60 µs. Yielding runs
+// the helper at once on the caller's P and puts the caller on the global
+// run queue, which an idle P takes from without that back-off. In
+// rag-quality's split passes on a 2-core Xeon VM the helper joined 3 µs
+// into a pass instead of 68 µs (p50). When no helper takes p, nothing
+// yields.
 func wake(p *layerPass, n int) {
 	helperMu.Lock()
 	for ; helpers < n; helpers++ {
@@ -148,9 +160,13 @@ func wake(p *layerPass, n int) {
 		case helperWork <- p:
 		default:
 			p.done.Done()
+			if i > 0 {
+				runtime.Gosched()
+			}
 			return
 		}
 	}
+	runtime.Gosched()
 }
 
 // helper runs blocks of the passes handed to it, with working buffers of

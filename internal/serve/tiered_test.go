@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/baselines"
 	"repro/internal/device"
 	"repro/internal/timing"
+	"repro/internal/workload"
 )
 
 // tieredConfig returns a CacheBlend config whose KV store spans
@@ -115,5 +117,78 @@ func TestFasterTopTierNeverHurts(t *testing.T) {
 	lr := runPoisson(t, layered, 0.2, 600, 200, 8)
 	if lr.MeanTTFT > fr.MeanTTFT {
 		t.Fatalf("RAM front tier raised TTFT: %.4f vs %.4f", lr.MeanTTFT, fr.MeanTTFT)
+	}
+}
+
+// TestFullRecomputeIgnoresStore is a metamorphic relation: full recompute
+// prefills every token and looks up no chunk, so its Result, less the
+// per-tier Tiers rows that name each run's devices, is the same on a flat
+// NVMe store, a capacity-bounded slow SSD and an HBM/RAM/slow-SSD stack.
+// It runs a Poisson stream with decode and the router sweep's bursty
+// tenant mix. On the stack, where CacheBlend may prefetch, Validate
+// rejects prefetch under full recompute, so no prefetch setting can tell
+// the stores apart either.
+func TestFullRecomputeIgnoresStore(t *testing.T) {
+	chunkBytes := timing.Mistral7B.KVBytes(512)
+	stores := []struct {
+		name  string
+		tiers int
+		set   func(*Config)
+	}{
+		{"flat nvme", 1, func(c *Config) { c.Device, c.StoreCapacity, c.Tiers = device.NVMeSSD, 0, nil }},
+		{"bounded slow ssd", 1, func(c *Config) { c.Device, c.StoreCapacity, c.Tiers = device.SlowSSD, 10*chunkBytes, nil }},
+		{"hbm/ram/slow-ssd", 3, func(c *Config) {
+			c.Tiers = []TierConfig{
+				{Device: device.GPUHBM, Capacity: 8 * chunkBytes},
+				{Device: device.CPURAM, Capacity: 48 * chunkBytes},
+				{Device: device.SlowSSD},
+			}
+		}},
+	}
+	poisson := baseConfig(baselines.FullRecompute)
+	mixed := routerTestConfig(RouterShared)
+	mixed.Scheme = baselines.FullRecompute
+	streams := []struct {
+		name string
+		cfg  Config
+		w    workload.Workload
+	}{
+		{"poisson with decode", poisson, workload.Poisson{Rate: 0.3, Chunks: poisson.chunks(), Decode: workload.Decode{Mean: 24}}},
+		{"router mix", mixed, routerTestMix(2)},
+	}
+	for _, st := range streams {
+		var want []byte
+		for _, s := range stores {
+			cfg := st.cfg
+			s.set(&cfg)
+			res, err := RunWorkload(cfg, st.w, 400, 100, 3)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", st.name, s.name, err)
+			}
+			if len(res.Tiers) != s.tiers || res.Lookups != 0 {
+				t.Fatalf("%s on %s: %d tier rows and %d lookups, want %d and 0", st.name, s.name, len(res.Tiers), res.Lookups, s.tiers)
+			}
+			res.Tiers = nil
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if string(got) != string(want) {
+				t.Errorf("%s on %s differs from %s:\n %s\n %s", st.name, s.name, stores[0].name, got, want)
+			}
+			if s.tiers == 1 {
+				continue
+			}
+			for _, pf := range []string{PrefetchOnEnqueue, PrefetchPredictive} {
+				cfg.PrefetchPolicy = pf
+				blend := cfg
+				blend.Scheme = baselines.CacheBlend
+				if cfg.Validate() == nil || blend.Validate() != nil {
+					t.Errorf("%s on %s: prefetch %s valid under full recompute or invalid under CacheBlend", st.name, s.name, pf)
+				}
+			}
+		}
 	}
 }

@@ -167,10 +167,21 @@ func Add(dst, src []float32) {
 }
 
 // Softmax normalises x in place into a probability distribution using the
-// numerically stable max-subtraction form.
-func Softmax(x []float32) {
+// numerically stable max-subtraction form. It returns the indices of the
+// nonzero weights, ascending, stored in nz's array; it does not allocate
+// when cap(nz) ≥ len(x).
+//
+// An entry whose d = v − max lies below skipBelow once the float64 sum has
+// reached sumFloor is not exponentiated, since neither output it feeds can
+// tell: its weight is float32(e) = +0 (e < 2^-150 rounds to zero), and
+// adding e to a sum ≥ 2^-96 rounds back to the sum (e is below half of its
+// ulp, which is at least 2^-148). The result is bit-identical to
+// exponentiating every entry. NaN and +Inf entries, whose d is NaN, and
+// entries met while the sum is below sumFloor or NaN take the full path.
+func Softmax(x []float32, nz []int) []int {
+	nz = nz[:0]
 	if len(x) == 0 {
-		return
+		return nz
 	}
 	maxv := x[0]
 	for _, v := range x[1:] {
@@ -180,15 +191,33 @@ func Softmax(x []float32) {
 	}
 	var sum float64
 	for i, v := range x {
-		e := math.Exp(float64(v - maxv))
+		d := v - maxv
+		if d < skipBelow && sum >= sumFloor {
+			x[i] = 0
+			continue
+		}
+		e := math.Exp(float64(d))
 		x[i] = float32(e)
 		sum += e
 	}
 	inv := float32(1.0 / sum)
-	for i := range x {
-		x[i] *= inv
+	for i, v := range x {
+		v *= inv
+		x[i] = v
+		if v != 0 {
+			nz = append(nz, i)
+		}
 	}
+	return nz
 }
+
+// skipBelow and sumFloor bound the entries Softmax skips.
+// TestSkippedExpRoundsToZero checks math.Exp(float64(d)) < 2^-150 for
+// every float32 d in [−130, skipBelow); below −130 it is under 2^-187.
+const (
+	skipBelow = -104
+	sumFloor  = 0x1p-96
+)
 
 // RMSNorm applies root-mean-square layer normalisation with elementwise gain:
 // out[i] = x[i] / rms(x) * gain[i]. If gain is nil a gain of 1 is used.

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -216,7 +218,7 @@ func TestNewRunsIndexesNonzeroColumns(t *testing.T) {
 
 func TestSoftmaxProperties(t *testing.T) {
 	x := []float32{1, 2, 3, 4}
-	Softmax(x)
+	Softmax(x, nil)
 	var sum float64
 	prev := float64(-1)
 	for _, v := range x {
@@ -236,7 +238,7 @@ func TestSoftmaxProperties(t *testing.T) {
 
 func TestSoftmaxStability(t *testing.T) {
 	x := []float32{1000, 1001, 1002}
-	Softmax(x)
+	Softmax(x, nil)
 	var sum float64
 	for _, v := range x {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
@@ -250,7 +252,7 @@ func TestSoftmaxStability(t *testing.T) {
 }
 
 func TestSoftmaxEmpty(t *testing.T) {
-	Softmax(nil) // must not panic
+	Softmax(nil, nil) // must not panic
 }
 
 func TestSoftmaxSumProperty(t *testing.T) {
@@ -272,7 +274,7 @@ func TestSoftmaxSumProperty(t *testing.T) {
 			}
 			x[i] = v
 		}
-		Softmax(x)
+		Softmax(x, nil)
 		var sum float64
 		for _, v := range x {
 			if v < 0 {
@@ -285,6 +287,113 @@ func TestSoftmaxSumProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSkippedExpRoundsToZero checks the bound Softmax's skip rests on:
+// for every float32 d in [−130, skipBelow), math.Exp(float64(d)) is below
+// 2^-150, so its float32 weight is +0, and adding it to a sum of sumFloor
+// leaves the sum as it was. Below −130 the exponential is under 2^-187.
+func TestSkippedExpRoundsToZero(t *testing.T) {
+	worst, n := 0.0, 0
+	for d := float32(-130); d < skipBelow; d = math.Nextafter32(d, 0) {
+		e := math.Exp(float64(d))
+		if e >= 0x1p-150 || float32(e) != 0 {
+			t.Fatalf("math.Exp(%v) = %v (float32 %v), want below 2^-150", d, e, float32(e))
+		}
+		worst = max(worst, e)
+		n++
+	}
+	if sumFloor+worst != sumFloor {
+		t.Fatalf("%v + %v rounds to %v, want the sum unchanged", sumFloor, worst, sumFloor+worst)
+	}
+	t.Logf("%d values of d, largest exponential %.4f × 2^-150", n, worst/0x1p-150)
+}
+
+// softmaxRow decodes a FuzzSoftmax row. Two bytes give the row's top
+// value, a multiple of 1/64 in [−512, 512); each further five bytes give
+// one entry, from the 32 bits u of its last four bytes, by the low two
+// bits of its first:
+//   - 0: top − 104 + int32(u)/2^29, so that d lands within 4 of skipBelow;
+//   - 1: the float32 whose bits are u, NaN, ±Inf, −0 and subnormals too;
+//   - 2: top − (u mod 64), near the row's max;
+//   - 3: top − u/2^24, anywhere in (−256, 0] below it.
+//
+// A row has at most 300 entries.
+func softmaxRow(data []byte) []float32 {
+	if len(data) < 2 {
+		return nil
+	}
+	top := float32(int16(binary.LittleEndian.Uint16(data))) / 64
+	var x []float32
+	for b := data[2:]; len(b) >= 5 && len(x) < 300; b = b[5:] {
+		u := binary.LittleEndian.Uint32(b[1:])
+		var v float32
+		switch b[0] & 3 {
+		case 0:
+			v = top + skipBelow + float32(int32(u))/(1<<29)
+		case 1:
+			v = math.Float32frombits(u)
+		case 2:
+			v = top - float32(u%64)
+		case 3:
+			v = top - float32(u)/(1<<24)
+		}
+		x = append(x, v)
+	}
+	return x
+}
+
+// rawRow encodes vals as a softmaxRow input of raw-bit entries.
+func rawRow(vals ...float32) []byte {
+	b := make([]byte, 2, 2+5*len(vals))
+	for _, v := range vals {
+		b = append(b, 1)
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	return b
+}
+
+// FuzzSoftmax requires Softmax to write the bits the frozen reference
+// writes and to return the reference's scan of nonzero weights.
+func FuzzSoftmax(f *testing.F) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	sub := math.Float32frombits(1)
+	for _, row := range [][]float32{
+		// Entries far below the max met while the sum is still 0.
+		{-300, -250, -200, -150, -110, 0, -104.5, -120, -200, 1e-3},
+		// d in (−103.97, −103.9]: weights of 2^-149, not zero.
+		{0, -103.96, -103.95, -103.93, -103.9, -104, -104.01, -105},
+		{-103.95, 0, -103.9, -200},
+		{0, nan, -200, -105},
+		{nan, 0, -200},
+		{1, inf, -200},
+		{inf, inf, 0},
+		{float32(math.Inf(-1)), 0, -300},
+		{float32(math.Inf(-1)), float32(math.Inf(-1))},
+		{float32(math.Copysign(0, -1)), 0, -200},
+		{sub, -sub, -200, -105, -103.95},
+		{3},
+		{-7, -7, -7, -7},
+	} {
+		f.Add(rawRow(row...))
+	}
+	// Rows around the threshold, near the max and spread below it.
+	mixed := []byte{0x40, 0x06}
+	for i := 0; i < 60; i++ {
+		mixed = append(mixed, byte(i%4), byte(37*i), byte(11*i), byte(5*i), byte(0x80+i))
+	}
+	f.Add(mixed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		x := softmaxRow(data)
+		want := append([]float32(nil), x...)
+		refSoftmax(want)
+		wantNZ := refNonzeros(nil, want)
+		in := append([]float32(nil), x...)
+		nz := Softmax(x, make([]int, 0, len(x)))
+		if !sameBits(x, want) || !slices.Equal(nz, wantNZ) {
+			t.Fatalf("Softmax(%v) = %v, nonzeros %v; reference %v, nonzeros %v", in, x, nz, want, wantNZ)
+		}
+	})
 }
 
 func TestRMSNorm(t *testing.T) {
