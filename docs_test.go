@@ -135,3 +135,63 @@ func TestDocCommandsParse(t *testing.T) {
 		}
 	}
 }
+
+var (
+	// fuzzFunc matches a fuzz target's declaration in a test file.
+	fuzzFunc = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(\w+ \*testing\.F\)`)
+	// ciFuzz matches a fuzz smoke command: go test … -fuzz Target … ./pkg.
+	ciFuzz = regexp.MustCompile(`(?m)-fuzz '?\^?(Fuzz\w+)\$?'? .* (\./\S+)\s*$`)
+	// matrixFuzz matches one row of the weekly fuzz matrix.
+	matrixFuzz = regexp.MustCompile(`(?m)target: (Fuzz\w+), package: (\./\S+) \}`)
+)
+
+// TestFuzzTargetsRunInCI finds every fuzz target under internal/ and
+// requires it, with its package, in ci.yml's fuzz smoke and as a row of
+// fuzz.yml's weekly matrix, so a new target cannot go unfuzzed. Every
+// target the two files list must exist too: one renamed or moved away
+// would fuzz nothing.
+func TestFuzzTargetsRunInCI(t *testing.T) {
+	targets := map[string]bool{} // "FuzzX ./internal/pkg"
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(blob), -1) {
+			targets[m[1]+" ./"+filepath.ToSlash(filepath.Dir(path))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) == 0 {
+		t.Fatal("found no fuzz targets under internal/")
+	}
+	for _, wf := range []struct {
+		file string
+		row  *regexp.Regexp
+	}{{"ci.yml", ciFuzz}, {"fuzz.yml", matrixFuzz}} {
+		blob, err := os.ReadFile(filepath.Join(".github", "workflows", wf.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed := map[string]bool{}
+		for _, m := range wf.row.FindAllStringSubmatch(string(blob), -1) {
+			listed[m[1]+" "+m[2]] = true
+		}
+		for target := range targets {
+			if !listed[target] {
+				t.Errorf("%s does not fuzz %s", wf.file, target)
+			}
+		}
+		for target := range listed {
+			if !targets[target] {
+				t.Errorf("%s fuzzes %s, which is not a fuzz target", wf.file, target)
+			}
+		}
+	}
+}

@@ -4,8 +4,8 @@
 //
 //	fetch_kv(text, layer)  → a loader goroutine that brings one layer of a
 //	                         chunk's KV cache "into GPU memory" (here: into
-//	                         the fused cache), paying the storage device's
-//	                         simulated read latency;
+//	                         the fused cache); the layer is loaded once the
+//	                         storage device's simulated read completes;
 //	prefill_layer(...)     → blend's fusor, blend.Recompute, which runs the
 //	                         selective recompute layer by layer on the
 //	                         transformer substrate;
@@ -32,15 +32,19 @@
 // Device read delays are simulated with a configurable time scale (real
 // nanoseconds per simulated second) so tests run fast while the overlap
 // behaviour stays observable. The reads follow the device's timeline, not
-// the loader's: fetch_kv first places a layer (copies and re-rotates it)
-// and then waits for the absolute time its read is due before releasing
-// it. Pipelined, the device serves one read at a time and the loader
-// issues each as soon as the previous completes, so the k-th loaded layer
-// is due k read delays after the start; unpipelined, a read is due one
-// delay after the fusor asks for it. So goroutine start-up, the copy and
-// a timer's overshoot on one layer no longer push back the next layer's
-// read. Each layer records when its read was due (LayerTiming.LoadDue)
-// beside when it was released, so its lateness is LoadDone − LoadDue.
+// the loader's: fetch_kv only places a layer (copies and re-rotates it)
+// and reports when it did, and synchronize() returns once both that
+// placement and the absolute time the layer's read is due have passed.
+// Pipelined, the device serves one read at a time and the loader issues
+// each as soon as the previous completes, so the k-th loaded layer is due
+// k read delays after the start; unpipelined, a read is due one delay
+// after the fusor asks for it. So goroutine start-up, the copy and one
+// layer's wait never push back the next layer's read. The fusor waits,
+// not the loader, and only when it has nothing to compute: it sleeps
+// until shortly before the due time, then spins on the clock, since an
+// idle Go runtime's sleep ends on a whole millisecond. Each layer records
+// when its read was due (LayerTiming.LoadDue) beside when it became
+// available, so its lateness is LoadDone − LoadDue.
 package engine
 
 import (
@@ -88,10 +92,12 @@ type Request struct {
 // the start of the request, in real time).
 type LayerTiming struct {
 	// LoadDue is when the layer's simulated device read completes on the
-	// device's timeline, and LoadDone when the loader released the layer
-	// to the fusor, never before LoadDue; LoadDone − LoadDue is the
-	// emulation's lateness. Both are 0 for a layer below the selection
-	// layer, which is recomputed, not fetched.
+	// device's timeline, and LoadDone when the layer became available to
+	// the fusor, never before LoadDue: the end of the fusor's wait if it
+	// asked before LoadDue, else the later of LoadDue and the loader's
+	// placement. LoadDone − LoadDue is the emulation's lateness. Both are
+	// 0 for a layer below the selection layer, which is recomputed, not
+	// fetched.
 	LoadDue     time.Duration
 	LoadDone    time.Duration
 	ComputeDone time.Duration
@@ -162,17 +168,10 @@ func (cfg Config) Run(req Request) (*Result, error) {
 	timings := make([]LayerTiming, mc.Layers)
 
 	// fetch_kv: copy one layer of every chunk's KV into the fused cache,
-	// re-rotating keys to their fused positions, then wait until the
-	// simulated device read completes at due (measured from start) and
-	// release the layer. loaded is closed per layer by the loader
-	// goroutine; synchronize() is a receive on it. Layers below firstLoad
-	// are never fetched.
-	loaded := make([]chan struct{}, mc.Layers)
-	for i := range loaded {
-		loaded[i] = make(chan struct{})
-	}
-	angles := make([]float32, mc.RotaryDims) // fetchLayer's; layers load one at a time
-	fetchLayer := func(li int, due time.Duration) {
+	// re-rotating keys to their fused positions. Layers below firstLoad are
+	// never fetched.
+	angles := make([]float32, mc.RotaryDims) // placeLayer's; layers load one at a time
+	placeLayer := func(li int) {
 		off := 0
 		for _, cc := range req.Chunks {
 			copy(fused.K[li].Data[off*fused.KVDim:], cc.K[li].Data)
@@ -185,18 +184,28 @@ func (cfg Config) Run(req Request) (*Result, error) {
 			}
 			off += cc.Tokens
 		}
-		time.Sleep(due - time.Since(start))
-		timings[li].LoadDue, timings[li].LoadDone = due, time.Since(start)
-		close(loaded[li])
+	}
+	// release records layer li's read, due at due and placed at placed
+	// (both measured from start), and returns once the layer is available:
+	// at due, or at placed if the layer was placed later.
+	release := func(li int, due, placed time.Duration) {
+		done := max(due, placed)
+		if time.Since(start) < due {
+			done = waitUntil(start, due)
+		}
+		timings[li].LoadDue, timings[li].LoadDone = due, done
 	}
 
+	var placed chan time.Duration
 	if cfg.Pipelined {
-		// The loader goroutine streams the read layers in order, ahead of
-		// the fusor. The device serves one read at a time, each issued as
-		// the previous completes, so the k-th read is due at k×delay.
+		// The loader goroutine places the read layers in order, ahead of
+		// the fusor, and sends each one's placement time; it never waits,
+		// so the buffer holds every loaded layer.
+		placed = make(chan time.Duration, mc.Layers-firstLoad)
 		go func() {
 			for li := firstLoad; li < mc.Layers; li++ {
-				fetchLayer(li, time.Duration(li-firstLoad+1)*delay)
+				placeLayer(li)
+				placed <- time.Since(start)
 			}
 		}()
 	}
@@ -213,9 +222,13 @@ func (cfg Config) Run(req Request) (*Result, error) {
 		case !cfg.Pipelined:
 			// Strictly sequential: the read is issued now, and the layer
 			// is computed once it completes.
-			fetchLayer(li, time.Since(start)+delay)
+			due := time.Since(start) + delay
+			placeLayer(li)
+			release(li, due, time.Since(start))
 		default:
-			<-loaded[li]
+			// The device serves one read at a time, each issued as the
+			// previous completes, so the j-th read is due at j×delay.
+			release(li, time.Duration(li-firstLoad+1)*delay, <-placed)
 		}
 	}
 	blend.Recompute(m, fus, blend.Options{Mode: blend.ModeBlend, RecomputeRatio: cfg.RecomputeRatio,
@@ -231,6 +244,27 @@ func (cfg Config) Run(req Request) (*Result, error) {
 		Layers:           timings,
 		SelectedPerLayer: fus.SelectedPerLayer,
 	}, nil
+}
+
+// spinWindow is how close to its deadline waitUntil stops sleeping and
+// spins on the clock. An idle Go runtime sleeps in epoll_wait, whose
+// timeout is whole milliseconds, so a sleep can end up to 1 ms late; the
+// rest covers timer slack.
+const spinWindow = 1200 * time.Microsecond
+
+// waitUntil returns once due, measured from start, has passed, and returns
+// the time it did. It sleeps while more than spinWindow is left, then
+// spins for the rest without yielding: a yield wakes an idle P on every
+// call, which slows the compute the wait is pipelined with.
+func waitUntil(start time.Time, due time.Duration) time.Duration {
+	now := time.Since(start)
+	for ; due-now > spinWindow; now = time.Since(start) {
+		time.Sleep(due - now - spinWindow)
+	}
+	for now < due {
+		now = time.Since(start)
+	}
+	return now
 }
 
 // PipelineTime is timing.Pipeline, the analytic model of Run's

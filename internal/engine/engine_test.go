@@ -214,8 +214,9 @@ func TestEngineTimelineMonotone(t *testing.T) {
 // the loader issues each as the previous completes, so the j-th loaded
 // layer is due j read delays after the start. Unpipelined, a read is due
 // one delay after the fusor asks for it, so no earlier than the previous
-// layer's compute plus a delay. No layer is released before it is due,
-// and a layer below the selection layer is neither due nor loaded.
+// layer's compute plus a delay. No layer is available before it is due or
+// computed before it is available, and a layer below the selection layer
+// is neither due nor loaded.
 func TestEngineLoadSchedule(t *testing.T) {
 	m := model.NewRandom(testCfg, 15)
 	req := makeRequest(m, 2, 8, 4, 16)
@@ -253,6 +254,34 @@ func TestEngineLoadSchedule(t *testing.T) {
 			}
 			if l.LoadDone < l.LoadDue {
 				t.Errorf("pipelined=%v: layer %d released at %v, before its read was due at %v", pipelined, li, l.LoadDone, l.LoadDue)
+			}
+			if l.ComputeDone < l.LoadDone {
+				t.Errorf("pipelined=%v: layer %d computed at %v, before it was available at %v", pipelined, li, l.ComputeDone, l.LoadDone)
+			}
+		}
+	}
+}
+
+// TestWaitUntilNeverEarly checks that the fusor's deadline wait never
+// returns before its deadline, whether the deadline has passed, is at the
+// start, falls inside the spin window, just beyond it, or a few
+// milliseconds out, and that the time it returns is when it did.
+func TestWaitUntilNeverEarly(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		due  time.Duration
+	}{
+		{"past", -time.Millisecond},
+		{"at the start", 0},
+		{"inside the spin window", spinWindow / 2},
+		{"just beyond the spin window", spinWindow + 50*time.Microsecond},
+		{"a few ms out", 4 * time.Millisecond},
+	} {
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			got := waitUntil(start, c.due)
+			if after := time.Since(start); got < c.due || after < c.due || got > after {
+				t.Errorf("%s: waitUntil(%v) returned %v at %v", c.name, c.due, got, after)
 			}
 		}
 	}

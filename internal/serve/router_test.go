@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -192,6 +193,67 @@ func TestOneReplicaRoutingEqualsShared(t *testing.T) {
 			}
 			if string(got) != string(want) {
 				t.Errorf("prefetch %s: one-replica %s run differs from shared:\n %s\n %s", pf, router, got, want)
+			}
+		}
+	}
+}
+
+// TestRelabelTenantsPermutesRows is a metamorphic relation: the runtime
+// uses a tenant's id only to name its Tenants row, so replaying a
+// multi-tenant trace with decode under a permutation of its tenant ids
+// must leave every other Result field unchanged and move each Tenants row
+// to its tenant's new id. It runs every router and scheduling policy, with
+// prefetch off and predictive. A TTFT target puts attainment in the rows
+// and gives the slo policy its tenant risks to order by.
+func TestRelabelTenantsPermutesRows(t *testing.T) {
+	perm := []int{2, 0, 3, 1} // tenant i is relabelled perm[i]
+	reqs := routerTestMix(2).Generate(600, 7)
+	relabelled := make([]workload.Request, len(reqs))
+	for i := range reqs {
+		reqs[i].DecodeTokens = 1 + i%7
+		relabelled[i] = reqs[i]
+		relabelled[i].Tenant = perm[reqs[i].Tenant]
+	}
+	for _, router := range []string{RouterShared, RouterHash, RouterAffinity} {
+		for _, sched := range []string{SchedFIFO, SchedSLO, SchedChunkedPrefill, SchedDecodePriority} {
+			for _, pf := range []string{PrefetchOff, PrefetchPredictive} {
+				name := router + "/" + sched + "/prefetch " + pf
+				cfg := routerTestConfig(router)
+				cfg.Sched, cfg.PrefetchPolicy, cfg.SLOTTFT = sched, pf, 2
+				run := func(reqs []workload.Request) Result {
+					res, err := RunWorkload(cfg, workload.Trace{Reqs: reqs}, len(reqs), 100, 3)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return res
+				}
+				base, got := run(reqs), run(relabelled)
+				if len(base.Tenants) != len(perm) {
+					t.Fatalf("%s: %d tenant rows, want %d", name, len(base.Tenants), len(perm))
+				}
+				want := make([]TenantUsage, len(perm))
+				for _, row := range base.Tenants {
+					row.Tenant = perm[row.Tenant]
+					want[row.Tenant] = row
+				}
+				if reflect.DeepEqual(want, base.Tenants) {
+					t.Fatalf("%s: the permuted tenants' rows are alike, so the relation shows nothing", name)
+				}
+				if !reflect.DeepEqual(got.Tenants, want) {
+					t.Errorf("%s: relabelled tenant rows\n %+v\nwant\n %+v", name, got.Tenants, want)
+				}
+				base.Tenants, got.Tenants = nil, nil
+				bj, err := json.Marshal(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gj, err := json.Marshal(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(gj) != string(bj) {
+					t.Errorf("%s: relabelling tenants moved the Result:\n %s\n %s", name, gj, bj)
+				}
 			}
 		}
 	}
